@@ -81,7 +81,6 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
                  lease_ttl: float = 200e-3,
                  split_threshold: int = 2000,
                  parent_check: bool = True,
-                 trace_clients: bool = False,
                  hub: Optional[Any] = None,
                  commit_batch_size: Optional[int] = None,
                  commit_coalesce: Optional[bool] = None,
@@ -157,7 +156,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
         region = bed.pacon.create_region(config, app_nodes[k])
         if hub is not None:
             hub.attach_region(region)
-        clients = [bed.pacon.client(region, node, trace=trace_clients)
+        clients = [bed.pacon.client(region, node)
                    for node in app_nodes[k]
                    for _ in range(clients_per_node)]
         if hub is not None:

@@ -20,9 +20,9 @@ readdir     (none)            sync                   barrier
 
 Every method is a DES generator; wrap with
 :func:`repro.sim.core.run_sync` (or use :class:`repro.core.deploy.PaconFS`)
-for synchronous use.  When ``trace=True`` each call records the Table-I
-classification it actually exercised in ``last_trace`` — the Table I
-conformance tests and bench read that.
+for synchronous use.  Each call records the Table-I classification it
+actually exercised in ``last_class`` (``last_trace`` is the same thing as
+a dict) — the Table I conformance tests and bench read that.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class PaconClient:
     #: faithful and aggregate runs at matched logical scale.
     multiplier = 1
 
-    def __init__(self, region: ConsistentRegion, node, trace: bool = False):
+    def __init__(self, region: ConsistentRegion, node):
         self.region = region
         self.node = node
         self.env = region.env
@@ -94,11 +94,10 @@ class PaconClient:
         # Redirect path: an ordinary DFS client for out-of-region requests
         # and for Pacon's own synchronous DFS calls.
         self.dfs_client = region.dfs.client(node, uid=self.uid, gid=self.gid)
-        self.trace = trace
-        self.last_trace: Optional[Dict[str, Any]] = None
         #: Table-I classification of the current/most recent op, kept as a
         #: cheap tuple so spans can tag op.end events with it.
         self.last_class: Optional[Tuple[str, str, str]] = None
+        self._last_op: Optional[str] = None
         #: Ablation switch: emulate the traditional layer-by-layer
         #: permission check *inside the distributed cache* (one KV get per
         #: path level) instead of batch permission management.  Used by the
@@ -118,11 +117,18 @@ class PaconClient:
 
     # ------------------------------------------------------------------ utils
     def _note(self, op: str, cache_op: str, comm: str, commit: str) -> None:
-        self.ops += 1
+        self.ops += self.multiplier  # ops counts *logical* operations
+        self._last_op = op
         self.last_class = (cache_op, comm, commit)
-        if self.trace:
-            self.last_trace = {"op": op, "cache_op": cache_op,
-                               "comm": comm, "commit": commit}
+
+    @property
+    def last_trace(self) -> Optional[Dict[str, str]]:
+        """``last_class`` as the Table-I row dict (plus the op name)."""
+        if self.last_class is None:
+            return None
+        cache_op, comm, commit = self.last_class
+        return {"op": self._last_op, "cache_op": cache_op, "comm": comm,
+                "commit": commit}
 
     def _spanned(self, op: str, path: str,
                  inner: Generator[Event, Any, Any],
@@ -186,24 +192,43 @@ class PaconClient:
         if ctx is not None:
             self.region.tracer.span_end(self.env.now, self.actor_name, ctx)
 
-    def _provisional_ino(self) -> int:
-        return self.region.alloc_provisional_ino()
+    def _enter(self, op: str, path: str, write: bool = False,
+               ) -> Generator[Event, Any,
+                              Tuple[str, Optional[ConsistentRegion]]]:
+        """The prologue every single-path operation shares.
 
-    def _charge_client_cpu(self) -> Generator[Event, Any, None]:
+        Normalizes and routes ``path``.  Outside every known region the op
+        is a redirect: it is counted and classified here, and ``(path,
+        None)`` tells the caller to hand it to the DFS client unmodified.
+        Inside one, a ``write`` into a merged region is refused at no
+        simulated cost; otherwise the client CPU cost is charged and the
+        batch permission check runs against the *covering* region.
+        """
+        path = normalize_path(path)
+        target = self._route(path)
+        if target is None:
+            self.redirects += 1
+            self._note(op, "none", "sync", "none")
+            return path, None
+        if write and target is not self.region:
+            raise ReadOnlyRegion(
+                f"{path} belongs to merged region {target.name};"
+                " merged regions are read-only (§III.D.4)")
         if self.costs.client_op_cpu > 0:
             yield self.env.timeout(self.costs.client_op_cpu)
+        yield from self._check_permission(op, path, target)
+        return path, target
 
     def _check_permission(self, op: str, path: str,
-                          region: Optional[ConsistentRegion] = None,
+                          region: ConsistentRegion,
                           ) -> Generator[Event, Any, None]:
         """Batch permission check (§III.C) with its (tiny) CPU cost.
 
         Checks against the *covering* region's permission information —
         for merged regions that is the information exchanged during the
-        merge (§III.D.4 step 1).
+        merge (§III.D.4 step 1).  ``path`` is already normalized.
         """
-        region = region or self.region
-        if normalize_path(path) == region.workspace:
+        if path == region.workspace:
             return  # region-root access was granted at region creation
         if self.hierarchical_permissions:
             yield from self._hierarchical_walk(path, region)
@@ -235,6 +260,21 @@ class PaconClient:
 
     def _route(self, path: str) -> Optional[ConsistentRegion]:
         return self.region.covering_region(path)
+
+    def _barrier(self, region: ConsistentRegion) -> Generator[Event, Any,
+                                                              None]:
+        """Barrier commit (§III.E dependent type): return once every
+        operation queued in ``region`` before now is on the DFS."""
+        epoch, done = region.trigger_barrier()
+        ctx = self._stage_start("barrier", f"epoch {epoch}")
+        yield done
+        self._stage_end(ctx)
+
+    def _forget_subtree(self, path: str) -> None:
+        """Drop ``path`` and everything under it from the parent memo."""
+        prefix = path + "/"
+        self._parent_memo = {p for p in self._parent_memo
+                             if p != path and not p.startswith(prefix)}
 
     def _publish(self, op: str, path: str, mode: int,
                  gen_ino: int = -1) -> Generator[Event, Any, None]:
@@ -393,28 +433,17 @@ class PaconClient:
 
     def _create_entry(self, op: str, path: str, mode: Optional[int],
                       ftype: FileType) -> Generator[Event, Any, Inode]:
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter(op, path, write=True)
         if target is None:
-            self.redirects += 1
-            self._note(op, "none", "sync", "none")
-            dfs_op = self.dfs_client.mkdir if op == "mkdir" \
-                else self.dfs_client.create
-            inode = yield from dfs_op(path, **({} if mode is None
-                                               else {"mode": mode}))
+            inode = yield from getattr(self.dfs_client, op)(
+                path, **({} if mode is None else {"mode": mode}))
             return inode
-        if target is not self.region:
-            raise ReadOnlyRegion(
-                f"{path} belongs to merged region {target.name};"
-                " merged regions are read-only (§III.D.4)")
-        yield from self._charge_client_cpu()
-        yield from self._check_permission(op, path)
         if self.config.parent_check:
             yield from self._parent_check(path)
         if mode is None:
             mode = self.region.permissions.effective(path).mode
         record = new_record({
-            "ino": self._provisional_ino(),
+            "ino": self.region.alloc_provisional_ino(),
             "ftype": ftype.value,
             "mode": mode,
             "uid": self.uid,
@@ -454,17 +483,10 @@ class PaconClient:
     @_traced
     def rm(self, path: str) -> Generator[Event, Any, None]:
         """Remove a file (Table I: update & delete / async / independent)."""
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter("rm", path, write=True)
         if target is None:
-            self.redirects += 1
-            self._note("rm", "none", "sync", "none")
             yield from self.dfs_client.unlink(path)
             return
-        if target is not self.region:
-            raise ReadOnlyRegion(f"{path} is read-only (merged region)")
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("rm", path)
 
         state = {"missing": False, "was_dir": False, "already_deleted": False}
 
@@ -507,15 +529,10 @@ class PaconClient:
     # -------------------------------------------------------- read operations
     @_traced
     def getattr(self, path: str) -> Generator[Event, Any, Inode]:
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter("getattr", path)
         if target is None:
-            self.redirects += 1
-            self._note("getattr", "none", "sync", "none")
             inode = yield from self.dfs_client.getattr(path)
             return inode
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("getattr", path, region=target)
         record = yield from target.cache.get(self.node, path)
         if record is not None:
             self.cache_hits += 1
@@ -553,19 +570,11 @@ class PaconClient:
         (that would be a full table scan over the shards); it barriers so
         every queued operation is visible on the DFS, then asks the DFS.
         """
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter("readdir", path)
         if target is None:
-            self.redirects += 1
-            self._note("readdir", "none", "sync", "none")
             names = yield from self.dfs_client.readdir(path)
             return names
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("readdir", path, region=target)
-        epoch, done = target.trigger_barrier()
-        barrier_ctx = self._stage_start("barrier", f"epoch {epoch}")
-        yield done
-        self._stage_end(barrier_ctx)
+        yield from self._barrier(target)
         names = yield from self.dfs_client.readdir(path)
         self._note("readdir", "none", "sync", "barrier")
         return names
@@ -574,29 +583,16 @@ class PaconClient:
     @_traced
     def rmdir(self, path: str) -> Generator[Event, Any, int]:
         """Remove a directory tree (Table I: delete / sync / barrier)."""
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter("rmdir", path, write=True)
         if target is None:
-            self.redirects += 1
-            self._note("rmdir", "none", "sync", "none")
             removed = yield from self.dfs_client.rmdir(path, recursive=True)
             return removed
-        if target is not self.region:
-            raise ReadOnlyRegion(f"{path} is read-only (merged region)")
         if path == self.region.workspace:
             raise PermissionDenied(path, "cannot remove the region root")
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("rmdir", path)
-        # Barrier: every operation that happened before this rmdir must be
-        # on the DFS before the removal runs (§III.E dependent type).
-        epoch, done = self.region.trigger_barrier()
-        barrier_ctx = self._stage_start("barrier", f"epoch {epoch}")
-        yield done
-        self._stage_end(barrier_ctx)
+        yield from self._barrier(self.region)
         removed = yield from self.dfs_client.rmdir(path, recursive=True)
         self.region.note_removed_subtree(path)
-        self._parent_memo = {p for p in self._parent_memo
-                             if not (p == path or p.startswith(path + "/"))}
+        self._forget_subtree(path)
         # Clean related metadata from the distributed cache (§III.D.1).
         yield from self.region.cache.delete_subtree(self.node, path)
         self._note("rmdir", "delete", "sync", "barrier")
@@ -626,19 +622,17 @@ class PaconClient:
             raise ReadOnlyRegion(
                 "rename must stay inside the caller's own region"
                 f" ({src} -> {dst})")
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("rm", src)      # parent write
-        yield from self._check_permission("create", dst)  # parent write
-        epoch, done = self.region.trigger_barrier()
-        barrier_ctx = self._stage_start("barrier", f"epoch {epoch}")
-        yield done
-        self._stage_end(barrier_ctx)
+        if self.costs.client_op_cpu > 0:
+            yield self.env.timeout(self.costs.client_op_cpu)
+        # Both sides need write access to their parent directory.
+        yield from self._check_permission("rm", src, self.region)
+        yield from self._check_permission("create", dst, self.region)
+        yield from self._barrier(self.region)
         yield from self.dfs_client.rename(src, dst)
         # Drop stale cache state for both names; reads repopulate lazily.
         yield from self.region.cache.delete_subtree(self.node, src)
         yield from self.region.cache.delete(self.node, dst)
-        self._parent_memo = {p for p in self._parent_memo
-                             if not (p == src or p.startswith(src + "/"))}
+        self._forget_subtree(src)
         self._note("rename", "delete", "sync", "barrier")
 
     @_traced
@@ -650,17 +644,10 @@ class PaconClient:
         the cached record and, synchronously, the DFS backup copy are
         updated as well so hierarchical checks outside the region agree.
         """
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter("chmod", path, write=True)
         if target is None:
-            self.redirects += 1
-            self._note("chmod", "none", "sync", "none")
             yield from self.dfs_client.setattr(path, mode=mode)
             return
-        if target is not self.region:
-            raise ReadOnlyRegion(f"{path} is read-only (merged region)")
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("setattr", path)
 
         state = {"deleted": False, "committed": False}
 
@@ -710,17 +697,10 @@ class PaconClient:
         if (data is None) == (size is None):
             raise ValueError("pass exactly one of data= or size=")
         nbytes = len(data) if data is not None else int(size)
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter("write", path, write=True)
         if target is None:
-            self.redirects += 1
-            self._note("write", "none", "sync", "none")
             n = yield from self.dfs_client.write(path, offset, nbytes)
             return n
-        if target is not self.region:
-            raise ReadOnlyRegion(f"{path} is read-only (merged region)")
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("write", path)
 
         got = yield from self.region.cache.gets(self.node, path)
         if got is None:
@@ -802,15 +782,10 @@ class PaconClient:
     def read(self, path: str, offset: int,
              size: int) -> Generator[Event, Any, bytes]:
         """Read file data; returns bytes (zero-filled for synthetic data)."""
-        path = normalize_path(path)
-        target = self._route(path)
+        path, target = yield from self._enter("read", path)
         if target is None:
-            self.redirects += 1
-            self._note("read", "none", "sync", "none")
             n = yield from self.dfs_client.read(path, offset, size)
             return b"\x00" * n
-        yield from self._charge_client_cpu()
-        yield from self._check_permission("read", path, region=target)
         record = yield from target.cache.get(self.node, path)
         if record is None:
             self.cache_misses += 1
@@ -844,10 +819,11 @@ class PaconClient:
         """
         path = normalize_path(path)
         target = self._route(path)
-        if target is None or target is not self.region:
+        if target is not self.region:
             self._note("fsync", "none", "sync", "none")
             return  # DFS writes in this model are already durable
-        yield from self._charge_client_cpu()
+        if self.costs.client_op_cpu > 0:
+            yield self.env.timeout(self.costs.client_op_cpu)
         got = yield from self.region.cache.gets(self.node, path)
         if got is None:
             return  # large/DFS-resident: nothing inline to flush
@@ -912,14 +888,8 @@ class AggregateClient(PaconClient):
     scenario).
     """
 
-    def __init__(self, region: ConsistentRegion, node, multiplier: int,
-                 trace: bool = False):
+    def __init__(self, region: ConsistentRegion, node, multiplier: int):
         if multiplier < 1:
             raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-        super().__init__(region, node, trace=trace)
+        super().__init__(region, node)
         self.multiplier = multiplier
-
-    def _note(self, op: str, cache_op: str, comm: str, commit: str) -> None:
-        super()._note(op, cache_op, comm, commit)
-        # One physical op stands for ``multiplier`` logical ops.
-        self.ops += self.multiplier - 1

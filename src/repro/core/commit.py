@@ -41,13 +41,14 @@ from repro.dfs.errors import (
 )
 from repro.dfs.namespace import parent_of
 from repro.mq.queue import QueueClosed
-from repro.sim.core import Event, cancel_wait
+from repro.sim.core import Event, Interrupt, cancel_wait
 from repro.sim.network import NodeDownError
 
 __all__ = ["OpMessage", "BarrierMessage", "CommitProcess", "CommitStalled"]
 
-#: Operations committed independently (non-dependent type).
-INDEPENDENT_OPS = ("create", "mkdir", "rm")
+#: Operations committed independently (non-dependent type), each mapped to
+#: the DFS client method that applies it (``rm`` is POSIX ``unlink``).
+DFS_METHOD = {"create": "create", "mkdir": "mkdir", "rm": "unlink"}
 
 
 class CommitStalled(RuntimeError):
@@ -91,7 +92,7 @@ class OpMessage:
     weight: int = 1
 
     def __post_init__(self) -> None:
-        if self.op not in INDEPENDENT_OPS:
+        if self.op not in DFS_METHOD:
             raise ValueError(f"only independent ops ride the queue, got"
                              f" {self.op!r}")
 
@@ -127,7 +128,7 @@ class CommitProcess:
         self.current_epoch = region.client_epoch
         self._barrier_counts: Dict[int, int] = {}
         self._pending: Deque[OpMessage] = deque()      # current-epoch retries
-        self._future: Dict[int, List[Any]] = {}        # epoch -> held msgs
+        self._future: Dict[int, List[OpMessage]] = {}  # epoch -> held ops
         # Batched draining (§III.E stays intact: barrier messages cut
         # batches, resubmission and the discard rule are per-op).
         self.batch_size = max(1, region.config.commit_batch_size)
@@ -218,49 +219,34 @@ class CommitProcess:
             "future": sum(len(v) for v in self._future.values()),
         }
         counts["total"] = sum(counts.values())
-        self._resolve_lost_ledger()
-        self._pending.clear()
-        self._future.clear()
-        self._barrier_counts.clear()
-        self._in_flight = 0
-        self._in_flight_committed = 0
-        self._in_flight_oldest = None
+        self._drop_unresolved()
         self.aborts += 1
         if self.region.hub.enabled:
             self.region.hub.count("commit.aborts")
-        proc = self._process
-        if proc is not None and proc.is_alive:
+        if self.alive:
             self.killed = True
-            cancel_wait(proc.waiting_on)
-            proc.interrupt(reason)
+            cancel_wait(self._process.waiting_on)
+            self._process.interrupt(reason)
         return counts
+
+    def _waiting_ops(self) -> Generator[OpMessage, None, None]:
+        """Ops retrying in this epoch or held for a future one."""
+        yield from self._pending
+        for held in self._future.values():
+            yield from held
 
     def oldest_outstanding_timestamp(self) -> Optional[float]:
         """Oldest publish timestamp among this process's unresolved ops
         (retrying, held for a future epoch, or mid-commit); None if none."""
-        oldest = self._in_flight_oldest
-        for op in self._pending:
-            if oldest is None or op.timestamp < oldest:
-                oldest = op.timestamp
-        for msgs in self._future.values():
-            for msg in msgs:
-                ts = getattr(msg, "timestamp", None)
-                if ts is not None and (oldest is None or ts < oldest):
-                    oldest = ts
-        return oldest
+        stamps = [op.timestamp for op in self._waiting_ops()]
+        if self._in_flight_oldest is not None:
+            stamps.append(self._in_flight_oldest)
+        return min(stamps, default=None)
 
     # -- version-lag ledger shadow (hub-gated) --------------------------------
-    def _ledger_track(self, ops: List[OpMessage]) -> None:
-        """Note drained ops as unresolved (only while a hub is attached)."""
-        if self.region.hub.enabled:
-            self._in_flight_msgs.extend(ops)
-
     def _ledger_untrack(self, op: OpMessage) -> None:
-        if self._in_flight_msgs:
-            try:
-                self._in_flight_msgs.remove(op)
-            except ValueError:
-                pass
+        if op in self._in_flight_msgs:
+            self._in_flight_msgs.remove(op)
 
     def _resolve_ledger(self, op: OpMessage) -> None:
         """The op left the pipeline (committed/discarded/coalesced)."""
@@ -268,43 +254,34 @@ class CommitProcess:
         if self.region.hub.enabled:
             self.region.note_op_resolved(op.path)
 
-    def _resolve_lost_ledger(self) -> None:
+    def _drop_unresolved(self) -> None:
         """Crash path: every unresolved op is lost — reconcile the ledger
-        exactly once per op or post-fault version lag never drains."""
+        exactly once per op (or post-fault version lag never drains) and
+        forget all retrying, held and in-flight state.  Runs at ``abort``
+        and again when the interrupt lands in ``run``; by then the lists
+        are empty, so nothing is resolved twice."""
         if self.region.hub.enabled:
-            for op in self._in_flight_msgs:
+            for op in (*self._in_flight_msgs, *self._waiting_ops()):
                 self.region.note_op_resolved(op.path)
-            for op in self._pending:
-                self.region.note_op_resolved(op.path)
-            for msgs in self._future.values():
-                for msg in msgs:
-                    if isinstance(msg, OpMessage):
-                        self.region.note_op_resolved(msg.path)
         self._in_flight_msgs.clear()
+        self._pending.clear()
+        self._future.clear()
+        self._barrier_counts.clear()
+        self._in_flight = 0
+        self._in_flight_committed = 0
+        self._in_flight_oldest = None
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> Generator[Event, Any, None]:
         """Commit loop; dies cleanly (dropping state) on node failure."""
-        from repro.sim.core import Interrupt
-
         try:
             yield from self._loop()
         except Interrupt:
             # Node crash (§III.G): whatever was queued or in flight here is
-            # lost; isolation means only this region is affected.  After an
-            # abort() the lists below are already empty, so the ledger
-            # reconciliation cannot double-resolve.
-            self._resolve_lost_ledger()
-            self._pending.clear()
-            self._future.clear()
-            self._barrier_counts.clear()
-            self._in_flight = 0
-            self._in_flight_committed = 0
-            self._in_flight_oldest = None
+            # lost; isolation means only this region is affected.
+            self._drop_unresolved()
 
     def _loop(self) -> Generator[Event, Any, None]:
-        from repro.sim.core import Interrupt
-
         closing = False
         while True:
             # Backstop for a swallowed kill: if abort() flagged this loop
@@ -341,7 +318,7 @@ class CommitProcess:
                 self.region.prune_removed_subtrees()
                 # Release operations held for the new epoch.
                 for msg in self._future.pop(self.current_epoch, []):
-                    yield from self._dispatch(msg)
+                    yield from self._dispatch_batch([msg])
                 continue
 
             if len(self.queue) > 0 or (not self._pending and not closing):
@@ -350,49 +327,25 @@ class CommitProcess:
                 except QueueClosed:
                     closing = True
                     continue
-                if self.batch_size > 1:
-                    batch = [msg]
-                    batch.extend(self.queue.get_batch(self.batch_size - 1))
-                    yield from self._dispatch_batch(batch)
-                else:
-                    yield from self._dispatch(msg)
+                batch = [msg] + self.queue.get_batch(self.batch_size - 1)
+                # Observed here, not in _dispatch_batch: retries and epoch
+                # releases reuse the dispatch but are not queue drains.
+                if self.region.hub.enabled:
+                    self.region.hub.observe("commit.batch_size", len(batch))
+                yield from self._dispatch_batch(batch)
             elif self._pending:
                 # Nothing new; give blocked dependencies a beat, then retry.
                 yield self.env.timeout(
                     self.region.config.commit_retry_delay)
-                op = self._pending.popleft()
-                yield from self._commit_one(op)
+                yield from self._dispatch_batch([self._pending.popleft()])
             else:
                 # closing and fully drained
                 return
 
-    def _dispatch(self, msg: Any) -> Generator[Event, Any, None]:
-        if isinstance(msg, BarrierMessage):
-            self._barrier_counts[msg.epoch] = \
-                self._barrier_counts.get(msg.epoch, 0) + 1
-            return
-        if msg.epoch > self.current_epoch:
-            self._future.setdefault(msg.epoch, []).append(msg)
-            return
-        yield from self._commit_one(msg)
-
-    def _commit_one(self, op: OpMessage) -> Generator[Event, Any, None]:
-        """Commit a single op with in-flight accounting around the attempt."""
-        self._in_flight += 1
-        self._ledger_track([op])
-        previous_oldest = self._in_flight_oldest
-        if previous_oldest is None or op.timestamp < previous_oldest:
-            self._in_flight_oldest = op.timestamp
-        try:
-            yield from self._try_commit(op)
-        finally:
-            self._in_flight -= 1
-            self._in_flight_committed = 0
-            self._in_flight_oldest = previous_oldest
-
     def _dispatch_batch(self, msgs: List[Any]) -> Generator[Event, Any,
                                                             None]:
-        """Resolve one wakeup's worth of drained messages.
+        """Resolve one wakeup's worth of drained messages (a pending retry
+        or a future-epoch release is a drain of one).
 
         The queue-pop overhead is paid once for the whole drain — that is
         the amortization batching buys on the queue side.  Barrier
@@ -407,7 +360,8 @@ class CommitProcess:
         """
         held = [m for m in msgs if not isinstance(m, BarrierMessage)]
         self._in_flight += len(held)
-        self._ledger_track(held)
+        if self.region.hub.enabled:
+            self._in_flight_msgs.extend(held)
         previous_oldest = self._in_flight_oldest
         if held:
             oldest = min(m.timestamp for m in held)
@@ -417,15 +371,10 @@ class CommitProcess:
         try:
             if self.costs.commit_queue_pop > 0:
                 yield self.env.timeout(self.costs.commit_queue_pop)
-            if self.region.hub.enabled:
-                self.region.hub.observe("commit.batch_size", len(msgs))
             segment: List[OpMessage] = []
             for msg in msgs:
                 if isinstance(msg, BarrierMessage):
-                    yield from self._commit_segment(segment)
-                    self._in_flight -= len(segment)
-                    self._in_flight_committed = 0
-                    outstanding -= len(segment)
+                    outstanding -= yield from self._commit_segment(segment)
                     segment = []
                     self._barrier_counts[msg.epoch] = \
                         self._barrier_counts.get(msg.epoch, 0) + 1
@@ -436,33 +385,12 @@ class CommitProcess:
                     outstanding -= 1
                 else:
                     segment.append(msg)
-            yield from self._commit_segment(segment)
-            self._in_flight -= len(segment)
-            self._in_flight_committed = 0
-            outstanding -= len(segment)
+            outstanding -= yield from self._commit_segment(segment)
         finally:
             # Only nonzero when an exception cut the drain short.
             self._in_flight -= outstanding
             self._in_flight_committed = 0
             self._in_flight_oldest = previous_oldest
-
-    def _commit_segment(self, ops: List[OpMessage]) -> Generator[Event, Any,
-                                                                 None]:
-        """Commit one barrier-free run of ops (already counted in-flight)."""
-        if not ops:
-            return
-        if self.coalesce_enabled and len(ops) > 1:
-            ops = yield from self._coalesce(ops)
-            if not ops:
-                return
-        if len(ops) == 1:
-            op = ops[0]
-            if self.region.inside_removed_subtree(op.path, op.timestamp):
-                self._discard(op)
-                return
-            yield from self._attempt_single(op, self._committed_mode(op))
-        else:
-            yield from self._commit_batched(ops)
 
     def _coalesce(self, ops: List[OpMessage]) -> Generator[Event, Any,
                                                            List[OpMessage]]:
@@ -510,18 +438,24 @@ class CommitProcess:
                         self.region.hub.count("commit.postcommit_skipped")
         return [op for op in alive if op is not None]
 
-    def _commit_batched(self, ops: List[OpMessage]) -> Generator[Event, Any,
-                                                                 None]:
-        """Commit a segment, sharing MDS round trips per parent directory.
+    def _commit_segment(self, ops: List[OpMessage]) -> Generator[Event, Any,
+                                                                 int]:
+        """Commit one barrier-free run of ops, sharing MDS round trips per
+        parent directory; returns how many ops left the in-flight window.
 
-        The §III.D.1 discard rule is applied per-op first; survivors are
-        grouped by parent so N same-directory operations pay one ancestor
-        traversal and one (discounted) MDS request.  Each op's outcome is
-        resolved independently — rejected ops resubmit, exactly as they
-        would op-at-a-time.
+        After coalescing, the §III.D.1 discard rule is applied per-op;
+        survivors are grouped by parent so N same-directory operations pay
+        one ancestor traversal and one (discounted) MDS request.  Each op's
+        outcome is resolved independently — rejected ops resubmit, whether
+        they travelled alone or in a group.
         """
+        drained = len(ops)
+        if self.coalesce_enabled and drained > 1:
+            ops = yield from self._coalesce(ops)
         groups: Dict[str, List[Tuple[OpMessage, int]]] = {}
         for op in ops:
+            # Only ops older than the removal are discarded; later
+            # re-creations of the same names are legitimate work.
             if self.region.inside_removed_subtree(op.path, op.timestamp):
                 self._discard(op)
                 continue
@@ -532,17 +466,9 @@ class CommitProcess:
                 op, mode = group[0]
                 yield from self._attempt_single(op, mode)
                 continue
-            payload = []
-            for op, mode in group:
-                kwargs: Dict[str, Any] = (
-                    {} if op.op == "rm" else {"mode": mode})
-                token = self._commit_token(op)
-                if token is not None:
-                    kwargs["token"] = token
-                payload.append(
-                    ("unlink" if op.op == "rm" else op.op, op.path, kwargs))
             try:
-                results = yield from self.dfs_client.commit_batch(payload)
+                results = yield from self.dfs_client.commit_batch(
+                    [self._dfs_call(op, mode) for op, mode in group])
             except NodeDownError:
                 for op, mode in group:
                     self._replay(op)
@@ -550,7 +476,7 @@ class CommitProcess:
             except (FileNotFound, NotADirectory) as exc:
                 # The shared ancestor traversal failed (parent creation
                 # pending in some queue, or subtree removed): every op in
-                # the group fails the same way it would have op-at-a-time.
+                # the group fails the same way each would have alone.
                 for op, mode in group:
                     yield from self._handle_commit_failure(op, mode, exc)
                 continue
@@ -559,30 +485,26 @@ class CommitProcess:
                     yield from self._commit_success(op, mode)
                 else:
                     yield from self._handle_commit_failure(op, mode, detail)
+        self._in_flight -= drained
+        self._in_flight_committed = 0
+        return drained
 
     # -- committing one operation ------------------------------------------------
-    def _try_commit(self, op: OpMessage) -> Generator[Event, Any, None]:
-        if self.costs.commit_queue_pop > 0:
-            yield self.env.timeout(self.costs.commit_queue_pop)
-        # Paper §III.D.1: discard creations inside removed directories.
-        # Only ops older than the removal are discarded; later re-creations
-        # of the same names are legitimate work.
-        if self.region.inside_removed_subtree(op.path, op.timestamp):
-            self._discard(op)
-            return
-        yield from self._attempt_single(op, self._committed_mode(op))
+    def _dfs_call(self, op: OpMessage,
+                  mode: int) -> Tuple[str, str, Dict[str, Any]]:
+        """``(DFS method, path, kwargs)`` that commits ``op`` — one
+        ``commit_batch`` payload entry, or one direct client call.
 
-    def _commit_token(self, op: OpMessage) -> Optional[Tuple]:
-        """Idempotency key for this op's MDS mutation (None when untagged).
-
-        ``(region, gen_ino, op)`` uniquely names one generation's mutation:
-        replaying it after a lost response must not re-apply.  Ops without
-        a generation tag stay untagged (no dedup — they also never ride
-        the replay path, which is the only at-least-once producer).
+        A generation-tagged op carries an idempotency token:
+        ``(region, gen_ino, op)`` uniquely names one generation's mutation,
+        so replaying it after a lost response must not re-apply.  Untagged
+        ops get no dedup — they also never ride the replay path, which is
+        the only at-least-once producer.
         """
-        if op.gen_ino == -1:
-            return None
-        return (self.region.name, op.gen_ino, op.op)
+        kwargs: Dict[str, Any] = {} if op.op == "rm" else {"mode": mode}
+        if op.gen_ino != -1:
+            kwargs["token"] = (self.region.name, op.gen_ino, op.op)
+        return DFS_METHOD[op.op], op.path, kwargs
 
     def _replay(self, op: OpMessage) -> None:
         """Re-queue an op whose MDS round trip failed in transport.
@@ -624,28 +546,18 @@ class CommitProcess:
             proc = self.env.active_process
             tracer.push_context(proc, ctx)
         try:
-            token = self._commit_token(op)
+            method, path, kwargs = self._dfs_call(op, mode)
             try:
-                if op.op == "mkdir":
-                    yield from self.dfs_client.mkdir(op.path, mode=mode,
-                                                     token=token)
-                elif op.op == "create":
-                    yield from self.dfs_client.create(op.path, mode=mode,
-                                                      token=token)
-                elif op.op == "rm":
-                    yield from self.dfs_client.unlink(op.path, token=token)
-                else:  # pragma: no cover - OpMessage validates op names
-                    raise ValueError(op.op)
+                yield from getattr(self.dfs_client, method)(path, **kwargs)
             except (FileExists, FileNotFound, NotADirectory) as exc:
                 yield from self._handle_commit_failure(op, mode, exc)
-                return
             except NodeDownError:
                 # MDS (or the wire to it) went down mid-commit: the op may
                 # or may not have applied.  Replay with the same token —
                 # the MDS dedup memory resolves the ambiguity.
                 self._replay(op)
-                return
-            yield from self._commit_success(op, mode)
+            else:
+                yield from self._commit_success(op, mode)
         finally:
             if ctx is not None:
                 tracer.pop_context(proc, ctx)
@@ -668,7 +580,7 @@ class CommitProcess:
                 # this generation is on the DFS; count it committed
                 yield from self._commit_success(op, mode)
             else:
-                yield from self._resubmit(op)
+                self._resubmit(op)
             return
         if isinstance(exc, (FileNotFound, NotADirectory)):
             # Namespace conventions not yet satisfied — usually the parent
@@ -682,7 +594,7 @@ class CommitProcess:
                     and self.region.cache.peek(parent_of(op.path)) is None):
                 self._discard(op, orphan=True)
                 return
-            yield from self._resubmit(op)
+            self._resubmit(op)
             return
         raise exc  # not a namespace-convention rejection: a real bug
 
@@ -745,7 +657,7 @@ class CommitProcess:
         if self.region.hub.enabled:
             self.region.hub.count("commit.discarded")
 
-    def _resubmit(self, op: OpMessage) -> Generator[Event, Any, None]:
+    def _resubmit(self, op: OpMessage) -> None:
         op.retries += 1
         self.resubmissions += 1
         self._ledger_untrack(op)  # still pending; _pending is crash-scanned
@@ -755,8 +667,6 @@ class CommitProcess:
             raise CommitStalled(f"{op.op} {op.path} exceeded"
                                 f" {self.MAX_RETRIES} resubmissions")
         self._pending.append(op)
-        return
-        yield  # pragma: no cover - generator marker
 
     def _after_commit(self, op: OpMessage,
                       committed_mode: int = -1) -> Generator[Event, Any,

@@ -54,9 +54,10 @@ class PaconConfig:
     #: the namespace conventions (parent not committed yet).
     commit_retry_delay: float = 50e-6
 
-    #: Messages a commit process drains per wakeup.  1 reproduces the
-    #: original op-at-a-time subscriber; larger values amortize the queue
-    #: pop and let same-directory operations share one MDS round trip
+    #: Messages a commit process drains per wakeup, through one drain
+    #: path at every size.  1 is the paper's one-message-per-wakeup
+    #: subscriber; larger values amortize the queue pop and let
+    #: same-directory operations share one MDS round trip
     #: (``DFSClient.commit_batch``).  Convergence (§III.E) is unaffected:
     #: barrier messages cut batches and the discard rule stays per-op.
     commit_batch_size: int = 16

@@ -212,12 +212,11 @@ class PaconDeployment:
                         label=f"retire:{region.name}")
 
     # -- component factories --------------------------------------------------
-    def client(self, region: ConsistentRegion, node: Node,
-               trace: bool = False) -> PaconClient:
+    def client(self, region: ConsistentRegion, node: Node) -> PaconClient:
         multiplier = region.config.aggregate_multiplier
         if multiplier > 1:
-            return AggregateClient(region, node, multiplier, trace=trace)
-        return PaconClient(region, node, trace=trace)
+            return AggregateClient(region, node, multiplier)
+        return PaconClient(region, node)
 
     def evictor(self, region: ConsistentRegion,
                 node: Optional[Node] = None) -> EvictionManager:

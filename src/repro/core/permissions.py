@@ -159,7 +159,7 @@ class RegionPermissions:
             return self.check(path, uid, gid, want)
         if op in ("readdir",):
             return self.check(path, uid, gid, AccessMode.READ)
-        if op in ("write", "setattr", "fsync"):
+        if op in ("write", "setattr", "chmod", "fsync"):
             return self.check(path, uid, gid, AccessMode.WRITE)
         raise ValueError(f"unknown operation {op!r}")
 

@@ -31,12 +31,6 @@ __all__ = ["MetricsHub", "NULL_HUB", "attribution_rollup"]
 
 SCHEMA = "pacon.metrics/v4"
 
-#: Previous schema versions; each bump is additive (v3 added
-#: ``consistency`` + ``slo``, v4 adds ``timeline`` + ``incidents``), so
-#: older consumers can read a newer document unchanged.
-SCHEMA_V3 = "pacon.metrics/v3"
-SCHEMA_V2 = "pacon.metrics/v2"
-
 
 class MetricsHub:
     """Aggregates client + commit + cache + queue statistics region-wide."""

@@ -4,19 +4,17 @@ Two contracts live here:
 
 * ``pacon.metrics/v4`` (:func:`validate`) — the MetricsHub export.  CI
   runs an instrumented fig. 7 smoke pass and feeds the ``--metrics-out``
-  JSON through it — renaming a metric, dropping a top-level section, or
-  bumping the schema string without updating this contract fails the
-  build instead of silently breaking downstream dashboards.  Each bump
-  is additive: v3 added ``consistency`` + ``slo`` over v2, v4 adds
-  ``timeline`` + ``incidents`` (the incident flight recorder); archived
-  v3/v2 documents still validate, minus the newer requirements.
+  JSON through it — renaming a metric, dropping a section, or changing
+  the schema string without updating this contract fails the build
+  instead of silently breaking downstream dashboards.  There is one
+  version: the document the hub writes today.
 * ``pacon.bench/v1`` (:func:`validate_bench`) — the benchmark snapshot
   (``BENCH_<label>.json``) written by ``repro.bench.runner``.  The CI
   perf gate and ``pacon-bench compare``/``history`` refuse documents
   that drift from it.
 
-The required-name lists are the metrics an instrumented Pacon run is
-*guaranteed* to produce (counters and histograms are created lazily, so
+The required counter and histogram names are the metrics an instrumented
+Pacon run is *guaranteed* to produce (both are created lazily, so
 conditionally emitted series — discards, publish stalls — are not
 required, only structurally checked when present).
 """
@@ -25,18 +23,12 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
-from repro.obs.hub import SCHEMA, SCHEMA_V2, SCHEMA_V3
+from repro.obs.hub import SCHEMA
 
-__all__ = ["SCHEMA", "SCHEMA_V2", "SCHEMA_V3", "BENCH_SCHEMA", "validate",
-           "validate_bench", "validate_chaos", "validate_any", "main",
-           "REQUIRED_TOP_LEVEL", "REQUIRED_COUNTERS",
-           "REQUIRED_HISTOGRAMS", "REQUIRED_REGION_COMMIT_FIELDS",
-           "REQUIRED_ATTRIBUTION_FIELDS",
-           "REQUIRED_CONSISTENCY_FIELDS", "REQUIRED_SLO_FIELDS",
-           "REQUIRED_TIMELINE_FIELDS", "REQUIRED_INCIDENTS_FIELDS",
-           "REQUIRED_INCIDENT_FIELDS", "REQUIRED_SUSPECT_FIELDS",
+__all__ = ["SCHEMA", "BENCH_SCHEMA", "validate", "validate_bench",
+           "validate_chaos", "validate_any", "main", "REQUIRED_FIELDS",
            "REQUIRED_CHAOS_COUNTERS", "REQUIRED_CHAOS_HISTOGRAMS",
            "REQUIRED_BENCH_TOP_LEVEL", "REQUIRED_BENCH_EXPERIMENT_FIELDS"]
 
@@ -53,62 +45,47 @@ REQUIRED_BENCH_TOP_LEVEL = ("schema", "label", "scale", "seed",
 REQUIRED_BENCH_EXPERIMENT_FIELDS = ("title", "scale", "seed", "params",
                                     "rows", "derived", "notes", "host")
 
-#: v2 = v1 plus the additive ``attribution`` and ``resources`` sections
-#: (latency decomposition and the resource profiler).
-REQUIRED_TOP_LEVEL = ("schema", "enabled", "counters", "histograms",
-                      "meters", "series", "regions", "clients",
-                      "attribution", "resources", "trace")
-
-#: v3-only top-level sections (the consistency observatory).
-REQUIRED_TOP_LEVEL_V3 = REQUIRED_TOP_LEVEL + ("consistency", "slo")
-
-#: v4-only top-level sections (the incident flight recorder).
-REQUIRED_TOP_LEVEL_V4 = REQUIRED_TOP_LEVEL_V3 + ("timeline", "incidents")
-
-#: Fields of the v4 ``timeline`` section (the control-plane event log).
-REQUIRED_TIMELINE_FIELDS = ("count", "dropped", "events")
-
-#: Fields every timeline event must carry.
-REQUIRED_TIMELINE_EVENT_FIELDS = ("seq", "t", "source", "kind", "label",
-                                  "detail", "duration", "ref")
-
-#: Fields of the v4 ``incidents`` section.
-REQUIRED_INCIDENTS_FIELDS = ("policy", "count", "incidents")
-
-#: Fields every detected incident must carry.
-REQUIRED_INCIDENT_FIELDS = ("id", "rule", "series", "start", "end",
-                            "duration", "peak", "bound", "verdict",
-                            "suspects", "saturated")
-
-#: Fields every blamed suspect must carry.
-REQUIRED_SUSPECT_FIELDS = ("rank", "seq", "kind", "label", "t", "score",
-                           "evidence")
-
-#: Fields of the v3 ``consistency`` section.
-REQUIRED_CONSISTENCY_FIELDS = ("reads", "orphan_reads", "staleness",
-                               "staleness_p99", "visibility",
-                               "pending_mutations", "shard_reads",
-                               "sketches")
-
-#: Fields of the v3 ``slo`` section (one evaluated PolicyResult).
-REQUIRED_SLO_FIELDS = ("policy", "verdict", "objectives")
-
-#: Fields of the ``attribution`` section (`attribution.ops.*` entries
-#: additionally carry count/mean_latency/buckets/residual, checked below).
-REQUIRED_ATTRIBUTION_FIELDS = ("ops", "total_ops", "buckets")
-
-#: Counters every instrumented Pacon workload run must have produced.
-REQUIRED_COUNTERS = ("client.ops", "commit.published", "commit.committed")
-
-#: Histograms likewise (commit.batch_size appears whenever the batched
-#: drain path runs, i.e. any config with commit_batch_size > 1 — the
-#: default).
-REQUIRED_HISTOGRAMS = ("commit.latency", "commit.batch_size")
-
-#: Per-region commit snapshot fields (``regions.*.commit``).
-REQUIRED_REGION_COMMIT_FIELDS = ("committed", "discarded", "resubmissions",
-                                 "coalesced", "barriers_passed", "replays",
-                                 "aborts")
+#: The ``pacon.metrics/v4`` contract: where in the document -> the keys
+#: the object found there must carry.  A path step is a key, ``{}`` (every
+#: value of an object), ``[]`` (every item of a list) or ``[field]``
+#: (likewise, naming each item by that field in messages).  A path that
+#: leads nowhere is skipped: the row for its parent reports the hole.
+REQUIRED_FIELDS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...]], ...] = (
+    ((), ("schema", "enabled", "counters", "histograms", "meters",
+          "series", "regions", "clients", "attribution", "resources",
+          "trace", "consistency", "slo", "timeline", "incidents")),
+    (("counters",), ("client.ops", "commit.published", "commit.committed")),
+    # commit.batch_size gets one observation per commit-queue drain.
+    (("histograms",), ("commit.latency", "commit.batch_size")),
+    (("regions", "{}"), ("commit",)),
+    (("regions", "{}", "commit"),
+     ("committed", "discarded", "resubmissions", "coalesced",
+      "barriers_passed", "replays", "aborts")),
+    # Latency decomposition and the resource profiler.
+    (("attribution",), ("ops", "total_ops", "buckets")),
+    (("attribution", "ops", "{}"),
+     ("count", "mean_latency", "buckets", "residual")),
+    (("resources",), ()),
+    # The consistency observatory; ``slo`` is one evaluated PolicyResult.
+    (("consistency",),
+     ("reads", "orphan_reads", "staleness", "staleness_p99", "visibility",
+      "pending_mutations", "shard_reads", "sketches")),
+    (("consistency", "staleness"), ("age", "lag")),
+    (("consistency", "sketches", "{}"), ("buckets",)),
+    (("slo",), ("policy", "verdict", "objectives")),
+    (("slo", "objectives", "[name]"),
+     ("name", "kind", "metric", "measured", "target", "ok")),
+    # The incident flight recorder: control-plane event log + blame.
+    (("timeline",), ("count", "dropped", "events")),
+    (("timeline", "events", "[seq]"),
+     ("seq", "t", "source", "kind", "label", "detail", "duration", "ref")),
+    (("incidents",), ("policy", "count", "incidents")),
+    (("incidents", "incidents", "[id]"),
+     ("id", "rule", "series", "start", "end", "duration", "peak", "bound",
+      "verdict", "suspects", "saturated")),
+    (("incidents", "incidents", "[id]", "suspects", "[]"),
+     ("rank", "seq", "kind", "label", "t", "score", "evidence")),
+)
 
 #: Counters a hub-instrumented chaos run (``pacon-bench chaos``) must
 #: have produced: every fault emits inject/recover, and the
@@ -123,192 +100,62 @@ REQUIRED_CHAOS_HISTOGRAMS = ("chaos.downtime",)
 
 
 def validate(doc: Dict[str, Any]) -> List[str]:
-    """Return a list of schema-drift problems (empty means conformant).
-
-    Dispatches on the document's own schema string: ``pacon.metrics/v4``
-    documents must carry the ``timeline`` and ``incidents`` sections on
-    top of the v3 ``consistency``/``slo`` requirements; archived
-    ``pacon.metrics/v3`` and ``v2`` documents validate against their own
-    contracts unchanged (each bump is additive).
-    """
-    problems: List[str] = []
+    """Return a list of schema-drift problems (empty means conformant)."""
     if not isinstance(doc, dict):
         return [f"document is {type(doc).__name__}, expected object"]
-    schema = doc.get("schema")
-    if schema not in (SCHEMA, SCHEMA_V3, SCHEMA_V2):
-        problems.append(f"schema is {schema!r}, expected {SCHEMA!r}"
-                        f" (or legacy {SCHEMA_V3!r} / {SCHEMA_V2!r})")
-    if schema == SCHEMA:
-        required = REQUIRED_TOP_LEVEL_V4
-    elif schema == SCHEMA_V3:
-        required = REQUIRED_TOP_LEVEL_V3
-    else:
-        required = REQUIRED_TOP_LEVEL
-    for key in required:
-        if key not in doc:
-            problems.append(f"missing top-level section {key!r}")
-    if schema in (SCHEMA, SCHEMA_V3):
-        problems.extend(_validate_v3_sections(doc))
-    if schema == SCHEMA:
-        problems.extend(_validate_v4_sections(doc))
-    counters = doc.get("counters", {})
-    if isinstance(counters, dict):
-        for name in REQUIRED_COUNTERS:
-            if name not in counters:
-                problems.append(f"missing counter {name!r}")
-    else:
-        problems.append("'counters' is not an object")
-    histograms = doc.get("histograms", {})
-    if isinstance(histograms, dict):
-        for name in REQUIRED_HISTOGRAMS:
-            if name not in histograms:
-                problems.append(f"missing histogram {name!r}")
-    else:
-        problems.append("'histograms' is not an object")
-    attribution = doc.get("attribution")
-    if isinstance(attribution, dict):
-        for field in REQUIRED_ATTRIBUTION_FIELDS:
-            if field not in attribution:
-                problems.append(f"attribution missing field {field!r}")
-        for op_class, entry in (attribution.get("ops") or {}).items():
-            if not isinstance(entry, dict):
-                problems.append(f"attribution.ops[{op_class!r}] is not"
-                                " an object")
-                continue
-            for field in ("count", "mean_latency", "buckets", "residual"):
-                if field not in entry:
-                    problems.append(f"attribution.ops[{op_class!r}]"
-                                    f" missing {field!r}")
-    elif "attribution" in doc:
-        problems.append("'attribution' is not an object")
-    resources = doc.get("resources")
-    if resources is not None and not isinstance(resources, dict):
-        problems.append("'resources' is not an object")
-    regions = doc.get("regions", {})
-    if isinstance(regions, dict):
-        if not regions:
-            problems.append("no regions in export (hub never attached?)")
-        for rname, snapshot in regions.items():
-            commit = snapshot.get("commit") if isinstance(snapshot, dict) \
-                else None
-            if not isinstance(commit, dict):
-                problems.append(f"region {rname!r} has no commit snapshot")
-                continue
-            for field in REQUIRED_REGION_COMMIT_FIELDS:
-                if field not in commit:
-                    problems.append(
-                        f"region {rname!r} commit snapshot missing"
-                        f" {field!r}")
-    else:
-        problems.append("'regions' is not an object")
-    return problems
-
-
-def _validate_v3_sections(doc: Dict[str, Any]) -> List[str]:
-    """Structural checks of the v3-only ``consistency``/``slo`` sections."""
     problems: List[str] = []
-    consistency = doc.get("consistency")
-    if isinstance(consistency, dict):
-        for field in REQUIRED_CONSISTENCY_FIELDS:
-            if field not in consistency:
-                problems.append(f"consistency missing field {field!r}")
-        staleness = consistency.get("staleness")
-        if isinstance(staleness, dict):
-            for dist in ("age", "lag"):
-                if dist not in staleness:
-                    problems.append(f"consistency.staleness missing"
-                                    f" {dist!r}")
-        elif staleness is not None:
-            problems.append("'consistency.staleness' is not an object")
-        for name, sketch in (consistency.get("sketches") or {}).items():
-            if not isinstance(sketch, dict) or "buckets" not in sketch:
-                problems.append(f"consistency.sketches[{name!r}] has no"
-                                " bucket export")
-    elif "consistency" in doc:
-        problems.append("'consistency' is not an object")
+    if doc.get("schema") != SCHEMA:
+        problems.append(f"schema is {doc.get('schema')!r},"
+                        f" expected {SCHEMA!r}")
+    for path, fields in REQUIRED_FIELDS:
+        _check_fields(doc, path, fields, "", problems)
+    if doc.get("regions") == {}:
+        problems.append("no regions in export (hub never attached?)")
     slo = doc.get("slo")
-    if isinstance(slo, dict):
-        for field in REQUIRED_SLO_FIELDS:
-            if field not in slo:
-                problems.append(f"slo missing field {field!r}")
-        if slo.get("verdict") not in ("pass", "fail", None):
-            problems.append(f"slo verdict is {slo.get('verdict')!r},"
-                            " expected 'pass' or 'fail'")
-        objectives = slo.get("objectives")
-        if isinstance(objectives, list):
-            for entry in objectives:
-                if not isinstance(entry, dict):
-                    problems.append("slo objective entry is not an object")
-                    continue
-                for field in ("name", "kind", "metric", "measured",
-                              "target", "ok"):
-                    if field not in entry:
-                        problems.append(
-                            f"slo objective {entry.get('name')!r}"
-                            f" missing {field!r}")
-        elif objectives is not None:
-            problems.append("'slo.objectives' is not a list")
-    elif "slo" in doc:
-        problems.append("'slo' is not an object")
+    if isinstance(slo, dict) and \
+            slo.get("verdict") not in ("pass", "fail", None):
+        problems.append(f"slo verdict is {slo.get('verdict')!r},"
+                        " expected 'pass' or 'fail'")
     return problems
 
 
-def _validate_v4_sections(doc: Dict[str, Any]) -> List[str]:
-    """Structural checks of the v4-only ``timeline``/``incidents``
-    sections (the incident flight recorder)."""
-    problems: List[str] = []
-    timeline = doc.get("timeline")
-    if isinstance(timeline, dict):
-        for field in REQUIRED_TIMELINE_FIELDS:
-            if field not in timeline:
-                problems.append(f"timeline missing field {field!r}")
-        events = timeline.get("events")
-        if isinstance(events, list):
-            for ev in events:
-                if not isinstance(ev, dict):
-                    problems.append("timeline event is not an object")
-                    continue
-                for field in REQUIRED_TIMELINE_EVENT_FIELDS:
-                    if field not in ev:
-                        problems.append(
-                            f"timeline event seq={ev.get('seq')!r}"
-                            f" missing {field!r}")
-        elif events is not None:
-            problems.append("'timeline.events' is not a list")
-    elif "timeline" in doc:
-        problems.append("'timeline' is not an object")
-    incidents = doc.get("incidents")
-    if isinstance(incidents, dict):
-        for field in REQUIRED_INCIDENTS_FIELDS:
-            if field not in incidents:
-                problems.append(f"incidents missing field {field!r}")
-        entries = incidents.get("incidents")
-        if isinstance(entries, list):
-            for inc in entries:
-                if not isinstance(inc, dict):
-                    problems.append("incident entry is not an object")
-                    continue
-                for field in REQUIRED_INCIDENT_FIELDS:
-                    if field not in inc:
-                        problems.append(
-                            f"incident {inc.get('id')!r} missing"
-                            f" {field!r}")
-                for suspect in (inc.get("suspects") or []):
-                    if not isinstance(suspect, dict):
-                        problems.append(
-                            f"incident {inc.get('id')!r} suspect is"
-                            " not an object")
-                        continue
-                    for field in REQUIRED_SUSPECT_FIELDS:
-                        if field not in suspect:
-                            problems.append(
-                                f"incident {inc.get('id')!r} suspect"
-                                f" missing {field!r}")
-        elif entries is not None:
-            problems.append("'incidents.incidents' is not a list")
-    elif "incidents" in doc:
-        problems.append("'incidents' is not an object")
-    return problems
+def _check_fields(node: Any, path: Tuple[str, ...], fields: Tuple[str, ...],
+                  where: str, problems: List[str]) -> None:
+    """Apply one :data:`REQUIRED_FIELDS` row below ``node``.
+
+    A wrong container type is reported only by the row that ends there,
+    so rows that merely pass through it do not repeat the complaint.
+    """
+    if node is None:
+        return
+    if not path:
+        if isinstance(node, dict):
+            problems.extend(f"{where or 'document'} missing {field!r}"
+                            for field in fields if field not in node)
+        else:
+            problems.append(f"{where} is not an object")
+        return
+    step, rest = path[0], path[1:]
+    if step == "{}":
+        if isinstance(node, dict):
+            for key, value in node.items():
+                _check_fields(value, rest, fields, f"{where}[{key!r}]",
+                              problems)
+        elif not rest:
+            problems.append(f"{where} is not an object")
+    elif step.startswith("["):
+        name = step[1:-1]
+        if isinstance(node, list):
+            for i, item in enumerate(node):
+                label = (f"{name}={item.get(name)!r}"
+                         if name and isinstance(item, dict) else str(i))
+                _check_fields(item, rest, fields, f"{where}[{label}]",
+                              problems)
+        elif not rest:
+            problems.append(f"{where} is not a list")
+    elif isinstance(node, dict):
+        _check_fields(node.get(step), rest, fields,
+                      f"{where}.{step}" if where else step, problems)
 
 
 def validate_chaos(doc: Dict[str, Any]) -> List[str]:
@@ -415,7 +262,7 @@ def validate_any(doc: Any) -> List[str]:
 def main(argv: List[str] = None) -> int:
     """``python -m repro.obs.schema [--chaos] FILE [...]`` — exit 1 on drift.
 
-    Accepts both ``pacon.metrics/v2`` exports and ``pacon.bench/v1``
+    Accepts both ``pacon.metrics/v4`` exports and ``pacon.bench/v1``
     snapshots, picking the contract from each file's ``schema`` field.
     ``--chaos`` additionally holds metrics exports to the fault-injection
     contract (:func:`validate_chaos`).

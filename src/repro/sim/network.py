@@ -320,35 +320,6 @@ class Service:
             raise error
         return result
 
-    def local(self, method: str, *args, **kwargs) -> Generator[Event, Any, Any]:
-        """Run a handler without any network hop (co-located caller)."""
-        handler = getattr(self, "handle_" + method)
-        tracer = self.cluster.tracer
-        parent = (tracer.current_context(self.env.active_process)
-                  if tracer.enabled else None)
-        if parent is not None:
-            qctx = tracer.child_context(parent)
-            tracer.span_start(self.env.now, self.name, qctx,
-                              self.span_queue_category, method)
-            yield self.workers.acquire()
-            tracer.span_end(self.env.now, self.name, qctx)
-            sctx = tracer.child_context(parent)
-            tracer.span_start(self.env.now, self.name, sctx,
-                              self.span_service_category, method)
-        else:
-            yield self.workers.acquire()
-            sctx = None
-        try:
-            result = yield from handler(*args, **kwargs)
-        finally:
-            self.workers.release()
-            if sctx is not None:
-                tracer.span_end(self.env.now, self.name, sctx)
-        self.requests_served += 1
-        self.requests_by_method[method] = (
-            self.requests_by_method.get(method, 0) + 1)
-        return result
-
 
 class Cluster:
     """Container for one simulated deployment: env + costs + nodes + net."""

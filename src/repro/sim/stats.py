@@ -184,7 +184,6 @@ class StatsRegistry:
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._meters: Dict[str, ThroughputMeter] = {}
         self._series: Dict[str, Series] = {}
         self._sketches: Dict[str, "QuantileSketch"] = {}
@@ -195,18 +194,9 @@ class StatsRegistry:
             c = self._counters[name] = Counter(name)
         return c
 
-    def histogram(self, name: str) -> Any:
-        # Metrics migrated to quantile sketches keep their old names;
-        # reading one through this legacy accessor returns the sketch
-        # (observe/mean/percentile/summary are API-compatible) instead
-        # of allocating an empty shadow histogram beside it.
-        s = self._sketches.get(name)
-        if s is not None:
-            return s
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name)
-        return h
+    def histogram(self, name: str) -> "QuantileSketch":
+        """Every registry distribution is a quantile sketch."""
+        return self.sketch(name)
 
     def meter(self, name: str) -> ThroughputMeter:
         m = self._meters.get(name)
@@ -236,16 +226,8 @@ class StatsRegistry:
         return {k: v.value for k, v in sorted(self._counters.items())}
 
     def histograms(self) -> Dict[str, Dict[str, float]]:
-        """Summaries of raw-sample histograms *and* quantile sketches.
-
-        Both produce the same summary keys, so consumers of the exported
-        ``histograms`` section are agnostic to which backing store
-        recorded a metric.
-        """
-        out = {k: v.summary() for k, v in self._histograms.items()}
-        for k, v in self._sketches.items():
-            out[k] = v.summary()
-        return {k: out[k] for k in sorted(out)}
+        """Summary of every distribution (the export's ``histograms``)."""
+        return {k: v.summary() for k, v in sorted(self._sketches.items())}
 
     def sketches(self) -> Dict[str, "QuantileSketch"]:
         return dict(self._sketches)

@@ -17,11 +17,12 @@ from repro.chaos.invariants import (
     namespace_entries,
 )
 from repro.chaos.scenarios import run_scenario
+from repro.core.config import PaconConfig
 from repro.core.failure import fail_node
 from repro.obs.hub import MetricsHub
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster, MessageDropped, NodeDownError
-from tests.core.conftest import make_world
+from tests.core.conftest import make_paused_world, make_world
 
 
 # ------------------------------------------------------------- scenarios
@@ -145,6 +146,32 @@ class TestAbort:
         world.region.commit_processes[0].abort(reason="test")
         world.cluster.env.run(until=2e-3)
         assert queue.waiting_getters == 0
+
+    @pytest.mark.parametrize("batch_size", [1, 16])
+    def test_abort_mid_drain_loses_the_interrupted_op_exactly_once(
+            self, batch_size):
+        config = PaconConfig(workspace="/app", commit_batch_size=batch_size)
+        cluster, dfs, deployment, region, client = make_paused_world(config)
+        run_sync(cluster.env, client.create("/app/f"))        # node 0
+        other = deployment.client(region, region.nodes[1])
+        run_sync(cluster.env, other.create("/app/g"))         # node 1
+        deployment.start_commit_processes(region)
+        cp = next(p for p in region.commit_processes
+                  if p.node is region.nodes[0])
+        while cp._in_flight == 0:
+            cluster.env.step()
+        # Drained, but the MDS round trip has not come back: the op is
+        # interrupted before its commit accounting.
+        assert cp.committed == 0
+        counts = cp.abort(reason="test")
+        assert counts["in_flight"] == 1 and counts["total"] == 1
+        assert cp._in_flight == 0
+        deployment.quiesce_sync(region)
+        # The unwinding drain's own decrement must not go negative.
+        assert cp._in_flight == 0
+        resolved = sum(p.committed + p.discarded + p.coalesced
+                       for p in region.commit_processes)
+        assert region.ops_submitted == resolved + counts["total"] == 2
 
     def test_fail_node_counts_queued_ops_exactly(self, world):
         client = world.client

@@ -9,28 +9,7 @@ from repro.dfs.beegfs import BeeGFS
 from repro.dfs.errors import FileNotFound
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster
-
-
-def make_two_region_world(n_nodes_each=2):
-    """Two applications with share-friendly (0o755) workspace permissions."""
-    from repro.core.permissions import PermissionSpec
-
-    cluster = Cluster(seed=11)
-    dfs = BeeGFS(cluster)
-    nodes_a = [cluster.add_node(f"a{i}") for i in range(n_nodes_each)]
-    nodes_b = [cluster.add_node(f"b{i}") for i in range(n_nodes_each)]
-    deployment = PaconDeployment(cluster, dfs)
-    region_a = deployment.create_region(
-        PaconConfig(workspace="/appA", uid=1001, gid=1001,
-                    permissions=PermissionSpec(mode=0o755, uid=1001,
-                                               gid=1001)), nodes_a)
-    region_b = deployment.create_region(
-        PaconConfig(workspace="/appB", uid=1002, gid=1002,
-                    permissions=PermissionSpec(mode=0o755, uid=1002,
-                                               gid=1002)), nodes_b)
-    client_a = deployment.client(region_a, nodes_a[0])
-    client_b = deployment.client(region_b, nodes_b[0])
-    return cluster, dfs, deployment, region_a, region_b, client_a, client_b
+from tests.core.conftest import make_two_region_world
 
 
 class TestRegionBasics:

@@ -304,14 +304,6 @@ class TestSchemaV3:
     def test_v3_round_trips_through_json(self):
         assert schema.validate(json.loads(json.dumps(exported_doc()))) == []
 
-    def test_v2_document_still_validates(self):
-        # An archived v2 export = a v3 export minus the additive sections.
-        doc = exported_doc()
-        doc["schema"] = schema.SCHEMA_V2
-        del doc["consistency"]
-        del doc["slo"]
-        assert schema.validate(doc) == []
-
     def test_v3_requires_consistency_and_slo(self):
         doc = exported_doc()
         del doc["consistency"]

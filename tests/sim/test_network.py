@@ -182,15 +182,3 @@ class TestService:
         # 10us handler serialized across 4 requests: completions spread out.
         spans = [b - a for a, b in zip(done, done[1:])]
         assert all(s >= 9e-6 for s in spans)
-
-    def test_local_call_skips_network(self, cluster):
-        server = cluster.add_node("server")
-        svc = EchoService(cluster, server, "echo")
-
-        def proc():
-            result = yield from svc.local("echo", 5)
-            return (result, cluster.env.now)
-
-        result, t = run_sync(cluster.env, proc())
-        assert result == 5
-        assert t == pytest.approx(10e-6)
