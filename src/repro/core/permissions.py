@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.dfs.inode import AccessMode, check_mode_bits
-from repro.dfs.namespace import is_within, normalize_path, parent_of, split_path
+from repro.dfs.namespace import is_within, normalize_path, parent_of
 
 __all__ = ["PermissionSpec", "RegionPermissions", "CheckReceipt"]
 
@@ -51,6 +51,9 @@ class CheckReceipt:
     normal_checks: int = 0
     special_items_scanned: int = 0
     reason: str = ""
+
+
+_WRITE_EXECUTE = AccessMode.WRITE | AccessMode.EXECUTE
 
 
 class RegionPermissions:
@@ -94,7 +97,11 @@ class RegionPermissions:
         of the special list for ancestor overrides; ``want`` is then
         matched against the target's effective permission.
         """
-        path = normalize_path(path)
+        return self._check(normalize_path(path), uid, gid, want)
+
+    def _check(self, path: str, uid: int, gid: int,
+               want: AccessMode) -> CheckReceipt:
+        """:meth:`check` on an already-normalized ``path``."""
         receipt = CheckReceipt(allowed=False)
         if not is_within(path, self.workspace):
             receipt.reason = "outside region"
@@ -142,25 +149,17 @@ class RegionPermissions:
         """
         path = normalize_path(path)
         if op in ("create", "mkdir", "rm", "unlink", "rmdir"):
-            parent = parent_of(path) if split_path(path) else path
-            receipt = self.check(parent, uid, gid,
-                                 AccessMode.WRITE | AccessMode.EXECUTE)
-            if not receipt.allowed:
-                return receipt
-            return receipt
-        if op in ("getattr", "stat", "read"):
-            # getattr needs traversal only; reading data needs READ.
-            want = AccessMode.READ if op == "read" else AccessMode(0)
-            if int(want) == 0:
-                # Pure traversal: validated by the ancestor machinery; use
-                # EXECUTE on the parent as the final gate.
-                parent = parent_of(path) if split_path(path) else path
-                return self.check(parent, uid, gid, AccessMode.EXECUTE)
-            return self.check(path, uid, gid, want)
-        if op in ("readdir",):
-            return self.check(path, uid, gid, AccessMode.READ)
+            parent = parent_of(path) if path != "/" else path
+            return self._check(parent, uid, gid, _WRITE_EXECUTE)
+        if op in ("getattr", "stat"):
+            # Pure traversal: validated by the ancestor machinery; use
+            # EXECUTE on the parent as the final gate.
+            parent = parent_of(path) if path != "/" else path
+            return self._check(parent, uid, gid, AccessMode.EXECUTE)
+        if op in ("read", "readdir"):
+            return self._check(path, uid, gid, AccessMode.READ)
         if op in ("write", "setattr", "chmod", "fsync"):
-            return self.check(path, uid, gid, AccessMode.WRITE)
+            return self._check(path, uid, gid, AccessMode.WRITE)
         raise ValueError(f"unknown operation {op!r}")
 
     def _has_normal_ancestor(self, path: str) -> bool:

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from repro.dfs.client import DFSClient
 from repro.dfs.mds import MetadataServer
-from repro.dfs.namespace import Namespace, normalize_path
+from repro.dfs.namespace import Namespace
 from repro.dfs.storage import DataServer
 from repro.kvstore.dht import stable_hash64
 from repro.sim.network import Cluster, Node
@@ -50,11 +50,14 @@ class BeeGFS:
 
     # -- placement -------------------------------------------------------
     def mds_for(self, dir_path: str) -> MetadataServer:
-        """Owning MDS for a directory (all ops on entries in it go there)."""
+        """Owning MDS for a directory (all ops on entries in it go there).
+
+        ``dir_path`` is already normalized by the calling client.
+        """
         if len(self.mds_servers) == 1:
             return self.mds_servers[0]
-        key = normalize_path(dir_path)
-        return self.mds_servers[stable_hash64(key) % len(self.mds_servers)]
+        return self.mds_servers[stable_hash64(dir_path)
+                                % len(self.mds_servers)]
 
     def data_server_for(self, ino: int, chunk: int) -> DataServer:
         """Round-robin striping, rotated per inode."""

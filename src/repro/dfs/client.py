@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Tuple
 
 from repro.dfs.inode import Inode
-from repro.dfs.namespace import parent_of, split_path
+from repro.dfs.namespace import normalize_path, parent_of, split_path
 from repro.sim.core import Event, Interrupt
 
 __all__ = ["DFSClient"]
@@ -44,7 +44,8 @@ class DFSClient:
 
         Issues ``len(components) - 1`` lookup RPCs (the final component is
         resolved by the operation RPC itself).  This is the depth-
-        proportional network cost measured in Figs. 2 and 9.
+        proportional network cost measured in Figs. 2 and 9.  ``path`` is
+        already normalized (``_op``/``rename`` validate at entry).
         """
         parts = split_path(path)
         current = "/"
@@ -58,11 +59,12 @@ class DFSClient:
 
     def _op(self, path: str, method: str, *args,
             **kwargs) -> Generator[Event, Any, Any]:
-        """Traverse ancestors, then issue the final operation RPC."""
+        """Validate ``path``, traverse ancestors, issue the operation RPC."""
+        path = normalize_path(path)
         yield from self._traverse_parents(path)
         if self.costs.client_op_cpu > 0:
             yield self.env.timeout(self.costs.client_op_cpu)
-        mds = self.fs.mds_for(parent_of(path) if split_path(path) else "/")
+        mds = self.fs.mds_for(parent_of(path) if path != "/" else "/")
         self.rpcs_sent += 1
         result = yield from mds.request(self.node, method, path, *args,
                                         **kwargs)
@@ -94,7 +96,8 @@ class DFSClient:
         """Apply several same-parent mutations in one MDS round trip.
 
         ``ops`` is a list of ``(op, path, kwargs)`` with ``op`` one of
-        ``mkdir``/``create``/``unlink``; every path must share one parent
+        ``mkdir``/``create``/``unlink``; every path is already normalized
+        (they come from validated op messages) and must share one parent
         directory (one ancestor traversal and one owning MDS cover the
         whole batch).  Returns one ``("ok", record_or_None)`` or
         ``("err", exception)`` per op, in order — partial success is the
@@ -149,6 +152,7 @@ class DFSClient:
         return Inode.from_record(record)
 
     def rename(self, src: str, dst: str) -> Generator[Event, Any, None]:
+        dst = normalize_path(dst)
         yield from self._traverse_parents(dst)
         yield from self._op(src, "rename", dst, self.uid, self.gid)
 

@@ -104,4 +104,6 @@ class Inode:
         )
 
     def copy(self) -> "Inode":
-        return Inode.from_record(self.to_record())
+        return Inode(self.ino, self.ftype, self.mode, self.uid, self.gid,
+                     self.size, self.ctime, self.mtime, self.nlink,
+                     self.inline_data)

@@ -53,31 +53,33 @@ def normalize_path(path: str) -> str:
 
 
 def split_path(path: str) -> List[str]:
-    """Components of a normalized path; [] for the root."""
-    path = normalize_path(path)
+    """Components of ``path``; [] for the root.
+
+    Precondition (all four helpers below): ``path`` is already
+    normalized — they are plain string operations and validate nothing.
+    """
     if path == "/":
         return []
     return path[1:].split("/")
 
 
 def parent_of(path: str) -> str:
-    parts = split_path(path)
-    if not parts:
+    """Parent directory of an already-normalized ``path``."""
+    if path == "/":
         raise InvalidPath(path, "root has no parent")
-    return "/" + "/".join(parts[:-1]) if len(parts) > 1 else "/"
+    return path[:path.rfind("/")] or "/"
 
 
 def basename(path: str) -> str:
-    parts = split_path(path)
-    if not parts:
+    """Last component of an already-normalized ``path``."""
+    if path == "/":
         raise InvalidPath(path, "root has no basename")
-    return parts[-1]
+    return path[path.rfind("/") + 1:]
 
 
 def is_within(path: str, ancestor: str) -> bool:
-    """True if ``path`` equals or lies under ``ancestor``."""
-    path = normalize_path(path)
-    ancestor = normalize_path(ancestor)
+    """True if ``path`` equals or lies under ``ancestor`` (both already
+    normalized)."""
     if ancestor == "/":
         return True
     return path == ancestor or path.startswith(ancestor + "/")
@@ -121,8 +123,13 @@ class Namespace:
     # -- traversal ------------------------------------------------------------
     def _resolve(self, path: str, uid: int, gid: int,
                  check_perms: bool) -> Inode:
-        """Walk the path from the root; raises on any violation."""
-        parts = split_path(path)
+        """Validate ``path`` and walk it from the root."""
+        return self._walk(split_path(normalize_path(path)), uid, gid,
+                          check_perms)
+
+    def _walk(self, parts: List[str], uid: int, gid: int,
+              check_perms: bool) -> Inode:
+        """Walk validated components from the root; raises on any violation."""
         current = self._inodes[ROOT_INO]
         for i, name in enumerate(parts):
             if not current.is_dir:
@@ -140,12 +147,12 @@ class Namespace:
 
     def _resolve_parent(self, path: str, uid: int, gid: int,
                         check_perms: bool) -> Tuple[Inode, str]:
-        parts = split_path(path)
+        parts = split_path(normalize_path(path))
         if not parts:
             raise InvalidPath(path, "operation on root")
-        parent = self._resolve(parent_of(path), uid, gid, check_perms)
+        parent = self._walk(parts[:-1], uid, gid, check_perms)
         if not parent.is_dir:
-            raise NotADirectory(parent_of(path))
+            raise NotADirectory("/" + "/".join(parts[:-1]))
         return parent, parts[-1]
 
     # -- queries --------------------------------------------------------------
@@ -182,7 +189,7 @@ class Namespace:
         Returns None when the path does not exist authoritatively.
         """
         try:
-            parts = split_path(path)
+            parts = split_path(normalize_path(path))
         except InvalidPath:
             return None
         ino = ROOT_INO
@@ -198,8 +205,8 @@ class Namespace:
 
     def walk(self, path: str = "/") -> Iterator[Tuple[str, Inode]]:
         """Depth-first iteration of (path, inode) under ``path``, inclusive."""
-        start = self._resolve(path, 0, 0, check_perms=False)
         base = normalize_path(path)
+        start = self._walk(split_path(base), 0, 0, check_perms=False)
         stack: List[Tuple[str, Inode]] = [(base, start)]
         while stack:
             current_path, inode = stack.pop()
@@ -315,6 +322,7 @@ class Namespace:
     def rename(self, src: str, dst: str, uid: int = 0, gid: int = 0,
                now: float = 0.0, check_perms: bool = True) -> None:
         """Atomic rename (extension beyond the paper's op table)."""
+        src, dst = normalize_path(src), normalize_path(dst)
         if is_within(dst, src):
             raise InvalidPath(dst, "cannot move a directory into itself")
         src_parent, src_name = self._resolve_parent(src, uid, gid, check_perms)

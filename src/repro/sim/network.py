@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
-from repro.sim.core import Environment, Event, Interrupt
+from repro.sim.core import Environment, Event, Interrupt, Timeout
 from repro.sim.costs import CostModel
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
@@ -161,66 +161,84 @@ class Network:
         """Deliver ``nbytes`` from ``src`` to ``dst``; yields until done.
 
         Liveness is checked at *send* for the source only; the fate of the
-        destination is decided at delivery time (see ``_transfer_body``) —
-        a message to a node that fails mid-flight is dropped, not
-        delivered, and a send to an already-dead or partitioned
-        destination spends its network time before the drop surfaces
-        (the sender cannot know the far end is gone any sooner).
+        destination is decided at delivery time — a message to a node that
+        fails mid-flight is dropped, not delivered, and a send to an
+        already-dead or partitioned destination spends its network time
+        before the drop surfaces (the sender cannot know the far end is
+        gone any sooner).
+
+        The whole hop is this one generator: the NIC holds are inlined
+        (not ``yield from nic.use(...)``) so each resume below
+        ``Service.request`` crosses one frame.  Host cost only — the
+        events are exactly those ``Resource.use`` would schedule.
         """
         if not src.alive:
             raise NodeDownError(f"source node {src.name} is down")
         self.messages_sent += 1
         self.bytes_sent += nbytes
+        env = self.env
         tracer = self.tracer
         ctx = None
         if tracer.enabled:
-            parent = tracer.current_context(self.env.active_process)
+            parent = tracer.current_context(env.active_process)
             if parent is not None:
                 ctx = tracer.child_context(parent)
-                tracer.span_start(self.env.now, "net", ctx, "network",
+                tracer.span_start(env.now, "net", ctx, "network",
                                   f"{src.name}->{dst.name}")
-        try:
-            yield from self._transfer_body(src, dst, nbytes)
-        finally:
-            if ctx is not None:
-                tracer.span_end(self.env.now, "net", ctx)
-
-    def _transfer_body(self, src: Node, dst: Node,
-                       nbytes: int) -> Generator[Event, Any, None]:
         p = self.params
-        if src is dst:
-            # Loopback still burns stack/CPU time and contends with real
-            # NIC traffic on the node (kernel TCP path).
-            if p.local_loopback > 0:
-                yield from src.nic.use(p.local_loopback)
-            if not dst.alive:
+        try:
+            if src is dst:
+                # Loopback still burns stack/CPU time and contends with
+                # real NIC traffic on the node (kernel TCP path).
+                if p.local_loopback > 0:
+                    nic = src.nic
+                    yield nic.acquire()
+                    try:
+                        yield Timeout(env, p.local_loopback)
+                    finally:
+                        nic.release()
+                if not dst.alive:
+                    self.note_dropped(f"{src.name}->{dst.name}")
+                    raise MessageDropped(
+                        f"node {dst.name} died during loopback delivery")
+                return
+            # Snapshot destination fate at send time: an already-dead or
+            # partitioned destination dooms the message, and the
+            # incarnation mark catches a fail()+recover() cycle completing
+            # mid-flight.
+            doomed = not dst.alive or self.is_partitioned(src, dst)
+            mark = dst.incarnation
+            # Sender NIC serializes the message onto the fabric.
+            nic = src.nic
+            yield nic.acquire()
+            try:
+                yield Timeout(env, p.msg_overhead + nbytes / p.bandwidth)
+            finally:
+                nic.release()
+            # Propagation.
+            if p.latency > 0:
+                yield Timeout(env, p.latency)
+            if (doomed or not dst.alive or dst.incarnation != mark
+                    or self.is_partitioned(src, dst)):
+                # Dropped on the wire: the receiver NIC never sees it.
                 self.note_dropped(f"{src.name}->{dst.name}")
                 raise MessageDropped(
-                    f"node {dst.name} died during loopback delivery")
-            return
-        # Snapshot destination fate at send time: an already-dead or
-        # partitioned destination dooms the message, and the incarnation
-        # mark catches a fail()+recover() cycle completing mid-flight.
-        doomed = not dst.alive or self.is_partitioned(src, dst)
-        mark = dst.incarnation
-        wire = nbytes / p.bandwidth
-        # Sender NIC serializes the message onto the fabric.
-        yield from src.nic.use(p.msg_overhead + wire)
-        # Propagation.
-        if p.latency > 0:
-            yield self.env.timeout(p.latency)
-        if (doomed or not dst.alive or dst.incarnation != mark
-                or self.is_partitioned(src, dst)):
-            # Dropped on the wire: the receiver NIC never sees it.
-            self.note_dropped(f"{src.name}->{dst.name}")
-            raise MessageDropped(
-                f"message {src.name}->{dst.name} dropped in flight")
-        # Receiver NIC processes the arrival; fan-in contention happens here.
-        yield from dst.nic.use(p.msg_overhead)
-        if not dst.alive or dst.incarnation != mark:
-            self.note_dropped(f"{src.name}->{dst.name}")
-            raise MessageDropped(
-                f"destination node {dst.name} died in flight")
+                    f"message {src.name}->{dst.name} dropped in flight")
+            # Receiver NIC processes the arrival; fan-in contention
+            # happens here.
+            nic = dst.nic
+            yield nic.acquire()
+            try:
+                yield Timeout(env, p.msg_overhead)
+            finally:
+                nic.release()
+            if not dst.alive or dst.incarnation != mark:
+                self.note_dropped(f"{src.name}->{dst.name}")
+                raise MessageDropped(
+                    f"destination node {dst.name} died in flight")
+        finally:
+            if ctx is not None:
+                tracer.span_end(env.now, "net", ctx)
 
 
 class Service:

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from repro.sim.core import Environment, Event, SimulationError
 
@@ -30,7 +30,8 @@ class Resource:
         self.capacity = capacity
         self.created_at = env.now
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        #: FIFO of ``(event, request time)`` per queued waiter.
+        self._waiters: Deque[Tuple[Event, float]] = deque()
         # Contention accounting (exported by StatsRegistry consumers).
         self.total_acquires = 0
         self.total_wait_time = 0.0
@@ -77,18 +78,18 @@ class Resource:
 
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
-        self._account()
+        now = self.env.now
+        # _account(), inlined: acquire/release run several times per op.
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
         self.total_acquires += 1
         ev = Event(self.env, self._event_name)
         ev._on_cancel = self._cancel_acquire
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
-            ev.succeed(self.env.now)  # value: grant time (== request time)
+            ev.succeed(now)  # value: grant time (== request time)
         else:
-            setattr_time = self.env.now
-            ev.add_callback(
-                lambda e, t0=setattr_time: self._note_wait(t0))
-            self._waiters.append(ev)
+            self._waiters.append((ev, now))
             if len(self._waiters) > self.peak_queue:
                 self.peak_queue = len(self._waiters)
         return ev
@@ -101,30 +102,30 @@ class Resource:
         leaks for the lifetime of the resource), or already consumed
         (the holder is responsible for its own release; nothing to do).
         """
-        try:
-            self._waiters.remove(ev)
-            return True
-        except ValueError:
-            pass
+        for i, (waiter, _requested_at) in enumerate(self._waiters):
+            if waiter is ev:
+                del self._waiters[i]
+                return True
         if ev.triggered and not ev.processed and ev.exception is None:
             self.release()
             return True
         return False
 
-    def _note_wait(self, requested_at: float) -> None:
-        waited = self.env.now - requested_at
-        self.total_wait_time += waited
-        if self._wait_observe is not None:
-            self._wait_observe(waited)
-
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._account()
+        now = self.env.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
         if self._waiters:
             # Hand the slot directly to the next waiter; _in_use unchanged.
-            nxt = self._waiters.popleft()
-            nxt.succeed(self.env.now)
+            # Its wait ends at this instant, so account it here.
+            nxt, requested_at = self._waiters.popleft()
+            waited = now - requested_at
+            self.total_wait_time += waited
+            if self._wait_observe is not None:
+                self._wait_observe(waited)
+            nxt.succeed(now)
         else:
             self._in_use -= 1
 

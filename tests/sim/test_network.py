@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.sim.core import run_sync
+from repro.sim.core import Interrupt, Timeout, cancel_wait, run_sync
 from repro.sim.costs import CostModel
-from repro.sim.network import Cluster, NodeDownError, Service
+from repro.sim.network import Cluster, MessageDropped, NodeDownError, Service
+from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -182,3 +183,86 @@ class TestService:
         # 10us handler serialized across 4 requests: completions spread out.
         spans = [b - a for a, b in zip(done, done[1:])]
         assert all(s >= 9e-6 for s in spans)
+
+
+def _frames_below(generator):
+    """Length of the ``yield from`` chain hanging off ``generator``."""
+    depth = 0
+    while generator.gi_yieldfrom is not None:
+        generator = generator.gi_yieldfrom
+        depth += 1
+    return depth
+
+
+class TestOneFramePerHop:
+    def test_one_generator_below_request_in_the_sender_hold(self, cluster):
+        client, server = cluster.add_nodes(2)
+        svc = EchoService(cluster, server, "echo")
+        request = svc.request(client, "echo", "x")
+        proc = cluster.env.process(request)
+        cluster.run(until=cluster.network.params.msg_overhead / 2)
+        assert client.nic.in_use == 1 and isinstance(proc.waiting_on, Timeout)
+        assert _frames_below(request) == 1      # transfer; 3 with use()
+        cluster.run()
+        assert proc.value == "x"
+
+    @pytest.mark.parametrize("stage", ["nic_queue", "sender_hold", "latency",
+                                       "receiver_hold", "loopback_hold"])
+    def test_interrupt_releases_nics_and_closes_span(self, cluster, stage):
+        a, b = cluster.add_nodes(2)
+        net, p = cluster.network, cluster.network.params
+        net.tracer = tracer = Tracer()
+        sent = p.msg_overhead + 64 / p.bandwidth
+        dst, stop_at = {
+            "nic_queue": (b, sent / 2),
+            "sender_hold": (b, sent / 2),
+            "latency": (b, sent + p.latency / 2),
+            "receiver_hold": (b, sent + p.latency + p.msg_overhead / 2),
+            "loopback_hold": (a, p.local_loopback / 2),
+        }[stage]
+        blockers = []
+        if stage == "nic_queue":
+            blockers = [a.nic.acquire() for _ in range(a.nic.capacity)]
+
+        def sender():
+            try:
+                yield from net.transfer(a, dst, 64)
+            except Interrupt:
+                return "interrupted"
+
+        proc = cluster.env.process(sender())
+        tracer.push_context(proc, tracer.root_context())
+        cluster.run(until=stop_at)
+        assert a.nic.queue_length == (1 if stage == "nic_queue" else 0)
+        cancel_wait(proc.waiting_on)
+        proc.interrupt()
+        cluster.run()
+        for _ in blockers:
+            a.nic.release()
+        assert proc.value == "interrupted"
+        assert (a.nic.in_use, b.nic.in_use) == (0, 0)
+        assert (a.nic.queue_length, b.nic.queue_length) == (0, 0)
+        kinds = [ev.kind for ev in tracer.events(actor="net")]
+        assert kinds == ["span.start", "span.end"]
+
+    @pytest.mark.parametrize("cut_sender, dropped", [(False, 0), (True, 1)])
+    def test_cut_installed_mid_flight_drops_only_what_it_separates(
+            self, cluster, cut_sender, dropped):
+        """A cut dooms a message only if it separates *its* endpoints —
+        the send-time verdict must be a boolean, not the live cut table."""
+        a, b, c, d = cluster.add_nodes(4)
+        net, p = cluster.network, cluster.network.params
+
+        def sender():
+            try:
+                yield from net.transfer(a, b, 0)
+                return "delivered"
+            except MessageDropped:
+                return "dropped"
+
+        proc = cluster.env.process(sender())
+        cluster.run(until=p.msg_overhead + p.latency / 2)   # on the wire
+        net.partition([a], [b]) if cut_sender else net.partition([c], [d])
+        cluster.run()
+        assert proc.value == ("dropped" if dropped else "delivered")
+        assert net.dropped == dropped

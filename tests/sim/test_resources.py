@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.core import Environment, SimulationError, run_sync
+from repro.sim.core import (Environment, SimulationError, cancel_wait,
+                            run_sync)
 from repro.sim.resources import Barrier, Gate, Resource, Store
 
 
@@ -125,6 +126,29 @@ class TestResource:
         env.run()
         assert res.total_wait_time == pytest.approx(3.0)
         assert res.total_acquires == 2
+
+    def test_cancelled_waiter_takes_its_request_time_with_it(self, env):
+        """Waits are accounted at hand-over from the request time kept
+        beside each waiter; cancelling one must not shift the others'."""
+        res = Resource(env, capacity=1)
+        observed = []
+        res._wait_observe = observed.append
+        res.acquire()                               # holder, t=0
+        env.run(until=1.0)
+        first = res.acquire()
+        env.run(until=2.0)
+        doomed = res.acquire()
+        env.run(until=4.0)
+        last = res.acquire()
+        assert cancel_wait(doomed) and res.queue_length == 2
+        env.run(until=5.0)
+        res.release()
+        assert first.triggered and observed == [4.0]    # 5 - 1
+        env.run(until=7.0)
+        res.release()
+        assert last.triggered and observed == [4.0, 3.0]    # 7 - 4, not 7 - 2
+        assert res.total_wait_time == 7.0
+        assert not doomed.triggered
 
     def test_handoff_keeps_capacity_invariant(self, env):
         res = Resource(env, capacity=2)
