@@ -1,32 +1,19 @@
-"""Elasticity snapshot: the flash-crowd autoscaling claim as a CI gate.
+"""Elasticity smoke bench: the flash-crowd autoscaling claim holds.
 
-Not a paper figure — this pins the *outcome* of the elasticity bench
-(``repro.bench.elastic``): per-mode tail latencies, node-second costs,
-scaling action counts, and the headline derived ratios, all in a
-``pacon.bench/v1`` document.  Everything is simulated and
-seed-deterministic (the diurnal curve is a triangle wave, not a sine),
-so a change to the controller's hysteresis, the migration path, or the
-bench workload shows up as a snapshot diff even when the tier-1 tests
-still pass.
-
-Two faces, matching ``bench_chaos_scenarios.py``:
-
-* a pytest smoke test (collected with ``benchmarks/``) asserting the
-  acceptance claim — once adapted, the autoscaled run beats static_min
-  on steady-state flash p99 while costing fewer node-seconds than
-  static_peak — and
-* a snapshot emitter (``python benchmarks/bench_elastic.py
-  --scale smoke --label elastic --out BENCH_elastic.json``).  CI gates
-  it via ``pacon-bench compare --ignore-host`` against
-  ``benchmarks/baseline_elastic.json``.
+The gated elasticity artefact is the ``pacon.bench/v1`` snapshot of the
+``elastic`` experiment (``pacon-bench figure elastic --scale smoke
+--bench-out elastic_fresh.json``), which CI compares against
+``benchmarks/baseline_elastic.json`` with ``--ignore-host``: everything in
+it is simulated and seed-deterministic (the diurnal curve is a triangle
+wave, not a sine), so a change to the controller's hysteresis, the
+migration path, or the bench workload shows up as a snapshot diff even
+when the tier-1 tests still pass.  This file is the pytest face collected
+with the rest of ``benchmarks/``: once adapted, the autoscaled run beats
+static_min on steady-state flash p99 while costing fewer node-seconds
+than static_peak.
 """
 
-from __future__ import annotations
 
-import time
-
-
-# ------------------------------------------------------------ pytest face
 def test_elastic_smoke_autoscale_beats_static_provisioning():
     from repro.bench import elastic
 
@@ -38,39 +25,3 @@ def test_elastic_smoke_autoscale_beats_static_provisioning():
     # node-second cost below static_peak.
     assert result.derived["steady_p99_speedup_vs_static_min"] > 1.0
     assert result.derived["cost_ratio_vs_static_peak"] < 1.0
-
-
-# --------------------------------------------------------- snapshot face
-def main() -> int:  # pragma: no cover - CLI
-    import argparse
-
-    from repro.bench import elastic as driver
-    from repro.bench.snapshot import build_snapshot, write_snapshot
-    from repro.bench.systems import DEFAULT_SEED
-
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_elastic.py",
-        description="Emit a pacon.bench/v1 flash-crowd elasticity"
-                    " snapshot")
-    parser.add_argument("--scale", choices=sorted(driver.SCALES),
-                        default="smoke")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--label", default="elastic")
-    parser.add_argument("--out", default=None,
-                        help="snapshot path (default BENCH_<label>.json)")
-    args = parser.parse_args()
-    t0 = time.perf_counter()
-    result = driver.run(args.scale, seed=args.seed)
-    wall = time.perf_counter() - t0
-    result.host["wall_clock_s"] = round(wall, 3)
-    doc = build_snapshot([result], label=args.label, scale=args.scale,
-                         seed=args.seed, wall_clock_s=wall)
-    path = args.out or f"BENCH_{args.label}.json"
-    write_snapshot(doc, path)
-    print(result.render())
-    print(f"snapshot written to {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -3,13 +3,12 @@
 import json
 
 from repro.bench import fig07
-from repro.bench.runner import METRICS_SAMPLE_INTERVAL
-from repro.obs.hub import MetricsHub
+from repro.obs.hub import SAMPLE_INTERVAL, MetricsHub
 from repro.obs.schema import SCHEMA
 
 
 def test_fig07_single_app(benchmark, scale, tmp_path):
-    hub = MetricsHub(sample_interval=METRICS_SAMPLE_INTERVAL)
+    hub = MetricsHub(sample_interval=SAMPLE_INTERVAL)
     result = benchmark.pedantic(fig07.run, args=(scale,),
                                 kwargs={"hub": hub}, iterations=1,
                                 rounds=1)

@@ -3,7 +3,7 @@
 Not a paper figure — this tracks the simulator's own event-processing
 rate so regressions in kernel hot paths (heap ops, process resume,
 resource handoff, interrupt detach) show up in benchmark history.  All
-paper-scale experiments are O(millions) of events; kernel speed bounds
+experiments at paper scale are O(millions) of events; kernel speed bounds
 experiment wall-clock.
 
 Two faces:
@@ -186,7 +186,7 @@ def run(scale: str = "tiny", rounds: int = 3):
 def main() -> int:  # pragma: no cover - CLI
     import argparse
 
-    from repro.bench.snapshot import build_snapshot, write_snapshot
+    from repro.bench import runner
 
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_kernel_throughput.py",
@@ -201,10 +201,9 @@ def main() -> int:  # pragma: no cover - CLI
     t0 = time.perf_counter()
     result = run(args.scale, rounds=args.rounds)
     wall = time.perf_counter() - t0
-    doc = build_snapshot([result], label=args.label, scale=args.scale,
-                         seed=0, wall_clock_s=wall)
-    path = args.out or f"BENCH_{args.label}.json"
-    write_snapshot(doc, path)
+    path = runner.write_snapshot_file([result], scale=args.scale, seed=0,
+                                      path=args.out, label=args.label,
+                                      wall_clock_s=wall)
     print(result.render())
     print(f"snapshot written to {path}")
     return 0

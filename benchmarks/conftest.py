@@ -10,7 +10,7 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Full paper-scale regeneration: ``python -m repro.bench.runner --paper-scale``.
+Full regeneration at paper scale: ``pacon-bench all --scale paper``.
 """
 
 import pytest

@@ -2,27 +2,12 @@
 
 Every experiment in §IV (and the two motivation experiments in §II) has a
 module here that rebuilds the workload, runs all systems under the same
-simulated cluster model, and prints the rows/series the paper reports.
-
-================  ==========================================  ==========
-module            paper content                               scale knob
-================  ==========================================  ==========
-``fig01``         client scalability of BeeGFS/IndexFS        Fig. 1
-``fig02``         path traversal cost (motivation)            Fig. 2
-``table1``        operation semantics conformance             Table I
-``fig07``         single-application mkdir/create/stat        Fig. 7
-``fig08``         multi-application throughput                Fig. 8
-``fig09``         path traversal with Pacon                   Fig. 9
-``fig10``         Pacon overhead vs raw in-memory KV          Fig. 10
-``fig11``         file-creation scalability to 320 clients    Fig. 11
-``fig12``         MADbench2 runtime breakdown                 Fig. 12
-``ablations``     commit-strategy / batch-permission /        extension
-                  related-work trade-off studies
-================  ==========================================  ==========
-
-Each driver exposes ``run(scale=\"ci\") -> ExperimentResult`` plus a
-``main()`` CLI; ``python -m repro.bench.figNN [--paper-scale]`` regenerates
-one figure, ``python -m repro.bench.runner`` regenerates everything.
+simulated cluster model, and fills the rows/series the paper reports.
+``repro.bench.registry.EXPERIMENTS`` is the table of all of them — paper
+figures, extensions, ablations, the chaos and elasticity benches — and
+``pacon-bench figure NAME`` / ``pacon-bench all`` are how they are run
+and snapshotted.  Each driver also exposes its row directly, so
+``fig07.run("smoke", seed=7)`` returns the same ``ExperimentResult``.
 """
 
 from repro.bench.report import ExperimentResult, format_table, write_markdown

@@ -23,19 +23,20 @@
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Generator, List
+from typing import Dict
 
 from repro.baselines.locofs import LocoFS
 from repro.baselines.shardfs import ShardFS
-from repro.bench.report import ExperimentResult
-from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.bench.report import experiment
+from repro.bench.systems import make_testbed
+from repro.sim.core import run_sync
 from repro.sim.network import Cluster
-from repro.workloads.mdtest import build_tree, run_random_stat
+from repro.workloads.mdtest import (build_tree, run_closed_loop,
+                                    run_random_stat)
 
 __all__ = ["run_commit_ablation", "run_permission_ablation",
            "run_related_ablation", "run_mds_scaling_ablation",
-           "run_bulk_insertion_ablation", "run_all", "main", "SCALES"]
+           "run_bulk_insertion_ablation", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 20, "barrier_every": [0, 5],
@@ -54,40 +55,21 @@ SCALES: Dict[str, Dict] = {
 # --------------------------------------------------------------- Ablation A
 def _create_with_barriers(bed, items: int, barrier_every: int) -> float:
     """Each client creates ``items`` files; a barrier op every K creates."""
-    env = bed.env
-    from repro.sim.resources import Barrier
-
-    sync = Barrier(env, parties=len(bed.clients), name="abl")
-    t_state = {"start": None, "end": 0.0}
-
-    def proc(rank: int, client) -> Generator[Any, Any, None]:
-        yield sync.arrive()
-        if t_state["start"] is None:
-            t_state["start"] = env.now
+    def body(rank, client):
         for i in range(items):
             yield from client.create(f"/app/f.{rank}.{i}")
             if barrier_every and (i + 1) % barrier_every == 0:
                 # A dependent operation: readdir barriers the region.
                 yield from client.readdir("/app")
-        yield sync.arrive()
-        t_state["end"] = max(t_state["end"], env.now)
 
-    procs = [env.process(proc(rank, cl), label=f"abl:{rank}")
-             for rank, cl in enumerate(bed.clients)]
-    for p in procs:
-        env.run(until=p)
-    elapsed = t_state["end"] - t_state["start"]
+    elapsed = run_closed_loop(bed.env, bed.clients, body)
     total = items * len(bed.clients)
     return total / elapsed if elapsed > 0 else 0.0
 
 
-def run_commit_ablation(scale: str = "ci",
-                        seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="ablA",
-        title="Commit discipline: barrier frequency vs create throughput",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("ablA", "Commit discipline: barrier frequency vs create"
+            " throughput", SCALES)
+def run_commit_ablation(out, params, seed):
     base = None
     for barrier_every in params["barrier_every"]:
         bed = make_testbed("pacon", n_apps=1,
@@ -103,17 +85,12 @@ def run_commit_ablation(scale: str = "ci",
                min(row["fraction_of_async"] for row in out.rows))
     out.note("barriers per op collapse throughput toward synchronous"
              " commit — why Table I reserves them for rmdir/readdir")
-    return out
 
 
 # --------------------------------------------------------------- Ablation B
-def run_permission_ablation(scale: str = "ci",
-                            seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="ablB",
-        title="Batch permissions vs per-level checks in the cache",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("ablB", "Batch permissions vs per-level checks in the cache",
+            SCALES)
+def run_permission_ablation(out, params, seed):
     for mode in ("batch", "hierarchical"):
         base = None
         for depth in params["depths"]:
@@ -138,18 +115,11 @@ def run_permission_ablation(scale: str = "ci",
     out.note(f"at depth {deep}: batch check loses {batch_loss}% vs"
              f" {hier_loss}% for per-level checks — batch permission"
              " management removes the depth dependence (Motivation 2)")
-    return out
 
 
 # --------------------------------------------------------------- Ablation C
-def run_related_ablation(scale: str = "ci",
-                         seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="ablC",
-        title="ShardFS/LocoFS trade-offs (related work §II.C)",
-        scale=scale, seed=seed, params=dict(params))
-
+@experiment("ablC", "ShardFS/LocoFS trade-offs (related work §II.C)", SCALES)
+def run_related_ablation(out, params, seed):
     # The two worlds get distinct-but-derived streams so the one --seed
     # still states everything the run depended on.
     def shard_world(n_servers):
@@ -164,8 +134,6 @@ def run_related_ablation(scale: str = "ci",
         fms = [cluster.add_node(f"f{i}") for i in range(n_fms)]
         client = cluster.add_node("client")
         return cluster, LocoFS(cluster, dms, fms), client
-
-    from repro.sim.core import run_sync
 
     # (1) stat depth-insensitivity for both.
     for name, make_world in (("shardfs", shard_world),
@@ -232,12 +200,32 @@ def run_related_ablation(scale: str = "ci",
              " LocoFS: flat stats but directory ops bottleneck on the"
              " single DMS regardless of FMS count — the trade-offs Pacon"
              " avoids")
-    return out
 
 
 # --------------------------------------------------------------- Ablation D
-def run_mds_scaling_ablation(scale: str = "ci",
-                             seed: int = DEFAULT_SEED) -> ExperimentResult:
+def _create_in_own_dirs(bed, items: int, bulk: bool = False) -> float:
+    """N-N creation (ablations D and E): each rank makes ``/app/rank<r>``
+    (untimed), then creates ``items`` files in it; returns creates/second.
+    ``bulk`` turns on the IndexFS client's bulk insertion, flushed inside
+    the timed phase."""
+    def setup(rank, client):
+        yield from client.mkdir(f"/app/rank{rank}")
+        if bulk:
+            client.bulk_mode = True
+            client.bulk_batch_size = 64
+
+    def body(rank, client):
+        for i in range(items):
+            yield from client.create(f"/app/rank{rank}/f{i}")
+        if bulk:
+            yield from client.flush_bulk()
+
+    elapsed = run_closed_loop(bed.env, bed.clients, body, setup)
+    return items * len(bed.clients) / elapsed
+
+
+@experiment("ablD", "MDS-cluster scaling vs client-side absorption", SCALES)
+def run_mds_scaling_ablation(out, params, seed):
     """§II.B: scaling the MDS cluster vs scaling with the clients.
 
     BeeGFS creation throughput grows (sub-linearly: one shared parent
@@ -245,49 +233,19 @@ def run_mds_scaling_ablation(scale: str = "ci",
     count, but Pacon on the *same* client nodes — zero extra hardware —
     stays far ahead because the clients themselves absorb the load.
     """
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="ablD",
-        title="MDS-cluster scaling vs client-side absorption",
-        scale=scale, seed=seed, params=dict(params))
-
     # mkdir builds per-rank directories (owned by the /app MDS); the
     # measured create phase then spreads across MDSes by directory hash —
     # the friendliest possible case for multi-MDS BeeGFS.
-    def create_in_own_dirs(bed):
-        env = bed.env
-        from repro.sim.resources import Barrier
-
-        sync = Barrier(env, parties=len(bed.clients), name="ablD")
-        t = {"start": None, "end": 0.0}
-        items = params["items"]
-
-        def proc(rank, client):
-            yield from client.mkdir(f"/app/rank{rank}")
-            yield sync.arrive()
-            if t["start"] is None:
-                t["start"] = env.now
-            for i in range(items):
-                yield from client.create(f"/app/rank{rank}/f{i}")
-            yield sync.arrive()
-            t["end"] = max(t["end"], env.now)
-
-        procs = [env.process(proc(rank, cl))
-                 for rank, cl in enumerate(bed.clients)]
-        for p in procs:
-            env.run(until=p)
-        return items * len(bed.clients) / (t["end"] - t["start"])
-
     for n_mds in params["mds_counts"]:
         bed = make_testbed("beegfs", n_apps=1, nodes_per_app=params["nodes"],
                            clients_per_node=params["cpn"], n_mds=n_mds,
                            seed=seed)
-        ops = create_in_own_dirs(bed)
+        ops = _create_in_own_dirs(bed, params["items"])
         out.add(system=f"beegfs-{n_mds}mds", mds=n_mds,
                 create_ops_per_sec=round(ops))
     bed = make_testbed("pacon", n_apps=1, nodes_per_app=params["nodes"],
                        clients_per_node=params["cpn"], seed=seed)
-    ops = create_in_own_dirs(bed)
+    ops = _create_in_own_dirs(bed, params["items"])
     out.add(system="pacon-0-extra-mds", mds=0, create_ops_per_sec=round(ops))
     best_beegfs = max(r["create_ops_per_sec"] for r in out.rows
                       if r["mds"] > 0)
@@ -296,13 +254,12 @@ def run_mds_scaling_ablation(scale: str = "ci",
              f" {params['mds_counts'][-1]} MDSes by"
              f" {ops / best_beegfs:.1f}x — static MDS scaling cannot keep"
              " up with client counts (paper §II.B)")
-    return out
 
 
 # --------------------------------------------------------------- Ablation E
-def run_bulk_insertion_ablation(scale: str = "ci",
-                                seed: int = DEFAULT_SEED
-                                ) -> ExperimentResult:
+@experiment("ablE", "IndexFS bulk insertion (BatchFS/DeltaFS proxy) vs Pacon",
+            SCALES)
+def run_bulk_insertion_ablation(out, params, seed):
     """The BatchFS/DeltaFS approximation: IndexFS + bulk insertion.
 
     N-N creation (each rank its own directory — the private-namespace
@@ -311,50 +268,16 @@ def run_bulk_insertion_ablation(scale: str = "ci",
     are invisible to other clients until flushed — the consistency cost
     §II.B calls out.
     """
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="ablE",
-        title="IndexFS bulk insertion (BatchFS/DeltaFS proxy) vs Pacon",
-        scale=scale, seed=seed, params=dict(params))
-    from repro.sim.core import run_sync
-    from repro.sim.resources import Barrier
-
-    def nn_create(bed, clients, items, bulk):
-        env = bed.env
-        sync = Barrier(env, parties=len(clients), name="nn")
-        t = {"start": None, "end": 0.0}
-
-        def proc(rank, client):
-            yield from client.mkdir(f"/app/rank{rank}")
-            if bulk:
-                client.bulk_mode = True
-                client.bulk_batch_size = 64
-            yield sync.arrive()
-            if t["start"] is None:
-                t["start"] = env.now
-            for i in range(items):
-                yield from client.create(f"/app/rank{rank}/f{i}")
-            if bulk:
-                yield from client.flush_bulk()
-            yield sync.arrive()
-            t["end"] = max(t["end"], env.now)
-
-        procs = [env.process(proc(rank, cl))
-                 for rank, cl in enumerate(clients)]
-        for p in procs:
-            env.run(until=p)
-        return items * len(clients) / (t["end"] - t["start"])
-
     for label, bulk in (("indexfs", False), ("indexfs+bulk", True)):
         bed = make_testbed("indexfs", n_apps=1,
                            nodes_per_app=params["nodes"],
                            clients_per_node=params["cpn"], seed=seed)
-        ops = nn_create(bed, bed.clients, params["items"], bulk)
+        ops = _create_in_own_dirs(bed, params["items"], bulk)
         out.add(system=label, create_ops_per_sec=round(ops))
 
     bed = make_testbed("pacon", n_apps=1, nodes_per_app=params["nodes"],
                        clients_per_node=params["cpn"], seed=seed)
-    ops = nn_create(bed, bed.clients, params["items"], bulk=False)
+    ops = _create_in_own_dirs(bed, params["items"])
     out.add(system="pacon", create_ops_per_sec=round(ops))
 
     plain = out.value("create_ops_per_sec", system="indexfs")
@@ -367,30 +290,3 @@ def run_bulk_insertion_ablation(scale: str = "ci",
              " BatchFS/DeltaFS trade: raw batch throughput in exchange for"
              " deferred visibility and no shared consistent view, which is"
              " why the paper excludes them as general-purpose systems")
-    return out
-
-
-def run_all(scale: str = "ci",
-            seed: int = DEFAULT_SEED) -> List[ExperimentResult]:
-    results = []
-    for ablation in (run_commit_ablation, run_permission_ablation,
-                     run_related_ablation, run_mds_scaling_ablation,
-                     run_bulk_insertion_ablation):
-        t0 = time.perf_counter()
-        result = ablation(scale, seed=seed)
-        result.host.setdefault("wall_clock_s",
-                               round(time.perf_counter() - t0, 3))
-        results.append(result)
-    return results
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    for result in run_all(scale):
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,19 +9,17 @@ delivery-time network semantics.  All of these are **simulated metrics**
 (``benchmarks/baseline_chaos.json``) gates fault-handling semantics in
 CI the same way ``baseline_kernel.json`` gates kernel event counts.
 
-Deliberately *not* registered in ``repro.bench.runner.DRIVERS``: the
-default bench suite and its baseline stay untouched; chaos has its own
-snapshot emitter (``benchmarks/bench_chaos_scenarios.py``) and its own
-compare gate.
+Not part of ``pacon-bench all`` (``in_all=False``): the default suite
+and its baseline stay untouched; ``pacon-bench figure chaos --bench-out``
+emits this experiment's own snapshot for its own compare gate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.bench.report import ExperimentResult
-from repro.bench.systems import DEFAULT_SEED
-from repro.chaos.scenarios import SCENARIOS, run_scenario
+from repro.bench.report import experiment
+from repro.chaos.scenarios import SCENARIOS, run_all
 
 __all__ = ["SCALES", "run"]
 
@@ -39,23 +37,17 @@ SCALES: Dict[str, Dict[str, Any]] = {
 }
 
 
-def run(scale: str = "smoke", seed: int = DEFAULT_SEED,
-        hub: Optional[Any] = None) -> ExperimentResult:
-    """Run all chaos scenarios at ``scale``; one row per scenario."""
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="chaos",
-        title="Fault injection: post-recovery convergence",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("chaos", "Fault injection: post-recovery convergence", SCALES,
+            in_all=False, observable=True)
+def run(out, params, seed, hub):
+    """Run all chaos scenarios; one row per scenario.
+
+    The hub (if any) observes the last scenario only — see
+    :func:`repro.chaos.scenarios.run_all`.
+    """
     scenarios_ok = 0
     total_faults = total_lost = total_replays = total_dropped = 0
-    for name in SCENARIOS:
-        # The hub (if any) observes the last scenario only — each
-        # scenario builds a fresh world, and attaching every one would
-        # pile five worlds' counters into a single export.
-        result = run_scenario(
-            name, seed=seed,
-            hub=hub if name == SCENARIOS[-1] else None, **params)
+    for name, result in run_all(seed=seed, hub=hub, **params).items():
         scenarios_ok += int(result.ok)
         total_faults += len(result.fault_records)
         total_lost += result.lost_ops
@@ -67,9 +59,8 @@ def run(scale: str = "smoke", seed: int = DEFAULT_SEED,
                 net_dropped=result.dropped,
                 entries=int(result.report.checks.get("entries", 0)),
                 problems=len(result.report.problems))
-        if result.report.problems:
-            for problem in result.report.problems:
-                out.note(f"{name}: INVARIANT VIOLATION: {problem}")
+        for problem in result.report.problems:
+            out.note(f"{name}: INVARIANT VIOLATION: {problem}")
     out.derive("scenarios_ok", scenarios_ok)
     out.derive("scenarios_total", len(SCENARIOS))
     out.derive("total_faults", total_faults)
@@ -80,4 +71,3 @@ def run(scale: str = "smoke", seed: int = DEFAULT_SEED,
              f" ({total_faults} faults, {total_lost} ops lost,"
              f" {total_replays} replays deduplicated,"
              f" {total_dropped} messages dropped)")
-    return out

@@ -39,18 +39,17 @@ All arithmetic is integer/float only (the diurnal curve is a triangle
 wave, not a sine) so snapshots are byte-identical across platforms and
 the CI compare gate can hold the simulated section exactly.
 
-Deliberately *not* registered in ``repro.bench.runner.DRIVERS`` — like
-chaos, this driver has its own emitter (``benchmarks/bench_elastic.py``)
-and its own baseline/compare gate.
+Not part of ``pacon-bench all`` (``in_all=False``) — like chaos,
+``pacon-bench figure elastic --bench-out`` emits this experiment's own
+snapshot for its own baseline/compare gate.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.bench.report import ExperimentResult
-from repro.bench.systems import DEFAULT_SEED
-from repro.core.autoscale import Autoscaler
+from repro.bench.report import experiment, summarize
+from repro.core.autoscale import AutoscalePolicy, Autoscaler
 from repro.core.config import PaconConfig
 from repro.core.deploy import PaconDeployment
 from repro.dfs.beegfs import BeeGFS
@@ -143,25 +142,24 @@ def _client_loop(client, base_dir: str, params: Dict[str, Any],
 
 
 def _autoscale_config(params: Dict[str, Any]) -> PaconConfig:
-    return PaconConfig(
-        workspace="/elastic",
-        autoscale_min_nodes=params["n_base"],
-        autoscale_max_nodes=params["n_peak"],
-        autoscale_interval=0.5e-3,
-        autoscale_cooldown=2e-3,
-        autoscale_util_high=0.60,
-        autoscale_util_low=0.25,
+    return PaconConfig(workspace="/elastic", autoscale=AutoscalePolicy(
+        min_nodes=params["n_base"],
+        max_nodes=params["n_peak"],
+        interval=0.5e-3,
+        cooldown=2e-3,
+        util_high=0.60,
+        util_low=0.25,
         # Clients stay pinned to the base nodes, publishing only to the
         # local commit queue — growth adds cache/NIC capacity, not MDS or
         # commit throughput.  A backlog-triggered grow here would quiesce
         # against an MDS-bound drain and stall the controller, so this
         # bench parks the backlog watermark out of reach and lets the
         # utilization signal (the one growth can actually fix) drive.
-        autoscale_backlog_high=1000.0,
-        autoscale_backlog_low=8.0,
-        autoscale_up_consecutive=2,
-        autoscale_down_consecutive=4,
-    )
+        backlog_high=1000.0,
+        backlog_low=8.0,
+        up_consecutive=2,
+        down_consecutive=4,
+    ))
 
 
 def _run_mode(mode: str, params: Dict[str, Any], seed: int,
@@ -214,8 +212,6 @@ def _run_mode(mode: str, params: Dict[str, Any], seed: int,
     span = env.now
     stats = own_hub.stats.sketch("client.op.getattr.latency").summary()
     peak_nodes = max(count for _, count in region.membership_log)
-    import numpy as np
-    arr = np.asarray(steady)
     row = {
         "mode": mode,
         "nodes_start": len(region_nodes),
@@ -224,9 +220,8 @@ def _run_mode(mode: str, params: Dict[str, Any], seed: int,
         "stats_ops": int(stats["count"]),
         "p50_us": round(stats["p50"] * 1e6, 3),
         "p99_us": round(stats["p99"] * 1e6, 3),
-        "steady_ops": int(arr.size),
-        "steady_p99_us": (round(float(np.percentile(arr, 99)) * 1e6, 3)
-                          if arr.size else 0.0),
+        "steady_ops": len(steady),
+        "steady_p99_us": round(summarize(steady)["p99"] * 1e6, 3),
         "committed": region.ops_committed,
         "scale_ups": scaler.scale_ups if scaler else 0,
         "scale_downs": scaler.scale_downs if scaler else 0,
@@ -237,19 +232,15 @@ def _run_mode(mode: str, params: Dict[str, Any], seed: int,
     return row
 
 
-def run(scale: str = "smoke", seed: int = DEFAULT_SEED,
-        hub: Optional[MetricsHub] = None) -> ExperimentResult:
+@experiment("elastic", "Flash crowd: autoscaled vs static provisioning",
+            SCALES, in_all=False, observable=True)
+def run(out, params, seed, hub):
     """Run the flash-crowd workload under all three provisioning modes.
 
     ``hub``, when given, observes the ``autoscale`` mode's world (the
     interesting one: it has the ``autoscale.*`` series and actions); the
     static modes always record into private hubs.
     """
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="elastic",
-        title="Flash crowd: autoscaled vs static provisioning",
-        scale=scale, seed=seed, params=dict(params))
     rows: Dict[str, Dict[str, Any]] = {}
     for mode in MODES:
         row = _run_mode(mode, params, seed,
@@ -280,4 +271,3 @@ def run(scale: str = "smoke", seed: int = DEFAULT_SEED,
              f" static_min {sp99_min:.0f}us / static_peak"
              f" {sp99_peak:.0f}us; cost {cost_auto:.4f} node-s vs min"
              f" {cost_min:.4f} / peak {cost_peak:.4f}")
-    return out

@@ -8,13 +8,12 @@ case — showing both flatten long before client counts stop growing.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator, Sequence, Tuple
 
-from repro.bench.report import ExperimentResult
-from repro.bench.systems import DEFAULT_SEED, make_testbed
-from repro.workloads.mdtest import MdtestConfig, run_mdtest
+from repro.bench.report import experiment
+from repro.bench.systems import create_throughput
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES", "client_sweep"]
 
 # (nodes, clients_per_node) sweep points; first point is the baseline.
 SCALES: Dict[str, Dict] = {
@@ -25,47 +24,33 @@ SCALES: Dict[str, Dict] = {
 }
 
 
-def _creation_throughput(system: str, nodes: int, cpn: int,
-                         items: int, seed: int = DEFAULT_SEED) -> float:
-    bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
-                       clients_per_node=cpn, seed=seed)
-    config = MdtestConfig(workdir="/app", items_per_client=items,
-                          phases=("create",))
-    result = run_mdtest(bed.env, bed.clients, config)
-    return result.ops("create")
+def client_sweep(params: Dict, seed: int, systems: Sequence[str]
+                 ) -> Iterator[Tuple[str, int, int, float, float]]:
+    """The Fig. 1 / Fig. 11 sweep: creation throughput per system per point.
 
-
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig01",
-        title="Client scalability (creation throughput multiple vs 1 client)",
-        scale=scale, seed=seed, params=dict(params))
-    base: Dict[str, float] = {}
-    for system in ("beegfs", "indexfs"):
+    Yields ``(system, nodes, clients, ops_per_sec, multiple)`` where
+    ``multiple`` is relative to the system's first (one-client) point.
+    """
+    for system in systems:
+        base = None
         for nodes, cpn in params["points"]:
-            ops = _creation_throughput(system, nodes, cpn, params["items"],
-                                       seed=seed)
-            clients = nodes * cpn
-            if clients == 1:
-                base[system] = ops
-            out.add(system=system, clients=clients, nodes=nodes,
-                    ops_per_sec=round(ops),
-                    multiple=round(ops / base[system], 2))
+            ops = create_throughput(system, nodes, cpn, params["items"],
+                                    seed=seed)
+            if base is None:
+                base = ops
+            yield system, nodes, nodes * cpn, ops, round(ops / base, 2)
+
+
+@experiment("fig01", "Client scalability (creation throughput multiple vs"
+            " 1 client)", SCALES)
+def run(out, params, seed):
+    for system, nodes, clients, ops, multiple in client_sweep(
+            params, seed, ("beegfs", "indexfs")):
+        out.add(system=system, clients=clients, nodes=nodes,
+                ops_per_sec=round(ops), multiple=multiple)
     max_clients = max(n * c for n, c in params["points"])
     for system in ("beegfs", "indexfs"):
         peak = max(r["multiple"] for r in out.where(system=system))
         out.derive(f"{system}_peak_multiple", peak)
         out.note(f"{system}: peak speedup {peak}x at up to {max_clients}"
                  f" clients — far from linear (paper Fig. 1 shape)")
-    return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

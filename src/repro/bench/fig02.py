@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.report import ExperimentResult
+from repro.bench.report import ExperimentResult, experiment
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.workloads.mdtest import build_tree, run_random_stat
 
-__all__ = ["run", "main", "SCALES", "stat_throughput_at_depth"]
+__all__ = ["run", "SCALES", "depth_sweep", "stat_throughput_at_depth"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"depths": [3, 4], "fanout": 3, "nodes": 2, "cpn": 3,
@@ -39,36 +39,33 @@ def stat_throughput_at_depth(system: str, depth: int, fanout: int,
     return run_random_stat(bed.env, bed.clients, leaves, stats_per_client)
 
 
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig02",
-        title="Path traversal cost: random stat of leaf dirs vs depth",
-        scale=scale, seed=seed, params=dict(params))
-    base: Dict[str, float] = {}
-    for system in ("beegfs", "indexfs"):
+def depth_sweep(out: ExperimentResult, params: Dict, seed: int,
+                paper: Dict[str, str]) -> None:
+    """The Fig. 2 / Fig. 9 sweep: stat throughput per system per depth.
+
+    ``paper`` maps each system to sweep to the loss the paper reports for
+    it, quoted in that system's note.
+    """
+    for system in paper:
+        base = None
         for depth in params["depths"]:
             ops = stat_throughput_at_depth(
                 system, depth, params["fanout"], params["nodes"],
                 params["cpn"], params["stats_per_client"], seed=seed)
-            base.setdefault(system, ops)
-            loss = (1 - ops / base[system]) * 100
+            if base is None:
+                base = ops
             out.add(system=system, depth=depth, ops_per_sec=round(ops),
-                    loss_vs_shallowest_pct=round(loss, 1))
-    for system in ("beegfs", "indexfs"):
+                    loss_vs_shallowest_pct=round((1 - ops / base) * 100, 1))
+    for system, target in paper.items():
         deepest = out.where(system=system)[-1]
         out.derive(f"{system}_loss_pct_deepest",
                    deepest["loss_vs_shallowest_pct"])
         out.note(f"{system}: {deepest['loss_vs_shallowest_pct']}% loss at"
-                 f" depth {deepest['depth']} (paper: >47% at depth 6)")
-    return out
+                 f" depth {deepest['depth']} (paper: {target})")
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+@experiment("fig02", "Path traversal cost: random stat of leaf dirs vs depth",
+            SCALES)
+def run(out, params, seed):
+    depth_sweep(out, params, seed, {"beegfs": ">47% at depth 6",
+                                    "indexfs": ">47% at depth 6"})

@@ -11,12 +11,11 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional, Sequence
 
-from repro.bench.report import ExperimentResult
+from repro.bench.report import experiment
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "main", "SCALES", "single_app_point",
-           "batching_comparison"]
+__all__ = ["run", "SCALES", "single_app_point", "batching_comparison"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"node_counts": [2], "cpn": 5, "items": 20},
@@ -100,13 +99,9 @@ def _namespace_digest(dfs) -> str:
     return digest.hexdigest()
 
 
-def run(scale: str = "ci", hub: Optional[object] = None,
-        seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig07",
-        title="Single-application throughput (shared dir, depth 1)",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("fig07", "Single-application throughput (shared dir, depth 1)",
+            SCALES, observable=True)
+def run(out, params, seed, hub):
     committed_total = 0.0
     for system in SYSTEMS:
         for nodes in params["node_counts"]:
@@ -133,14 +128,4 @@ def run(scale: str = "ci", hub: Optional[object] = None,
                  f" (paper: >{8.8 if phase == 'create' else 2.6}x)")
     if hub is not None:
         out.metrics = hub.export()
-    return out
 
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

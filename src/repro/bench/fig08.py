@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.report import ExperimentResult
+from repro.bench.report import experiment
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, spawn_mdtest
 
-__all__ = ["run", "main", "SCALES", "multi_app_point"]
+__all__ = ["run", "SCALES", "multi_app_point"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"total_nodes": 4, "cpn": 4, "app_counts": [2, 4], "items": 15},
@@ -53,12 +53,9 @@ def multi_app_point(system: str, n_apps: int, total_nodes: int, cpn: int,
     return overall
 
 
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig08",
-        title="Multi-application overall throughput (disjoint workdirs)",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("fig08", "Multi-application overall throughput (disjoint"
+            " workdirs)", SCALES)
+def run(out, params, seed):
     for system in SYSTEMS:
         for n_apps in params["app_counts"]:
             ops = multi_app_point(system, n_apps, params["total_nodes"],
@@ -82,14 +79,4 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
              " (paper: >10x), min Pacon/IndexFS ="
              f" {worst_vs_indexfs:.2f}x (paper: >1.07x — the gap narrows"
              " with many apps)")
-    return out
 
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

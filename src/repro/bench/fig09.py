@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.fig02 import stat_throughput_at_depth
-from repro.bench.report import ExperimentResult
-from repro.bench.systems import DEFAULT_SEED
+from repro.bench.fig02 import depth_sweep
+from repro.bench.report import experiment
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"depths": [3, 5], "fanout": 3, "nodes": 2, "cpn": 3,
@@ -26,38 +25,8 @@ SCALES: Dict[str, Dict] = {
 }
 
 
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig09",
-        title="Path traversal with batch permissions (stat vs depth)",
-        scale=scale, seed=seed, params=dict(params))
-    base: Dict[str, float] = {}
-    for system in ("beegfs", "indexfs", "pacon"):
-        for depth in params["depths"]:
-            ops = stat_throughput_at_depth(
-                system, depth, params["fanout"], params["nodes"],
-                params["cpn"], params["stats_per_client"], seed=seed)
-            base.setdefault(system, ops)
-            out.add(system=system, depth=depth, ops_per_sec=round(ops),
-                    loss_vs_shallowest_pct=round(
-                        (1 - ops / base[system]) * 100, 1))
-    for system in ("beegfs", "indexfs", "pacon"):
-        deepest = out.where(system=system)[-1]
-        target = {"beegfs": "~63%", "indexfs": "~47%",
-                  "pacon": "slight"}[system]
-        out.derive(f"{system}_loss_pct_deepest",
-                   deepest["loss_vs_shallowest_pct"])
-        out.note(f"{system}: {deepest['loss_vs_shallowest_pct']}% loss at"
-                 f" depth {deepest['depth']} (paper: {target})")
-    return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+@experiment("fig09", "Path traversal with batch permissions (stat vs depth)",
+            SCALES)
+def run(out, params, seed):
+    depth_sweep(out, params, seed, {"beegfs": "~63%", "indexfs": "~47%",
+                                    "pacon": "slight"})

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.report import ExperimentResult
+from repro.bench.report import experiment
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.core.cache import CacheShard, DistributedCache
 from repro.sim.network import Cluster
 from repro.workloads.mdtest import build_tree
 from repro.workloads.memaslap import MemaslapConfig, run_memaslap
 
-__all__ = ["run", "main", "SCALES", "mkdir_throughput", "memaslap_throughput"]
+__all__ = ["run", "SCALES", "mkdir_throughput", "memaslap_throughput"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"depths": [2], "fanout": 4, "nodes": 2},
@@ -55,12 +55,9 @@ def memaslap_throughput(operations: int, nodes: int,
                         MemaslapConfig(operations=operations))
 
 
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig10",
-        title="Pacon overhead vs raw Memcached (single client mkdir)",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("fig10", "Pacon overhead vs raw Memcached (single client mkdir)",
+            SCALES)
+def run(out, params, seed):
     for depth in params["depths"]:
         total_items = sum(params["fanout"] ** level
                           for level in range(1, depth + 1))
@@ -80,14 +77,4 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
              " (paper: more than 64.6%)")
     out.note("BeeGFS/IndexFS are far below the in-memory KV because their"
              " metadata writes hit the MDS disk / the DFS-backed LSM")
-    return out
 
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.report import ExperimentResult, fmt_ops
-from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
-from repro.workloads.mdtest import MdtestConfig, run_mdtest
+from repro.bench.fig01 import client_sweep
+from repro.bench.report import experiment, fmt_ops
+from repro.bench.systems import SYSTEMS, create_throughput
 
-__all__ = ["run", "run_aggregate", "main", "SCALES", "AGGREGATE_SCALES",
-           "creation_throughput"]
+__all__ = ["run", "run_aggregate", "SCALES", "AGGREGATE_SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"points": [(1, 1), (2, 5)], "items": 15},
@@ -36,32 +35,12 @@ AGGREGATE_SCALES: Dict[str, Dict] = {
 }
 
 
-def creation_throughput(system: str, nodes: int, cpn: int,
-                        items: int, seed: int = DEFAULT_SEED) -> float:
-    bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
-                       clients_per_node=cpn, seed=seed)
-    config = MdtestConfig(workdir="/app", items_per_client=items,
-                          phases=("create",))
-    return run_mdtest(bed.env, bed.clients, config).ops("create")
-
-
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig11",
-        title="Creation scalability (normalized to 1 client)",
-        scale=scale, seed=seed, params=dict(params))
-    base: Dict[str, float] = {}
-    for system in SYSTEMS:
-        for nodes, cpn in params["points"]:
-            ops = creation_throughput(system, nodes, cpn, params["items"],
-                                      seed=seed)
-            clients = nodes * cpn
-            if clients == 1:
-                base[system] = ops
-            out.add(system=system, clients=clients,
-                    ops_per_sec=round(ops),
-                    normalized=round(ops / base[system], 2))
+@experiment("fig11", "Creation scalability (normalized to 1 client)", SCALES)
+def run(out, params, seed):
+    for system, _, clients, ops, normalized in client_sweep(
+            params, seed, SYSTEMS):
+        out.add(system=system, clients=clients, ops_per_sec=round(ops),
+                normalized=normalized)
     max_clients = max(n * c for n, c in params["points"])
     big = {s: out.where(system=s, clients=max_clients)[0] for s in SYSTEMS}
     out.derive("scaling_vs_beegfs", round(
@@ -77,11 +56,11 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
     out.note(f"Pacon absolute throughput at {max_clients} clients:"
              f" {fmt_ops(big['pacon']['ops_per_sec'])} OPS"
              " (paper: >1M OPS at 320 clients)")
-    return out
 
 
-def run_aggregate(scale: str = "ci",
-                  seed: int = DEFAULT_SEED) -> ExperimentResult:
+@experiment("fig11_aggregate", "Creation scalability, hierarchical aggregate"
+            " clients", AGGREGATE_SCALES, in_all=False)
+def run_aggregate(out, params, seed):
     """Fig. 11 extension: hierarchical aggregate-client scalability.
 
     Each Pacon client object stands in for ``multiplier`` statistically
@@ -92,21 +71,11 @@ def run_aggregate(scale: str = "ci",
     documented approximation valid while per-op service times stay
     load-independent; the faithful figures are untouched.
     """
-    params = AGGREGATE_SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig11_aggregate",
-        title="Creation scalability, hierarchical aggregate clients",
-        scale=scale, seed=seed, params=dict(params))
-    faithful_max = max(n * c for n, c in SCALES[scale]["points"])
+    faithful_max = max(n * c for n, c in SCALES[out.scale]["points"])
     max_logical = 0
     for nodes, cpn, multiplier in params["points"]:
-        bed = make_testbed("pacon", n_apps=1, nodes_per_app=nodes,
-                           clients_per_node=cpn, seed=seed,
-                           aggregate_multiplier=multiplier)
-        config = MdtestConfig(workdir="/app",
-                              items_per_client=params["items"],
-                              phases=("create",))
-        ops = run_mdtest(bed.env, bed.clients, config).ops("create")
+        ops = create_throughput("pacon", nodes, cpn, params["items"],
+                                seed=seed, aggregate_multiplier=multiplier)
         physical = nodes * cpn
         logical = physical * multiplier
         max_logical = max(max_logical, logical)
@@ -118,17 +87,6 @@ def run_aggregate(scale: str = "ci",
     out.derive("scaleup_vs_faithful_sweep",
                round(max_logical / faithful_max, 2))
     out.note(f"{max_logical} logical clients"
-             f" ({max_logical // faithful_max}x the faithful {scale} sweep's"
-             f" {faithful_max}); logical ops/sec = physical x multiplier"
-             " (assumes load-independent per-op service times)")
-    return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+             f" ({max_logical // faithful_max}x the faithful {out.scale}"
+             f" sweep's {faithful_max}); logical ops/sec = physical x"
+             " multiplier (assumes load-independent per-op service times)")

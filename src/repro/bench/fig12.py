@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.report import ExperimentResult
+from repro.bench.report import experiment
 from repro.bench.systems import DEFAULT_SEED, make_testbed
 from repro.workloads.madbench import MadbenchConfig, run_madbench
 
-__all__ = ["run", "main", "SCALES", "madbench_point"]
+__all__ = ["run", "SCALES", "madbench_point"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "procs_per_node": 2,
@@ -40,12 +40,9 @@ def madbench_point(system: str, nodes: int, procs_per_node: int,
     return result
 
 
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="fig12",
-        title="MADbench2 breakdown (normalized to BeeGFS total runtime)",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("fig12", "MADbench2 breakdown (normalized to BeeGFS total"
+            " runtime)", SCALES)
+def run(out, params, seed):
     results = {}
     for system in ("beegfs", "pacon"):
         results[system] = madbench_point(
@@ -70,14 +67,4 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
     out.derive("init_time_ratio", round(init_p / init_b, 4))
     out.note(f"init (creation) time: Pacon/BeeGFS = {init_p / init_b:.2f}"
              " (paper: Pacon slightly smaller)")
-    return out
 
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,14 +9,13 @@ under a fixed concurrent load, for all three systems.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from repro.bench.report import ExperimentResult
+from repro.bench.report import experiment, summarize
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
-from repro.sim.resources import Barrier
-from repro.sim.stats import Histogram
+from repro.workloads.mdtest import run_closed_loop
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 25},
@@ -27,40 +26,31 @@ SCALES: Dict[str, Dict] = {
 
 def measure_create_latency(system: str, nodes: int, cpn: int,
                            items: int, seed: int = DEFAULT_SEED
-                           ) -> Histogram:
+                           ) -> List[float]:
+    """Every client-observed create latency of one concurrent run."""
     bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
                        clients_per_node=cpn, seed=seed)
     env = bed.env
-    hist = Histogram(f"{system}.create")
-    sync = Barrier(env, parties=len(bed.clients), name="lat")
+    samples: List[float] = []
 
-    def proc(rank, client):
-        yield sync.arrive()
+    def body(rank, client):
         for i in range(items):
             t0 = env.now
             yield from client.create(f"/app/f.{rank}.{i}")
-            hist.observe(env.now - t0)
-        yield sync.arrive()
+            samples.append(env.now - t0)
 
-    procs = [env.process(proc(rank, cl))
-             for rank, cl in enumerate(bed.clients)]
-    for p in procs:
-        env.run(until=p)
-    return hist
+    run_closed_loop(env, bed.clients, body)
+    return samples
 
 
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="latency",
-        title="Create latency distribution under load (extension)",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("latency", "Create latency distribution under load (extension)",
+            SCALES)
+def run(out, params, seed):
     stats = {}
     for system in SYSTEMS:
-        hist = measure_create_latency(system, params["nodes"],
-                                      params["cpn"], params["items"],
-                                      seed=seed)
-        summary = hist.summary()
+        summary = summarize(measure_create_latency(
+            system, params["nodes"], params["cpn"], params["items"],
+            seed=seed))
         stats[system] = summary
         out.add(system=system,
                 mean_us=round(summary["mean"] * 1e6, 1),
@@ -73,14 +63,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
     out.note(f"median create latency: Pacon is {ratio:.0f}x lower than"
              " BeeGFS — asynchronous commit hides the MDS entirely"
              " (paper §III.A Benefit 3)")
-    return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

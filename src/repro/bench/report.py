@@ -1,13 +1,27 @@
-"""Result containers and ASCII/markdown rendering for the bench harness."""
+"""What an experiment is and what it produces.
+
+:class:`Experiment` is one row of the experiment table
+(``repro.bench.registry`` lists them all): a driver module decorates the
+function that fills its rows with :func:`experiment`, and calling the
+row builds the :class:`ExperimentResult` — header, parameters, seed,
+harness wall clock — around that body.  The rest of the module renders
+results as ASCII tables and markdown.
+"""
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["ExperimentResult", "format_table", "write_markdown", "fmt_ops",
-           "metrics_sidecar_path"]
+import numpy as np
+
+from repro.sim.rng import DEFAULT_SEED
+
+__all__ = ["Experiment", "ExperimentResult", "NotObservable", "experiment",
+           "format_table", "write_markdown", "fmt_ops",
+           "metrics_sidecar_path", "summarize"]
 
 
 @dataclass
@@ -84,6 +98,63 @@ class ExperimentResult:
         body = format_table(self.rows)
         notes = "".join(f"\n  note: {n}" for n in self.notes)
         return f"{header}\n{body}{notes}"
+
+
+class NotObservable(ValueError):
+    """A hub was handed to an experiment whose body takes none."""
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the experiment table; call it to run the experiment.
+
+    ``body(out, params, seed)`` — plus ``hub`` when ``observable`` —
+    fills rows, derived claims and notes on the result built here.
+    """
+
+    name: str
+    title: str
+    #: Scenario parameters per scale name.
+    scales: Dict[str, Dict[str, Any]]
+    body: Callable[..., None]
+    #: Part of ``pacon-bench all``, i.e. gated by ``baseline_tiny.json``.
+    in_all: bool = True
+    #: The body can record into a caller's MetricsHub.
+    observable: bool = False
+
+    def __call__(self, scale: str = "ci", *, seed: int = DEFAULT_SEED,
+                 hub: Optional[Any] = None) -> ExperimentResult:
+        if hub is not None and not self.observable:
+            raise NotObservable(f"{self.name} takes no metrics hub")
+        params = self.scales[scale]
+        out = ExperimentResult(experiment=self.name, title=self.title,
+                               scale=scale, seed=seed, params=dict(params))
+        # perf_counter, not time.time: harness timings must be monotonic
+        # so they survive wall-clock adjustments (NTP steps).
+        t0 = time.perf_counter()
+        if self.observable:
+            self.body(out, params, seed, hub)
+        else:
+            self.body(out, params, seed)
+        out.host["wall_clock_s"] = round(time.perf_counter() - t0, 3)
+        return out
+
+
+def experiment(name: str, title: str, scales: Dict[str, Dict[str, Any]],
+               **flags: bool) -> Callable[[Callable[..., None]], Experiment]:
+    """Decorator: turn a body into the table row that runs it."""
+    return lambda body: Experiment(name, title, scales, body, **flags)
+
+
+def summarize(samples: Sequence[float]) -> Dict[str, float]:
+    """Exact mean/p50/p99/max of raw samples (all zero when empty)."""
+    if not len(samples):
+        return {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
+    arr = np.asarray(samples)
+    return {"mean": float(arr.mean()),
+            "p50": float(np.percentile(arr, 50)),
+            "p99": float(np.percentile(arr, 99)),
+            "max": float(arr.max())}
 
 
 def fmt_ops(value: float) -> str:

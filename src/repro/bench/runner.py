@@ -1,80 +1,40 @@
-"""Run every experiment and write the consolidated report + snapshot.
+"""Run the whole experiment table and emit ``BENCH_*.json`` snapshots.
 
-``python -m repro.bench.runner [--scale ci|smoke|paper] [--seed N]
-[--out report.md] [--metrics-out metrics.json] [--bench-out snap.json]
-[--label LABEL] [--no-snapshot]``
-
-Besides the human-readable markdown report, the runner collects every
-driver's structured record into a versioned, schema-validated
-``BENCH_<git-sha-or-label>.json`` snapshot (see ``repro.bench.snapshot``)
-that ``pacon-bench compare``/``history`` and the CI perf gate consume.
+``pacon-bench all`` and ``pacon-bench figure`` are the command-line faces
+of this module: :func:`run_all` runs every ``in_all`` row of
+:data:`repro.bench.registry.EXPERIMENTS`, and :func:`write_snapshot_file`
+is the one emitter of the versioned, schema-validated snapshot (see
+``repro.bench.snapshot``) that ``pacon-bench compare``/``history`` and the
+CI gates consume.
 """
 
 from __future__ import annotations
 
-import argparse
-import inspect
-import time
 from typing import Any, List, Optional
 
-from repro.bench import ablations, fig01, fig02, fig07, fig08, fig09, \
-    fig10, fig11, fig12, latency, sensitivity, staleness, table1
-from repro.bench.report import ExperimentResult, write_markdown
+from repro.bench import snapshot as snap
+from repro.bench.registry import EXPERIMENTS
+from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED
 
-__all__ = ["run_all", "write_snapshot_file", "main", "DEFAULT_SEED"]
-
-DRIVERS = [fig01, fig02, table1, fig07, fig08, fig09, fig10, fig11, fig12,
-           latency, sensitivity, staleness]
-
-#: Simulated seconds between observability gauge samples when a bench run
-#: collects metrics.
-METRICS_SAMPLE_INTERVAL = 200e-6
-
-
-def _accepts(run_fn, name: str) -> bool:
-    return name in inspect.signature(run_fn).parameters
+__all__ = ["run_all", "write_snapshot_file"]
 
 
 def run_all(scale: str = "ci", verbose: bool = True,
-            include_ablations: bool = True,
-            metrics_path: Optional[str] = None,
-            seed: int = DEFAULT_SEED) -> List[ExperimentResult]:
-    hub = None
-    if metrics_path is not None:
-        from repro.obs.hub import MetricsHub
-        hub = MetricsHub(sample_interval=METRICS_SAMPLE_INTERVAL)
+            seed: int = DEFAULT_SEED,
+            hub: Optional[Any] = None) -> List[ExperimentResult]:
+    """Run every ``in_all`` experiment; ``hub`` (a MetricsHub), if given,
+    observes the observable ones."""
     results: List[ExperimentResult] = []
-
-    def finish(result: ExperimentResult, t0: float) -> None:
-        # perf_counter, not time.time: harness phase timings must be
-        # monotonic so they survive wall-clock adjustments (NTP steps).
-        result.host.setdefault("wall_clock_s",
-                               round(time.perf_counter() - t0, 3))
-        if result.seed is None:
-            result.seed = seed
+    for experiment in EXPERIMENTS.values():
+        if not experiment.in_all:
+            continue
+        result = experiment(scale, seed=seed,
+                            hub=hub if experiment.observable else None)
         results.append(result)
         if verbose:
             print(result.render())
             print(f"  [{result.host['wall_clock_s']:.1f}s]\n")
-
-    for driver in DRIVERS:
-        t0 = time.perf_counter()
-        kwargs = {}
-        if hub is not None and _accepts(driver.run, "hub"):
-            kwargs["hub"] = hub
-        if _accepts(driver.run, "seed"):
-            kwargs["seed"] = seed
-        finish(driver.run(scale, **kwargs), t0)
-    if include_ablations:
-        for result in ablations.run_all(scale, seed=seed):
-            # ablations.run_all stamps per-result wall clocks itself.
-            finish(result, time.perf_counter())
-    if hub is not None and metrics_path is not None:
-        with open(metrics_path, "w") as fh:
-            fh.write(hub.to_json(indent=2))
-        if verbose:
-            print(f"metrics written to {metrics_path}")
     return results
 
 
@@ -87,57 +47,8 @@ def write_snapshot_file(results: List[ExperimentResult], *, scale: str,
     With no explicit ``path``, writes ``BENCH_<label>.json`` in the
     current directory, defaulting the label to the short git SHA.
     """
-    from repro.bench import snapshot as snap
-
     label = label or snap.default_label()
     path = path or snap.snapshot_path(label)
     doc = snap.build_snapshot(results, label=label, scale=scale, seed=seed,
                               wall_clock_s=wall_clock_s)
     return snap.write_snapshot(doc, path)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.runner",
-        description="Regenerate every experiment; write the markdown"
-                    " report and the BENCH_*.json snapshot.")
-    parser.add_argument("--scale", choices=("smoke", "ci", "paper"),
-                        default="ci")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="legacy alias for --scale paper")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="RNG seed for every driver's clusters"
-                             " (default 0xBEE)")
-    parser.add_argument("--out", default=None,
-                        help="write a markdown report here")
-    parser.add_argument("--metrics-out", default=None,
-                        help="write a MetricsHub JSON artifact here")
-    parser.add_argument("--bench-out", default=None, metavar="SNAPSHOT",
-                        help="snapshot path (default: BENCH_<label>.json)")
-    parser.add_argument("--label", default=None,
-                        help="snapshot label (default: short git SHA)")
-    parser.add_argument("--no-snapshot", action="store_true",
-                        help="skip writing the BENCH_*.json snapshot")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    scale = "paper" if args.paper_scale else args.scale
-    t0 = time.perf_counter()
-    results = run_all(scale, metrics_path=args.metrics_out, seed=args.seed)
-    wall_clock = time.perf_counter() - t0
-    if args.out:
-        write_markdown(results, args.out)
-        print(f"report written to {args.out}")
-    if not args.no_snapshot:
-        path = write_snapshot_file(results, scale=scale, seed=args.seed,
-                                   path=args.bench_out, label=args.label,
-                                   wall_clock_s=wall_clock)
-        print(f"bench snapshot written to {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-    sys.exit(main())

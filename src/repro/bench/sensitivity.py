@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.report import ExperimentResult
-from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.bench.report import experiment
+from repro.bench.systems import create_throughput
 from repro.sim.costs import CostModel
-from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "main", "SCALES"]
+__all__ = ["run", "SCALES"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 15,
@@ -40,34 +39,22 @@ PERTURBATIONS = {
 }
 
 
-def _creation(system: str, costs: CostModel, nodes: int, cpn: int,
-              items: int, seed: int = DEFAULT_SEED) -> float:
-    bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
-                       clients_per_node=cpn, costs=costs, seed=seed)
-    config = MdtestConfig(workdir="/app", items_per_client=items,
-                          phases=("create",))
-    return run_mdtest(bed.env, bed.clients, config).ops("create")
-
-
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="sensitivity",
-        title="Conclusion robustness under cost-model perturbation",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("sensitivity", "Conclusion robustness under cost-model"
+            " perturbation", SCALES)
+def run(out, params, seed):
     base = CostModel.tianhe2_like()
     orderings_hold = True
     for knob, perturb in PERTURBATIONS.items():
         for factor in params["factors"]:
             costs = perturb(base, factor)
-            ops = {system: _creation(system, costs, params["nodes"],
-                                     params["cpn"], params["items"],
-                                     seed=seed)
+            ops = {system: create_throughput(
+                       system, params["nodes"], params["cpn"],
+                       params["items"], costs=costs, seed=seed)
                    for system in ("beegfs", "indexfs", "pacon")}
             # The paper's core claim: Pacon beats both baselines.  (The
             # IndexFS-vs-BeeGFS ordering is scale-dependent: IndexFS only
             # overtakes once GIGA+ splitting spreads the hot directory,
-            # which needs paper-scale entry counts.)
+            # which needs paper-sized entry counts.)
             ordering_ok = (ops["pacon"] > ops["indexfs"]
                            and ops["pacon"] > ops["beegfs"])
             orderings_hold = orderings_hold and ordering_ok
@@ -83,14 +70,3 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
     out.note("the core claim (Pacon > both baselines on creation)"
              + (" holds under every perturbation tested"
                 if orderings_hold else " is VIOLATED somewhere — see rows"))
-    return out
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

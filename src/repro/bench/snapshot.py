@@ -8,8 +8,9 @@ deterministic — two same-seed runs produce byte-identical
 :func:`simulated_view` serializations — while everything under ``host``
 keys varies run to run and is excluded from that guarantee.
 
-``repro.bench.runner`` writes snapshots, ``repro.bench.baseline`` diffs
-and folds them (``pacon-bench compare`` / ``pacon-bench history``), and
+``pacon-bench all|figure --bench-out`` writes snapshots (through
+``runner.write_snapshot_file``), ``repro.bench.baseline`` diffs and folds
+them (``pacon-bench compare`` / ``pacon-bench history``), and
 :func:`repro.obs.schema.validate_bench` is the format contract.
 """
 

@@ -17,13 +17,14 @@ quiesced, pending mutations zero).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.bench.report import ExperimentResult
+from repro.bench.report import experiment
 from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.obs.hub import SAMPLE_INTERVAL, MetricsHub
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "main", "SCALES", "staleness_point"]
+__all__ = ["run", "SCALES", "staleness_point"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"nodes": 2, "cpn": 4, "items": 15, "batch_sizes": [1, 8]},
@@ -34,11 +35,6 @@ SCALES: Dict[str, Dict] = {
 
 PHASES = ("mkdir", "create", "stat")
 
-#: Gauge cadence for the per-point hubs.  Kept local — the bench runner
-#: owns its own copy of this constant and importing it here would be a
-#: cycle (runner imports drivers).
-SAMPLE_INTERVAL = 200e-6
-
 
 def staleness_point(nodes: int, cpn: int, items: int, batch_size: int,
                     seed: int = DEFAULT_SEED) -> Dict[str, object]:
@@ -47,8 +43,6 @@ def staleness_point(nodes: int, cpn: int, items: int, batch_size: int,
     Returns the run's ``consistency`` export section plus the drained
     elapsed time.
     """
-    from repro.obs.hub import MetricsHub
-
     hub = MetricsHub(sample_interval=SAMPLE_INTERVAL)
     bed = make_testbed("pacon", n_apps=1, nodes_per_app=nodes,
                        clients_per_node=cpn, hub=hub,
@@ -61,12 +55,9 @@ def staleness_point(nodes: int, cpn: int, items: int, batch_size: int,
     return {"consistency": consistency, "elapsed": bed.env.now}
 
 
-def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
-    params = SCALES[scale]
-    out = ExperimentResult(
-        experiment="staleness",
-        title="Staleness vs. commit batch size (Pacon, fig. 7 workload)",
-        scale=scale, seed=seed, params=dict(params))
+@experiment("staleness", "Staleness vs. commit batch size (Pacon, fig. 7"
+            " workload)", SCALES)
+def run(out, params, seed):
     worst_p99 = 0.0
     for batch_size in params["batch_sizes"]:
         point = staleness_point(params["nodes"], params["cpn"],
@@ -101,14 +92,4 @@ def run(scale: str = "ci", seed: int = DEFAULT_SEED) -> ExperimentResult:
              f" {first['batch']} -> {last['stale_p99']:.6f}s at batch"
              f" {last['batch']}; every run quiesced with"
              f" {last['pending_end']} pending mutations")
-    return out
 
-
-def main() -> None:  # pragma: no cover - CLI
-    import sys
-    scale = "paper" if "--paper-scale" in sys.argv else "ci"
-    print(run(scale).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,15 +19,13 @@ from repro.core.permissions import PermissionSpec
 from repro.dfs.beegfs import BeeGFS
 from repro.sim.costs import CostModel
 from repro.sim.network import Cluster, Node
+from repro.sim.rng import DEFAULT_SEED
+from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["AppHandle", "TestBed", "make_testbed", "SYSTEMS",
-           "DEFAULT_SEED"]
+__all__ = ["AppHandle", "TestBed", "make_testbed", "create_throughput",
+           "SYSTEMS", "DEFAULT_SEED"]
 
 SYSTEMS = ("beegfs", "indexfs", "pacon")
-
-#: The one seed every bench driver defaults to; ``runner.py`` plumbs a
-#: ``--seed`` override through so snapshots state their seed honestly.
-DEFAULT_SEED = 0xBEE
 
 
 @dataclass
@@ -165,3 +163,14 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
         bed.apps.append(AppHandle(workdir=workdir, nodes=app_nodes[k],
                                   clients=clients, region=region))
     return bed
+
+
+def create_throughput(system: str, nodes: int, cpn: int, items: int,
+                      **testbed_kw: Any) -> float:
+    """Creates/second of one ``nodes`` x ``cpn``-client mdtest create phase
+    against a fresh ``system`` testbed (``testbed_kw`` as `make_testbed`)."""
+    bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
+                       clients_per_node=cpn, **testbed_kw)
+    config = MdtestConfig(workdir="/app", items_per_client=items,
+                          phases=("create",))
+    return run_mdtest(bed.env, bed.clients, config).ops("create")

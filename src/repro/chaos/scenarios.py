@@ -37,13 +37,10 @@ from repro.dfs.beegfs import BeeGFS
 from repro.dfs.errors import FileExists, FileNotFound
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster, NodeDownError
+from repro.sim.rng import DEFAULT_SEED
 
 __all__ = ["SCENARIOS", "ChaosWorld", "ScenarioResult", "build_world",
            "run_scenario", "run_all"]
-
-#: Matches repro.bench.systems.DEFAULT_SEED (not imported: repro.bench
-#: pulls optional heavyweight drivers; chaos must stay importable alone).
-DEFAULT_SEED = 0xBEE
 
 SCENARIOS = ("mds_crash", "barrier_crash", "partition_heal",
              "cache_churn", "node_crash")

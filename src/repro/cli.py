@@ -7,6 +7,7 @@ Installed as ``pacon-bench`` (see pyproject) or usable as
         --items 100
     pacon-bench madbench --system beegfs --file-size 4194304
     pacon-bench figure fig07 --scale paper --metrics-out fig07.metrics.json
+    pacon-bench figure chaos --scale smoke --bench-out chaos.json
     pacon-bench all --scale ci --out report.md --bench-label nightly
     pacon-bench compare BENCH_a.json BENCH_b.json --json
     pacon-bench history --metric 'fig07.*'
@@ -21,12 +22,31 @@ Installed as ``pacon-bench`` (see pyproject) or usable as
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from typing import List, Optional
 
-__all__ = ["main", "build_parser"]
+from repro.bench import runner
+from repro.bench.baseline import (DEFAULT_HOST_THRESHOLD, compare_files,
+                                  history_rows, load_history,
+                                  render_comparison, render_history)
+from repro.bench.registry import EXPERIMENTS
+from repro.bench.report import NotObservable, write_markdown
+from repro.bench.snapshot import SnapshotError, collect_snapshot_paths
+from repro.bench.systems import make_testbed
+from repro.chaos.scenarios import SCENARIOS, run_scenario
+from repro.obs.chrome import write_chrome_trace
+from repro.obs.hub import SAMPLE_INTERVAL, MetricsHub
+from repro.obs.incidents import format_report
+from repro.obs.profile import render_report
+from repro.obs.slo import evaluate_file, format_result, get_policy
+from repro.sim.rng import DEFAULT_SEED
+from repro.sim.trace import Tracer
+from repro.workloads.madbench import MadbenchConfig, run_madbench
+from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-DEFAULT_SEED = 0xBEE
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     mdtest.add_argument("--items", type=int, default=50)
     mdtest.add_argument("--phases", default="mkdir,create,stat",
                         help="comma-separated: mkdir,create,stat,rm")
-    mdtest.add_argument("--seed", type=int, default=0xBEE)
+    mdtest.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     madbench = sub.add_parser("madbench",
                               help="run the MADbench2-like workload")
@@ -54,37 +74,32 @@ def build_parser() -> argparse.ArgumentParser:
     madbench.add_argument("--file-size", type=int, default=1 << 20)
     madbench.add_argument("--iterations", type=int, default=3)
 
-    figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("name",
-                        choices=("fig01", "fig02", "table1", "fig07",
-                                 "fig08", "fig09", "fig10", "fig11",
-                                 "fig12", "latency", "sensitivity",
-                                 "staleness"))
-    figure.add_argument("--scale", choices=("smoke", "ci", "paper"),
-                        default="ci")
-    figure.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="simulation seed (drivers that accept one)")
-    figure.add_argument("--metrics-out", default=None,
-                        help="write a MetricsHub JSON artifact here"
-                             " (drivers that support observability)")
+    def _experiment_args(p) -> None:
+        p.add_argument("--scale", choices=("smoke", "ci", "paper"),
+                       default="ci")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="simulation seed")
+        p.add_argument("--metrics-out", default=None,
+                       help="write a MetricsHub JSON artifact here"
+                            " (experiments that support observability)")
+        p.add_argument("--bench-out", default=None, metavar="SNAPSHOT",
+                       help="write a pacon.bench/v1 snapshot here")
+        p.add_argument("--bench-label", default=None,
+                       help="write a snapshot named BENCH_<label>.json"
+                            " in the current directory")
+
+    figure = sub.add_parser("figure", help="run one experiment")
+    figure.add_argument("name", choices=tuple(EXPERIMENTS))
+    _experiment_args(figure)
     figure.add_argument("--trace-out", default=None, metavar="OUT_JSON",
                         help="write a Chrome trace-event JSON artifact"
-                             " here (drivers that support observability)")
+                             " here (experiments that support"
+                             " observability)")
 
     everything = sub.add_parser("all", help="regenerate every experiment")
-    everything.add_argument("--scale", choices=("smoke", "ci", "paper"),
-                            default="ci")
-    everything.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                            help="simulation seed for every driver")
+    _experiment_args(everything)
     everything.add_argument("--out", default=None,
                             help="write a markdown report here")
-    everything.add_argument("--metrics-out", default=None,
-                            help="write a MetricsHub JSON artifact here")
-    everything.add_argument("--bench-out", default=None, metavar="SNAPSHOT",
-                            help="write a pacon.bench/v1 snapshot here")
-    everything.add_argument("--bench-label", default=None,
-                            help="write a snapshot named BENCH_<label>.json"
-                                 " in the current directory")
 
     compare = sub.add_parser(
         "compare", help="compare two benchmark snapshots and flag"
@@ -123,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--items", type=int, default=20)
         p.add_argument("--phases", default="mkdir,create,stat",
                        help="comma-separated: mkdir,create,stat,rm")
-        p.add_argument("--seed", type=int, default=0xBEE)
-        p.add_argument("--sample-interval", type=float, default=200e-6,
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--sample-interval", type=float,
+                       default=SAMPLE_INTERVAL,
                        help="gauge sampler period in simulated seconds"
                             " (0 disables sampling)")
         p.add_argument("--out", default=None, help="write output here"
@@ -176,18 +192,19 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--json", action="store_true", dest="as_json",
                      help="machine-readable result instead of a table")
 
+    def _scenario_args(p) -> None:
+        p.add_argument("scenario", nargs="?", default="all",
+                       choices=("all",) + SCENARIOS)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--items", type=int, default=24,
+                       help="files created per client")
+        p.add_argument("--nodes", type=int, default=3)
+        p.add_argument("--clients-per-node", type=int, default=2)
+
     chaos = sub.add_parser(
         "chaos", help="inject faults into a live Pacon run and check the"
                       " post-recovery convergence invariants")
-    chaos.add_argument("scenario", nargs="?", default="all",
-                       choices=("all", "mds_crash", "barrier_crash",
-                                "partition_heal", "cache_churn",
-                                "node_crash"))
-    chaos.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    chaos.add_argument("--items", type=int, default=24,
-                       help="files created per client")
-    chaos.add_argument("--nodes", type=int, default=3)
-    chaos.add_argument("--clients-per-node", type=int, default=2)
+    _scenario_args(chaos)
     chaos.add_argument("--metrics-out", default=None,
                        help="write the faulty run's MetricsHub JSON here"
                             " (includes the chaos.* counters)")
@@ -199,15 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                           " flight recorder: detect SLO-burn incidents,"
                           " blame control-plane causes, and gate on"
                           " every fault being the top suspect")
-    incidents.add_argument("scenario", nargs="?", default="all",
-                           choices=("all", "mds_crash", "barrier_crash",
-                                    "partition_heal", "cache_churn",
-                                    "node_crash"))
-    incidents.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    incidents.add_argument("--items", type=int, default=24,
-                           help="files created per client")
-    incidents.add_argument("--nodes", type=int, default=3)
-    incidents.add_argument("--clients-per-node", type=int, default=2)
+    _scenario_args(incidents)
     incidents.add_argument("--json", action="store_true", dest="as_json",
                            help="machine-readable incident + attribution"
                                 " payload instead of a report")
@@ -229,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mdtest(args) -> int:
-    from repro.bench.systems import make_testbed
-    from repro.workloads.mdtest import MdtestConfig, run_mdtest
-
     bed = make_testbed(args.system, n_apps=1, nodes_per_app=args.nodes,
                        clients_per_node=args.clients_per_node,
                        seed=args.seed)
@@ -248,9 +254,6 @@ def _cmd_mdtest(args) -> int:
 
 
 def _cmd_madbench(args) -> int:
-    from repro.bench.systems import make_testbed
-    from repro.workloads.madbench import MadbenchConfig, run_madbench
-
     bed = make_testbed(args.system, n_apps=1, nodes_per_app=args.nodes,
                        clients_per_node=args.procs_per_node,
                        workdir_base="/madbench")
@@ -267,78 +270,64 @@ def _cmd_madbench(args) -> int:
     return 0
 
 
-def _cmd_figure(args) -> int:
-    import importlib
-    import inspect
+def _write(path: str, text: str, what: str = "") -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(f"{what}written to {path}")
 
-    driver = importlib.import_module(f"repro.bench.{args.name}")
-    accepted = inspect.signature(driver.run).parameters
-    kwargs = {}
-    if "seed" in accepted:
-        kwargs["seed"] = args.seed
+
+def _write_snapshot(args, results, wall_clock_s: float) -> None:
+    """``--bench-out/--bench-label``: emit the run's BENCH_*.json."""
+    if args.bench_out or args.bench_label:
+        path = runner.write_snapshot_file(
+            results, scale=args.scale, seed=args.seed, path=args.bench_out,
+            label=args.bench_label, wall_clock_s=wall_clock_s)
+        print(f"benchmark snapshot written to {path}")
+
+
+def _cmd_figure(args) -> int:
     hub = None
     if args.metrics_out or args.trace_out:
-        if "hub" not in accepted:
-            print(f"{args.name} does not support --metrics-out/--trace-out",
-                  file=sys.stderr)
-            return 2
-        from repro.bench.runner import METRICS_SAMPLE_INTERVAL
-        from repro.obs.hub import MetricsHub
-        tracer = None
-        if args.trace_out:
-            from repro.sim.trace import Tracer
-            tracer = Tracer()
-        hub = MetricsHub(tracer=tracer,
-                         sample_interval=METRICS_SAMPLE_INTERVAL)
-        kwargs["hub"] = hub
-    result = driver.run(args.scale, **kwargs)
+        hub = MetricsHub(tracer=Tracer() if args.trace_out else None,
+                         sample_interval=SAMPLE_INTERVAL)
+    try:
+        result = EXPERIMENTS[args.name](args.scale, seed=args.seed, hub=hub)
+    except NotObservable:
+        print(f"{args.name} does not support --metrics-out/--trace-out",
+              file=sys.stderr)
+        return 2
     print(result.render())
     # One export serves both artifacts, so the metrics JSON and the
     # trace's incident track are guaranteed to agree.
     doc = hub.export() if hub is not None else None
-    if hub is not None and args.metrics_out:
-        with open(args.metrics_out, "w") as fh:
-            fh.write(hub.to_json(indent=2, doc=doc))
-        print(f"metrics written to {args.metrics_out}")
-    if hub is not None and args.trace_out:
-        from repro.obs.chrome import write_chrome_trace
+    if args.metrics_out:
+        _write(args.metrics_out, hub.to_json(indent=2, doc=doc), "metrics ")
+    if args.trace_out:
         count = write_chrome_trace(
             args.trace_out, hub.tracer, hub,
             incidents=doc["incidents"]["incidents"])
         print(f"chrome trace written to {args.trace_out}"
               f" ({count} events)")
+    _write_snapshot(args, [result], result.host["wall_clock_s"])
     return 0
 
 
 def _cmd_all(args) -> int:
-    import time
-
-    from repro.bench.report import write_markdown
-    from repro.bench.runner import run_all, write_snapshot_file
-
+    hub = (MetricsHub(sample_interval=SAMPLE_INTERVAL)
+           if args.metrics_out else None)
     started = time.perf_counter()
-    results = run_all(args.scale, metrics_path=args.metrics_out,
-                      seed=args.seed)
+    results = runner.run_all(args.scale, seed=args.seed, hub=hub)
     wall = time.perf_counter() - started
+    if hub is not None:
+        _write(args.metrics_out, hub.to_json(indent=2), "metrics ")
     if args.out:
         write_markdown(results, args.out)
         print(f"report written to {args.out}")
-    if args.bench_out or args.bench_label:
-        path = write_snapshot_file(results, scale=args.scale,
-                                   seed=args.seed, path=args.bench_out,
-                                   label=args.bench_label,
-                                   wall_clock_s=wall)
-        print(f"benchmark snapshot written to {path}")
+    _write_snapshot(args, results, wall)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    import json
-
-    from repro.bench.baseline import (DEFAULT_HOST_THRESHOLD,
-                                      compare_files, render_comparison)
-    from repro.bench.snapshot import SnapshotError
-
     tolerances = {}
     for spec in args.tolerance:
         name, sep, value = spec.partition("=")
@@ -370,16 +359,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_history(args) -> int:
-    import json
-
-    from repro.bench.baseline import (history_rows, load_history,
-                                      render_history)
-    from repro.bench.snapshot import SnapshotError, collect_snapshot_paths
-
     paths = args.snapshots or collect_snapshot_paths(".")
     if not paths:
         print("no BENCH_*.json snapshots found (pass paths or run"
-              " `python -m repro.bench.runner` first)", file=sys.stderr)
+              " `pacon-bench all --bench-label LABEL` first)",
+              file=sys.stderr)
         return 2
     try:
         docs = load_history(paths)
@@ -400,10 +384,6 @@ def _run_observed(args, with_tracer: bool):
     Returns the populated :class:`repro.obs.MetricsHub` (its tracer holds
     the event log when ``with_tracer``).
     """
-    from repro.bench.systems import make_testbed
-    from repro.obs.hub import MetricsHub
-    from repro.sim.trace import Tracer
-    from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
     tracer = Tracer() if with_tracer else None
     interval = args.sample_interval if args.sample_interval > 0 else None
@@ -422,9 +402,7 @@ def _run_observed(args, with_tracer: bool):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"written to {out}")
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -444,7 +422,6 @@ def _cmd_trace(args) -> int:
         filters["actor"] = args.actor
     _emit(hub.tracer.render(limit=args.limit, **filters), args.out)
     if args.chrome:
-        from repro.obs.chrome import write_chrome_trace
         incidents = hub.export()["incidents"]["incidents"]
         count = write_chrome_trace(args.chrome, hub.tracer, hub,
                                    since=args.since, until=args.until,
@@ -454,18 +431,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs.profile import render_report
-
     hub = _run_observed(args, with_tracer=True)
     _emit(render_report(hub, top=args.top), args.out)
     return 0
 
 
 def _cmd_slo(args) -> int:
-    import json
-
-    from repro.obs.slo import evaluate_file, format_result, get_policy
-
     try:
         policy = get_policy(args.policy)
     except ValueError as exc:
@@ -481,11 +452,6 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    import json
-
-    from repro.chaos.scenarios import SCENARIOS, run_scenario
-    from repro.obs.hub import MetricsHub
-
     names = SCENARIOS if args.scenario == "all" else (args.scenario,)
     results = []
     hub = None
@@ -494,8 +460,8 @@ def _cmd_chaos(args) -> int:
         # world starting at t=0, so sharing one hub would interleave
         # their gauge series and corrupt the windowed SLO verdicts.
         # The metrics artifact carries the last scenario's run.
-        hub = MetricsHub(sample_interval=200e-6) if args.metrics_out \
-            else None
+        hub = MetricsHub(sample_interval=SAMPLE_INTERVAL) \
+            if args.metrics_out else None
         results.append(run_scenario(
             name, seed=args.seed, hub=hub, items=args.items,
             n_nodes=args.nodes, clients_per_node=args.clients_per_node))
@@ -523,18 +489,11 @@ def _cmd_chaos(args) -> int:
                           f" {obj['measured']:.6g} <="
                           f" {obj['target']:.6g} ({obj['metric']})")
     if hub is not None:
-        with open(args.metrics_out, "w") as fh:
-            fh.write(hub.to_json(indent=2))
-        print(f"metrics written to {args.metrics_out}")
+        _write(args.metrics_out, hub.to_json(indent=2), "metrics ")
     return 0 if all(r.ok for r in results) else 1
 
 
 def _cmd_incidents(args) -> int:
-    import json
-
-    from repro.chaos.scenarios import SCENARIOS, run_scenario
-    from repro.obs.incidents import format_report
-
     names = SCENARIOS if args.scenario == "all" else (args.scenario,)
     chunks: List[str] = []
     payload = []
@@ -561,31 +520,23 @@ def _cmd_incidents(args) -> int:
         else "\n".join(chunks)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"written to {args.out}")
+        _write(args.out, text + "\n")
     return 0 if all_attributed else 1
 
 
 def _cmd_elastic(args) -> int:
-    import json
-
-    from repro.bench import elastic as driver
-    from repro.obs.hub import MetricsHub
-
+    experiment = EXPERIMENTS["elastic"]
     hub = None
     if args.metrics_out:
-        hub = MetricsHub(
-            sample_interval=driver.SCALES[args.scale]["sample_interval"])
-    result = driver.run(args.scale, seed=args.seed, hub=hub)
+        hub = MetricsHub(sample_interval=experiment.scales[args.scale][
+            "sample_interval"])
+    result = experiment(args.scale, seed=args.seed, hub=hub)
     if args.as_json:
         print(json.dumps(result.to_snapshot(), indent=2, sort_keys=True))
     else:
         print(result.render())
     if hub is not None:
-        with open(args.metrics_out, "w") as fh:
-            fh.write(hub.to_json(indent=2))
-        print(f"metrics written to {args.metrics_out}")
+        _write(args.metrics_out, hub.to_json(indent=2), "metrics ")
     # The headline claim gates the exit code: once adapted, the
     # autoscaled run must beat static_min on steady-state tail latency
     # while costing less than static_peak provisioning.

@@ -20,13 +20,14 @@ flap:
 
 * **hysteresis** — separate high/low watermarks per signal plus a
   required streak of consecutive over/under ticks
-  (``autoscale_up_consecutive`` / ``autoscale_down_consecutive``);
+  (``up_consecutive`` / ``down_consecutive``);
 * **cooldown** — a minimum gap between scaling actions, covering the
   migration settle time;
-* **bounds** — the pool never leaves
-  ``[autoscale_min_nodes, autoscale_max_nodes]``.
+* **bounds** — the pool never leaves ``[min_nodes, max_nodes]``.
 
-An optional SLO hook (``autoscale_burn_threshold``) evaluates a
+The knobs are the region's :class:`AutoscalePolicy`
+(``PaconConfig.autoscale``).  Its optional SLO hook (``burn_threshold``)
+evaluates a
 burn-rate objective over the region's ``consistency.pending_age`` gauge
 series and forces a scale-up when the error budget is burning on every
 window, regardless of the utilization streak (still cooldown- and
@@ -44,14 +45,77 @@ raised out of the control loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
+                    Optional)
 
-from repro.core.deploy import PaconDeployment
-from repro.core.region import ConsistentRegion
 from repro.sim.core import Event, Interrupt
 from repro.sim.network import Node, NodeDownError
 
-__all__ = ["Autoscaler", "AutoscaleAction"]
+if TYPE_CHECKING:  # repro.core.config imports AutoscalePolicy from here
+    from repro.core.deploy import PaconDeployment
+    from repro.core.region import ConsistentRegion
+
+__all__ = ["Autoscaler", "AutoscaleAction", "AutoscalePolicy"]
+
+#: Error budget of the burn-rate SLO hook (``burn_threshold``).
+BURN_BUDGET = 0.25
+
+
+@dataclass
+class AutoscalePolicy:
+    """The elastic controller's knobs for one region."""
+
+    #: Pool bounds: the controller never shrinks the region below
+    #: ``min_nodes`` or grows it beyond ``max_nodes``.
+    min_nodes: int = 1
+    max_nodes: int = 16
+
+    #: Controller tick interval (simulated seconds) and the minimum gap
+    #: between two scaling actions.  The cooldown is what keeps one burst
+    #: from triggering a grow/retire/grow oscillation while migrations
+    #: are still settling.
+    interval: float = 1e-3
+    cooldown: float = 3e-3
+
+    #: Utilization watermarks over the hottest node's busiest resource
+    #: (CPU, NIC, or cache-shard worker pool), windowed per tick.  Scale
+    #: up above high, down below low — the gap is the hysteresis band.
+    util_high: float = 0.75
+    util_low: float = 0.20
+
+    #: Commit backlog watermarks, in queued messages per region node.
+    backlog_high: float = 32.0
+    backlog_low: float = 2.0
+
+    #: Consecutive over/under-watermark ticks required before acting —
+    #: the temporal half of the hysteresis (shrinking demands a longer
+    #: streak than growing, so transient lulls don't flap the pool).
+    up_consecutive: int = 2
+    down_consecutive: int = 4
+
+    #: Optional SLO hook: when set, the controller also evaluates a
+    #: burn-rate objective over ``consistency.pending_age`` (threshold =
+    #: this value, budget = :data:`BURN_BUDGET`) and forces a scale-up
+    #: when the error budget is burning on every window — regardless of
+    #: the utilization streak, though still subject to cooldown and the
+    #: max bound.  None disables the SLO trigger.
+    burn_threshold: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.min_nodes < 1:
+            raise ValueError("min_nodes must be >= 1")
+        if self.max_nodes < self.min_nodes:
+            raise ValueError("max_nodes must be >= min_nodes")
+        if self.interval <= 0 or self.cooldown < 0:
+            raise ValueError("interval must be > 0 and cooldown >= 0")
+        if not (0.0 <= self.util_low < self.util_high <= 1.0):
+            raise ValueError("need 0 <= util_low < util_high <= 1")
+        if not (0.0 <= self.backlog_low < self.backlog_high):
+            raise ValueError("need 0 <= backlog_low < backlog_high")
+        if self.up_consecutive < 1 or self.down_consecutive < 1:
+            raise ValueError("*_consecutive must be >= 1")
+        if self.burn_threshold is not None and self.burn_threshold <= 0:
+            raise ValueError("burn_threshold must be > 0 or None")
 
 
 @dataclass
@@ -77,7 +141,7 @@ class Autoscaler:
         self.deployment = deployment
         self.region = region
         self.env = region.env
-        self.config = region.config
+        self.policy = region.config.autoscale
         #: Called to provision a fresh node for each scale-up.  The
         #: default asks the cluster for one; benches hand in a factory
         #: that pops from a pre-built warm pool so every provisioning
@@ -134,7 +198,7 @@ class Autoscaler:
                 if queues and all(q.closed for q in queues):
                     return
                 yield from self._tick()
-                yield self.env.timeout(self.config.autoscale_interval)
+                yield self.env.timeout(self.policy.interval)
         except Interrupt:
             return
 
@@ -173,7 +237,7 @@ class Autoscaler:
 
     def _burn_rate_breached(self) -> bool:
         """SLO hook: is the staleness error budget burning everywhere?"""
-        threshold = self.config.autoscale_burn_threshold
+        threshold = self.policy.burn_threshold
         hub = self.hub
         if threshold is None or not hub.enabled:
             return False
@@ -184,13 +248,13 @@ class Autoscaler:
         from repro.obs.slo import BurnRateObjective
         objective = BurnRateObjective(
             "autoscale-burn", "consistency.pending_age",
-            threshold=threshold, budget=self.config.autoscale_burn_budget)
+            threshold=threshold, budget=BURN_BUDGET)
         doc = {"series": {series.name: series.export()}}
         return not objective.evaluate(doc).ok
 
     # -- deciding ----------------------------------------------------------
     def _tick(self) -> Generator[Event, Any, None]:
-        cfg = self.config
+        policy = self.policy
         region = self.region
         t = self.env.now
         util = self._sense_utilization()
@@ -203,28 +267,28 @@ class Autoscaler:
             hub.record_sample(f"autoscale.util[{region.name}]", t, util)
             hub.record_sample(f"autoscale.backlog[{region.name}]", t,
                               backlog)
-        overloaded = (util >= cfg.autoscale_util_high
-                      or backlog >= cfg.autoscale_backlog_high)
-        underloaded = (util <= cfg.autoscale_util_low
-                       and backlog <= cfg.autoscale_backlog_low)
+        overloaded = (util >= policy.util_high
+                      or backlog >= policy.backlog_high)
+        underloaded = (util <= policy.util_low
+                       and backlog <= policy.backlog_low)
         self._up_streak = self._up_streak + 1 if overloaded else 0
         self._down_streak = self._down_streak + 1 if underloaded else 0
         burning = self._burn_rate_breached()
         if self._last_action_at is not None and \
-                t - self._last_action_at < cfg.autoscale_cooldown:
+                t - self._last_action_at < policy.cooldown:
             return
-        if burning or self._up_streak >= cfg.autoscale_up_consecutive:
+        if burning or self._up_streak >= policy.up_consecutive:
             reason = ("burn_rate" if burning
-                      else ("util" if util >= cfg.autoscale_util_high
+                      else ("util" if util >= policy.util_high
                             else "backlog"))
             self._up_streak = 0
-            if len(region.nodes) >= cfg.autoscale_max_nodes:
+            if len(region.nodes) >= policy.max_nodes:
                 self._reject("grow", reason)
                 return
             yield from self._scale_up(reason)
-        elif self._down_streak >= cfg.autoscale_down_consecutive:
+        elif self._down_streak >= policy.down_consecutive:
             self._down_streak = 0
-            if len(region.nodes) <= cfg.autoscale_min_nodes:
+            if len(region.nodes) <= policy.min_nodes:
                 return  # idle at the floor is steady state, not a fault
             candidate = self._retire_candidate()
             if candidate is None:

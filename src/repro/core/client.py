@@ -31,7 +31,7 @@ import functools
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.cache import new_record
-from repro.core.commit import OpMessage
+from repro.core.commit import RETRY_DELAY, OpMessage
 from repro.core.region import ConsistentRegion, ReadOnlyRegion
 from repro.dfs.errors import (
     FileExists,
@@ -293,7 +293,7 @@ class PaconClient:
             stall_started = self.env.now
             stall_ctx = self._stage_start("publish_stall", f"{op} {path}")
             while len(queue) >= capacity:
-                yield self.env.timeout(self.region.config.commit_retry_delay)
+                yield self.env.timeout(RETRY_DELAY)
             self._stage_end(stall_ctx)
             if self.region.hub.enabled:
                 stalled = self.env.now - stall_started

@@ -50,6 +50,11 @@ __all__ = ["OpMessage", "BarrierMessage", "CommitProcess", "CommitStalled"]
 #: the DFS client method that applies it (``rm`` is POSIX ``unlink``).
 DFS_METHOD = {"create": "create", "mkdir": "mkdir", "rm": "unlink"}
 
+#: Delay between commit retries when an operation does not yet satisfy
+#: the namespace conventions (parent not committed yet); also the poll
+#: period of a client stalled on a full commit queue.
+RETRY_DELAY = 50e-6
+
 
 class CommitStalled(RuntimeError):
     """An operation exceeded the resubmission cap — indicates a logic bug,
@@ -335,8 +340,7 @@ class CommitProcess:
                 yield from self._dispatch_batch(batch)
             elif self._pending:
                 # Nothing new; give blocked dependencies a beat, then retry.
-                yield self.env.timeout(
-                    self.region.config.commit_retry_delay)
+                yield self.env.timeout(RETRY_DELAY)
                 yield from self._dispatch_batch([self._pending.popleft()])
             else:
                 # closing and fully drained

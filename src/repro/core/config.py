@@ -8,9 +8,10 @@ permissions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.autoscale import AutoscalePolicy
 from repro.core.permissions import PermissionSpec
 
 __all__ = ["PaconConfig"]
@@ -45,15 +46,6 @@ class PaconConfig:
     #: cache for >10M entries).
     cache_capacity_bytes: int = 512 * 1024 * 1024
 
-    #: Eviction trips when a shard's usage crosses the high watermark and
-    #: frees entries until usage falls to the target (§III.F).
-    eviction_high_watermark: float = 0.90
-    eviction_target: float = 0.70
-
-    #: Delay between commit retries when an operation does not yet satisfy
-    #: the namespace conventions (parent not committed yet).
-    commit_retry_delay: float = 50e-6
-
     #: Messages a commit process drains per wakeup, through one drain
     #: path at every size.  1 is the paper's one-message-per-wakeup
     #: subscriber; larger values amortize the queue pop and let
@@ -76,9 +68,6 @@ class PaconConfig:
     #: checkpointing is optional and application-driven).
     checkpoint_interval: Optional[float] = None
 
-    #: Clients per node (used when a deployment auto-creates clients).
-    clients_per_node: int = 20
-
     #: Hierarchical aggregation: each client object stands in for this
     #: many statistically identical application processes.  1 (default)
     #: gives one DES process per client — the faithful model every paper
@@ -89,52 +78,12 @@ class PaconConfig:
     #: by the aggregate scalability scenario).
     aggregate_multiplier: int = 1
 
-    # -- autoscaler (repro.core.autoscale) --------------------------------
-    #: Pool bounds for the elastic controller: it never shrinks the
-    #: region below ``autoscale_min_nodes`` or grows beyond
-    #: ``autoscale_max_nodes``.
-    autoscale_min_nodes: int = 1
-    autoscale_max_nodes: int = 16
-
-    #: Controller tick interval (simulated seconds) and the minimum gap
-    #: between two scaling actions.  The cooldown is what keeps one burst
-    #: from triggering a grow/retire/grow oscillation while migrations
-    #: are still settling.
-    autoscale_interval: float = 1e-3
-    autoscale_cooldown: float = 3e-3
-
-    #: Utilization watermarks over the hottest node's busiest resource
-    #: (CPU, NIC, or cache-shard worker pool), windowed per tick.  Scale
-    #: up above high, down below low — the gap is the hysteresis band.
-    autoscale_util_high: float = 0.75
-    autoscale_util_low: float = 0.20
-
-    #: Commit backlog watermarks, in queued messages per region node.
-    autoscale_backlog_high: float = 32.0
-    autoscale_backlog_low: float = 2.0
-
-    #: Consecutive over/under-watermark ticks required before acting —
-    #: the temporal half of the hysteresis (shrinking demands a longer
-    #: streak than growing, so transient lulls don't flap the pool).
-    autoscale_up_consecutive: int = 2
-    autoscale_down_consecutive: int = 4
-
-    #: Optional SLO hook: when set, the controller also evaluates a
-    #: burn-rate objective over ``consistency.pending_age`` (threshold =
-    #: this value, budget = ``autoscale_burn_budget``) and forces a
-    #: scale-up when the error budget is burning on every window —
-    #: regardless of the utilization streak, though still subject to
-    #: cooldown and the max bound.  None disables the SLO trigger.
-    autoscale_burn_threshold: Optional[float] = None
-    autoscale_burn_budget: float = 0.25
+    #: The elastic controller's knobs (:mod:`repro.core.autoscale`).
+    autoscale: AutoscalePolicy = field(default_factory=AutoscalePolicy)
 
     def __post_init__(self) -> None:
         if self.small_file_threshold < 0:
             raise ValueError("small_file_threshold must be >= 0")
-        if not (0.0 < self.eviction_target
-                < self.eviction_high_watermark <= 1.0):
-            raise ValueError(
-                "need 0 < eviction_target < eviction_high_watermark <= 1")
         if self.cache_capacity_bytes <= 0:
             raise ValueError("cache_capacity_bytes must be positive")
         if self.commit_batch_size < 1:
@@ -144,28 +93,3 @@ class PaconConfig:
             raise ValueError("commit_queue_capacity must be >= 1 or None")
         if self.aggregate_multiplier < 1:
             raise ValueError("aggregate_multiplier must be >= 1")
-        if self.autoscale_min_nodes < 1:
-            raise ValueError("autoscale_min_nodes must be >= 1")
-        if self.autoscale_max_nodes < self.autoscale_min_nodes:
-            raise ValueError(
-                "autoscale_max_nodes must be >= autoscale_min_nodes")
-        if self.autoscale_interval <= 0 or self.autoscale_cooldown < 0:
-            raise ValueError("autoscale_interval must be > 0 and "
-                             "autoscale_cooldown >= 0")
-        if not (0.0 <= self.autoscale_util_low
-                < self.autoscale_util_high <= 1.0):
-            raise ValueError(
-                "need 0 <= autoscale_util_low < autoscale_util_high <= 1")
-        if not (0.0 <= self.autoscale_backlog_low
-                < self.autoscale_backlog_high):
-            raise ValueError("need 0 <= autoscale_backlog_low "
-                             "< autoscale_backlog_high")
-        if self.autoscale_up_consecutive < 1 \
-                or self.autoscale_down_consecutive < 1:
-            raise ValueError("autoscale_*_consecutive must be >= 1")
-        if self.autoscale_burn_threshold is not None \
-                and self.autoscale_burn_threshold <= 0:
-            raise ValueError(
-                "autoscale_burn_threshold must be > 0 or None")
-        if self.autoscale_burn_budget <= 0:
-            raise ValueError("autoscale_burn_budget must be > 0")

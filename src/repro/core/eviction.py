@@ -21,7 +21,12 @@ from typing import Any, Dict, Generator, List, Tuple
 from repro.dfs.errors import FileExists
 from repro.sim.core import Event
 
-__all__ = ["EvictionManager"]
+__all__ = ["EvictionManager", "HIGH_WATERMARK", "TARGET"]
+
+#: Eviction trips when a shard's usage crosses the high watermark and
+#: frees entries until usage falls to the target (§III.F).
+HIGH_WATERMARK = 0.90
+TARGET = 0.70
 
 
 class EvictionManager:
@@ -31,7 +36,6 @@ class EvictionManager:
         self.region = region
         self.node = node
         self.env = region.env
-        self.config = region.config
         self.dfs_client = dfs_client
         self._rr_index = 0  # next top-level entry to consider
         # stats
@@ -42,9 +46,8 @@ class EvictionManager:
 
     # -- pressure detection ------------------------------------------------
     def pressured_shards(self) -> List:
-        hw = self.config.eviction_high_watermark
         return [s for s in self.region.shards
-                if s.kv.usage_fraction() >= hw]
+                if s.kv.usage_fraction() >= HIGH_WATERMARK]
 
     def under_pressure(self) -> bool:
         return bool(self.pressured_shards())
@@ -120,13 +123,12 @@ class EvictionManager:
     # -- background loop ----------------------------------------------------------
     def run(self, poll_interval: float = 1e-3) -> Generator[Event, Any, None]:
         """Background process: watch usage, evict to the target watermark."""
-        target = self.config.eviction_target
         while True:
             yield self.env.timeout(poll_interval)
             while self.under_pressure():
                 removed = yield from self.evict_once()
                 if removed == 0:
                     break  # nothing evictable right now
-                if all(s.kv.usage_fraction() <= target
+                if all(s.kv.usage_fraction() <= TARGET
                        for s in self.region.shards):
                     break

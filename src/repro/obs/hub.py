@@ -27,9 +27,14 @@ from repro.obs.timeline import NULL_TIMELINE, Timeline
 from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER, Tracer
 
-__all__ = ["MetricsHub", "NULL_HUB", "attribution_rollup"]
+__all__ = ["MetricsHub", "NULL_HUB", "SAMPLE_INTERVAL",
+           "attribution_rollup"]
 
 SCHEMA = "pacon.metrics/v4"
+
+#: Simulated seconds between gauge samples wherever the bench harness or
+#: the CLI turns sampling on (a hub built without an interval has none).
+SAMPLE_INTERVAL = 200e-6
 
 
 class MetricsHub:

@@ -9,7 +9,7 @@ Two contracts live here:
   instead of silently breaking downstream dashboards.  There is one
   version: the document the hub writes today.
 * ``pacon.bench/v1`` (:func:`validate_bench`) — the benchmark snapshot
-  (``BENCH_<label>.json``) written by ``repro.bench.runner``.  The CI
+  (``BENCH_<label>.json``) written by ``pacon-bench all|figure``.  The CI
   perf gate and ``pacon-bench compare``/``history`` refuse documents
   that drift from it.
 

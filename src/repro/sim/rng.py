@@ -13,7 +13,12 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["RngStreams", "stable_hash"]
+__all__ = ["DEFAULT_SEED", "RngStreams", "stable_hash"]
+
+#: The one seed every experiment, chaos scenario and CLI verb defaults
+#: to.  It lives here, below both ``repro.bench`` and ``repro.chaos``, so
+#: chaos stays importable without the bench drivers.
+DEFAULT_SEED = 0xBEE
 
 
 class RngStreams:

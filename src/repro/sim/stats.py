@@ -1,20 +1,16 @@
-"""Measurement primitives: counters, histograms, throughput meters.
+"""Measurement primitives: counters, gauge series, throughput meters.
 
 Experiments never read raw kernel state; they publish into a
 :class:`StatsRegistry` that the bench harness renders into the paper's
-rows/series.  Histograms keep raw samples (numpy-backed percentile
-queries) because the experiments are small enough that reservoirs are not
-needed; a cap guards pathological runs.
+rows/series.  Every registry distribution is a constant-memory
+:class:`~repro.obs.sketch.QuantileSketch`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-__all__ = ["Counter", "Histogram", "Series", "ThroughputMeter",
-           "StatsRegistry"]
+__all__ = ["Counter", "Series", "ThroughputMeter", "StatsRegistry"]
 
 if False:  # pragma: no cover - import cycle guard (typing only)
     from repro.obs.sketch import QuantileSketch
@@ -39,56 +35,12 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Histogram:
-    """Raw-sample histogram with percentile queries."""
-
-    def __init__(self, name: str, max_samples: int = 2_000_000):
-        self.name = name
-        self.max_samples = max_samples
-        self._samples: List[float] = []
-        self._dropped = 0
-
-    def observe(self, value: float) -> None:
-        if len(self._samples) < self.max_samples:
-            self._samples.append(value)
-        else:
-            self._dropped += 1
-
-    @property
-    def count(self) -> int:
-        return len(self._samples) + self._dropped
-
-    def mean(self) -> float:
-        if not self._samples:
-            return 0.0
-        return float(np.mean(self._samples))
-
-    def percentile(self, q: float) -> float:
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self._samples, q))
-
-    def summary(self) -> Dict[str, float]:
-        if not self._samples:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-                    "p99": 0.0, "max": 0.0}
-        arr = np.asarray(self._samples)
-        return {
-            "count": self.count,
-            "mean": float(arr.mean()),
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-            "max": float(arr.max()),
-        }
-
-
 class Series:
     """An append-only time-indexed gauge (sampler output).
 
     Each point is ``(simulated_time, value)``; the observability sampler
     appends one point per gauge per tick.  A cap guards runaway runs, with
-    the overflow counted in ``dropped`` (mirroring :class:`Histogram`).
+    the overflow counted in ``dropped``.
     """
 
     def __init__(self, name: str, max_points: int = 1_000_000):

@@ -272,47 +272,14 @@ class Tracer:
         return out
 
     def span_tree(self, op_id: int) -> Optional[Span]:
-        """Reassemble the causal span tree for one operation.
-
-        Returns the root :class:`Span` (the client op span) with child
-        stages attached via their ``parent_id`` links, or None when the op
-        never started.  Spans whose parent is unknown (cross-process
-        stages emitted before their parent's start was recorded, capacity
-        drops) attach to the root so nothing disappears.
+        """The causal span tree of one operation, or None if it never
+        started: the root :class:`Span` (the client op span) with child
+        stages attached via their ``parent_id`` links.  Spans whose parent
+        is unknown (cross-process stages emitted before their parent's
+        start was recorded, capacity drops) attach to the root so nothing
+        disappears.
         """
-        spans: Dict[int, Span] = {}
-        root: Optional[Span] = None
-        for ev in self._events:
-            if ev.op_id != op_id:
-                continue
-            if ev.kind == "op.start":
-                root = Span(op_id=op_id, span_id=ev.span_id or 0,
-                            parent_id=None, actor=ev.actor, category="op",
-                            name=ev.detail, start=ev.time)
-                if ev.span_id is not None:
-                    spans[ev.span_id] = root
-            elif ev.kind == "op.end":
-                if root is not None:
-                    root.end = ev.time
-            elif ev.kind == "span.start" and ev.span_id is not None:
-                parts = ev.detail.split(" ", 1)
-                category = parts[0] if parts else ""
-                name = parts[1] if len(parts) > 1 else ""
-                spans[ev.span_id] = Span(
-                    op_id=op_id, span_id=ev.span_id, parent_id=ev.parent_id,
-                    actor=ev.actor, category=category, name=name,
-                    start=ev.time)
-            elif ev.kind == "span.end" and ev.span_id in spans:
-                spans[ev.span_id].end = ev.time
-        if root is None:
-            return None
-        for span in spans.values():
-            if span is root:
-                continue
-            parent = spans.get(span.parent_id) if span.parent_id is not None \
-                else None
-            (parent if parent is not None else root).children.append(span)
-        return root
+        return self.span_trees().get(op_id)
 
     def attribution(self, op_id: int) -> Optional[Dict[str, Any]]:
         """Critical-path wall-time decomposition for one completed op.

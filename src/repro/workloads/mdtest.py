@@ -28,7 +28,10 @@ from repro.sim.resources import Barrier
 from repro.sim.rng import RngStreams
 
 __all__ = ["MdtestConfig", "MdtestResult", "MdtestHandle", "run_mdtest",
-           "spawn_mdtest", "run_random_stat", "build_tree", "leaf_dirs"]
+           "spawn_mdtest", "run_closed_loop", "run_random_stat",
+           "build_tree", "leaf_dirs"]
+
+ClientBody = Callable[[int, Any], Generator[Event, Any, None]]
 
 
 @dataclass
@@ -54,7 +57,6 @@ class MdtestResult:
     phase_ops_per_sec: Dict[str, float] = field(default_factory=dict)
     phase_elapsed: Dict[str, float] = field(default_factory=dict)
     total_ops: int = 0
-    errors: int = 0
 
     def ops(self, phase: str) -> float:
         return self.phase_ops_per_sec.get(phase, 0.0)
@@ -209,30 +211,52 @@ def leaf_dirs(root: str, fanout: int, depth: int) -> List[str]:
     return frontier
 
 
+def run_closed_loop(env: Environment, clients: Sequence[Any],
+                    body: ClientBody,
+                    setup: Optional[ClientBody] = None) -> float:
+    """One barrier-timed phase; returns its simulated elapsed time.
+
+    Every client runs ``setup(rank, client)`` (untimed, optional), meets
+    the others at a barrier, runs ``body(rank, client)``, and meets them
+    again — mdtest's phase timing: the clock starts when the first client
+    leaves the opening barrier and stops when the last leaves the closing
+    one.
+    """
+    if not clients:
+        raise ValueError("need at least one client")
+    barrier = Barrier(env, parties=len(clients), name="closed_loop")
+    span = {"start": None, "end": 0.0}
+
+    def proc(rank: int, client: Any) -> Generator[Event, Any, None]:
+        if setup is not None:
+            yield from setup(rank, client)
+        yield barrier.arrive()
+        if span["start"] is None:
+            span["start"] = env.now
+        yield from body(rank, client)
+        yield barrier.arrive()
+        span["end"] = max(span["end"], env.now)
+
+    procs = [env.process(proc(rank, client), label=f"closed_loop:{rank}")
+             for rank, client in enumerate(clients)]
+    for p in procs:
+        env.run(until=p)
+    return span["end"] - span["start"]
+
+
 def run_random_stat(env: Environment, clients: Sequence[Any],
                     targets: Sequence[str], stats_per_client: int,
                     seed: int = 0xCD) -> float:
     """Random getattr phase over ``targets``; returns aggregate ops/sec."""
     if not clients or not targets:
         raise ValueError("need clients and targets")
-    barrier = Barrier(env, parties=len(clients), name="randstat")
-    start_holder = {}
-    end_holder = {"t": 0.0}
 
-    def proc(rank: int, client: Any) -> Generator[Event, Any, None]:
+    def body(rank: int, client: Any) -> Generator[Event, Any, None]:
         stat_rng = np.random.default_rng(seed * 131 + rank)
-        yield barrier.arrive()
-        start_holder.setdefault("t", env.now)
         for _ in range(stats_per_client):
             target = targets[int(stat_rng.integers(0, len(targets)))]
             yield from client.getattr(target)
-        yield barrier.arrive()
-        end_holder["t"] = max(end_holder["t"], env.now)
 
-    procs = [env.process(proc(rank, cl), label=f"randstat:{rank}")
-             for rank, cl in enumerate(clients)]
-    for p in procs:
-        env.run(until=p)
-    elapsed = end_holder["t"] - start_holder["t"]
+    elapsed = run_closed_loop(env, clients, body)
     total = stats_per_client * len(clients)
     return total / elapsed if elapsed > 0 else 0.0

@@ -8,7 +8,6 @@ so refactors cannot silently break the harness.
 import pytest
 
 from repro.bench import (
-    ablations,
     fig01,
     fig02,
     fig07,
@@ -22,6 +21,7 @@ from repro.bench import (
     staleness,
     table1,
 )
+from repro.bench.registry import EXPERIMENTS
 
 
 class TestDriverSchemas:
@@ -107,7 +107,9 @@ class TestDriverSchemas:
             max(row["stale_p99"] for row in r.rows)
 
     def test_ablations(self):
-        results = ablations.run_all("smoke")
+        results = [experiment("smoke")
+                   for name, experiment in EXPERIMENTS.items()
+                   if name.startswith("abl")]
         assert [r.experiment for r in results] == \
             ["ablA", "ablB", "ablC", "ablD", "ablE"]
         assert all(r.rows for r in results)

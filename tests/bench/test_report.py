@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.report import ExperimentResult, fmt_ops, format_table, \
-    write_markdown
+    summarize, write_markdown
 
 
 class TestExperimentResult:
@@ -60,3 +60,16 @@ class TestFormatting:
         assert "## figX" in content
         assert "| a | b |" in content
         assert "note text" in content
+
+
+class TestSummarize:
+    def test_empty_is_all_zero(self):
+        assert summarize([]) == {"mean": 0.0, "p50": 0.0, "p99": 0.0,
+                                 "max": 0.0}
+
+    def test_exact_percentiles(self):
+        s = summarize([float(v) for v in range(1, 101)])
+        assert s["mean"] == pytest.approx(50.5)
+        assert s["p50"] == pytest.approx(50.5)
+        assert s["p99"] == pytest.approx(99.01)
+        assert s["max"] == 100.0

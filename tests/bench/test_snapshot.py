@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-from repro.bench import runner
 from repro.bench.baseline import (
     DEFAULT_HOST_THRESHOLD,
     compare_snapshots,
@@ -25,7 +24,6 @@ from repro.bench.baseline import (
 from repro.bench.snapshot import (
     BENCH_SCHEMA,
     SnapshotError,
-    build_snapshot,
     collect_snapshot_paths,
     load_snapshot,
     simulated_view,
@@ -41,17 +39,6 @@ EXPECTED_EXPERIMENTS = {
     "fig11", "fig12", "latency", "sensitivity", "staleness",
     "ablA", "ablB", "ablC", "ablD", "ablE",
 }
-
-
-@pytest.fixture(scope="module")
-def snapshot_pair():
-    """Two full smoke sweeps with the same seed, as snapshot docs."""
-    docs = []
-    for label, wall in (("one", 0.25), ("two", 0.5)):
-        results = runner.run_all("smoke", verbose=False)
-        docs.append(build_snapshot(results, label=label, scale="smoke",
-                                   seed=DEFAULT_SEED, wall_clock_s=wall))
-    return docs
 
 
 class TestSnapshotBuild:

@@ -7,7 +7,7 @@ composition with chaos faults (scale-up racing a node crash).
 
 import pytest
 
-from repro.core.autoscale import Autoscaler
+from repro.core.autoscale import AutoscalePolicy, Autoscaler
 from repro.core.config import PaconConfig
 from repro.core.failure import fail_node, recover_node
 from tests.core.conftest import make_world
@@ -15,18 +15,17 @@ from tests.core.conftest import make_world
 
 def _elastic_config(**overrides) -> PaconConfig:
     knobs = dict(
-        workspace="/app",
-        autoscale_min_nodes=2,
-        autoscale_max_nodes=4,
-        autoscale_interval=0.5e-3,
-        autoscale_cooldown=1e-3,
-        autoscale_backlog_high=4.0,
-        autoscale_backlog_low=1.0,
-        autoscale_up_consecutive=2,
-        autoscale_down_consecutive=3,
+        min_nodes=2,
+        max_nodes=4,
+        interval=0.5e-3,
+        cooldown=1e-3,
+        backlog_high=4.0,
+        backlog_low=1.0,
+        up_consecutive=2,
+        down_consecutive=3,
     )
     knobs.update(overrides)
-    return PaconConfig(**knobs)
+    return PaconConfig(workspace="/app", autoscale=AutoscalePolicy(**knobs))
 
 
 def _storm(world, items: int = 300):
@@ -56,7 +55,7 @@ class TestScalingLoop:
         # Cooldown: successful actions are spaced at least a cooldown
         # apart.
         times = [a.time for a in scaler.actions if a.ok]
-        cooldown = w.region.config.autoscale_cooldown
+        cooldown = w.region.config.autoscale.cooldown
         assert all(b - a >= cooldown for a, b in zip(times, times[1:]))
         scaler.stop()
 
@@ -64,7 +63,7 @@ class TestScalingLoop:
         """The same storm must NOT trigger growth when the up-streak
         requirement is unreachable — one hot tick is not a trend."""
         w = make_world(n_nodes=2,
-                       config=_elastic_config(autoscale_up_consecutive=10**6))
+                       config=_elastic_config(up_consecutive=10**6))
         env = w.cluster.env
         scaler = Autoscaler(w.deployment, w.region)
         scaler.start()
@@ -78,7 +77,7 @@ class TestScalingLoop:
         """A region already at its ceiling records overload as a
         rejected grow instead of provisioning past the bound."""
         w = make_world(n_nodes=2,
-                       config=_elastic_config(autoscale_max_nodes=2))
+                       config=_elastic_config(max_nodes=2))
         env = w.cluster.env
         scaler = Autoscaler(w.deployment, w.region)
         scaler.start()
@@ -109,13 +108,12 @@ class TestBurnRateTrigger:
         from repro.obs.hub import MetricsHub
 
         cfg = _elastic_config(
-            autoscale_burn_threshold=10e-6,
-            autoscale_burn_budget=0.25,
+            burn_threshold=10e-6,
             # Make the load-based triggers unreachable: only the SLO
             # hook can grow this region.
-            autoscale_backlog_high=10**9,
-            autoscale_util_high=1.0,
-            autoscale_up_consecutive=10**6,
+            backlog_high=10**9,
+            util_high=1.0,
+            up_consecutive=10**6,
         )
         w = make_world(n_nodes=2, config=cfg)
         env = w.cluster.env

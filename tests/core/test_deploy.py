@@ -17,10 +17,6 @@ class TestPaconConfig:
         with pytest.raises(ValueError):
             PaconConfig(small_file_threshold=-1)
 
-    def test_watermark_validation(self):
-        with pytest.raises(ValueError):
-            PaconConfig(eviction_target=0.95, eviction_high_watermark=0.9)
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PaconConfig(cache_capacity_bytes=0)

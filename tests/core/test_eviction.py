@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import PaconConfig
+from repro.core.eviction import HIGH_WATERMARK
 from tests.core.conftest import make_world
 
 
@@ -111,6 +112,6 @@ class TestBackgroundLoop:
             world.quiesce()
         # Let the evictor run a few polls.
         world.cluster.env.run(until=world.cluster.env.now + 50e-3)
-        hw = world.region.config.eviction_high_watermark
-        assert all(s.kv.usage_fraction() < hw for s in world.region.shards)
+        assert all(s.kv.usage_fraction() < HIGH_WATERMARK
+                   for s in world.region.shards)
         assert ev.evictions >= 1

@@ -72,7 +72,7 @@ class TestRemovedSubtreePruning:
         region = world.region
         # Publish an op that cannot commit yet (missing parent) so the
         # pipeline retains something old.  Short advances: the blocked op
-        # burns one resubmission per commit_retry_delay while we wait.
+        # burns one resubmission per RETRY_DELAY while we wait.
         world.run(world.client.create("/app/missing/leaf"))
         advance(world, 1e-3)
         region.note_removed_subtree("/app/doomed")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.costs import CostModel
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Counter, Histogram, StatsRegistry, ThroughputMeter
+from repro.sim.stats import Counter, StatsRegistry, ThroughputMeter
 
 
 class TestCounter:
@@ -29,31 +29,6 @@ class TestCounter:
         reg.counter("x").inc(3)
         reg.counter("y").inc(4)
         assert reg.merge_counters(["x", "y", "missing"]) == 7
-
-
-class TestHistogram:
-    def test_empty_summary(self):
-        h = Histogram("lat")
-        assert h.summary()["count"] == 0
-        assert h.mean() == 0.0
-        assert h.percentile(99) == 0.0
-
-    def test_basic_stats(self):
-        h = Histogram("lat")
-        for v in range(1, 101):
-            h.observe(float(v))
-        s = h.summary()
-        assert s["count"] == 100
-        assert s["mean"] == pytest.approx(50.5)
-        assert s["p50"] == pytest.approx(50.5)
-        assert s["max"] == 100.0
-
-    def test_sample_cap_drops_but_counts(self):
-        h = Histogram("lat", max_samples=10)
-        for v in range(100):
-            h.observe(v)
-        assert h.count == 100
-        assert len(h._samples) == 10
 
 
 class TestThroughputMeter:

@@ -7,6 +7,7 @@ from repro.workloads.mdtest import (
     MdtestConfig,
     build_tree,
     leaf_dirs,
+    run_closed_loop,
     run_mdtest,
     run_random_stat,
     spawn_mdtest,
@@ -132,3 +133,35 @@ class TestTreeBuilding:
     def test_random_stat_validation(self, bed):
         with pytest.raises(ValueError):
             run_random_stat(bed.env, bed.clients, [], 10)
+
+
+class TestClosedLoop:
+    def test_clock_spans_first_client_in_to_last_client_out(self):
+        """Setup is untimed; the clock starts when the first client is
+        through the opening barrier (i.e. when the slowest setup ends)
+        and stops when the last client leaves the closing one."""
+        from repro.sim.core import Environment
+
+        env = Environment()
+        setup_time = {0: 1.0, 1: 3.0}
+        body_time = {0: 5.0, 1: 2.0}
+        left_at = {}
+
+        def setup(rank, client):
+            yield env.timeout(setup_time[rank])
+
+        def body(rank, client):
+            assert env.now == 3.0  # nobody starts before the barrier opens
+            yield env.timeout(body_time[rank])
+            left_at[rank] = env.now
+
+        elapsed = run_closed_loop(env, ["c0", "c1"], body, setup)
+        assert left_at == {0: 8.0, 1: 5.0}
+        assert elapsed == 5.0  # 3.0 -> 8.0: the longer body, not the sum
+        assert env.now == 8.0
+
+    def test_needs_a_client(self):
+        from repro.sim.core import Environment
+
+        with pytest.raises(ValueError):
+            run_closed_loop(Environment(), [], lambda rank, client: iter(()))
