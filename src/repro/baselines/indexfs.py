@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.dfs.errors import (
-    DirectoryNotEmpty,
     FileExists,
     FileNotFound,
     NotADirectory,

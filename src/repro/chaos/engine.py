@@ -31,7 +31,7 @@ Fault kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.failure import (
     fail_mds,
@@ -165,8 +165,9 @@ class ChaosEngine:
         injected_at = self.env.now
         record = FaultRecord(kind=fault.kind, target=fault.target,
                              injected_at=injected_at, recovered_at=-1.0)
-        tracer.emit(injected_at, "chaos", "inject",
-                    f"{fault.kind}[{fault.target}]")
+        if tracer.enabled:
+            tracer.emit(injected_at, "chaos", "inject",
+                        f"{fault.kind}[{fault.target}]")
         inject_seq = -1
         if hub.enabled:
             hub.count("chaos.injected")
@@ -215,8 +216,9 @@ class ChaosEngine:
 
         record.recovered_at = self.env.now
         self.records.append(record)
-        tracer.emit(self.env.now, "chaos", "recover",
-                    f"{fault.kind}[{fault.target}]")
+        if tracer.enabled:
+            tracer.emit(self.env.now, "chaos", "recover",
+                        f"{fault.kind}[{fault.target}]")
         if hub.enabled:
             hub.count("chaos.recovered")
             hub.observe("chaos.downtime", self.env.now - injected_at)

@@ -317,16 +317,18 @@ class Autoscaler:
             hub.count("autoscale.rejected")
             hub.timeline.record(self.env.now, "autoscale",
                                 "scale.rejected", kind, detail=reason)
-        self.region.tracer.emit(self.env.now, "autoscaler",
-                                "autoscale.rejected", f"{kind} {reason}")
+        if self.region.tracer.enabled:
+            self.region.tracer.emit(self.env.now, "autoscaler",
+                                    "autoscale.rejected", f"{kind} {reason}")
 
     # -- acting ------------------------------------------------------------
     def _scale_up(self, reason: str) -> Generator[Event, Any, None]:
         region = self.region
         t0 = self.env.now
         node = self.node_factory()
-        region.tracer.emit(t0, "autoscaler", "autoscale.grow",
-                           f"{node.name} reason={reason}")
+        if region.tracer.enabled:
+            region.tracer.emit(t0, "autoscaler", "autoscale.grow",
+                               f"{node.name} reason={reason}")
         action = AutoscaleAction(time=t0, kind="grow", node=node.name,
                                  reason=reason, ok=False)
         self.actions.append(action)
@@ -387,8 +389,9 @@ class Autoscaler:
                     reason: str) -> Generator[Event, Any, None]:
         region = self.region
         t0 = self.env.now
-        region.tracer.emit(t0, "autoscaler", "autoscale.retire",
-                           f"{node.name} reason={reason}")
+        if region.tracer.enabled:
+            region.tracer.emit(t0, "autoscaler", "autoscale.retire",
+                               f"{node.name} reason={reason}")
         action = AutoscaleAction(time=t0, kind="retire", node=node.name,
                                  reason=reason, ok=False)
         self.actions.append(action)

@@ -308,9 +308,10 @@ class CommitProcess:
                 self._barrier_counts.pop(epoch, None)
                 self.current_epoch += 1
                 self.barriers_passed += 1
-                self.region.tracer.emit(self.env.now,
-                                        f"commit:{self.node.name}",
-                                        "barrier", f"epoch {epoch} done")
+                if self.region.tracer.enabled:
+                    self.region.tracer.emit(self.env.now,
+                                            f"commit:{self.node.name}",
+                                            "barrier", f"epoch {epoch} done")
                 hub = self.region.hub
                 if hub.enabled:
                     # Stall between local drain and region-wide release.
@@ -429,9 +430,10 @@ class CommitProcess:
                 self.coalesced += 2
                 self._resolve_ledger(ops[j])
                 self._resolve_ledger(op)
-                self.region.tracer.emit(
-                    self.env.now, f"commit:{self.node.name}", "coalesce",
-                    f"create+rm {op.path}")
+                if self.region.tracer.enabled:
+                    self.region.tracer.emit(
+                        self.env.now, f"commit:{self.node.name}",
+                        "coalesce", f"create+rm {op.path}")
                 if self.region.hub.enabled:
                     self.region.hub.count("commit.coalesced", 2)
                 try:
@@ -617,9 +619,11 @@ class CommitProcess:
         self._in_flight_committed += 1
         self.region.ops_committed += 1
         self._close_queue_span(op)
-        self.region.tracer.emit(self.env.now, f"commit:{self.node.name}",
-                                "commit", f"{op.op} {op.path}",
-                                op_id=op.op_id if op.op_id >= 0 else None)
+        if self.region.tracer.enabled:
+            self.region.tracer.emit(
+                self.env.now, f"commit:{self.node.name}", "commit",
+                f"{op.op} {op.path}",
+                op_id=op.op_id if op.op_id >= 0 else None)
         hub = self.region.hub
         self._resolve_ledger(op)
         if hub.enabled:
@@ -653,11 +657,12 @@ class CommitProcess:
         self.discarded += 1
         self._resolve_ledger(op)
         self._close_queue_span(op)
-        label = f"{op.op} {op.path}"
-        self.region.tracer.emit(self.env.now, f"commit:{self.node.name}",
-                                "discard",
-                                f"orphan {label}" if orphan else label,
-                                op_id=op.op_id if op.op_id >= 0 else None)
+        if self.region.tracer.enabled:
+            label = f"{op.op} {op.path}"
+            self.region.tracer.emit(
+                self.env.now, f"commit:{self.node.name}", "discard",
+                f"orphan {label}" if orphan else label,
+                op_id=op.op_id if op.op_id >= 0 else None)
         if self.region.hub.enabled:
             self.region.hub.count("commit.discarded")
 

@@ -295,10 +295,6 @@ class ConsistentRegion:
             epoch, self.env.event(name=f"{self.name}.barrier[{epoch}]"))
         return epoch, done
 
-    def barrier_done_event(self, epoch: int) -> Event:
-        return self._barrier_done.setdefault(
-            epoch, self.env.event(name=f"{self.name}.barrier[{epoch}]"))
-
     def signal_barrier_complete(self, epoch: int) -> None:
         """Called by the commit process that completes the epoch barrier."""
         ev = self._barrier_done.setdefault(

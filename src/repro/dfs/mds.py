@@ -18,7 +18,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.dfs.namespace import Namespace
-from repro.sim.core import Event
+from repro.sim.core import Event, Interrupt
 from repro.sim.network import Cluster, Node, Service
 
 __all__ = ["MetadataServer"]
@@ -63,20 +63,6 @@ class MetadataServer(Service):
         records against the MDS copy; None if the path is not committed.
         """
         return self.namespace.commit_stamp(path)
-
-    def _token_hit(self, token: Any) -> bool:
-        if token is None or token not in self._applied_tokens:
-            return False
-        self._applied_tokens.move_to_end(token)
-        self.token_replays += 1
-        return True
-
-    def _record_token(self, token: Any, result: Any) -> None:
-        if token is None:
-            return
-        self._applied_tokens[token] = result
-        while len(self._applied_tokens) > self.COMMIT_TOKEN_CAPACITY:
-            self._applied_tokens.popitem(last=False)
 
     def _touch_inode_cache(self, path: str) -> float:
         """LRU access; returns the extra cost of a miss (0 on hit)."""
@@ -126,42 +112,60 @@ class MetadataServer(Service):
         return self.namespace.exists(path)
 
     # -- write path ------------------------------------------------------------
+    def _mutate(self, op: str, path: str, mode: int, uid: int, gid: int,
+                check_perms: bool, token: Any,
+                service_time: float) -> Generator[Event, Any, Any]:
+        """The one tokened-mutation path (``mkdir``/``create``/``unlink``).
+
+        A token already applied is a replay: it costs a lookup and returns
+        the recorded result.  Anything else charges ``service_time``,
+        applies the mutation to the namespace and records the token.
+        ``unlink`` takes no ``mode``; the argument is ignored for it.
+        """
+        applied = self._applied_tokens
+        if token is not None and token in applied:
+            applied.move_to_end(token)
+            self.token_replays += 1
+            yield self.env.timeout(self.costs.mds_lookup_service)
+            return applied[token]
+        yield self.env.timeout(service_time)
+        if op == "mkdir":
+            record = self.namespace.mkdir(
+                path, mode, uid, gid, now=self.env.now,
+                check_perms=check_perms).to_record()
+        elif op == "create":
+            record = self.namespace.create(
+                path, mode, uid, gid, now=self.env.now,
+                check_perms=check_perms).to_record()
+        elif op == "unlink":
+            self.namespace.unlink(path, uid, gid, now=self.env.now,
+                                  check_perms=check_perms)
+            record = None
+        else:
+            raise ValueError(f"commit_batch cannot apply {op!r}")
+        if token is not None:
+            applied[token] = record
+            while len(applied) > self.COMMIT_TOKEN_CAPACITY:
+                applied.popitem(last=False)
+        return record
+
     def handle_mkdir(self, path: str, mode: int = 0o755, uid: int = 0,
                      gid: int = 0, check_perms: bool = True,
                      token: Any = None) -> Generator[Event, Any, Dict]:
-        if self._token_hit(token):
-            yield self.env.timeout(self.costs.mds_lookup_service)
-            return self._applied_tokens[token]
-        yield self.env.timeout(self.costs.mds_op_service)
-        inode = self.namespace.mkdir(path, mode, uid, gid, now=self.env.now,
-                                     check_perms=check_perms)
-        record = inode.to_record()
-        self._record_token(token, record)
-        return record
+        return self._mutate("mkdir", path, mode, uid, gid, check_perms,
+                            token, self.costs.mds_op_service)
 
     def handle_create(self, path: str, mode: int = 0o644, uid: int = 0,
                       gid: int = 0, check_perms: bool = True,
                       token: Any = None) -> Generator[Event, Any, Dict]:
-        if self._token_hit(token):
-            yield self.env.timeout(self.costs.mds_lookup_service)
-            return self._applied_tokens[token]
-        yield self.env.timeout(self.costs.mds_op_service)
-        inode = self.namespace.create(path, mode, uid, gid, now=self.env.now,
-                                      check_perms=check_perms)
-        record = inode.to_record()
-        self._record_token(token, record)
-        return record
+        return self._mutate("create", path, mode, uid, gid, check_perms,
+                            token, self.costs.mds_op_service)
 
     def handle_unlink(self, path: str, uid: int = 0, gid: int = 0,
                       check_perms: bool = True,
                       token: Any = None) -> Generator[Event, Any, None]:
-        if self._token_hit(token):
-            yield self.env.timeout(self.costs.mds_lookup_service)
-            return
-        yield self.env.timeout(self.costs.mds_op_service)
-        self.namespace.unlink(path, uid, gid, now=self.env.now,
-                              check_perms=check_perms)
-        self._record_token(token, None)
+        return self._mutate("unlink", path, 0, uid, gid, check_perms,
+                            token, self.costs.mds_op_service)
 
     def handle_rmdir(self, path: str, uid: int = 0, gid: int = 0,
                      check_perms: bool = True,
@@ -202,43 +206,30 @@ class MetadataServer(Service):
         e.g. a child whose parent creation still sits in another node's
         queue — never poisons the rest of the batch.
         """
-        discounted = self.costs.mds_op_service * max(
+        service_time = self.costs.mds_op_service
+        discounted = service_time * max(
             0.0, 1.0 - self.costs.mds_batch_lookup_discount)
         results: List[Tuple[str, Any]] = []
-        first = True
         for op, path, kwargs in ops:
             token = kwargs.get("token")
-            if self._token_hit(token):
-                yield self.env.timeout(self.costs.mds_lookup_service)
-                results.append(("ok", self._applied_tokens[token]))
-                continue
-            yield self.env.timeout(self.costs.mds_op_service if first
-                                   else discounted)
-            first = False
+            # Same test `_mutate` makes, with no yield between the two: the
+            # pool's other workers replay tokens during this op's hold.
+            replay = token is not None and token in self._applied_tokens
             try:
-                if op == "mkdir":
-                    inode = self.namespace.mkdir(
-                        path, kwargs.get("mode", 0o755), uid, gid,
-                        now=self.env.now, check_perms=True)
-                    record = inode.to_record()
-                    self._record_token(token, record)
-                    results.append(("ok", record))
-                elif op == "create":
-                    inode = self.namespace.create(
-                        path, kwargs.get("mode", 0o644), uid, gid,
-                        now=self.env.now, check_perms=True)
-                    record = inode.to_record()
-                    self._record_token(token, record)
-                    results.append(("ok", record))
-                elif op == "unlink":
-                    self.namespace.unlink(path, uid, gid, now=self.env.now,
-                                          check_perms=True)
-                    self._record_token(token, None)
-                    results.append(("ok", None))
-                else:
-                    raise ValueError(f"commit_batch cannot apply {op!r}")
+                record = yield from self._mutate(
+                    op, path,
+                    kwargs.get("mode", 0o755 if op == "mkdir" else 0o644),
+                    uid, gid, True, token, service_time)
+            except Interrupt:
+                # The *caller* being killed during a service hold, not a
+                # domain error: capturing it would un-kill the caller.
+                raise
             except Exception as exc:  # domain errors resolve per op
                 results.append(("err", exc))
+            else:
+                results.append(("ok", record))
+            if not replay:  # a charged op spends the full-price slot
+                service_time = discounted
         return results
 
     # -- checkpoint support (§III.G) --------------------------------------------

@@ -58,7 +58,3 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         set_bits = sum(bin(b).count("1") for b in self._bits)
         return set_bits / self.num_bits
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self._bits)

@@ -99,13 +99,6 @@ class MemKV:
         return self._used_bytes / self.capacity_bytes
 
     # -- core ops ----------------------------------------------------------
-    def _next_version(self) -> int:
-        self._version_clock += 1
-        return self._version_clock
-
-    def _entry_size(self, key: str, value: Any) -> int:
-        return len(key.encode("utf-8")) + _sizeof(value) + 48  # item overhead
-
     def get(self, key: str) -> Optional[Any]:
         item = self._items.get(key)
         if item is None:
@@ -123,21 +116,26 @@ class MemKV:
         self.hits += 1
         return item.value, item.version
 
-    def set(self, key: str, value: Any, flags: int = 0) -> int:
-        """Unconditional store; returns the new CAS token."""
-        size = self._entry_size(key, value)
-        old = self._items.get(key)
+    def _store(self, key: str, value: Any, flags: int,
+               old: Optional[Item]) -> int:
+        """The one store tail behind ``set``/``add``/``cas``: size the
+        entry, check capacity for the delta over ``old``, mint a version."""
+        size = len(key.encode("utf-8")) + _sizeof(value) + 48  # item overhead
         delta = size - (old.size if old else 0)
         if self._used_bytes + delta > self.capacity_bytes:
             raise CapacityExceeded(
-                f"{self.name or 'memkv'}: set({key!r}) needs {delta}B, "
+                f"{self.name or 'memkv'}: storing {key!r} needs {delta}B, "
                 f"used {self._used_bytes}/{self.capacity_bytes}")
         self._used_bytes += delta
-        version = self._next_version()
+        self._version_clock = version = self._version_clock + 1
         self._items[key] = Item(value=value, version=version, size=size,
                                 flags=flags)
         self.sets += 1
         return version
+
+    def set(self, key: str, value: Any, flags: int = 0) -> int:
+        """Unconditional store; returns the new CAS token."""
+        return self._store(key, value, flags, self._items.get(key))
 
     def add(self, key: str, value: Any, flags: int = 0) -> int:
         """Store only if absent (Memcached ``add``)."""
@@ -156,16 +154,7 @@ class MemKV:
         if item is None or item.version != cas_token:
             self.cas_failures += 1
             raise CasMismatch(key)
-        size = self._entry_size(key, value)
-        delta = size - item.size
-        if self._used_bytes + delta > self.capacity_bytes:
-            raise CapacityExceeded(key)
-        self._used_bytes += delta
-        version = self._next_version()
-        self._items[key] = Item(value=value, version=version, size=size,
-                                flags=flags)
-        self.sets += 1
-        return version
+        return self._store(key, value, flags, item)
 
     def delete(self, key: str) -> bool:
         item = self._items.pop(key, None)

@@ -92,9 +92,6 @@ class SSTable:
         for i in range(lo, hi):
             yield self._keys[i], self._values[i]
 
-    def approximate_size(self) -> int:
-        return sum(len(k) + 32 for k in self._keys)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<SSTable #{self.table_id} n={len(self)} "
                 f"[{self.min_key!r}..{self.max_key!r}]>")

@@ -31,14 +31,6 @@ class WriteAheadLog:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def durable_count(self) -> int:
-        return self._durable
-
-    @property
-    def unsynced_count(self) -> int:
-        return len(self._records) - self._durable
-
     def append(self, op: str, key: str, value: Any = None) -> None:
         self._records.append((op, key, value))
         self.appends += 1

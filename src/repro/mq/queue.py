@@ -6,15 +6,20 @@ Semantics mirrored from ZeroMQ push/pull sockets as Pacon uses them:
 * a single subscriber drains in FIFO order,
 * closing wakes blocked subscribers with :class:`QueueClosed` so commit
   processes can shut down cleanly at the end of an application run.
+
+Delivery is accounted where it happens — at the hand-over of a message to
+a ``get`` — the same rule :class:`~repro.sim.resources.Resource` follows
+for slot grants: ``delivered`` and ``total_wait_time`` move in ``get``
+(buffered message), ``get_batch``, or ``publish`` (a subscriber was
+already blocked), never in a callback on the event handed out.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List
+from typing import Any, Deque, Dict, Iterable, List, Tuple
 
 from repro.sim.core import Environment, Event
-from repro.sim.resources import Store
 
 __all__ = ["MessageQueue", "QueueGroup", "QueueClosed"]
 
@@ -29,23 +34,27 @@ class MessageQueue:
     def __init__(self, env: Environment, name: str = ""):
         self.env = env
         self.name = name
-        self._store = Store(env, name=name)
         self._closed = False
-        self._pending_gets: List[Event] = []
+        #: Undelivered ``(message, publish time)`` pairs, oldest first.
+        self._buffer: Deque[Tuple[Any, float]] = deque()
+        #: Blocked ``get`` events, oldest first.  Non-empty only while the
+        #: buffer is empty.
+        self._getters: Deque[Event] = deque()
         self.published = 0
         self.delivered = 0
         #: High-water mark of the backlog; updated on publish so the
         #: observability export can report worst-case queueing without a
-        #: sampler catching the exact instant.
+        #: sampler catching the exact instant.  A message handed straight
+        #: to a blocked subscriber is never part of the backlog.
         self.peak_depth = 0
         #: Aggregate publish→delivery residency (simulated seconds) over
-        #: all delivered messages; FIFO order lets one stamp deque pair
-        #: deliveries with their publish instants.
+        #: all delivered messages.
         self.total_wait_time = 0.0
-        self._publish_times: Deque[float] = deque()
+        # Event name built once — get() runs per committed op.
+        self._event_name = f"get:{name}"
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._buffer)
 
     @property
     def closed(self) -> bool:
@@ -55,59 +64,65 @@ class MessageQueue:
         if self._closed:
             raise QueueClosed(f"publish on closed queue {self.name!r}")
         self.published += 1
-        self._publish_times.append(self.env.now)
-        self._store.put(message)
-        depth = len(self._store)
-        if depth > self.peak_depth:
-            self.peak_depth = depth
+        if self._getters:
+            # Hand over to the oldest blocked subscriber: zero residency.
+            self.delivered += 1
+            self._getters.popleft().succeed(message)
+            return
+        self._buffer.append((message, self.env.now))
+        if len(self._buffer) > self.peak_depth:
+            self.peak_depth = len(self._buffer)
 
-    def _note_delivered(self, count: int = 1) -> None:
-        now = self.env.now
-        for _ in range(count):
-            if self._publish_times:
-                self.total_wait_time += now - self._publish_times.popleft()
+    def _take(self) -> Any:
+        """Remove the oldest buffered message, accounting its delivery."""
+        message, published_at = self._buffer.popleft()
+        self.delivered += 1
+        self.total_wait_time += self.env.now - published_at
+        return message
 
     def get(self) -> Event:
         """Event that fires with the next message (or fails QueueClosed)."""
-        if self._closed and len(self._store) == 0:
-            ev = self.env.event(name=f"get-closed:{self.name}")
-            ev.fail(QueueClosed(self.name))
-            return ev
-        ev = self._store.get()
-        if not ev.triggered:
-            self._pending_gets.append(ev)
-        else:
-            self.delivered += 1
-            self._note_delivered()
-        ev.add_callback(self._on_delivery)
+        ev = Event(self.env, self._event_name)
         ev._on_cancel = self._cancel_get
+        if self._buffer:
+            ev.succeed(self._take())
+        elif self._closed:
+            ev.fail(QueueClosed(self.name))
+        else:
+            self._getters.append(ev)
         return ev
 
     @property
     def waiting_getters(self) -> int:
         """Number of subscribers currently blocked in :meth:`get`."""
-        return len(self._pending_gets)
+        return len(self._getters)
 
     def _cancel_get(self, ev: Event) -> bool:
         """Cancel hook (see :func:`repro.sim.core.cancel_wait`).
 
-        Either unregisters a blocked getter, or — when the message was
-        already handed to the event but the getter will never resume —
-        pushes it back to the head of the queue so it is redelivered
-        instead of silently lost.  The pushed-back message gets a fresh
-        publish stamp at the cancel instant: its original stamp was
-        consumed at delivery, and re-stamping keeps the stamp deque
-        paired one-to-one with buffered messages (wait-time accounting
-        treats the redelivery as a new publish).
+        Three cases: still blocked (unregister the getter); handed a
+        message the getter will never resume to consume (the message goes
+        back to the head of the queue so it is redelivered instead of
+        silently lost, and the delivery is un-counted); or already
+        consumed / failed (nothing to do).  The pushed-back message gets
+        a fresh publish stamp at the cancel instant: its residency up to
+        the hand-over is already in ``total_wait_time``, so wait-time
+        accounting treats the redelivery as a new publish.  With another
+        getter blocked (no queue in ``src/`` has two subscribers) the
+        message goes to it instead and stays counted: buffered behind a
+        blocked getter it would wait for a publish that may never come.
         """
-        if ev in self._pending_gets:
-            self._pending_gets.remove(ev)
-            self._store._cancel_get(ev)
+        try:
+            self._getters.remove(ev)
             return True
+        except ValueError:
+            pass
         if ev.triggered and not ev.processed and ev.exception is None:
-            self._store._items.appendleft(ev._value)
-            self._publish_times.appendleft(self.env.now)
-            self.delivered -= 1
+            if self._getters:
+                self._getters.popleft().succeed(ev._value)
+            else:
+                self._buffer.appendleft((ev._value, self.env.now))
+                self.delivered -= 1
             return True
         return False
 
@@ -120,50 +135,41 @@ class MessageQueue:
         is buffered (including on a closed queue — close keeps buffered
         messages readable, and there is nothing to fail here).
         """
-        if max_items <= 0:
-            return []
-        out = self._store.get_batch(max_items)
-        self.delivered += len(out)
-        self._note_delivered(len(out))
+        out: List[Any] = []
+        while self._buffer and len(out) < max_items:
+            out.append(self._take())
         return out
 
     def peek_head(self) -> Any:
         """The oldest undelivered message without removing it, or None."""
-        return self._store.peek()
-
-    def _on_delivery(self, ev: Event) -> None:
-        if ev in self._pending_gets:
-            self._pending_gets.remove(ev)
-            if ev.exception is None:
-                self.delivered += 1
-                self._note_delivered()
+        return self._buffer[0][0] if self._buffer else None
 
     def close(self) -> None:
         """Close the queue; buffered messages remain readable."""
         if self._closed:
             return
         self._closed = True
-        pending, self._pending_gets = self._pending_gets, []
-        for ev in pending:
-            if not ev.triggered:
-                ev.fail(QueueClosed(self.name))
+        while self._getters:
+            self._getters.popleft().fail(QueueClosed(self.name))
 
     def backlog(self) -> List[Any]:
         """Snapshot of undelivered messages (inspection only)."""
-        return self._store.peek_all()
+        return [message for message, _published_at in self._buffer]
 
     def drain(self) -> List[Any]:
         """Remove and return all undelivered messages (failure injection)."""
-        self._publish_times.clear()
-        return self._store.drain()
+        messages = self.backlog()
+        self._buffer.clear()
+        return messages
 
 
 class QueueGroup:
-    """One queue per node, plus region-wide broadcast.
+    """One queue per node.
 
     ``route(node)`` gives the queue a client on ``node`` publishes to (its
-    local commit process's queue).  ``broadcast`` pushes a control message
-    — e.g. the barrier messages of §III.E — to every queue in the group.
+    local commit process's queue).  Region-wide control messages — the
+    barrier messages of §III.E — are published queue by queue by the
+    region, one per client on that queue's node.
     """
 
     def __init__(self, env: Environment, name: str = ""):
@@ -182,7 +188,7 @@ class QueueGroup:
         """Detach and return the queue for ``node_key``.
 
         The queue is removed from the group *before* the caller closes it
-        so a region-wide broadcast never trips over a closed member.
+        so a region-wide barrier never trips over a closed member.
         """
         try:
             return self._queues.pop(node_key)
@@ -201,32 +207,9 @@ class QueueGroup:
     def __len__(self) -> int:
         return len(self._queues)
 
-    def broadcast(self, message: Any) -> int:
-        """Publish ``message`` to every queue; returns the fan-out count.
-
-        All-or-nothing: closure is checked up front so a queue closed
-        mid-group can never absorb a *partial* broadcast.  A half-delivered
-        control message (e.g. a §III.E barrier) would leave some commit
-        processes waiting for a region-wide rendezvous that can never
-        complete; raising before anything is published keeps the group
-        consistent.
-        """
-        closed = [q.name for q in self._queues.values() if q.closed]
-        if closed:
-            raise QueueClosed(
-                f"broadcast into closed queue(s) {closed!r};"
-                " nothing was published")
-        for q in self._queues.values():
-            q.publish(message)
-        return len(self._queues)
-
     def close_all(self) -> None:
         for q in self._queues.values():
             q.close()
 
     def total_backlog(self) -> int:
         return sum(len(q) for q in self._queues.values())
-
-    def depths(self) -> Dict[Any, int]:
-        """Current backlog per node key (observability snapshot)."""
-        return {key: len(q) for key, q in self._queues.items()}

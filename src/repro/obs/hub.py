@@ -14,7 +14,9 @@ into one JSON document with fully sorted keys, so two same-seed runs
 produce byte-identical exports and ``diff`` localizes any divergence.
 
 The shared :data:`NULL_HUB` is the disabled instance every region starts
-with; its ``enabled`` flag is the only thing hot paths ever read from it.
+with — a plain ``MetricsHub(enabled=False)`` whose recorders return before
+touching anything; its ``enabled`` flag is the only thing hot paths ever
+read from it.
 """
 
 from __future__ import annotations
@@ -69,7 +71,10 @@ class MetricsHub:
         #: series without scanning the counter registry on the hot path.
         self.error_count = 0
 
-    # -- recording (hot paths guard on .enabled before calling) ------------
+    # -- recording ---------------------------------------------------------
+    # Hot paths guard on ``.enabled`` before calling (so a disabled run
+    # builds no arguments); each recorder also returns early when the hub
+    # is disabled, which is the whole of what makes NULL_HUB inert.
     def observe_op(self, op: str, latency: float, ok: bool = True,
                    weight: int = 1) -> None:
         """One completed client operation with its simulated latency.
@@ -79,6 +84,8 @@ class MetricsHub:
         distributions agree between faithful and aggregate runs at
         matched scale.
         """
+        if not self.enabled:
+            return
         self.stats.sketch(f"client.op.{op}.latency").observe(latency,
                                                              weight)
         self.stats.counter("client.ops").inc(weight)
@@ -88,11 +95,15 @@ class MetricsHub:
 
     def observe_commit(self, op: str, latency: float) -> None:
         """One committed operation; latency is publish→commit."""
+        if not self.enabled:
+            return
         self.stats.sketch("commit.latency").observe(latency)
         self.stats.sketch(f"commit.op.{op}.latency").observe(latency)
         self.stats.counter("commit.committed").inc()
 
     def observe(self, name: str, value: float, weight: int = 1) -> None:
+        if not self.enabled:
+            return
         self.stats.sketch(name).observe(value, weight)
 
     def observe_staleness(self, tier: str, op: str, age: float, lag: int,
@@ -105,6 +116,8 @@ class MetricsHub:
         Reads served by the MDS itself are authoritative by definition
         (age 0, lag 0) and still recorded, so tier distributions compare.
         """
+        if not self.enabled:
+            return
         self.stats.counter(f"consistency.reads[{tier}]").inc(weight)
         self.stats.sketch(
             f"consistency.staleness.age[{tier}:{op}]").observe(age, weight)
@@ -122,14 +135,20 @@ class MetricsHub:
         ``weight`` is the logical-op weight the message was published
         with (:attr:`OpMessage.weight`).
         """
+        if not self.enabled:
+            return
         self.stats.sketch(
             f"consistency.visibility.{stage}[{op}]").observe(latency,
                                                              weight)
 
     def count(self, name: str, n: int = 1) -> None:
+        if not self.enabled:
+            return
         self.stats.counter(name).inc(n)
 
     def record_sample(self, name: str, time: float, value: float) -> None:
+        if not self.enabled:
+            return
         self.stats.series(name).append(time, value)
 
     def series_recorder(self, name: str) -> Any:
@@ -138,6 +157,8 @@ class MetricsHub:
         Samplers resolve each gauge's recorder once and skip the
         per-sample registry lookup and key formatting on every wakeup.
         """
+        if not self.enabled:
+            return lambda time, value: None
         return self.stats.series(name).append
 
     # -- wiring ------------------------------------------------------------
@@ -176,6 +197,10 @@ class MetricsHub:
         covers only the resources first registered here, so shared DFS
         resources produce one utilization series, not one per region.
         """
+        if not self.enabled:
+            raise RuntimeError("a disabled hub (NULL_HUB) is shared and"
+                               " read-only; create a MetricsHub() to"
+                               " attach regions")
         region.hub = self
         region.tracer = self.tracer
         region.cluster.tracer = self.tracer
@@ -309,7 +334,9 @@ class MetricsHub:
             "enabled": self.enabled,
             "counters": self.stats.counters(),
             "histograms": self.stats.histograms(),
-            "meters": self.stats.meters(),
+            # Always empty; dropping the key would be a pacon.metrics/v4
+            # schema change.
+            "meters": {},
             "series": self.stats.series_export(),
             "regions": regions,
             "clients": _client_snapshot(self._clients),
@@ -448,39 +475,5 @@ def _client_snapshot(clients) -> Dict[str, int]:
     return snap
 
 
-class _NullHub(MetricsHub):
-    """Shared disabled hub; recording methods discard everything."""
-
-    def __init__(self):
-        super().__init__(enabled=False)
-
-    def observe_op(self, *a, **kw) -> None:  # pragma: no cover - trivial
-        return
-
-    def observe_commit(self, *a, **kw) -> None:  # pragma: no cover
-        return
-
-    def observe(self, *a, **kw) -> None:  # pragma: no cover - trivial
-        return
-
-    def observe_staleness(self, *a, **kw) -> None:  # pragma: no cover
-        return
-
-    def observe_visibility(self, *a, **kw) -> None:  # pragma: no cover
-        return
-
-    def count(self, *a, **kw) -> None:  # pragma: no cover - trivial
-        return
-
-    def record_sample(self, *a, **kw) -> None:  # pragma: no cover
-        return
-
-    def series_recorder(self, name: str) -> Any:  # pragma: no cover
-        return lambda time, value: None
-
-    def attach_region(self, region, start_sampler: bool = True):
-        raise RuntimeError("NULL_HUB is shared and read-only; create a"
-                           " MetricsHub() to attach regions")
-
-
-NULL_HUB = _NullHub()
+#: The shared disabled hub every region starts with.
+NULL_HUB = MetricsHub(enabled=False)

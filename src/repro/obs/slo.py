@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Verdict",
@@ -89,9 +89,6 @@ class PolicyResult:
     @property
     def passed(self) -> bool:
         return all(v.ok for v in self.verdicts)
-
-    def failed_verdicts(self) -> List[Verdict]:
-        return [v for v in self.verdicts if not v.ok]
 
     def to_doc(self) -> Dict[str, Any]:
         return {

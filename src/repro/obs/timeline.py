@@ -14,9 +14,10 @@ of :class:`ControlEvent` records fed by instrumentation hooks in the
 chaos engine, the autoscaler, region membership, and the client publish
 path.  Every hook is guarded by ``hub.enabled``, and the hub only
 allocates a Timeline when it is enabled — the shared
-:data:`NULL_TIMELINE` discards everything — so the zero-cost-when-off
-guarantee of the rest of ``repro.obs`` holds here too (the tests prove
-it by monkeypatching allocation to raise).
+:data:`NULL_TIMELINE` has ``enabled`` off, so ``record`` discards
+everything — so the zero-cost-when-off guarantee of the rest of
+``repro.obs`` holds here too (the tests prove it by monkeypatching
+allocation to raise).
 
 Events are recorded *when their outcome is known* but stamped with
 their *start* time (a scale-up is recorded after the migration lands,
@@ -93,13 +94,16 @@ class Timeline:
         self._events: List[ControlEvent] = []
         self.dropped = 0
         self._next_seq = 0
+        self.enabled = True
 
     # -- recording (call sites guard on hub.enabled) -----------------------
     def record(self, time: float, source: str, kind: str, label: str,
                detail: str = "", duration: float = 0.0,
                ref: int = -1) -> int:
         """Append one event; returns its ``seq`` (for pairing), -1 if
-        dropped at capacity."""
+        dropped at capacity or the timeline is disabled."""
+        if not self.enabled:
+            return -1
         if len(self._events) >= self.capacity:
             self.dropped += 1
             return -1
@@ -130,14 +134,6 @@ class Timeline:
         self.dropped = 0
 
 
-class _NullTimeline(Timeline):
-    """Shared disabled timeline; ``record`` discards everything."""
-
-    def __init__(self):
-        super().__init__(capacity=0)
-
-    def record(self, *a, **kw) -> int:  # pragma: no cover - trivial
-        return -1
-
-
-NULL_TIMELINE = _NullTimeline()
+#: The shared disabled timeline a disabled hub carries.
+NULL_TIMELINE = Timeline(capacity=0)
+NULL_TIMELINE.enabled = False

@@ -24,7 +24,7 @@ from repro.sim.core import (
     Timeout,
     run_sync,
 )
-from repro.sim.resources import Barrier, Gate, Resource, Store
+from repro.sim.resources import Barrier, Resource
 from repro.sim.network import (
     Cluster,
     Network,
@@ -35,7 +35,7 @@ from repro.sim.network import (
 )
 from repro.sim.costs import CostModel
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Counter, StatsRegistry, ThroughputMeter
+from repro.sim.stats import Counter, StatsRegistry
 
 __all__ = [
     "AllOf",
@@ -46,7 +46,6 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
-    "Gate",
     "Interrupt",
     "Network",
     "NetworkParams",
@@ -58,8 +57,6 @@ __all__ = [
     "Service",
     "SimulationError",
     "StatsRegistry",
-    "Store",
-    "ThroughputMeter",
     "Timeout",
     "run_sync",
 ]

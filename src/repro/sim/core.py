@@ -26,7 +26,6 @@ instead of a linear ``callbacks.remove``.
 from __future__ import annotations
 
 import heapq
-from inspect import getgeneratorstate
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -223,11 +222,23 @@ class Timeout(Event):
         _heappush(env._heap, (env.now + delay, seq, _fire_timeout, self))
 
 
-def _start_process(process: "Process") -> None:
-    """Bootstrap entry: resume the generator for the first time."""
-    if process.triggered:
-        return  # cancelled before start (interrupt won the race)
-    process._advance(None, None)
+class _Outcome:
+    """The two fields ``Process._resume`` reads off the event that woke it.
+
+    Lets the bootstrap and an interrupt enter the one resume body without
+    allocating a real :class:`Event` for either.
+    """
+
+    __slots__ = ("_exc", "_value")
+
+    def __init__(self, exc: Optional[BaseException] = None):
+        self._exc = exc
+        self._value = None
+
+
+#: What every process "waits on" until its bootstrap heap entry runs:
+#: the first resume sends ``None`` into the fresh generator.
+_BOOT = _Outcome()
 
 
 class Process(Event):
@@ -245,7 +256,9 @@ class Process(Event):
         super().__init__(env)
         self.label = label
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
+        #: The event (or bootstrap/interrupt outcome) whose firing resumes
+        #: the generator next; ``None`` while running or once finished.
+        self._waiting_on: Any = _BOOT
         #: Event we were detached from by an interrupt whose (stale)
         #: callback is still registered — removal-marking instead of a
         #: linear ``callbacks.remove`` (see ``_deliver_interrupt``).
@@ -256,7 +269,7 @@ class Process(Event):
         # Bootstrap: resume the generator at the current time, straight
         # from the heap — no shadow bootstrap Event.
         env._seq = seq = env._seq + 1
-        _heappush(env._heap, (env.now, seq, _start_process, self))
+        _heappush(env._heap, (env.now, seq, self._resume_cb, _BOOT))
 
     @property
     def is_alive(self) -> bool:
@@ -271,7 +284,8 @@ class Process(Event):
         queue it was parked in reclaims the registration instead of
         leaking a waiter slot.
         """
-        return self._waiting_on
+        waiting = self._waiting_on
+        return None if waiting is _BOOT else waiting
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -283,14 +297,15 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         """Callback: the event this process was waiting on has fired.
 
-        Body is a hand-inlined copy of ``_advance`` (keep the two in
-        sync): this runs once per processed event, and the extra call
-        frame is measurable at millions of events per run.
+        The only place the generator is advanced: the bootstrap heap
+        entry and ``_deliver_interrupt`` enter here too, with an
+        :class:`_Outcome` standing in for the event.
         """
         if trigger is not self._waiting_on:
-            # Stale wakeup from an event we detached from (interrupt won)
-            # or the process already finished.  Consume the marker so a
-            # future wait on the same event registers a fresh callback.
+            # Stale wakeup from an event we detached from (interrupt won),
+            # a bootstrap the interrupt beat, or the process already
+            # finished.  Consume the marker so a future wait on the same
+            # event registers a fresh callback.
             if trigger is self._detached:
                 self._detached = None
             return
@@ -303,53 +318,6 @@ class Process(Event):
                 target = self._generator.throw(exc)
             else:
                 target = self._generator.send(trigger._value)
-        except StopIteration as stop:
-            env._active_process = None
-            self._value = stop.value
-            env._schedule(self)
-            return
-        except BaseException as err:
-            env._active_process = None
-            self._exc = err
-            self._value = None
-            env._schedule(self)
-            if not env._catch_process_errors:
-                raise
-            return
-        env._active_process = None
-        if target.__class__ is not Timeout and not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.label or self._generator!r} yielded"
-                f" {target!r}; processes must yield Event instances"
-                " (use 'yield from' for sub-generators)")
-        if target.env is not env:
-            raise SimulationError("yielded event belongs to another Environment")
-        self._waiting_on = target
-        if target is self._detached:
-            self._detached = None
-            return
-        callbacks = target.callbacks
-        if callbacks is None:
-            target.callbacks = self._resume_cb
-        elif callbacks is _PROCESSED:
-            env._schedule_callback(self._resume_cb, target)
-        elif type(callbacks) is list:
-            callbacks.append(self._resume_cb)
-        else:
-            target.callbacks = [callbacks, self._resume_cb]
-
-    def _advance(self, exc: Optional[BaseException], value: Any) -> None:
-        """Advance the generator with one outcome (exception or value).
-
-        Mirrored inline in ``_resume`` — change both together."""
-        env = self.env
-        self._waiting_on = None
-        env._active_process = self
-        try:
-            if exc is not None:
-                target = self._generator.throw(exc)
-            else:
-                target = self._generator.send(value)
         except StopIteration as stop:
             env._active_process = None
             self._value = stop.value
@@ -393,17 +361,19 @@ class Process(Event):
     def _deliver_interrupt(self, interrupt: Interrupt) -> None:
         if self.triggered:
             return
-        if getgeneratorstate(self._generator) == "GEN_CREATED":
+        waiting = self._waiting_on
+        if waiting is _BOOT:
             # Interrupted before the bootstrap ran (the generator never
             # started): a throw would surface at the generator's first
             # line, outside any try block.  Cancel the process instead —
-            # it completes with the interrupt as its outcome.
+            # it completes with the interrupt as its outcome, and the
+            # bootstrap entry still on the heap becomes a stale wakeup.
             self._generator.close()
+            self._waiting_on = None
             self._exc = interrupt
             self._value = None
             self.env._schedule(self)
             return
-        waiting = self._waiting_on
         if waiting is not None:
             # Detach from the event we were waiting on; it may still fire
             # later but must no longer resume us with its value.  Mark
@@ -414,15 +384,9 @@ class Process(Event):
             if self._detached is None:
                 self._detached = waiting
             else:
-                callbacks = waiting.callbacks
-                if callbacks is self._resume_cb:
-                    waiting.callbacks = None
-                elif type(callbacks) is list:
-                    try:
-                        callbacks.remove(self._resume_cb)
-                    except ValueError:
-                        pass
-        self._advance(interrupt, None)
+                _detach_callback((waiting,), None, self._resume_cb)
+        self._waiting_on = carrier = _Outcome(interrupt)
+        self._resume(carrier)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

@@ -18,7 +18,6 @@ from repro.sim.core import Environment, Event, Interrupt, Timeout
 from repro.sim.costs import CostModel
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
-from repro.sim.stats import StatsRegistry
 from repro.sim.trace import NULL_TRACER
 
 __all__ = ["Node", "NetworkParams", "Network", "Service", "Cluster",
@@ -151,7 +150,7 @@ class Network:
                 return True
         return False
 
-    def note_dropped(self, why: str) -> None:
+    def note_dropped(self) -> None:
         self.dropped += 1
         if self.hub is not None:
             self.hub.count("net.dropped")
@@ -198,7 +197,7 @@ class Network:
                     finally:
                         nic.release()
                 if not dst.alive:
-                    self.note_dropped(f"{src.name}->{dst.name}")
+                    self.note_dropped()
                     raise MessageDropped(
                         f"node {dst.name} died during loopback delivery")
                 return
@@ -221,7 +220,7 @@ class Network:
             if (doomed or not dst.alive or dst.incarnation != mark
                     or self.is_partitioned(src, dst)):
                 # Dropped on the wire: the receiver NIC never sees it.
-                self.note_dropped(f"{src.name}->{dst.name}")
+                self.note_dropped()
                 raise MessageDropped(
                     f"message {src.name}->{dst.name} dropped in flight")
             # Receiver NIC processes the arrival; fan-in contention
@@ -233,7 +232,7 @@ class Network:
             finally:
                 nic.release()
             if not dst.alive or dst.incarnation != mark:
-                self.note_dropped(f"{src.name}->{dst.name}")
+                self.note_dropped()
                 raise MessageDropped(
                     f"destination node {dst.name} died in flight")
         finally:
@@ -304,7 +303,7 @@ class Service:
             # The service's node died while the request sat in the worker
             # queue: the handler never runs and no response is sent.
             self.workers.release()
-            net.note_dropped(f"{self.name}.{method}")
+            net.note_dropped()
             raise MessageDropped(
                 f"service {self.name} node {self.node.name} died while"
                 f" {method!r} was queued")
@@ -348,7 +347,6 @@ class Cluster:
         self.network = Network(self.env,
                                NetworkParams.from_costs(self.costs))
         self.rng = RngStreams(seed)
-        self.stats = StatsRegistry()
         self.nodes: list[Node] = []
         # Swapped in by MetricsHub.attach_region (shared with the network);
         # services consult it for span-context propagation.

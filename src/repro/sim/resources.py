@@ -2,11 +2,13 @@
 
 * :class:`Resource` — capacity-limited server (models MDS worker pools,
   cache-node CPUs, NIC serialization).  FIFO grant order keeps runs
-  deterministic.
-* :class:`Store` — unbounded FIFO channel of items (models message queues).
-* :class:`Gate` — a level-triggered condition processes can wait on.
+  deterministic, and a queued waiter's wait is accounted at the instant
+  the slot is handed over.
 * :class:`Barrier` — classic N-party rendezvous (used by the mdtest
   workload to reproduce MPI phase barriers).
+
+The message channel of the commit pipeline is
+:class:`repro.mq.MessageQueue`, which follows the same hand-over rule.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any, Callable, Deque, Generator, Optional, Tuple
 
 from repro.sim.core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store", "Gate", "Barrier"]
+__all__ = ["Resource", "Barrier"]
 
 
 class Resource:
@@ -32,7 +34,7 @@ class Resource:
         self._in_use = 0
         #: FIFO of ``(event, request time)`` per queued waiter.
         self._waiters: Deque[Tuple[Event, float]] = deque()
-        # Contention accounting (exported by StatsRegistry consumers).
+        # Contention accounting (read by MetricsHub.resource_snapshot).
         self.total_acquires = 0
         self.total_wait_time = 0.0
         self.peak_queue = 0
@@ -136,124 +138,6 @@ class Resource:
             yield self.env.timeout(service_time)
         finally:
             self.release()
-
-
-class Store:
-    """Unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks (the commit queues in the paper are unbounded
-    ZeroMQ sockets); ``get`` returns an event that fires when an item is
-    available.  FIFO fairness across getters.
-    """
-
-    def __init__(self, env: Environment, name: str = ""):
-        self.env = env
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self.total_puts = 0
-        self.total_gets = 0
-        self._event_name = f"get:{name}"
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        self.total_puts += 1
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        self.total_gets += 1
-        ev = Event(self.env, self._event_name)
-        ev._on_cancel = self._cancel_get
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def _cancel_get(self, ev: Event) -> bool:
-        """Cancel hook: unregister a getter or push a granted item back.
-
-        An item handed to a getter that never resumes would be lost; it
-        goes back to the head of the queue so FIFO order is preserved for
-        the next get.
-        """
-        try:
-            self._getters.remove(ev)
-            return True
-        except ValueError:
-            pass
-        if ev.triggered and not ev.processed and ev.exception is None:
-            self._items.appendleft(ev._value)
-            return True
-        return False
-
-    def peek(self) -> Any:
-        """The oldest queued item without removing it; None when empty."""
-        return self._items[0] if self._items else None
-
-    def get_batch(self, max_items: int) -> list:
-        """Take up to ``max_items`` immediately-available items.
-
-        Never blocks and never wakes getters: only items already buffered
-        are returned.  Used by batch consumers that already hold one item
-        from a blocking :meth:`get` and want to drain cheaply.
-        """
-        out: list = []
-        while self._items and len(out) < max_items:
-            out.append(self._items.popleft())
-            self.total_gets += 1
-        return out
-
-    def peek_all(self) -> list:
-        """Snapshot of queued items (inspection/testing only)."""
-        return list(self._items)
-
-    def drain(self) -> list:
-        """Remove and return all queued items without waking getters."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
-
-class Gate:
-    """A level-triggered condition.
-
-    While closed, ``wait()`` events queue up; ``open()`` releases all of
-    them and lets subsequent waits pass immediately until ``close()``.
-    """
-
-    def __init__(self, env: Environment, opened: bool = False, name: str = ""):
-        self.env = env
-        self.name = name
-        self._open = opened
-        self._waiters: list[Event] = []
-        self._event_name = f"gate:{name}"
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        ev = Event(self.env, self._event_name)
-        if self._open:
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def open(self) -> None:
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed()
-
-    def close(self) -> None:
-        self._open = False
 
 
 class Barrier:

@@ -342,15 +342,7 @@ def _attribute(root: Span) -> Dict[str, Any]:
     }
 
 
-class _NullTracer(Tracer):
-    """Shared no-op tracer; ``emit`` discards everything."""
-
-    def __init__(self):
-        super().__init__(capacity=0)
-        self.enabled = False
-
-    def emit(self, *a, **kw) -> None:  # pragma: no cover - trivial
-        return
-
-
-NULL_TRACER = _NullTracer()
+#: The shared disabled tracer: ``emit`` returns before recording, and call
+#: sites check ``enabled`` before building anything to hand it.
+NULL_TRACER = Tracer(capacity=0)
+NULL_TRACER.enabled = False

@@ -146,6 +146,17 @@ class TestCommitProcessLifecycle:
         for cp in world.region.commit_processes:
             assert cp.idle
 
+    def test_idle_loop_waits_on_one_bare_callback(self, world):
+        """The queue registers no callback of its own on the events it
+        hands out (delivery is accounted at the hand-over), so an idle
+        commit loop's wait keeps the kernel's single-callback fast path."""
+        world.run(world.client.create("/app/f"))
+        world.quiesce()
+        for cp in world.region.commit_processes:
+            waiting = cp._process.waiting_on
+            assert waiting is not None and not waiting.triggered
+            assert waiting.callbacks == cp._process._resume_cb
+
     def test_idle_reflects_backlog(self, world):
         world.run(world.client.create("/app/f"))
         # Immediately after the op returns, some process has backlog.

@@ -36,7 +36,7 @@ class TestBatchedDrain:
             run_sync(cluster.env, client.create(f"/app/f{i}"))
         deployment.start_commit_processes(region)
         deployment.quiesce_sync(region)
-        batches = hub.stats.histogram("commit.batch_size").summary()
+        batches = hub.stats.sketch("commit.batch_size").summary()
         assert batches["count"] >= 1
         assert batches["max"] > 1
         for i in range(10):
@@ -51,7 +51,7 @@ class TestBatchedDrain:
             world.run(world.client.create(f"/app/f{i}"))
         world.quiesce()
         # Same drain path as any other size; every drain is one message.
-        assert hub.stats.histogram("commit.batch_size").summary()["max"] == 1
+        assert hub.stats.sketch("commit.batch_size").summary()["max"] == 1
         assert sum(cp.committed for cp in world.region.commit_processes) == 5
 
     def test_barrier_inside_batch_cuts_segments(self):
@@ -169,7 +169,7 @@ class TestBackpressure:
         world.quiesce()
         counters = hub.stats.counters()
         assert counters.get("commit.publish_stalls", 0) >= 1
-        stalls = hub.stats.histogram("commit.publish_stall").summary()
+        stalls = hub.stats.sketch("commit.publish_stall").summary()
         assert stalls["count"] >= 1 and stalls["max"] > 0
         for i in range(40):
             assert world.dfs.namespace.exists(f"/app/f{i}")

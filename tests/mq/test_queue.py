@@ -53,6 +53,29 @@ class TestMessageQueue:
         env.run()
         assert got == [("late", 2.0)]
 
+    def test_fifo_getter_order(self, env):
+        """Blocked getters are served oldest first."""
+        q = MessageQueue(env, "q")
+        out = []
+
+        def sub(i):
+            msg = yield q.get()
+            out.append((i, msg))
+
+        for i in range(3):
+            env.process(sub(i))
+
+        def pub():
+            yield env.timeout(1.0)
+            for x in "abc":
+                q.publish(x)
+
+        env.process(pub())
+        env.run()
+        assert out == [(0, "a"), (1, "b"), (2, "c")]
+        assert q.delivered == 3 and q.peak_depth == 0
+        assert q.total_wait_time == 0.0
+
     def test_close_fails_blocked_getter(self, env):
         q = MessageQueue(env, "q")
 
@@ -167,27 +190,6 @@ class TestQueueGroup:
         with pytest.raises(KeyError):
             group.route("ghost")
 
-    def test_broadcast_reaches_all(self, env):
-        group = QueueGroup(env, "region")
-        queues = [group.add_node(f"n{i}") for i in range(3)]
-        count = group.broadcast({"type": "barrier"})
-        assert count == 3
-        assert all(len(q) == 1 for q in queues)
-
-    def test_broadcast_into_partially_closed_group_is_atomic(self, env):
-        """All-or-nothing: one closed queue means *no* queue gets the
-        message (a partial barrier broadcast would strand the rendezvous
-        forever)."""
-        group = QueueGroup(env, "region")
-        qa = group.add_node("a")
-        qb = group.add_node("b")
-        qc = group.add_node("c")
-        qb.close()
-        with pytest.raises(QueueClosed):
-            group.broadcast({"type": "barrier"})
-        assert len(qa) == 0 and len(qc) == 0
-        assert qa.published == 0 and qc.published == 0
-
     def test_close_all(self, env):
         group = QueueGroup(env, "region")
         group.add_node("a")
@@ -200,7 +202,8 @@ class TestQueueGroup:
         group.add_node("a")
         group.add_node("b")
         group.route("a").publish(1)
-        group.broadcast(2)
+        for q in group.queues():
+            q.publish(2)
         assert group.total_backlog() == 3
 
     def test_len(self, env):

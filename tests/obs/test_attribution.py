@@ -11,7 +11,8 @@ The acceptance properties:
   from its bucket means within 1%  (exact, in fact),
 * on the seeded fig. 7 smoke run the same holds for every op class,
 * with observability off, no SpanContext objects are allocated anywhere
-  on the hot path.
+  on the hot path, and no ``tracer.emit`` call is even reached (every
+  site checks ``enabled`` before building the strings it would hand over).
 """
 
 import pytest
@@ -162,3 +163,71 @@ class TestZeroAllocationWhenOff:
         monkeypatch.setattr(trace_mod, "SpanContext", Boom)
         world.run(_workload(world.client, "d0"))
         world.quiesce()
+
+
+class TestNoEmitWhenOff:
+    """``NULL_TRACER.emit`` raising proves no call site reaches it: the
+    commit loop (barrier, commit, coalesce, discard), the autoscaler
+    (grow, retire, reject) and the chaos engine all guard on
+    ``tracer.enabled`` before formatting an actor or a detail string."""
+
+    @pytest.fixture(autouse=True)
+    def exploding_emit(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("tracer.emit reached with tracing off")
+
+        monkeypatch.setattr(trace_mod.NULL_TRACER, "emit", boom)
+
+    def test_commit_pipeline(self):
+        world = make_observed_world(with_hub=False)
+        assert world.region.tracer is trace_mod.NULL_TRACER
+        world.run(_workload(world.client, "d0"))
+        world.quiesce()
+        procs = world.region.commit_processes
+        assert sum(cp.committed for cp in procs) > 0
+        assert sum(cp.barriers_passed for cp in procs) > 0
+        # Coalesce and discard need ops that are still queued when their
+        # fate is decided: publish with the commit loops paused.
+        paused = make_observed_world(with_hub=False, start_commit=False)
+        client = paused.client
+        paused.run(client.create("/app/tmp"))
+        paused.run(client.rm("/app/tmp"))
+        paused.run(client.mkdir("/app/gone"))
+        paused.run(client.create("/app/gone/f"))
+        # Zero-cost poke: the subtree is removed *after* both were queued.
+        paused.region.note_removed_subtree("/app/gone")
+        paused.deployment.start_commit_processes(paused.region)
+        paused.quiesce()
+        procs = paused.region.commit_processes
+        assert sum(cp.coalesced for cp in procs) == 2
+        assert sum(cp.discarded for cp in procs) == 2
+
+    def test_autoscaler(self):
+        from repro.core.autoscale import Autoscaler
+        from tests.core.conftest import make_world
+        from tests.core.test_autoscale import _elastic_config, _storm
+
+        world = make_world(n_nodes=2, config=_elastic_config())
+        scaler = Autoscaler(world.deployment, world.region)
+        scaler.start()
+        _storm(world)
+        world.cluster.env.run(until=0.6)
+        scaler.stop()
+        assert scaler.scale_ups >= 1 and scaler.scale_downs >= 1
+        capped = make_world(n_nodes=2, config=_elastic_config(max_nodes=2))
+        scaler = Autoscaler(capped.deployment, capped.region)
+        scaler.start()
+        _storm(capped)
+        capped.cluster.env.run(until=0.2)
+        scaler.stop()
+        assert scaler.rejected >= 1
+
+    def test_chaos_engine(self):
+        from repro.chaos.engine import ChaosEngine, ChaosSchedule
+
+        world = make_observed_world(with_hub=False)
+        schedule = ChaosSchedule().add("mds_crash", at=1e-3, duration=2e-3)
+        engine = ChaosEngine(world.deployment, world.region, schedule)
+        engine.start()
+        world.run(engine.wait_done(), label="chaos-wait")
+        assert len(engine.records) == 1

@@ -8,9 +8,13 @@ program must replay byte-identically.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.sim.core as core_mod
+
+from repro.mq import MessageQueue
 from repro.sim.core import (
     AllOf,
     AnyOf,
@@ -21,7 +25,7 @@ from repro.sim.core import (
     Timeout,
     run_sync,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 @pytest.fixture
@@ -309,14 +313,14 @@ class TestSameSeedDeterminism:
     def _mixed_workload():
         env = Environment()
         res = Resource(env, capacity=2, name="cpu")
-        box = Store(env, name="box")
+        box = MessageQueue(env, name="box")
         trace = []
 
         def worker(i):
             for h in range(4):
                 yield from res.use(0.01 * ((i + h) % 3 + 1))
                 trace.append(("work", i, h, round(env.now, 9)))
-            box.put(i)
+            box.publish(i)
 
         def racer(i):
             fast = env.timeout(0.005 * (i + 1), value="fast")
@@ -366,3 +370,111 @@ class TestSameSeedDeterminism:
         _, events_again = self._mixed_workload()
         assert events == events_again
         assert events > 0
+
+
+class TestOneResumeBody:
+    """The generator is advanced in exactly one place (``_resume``): the
+    bootstrap and interrupt delivery enter it with a stand-in outcome.
+    The event counts below are literals because ``baseline_kernel.json``
+    counts events: a stand-in must not cost or save a heap entry."""
+
+    def test_generator_is_advanced_in_one_place(self):
+        source = Path(core_mod.__file__).read_text()
+        assert source.count("_generator.send(") == 1
+        assert source.count("_generator.throw(") == 1
+        assert not hasattr(core_mod.Process, "_advance")
+        assert not hasattr(core_mod, "_start_process")
+
+    def test_bootstrap_heap_entry_is_the_resume_callback(self, env):
+        def body():
+            yield env.timeout(1.0)
+
+        proc = env.process(body())
+        (_time, _key, fn, _arg), = env._heap
+        assert fn is proc._resume_cb
+        # Not waiting on anything a caller could cancel, before or after.
+        assert proc.waiting_on is None
+        env.step()
+        assert isinstance(proc.waiting_on, Timeout)
+
+    def test_interrupt_before_bootstrap(self, env):
+        started = []
+
+        def body():
+            started.append(True)
+            yield env.timeout(1.0)
+
+        proc = env.process(body())
+        proc.interrupt("early")
+        env.run()
+        assert started == []
+        assert not proc.ok
+        assert isinstance(proc.exception, Interrupt)
+        assert proc.exception.cause == "early"
+        assert proc.waiting_on is None
+        # Interrupt delivery, the now-stale bootstrap entry, the process
+        # event itself.
+        assert (env.processed_events, env.now) == (3, 0.0)
+
+    def test_interrupt_while_waiting(self, env):
+        log = []
+
+        def body():
+            try:
+                yield env.timeout(10.0)
+            except Interrupt as intr:
+                log.append((intr.cause, env.now))
+            yield env.timeout(1.0)
+            return "done"
+
+        proc = env.process(body())
+
+        def killer():
+            yield env.timeout(2.0)
+            proc.interrupt("k")
+
+        env.process(killer())
+        env.run()
+        assert log == [("k", 2.0)]
+        assert proc.value == "done"
+        assert (env.processed_events, env.now) == (8, 10.0)
+
+    def test_rewait_on_the_detached_event(self, env):
+        log = []
+        shared = env.event()
+
+        def body():
+            try:
+                yield shared
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            value = yield shared
+            log.append(("resumed", value, env.now))
+            return value
+
+        proc = env.process(body())
+
+        def driver():
+            yield env.timeout(1.0)
+            proc.interrupt()
+            yield env.timeout(1.0)
+            shared.succeed("s")
+
+        env.process(driver())
+        env.run()
+        assert log == [("interrupted", 1.0), ("resumed", "s", 2.0)]
+        assert proc.value == "s"
+        assert (env.processed_events, env.now) == (8, 2.0)
+
+    def test_interrupt_of_a_finished_process(self, env):
+        def body():
+            yield env.timeout(1.0)
+            return 7
+
+        proc = env.process(body())
+        env.run()
+        assert env.processed_events == 3
+        proc.interrupt("late")
+        env.run()
+        assert proc.value == 7
+        assert (env.processed_events, env.now) == (3, 1.0)

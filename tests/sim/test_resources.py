@@ -1,10 +1,9 @@
-"""Unit tests for Resource, Store, Gate, Barrier."""
+"""Unit tests for Resource and Barrier."""
 
 import pytest
 
-from repro.sim.core import (Environment, SimulationError, cancel_wait,
-                            run_sync)
-from repro.sim.resources import Barrier, Gate, Resource, Store
+from repro.sim.core import Environment, SimulationError, cancel_wait
+from repro.sim.resources import Barrier, Resource
 
 
 @pytest.fixture
@@ -164,117 +163,6 @@ class TestResource:
             env.process(worker(i))
         env.run()
         assert max(max_seen) <= 2
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("a")
-
-        def getter():
-            item = yield store.get()
-            return item
-
-        assert run_sync(env, getter()) == "a"
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        got = []
-
-        def getter():
-            item = yield store.get()
-            got.append((item, env.now))
-
-        def putter():
-            yield env.timeout(5.0)
-            store.put("late")
-
-        env.process(getter())
-        env.process(putter())
-        env.run()
-        assert got == [("late", 5.0)]
-
-    def test_fifo_item_order(self, env):
-        store = Store(env)
-        for i in range(5):
-            store.put(i)
-        out = []
-
-        def getter():
-            for _ in range(5):
-                out.append((yield store.get()))
-
-        env.process(getter())
-        env.run()
-        assert out == [0, 1, 2, 3, 4]
-
-    def test_fifo_getter_order(self, env):
-        store = Store(env)
-        out = []
-
-        def getter(i):
-            item = yield store.get()
-            out.append((i, item))
-
-        for i in range(3):
-            env.process(getter(i))
-
-        def putter():
-            yield env.timeout(1.0)
-            for x in "abc":
-                store.put(x)
-
-        env.process(putter())
-        env.run()
-        assert out == [(0, "a"), (1, "b"), (2, "c")]
-
-    def test_len_and_drain(self, env):
-        store = Store(env)
-        for i in range(4):
-            store.put(i)
-        assert len(store) == 4
-        assert store.peek_all() == [0, 1, 2, 3]
-        assert store.drain() == [0, 1, 2, 3]
-        assert len(store) == 0
-
-
-class TestGate:
-    def test_closed_gate_blocks(self, env):
-        gate = Gate(env)
-        passed = []
-
-        def waiter():
-            yield gate.wait()
-            passed.append(env.now)
-
-        env.process(waiter())
-
-        def opener():
-            yield env.timeout(3.0)
-            gate.open()
-
-        env.process(opener())
-        env.run()
-        assert passed == [3.0]
-
-    def test_open_gate_passes_immediately(self, env):
-        gate = Gate(env, opened=True)
-        ev = gate.wait()
-        assert ev.triggered
-
-    def test_reclose_blocks_again(self, env):
-        gate = Gate(env, opened=True)
-        gate.close()
-        ev = gate.wait()
-        assert not ev.triggered
-        gate.open()
-        assert ev.triggered
-
-    def test_open_releases_all_waiters(self, env):
-        gate = Gate(env)
-        events = [gate.wait() for _ in range(5)]
-        gate.open()
-        assert all(ev.triggered for ev in events)
 
 
 class TestBarrier:

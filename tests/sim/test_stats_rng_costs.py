@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.costs import CostModel
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Counter, StatsRegistry, ThroughputMeter
+from repro.sim.stats import Counter, StatsRegistry
 
 
 class TestCounter:
@@ -23,40 +23,6 @@ class TestCounter:
         reg.counter("b").inc(2)
         reg.counter("a").inc(1)
         assert reg.counters() == {"a": 1, "b": 2}
-
-    def test_merge_counters(self):
-        reg = StatsRegistry()
-        reg.counter("x").inc(3)
-        reg.counter("y").inc(4)
-        assert reg.merge_counters(["x", "y", "missing"]) == 7
-
-
-class TestThroughputMeter:
-    def test_ops_per_second(self):
-        m = ThroughputMeter("create")
-        m.start(now=0.0)
-        m.record(500)
-        m.stop(now=2.0)
-        assert m.ops_per_second() == 250.0
-
-    def test_unstarted_meter_is_zero(self):
-        assert ThroughputMeter("x").ops_per_second() == 0.0
-
-    def test_not_stopped_raises(self):
-        m = ThroughputMeter("x")
-        m.start(0.0)
-        with pytest.raises(RuntimeError):
-            _ = m.elapsed
-
-    def test_restart_resets(self):
-        m = ThroughputMeter("x")
-        m.start(0.0)
-        m.record(10)
-        m.stop(1.0)
-        m.start(5.0)
-        m.record(1)
-        m.stop(6.0)
-        assert m.ops_per_second() == 1.0
 
 
 class TestRngStreams:

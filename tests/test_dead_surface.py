@@ -1,0 +1,132 @@
+"""Dead-surface guard: nothing public that nobody references, nothing
+imported that is not used.
+
+Two static checks over ``src/repro`` (``ast`` + regex, no dependency):
+
+* every public function, class and method defined there is mentioned at
+  least once *outside its own definition* somewhere in ``src/``,
+  ``tests/``, ``benchmarks/``, ``examples/``, ``docs/`` or a root ``*.md``
+  — an accessor nothing reads is a promise nobody checks;
+* every name a non-``__init__`` module imports is used in that module or
+  re-exported through its ``__all__`` — the local stand-in for flake8's
+  ``F401``, which CI runs (flake8 is not installed in every dev image).
+
+The reference check is by word, not by resolved binding: a name shared by
+several definitions passes as soon as the corpus mentions it more often
+than it is defined.  That is deliberately lenient — the guard exists to
+catch surface that is referenced *nowhere*, not to prove call graphs.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+CORPUS_DIRS = ("src", "tests", "benchmarks", "examples", "docs")
+
+#: ``Service.request`` dispatches to ``handle_<method>`` by string, so an
+#: RPC handler is referenced by any quoted mention of its method name.
+DISPATCH_PREFIX = "handle_"
+
+
+def _source_files():
+    return sorted(SRC.rglob("*.py"))
+
+
+def _corpus_words() -> Counter:
+    words: Counter = Counter()
+    files = [p for d in CORPUS_DIRS for p in (ROOT / d).rglob("*")
+             if p.suffix in (".py", ".md")]
+    files += list(ROOT.glob("*.md"))
+    for path in files:
+        if path.name == "ISSUE.md" or "__pycache__" in path.parts:
+            continue
+        words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    return words
+
+
+def _public_definitions():
+    """``(name, file, line)`` for module- and class-level public defs."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def visit(body, path):
+        for node in body:
+            if not isinstance(node, kinds):
+                continue
+            if not node.name.startswith("_"):
+                yield node.name, path, node.lineno
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, path)
+
+    for path in _source_files():
+        yield from visit(ast.parse(path.read_text()).body, path)
+
+
+def test_every_public_definition_is_referenced_somewhere():
+    words = _corpus_words()
+    definitions = list(_public_definitions())
+    defined = Counter(name for name, _p, _l in definitions)
+    dead = []
+    for name, path, line in definitions:
+        if words[name] > defined[name]:
+            continue
+        if (name.startswith(DISPATCH_PREFIX)
+                and words[name[len(DISPATCH_PREFIX):]] > 0):
+            continue
+        dead.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not dead, ("public names nothing references (delete them, or"
+                      " make them private):\n  " + "\n  ".join(dead))
+
+
+def _annotation_words(tree) -> set:
+    """Words inside string annotations (``x: "Tracer"``)."""
+    out: set = set()
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, ast.arg):
+            notes.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+        for note in notes:
+            if note is None:
+                continue
+            for sub in ast.walk(note):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value,
+                                                                str):
+                    out.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return out
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_words(tree)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in ast.walk(node.value)
+                     if isinstance(elt, ast.Constant)}
+    return [(name, line) for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_every_import_is_used_or_reexported():
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path in _source_files() if path.name != "__init__.py"
+              for name, line in _unused_imports(path)]
+    assert not unused, "unused imports (F401):\n  " + "\n  ".join(unused)
