@@ -3,7 +3,7 @@
 The gated chaos artefact is the ``pacon.bench/v1`` snapshot of the
 ``chaos`` experiment (``pacon-bench figure chaos --scale smoke
 --bench-out chaos_fresh.json``), which CI compares against
-``benchmarks/baseline_chaos.json`` with ``--ignore-host``: every
+``benchmarks/baseline_chaos.json``: every
 scenario's outcome is simulated and seed-deterministic, so a change that
 alters how crashes, partitions, or churn resolve shows up as a snapshot
 diff even when the tier-1 tests still pass.  This file is the pytest

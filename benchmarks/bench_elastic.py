@@ -3,9 +3,9 @@
 The gated elasticity artefact is the ``pacon.bench/v1`` snapshot of the
 ``elastic`` experiment (``pacon-bench figure elastic --scale smoke
 --bench-out elastic_fresh.json``), which CI compares against
-``benchmarks/baseline_elastic.json`` with ``--ignore-host``: everything in
-it is simulated and seed-deterministic (the diurnal curve is a triangle
-wave, not a sine), so a change to the controller's hysteresis, the
+``benchmarks/baseline_elastic.json``: everything compared in it is
+simulated and seed-deterministic (the diurnal curve is a triangle wave,
+not a sine), so a change to the controller's hysteresis, the
 migration path, or the bench workload shows up as a snapshot diff even
 when the tier-1 tests still pass.  This file is the pytest face collected
 with the rest of ``benchmarks/``: once adapted, the autoscaled run beats

@@ -15,7 +15,7 @@ Two faces:
   ``pacon.bench/v1`` document: per-scenario **event counts are simulated
   metrics** (deterministic — a kernel rewrite that changes them changed
   semantics), while **events/sec are host metrics** (vary run to run).
-  CI gates the counts via ``pacon-bench compare --ignore-host`` against
+  CI gates the counts via ``pacon-bench compare`` against
   ``benchmarks/baseline_kernel.json``.
 """
 

@@ -410,14 +410,15 @@ class IndexFS:
         self.splits = 0
 
     # -- GIGA+-style placement ---------------------------------------------
+    # Paths arrive normalized: ``admin_mkdir`` and the client entries
+    # validate once; these helpers trust that contract.
     def partitions_of(self, dir_path: str) -> int:
-        return self.dir_partitions.get(normalize_path(dir_path), 1)
+        return self.dir_partitions.get(dir_path, 1)
 
     def server_for_entry(self, dir_path: str, name: str,
                          nparts: Optional[int] = None) -> IndexFSServer:
         """Owner of entry ``name`` in ``dir_path`` at partition count
         ``nparts`` (defaults to the directory's current count)."""
-        dir_path = normalize_path(dir_path)
         if nparts is None:
             nparts = self.partitions_of(dir_path)
         bucket = stable_hash64(name) % nparts
@@ -426,7 +427,6 @@ class IndexFS:
 
     def server_for(self, path: str) -> IndexFSServer:
         """Current-generation owner of ``path``."""
-        path = normalize_path(path)
         parts = split_path(path)
         if not parts:
             return self.servers[0]
@@ -435,7 +435,6 @@ class IndexFS:
     def probe_chain(self, path: str) -> List[IndexFSServer]:
         """Servers to probe for ``path``, newest partition generation
         first, halving the partition count each step (GIGA+ lookup)."""
-        path = normalize_path(path)
         parts = split_path(path)
         if not parts:
             return [self.servers[0]]
@@ -454,7 +453,6 @@ class IndexFS:
 
     def note_insert(self, dir_path: str) -> None:
         """Count an insert; double the directory's partitions on overflow."""
-        dir_path = normalize_path(dir_path)
         count = self.dir_entry_counts.get(dir_path, 0) + 1
         self.dir_entry_counts[dir_path] = count
         nparts = self.partitions_of(dir_path)
@@ -464,14 +462,12 @@ class IndexFS:
             self.splits += 1
 
     def note_remove(self, dir_path: str) -> None:
-        dir_path = normalize_path(dir_path)
         if dir_path in self.dir_entry_counts:
             self.dir_entry_counts[dir_path] = max(
                 0, self.dir_entry_counts[dir_path] - 1)
 
     def servers_of_dir(self, dir_path: str) -> List[IndexFSServer]:
         """Every server that may hold entries of ``dir_path`` (for scans)."""
-        dir_path = normalize_path(dir_path)
         out: List[IndexFSServer] = []
         nparts = self.partitions_of(dir_path)
         for bucket in range(nparts):

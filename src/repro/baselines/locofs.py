@@ -95,7 +95,7 @@ class LocoFS:
                     for i, node in enumerate(fms_nodes)]
 
     def fms_for(self, path: str) -> _FileServer:
-        return self.fms[stable_hash64(normalize_path(path)) % len(self.fms)]
+        return self.fms[stable_hash64(path) % len(self.fms)]
 
     # -- client-side operation generators -----------------------------------
     def mkdir(self, src: Node, path: str,

@@ -87,8 +87,7 @@ class ShardFS:
                         for i, node in enumerate(server_nodes)]
 
     def file_server_for(self, path: str) -> _ShardFSServer:
-        return self.servers[stable_hash64(normalize_path(path))
-                            % len(self.servers)]
+        return self.servers[stable_hash64(path) % len(self.servers)]
 
     # -- client-side operation generators -----------------------------------
     def mkdir(self, src: Node, path: str,

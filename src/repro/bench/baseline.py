@@ -7,9 +7,9 @@ relative tolerances can be granted with ``--tolerance METRIC=REL``
 (``METRIC`` may be an ``fnmatch`` glob).  The one built-in exception:
 quantile metrics derived from the streaming sketches carry a one-bucket
 relative tolerance (:data:`SKETCH_TOLERANCES`) because sketch
-percentiles are quantized to log-bucket boundaries.  Host metrics (wall-clock,
-peak RSS) are noisy by nature and only flag when the candidate grows
-beyond a relative threshold *and* an absolute floor.
+percentiles are quantized to log-bucket boundaries.  Host metrics
+(wall-clock, peak RSS) stay in every snapshot but are never compared:
+``benchmarks/perf`` is the instrument for host-side claims.
 
 ``pacon-bench history`` folds many snapshots into per-metric
 trajectories (first/last/delta plus a sparkline) so the repo's perf
@@ -30,7 +30,6 @@ __all__ = ["Metric", "Delta", "Comparison", "flatten_metrics",
            "compare_snapshots", "compare_files", "render_comparison",
            "load_history", "history_rows", "render_history", "sparkline",
            "SIMULATED", "HOST",
-           "DEFAULT_HOST_THRESHOLD", "WALL_CLOCK_FLOOR_S", "RSS_FLOOR_BYTES",
            "SKETCH_BUCKET_TOLERANCE", "SKETCH_TOLERANCES"]
 
 SIMULATED = "simulated"
@@ -54,13 +53,6 @@ SKETCH_TOLERANCES: Dict[str, float] = {
     "*.derived.consistency.staleness_p99": SKETCH_BUCKET_TOLERANCE,
     "*.derived.staleness_growth_vs_batch": SKETCH_BUCKET_TOLERANCE,
 }
-
-#: Relative growth of a host metric tolerated before flagging (50 %).
-DEFAULT_HOST_THRESHOLD = 0.5
-#: Host regressions additionally need an absolute delta beyond these
-#: floors — a 20 ms driver doubling to 40 ms is noise, not a regression.
-WALL_CLOCK_FLOOR_S = 1.0
-RSS_FLOOR_BYTES = 64 << 20
 
 
 @dataclass
@@ -118,7 +110,7 @@ class Delta:
     candidate: Optional[float]
     rel_change: Optional[float]          # signed (candidate-baseline)/|base|
     threshold: float
-    status: str                          # ok | regression | added | removed
+    status: str                          # ok | regression | added
     detail: str = ""
 
 
@@ -179,9 +171,8 @@ def _rel(baseline: float, candidate: float) -> float:
 
 def compare_snapshots(baseline: Dict[str, Any], candidate: Dict[str, Any],
                       tolerances: Optional[Dict[str, float]] = None,
-                      host_threshold: float = DEFAULT_HOST_THRESHOLD,
-                      ignore_host: bool = False) -> Comparison:
-    """Diff two snapshot documents.
+                      ) -> Comparison:
+    """Diff the simulated metrics of two snapshot documents.
 
     Raises :class:`SnapshotError` on mismatched schema versions; seed or
     scale mismatches produce warnings (the exact-compare of simulated
@@ -207,53 +198,36 @@ def compare_snapshots(baseline: Dict[str, Any], candidate: Dict[str, Any],
     for name in sorted(set(a_metrics) | set(b_metrics)):
         a = a_metrics.get(name)
         b = b_metrics.get(name)
-        kind = (a or b).kind
-        if kind == HOST and ignore_host:
+        if (a or b).kind == HOST:
             continue
         if a is None:
             comp.deltas.append(Delta(
-                metric=name, kind=kind, baseline=None, candidate=b.value,
-                rel_change=None, threshold=0.0, status="added",
-                detail="metric only in candidate"))
+                metric=name, kind=SIMULATED, baseline=None,
+                candidate=b.value, rel_change=None, threshold=0.0,
+                status="added", detail="metric only in candidate"))
             continue
         if b is None:
-            status = "removed" if kind == HOST else "regression"
             comp.deltas.append(Delta(
-                metric=name, kind=kind, baseline=a.value, candidate=None,
-                rel_change=None, threshold=0.0, status=status,
+                metric=name, kind=SIMULATED, baseline=a.value,
+                candidate=None, rel_change=None, threshold=0.0,
+                status="regression",
                 detail="metric disappeared from candidate"))
             continue
         rel = _rel(a.value, b.value)
-        if kind == SIMULATED:
-            tol = _tolerance_for(name, tolerances)
-            ok = abs(rel) <= tol
-            detail = ""
-            if not ok:
-                allowance = ("exactly" if tol == 0.0
-                             else f"within ±{tol:.1%}")
-                detail = (f"{a.value:g} -> {b.value:g} ({rel:+.2%});"
-                          f" simulated metrics must match {allowance}")
-                if a.context:
-                    detail += f" [{a.context}]"
-            comp.deltas.append(Delta(
-                metric=name, kind=kind, baseline=a.value,
-                candidate=b.value, rel_change=rel, threshold=tol,
-                status="ok" if ok else "regression", detail=detail))
-        else:
-            floor = (RSS_FLOOR_BYTES if name.endswith("peak_rss_bytes")
-                     else WALL_CLOCK_FLOOR_S)
-            grew = (rel > host_threshold
-                    and (b.value - a.value) > floor)
-            detail = ""
-            if grew:
-                detail = (f"{a.value:g} -> {b.value:g} ({rel:+.1%});"
-                          f" host metrics may grow at most"
-                          f" {host_threshold:.0%} (and {floor:g} absolute)")
-            comp.deltas.append(Delta(
-                metric=name, kind=kind, baseline=a.value,
-                candidate=b.value, rel_change=rel,
-                threshold=host_threshold,
-                status="regression" if grew else "ok", detail=detail))
+        tol = _tolerance_for(name, tolerances)
+        ok = abs(rel) <= tol
+        detail = ""
+        if not ok:
+            allowance = ("exactly" if tol == 0.0
+                         else f"within ±{tol:.1%}")
+            detail = (f"{a.value:g} -> {b.value:g} ({rel:+.2%});"
+                      f" simulated metrics must match {allowance}")
+            if a.context:
+                detail += f" [{a.context}]"
+        comp.deltas.append(Delta(
+            metric=name, kind=SIMULATED, baseline=a.value,
+            candidate=b.value, rel_change=rel, threshold=tol,
+            status="ok" if ok else "regression", detail=detail))
     return comp
 
 
@@ -274,8 +248,7 @@ def render_comparison(comp: Comparison) -> str:
     summary = (f"{total} metrics compared:"
                f" {counts.get('ok', 0)} ok,"
                f" {counts.get('regression', 0)} regression(s),"
-               f" {counts.get('added', 0)} added,"
-               f" {counts.get('removed', 0)} removed")
+               f" {counts.get('added', 0)} added")
     lines.append(summary)
     anomalies = [d for d in comp.deltas if d.status != "ok"]
     if anomalies:

@@ -181,12 +181,8 @@ def _run_mode(mode: str, params: Dict[str, Any], seed: int,
                                  else [])
     region = deployment.create_region(config, region_nodes)
     own_hub.attach_region(region)
-    clients = []
-    for node in base:
-        for _ in range(params["clients_per_node"]):
-            client = deployment.client(region, node)
-            own_hub.attach_client(client)
-            clients.append(client)
+    clients = [deployment.client(region, node) for node in base
+               for _ in range(params["clients_per_node"])]
     scaler = None
     if mode == "autoscale":
         warm = iter(pool)

@@ -91,8 +91,8 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
     node — the paper's mdtest geometry.
 
     Pass a :class:`repro.obs.MetricsHub` as ``hub`` to instrument the
-    Pacon deployment (regions get the hub + its tracer, clients are
-    attached, and gauge samplers start if the hub has a sample interval).
+    Pacon deployment (regions get the hub + its tracer, and gauge samplers
+    start if the hub has a sample interval).
     The baseline systems accept the argument but are not instrumented.
     """
     if system not in SYSTEMS:
@@ -157,9 +157,6 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
         clients = [bed.pacon.client(region, node)
                    for node in app_nodes[k]
                    for _ in range(clients_per_node)]
-        if hub is not None:
-            for client in clients:
-                hub.attach_client(client)
         bed.apps.append(AppHandle(workdir=workdir, nodes=app_nodes[k],
                                   clients=clients, region=region))
     return bed

@@ -8,30 +8,16 @@ randomness comes from the cluster's seeded RNG streams, so the fault
 schedule — like everything else in the simulation — is deterministic
 per seed.
 
-Fault kinds:
-
-``node_crash``
-    Crash one region node (cache shard wiped, queued + in-flight ops
-    destroyed, commit process killed); recover restarts the commit
-    process and re-publishes destroyed barrier markers.  Destructive:
-    the lost ops are accounted exactly, not replayed.
-``mds_crash``
-    Crash the DFS metadata server's node mid-commit.  Pacon clients keep
-    working against the cache; commit processes replay lost round trips
-    on recovery (idempotent via commit tokens) — zero loss.
-``partition``
-    Cut the network between two node sets (by default: region nodes vs.
-    the DFS servers).  Messages crossing the cut drop at delivery;
-    commit replays bridge the gap after heal — zero loss.
-``cache_churn``
-    Planned membership churn on the DHT ring: grow the region onto a
-    fresh node, then retire that node again at recovery — zero loss.
+Every fault kind is one ``(inject, recover)`` row of
+:attr:`ChaosEngine.FAULTS`; the engine wraps a row's halves in the shared
+trace/counter/timeline bookkeeping, and each half is callable on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from inspect import isgenerator
+from typing import Any, List, Tuple
 
 from repro.core.failure import (
     fail_mds,
@@ -39,10 +25,9 @@ from repro.core.failure import (
     recover_mds,
     recover_node,
 )
+from repro.sim.network import Network
 
 __all__ = ["Fault", "FaultRecord", "ChaosSchedule", "ChaosEngine"]
-
-FAULT_KINDS = ("node_crash", "mds_crash", "partition", "cache_churn")
 
 
 @dataclass
@@ -57,9 +42,9 @@ class Fault:
     target: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in ChaosEngine.FAULTS:
             raise ValueError(f"unknown fault kind {self.kind!r};"
-                             f" pick from {FAULT_KINDS}")
+                             f" pick from {tuple(ChaosEngine.FAULTS)}")
         if self.at < 0 or self.duration <= 0:
             raise ValueError(f"fault needs at >= 0 and duration > 0,"
                              f" got at={self.at}, duration={self.duration}")
@@ -128,18 +113,15 @@ class ChaosSchedule:
 class ChaosEngine:
     """Schedules a :class:`ChaosSchedule` against a live deployment."""
 
-    def __init__(self, deployment, region, schedule: ChaosSchedule,
-                 dfs=None):
+    def __init__(self, deployment, region, schedule: ChaosSchedule):
         self.deployment = deployment
         self.region = region
         self.schedule = schedule
-        self.dfs = dfs if dfs is not None else deployment.dfs
         self.env = region.env
         self.records: List[FaultRecord] = []
         self.lost_ops = 0
         self.lost_cache_entries = 0
         self._procs: List[Any] = []
-        self._churn_nodes: Dict[int, Any] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ChaosEngine":
@@ -158,72 +140,99 @@ class ChaosEngine:
                 yield proc
 
     # -- fault drivers ------------------------------------------------------
+    def _crash_node(self, record: FaultRecord):
+        """Crash one region node (cache shard wiped, queued + in-flight ops
+        destroyed, commit process killed); recovery restarts the commit
+        process and re-publishes destroyed barrier markers.  Destructive:
+        the lost ops are accounted exactly, not replayed."""
+        node = self.region.nodes[record.target % len(self.region.nodes)]
+        report = fail_node(self.region, node)
+        record.lost_ops = report.lost_queued_ops
+        record.lost_cache_entries = report.lost_cache_entries
+        record.detail = node.name
+        return self.region, node
+
+    def _crash_mds(self, record: FaultRecord):
+        """Crash the DFS metadata server's node mid-commit.  Clients keep
+        working against the cache; commit processes replay lost round
+        trips on recovery (idempotent via commit tokens) — zero loss."""
+        dfs = self.deployment.dfs
+        record.detail = fail_mds(dfs, record.target).node.name
+        return dfs, record.target
+
+    def _partition(self, record: FaultRecord):
+        """Cut the network between the region nodes and the DFS servers.
+        Messages crossing the cut drop at delivery; commit replays bridge
+        the gap after heal — zero loss."""
+        dfs, network = self.deployment.dfs, self.region.cluster.network
+        members = self.region.nodes
+        servers = [srv.node for srv in (*dfs.mds_servers, *dfs.data_servers)
+                   if srv.node not in members]
+        cut = network.partition(members, servers)
+        record.detail = f"cut#{cut}"
+        return network, cut
+
+    def _churn_in(self, record: FaultRecord):
+        """Planned membership churn on the DHT ring: grow the region onto a
+        fresh node, retire that node again at recovery — zero loss."""
+        cluster = self.region.cluster
+        seq = sum(n.name.startswith("churn") for n in cluster.nodes)
+        node = cluster.add_node(f"churn{record.target}_{seq}")
+        moved = yield from self.deployment.grow_region_async(self.region,
+                                                             node)
+        record.detail = f"{node.name} +{moved}"
+        return self, record, node
+
+    def _churn_out(self, record: FaultRecord, node):
+        moved = yield from self.deployment.retire_node_async(self.region,
+                                                             node)
+        record.detail += f" -{moved}"
+
+    #: kind -> (inject, recover), each half callable on its own:
+    #: ``inject(engine, record)`` notes what it did on the record and
+    #: returns the arguments for ``recover``.  Churn's halves take
+    #: simulated time (records migrate), so they alone are generators.
+    FAULTS = {
+        "node_crash": (_crash_node, recover_node),
+        "mds_crash": (_crash_mds, recover_mds),
+        "partition": (_partition, Network.heal),
+        "cache_churn": (_churn_in, _churn_out),
+    }
+
     def _run_fault(self, fault: Fault):
         yield self.env.timeout(fault.at)
-        hub = self.region.hub
-        tracer = self.region.tracer
-        injected_at = self.env.now
+        region, injected_at = self.region, self.env.now
         record = FaultRecord(kind=fault.kind, target=fault.target,
                              injected_at=injected_at, recovered_at=-1.0)
-        if tracer.enabled:
-            tracer.emit(injected_at, "chaos", "inject",
-                        f"{fault.kind}[{fault.target}]")
+        label = f"{fault.kind}[{fault.target}]"
+        if region.tracer.enabled:
+            region.tracer.emit(injected_at, "chaos", "inject", label)
         inject_seq = -1
-        if hub.enabled:
-            hub.count("chaos.injected")
-            hub.count(f"chaos.fault.{fault.kind}")
-            inject_seq = hub.timeline.record(
-                injected_at, "chaos", "fault.injected",
-                f"{fault.kind}[{fault.target}]")
+        if region.hub.enabled:
+            region.hub.count("chaos.injected")
+            region.hub.count(f"chaos.fault.{fault.kind}")
+            inject_seq = region.hub.timeline.record(
+                injected_at, "chaos", "fault.injected", label)
 
-        if fault.kind == "node_crash":
-            node = self.region.nodes[fault.target % len(self.region.nodes)]
-            report = fail_node(self.region, node)
-            record.lost_ops = report.lost_queued_ops
-            record.lost_cache_entries = report.lost_cache_entries
-            record.detail = node.name
-            self.lost_ops += report.lost_queued_ops
-            self.lost_cache_entries += report.lost_cache_entries
-            yield self.env.timeout(fault.duration)
-            recover_node(self.region, node)
-        elif fault.kind == "mds_crash":
-            server = fail_mds(self.dfs, fault.target)
-            record.detail = server.node.name
-            yield self.env.timeout(fault.duration)
-            recover_mds(self.dfs, fault.target)
-        elif fault.kind == "partition":
-            network = self.region.cluster.network
-            side_a = [n.node_id for n in self.region.nodes]
-            side_b = [srv.node.node_id
-                      for srv in (list(self.dfs.mds_servers) +
-                                  list(self.dfs.data_servers))
-                      if srv.node.node_id not in side_a]
-            cut = network.partition(side_a, side_b)
-            record.detail = f"cut#{cut}"
-            yield self.env.timeout(fault.duration)
-            network.heal(cut)
-        elif fault.kind == "cache_churn":
-            node = self.region.cluster.add_node(
-                f"churn{fault.target}_{len(self._churn_nodes)}")
-            self._churn_nodes[id(node)] = node
-            moved_in = yield from self.deployment.grow_region_async(
-                self.region, node)
-            record.detail = f"{node.name} +{moved_in}"
-            yield self.env.timeout(fault.duration)
-            moved_out = yield from self.deployment.retire_node_async(
-                self.region, node)
-            record.detail += f" -{moved_out}"
+        inject, recover = self.FAULTS[fault.kind]
+        args = inject(self, record)
+        if isgenerator(args):
+            args = yield from args
+        self.lost_ops += record.lost_ops
+        self.lost_cache_entries += record.lost_cache_entries
+        yield self.env.timeout(fault.duration)
+        step = recover(*args)
+        if isgenerator(step):
+            yield from step
 
-        record.recovered_at = self.env.now
+        record.recovered_at = now = self.env.now
         self.records.append(record)
-        if tracer.enabled:
-            tracer.emit(self.env.now, "chaos", "recover",
-                        f"{fault.kind}[{fault.target}]")
-        if hub.enabled:
-            hub.count("chaos.recovered")
-            hub.observe("chaos.downtime", self.env.now - injected_at)
-            hub.timeline.record(
-                self.env.now, "chaos", "fault.recovered",
-                f"{fault.kind}[{fault.target}]",
+        if region.tracer.enabled:
+            region.tracer.emit(now, "chaos", "recover", label)
+        if region.hub.enabled:
+            region.hub.count("chaos.recovered")
+            region.hub.observe("chaos.downtime", now - injected_at)
+            region.hub.timeline.record(
+                now, "chaos", "fault.recovered", label,
                 detail=record.detail, ref=inject_seq)
         return record

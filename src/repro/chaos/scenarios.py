@@ -147,9 +147,6 @@ def build_world(seed: int, n_nodes: int = 3, clients_per_node: int = 2,
         hub.attach_region(region)
     clients = [deployment.client(region, node)
                for node in nodes for _ in range(clients_per_node)]
-    if hub is not None:
-        for client in clients:
-            hub.attach_client(client)
     return ChaosWorld(cluster=cluster, dfs=dfs, deployment=deployment,
                       region=region, clients=clients)
 
@@ -227,12 +224,7 @@ def _drive(world: ChaosWorld, engine: Optional[ChaosEngine], *,
             yield proc  # re-raises any workload failure
         if engine is not None:
             yield from engine.wait_done()
-        yield from world.deployment.quiesce(world.region)
-        region = world.region
-        while (region.barrier_epochs_completed < region.client_epoch
-               or region.commit_barrier.n_waiting > 0):
-            yield env.timeout(500e-6)
-            yield from world.deployment.quiesce(world.region)
+        yield from world.deployment.settle(world.region, 500e-6)
 
     run_sync(env, driver(), label="chaos:driver")
 

@@ -28,9 +28,9 @@ import time
 from typing import List, Optional
 
 from repro.bench import runner
-from repro.bench.baseline import (DEFAULT_HOST_THRESHOLD, compare_files,
-                                  history_rows, load_history,
-                                  render_comparison, render_history)
+from repro.bench.baseline import (compare_files, history_rows,
+                                  load_history, render_comparison,
+                                  render_history)
 from repro.bench.registry import EXPERIMENTS
 from repro.bench.report import NotObservable, write_markdown
 from repro.bench.snapshot import SnapshotError, collect_snapshot_paths
@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write a markdown report here")
 
     compare = sub.add_parser(
-        "compare", help="compare two benchmark snapshots and flag"
-                        " regressions")
+        "compare", help="compare the simulated metrics of two benchmark"
+                        " snapshots and flag regressions")
     compare.add_argument("baseline", help="baseline BENCH_*.json")
     compare.add_argument("candidate", help="candidate BENCH_*.json")
     compare.add_argument("--tolerance", action="append", default=[],
@@ -111,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-metric relative tolerance for simulated"
                               " metrics (glob ok; e.g."
                               " 'fig07.derived.*=0.05'); default exact")
-    compare.add_argument("--host-threshold", type=float, default=None,
-                         help="relative threshold for host wall-clock/RSS"
-                              " metrics (default 0.5)")
-    compare.add_argument("--ignore-host", action="store_true",
-                         help="skip host metrics entirely (use when the"
-                              " two snapshots came from different"
-                              " machines)")
     compare.add_argument("--json", action="store_true", dest="as_json",
                          help="machine-readable output instead of a table")
 
@@ -341,13 +334,9 @@ def _cmd_compare(args) -> int:
             print(f"bad --tolerance {spec!r}: {value!r} is not a number",
                   file=sys.stderr)
             return 2
-    host_threshold = (DEFAULT_HOST_THRESHOLD if args.host_threshold is None
-                      else args.host_threshold)
     try:
         comparison = compare_files(args.baseline, args.candidate,
-                                   tolerances=tolerances,
-                                   host_threshold=host_threshold,
-                                   ignore_host=args.ignore_host)
+                                   tolerances=tolerances)
     except SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,8 +15,8 @@ controller that watches two signals every tick:
   (``queue.backlog`` divided by membership).
 
 and drives :meth:`PaconDeployment.grow_region_async` /
-:meth:`retire_node_async` with three dampers so membership does not
-flap:
+:meth:`retire_node_async` (one :meth:`Autoscaler._act` body, see
+:data:`ACTIONS`) with three dampers so membership does not flap:
 
 * **hysteresis** — separate high/low watermarks per signal plus a
   required streak of consecutive over/under ticks
@@ -59,6 +59,17 @@ __all__ = ["Autoscaler", "AutoscaleAction", "AutoscalePolicy"]
 
 #: Error budget of the burn-rate SLO hook (``burn_threshold``).
 BURN_BUDGET = 0.25
+
+#: Everything that differs between the two scaling actions: the
+#: deployment generator that performs it, the failures it is expected to
+#: meet (recorded, never raised out of the control loop), and the
+#: attribute and hub counter that tally its successes.
+ACTIONS = {
+    "grow": ("grow_region_async", (NodeDownError,),
+             "scale_ups", "autoscale.scale_up"),
+    "retire": ("retire_node_async", (NodeDownError, ValueError, RuntimeError),
+               "scale_downs", "autoscale.scale_down"),
+}
 
 
 @dataclass
@@ -207,33 +218,18 @@ class Autoscaler:
         """Max windowed busy-fraction across the region's resources.
 
         First sight of a resource seeds its window from the current busy
-        time and reports it as 0.0 — a node that worked before joining
-        must not fake a spike.
+        time, so it reads as an empty window (0.0) — a node that worked
+        before joining must not fake a spike.
         """
-        t = self.env.now
         peak = 0.0
-        for resource in self._resources():
-            state = self._util_state.get(id(resource))
-            busy = resource.busy_time()
-            if state is None:
-                self._util_state[id(resource)] = [busy, t]
-                continue
-            prev_busy, prev_t = state
-            window = t - prev_t
-            if window > 0:
-                util = (busy - prev_busy) / (window * resource.capacity)
-                if util > peak:
-                    peak = util
-            state[0] = busy
-            state[1] = t
-        return peak
-
-    def _resources(self):
-        for node in self.region.nodes:
-            yield node.cpu
-            yield node.nic
         for shard in self.region.shards:
-            yield shard.workers
+            for resource in (shard.node.cpu, shard.node.nic, shard.workers):
+                mark = self._util_state.get(id(resource))
+                if mark is None:
+                    mark = self._util_state[id(resource)] = [
+                        resource.busy_time(), self.env.now]
+                peak = max(peak, resource.window_utilization(mark))
+        return peak
 
     def _burn_rate_breached(self) -> bool:
         """SLO hook: is the staleness error budget burning everywhere?"""
@@ -285,7 +281,7 @@ class Autoscaler:
             if len(region.nodes) >= policy.max_nodes:
                 self._reject("grow", reason)
                 return
-            yield from self._scale_up(reason)
+            yield from self._act("grow", self.node_factory(), reason)
         elif self._down_streak >= policy.down_consecutive:
             self._down_streak = 0
             if len(region.nodes) <= policy.min_nodes:
@@ -294,7 +290,7 @@ class Autoscaler:
             if candidate is None:
                 self._reject("retire", "no_candidate")
                 return
-            yield from self._scale_down(candidate, "idle")
+            yield from self._act("retire", candidate, "idle")
 
     def _retire_candidate(self) -> Optional[Node]:
         """Newest autoscaler-added node that can leave right now.
@@ -322,112 +318,51 @@ class Autoscaler:
                                     "autoscale.rejected", f"{kind} {reason}")
 
     # -- acting ------------------------------------------------------------
-    def _scale_up(self, reason: str) -> Generator[Event, Any, None]:
-        region = self.region
-        t0 = self.env.now
-        node = self.node_factory()
+    def _act(self, kind: str, node: Node,
+             reason: str) -> Generator[Event, Any, None]:
+        """Perform one scaling action (a row of :data:`ACTIONS`) on
+        ``node`` and record its outcome, successful or not."""
+        method, expected, tally, counter = ACTIONS[kind]
+        region, hub, t0 = self.region, self.hub, self.env.now
         if region.tracer.enabled:
-            region.tracer.emit(t0, "autoscaler", "autoscale.grow",
+            region.tracer.emit(t0, "autoscaler", f"autoscale.{kind}",
                                f"{node.name} reason={reason}")
-        action = AutoscaleAction(time=t0, kind="grow", node=node.name,
+        action = AutoscaleAction(time=t0, kind=kind, node=node.name,
                                  reason=reason, ok=False)
         self.actions.append(action)
         self._last_action_at = t0
+        failure = ""
         try:
-            moved = yield from self.deployment.grow_region_async(region,
-                                                                 node)
-        except NodeDownError as exc:
-            # A crash raced the growth.  If the node joined before the
-            # failure, keep it: its (partially migrated) shard refills
-            # from the DFS on demand.  If it never joined, drop it.
-            self.failed += 1
-            action.error = str(exc) or type(exc).__name__
-            action.ok = node in region.nodes
-            action.latency = self.env.now - t0
-            if self.hub.enabled:
-                # Failed attempts cost time too: record their latency and
-                # a structured reason so incident blame can rank them.
-                self.hub.count("autoscale.action_failed")
-                self.hub.count("autoscale.action_failed"
-                               f"[grow:{type(exc).__name__}]")
-                self.hub.observe("autoscale.action_latency",
-                                 action.latency)
-                self.hub.timeline.record(
-                    t0, "autoscale", "scale.failed", node.name,
-                    detail=f"grow reason={reason} error={action.error}",
-                    duration=action.latency)
-        else:
+            action.moved = yield from getattr(self.deployment, method)(
+                region, node)
             action.ok = True
-            action.moved = moved
-            action.latency = self.env.now - t0
+        except expected as exc:
+            self.failed += 1
+            failure = type(exc).__name__
+            action.error = str(exc) or failure
+            # A crash that raced a grow after the node joined keeps it: its
+            # (partially migrated) shard refills from the DFS on demand.
+            action.ok = kind == "grow" and node in region.nodes
+        action.latency = self.env.now - t0
         if action.ok:
-            self.scale_ups += 1
-            self._added.append(node)
-            hub = self.hub
-            if hub.enabled:
-                hub.count("autoscale.scale_up")
-                # A crash-raced grow that still landed already observed
-                # its latency (and a scale.failed event) above.
-                if not action.error:
-                    hub.observe("autoscale.action_latency",
-                                action.latency)
-                    hub.timeline.record(
-                        t0, "autoscale", "scale.grow", node.name,
-                        detail=f"reason={reason} moved={action.moved}",
-                        duration=action.latency)
-                # New node + shard join the contention snapshot and the
-                # running sampler's resource.util[*] series.
-                hub.track_resource(region, node.cpu)
-                hub.track_resource(region, node.nic)
-                shard = next((s for s in region.shards if s.node is node),
-                             None)
-                if shard is not None:
-                    hub.track_resource(region, shard.workers,
-                                       name=shard.name)
-
-    def _scale_down(self, node: Node,
-                    reason: str) -> Generator[Event, Any, None]:
-        region = self.region
-        t0 = self.env.now
-        if region.tracer.enabled:
-            region.tracer.emit(t0, "autoscaler", "autoscale.retire",
-                               f"{node.name} reason={reason}")
-        action = AutoscaleAction(time=t0, kind="retire", node=node.name,
-                                 reason=reason, ok=False)
-        self.actions.append(action)
-        self._last_action_at = t0
-        try:
-            moved = yield from self.deployment.retire_node_async(region,
-                                                                 node)
-        except (NodeDownError, ValueError, RuntimeError) as exc:
-            self.failed += 1
-            action.error = str(exc) or type(exc).__name__
-            action.latency = self.env.now - t0
-            if self.hub.enabled:
-                # Symmetric with the success path: failed retires record
-                # their latency and a structured reason too.
-                self.hub.count("autoscale.action_failed")
-                self.hub.count("autoscale.action_failed"
-                               f"[retire:{type(exc).__name__}]")
-                self.hub.observe("autoscale.action_latency",
-                                 action.latency)
-                self.hub.timeline.record(
-                    t0, "autoscale", "scale.failed", node.name,
-                    detail=f"retire reason={reason}"
-                           f" error={action.error}",
-                    duration=action.latency)
-        else:
-            action.ok = True
-            action.moved = moved
-            action.latency = self.env.now - t0
-            self.scale_downs += 1
+            setattr(self, tally, getattr(self, tally) + 1)
             if node in self._added:
                 self._added.remove(node)
-            if self.hub.enabled:
-                self.hub.count("autoscale.scale_down")
-                self.hub.observe("autoscale.action_latency",
-                                 action.latency)
-                self.hub.timeline.record(
-                    t0, "autoscale", "scale.retire", node.name,
-                    detail=f"reason={reason} moved={moved}",
-                    duration=action.latency)
+            if kind == "grow":
+                self._added.append(node)
+        if hub.enabled:
+            # Failed attempts cost time too: every action records its
+            # latency, a failure also a reason incident blame can rank.
+            hub.observe("autoscale.action_latency", action.latency)
+            if action.ok:
+                hub.count(counter)
+            if failure:
+                hub.count("autoscale.action_failed")
+                hub.count(f"autoscale.action_failed[{kind}:{failure}]")
+                event = "scale.failed"
+                detail = f"{kind} reason={reason} error={action.error}"
+            else:
+                event = f"scale.{kind}"
+                detail = f"reason={reason} moved={action.moved}"
+            hub.timeline.record(t0, "autoscale", event, node.name,
+                                detail=detail, duration=action.latency)

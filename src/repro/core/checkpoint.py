@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.core.cache import new_record
+from repro.dfs.namespace import snapshot_entries
 from repro.sim.core import Event
 
 __all__ = ["Checkpoint", "CheckpointManager"]
@@ -67,7 +68,7 @@ class CheckpointManager:
             snapshot=snapshot,
             # The workspace root itself is not an entry; clamp so an empty
             # (or degenerate) subtree snapshot reports 0, never -1.
-            entries=max(0, _count_entries(snapshot["tree"]) - 1),
+            entries=max(0, snapshot_entries(snapshot["tree"]) - 1),
         )
         self.checkpoints.append(cp)
         if len(self.checkpoints) > self.keep:
@@ -121,13 +122,6 @@ class CheckpointManager:
         while True:
             yield self.env.timeout(interval)
             yield from self.checkpoint()
-
-
-def _count_entries(node: Dict) -> int:
-    total = 1
-    for child in node.get("children", {}).values():
-        total += _count_entries(child)
-    return total
 
 
 def _iter_snapshot(snapshot: Dict):

@@ -90,6 +90,7 @@ class PaconClient:
         self.uid = region.config.uid
         self.gid = region.config.gid
         self.client_id = region.register_client(node)
+        region.clients.append(self)
         self.actor_name = f"client:{region.name}#{self.client_id}"
         # Redirect path: an ordinary DFS client for out-of-region requests
         # and for Pacon's own synchronous DFS calls.

@@ -12,7 +12,7 @@ BeeGFS-like DFS, one region) and exposes synchronous methods.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.client import AggregateClient, PaconClient
@@ -37,7 +37,6 @@ class PaconDeployment:
         self.cluster = cluster
         self.dfs = dfs
         self.manager = RegionManager()
-        self._commit_started: Dict[str, bool] = {}
 
     # -- region lifecycle ---------------------------------------------------
     def create_region(self, config: PaconConfig, nodes: List[Node],
@@ -85,48 +84,61 @@ class PaconDeployment:
                          gid=gid if is_leaf else 0,
                          now=self.cluster.env.now, check_perms=False)
 
+    def _dfs_client(self, region: ConsistentRegion, node: Node):
+        """An ordinary DFS client on ``node`` under the region's identity."""
+        return self.dfs.client(node, uid=region.config.uid,
+                               gid=region.config.gid)
+
+    def _start_commit(self, region: ConsistentRegion, node: Node) -> None:
+        CommitProcess(region, node, self._dfs_client(region, node)).start()
+
     def start_commit_processes(self, region: ConsistentRegion) -> None:
-        if self._commit_started.get(region.name):
-            return
-        self._commit_started[region.name] = True
+        if region.commit_processes:
+            return  # already started
         for node in region.nodes:
-            dfs_client = self.dfs.client(node, uid=region.config.uid,
-                                         gid=region.config.gid)
-            CommitProcess(region, node, dfs_client).start()
+            self._start_commit(region, node)
+
+    def _rehome(self, region: ConsistentRegion, via: Node, source,
+                onto=None):
+        """Generator: move ``source``'s records to their current ring home.
+
+        Only-if-absent: clients route a key to its new home as soon as
+        the ring changes, so a record mutated there during the migration
+        is newer than the copy being moved and must win.  A growing
+        region passes the joining shard as ``onto``: ``source`` stays a
+        member, keeps what still hashes to it, and drops each stale copy
+        once the new home holds one.  A retired shard (already off the
+        ring) re-homes everything.  Returns the number of records moved.
+        """
+        entries = yield from source.request(via, "scan_prefix", "")
+        moved = 0
+        for key, record in entries:
+            home = region.cache.shard_for(key)
+            if onto is not None and home is not onto:
+                continue
+            try:
+                yield from home.request(via, "add", key, record)
+                moved += 1
+            except KeyExists:
+                pass  # concurrent mutation on the new home wins
+            if onto is not None:
+                yield from source.request(via, "delete", key)
+        return moved
 
     def grow_region_async(self, region: ConsistentRegion, node: Node):
         """Generator form of :meth:`grow_region` for in-simulation callers
         (chaos churn injects growth as a DES event mid-run)."""
         yield from self.quiesce(region)
         new_shard = region.add_node(node)
-        dfs_client = self.dfs.client(node, uid=region.config.uid,
-                                     gid=region.config.gid)
-        CommitProcess(region, node, dfs_client).start()
+        self._start_commit(region, node)
         moved = 0
         for old in region.shards:
-            if old is new_shard:
-                continue
-            if not old.node.alive:
-                # Crashed shards were wiped by fail_node; their records
-                # will be re-fetched from the DFS on demand.  Growth must
-                # not stall (or crash) on an unreachable peer.
-                continue
-            entries = yield from old.request(node, "scan_prefix", "")
-            for key, record in entries:
-                if region.cache.shard_for(key) is new_shard:
-                    # Only-if-absent, same as retirement: clients already
-                    # route ``key`` to the new shard once ``add_node``
-                    # updated the ring, so a record mutated there during
-                    # this migration is newer than the copy being moved
-                    # and must win.  Either way the stale copy on the old
-                    # shard is dropped only once the new home holds one.
-                    try:
-                        yield from new_shard.request(node, "add", key,
-                                                     record)
-                        moved += 1
-                    except KeyExists:
-                        pass  # concurrent mutation on the new home wins
-                    yield from old.request(node, "delete", key)
+            # Crashed shards were wiped by fail_node; their records will
+            # be re-fetched from the DFS on demand.  Growth must not
+            # stall (or crash) on an unreachable peer.
+            if old is not new_shard and old.node.alive:
+                moved += yield from self._rehome(region, node, old,
+                                                 onto=new_shard)
         return moved
 
     def grow_region(self, region: ConsistentRegion, node: Node) -> int:
@@ -138,17 +150,8 @@ class PaconDeployment:
         inline small-file data and metadata stay primary-copy-resident
         across the membership change.  Returns the number of records
         migrated (consistent hashing keeps this near 1/(N+1) of the keys).
-
-        Growth skips crashed peers (their shards were wiped at fault
-        time) and uses only-if-absent ``add`` for the moved records, so
-        it composes with chaos faults and with clients mutating the new
-        shard mid-migration.
-
-        Growth is also safe *without* this quiesce while a barrier epoch
-        is in flight: ``ConsistentRegion.add_node`` defers the commit
-        barrier's party bump until every already-triggered epoch has
-        completed, so the new node joins the rendezvous only for epochs
-        whose barrier messages actually reach its queue.
+        A barrier epoch still in flight is safe: ``add_node`` defers the
+        barrier's party bump until it completes (docs/elasticity.md).
         """
         return run_sync(self.cluster.env,
                         self.grow_region_async(region, node),
@@ -157,13 +160,12 @@ class PaconDeployment:
     def retire_node_async(self, region: ConsistentRegion, node: Node):
         """Generator: shrink the region off ``node`` (planned departure).
 
-        Quiesces, waits for barrier epochs to settle, detaches the node
-        (ring, shard, queue — its commit process exits via queue close),
-        then migrates the departing shard's records back onto the ring.
-        The migration runs *after* ring removal and uses only-if-absent
-        ``add`` so a record mutated concurrently on its new home shard is
-        never clobbered by the stale departing copy.  Returns the number
-        of records migrated.
+        Settles (quiesced, no barrier epoch in flight), detaches the node
+        (ring, shard, queue, commit process — which exits via queue close),
+        then re-homes the departing shard's records onto the ring.  The
+        migration runs *after* ring removal, so a record mutated
+        concurrently on its new home shard is never clobbered by the
+        stale departing copy.  Returns the number of records migrated.
 
         Refuses to shrink the region below one node: the last shard has
         nowhere to migrate to, and ``remove_node`` would reject it anyway
@@ -171,7 +173,6 @@ class PaconDeployment:
         a survivor, so the guard lives up front where it can fail fast
         and leave the region untouched.
         """
-        env = self.cluster.env
         if node not in region.nodes:
             raise ValueError(f"{node.name} is not part of region "
                              f"{region.name}")
@@ -180,29 +181,12 @@ class PaconDeployment:
                 f"cannot retire {node.name}: it is the last node of "
                 f"region {region.name}; a region cannot shrink below "
                 f"one node")
-        yield from self.quiesce(region)
-        while region.barrier_epochs_completed < region.client_epoch \
-                or region.commit_barrier.n_waiting > 0:
-            yield env.timeout(200e-6)
-            yield from self.quiesce(region)
-        departing_cp = next((cp for cp in region.commit_processes
-                             if cp.node is node), None)
+        yield from self.settle(region)
         survivor = next(n for n in region.nodes if n is not node)
         shard = region.remove_node(node)
-        if departing_cp is not None:
-            region.commit_processes.remove(departing_cp)
-        # The node is alive (this is retirement, not a crash): read the
-        # departing shard directly, then write each record to its new
-        # ring home.
-        entries = yield from shard.request(survivor, "scan_prefix", "")
-        moved = 0
-        for key, record in entries:
-            try:
-                yield from region.cache.shard_for(key).request(
-                    survivor, "add", key, record)
-                moved += 1
-            except KeyExists:
-                pass  # newer record already lives on the new home shard
+        # The node is alive (this is retirement, not a crash): the
+        # survivor reads the departing shard directly.
+        moved = yield from self._rehome(region, survivor, shard)
         shard.kv.flush_all()
         return moved
 
@@ -221,17 +205,14 @@ class PaconDeployment:
     def evictor(self, region: ConsistentRegion,
                 node: Optional[Node] = None) -> EvictionManager:
         node = node or region.nodes[0]
-        dfs_client = self.dfs.client(node, uid=region.config.uid,
-                                     gid=region.config.gid)
-        return EvictionManager(region, node, dfs_client)
+        return EvictionManager(region, node, self._dfs_client(region, node))
 
     def checkpointer(self, region: ConsistentRegion,
                      node: Optional[Node] = None,
                      keep: int = 4) -> CheckpointManager:
         node = node or region.nodes[0]
-        dfs_client = self.dfs.client(node, uid=region.config.uid,
-                                     gid=region.config.gid)
-        return CheckpointManager(region, node, dfs_client, keep=keep)
+        return CheckpointManager(region, node,
+                                 self._dfs_client(region, node), keep=keep)
 
     # -- quiescing ---------------------------------------------------------------
     def quiesce(self, region: ConsistentRegion,
@@ -250,6 +231,16 @@ class PaconDeployment:
                    if not cp.dead):
                 return
             yield env.timeout(poll_interval)
+
+    def settle(self, region: ConsistentRegion,
+               poll_interval: float = 200e-6):
+        """Generator: quiesce until no barrier epoch is in flight either
+        (``region.barriers_settled``) — what removing a node requires and
+        what "fully drained" means at the end of a faulty run."""
+        yield from self.quiesce(region)
+        while not region.barriers_settled:
+            yield self.cluster.env.timeout(poll_interval)
+            yield from self.quiesce(region)
 
     def quiesce_sync(self, region: ConsistentRegion) -> None:
         run_sync(self.cluster.env, self.quiesce(region),

@@ -88,8 +88,7 @@ def recover_node(region, node, restart_commit: bool = True) -> None:
     node.recover()
     if restart_commit:
         for cp in region.commit_processes:
-            if cp.node is node and (cp.killed or cp._process is None
-                                    or not cp._process.is_alive):
+            if cp.node is node and (cp.killed or not cp.alive):
                 # The kill interrupt (scheduled at higher priority) stops
                 # the old loop before this fresh one's bootstrap runs.
                 cp.killed = False

@@ -47,13 +47,14 @@ class ConsistentRegion:
         self.workspace = normalize_path(config.workspace)
         self.name = name or self.workspace
         self.nodes = list(nodes)
-        # Distributed cache: one shard per region node.
-        self.shards = [
+        # Distributed cache: one shard per region node.  ``shards`` is the
+        # cache's own list, so membership has one registry to keep right.
+        self.cache = DistributedCache([
             CacheShard(cluster, node, config.cache_capacity_bytes,
                        name=f"{self.name}.cache[{node.name}]")
             for node in self.nodes
-        ]
-        self.cache = DistributedCache(self.shards)
+        ])
+        self.shards = self.cache.shards
         # Batch permissions (predefined or Linux-like default, §III.C).
         if config.permissions is not None:
             self.permissions = RegionPermissions(self.workspace,
@@ -74,6 +75,8 @@ class ConsistentRegion:
         # know when a barrier epoch is fully flushed, Fig. 6).
         self.clients_on_node: Dict[int, int] = {n.node_id: 0 for n in nodes}
         self._next_client_id = 0
+        # Client handles register here (observers read them off the region).
+        self.clients: List = []
         # Subtrees removed by committed rmdirs: commit processes discard
         # pending creations inside them (§III.D.1).  Indexed by normalized
         # prefix so a discard check walks the op path's ancestors (O(depth)
@@ -172,7 +175,6 @@ class ConsistentRegion:
         self.nodes.append(node)
         self.shards.append(shard)
         self.cache.ring.add(shard)
-        self.cache.shards.append(shard)
         self.queues.add_node(node.node_id)
         self.clients_on_node[node.node_id] = 0
         # The region-wide commit barrier now has one more party — but only
@@ -183,8 +185,7 @@ class ConsistentRegion:
         # in-flight epoch (or, with the bump racing arrivals, double-count
         # a release).  Defer the bump until every already-triggered epoch
         # has completed.
-        if self.barrier_epochs_completed >= self.client_epoch \
-                and self.commit_barrier.n_waiting == 0:
+        if self.barriers_settled:
             self.commit_barrier.parties += 1
         else:
             self._deferred_barrier_parties.append(self.client_epoch)
@@ -193,6 +194,7 @@ class ConsistentRegion:
             self.hub.timeline.record(
                 self.env.now, "membership", "node.joined", node.name,
                 detail=f"nodes={len(self.nodes)}")
+            self.hub.track_member(self, shard)
         return shard
 
     def remove_node(self, node: Node) -> "CacheShard":
@@ -214,8 +216,7 @@ class ConsistentRegion:
         if self.clients_on_node.get(node.node_id, 0) > 0:
             raise RuntimeError(
                 f"node {node.name} still hosts clients; move them first")
-        if self.barrier_epochs_completed < self.client_epoch \
-                or self.commit_barrier.n_waiting > 0:
+        if not self.barriers_settled:
             raise RuntimeError(
                 f"region {self.name} has barrier epochs in flight;"
                 " settle them before removing a node")
@@ -223,11 +224,12 @@ class ConsistentRegion:
         self.nodes.remove(node)
         self.shards.remove(shard)
         self.cache.ring.remove(shard)
-        self.cache.shards.remove(shard)
         # Pop from the group before closing so a concurrent broadcast
         # never trips over a closed member queue.
         queue = self.queues.remove_node(node.node_id)
         queue.close()
+        self.commit_processes[:] = [cp for cp in self.commit_processes
+                                    if cp.node is not node]
         del self.clients_on_node[node.node_id]
         self.commit_barrier.parties -= 1
         self.membership_log.append((self.env.now, len(self.nodes)))
@@ -272,6 +274,14 @@ class ConsistentRegion:
             other.merged.append(self)
 
     # -- barrier epochs (§III.E) ---------------------------------------------------------
+    @property
+    def barriers_settled(self) -> bool:
+        """Every triggered epoch has completed and no commit process is
+        parked at the rendezvous — the one precondition of any membership
+        change that touches the barrier's party count."""
+        return (self.barrier_epochs_completed >= self.client_epoch
+                and self.commit_barrier.n_waiting == 0)
+
     def trigger_barrier(self) -> Tuple[int, Event]:
         """Start a barrier epoch for a dependent operation.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.dfs.namespace import Namespace
+from repro.dfs.namespace import Namespace, snapshot_entries
 from repro.sim.core import Event, Interrupt
 from repro.sim.network import Cluster, Node, Service
 
@@ -235,20 +235,13 @@ class MetadataServer(Service):
     # -- checkpoint support (§III.G) --------------------------------------------
     def handle_export_subtree(self, path: str) -> Generator[Event, Any, Dict]:
         snapshot = self.namespace.export_subtree(path)
-        entries = _count_tree(snapshot["tree"])
+        entries = snapshot_entries(snapshot["tree"])
         yield self.env.timeout(self.costs.mds_read_service +
                                self.costs.mds_readdir_per_entry * entries)
         return snapshot
 
     def handle_restore_subtree(self, checkpoint: Dict) -> Generator[Event, Any, int]:
-        entries = _count_tree(checkpoint["tree"])
+        entries = snapshot_entries(checkpoint["tree"])
         yield self.env.timeout(self.costs.mds_op_service +
                                self.costs.mds_remove_per_entry * entries)
         return self.namespace.restore_subtree(checkpoint, now=self.env.now)
-
-
-def _count_tree(node: Dict) -> int:
-    total = 1
-    for child in node.get("children", {}).values():
-        total += _count_tree(child)
-    return total

@@ -28,7 +28,7 @@ from repro.dfs.errors import (
 from repro.dfs.inode import AccessMode, FileType, Inode
 
 __all__ = ["Namespace", "normalize_path", "split_path", "parent_of",
-           "basename", "is_within"]
+           "basename", "is_within", "snapshot_entries"]
 
 ROOT_INO = 1
 
@@ -83,6 +83,12 @@ def is_within(path: str, ancestor: str) -> bool:
     if ancestor == "/":
         return True
     return path == ancestor or path.startswith(ancestor + "/")
+
+
+def snapshot_entries(tree: Dict[str, Any]) -> int:
+    """Inodes in an :meth:`Namespace.export_subtree` tree, root included."""
+    return 1 + sum(snapshot_entries(child)
+                   for child in tree.get("children", {}).values())
 
 
 class Namespace:

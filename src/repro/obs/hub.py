@@ -1,9 +1,11 @@
 """The MetricsHub: region-wide metric aggregation and stable JSON export.
 
-One hub serves a whole experiment.  Regions and clients are *attached* to
-it (attaching a region also installs the hub and its tracer onto the
-region, which is what turns the client/commit hot-path instrumentation
-on); at export time the hub combines
+One hub serves a whole experiment.  Regions are *attached* to it (which
+installs the hub and its tracer onto the region and so turns the
+client/commit hot-path instrumentation on); the region stays the registry
+of its nodes, shards, commit processes and clients, and a node that joins
+later reports itself (:meth:`MetricsHub.track_member`).  At export time
+the hub combines
 
 * its own :class:`~repro.sim.stats.StatsRegistry` (latency histograms,
   commit counters, sampled gauge series), and
@@ -59,13 +61,10 @@ class MetricsHub:
         #: disabled run ever constructs one.
         self.timeline = Timeline() if enabled else NULL_TIMELINE
         self._regions: List[Any] = []
-        self._clients: List[Any] = []
         self._samplers: List[GaugeSampler] = []
-        #: Registered contention resources, dedup'd by identity so shared
-        #: infrastructure (one DFS under many regions) is profiled once.
-        self._resources: List[Tuple[str, Any]] = []
-        self._resource_ids: set = set()
-        self._resource_names: set = set()
+        #: Tracked contention resources by export label (deduplicated by
+        #: identity: one DFS under many regions is profiled once).
+        self._resources: Dict[str, Any] = {}
         #: Running hub-wide failed-op total (weight-summed).  Samplers
         #: poll it per tick to derive the ``client.error_rate[*]``
         #: series without scanning the counter registry on the hot path.
@@ -162,40 +161,16 @@ class MetricsHub:
         return self.stats.series(name).append
 
     # -- wiring ------------------------------------------------------------
-    def register_resource(self, resource, name: str = "") -> Optional[str]:
-        """Track a :class:`~repro.sim.resources.Resource` for profiling.
-
-        Installs the wait-time observer (feeding the
-        ``resource.wait[<name>]`` histogram) and includes the resource in
-        the export's ``resources`` section.  Identity-deduplicated:
-        re-registering returns None so shared infrastructure sampled by
-        one region's sampler is not sampled again by another's.
-        """
-        if id(resource) in self._resource_ids:
-            return None
-        label = name or resource.name or f"resource{len(self._resources)}"
-        if label in self._resource_names:
-            label = f"{label}#{len(self._resources)}"
-        self._resource_ids.add(id(resource))
-        self._resource_names.add(label)
-        self._resources.append((label, resource))
-        if self.enabled:
-            resource._wait_observe = (
-                lambda waited, _n=label:
-                self.observe(f"resource.wait[{_n}]", waited))
-        return label
-
     def attach_region(self, region, start_sampler: bool = True):
         """Install this hub (and its tracer) on ``region``.
 
         Installs the tracer on the region's cluster and network too (span
-        propagation into services and transfers), registers the region's
-        contention resources — node CPUs/NICs, cache-shard worker pools,
-        and the DFS's MDS/data-server pools and nodes — and starts a
-        :class:`GaugeSampler` for the region when the hub has a
-        ``sample_interval`` and ``start_sampler`` is left on.  The sampler
-        covers only the resources first registered here, so shared DFS
-        resources produce one utilization series, not one per region.
+        propagation into services and transfers), tracks the region's
+        members and the DFS's MDS/data servers (:meth:`track_member`),
+        and starts a :class:`GaugeSampler` for the region when the hub
+        has a ``sample_interval`` and ``start_sampler`` is left on.  The
+        sampler covers only the resources first registered here, so shared
+        DFS resources produce one utilization series, not one per region.
         """
         if not self.enabled:
             raise RuntimeError("a disabled hub (NULL_HUB) is shared and"
@@ -210,31 +185,11 @@ class MetricsHub:
         self._regions.append(region)
         # Per-shard read attribution for the consistency lens (zero-cost
         # until enabled; the ring counts owner lookups from then on).
-        ring = getattr(region.cache, "ring", None)
-        if ring is not None:
-            ring.enable_lookup_stats()
+        region.cache.ring.enable_lookup_stats()
         fresh: List[Tuple[str, Any]] = []
-
-        def reg(resource, name: str = "") -> None:
-            if resource is None:
-                return
-            label = self.register_resource(resource, name)
-            if label is not None:
-                fresh.append((label, resource))
-
-        for node in region.nodes:
-            reg(node.cpu)
-            reg(node.nic)
-        for shard in region.shards:
-            reg(shard.workers)
-        dfs = region.dfs
-        for server in (list(getattr(dfs, "mds_servers", []) or []) +
-                       list(getattr(dfs, "data_servers", []) or [])):
-            reg(server.workers)
-            node = getattr(server, "node", None)
-            if node is not None:
-                reg(node.cpu)
-                reg(node.nic)
+        for service in (*region.shards, *region.dfs.mds_servers,
+                        *region.dfs.data_servers):
+            fresh += self.track_member(region, service)
         if start_sampler and self.sample_interval:
             sampler = GaugeSampler(self, region, self.sample_interval,
                                    resources=fresh)
@@ -242,25 +197,35 @@ class MetricsHub:
             self._samplers.append(sampler)
         return region
 
-    def track_resource(self, region, resource, name: str = "") -> None:
-        """Register a resource that joined ``region`` after attachment.
+    def track_member(self, region, service) -> List[Tuple[str, Any]]:
+        """Profile one member of ``region``: the CPU and NIC of the node a
+        service (cache shard, DFS server) runs on, and its worker pool.
 
-        Elastic growth adds nodes (CPU/NIC) and cache shards mid-run;
-        this registers them for the contention snapshot and, when the
-        region has a running sampler, extends that sampler so the new
-        resources get ``resource.util[*]`` series from now on.  Identity
-        deduplication applies as usual, so re-growing onto a previously
-        retired node does not double-sample it.
+        The one resource-label scheme: each is exported under its own
+        name (``<node>.cpu``, ``<node>.nic``, ``<service>.workers``) in
+        ``resources``, ``resource.wait[<label>]`` and — extending the
+        region's running sampler, if any — ``resource.util[<label>]``.
+        ``ConsistentRegion.add_node`` calls this for a node that joins
+        after attachment.  Returns the pairs first tracked here.
         """
-        label = self.register_resource(resource, name)
-        if label is None:
-            return
+        fresh = []
+        for resource in (service.node.cpu, service.node.nic,
+                         service.workers):
+            if any(known is resource for known in self._resources.values()):
+                continue  # shared or re-joining: profiled once, by identity
+            label = resource.name
+            if label in self._resources:
+                label = f"{label}#{len(self._resources)}"
+            self._resources[label] = resource
+            resource._wait_observe = (
+                lambda waited, _n=label:
+                self.observe(f"resource.wait[{_n}]", waited))
+            fresh.append((label, resource))
         for sampler in self._samplers:
             if sampler.region is region:
-                sampler.track(label, resource)
-
-    def attach_client(self, client) -> None:
-        self._clients.append(client)
+                for label, resource in fresh:
+                    sampler.track(label, resource)
+        return fresh
 
     @property
     def samplers(self) -> List[GaugeSampler]:
@@ -339,7 +304,8 @@ class MetricsHub:
             "meters": {},
             "series": self.stats.series_export(),
             "regions": regions,
-            "clients": _client_snapshot(self._clients),
+            "clients": _client_snapshot(
+                [c for region in self._regions for c in region.clients]),
             "attribution": attribution_rollup(self.tracer),
             "resources": self.resource_snapshot(),
             "consistency": self.consistency_snapshot(),
@@ -361,7 +327,7 @@ class MetricsHub:
     def resource_snapshot(self) -> Dict[str, Any]:
         """Lifetime contention figures for every registered resource."""
         out: Dict[str, Any] = {}
-        for name, res in self._resources:
+        for name, res in self._resources.items():
             out[name] = {
                 "capacity": res.capacity,
                 "utilization": res.utilization(),

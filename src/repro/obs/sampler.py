@@ -61,10 +61,6 @@ class GaugeSampler:
         self.interval = interval
         self.env = region.env
         self.samples = 0
-        #: ``(name, Resource)`` pairs whose windowed utilization this
-        #: sampler records (the hub hands each sampler only the resources
-        #: it registered first, so shared ones are sampled exactly once).
-        self.resources = list(resources or [])
         self._process = None
         # Preresolved recorders: one bound ``series.append`` per gauge.
         recorder = hub.series_recorder
@@ -84,12 +80,13 @@ class GaugeSampler:
         self._queue_recorders: Dict[str, Callable[[float, float], None]] = {
             q.name: recorder(f"queue.depth[{q.name}]")
             for q in region.queues.queues()}
-        #: Mutable per-resource state: [resource, recorder, capacity,
-        #: last_busy, last_t] — one flat pass per wakeup, no dict lookups.
-        self._resource_state: List[list] = [
-            [res, recorder(f"resource.util[{name}]"), res.capacity,
-             0.0, res.created_at]
-            for name, res in self.resources]
+        #: Per resource whose windowed utilization this sampler records:
+        #: (resource, recorder, window mark).  The hub hands each sampler
+        #: only the resources it tracked first, so shared ones are sampled
+        #: exactly once; those handed in here are windowed from creation.
+        self._resource_state: List[tuple] = [
+            (res, recorder(f"resource.util[{name}]"), [0.0, res.created_at])
+            for name, res in resources or ()]
 
     def _resolved_total(self) -> int:
         """Ops the region's commit pipeline has retired so far (committed,
@@ -107,10 +104,9 @@ class GaugeSampler:
         busy time, so a node that did work before joining this region
         (or a re-tracked one) does not show a spurious first-sample
         spike."""
-        self.resources.append((name, resource))
         self._resource_state.append(
-            [resource, self.hub.series_recorder(f"resource.util[{name}]"),
-             resource.capacity, resource.busy_time(), self.env.now])
+            (resource, self.hub.series_recorder(f"resource.util[{name}]"),
+             [resource.busy_time(), self.env.now]))
 
     # -- lifecycle ---------------------------------------------------------
     def start(self):
@@ -180,14 +176,7 @@ class GaugeSampler:
         errors = self.hub.error_count
         self._record_error_rate(t, float(errors - self._prev_errors))
         self._prev_errors = errors
-        for state in self._resource_state:
-            resource, rec, capacity, prev_busy, prev_t = state
-            busy = resource.busy_time()
-            window = t - prev_t
-            util = ((busy - prev_busy) / (window * capacity)
-                    if window > 0 else 0.0)
-            rec(t, util)
-            state[3] = busy
-            state[4] = t
+        for resource, rec, mark in self._resource_state:
+            rec(t, resource.window_utilization(mark))
         self.samples += 1
         return saw_queue and all_closed

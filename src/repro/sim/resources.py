@@ -14,7 +14,7 @@ The message channel of the commit pipeline is
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.core import Environment, Event, SimulationError
 
@@ -59,6 +59,18 @@ class Resource:
         """Total slot-seconds of busy time accumulated so far."""
         self._account()
         return self._busy_time
+
+    def window_utilization(self, mark: List[float]) -> float:
+        """Busy fraction of capacity since ``mark = [busy_time, time]`` was
+        last read (0.0 over an empty window); advances the mark to now.
+        The caller seeds the mark, which is what decides whether the first
+        window reaches back to ``created_at`` or starts at first sight."""
+        busy, now = self.busy_time(), self.env.now
+        window = now - mark[1]
+        util = ((busy - mark[0]) / (window * self.capacity)
+                if window > 0 else 0.0)
+        mark[0], mark[1] = busy, now
+        return util
 
     def utilization(self) -> float:
         """Mean fraction of capacity busy over the resource's lifetime.

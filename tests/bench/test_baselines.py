@@ -2,7 +2,7 @@
 
 CI regenerates the tiny / chaos / elastic / kernel snapshots and compares
 them against the committed ``benchmarks/baseline_*.json`` with
-``--ignore-host``; these tests do the same through the same code
+``pacon-bench compare``; these tests do the same through the same code
 (``runner.run_all`` / the registry rows, ``write_snapshot_file``), so
 simulated drift is caught locally, before CI.  The duplication is deliberate: CI keeps the uploaded
 snapshots, tier-1 keeps the fast feedback.
@@ -22,8 +22,7 @@ from tests.bench.conftest import BASELINES
 
 def _assert_no_drift(baseline, fresh):
     comparison = compare_snapshots(
-        load_snapshot(os.path.join(BASELINES, baseline)), fresh,
-        ignore_host=True)
+        load_snapshot(os.path.join(BASELINES, baseline)), fresh)
     assert comparison.ok, render_comparison(comparison)
     assert not comparison.warnings, comparison.warnings
 

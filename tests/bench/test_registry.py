@@ -64,6 +64,5 @@ def test_figure_bench_out_matches_the_chaos_baseline(tmp_path, capsys):
                  "--bench-out", str(out)]) == 0
     assert f"benchmark snapshot written to {out}" in capsys.readouterr().out
     comparison = compare_files(
-        os.path.join(BASELINES, "baseline_chaos.json"), str(out),
-        ignore_host=True)
+        os.path.join(BASELINES, "baseline_chaos.json"), str(out))
     assert comparison.ok

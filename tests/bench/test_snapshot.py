@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.bench.baseline import (
-    DEFAULT_HOST_THRESHOLD,
     compare_snapshots,
     flatten_metrics,
     history_rows,
@@ -114,13 +113,14 @@ class TestCompare:
     def test_same_seed_runs_compare_clean_ignoring_host(
             self, snapshot_pair):
         one, two = snapshot_pair
-        comp = compare_snapshots(one, two, ignore_host=True)
+        comp = compare_snapshots(one, two)
         assert comp.ok
+        assert all(d.kind == "simulated" for d in comp.deltas)
 
     def test_perturbed_simulated_metric_is_named(self, snapshot_pair):
         doc = copy.deepcopy(snapshot_pair[1])
         doc["experiments"]["fig07"]["rows"][2]["create"] *= 0.9
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True)
+        comp = compare_snapshots(snapshot_pair[0], doc)
         assert not comp.ok
         names = [d.metric for d in comp.regressions]
         assert names == ["fig07.rows[2].create"]
@@ -134,14 +134,14 @@ class TestCompare:
         doc = copy.deepcopy(snapshot_pair[1])
         doc["experiments"]["fig07"]["rows"][2]["create"] *= 0.9
         comp = compare_snapshots(
-            snapshot_pair[0], doc, ignore_host=True,
+            snapshot_pair[0], doc,
             tolerances={"fig07.rows[2].create": 0.15})
         assert comp.ok
 
     def test_glob_tolerance(self, snapshot_pair):
         doc = copy.deepcopy(snapshot_pair[1])
         doc["experiments"]["fig11"]["derived"]["scaling_vs_beegfs"] *= 1.01
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True,
+        comp = compare_snapshots(snapshot_pair[0], doc,
                                  tolerances={"fig11.derived.*": 0.05})
         assert comp.ok
 
@@ -149,7 +149,7 @@ class TestCompare:
         doc = copy.deepcopy(snapshot_pair[1])
         del doc["experiments"]["fig07"]["derived"][
             "create_speedup_vs_beegfs"]
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True)
+        comp = compare_snapshots(snapshot_pair[0], doc)
         assert not comp.ok
         assert comp.regressions[0].metric \
             == "fig07.derived.create_speedup_vs_beegfs"
@@ -158,31 +158,9 @@ class TestCompare:
     def test_added_metric_does_not_fail(self, snapshot_pair):
         doc = copy.deepcopy(snapshot_pair[1])
         doc["experiments"]["fig07"]["derived"]["brand_new"] = 1.0
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True)
+        comp = compare_snapshots(snapshot_pair[0], doc)
         assert comp.ok
         assert comp.counts().get("added") == 1
-
-    def test_host_growth_beyond_threshold_and_floor(self, snapshot_pair):
-        doc = copy.deepcopy(snapshot_pair[1])
-        doc["host"]["wall_clock_s"] = \
-            snapshot_pair[0]["host"]["wall_clock_s"] + 2.0
-        comp = compare_snapshots(snapshot_pair[0], doc)
-        bad = [d for d in comp.regressions
-               if d.metric == "host.wall_clock_s"]
-        assert bad and "host metrics may grow at most" in bad[0].detail
-
-    def test_host_growth_under_absolute_floor_is_noise(
-            self, snapshot_pair):
-        # +0.25 s is over the default 50% threshold relative to the 0.25 s
-        # baseline but under the 1 s absolute floor: not a regression.
-        comp = compare_snapshots(snapshot_pair[0], snapshot_pair[1])
-        assert all(d.metric != "host.wall_clock_s"
-                   for d in comp.regressions)
-
-    def test_ignore_host_drops_host_metrics(self, snapshot_pair):
-        comp = compare_snapshots(snapshot_pair[0], snapshot_pair[1],
-                                 ignore_host=True)
-        assert all(d.kind == "simulated" for d in comp.deltas)
 
     def test_mismatched_schema_refused(self, snapshot_pair):
         doc = copy.deepcopy(snapshot_pair[1])
@@ -193,17 +171,8 @@ class TestCompare:
     def test_seed_mismatch_warns(self, snapshot_pair):
         doc = copy.deepcopy(snapshot_pair[1])
         doc["seed"] = DEFAULT_SEED + 1
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True)
+        comp = compare_snapshots(snapshot_pair[0], doc)
         assert any("seed differs" in w for w in comp.warnings)
-
-    def test_host_threshold_configurable(self, snapshot_pair):
-        doc = copy.deepcopy(snapshot_pair[1])
-        doc["host"]["wall_clock_s"] = \
-            snapshot_pair[0]["host"]["wall_clock_s"] + 2.0
-        comp = compare_snapshots(snapshot_pair[0], doc,
-                                 host_threshold=1e6)
-        assert comp.ok
-        assert DEFAULT_HOST_THRESHOLD == pytest.approx(0.5)
 
     def test_sketch_quantiles_get_one_bucket_tolerance(self, snapshot_pair):
         # A sketch-derived percentile drifting within one log bucket
@@ -211,18 +180,18 @@ class TestCompare:
         doc = copy.deepcopy(snapshot_pair[1])
         row = doc["experiments"]["staleness"]["rows"][0]
         row["stale_p99"] *= 1.04
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True)
+        comp = compare_snapshots(snapshot_pair[0], doc)
         assert comp.ok
         # Beyond one bucket it regresses like any simulated metric.
         row["stale_p99"] *= 1.10
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True)
+        comp = compare_snapshots(snapshot_pair[0], doc)
         assert not comp.ok
         assert comp.regressions[0].metric == "staleness.rows[0].stale_p99"
 
     def test_sketch_counts_stay_exact(self, snapshot_pair):
         doc = copy.deepcopy(snapshot_pair[1])
         doc["experiments"]["staleness"]["rows"][0]["reads_shared"] += 1
-        comp = compare_snapshots(snapshot_pair[0], doc, ignore_host=True)
+        comp = compare_snapshots(snapshot_pair[0], doc)
         assert not comp.ok
 
     def test_explicit_tolerance_overrides_sketch_default(
@@ -230,7 +199,7 @@ class TestCompare:
         doc = copy.deepcopy(snapshot_pair[1])
         doc["experiments"]["staleness"]["rows"][0]["stale_p99"] *= 1.04
         comp = compare_snapshots(
-            snapshot_pair[0], doc, ignore_host=True,
+            snapshot_pair[0], doc,
             tolerances={"staleness.rows[0].stale_p99": 0.0})
         assert not comp.ok
 

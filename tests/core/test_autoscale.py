@@ -146,7 +146,7 @@ class TestChaosComposition:
         w.quiesce()
         fail_node(w.region, w.nodes[1])
         scaler = Autoscaler(w.deployment, w.region)
-        w.run(scaler._scale_up("util"))
+        w.run(scaler._act("grow", scaler.node_factory(), "util"))
         assert scaler.scale_ups == 1
         assert scaler.failed == 0
         action = scaler.actions[-1]
@@ -169,7 +169,7 @@ class TestChaosComposition:
         doomed.fail()
         scaler = Autoscaler(w.deployment, w.region,
                             node_factory=lambda: doomed)
-        w.run(scaler._scale_up("util"))
+        w.run(scaler._act("grow", scaler.node_factory(), "util"))
         assert scaler.failed == 1
         action = scaler.actions[-1]
         assert action.error
@@ -196,7 +196,7 @@ class TestChaosComposition:
         doomed.fail()
         scaler = Autoscaler(w.deployment, w.region,
                             node_factory=lambda: doomed)
-        w.run(scaler._scale_up("util"))
+        w.run(scaler._act("grow", scaler.node_factory(), "util"))
         assert scaler.failed == 1
         doc = hub.export()
         assert doc["counters"]["autoscale.action_failed"] == 1
@@ -208,6 +208,94 @@ class TestChaosComposition:
         assert ev.source == "autoscale"
         assert "error=" in ev.detail
 
+    @staticmethod
+    def _recorded(hub):
+        """The autoscale.* counters, latency-observation count and
+        autoscale timeline tuples one action left behind."""
+        doc = hub.export()
+        counters = {k: v for k, v in doc["counters"].items()
+                    if k.startswith("autoscale.")}
+        latencies = doc["histograms"]["autoscale.action_latency"]["count"]
+        events = [(e.kind, e.label, e.detail, e.ref)
+                  for e in hub.timeline.events() if e.source == "autoscale"]
+        return counters, latencies, events
+
+    def test_failed_grow_that_joined_is_kept_and_recorded_once(self):
+        """Grow racing ``NodeDownError`` after the node joined: the node
+        is kept (counted as a scale-up) but the action is a failure —
+        one latency observation and one ``scale.failed`` event, no
+        ``scale.grow``."""
+        from repro.obs.hub import MetricsHub
+
+        w = make_world(n_nodes=2, config=_elastic_config())
+        hub = MetricsHub(sample_interval=None)
+        hub.attach_region(w.region)
+        doomed = w.cluster.add_node("doomed")
+        doomed.fail()
+        scaler = Autoscaler(w.deployment, w.region)
+        w.run(scaler._act("grow", doomed, "util"))
+        assert self._recorded(hub) == (
+            {"autoscale.action_failed": 1,
+             "autoscale.action_failed[grow:NodeDownError]": 1,
+             "autoscale.scale_up": 1},
+            1,
+            [("scale.failed", "doomed",
+              "grow reason=util error=source node doomed is down", -1)])
+        action = scaler.actions[-1]
+        assert (action.ok, action.moved) == (True, 0)
+        assert (scaler.scale_ups, scaler.failed) == (1, 1)
+        assert scaler._added == [doomed]
+
+    def test_failed_grow_that_never_joined_is_dropped(self):
+        """Grow racing ``NodeDownError`` before the node joined: nothing
+        is added, nothing counts as a scale-up."""
+        from repro.obs.hub import MetricsHub
+        from repro.sim.network import NodeDownError
+
+        w = make_world(n_nodes=2, config=_elastic_config())
+        hub = MetricsHub(sample_interval=None)
+        hub.attach_region(w.region)
+        ghost = w.cluster.add_node("ghost")
+
+        def never_joins(region, node):
+            yield w.cluster.env.timeout(1e-4)
+            raise NodeDownError("ghost went away before joining")
+
+        w.deployment.grow_region_async = never_joins
+        scaler = Autoscaler(w.deployment, w.region)
+        w.run(scaler._act("grow", ghost, "backlog"))
+        assert self._recorded(hub) == (
+            {"autoscale.action_failed": 1,
+             "autoscale.action_failed[grow:NodeDownError]": 1},
+            1,
+            [("scale.failed", "ghost", "grow reason=backlog"
+              " error=ghost went away before joining", -1)])
+        action = scaler.actions[-1]
+        assert (action.ok, action.latency) == (False, pytest.approx(1e-4))
+        assert (scaler.scale_ups, scaler.failed) == (0, 1)
+        assert scaler._added == [] and ghost not in w.region.nodes
+
+    def test_failed_retire_is_recorded_not_raised(self):
+        """Retire raising ``RuntimeError`` (the node still hosts a client)
+        is swallowed into the action record like a failed grow."""
+        from repro.obs.hub import MetricsHub
+
+        w = make_world(n_nodes=2, config=_elastic_config())
+        hub = MetricsHub(sample_interval=None)
+        hub.attach_region(w.region)
+        w.new_client(1)
+        scaler = Autoscaler(w.deployment, w.region)
+        w.run(scaler._act("retire", w.nodes[1], "idle"))
+        assert self._recorded(hub) == (
+            {"autoscale.action_failed": 1,
+             "autoscale.action_failed[retire:RuntimeError]": 1},
+            1,
+            [("scale.failed", "client1", "retire reason=idle error=node"
+              " client1 still hosts clients; move them first", -1)])
+        assert not scaler.actions[-1].ok
+        assert (scaler.scale_downs, scaler.failed) == (0, 1)
+        assert w.nodes[1] in w.region.nodes
+
     def test_grow_retire_reject_land_on_the_timeline(self):
         from repro.obs.hub import MetricsHub
 
@@ -215,9 +303,9 @@ class TestChaosComposition:
         hub = MetricsHub(sample_interval=None)
         hub.attach_region(w.region)
         scaler = Autoscaler(w.deployment, w.region)
-        w.run(scaler._scale_up("util"))
+        w.run(scaler._act("grow", scaler.node_factory(), "util"))
         added = scaler._added[-1]
-        w.run(scaler._scale_down(added, "idle"))
+        w.run(scaler._act("retire", added, "idle"))
         scaler._reject("grow", "max_nodes=4 reached")
         scale_events = [ev for ev in hub.timeline.events()
                         if ev.source == "autoscale"]
@@ -238,7 +326,7 @@ class TestChaosComposition:
         scaler = Autoscaler(w.deployment, w.region)
         # Nothing added yet: base nodes are never candidates.
         assert scaler._retire_candidate() is None
-        w.run(scaler._scale_up("util"))
+        w.run(scaler._act("grow", scaler.node_factory(), "util"))
         added = scaler._added[-1]
         assert scaler._retire_candidate() is added
         added.fail()

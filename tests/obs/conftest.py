@@ -60,9 +60,6 @@ def make_observed_world(seed: int = 7, n_nodes: int = 2,
         hub.attach_region(region)
     clients = [deployment.client(region, node) for node in nodes
                for _ in range(clients_per_node)]
-    if hub is not None:
-        for client in clients:
-            hub.attach_client(client)
     return ObservedWorld(cluster=cluster, dfs=dfs, deployment=deployment,
                          region=region, nodes=nodes, clients=clients,
                          hub=hub)

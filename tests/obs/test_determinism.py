@@ -37,8 +37,6 @@ region = dep.create_region(PaconConfig(workspace="/app"), nodes,
 hub = MetricsHub(tracer=Tracer(), sample_interval=100e-6)
 hub.attach_region(region)
 clients = [dep.client(region, node) for node in nodes]
-for client in clients:
-    hub.attach_client(client)
 
 
 def work(client, tag):

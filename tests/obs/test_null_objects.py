@@ -44,8 +44,7 @@ def _timeline_state(timeline):
 #: synthesized from annotations, and are not recorders.
 SURFACES = [
     (MetricsHub, NULL_HUB, _hub_state,
-     {"attach_region", "register_resource", "track_resource",
-      "attach_client"}),
+     {"attach_region", "track_member"}),
     (Tracer, NULL_TRACER, _tracer_state, set()),
     (Timeline, NULL_TIMELINE, _timeline_state, set()),
 ]

@@ -110,14 +110,14 @@ class TestCompareCommand:
     def test_identical_snapshots_exit_zero(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.json", _bench_doc("a"))
         b = self._write(tmp_path, "b.json", _bench_doc("b"))
-        rc = main(["compare", a, b, "--ignore-host"])
+        rc = main(["compare", a, b])
         assert rc == 0
         assert "OK — no regressions" in capsys.readouterr().out
 
     def test_regression_exits_one_and_names_metric(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.json", _bench_doc("a", speedup=2.0))
         b = self._write(tmp_path, "b.json", _bench_doc("b", speedup=1.5))
-        rc = main(["compare", a, b, "--ignore-host"])
+        rc = main(["compare", a, b])
         assert rc == 1
         out = capsys.readouterr().out
         assert "figX.derived.speedup" in out
@@ -127,7 +127,7 @@ class TestCompareCommand:
     def test_tolerance_flag(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.json", _bench_doc("a", speedup=2.0))
         b = self._write(tmp_path, "b.json", _bench_doc("b", speedup=1.9))
-        rc = main(["compare", a, b, "--ignore-host",
+        rc = main(["compare", a, b,
                    "--tolerance", "figX.derived.speedup=0.1"])
         assert rc == 0
 
@@ -140,7 +140,7 @@ class TestCompareCommand:
     def test_json_output(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.json", _bench_doc("a", speedup=2.0))
         b = self._write(tmp_path, "b.json", _bench_doc("b", speedup=4.0))
-        rc = main(["compare", a, b, "--ignore-host", "--json"])
+        rc = main(["compare", a, b, "--json"])
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
