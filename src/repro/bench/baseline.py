@@ -7,9 +7,9 @@ relative tolerances can be granted with ``--tolerance METRIC=REL``
 (``METRIC`` may be an ``fnmatch`` glob).  The one built-in exception:
 quantile metrics derived from the streaming sketches carry a one-bucket
 relative tolerance (:data:`SKETCH_TOLERANCES`) because sketch
-percentiles are quantized to log-bucket boundaries.  Host metrics
-(wall-clock, peak RSS) stay in every snapshot but are never compared:
-``benchmarks/perf`` is the instrument for host-side claims.
+percentiles are quantized to log-bucket boundaries.  Host facts
+(wall-clock, peak RSS) stay in every snapshot but are never flattened
+into metrics: ``benchmarks/perf`` is the instrument for host-side claims.
 
 ``pacon-bench history`` folds many snapshots into per-metric
 trajectories (first/last/delta plus a sparkline) so the repo's perf
@@ -25,15 +25,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.report import format_table
 from repro.bench.snapshot import SnapshotError, load_snapshot
+from repro.obs.schema import is_number
 
 __all__ = ["Metric", "Delta", "Comparison", "flatten_metrics",
            "compare_snapshots", "compare_files", "render_comparison",
            "load_history", "history_rows", "render_history", "sparkline",
-           "SIMULATED", "HOST",
            "SKETCH_BUCKET_TOLERANCE", "SKETCH_TOLERANCES"]
-
-SIMULATED = "simulated"
-HOST = "host"
 
 #: Quantile metrics read off the streaming sketches are quantized to
 #: log-bucket boundaries (growth factor 1.05): a sample landing one
@@ -57,20 +54,15 @@ SKETCH_TOLERANCES: Dict[str, float] = {
 
 @dataclass
 class Metric:
-    """One comparable number extracted from a snapshot."""
+    """One comparable (simulated) number extracted from a snapshot."""
 
     name: str                 # e.g. "fig07.rows[4].create"
     value: float
-    kind: str                 # SIMULATED or HOST
     context: str = ""         # human label: the row's string fields
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def flatten_metrics(doc: Dict[str, Any]) -> Dict[str, Metric]:
-    """Flatten a snapshot into named metrics.
+    """Flatten a snapshot's simulated payload into named metrics.
 
     Row order inside an experiment is deterministic (the DES replays the
     same schedule for the same seed), so ``rows[i]`` is a stable address.
@@ -82,21 +74,13 @@ def flatten_metrics(doc: Dict[str, Any]) -> Dict[str, Metric]:
             context = " ".join(f"{k}={v}" for k, v in row.items()
                                if isinstance(v, str))
             for key, value in row.items():
-                if _is_number(value):
+                if is_number(value):
                     name = f"{exp_name}.rows[{i}].{key}"
-                    out[name] = Metric(name, float(value), SIMULATED,
-                                       context)
+                    out[name] = Metric(name, float(value), context)
         for key, value in (record.get("derived") or {}).items():
-            if _is_number(value):
+            if is_number(value):
                 name = f"{exp_name}.derived.{key}"
-                out[name] = Metric(name, float(value), SIMULATED)
-        for key, value in (record.get("host") or {}).items():
-            if _is_number(value):
-                name = f"{exp_name}.host.{key}"
-                out[name] = Metric(name, float(value), HOST)
-    for key, value in (doc.get("host") or {}).items():
-        if _is_number(value):
-            out[f"host.{key}"] = Metric(f"host.{key}", float(value), HOST)
+                out[name] = Metric(name, float(value))
     return out
 
 
@@ -105,7 +89,6 @@ class Delta:
     """One metric's fate across a comparison."""
 
     metric: str
-    kind: str
     baseline: Optional[float]
     candidate: Optional[float]
     rel_change: Optional[float]          # signed (candidate-baseline)/|base|
@@ -198,19 +181,16 @@ def compare_snapshots(baseline: Dict[str, Any], candidate: Dict[str, Any],
     for name in sorted(set(a_metrics) | set(b_metrics)):
         a = a_metrics.get(name)
         b = b_metrics.get(name)
-        if (a or b).kind == HOST:
-            continue
         if a is None:
             comp.deltas.append(Delta(
-                metric=name, kind=SIMULATED, baseline=None,
-                candidate=b.value, rel_change=None, threshold=0.0,
+                metric=name, baseline=None, candidate=b.value,
+                rel_change=None, threshold=0.0,
                 status="added", detail="metric only in candidate"))
             continue
         if b is None:
             comp.deltas.append(Delta(
-                metric=name, kind=SIMULATED, baseline=a.value,
-                candidate=None, rel_change=None, threshold=0.0,
-                status="regression",
+                metric=name, baseline=a.value, candidate=None,
+                rel_change=None, threshold=0.0, status="regression",
                 detail="metric disappeared from candidate"))
             continue
         rel = _rel(a.value, b.value)
@@ -225,8 +205,8 @@ def compare_snapshots(baseline: Dict[str, Any], candidate: Dict[str, Any],
             if a.context:
                 detail += f" [{a.context}]"
         comp.deltas.append(Delta(
-            metric=name, kind=SIMULATED, baseline=a.value,
-            candidate=b.value, rel_change=rel, threshold=tol,
+            metric=name, baseline=a.value, candidate=b.value,
+            rel_change=rel, threshold=tol,
             status="ok" if ok else "regression", detail=detail))
     return comp
 
@@ -256,7 +236,6 @@ def render_comparison(comp: Comparison) -> str:
         for delta in anomalies:
             rows.append({
                 "status": delta.status,
-                "kind": delta.kind,
                 "metric": delta.metric,
                 "baseline": "-" if delta.baseline is None
                             else f"{delta.baseline:g}",
@@ -327,6 +306,12 @@ def history_rows(docs: Sequence[Dict[str, Any]],
     ``fnmatch`` glob to widen (e.g. ``'fig07.*'`` or ``'*'``).
     """
     flattened = [flatten_metrics(doc) for doc in docs]
+    for metrics, doc in zip(flattened, docs):
+        # The one host fact a trajectory shows; compare never sees it.
+        wall = (doc.get("host") or {}).get("wall_clock_s")
+        if is_number(wall):
+            metrics["host.wall_clock_s"] = Metric("host.wall_clock_s",
+                                                  float(wall))
     names: List[str] = []
     seen = set()
     for metrics in flattened:

@@ -35,6 +35,9 @@ from repro.core.config import PaconConfig
 from repro.core.deploy import PaconDeployment
 from repro.dfs.beegfs import BeeGFS
 from repro.dfs.errors import FileExists, FileNotFound
+from repro.obs.hub import MetricsHub
+from repro.obs.incidents import fault_attribution
+from repro.obs.slo import Policy, StalenessObjective
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster, NodeDownError
 from repro.sim.rng import DEFAULT_SEED
@@ -303,7 +306,6 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
     #    never yields, so the simulated schedule is unchanged.
     slo_hub = hub
     if slo_hub is None:
-        from repro.obs.hub import MetricsHub
         slo_hub = MetricsHub(sample_interval=pacing)
     world = build_world(seed, n_nodes=n_nodes,
                         clients_per_node=clients_per_node, hub=slo_hub)
@@ -327,7 +329,6 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
     doc = slo_hub.export()
     slo_during, slo_post = _slo_verdicts(doc, engine, horizon,
                                          world.env.now)
-    from repro.obs.incidents import fault_attribution
     return ScenarioResult(
         name=name, seed=seed, report=report,
         schedule_signature=schedule.signature(),
@@ -351,8 +352,6 @@ def _slo_verdicts(doc, engine, horizon: float, end: float,
     must show convergence: the *final* pending-age sample of the
     recovery window has to return below a small fraction of the run.
     """
-    from repro.obs.slo import Policy, StalenessObjective
-
     injected = [r.injected_at for r in engine.records
                 if r.injected_at is not None]
     recovered = [r.recovered_at for r in engine.records

@@ -296,9 +296,7 @@ def _cmd_figure(args) -> int:
     if args.metrics_out:
         _write(args.metrics_out, hub.to_json(indent=2, doc=doc), "metrics ")
     if args.trace_out:
-        count = write_chrome_trace(
-            args.trace_out, hub.tracer, hub,
-            incidents=doc["incidents"]["incidents"])
+        count = write_chrome_trace(args.trace_out, hub.tracer, doc)
         print(f"chrome trace written to {args.trace_out}"
               f" ({count} events)")
     _write_snapshot(args, [result], result.host["wall_clock_s"])
@@ -411,17 +409,15 @@ def _cmd_trace(args) -> int:
         filters["actor"] = args.actor
     _emit(hub.tracer.render(limit=args.limit, **filters), args.out)
     if args.chrome:
-        incidents = hub.export()["incidents"]["incidents"]
-        count = write_chrome_trace(args.chrome, hub.tracer, hub,
-                                   since=args.since, until=args.until,
-                                   incidents=incidents)
+        count = write_chrome_trace(args.chrome, hub.tracer, hub.export(),
+                                   since=args.since, until=args.until)
         print(f"chrome trace written to {args.chrome} ({count} events)")
     return 0
 
 
 def _cmd_profile(args) -> int:
     hub = _run_observed(args, with_tracer=True)
-    _emit(render_report(hub, top=args.top), args.out)
+    _emit(render_report(hub.tracer, hub.export(), top=args.top), args.out)
     return 0
 
 

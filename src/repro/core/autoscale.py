@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
                     Optional)
 
+from repro.obs.slo import BurnRateObjective
 from repro.sim.core import Event, Interrupt
 from repro.sim.network import Node, NodeDownError
 
@@ -241,7 +242,6 @@ class Autoscaler:
             f"consistency.pending_age[{self.region.name}]")
         if len(series) < 4:
             return False  # not enough signal to window over yet
-        from repro.obs.slo import BurnRateObjective
         objective = BurnRateObjective(
             "autoscale-burn", "consistency.pending_age",
             threshold=threshold, budget=BURN_BUDGET)

@@ -182,12 +182,8 @@ class PaconClient:
         tracer = self.region.tracer
         if not tracer.enabled:
             return None
-        parent = tracer.current_context(self.env.active_process)
-        if parent is None:
-            return None
-        ctx = tracer.child_context(parent)
-        tracer.span_start(self.env.now, self.actor_name, ctx, category, name)
-        return ctx
+        return tracer.open_child(self.env.active_process, self.env.now,
+                                 self.actor_name, category, name)
 
     def _stage_end(self, ctx) -> None:
         if ctx is not None:
@@ -312,17 +308,16 @@ class PaconClient:
                         weight=self.multiplier)
         tracer = self.region.tracer
         if tracer.enabled:
-            parent = tracer.current_context(self.env.active_process)
-            if parent is not None:
-                # Commit-queue residency span: opened at publish, closed by
-                # the commit process at commit/discard/coalesce.  Not an
-                # attribution bucket — the async commit is off the client
-                # critical path by design (that is the paper's claim) —
-                # but it shows queue+commit time in the tree/Chrome views.
-                cctx = tracer.child_context(parent)
-                tracer.span_start(self.env.now,
-                                  f"commitq:{self.region.name}", cctx,
-                                  "commit_queue", f"{op} {path}")
+            # Commit-queue residency span: opened at publish, closed by
+            # the commit process at commit/discard/coalesce.  Not an
+            # attribution bucket — the async commit is off the client
+            # critical path by design (that is the paper's claim) —
+            # but it shows queue+commit time in the tree/Chrome views.
+            cctx = tracer.open_child(
+                self.env.active_process, self.env.now,
+                f"commitq:{self.region.name}", "commit_queue",
+                f"{op} {path}")
+            if cctx is not None:
                 msg.op_id = cctx.op_id
                 msg.span_id = cctx.span_id
         queue.publish(msg)

@@ -148,11 +148,12 @@ class CommitProcess:
         self.aborts = 0
         self._process = None
         self._in_flight = 0
-        #: In-flight ops whose commit accounting already ran (they are in
-        #: post-commit bookkeeping, or awaiting their segment's bulk
-        #: resolution).  ``abort`` must not count these as lost — they are
-        #: on the DFS and in ``committed``.
-        self._in_flight_committed = 0
+        #: In-flight ops of the current segment that are already accounted
+        #: for (:meth:`_settle`): counted committed, discarded or
+        #: coalesced, or handed to ``_pending``.  They stay in
+        #: ``_in_flight`` until their segment's bulk decrement, so
+        #: ``abort`` must not count them as lost in flight as well.
+        self._in_flight_settled = 0
         #: Oldest publish timestamp among ops drained but not yet resolved
         #: (the removed-subtree pruner must see them as outstanding).
         self._in_flight_oldest: Optional[float] = None
@@ -216,10 +217,10 @@ class CommitProcess:
         resource slot leaks past the crash.
         """
         counts = {
-            # An op interrupted *after* its commit accounting ran (mid
-            # post-commit bookkeeping, or awaiting its segment's bulk
-            # decrement) is on the DFS, not lost.
-            "in_flight": max(0, self._in_flight - self._in_flight_committed),
+            # An op interrupted *after* it settled (mid post-commit
+            # bookkeeping, or awaiting its segment's bulk decrement) has
+            # its outcome counted already, or is counted under "pending".
+            "in_flight": max(0, self._in_flight - self._in_flight_settled),
             "pending": len(self._pending),
             "future": sum(len(v) for v in self._future.values()),
         }
@@ -248,14 +249,24 @@ class CommitProcess:
             stamps.append(self._in_flight_oldest)
         return min(stamps, default=None)
 
-    # -- version-lag ledger shadow (hub-gated) --------------------------------
+    # -- the in-flight window and its version-lag ledger shadow ---------------
     def _ledger_untrack(self, op: OpMessage) -> None:
         if op in self._in_flight_msgs:
             self._in_flight_msgs.remove(op)
 
+    def _settle(self, op: OpMessage) -> None:
+        """The credit rule of the commit window: an op that is resolved
+        inside its segment (committed, discarded, coalesced) or handed to
+        ``_pending`` (resubmit, replay) is accounted for from this moment,
+        though ``_in_flight`` only drops when the segment ends.  A crash
+        in between must count it once — under its outcome or under
+        ``pending`` — never again as lost in flight."""
+        self._in_flight_settled += 1
+        self._ledger_untrack(op)  # _pending is scanned on crash
+
     def _resolve_ledger(self, op: OpMessage) -> None:
         """The op left the pipeline (committed/discarded/coalesced)."""
-        self._ledger_untrack(op)
+        self._settle(op)
         if self.region.hub.enabled:
             self.region.note_op_resolved(op.path)
 
@@ -273,7 +284,7 @@ class CommitProcess:
         self._future.clear()
         self._barrier_counts.clear()
         self._in_flight = 0
-        self._in_flight_committed = 0
+        self._in_flight_settled = 0
         self._in_flight_oldest = None
 
     # -- main loop -----------------------------------------------------------
@@ -394,7 +405,7 @@ class CommitProcess:
         finally:
             # Only nonzero when an exception cut the drain short.
             self._in_flight -= outstanding
-            self._in_flight_committed = 0
+            self._in_flight_settled = 0
             self._in_flight_oldest = previous_oldest
 
     def _coalesce(self, ops: List[OpMessage]) -> Generator[Event, Any,
@@ -492,7 +503,7 @@ class CommitProcess:
                 else:
                     yield from self._handle_commit_failure(op, mode, detail)
         self._in_flight -= drained
-        self._in_flight_committed = 0
+        self._in_flight_settled = 0
         return drained
 
     # -- committing one operation ------------------------------------------------
@@ -522,7 +533,7 @@ class CommitProcess:
         """
         op.replays += 1
         self.replays += 1
-        self._ledger_untrack(op)  # still pending; _pending is crash-scanned
+        self._settle(op)
         if self.region.hub.enabled:
             self.region.hub.count("commit.replays")
         self._pending.append(op)
@@ -614,9 +625,6 @@ class CommitProcess:
     def _commit_success(self, op: OpMessage,
                         mode: int) -> Generator[Event, Any, None]:
         self.committed += 1
-        # From here until the op leaves the in-flight window (its segment
-        # resolves) a crash must not count it as lost: it is on the DFS.
-        self._in_flight_committed += 1
         self.region.ops_committed += 1
         self._close_queue_span(op)
         if self.region.tracer.enabled:
@@ -669,7 +677,7 @@ class CommitProcess:
     def _resubmit(self, op: OpMessage) -> None:
         op.retries += 1
         self.resubmissions += 1
-        self._ledger_untrack(op)  # still pending; _pending is crash-scanned
+        self._settle(op)
         if self.region.hub.enabled:
             self.region.hub.count("commit.resubmissions")
         if op.retries > self.MAX_RETRIES:

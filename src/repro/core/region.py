@@ -22,9 +22,11 @@ from repro.core.config import PaconConfig
 from repro.core.permissions import RegionPermissions
 from repro.dfs.namespace import is_within, normalize_path
 from repro.mq.queue import QueueGroup
+from repro.obs.hub import NULL_HUB
 from repro.sim.core import Event
 from repro.sim.network import Cluster, Node
 from repro.sim.resources import Barrier
+from repro.sim.trace import NULL_TRACER
 
 __all__ = ["ConsistentRegion", "RegionManager", "ReadOnlyRegion"]
 
@@ -96,8 +98,6 @@ class ConsistentRegion:
         # Optional observability (repro.sim.trace / repro.obs); NULL by
         # default so the hot path pays nothing.  MetricsHub.attach_region
         # swaps both in.
-        from repro.obs.hub import NULL_HUB
-        from repro.sim.trace import NULL_TRACER
         self.tracer = NULL_TRACER
         self.hub = NULL_HUB
         # Shadow directory on the DFS for fsync-before-create cache files

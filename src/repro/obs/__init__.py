@@ -1,6 +1,6 @@
 """Observability: spans, metrics aggregation, sampling, and exports.
 
-The subsystem has five pieces:
+The subsystem has six pieces (readers take the hub's exported document):
 
 * per-operation **span trees** — :class:`repro.core.client.PaconClient`
   opens a root span per op and every downstream stage (cache shard,

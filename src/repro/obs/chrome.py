@@ -1,8 +1,9 @@
 """Chrome trace-event JSON export for spans, instants, and gauges.
 
 Converts a :class:`~repro.sim.trace.Tracer`'s causal span trees (and,
-optionally, a :class:`~repro.obs.hub.MetricsHub`'s sampled gauge series)
-into the Trace Event Format consumed by Perfetto and ``chrome://tracing``:
+optionally, the ``series``, ``timeline`` and ``incidents`` sections of
+the run's exported ``pacon.metrics/v4`` document) into the Trace Event
+Format consumed by Perfetto and ``chrome://tracing``:
 
 * every actor becomes a pid/tid pair — actors sharing a prefix group
   (``client``, ``commit``, ``commitq``, services, ``net``) share a pid so
@@ -15,15 +16,15 @@ into the Trace Event Format consumed by Perfetto and ``chrome://tracing``:
   ``i`` events;
 * sampled gauge series become counter ``C`` events on a dedicated
   counters process;
-* the hub's control-plane :class:`~repro.obs.timeline.Timeline` becomes
+* the exported control-plane ``timeline`` becomes
   a dedicated ``control-plane`` process with one stably-named thread
   per source (``autoscale``, ``chaos``, ``commit``, ``membership``):
   ``fault.injected``/``fault.recovered`` pairs and duration-carrying
   events render as complete ``X`` slices, the rest as instants — so an
   outage is a visible bar above the data-plane spans it explains;
-* detected incidents (the v4 ``incidents`` section, passed explicitly)
-  become ``X`` slices on an ``incidents`` process, carrying their rule,
-  peak/bound, and top suspect in ``args``.
+* detected incidents (the ``incidents`` section) become ``X`` slices
+  on an ``incidents`` process, carrying their rule, peak/bound, and top
+  suspect in ``args``.
 
 Everything is emitted in a deterministic order (ops by id, series by
 name, timeline by seq, incidents by id), so two same-seed runs produce
@@ -35,6 +36,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.slo import series_in_window
+from repro.obs.timeline import event_extents
 from repro.sim.trace import Span, Tracer
 
 __all__ = ["chrome_trace", "write_chrome_trace"]
@@ -101,43 +104,36 @@ def _span_events(root: Span, ids: Dict[str, Tuple[int, int]],
                         "dur": (span.end - span.start) * 1e6})
 
 
-def _timeline_events(timeline: Any, since: float, until: float,
-                     out: List[Dict[str, Any]]) -> None:
-    """Control-plane timeline → stable per-source tracks.
+def _timeline_events(timeline: List[Dict[str, Any]], since: float,
+                     until: float, out: List[Dict[str, Any]]) -> None:
+    """Exported control-plane events → stable per-source tracks.
 
-    ``fault.recovered`` events that reference their injection's ``seq``
-    fold into one complete slice spanning the outage; events carrying a
-    duration become slices too; everything else is an instant.
+    An event with an extent inside the window (an injection whose
+    recovery it also holds, anything carrying a duration) is a complete
+    slice; everything else is an instant.
     """
-    events = [ev for ev in timeline.events() if since <= ev.time <= until]
+    events = [ev for ev in timeline if since <= ev["t"] <= until]
     if not events:
         return
-    sources = sorted({ev.source for ev in events})
+    sources = sorted({ev["source"] for ev in events})
     tids = {source: tid for tid, source in enumerate(sources, start=1)}
     out.append({"ph": "M", "name": "process_name", "pid": _CONTROL_PID,
                 "tid": 0, "args": {"name": "control-plane"}})
     for source in sources:
         out.append({"ph": "M", "name": "thread_name", "pid": _CONTROL_PID,
                     "tid": tids[source], "args": {"name": source}})
-    recovered_at = {ev.ref: ev.time for ev in events
-                    if ev.kind == "fault.recovered" and ev.ref >= 0}
-    for ev in events:
-        if ev.kind == "fault.recovered" and ev.ref in recovered_at:
-            continue  # folded into its injection's slice
-        end = recovered_at.get(ev.seq)
-        if end is None and ev.duration > 0.0:
-            end = ev.time + ev.duration
+    for ev, end in event_extents(events):
         common = {
-            "name": f"{ev.kind} {ev.label}".strip(),
-            "cat": ev.kind,
+            "name": f"{ev['kind']} {ev['label']}".strip(),
+            "cat": ev["kind"],
             "pid": _CONTROL_PID,
-            "tid": tids[ev.source],
-            "ts": ev.time * 1e6,
-            "args": {"seq": ev.seq, "detail": ev.detail},
+            "tid": tids[ev["source"]],
+            "ts": ev["t"] * 1e6,
+            "args": {"seq": ev["seq"], "detail": ev["detail"]},
         }
         if end is not None:
             out.append({**common, "ph": "X",
-                        "dur": (end - ev.time) * 1e6})
+                        "dur": (end - ev["t"]) * 1e6})
         else:
             out.append({**common, "ph": "i", "s": "t"})
 
@@ -168,19 +164,16 @@ def _incident_events(incidents: List[Dict[str, Any]], since: float,
         })
 
 
-def chrome_trace(tracer: Tracer, hub: Optional[Any] = None,
+def chrome_trace(tracer: Tracer, doc: Optional[Dict[str, Any]] = None,
                  since: float = 0.0,
-                 until: float = float("inf"),
-                 incidents: Optional[List[Dict[str, Any]]] = None,
-                 ) -> Dict[str, Any]:
+                 until: float = float("inf")) -> Dict[str, Any]:
     """Build the Chrome trace document (a JSON-serializable dict).
 
-    ``since``/``until`` clip by *root-span start time*: an op is included
-    iff it starts inside the window (its children ride along), and
-    instants/counters are clipped to the window directly.  ``incidents``
-    takes the v4 ``incidents`` section's list (detection needs the full
-    export, so the caller hands it in rather than this module rerunning
-    it).
+    ``doc`` is the run's exported metrics document; without one only the
+    tracer's spans and instants are drawn.  ``since``/``until`` clip by
+    *root-span start time*: an op is included iff it starts inside the
+    window (its children ride along), and instants/counters are clipped
+    to the window directly.
     """
     events: List[Dict[str, Any]] = []
     trees = tracer.span_trees()
@@ -203,7 +196,7 @@ def chrome_trace(tracer: Tracer, hub: Optional[Any] = None,
     for actor, (pid, tid) in sorted(ids.items(), key=lambda kv: kv[1]):
         events.append({"ph": "M", "name": "thread_name", "pid": pid,
                        "tid": tid, "args": {"name": actor}})
-    if hub is not None and hub.enabled:
+    if doc is not None:
         events.append({"ph": "M", "name": "process_name",
                        "pid": _COUNTERS_PID, "tid": 0,
                        "args": {"name": "counters"}})
@@ -221,13 +214,9 @@ def chrome_trace(tracer: Tracer, hub: Optional[Any] = None,
             "ts": ev.time * 1e6,
             "s": "t",  # thread-scoped instant
         })
-    if hub is not None and hub.enabled:
-        series = hub.stats.series_export()
-        for name in sorted(series):
-            points = series[name]
-            for t, v in zip(points["t"], points["v"]):
-                if not (since <= t <= until):
-                    continue
+    if doc is not None:
+        for name, points in series_in_window(doc, window=(since, until)):
+            for t, v in points:
                 events.append({
                     "ph": "C",
                     "name": name,
@@ -236,24 +225,21 @@ def chrome_trace(tracer: Tracer, hub: Optional[Any] = None,
                     "ts": t * 1e6,
                     "args": {"value": v},
                 })
-    if hub is not None and hub.enabled:
-        _timeline_events(hub.timeline, since, until, events)
-    if incidents:
-        _incident_events(incidents, since, until, events)
+        _timeline_events(doc["timeline"]["events"], since, until, events)
+        _incident_events(doc["incidents"]["incidents"], since, until,
+                         events)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(path: str, tracer: Tracer,
-                       hub: Optional[Any] = None, since: float = 0.0,
-                       until: float = float("inf"),
-                       incidents: Optional[List[Dict[str, Any]]] = None,
-                       ) -> int:
+                       doc: Optional[Dict[str, Any]] = None,
+                       since: float = 0.0,
+                       until: float = float("inf")) -> int:
     """Write the trace to ``path``; returns the number of trace events.
 
     ``sort_keys`` keeps the bytes identical across same-seed runs.
     """
-    doc = chrome_trace(tracer, hub, since=since, until=until,
-                       incidents=incidents)
+    trace = chrome_trace(tracer, doc, since=since, until=until)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    return len(doc["traceEvents"])
+        json.dump(trace, fh, sort_keys=True)
+    return len(trace["traceEvents"])

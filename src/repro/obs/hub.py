@@ -7,7 +7,7 @@ of its nodes, shards, commit processes and clients, and a node that joins
 later reports itself (:meth:`MetricsHub.track_member`).  At export time
 the hub combines
 
-* its own :class:`~repro.sim.stats.StatsRegistry` (latency histograms,
+* its own :class:`~repro.obs.sketch.StatsRegistry` (latency sketches,
   commit counters, sampled gauge series), and
 * a snapshot of every attached region (cache, queue, commit-process, and
   barrier state) and client (op/hit/miss/redirect counts)
@@ -26,15 +26,22 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.incidents import detect_incidents
 from repro.obs.sampler import GaugeSampler
+from repro.obs.sketch import QuantileSketch, StatsRegistry
+from repro.obs.slo import default_policy
 from repro.obs.timeline import NULL_TIMELINE, Timeline
-from repro.sim.stats import StatsRegistry
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import ATTRIBUTION_BUCKETS, NULL_TRACER, Tracer
 
-__all__ = ["MetricsHub", "NULL_HUB", "SAMPLE_INTERVAL",
+__all__ = ["MetricsHub", "NULL_HUB", "SAMPLE_INTERVAL", "COMMIT_TALLIES",
            "attribution_rollup"]
 
 SCHEMA = "pacon.metrics/v4"
+
+#: The per-commit-process tallies a region's ``commit`` snapshot sums
+#: (and the schema contract requires).
+COMMIT_TALLIES = ("committed", "discarded", "resubmissions", "coalesced",
+                  "barriers_passed", "replays", "aborts")
 
 #: Simulated seconds between gauge samples wherever the bench harness or
 #: the CLI turns sampling on (a hub built without an interval has none).
@@ -87,9 +94,9 @@ class MetricsHub:
             return
         self.stats.sketch(f"client.op.{op}.latency").observe(latency,
                                                              weight)
-        self.stats.counter("client.ops").inc(weight)
+        self.stats.count("client.ops", weight)
         if not ok:
-            self.stats.counter(f"client.op.{op}.errors").inc(weight)
+            self.stats.count(f"client.op.{op}.errors", weight)
             self.error_count += weight
 
     def observe_commit(self, op: str, latency: float) -> None:
@@ -98,7 +105,7 @@ class MetricsHub:
             return
         self.stats.sketch("commit.latency").observe(latency)
         self.stats.sketch(f"commit.op.{op}.latency").observe(latency)
-        self.stats.counter("commit.committed").inc()
+        self.stats.count("commit.committed")
 
     def observe(self, name: str, value: float, weight: int = 1) -> None:
         if not self.enabled:
@@ -117,7 +124,7 @@ class MetricsHub:
         """
         if not self.enabled:
             return
-        self.stats.counter(f"consistency.reads[{tier}]").inc(weight)
+        self.stats.count(f"consistency.reads[{tier}]", weight)
         self.stats.sketch(
             f"consistency.staleness.age[{tier}:{op}]").observe(age, weight)
         self.stats.sketch(
@@ -143,7 +150,7 @@ class MetricsHub:
     def count(self, name: str, n: int = 1) -> None:
         if not self.enabled:
             return
-        self.stats.counter(name).inc(n)
+        self.stats.count(name, n)
 
     def record_sample(self, name: str, time: float, value: float) -> None:
         if not self.enabled:
@@ -237,18 +244,16 @@ class MetricsHub:
 
     # -- export ------------------------------------------------------------
     def consistency_snapshot(self) -> Dict[str, Any]:
-        """Cross-tier staleness/visibility rollup (v3 ``consistency``).
+        """Cross-tier staleness/visibility rollup (``consistency``).
 
         Merges the per-``tier:op`` staleness sketches into headline
         distributions (sketch buckets add exactly, so the merge is
         lossless at sketch resolution) and attributes reads to cache
         shards via the hash ring's lookup counters.
         """
-        from repro.obs.sketch import QuantileSketch
-
         sketches = self.stats.sketches()
 
-        def merged(prefix: str, label: str) -> "QuantileSketch":
+        def merged(prefix: str, label: str) -> QuantileSketch:
             out = QuantileSketch(label)
             for name in sorted(sketches):
                 if name.startswith(prefix):
@@ -306,21 +311,17 @@ class MetricsHub:
             "regions": regions,
             "clients": _client_snapshot(
                 [c for region in self._regions for c in region.clients]),
-            "attribution": attribution_rollup(self.tracer),
+            "attribution": attribution_rollup(self.tracer.attributions()),
             "resources": self.resource_snapshot(),
             "consistency": self.consistency_snapshot(),
             "trace": {"events": len(self.tracer),
                       "dropped": self.tracer.dropped,
                       "open_spans": self.tracer.open_span_count()},
         }
-        # Lazy: the SLO engine evaluates finished documents, so it lives
-        # above the hub and must not be imported at module init.
-        from repro.obs.slo import default_policy
+        # The SLO engine and the incident detector read the finished
+        # document (series + timeline), so they run last, in this order.
         doc["slo"] = default_policy().evaluate(doc).to_doc()
         doc["timeline"] = self.timeline.export()
-        # Incident detection reads the finished document (series +
-        # timeline), so it runs last and stays lazily imported too.
-        from repro.obs.incidents import detect_incidents
         doc["incidents"] = detect_incidents(doc)
         return doc
 
@@ -351,18 +352,17 @@ class MetricsHub:
         return json.dumps(doc, sort_keys=True, indent=indent)
 
 
-def attribution_rollup(tracer) -> Dict[str, Any]:
-    """Aggregate per-op latency attributions by op class.
+def attribution_rollup(attributions: Dict[int, Dict[str, Any]],
+                       ) -> Dict[str, Any]:
+    """Aggregate per-op latency attributions (``Tracer.attributions()``,
+    built once by the caller) by op class.
 
     For each op class (mkdir, create, getattr, ...): completed-op count,
     mean end-to-end latency, mean time per attribution bucket, and the
     mean residual — ``mean_latency == sum(buckets) + residual`` exactly,
     by construction, so the decomposition can never silently lose time.
     """
-    from repro.sim.trace import ATTRIBUTION_BUCKETS
-
     per_class: Dict[str, Dict[str, Any]] = {}
-    attributions = tracer.attributions() if tracer.enabled else {}
     for op_id in sorted(attributions):
         att = attributions[op_id]
         agg = per_class.setdefault(att["op"] or "?", {
@@ -391,17 +391,9 @@ def attribution_rollup(tracer) -> Dict[str, Any]:
 
 
 def _region_snapshot(region) -> Dict[str, Any]:
-    commit = {"committed": 0, "discarded": 0, "resubmissions": 0,
-              "coalesced": 0, "barriers_passed": 0, "replays": 0,
-              "aborts": 0}
-    for cp in region.commit_processes:
-        commit["committed"] += cp.committed
-        commit["discarded"] += cp.discarded
-        commit["resubmissions"] += cp.resubmissions
-        commit["coalesced"] += cp.coalesced
-        commit["barriers_passed"] += cp.barriers_passed
-        commit["replays"] += cp.replays
-        commit["aborts"] += cp.aborts
+    commit = {tally: sum(getattr(cp, tally)
+                         for cp in region.commit_processes)
+              for tally in COMMIT_TALLIES}
     queues = {}
     for queue in region.queues.queues():
         queues[queue.name] = {"depth": len(queue),

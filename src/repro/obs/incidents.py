@@ -52,10 +52,12 @@ listed under ``saturated``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.slo import SeriesThresholdObjective, _series_points
+from repro.obs.slo import (SeriesThresholdObjective, _series_points,
+                           series_in_window)
+from repro.obs.timeline import event_extents
 
 __all__ = [
     "IncidentRule",
@@ -126,20 +128,6 @@ class IncidentRule:
         return max(self.floor, self.adapt_factor * baseline,
                    self.floor_frac * ordered[-1],
                    self.span_frac * span)
-
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "series": self.series,
-            "bound": self.bound,
-            "adapt_factor": self.adapt_factor,
-            "adapt_percentile": self.adapt_percentile,
-            "floor": self.floor,
-            "floor_frac": self.floor_frac,
-            "span_frac": self.span_frac,
-            "open_after": self.open_after,
-            "close_after": self.close_after,
-        }
 
 
 #: The rules every v4 export is stamped with, one per degradation lens.
@@ -239,34 +227,27 @@ def _detect_windows(rule: IncidentRule,
 def _cause_intervals(doc: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Timeline events → scored cause intervals.
 
-    Faults span injection→recovery (recovery events reference the
-    injection's ``seq`` and are folded in, not causes themselves);
-    events with a duration span it; the rest are points.  Unrecovered
-    faults stay open-ended (``end`` None, clamped per incident).
+    Faults span injection→recovery, events with a duration span it, the
+    rest are points (:func:`~repro.obs.timeline.event_extents`).
+    Unrecovered faults stay open-ended (``end`` None, clamped per
+    incident).
     """
     events = ((doc.get("timeline") or {}).get("events")) or []
     causes: List[Dict[str, Any]] = []
-    by_seq: Dict[int, Dict[str, Any]] = {}
-    for ev in events:
-        kind = ev.get("kind", "")
-        if kind == "fault.recovered":
-            opener = by_seq.get(ev.get("ref", -1))
-            if opener is not None:
-                opener["end"] = ev["t"]
-            continue
+    for ev, end in event_extents(events):
+        kind = ev["kind"]
         if kind not in CAUSE_WEIGHTS:
             continue
-        cause = {
+        if end is None and kind != "fault.injected":
+            end = ev["t"]
+        causes.append({
             "seq": ev["seq"],
             "kind": kind,
-            "label": ev.get("label", ""),
+            "label": ev["label"],
             "start": ev["t"],
-            "end": (None if kind == "fault.injected"
-                    else ev["t"] + ev.get("duration", 0.0)),
+            "end": end,
             "weight": CAUSE_WEIGHTS[kind],
-        }
-        by_seq[ev["seq"]] = cause
-        causes.append(cause)
+        })
     return causes
 
 
@@ -315,15 +296,10 @@ def _blame(causes: List[Dict[str, Any]], start: float, end: float,
 def _saturated(doc: Dict[str, Any], start: float, end: float) -> List[str]:
     """Resources whose ``resource.util`` exceeded the saturation bar
     inside the window (corroborating evidence for blame)."""
-    names: List[str] = []
-    for name, series in sorted((doc.get("series") or {}).items()):
-        if not name.startswith("resource.util["):
-            continue
-        for t, v in zip(series.get("t", []), series.get("v", [])):
-            if start <= t <= end and v > SATURATION_UTIL:
-                names.append(name[len("resource.util["):-1])
-                break
-    return names
+    return [name[len("resource.util["):-1]
+            for name, points in series_in_window(doc, "resource.util",
+                                                 (start, end))
+            if max([v for _, v in points], default=0.0) > SATURATION_UTIL]
 
 
 def detect_incidents(doc: Dict[str, Any],
@@ -357,7 +333,7 @@ def detect_incidents(doc: Dict[str, Any],
                 "duration": end - start,
                 "peak": peak,
                 "bound": bound,
-                "verdict": verdict.to_doc(),
+                "verdict": asdict(verdict),
                 "suspects": _blame(causes, start, end, span, rule,
                                    bound, peak),
                 "saturated": _saturated(doc, start, end),
@@ -367,7 +343,7 @@ def detect_incidents(doc: Dict[str, Any],
         inc["id"] = f"INC-{idx:03d}"
     return {
         "policy": "incident-default",
-        "rules": [rule.to_doc() for rule in rules],
+        "rules": [asdict(rule) for rule in rules],
         "count": len(found),
         "incidents": found,
     }

@@ -1,7 +1,7 @@
 """Latency-attribution and resource-profile reports (``pacon-bench profile``).
 
-Turns one observed run's tracer + hub state into two human-readable
-tables and a top-N list:
+Turns one observed run's exported document (and, for the per-op list, its
+tracer) into two human-readable tables and a top-N list:
 
 * per-op-class mean latency decomposed into the attribution buckets
   (cache, network, queue_wait, barrier, publish_stall, mds_service,
@@ -12,29 +12,28 @@ tables and a top-N list:
 * per-resource utilization and queueing: lifetime utilization, busy
   time, acquires, total/mean wait, and the peak queue length.
 
-All numbers come from :func:`repro.obs.hub.attribution_rollup` and
-:meth:`MetricsHub.resource_snapshot`, so the report always agrees with
-the exported ``pacon.metrics/v4`` document.
+The two tables are renderings of the ``attribution`` and ``resources``
+sections of the exported ``pacon.metrics/v4`` document, so they need no
+live run; only the per-op list reads the tracer (one span-tree pass).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.obs.hub import attribution_rollup
 from repro.sim.trace import ATTRIBUTION_BUCKETS, Tracer
 
 __all__ = ["slowest_ops", "render_attribution_table",
            "render_slowest_ops", "render_resource_table", "render_report"]
 
 
-def slowest_ops(tracer: Tracer, top: int = 10) -> List[Dict[str, Any]]:
-    """The ``top`` highest-latency completed ops with their attributions.
+def slowest_ops(attributions: Dict[int, Dict[str, Any]],
+                top: int = 10) -> List[Dict[str, Any]]:
+    """The ``top`` highest-latency ops of ``Tracer.attributions()``.
 
     Ties break on op_id so the ordering (and any file written from it)
     is deterministic for same-seed runs.
     """
-    attributions = tracer.attributions() if tracer.enabled else {}
     ranked = sorted(attributions.items(),
                     key=lambda kv: (-kv[1]["duration"], kv[0]))
     return [dict(att, op_id=op_id) for op_id, att in ranked[:top]]
@@ -44,9 +43,9 @@ def _us(seconds: float) -> str:
     return f"{seconds * 1e6:.2f}"
 
 
-def render_attribution_table(tracer: Tracer) -> str:
-    """Per-op-class mean latency decomposition (all times in µs)."""
-    rollup = attribution_rollup(tracer)
+def render_attribution_table(rollup: Dict[str, Any]) -> str:
+    """Per-op-class mean latency decomposition (all times in µs) from the
+    document's ``attribution`` section."""
     if not rollup["ops"]:
         return "no completed operations traced"
     headers = (["op", "count", "mean_us"] + list(ATTRIBUTION_BUCKETS)
@@ -61,9 +60,10 @@ def render_attribution_table(tracer: Tracer) -> str:
     return _table(headers, rows)
 
 
-def render_slowest_ops(tracer: Tracer, top: int = 10) -> str:
+def render_slowest_ops(attributions: Dict[int, Dict[str, Any]],
+                       top: int = 10) -> str:
     """Top-N slowest ops, one line each, with bucket breakdowns in µs."""
-    ops = slowest_ops(tracer, top=top)
+    ops = slowest_ops(attributions, top=top)
     if not ops:
         return "no completed operations traced"
     headers = (["op_id", "op", "dur_us"] + list(ATTRIBUTION_BUCKETS)
@@ -76,9 +76,9 @@ def render_slowest_ops(tracer: Tracer, top: int = 10) -> str:
     return _table(headers, rows)
 
 
-def render_resource_table(hub) -> str:
-    """Per-resource utilization/queueing table (waits in µs)."""
-    snapshot = hub.resource_snapshot()
+def render_resource_table(snapshot: Dict[str, Any]) -> str:
+    """Per-resource utilization/queueing table (waits in µs) from the
+    document's ``resources`` section."""
     if not snapshot:
         return "no resources registered"
     headers = ["resource", "cap", "util", "busy_us", "acquires",
@@ -97,21 +97,21 @@ def render_resource_table(hub) -> str:
     return _table(headers, rows)
 
 
-def render_report(hub, tracer: Optional[Tracer] = None,
+def render_report(tracer: Tracer, doc: Dict[str, Any],
                   top: int = 10) -> str:
-    """The full ``pacon-bench profile`` report."""
-    tracer = tracer if tracer is not None else hub.tracer
+    """The full ``pacon-bench profile`` report of one run: its tracer and
+    its exported document."""
     parts = [
         "== Latency attribution by op class (mean, us) ==",
-        render_attribution_table(tracer),
+        render_attribution_table(doc["attribution"]),
         "",
         f"== Top {top} slowest operations ==",
-        render_slowest_ops(tracer, top=top),
+        render_slowest_ops(tracer.attributions(), top=top),
         "",
         "== Resource utilization and queueing ==",
-        render_resource_table(hub),
+        render_resource_table(doc["resources"]),
     ]
-    open_spans = tracer.open_span_count()
+    open_spans = doc["trace"]["open_spans"]
     if open_spans:
         parts.append(f"\n... {open_spans} spans still open")
     return "\n".join(parts)

@@ -25,25 +25,15 @@ import json
 import sys
 from typing import Any, Dict, List, Tuple
 
-from repro.obs.hub import SCHEMA
+from repro.obs.hub import COMMIT_TALLIES, SCHEMA
 
 __all__ = ["SCHEMA", "BENCH_SCHEMA", "validate", "validate_bench",
-           "validate_chaos", "validate_any", "main", "REQUIRED_FIELDS",
-           "REQUIRED_CHAOS_COUNTERS", "REQUIRED_CHAOS_HISTOGRAMS",
-           "REQUIRED_BENCH_TOP_LEVEL", "REQUIRED_BENCH_EXPERIMENT_FIELDS"]
+           "validate_chaos", "validate_any", "main", "is_number",
+           "REQUIRED_FIELDS", "REQUIRED_CHAOS_FIELDS",
+           "REQUIRED_BENCH_FIELDS"]
 
 #: Version string of the benchmark snapshot document.
 BENCH_SCHEMA = "pacon.bench/v1"
-
-#: Top-level sections of a ``pacon.bench/v1`` snapshot.
-REQUIRED_BENCH_TOP_LEVEL = ("schema", "label", "scale", "seed",
-                            "experiments", "host")
-
-#: Fields every per-experiment record must carry.  ``rows``/``derived``
-#: are the simulated (deterministic) payload; ``host`` holds harness
-#: wall-clock facts and is excluded from byte-identity guarantees.
-REQUIRED_BENCH_EXPERIMENT_FIELDS = ("title", "scale", "seed", "params",
-                                    "rows", "derived", "notes", "host")
 
 #: The ``pacon.metrics/v4`` contract: where in the document -> the keys
 #: the object found there must carry.  A path step is a key, ``{}`` (every
@@ -58,9 +48,7 @@ REQUIRED_FIELDS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...]], ...] = (
     # commit.batch_size gets one observation per commit-queue drain.
     (("histograms",), ("commit.latency", "commit.batch_size")),
     (("regions", "{}"), ("commit",)),
-    (("regions", "{}", "commit"),
-     ("committed", "discarded", "resubmissions", "coalesced",
-      "barriers_passed", "replays", "aborts")),
+    (("regions", "{}", "commit"), COMMIT_TALLIES),
     # Latency decomposition and the resource profiler.
     (("attribution",), ("ops", "total_ops", "buckets")),
     (("attribution", "ops", "{}"),
@@ -87,28 +75,47 @@ REQUIRED_FIELDS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...]], ...] = (
      ("rank", "seq", "kind", "label", "t", "score", "evidence")),
 )
 
-#: Counters a hub-instrumented chaos run (``pacon-bench chaos``) must
-#: have produced: every fault emits inject/recover, and the
-#: delivery-time network semantics drop at least the crashed/partitioned
-#: round trips.  ``net.dropped`` is required structurally but may be 0
-#: for planned churn.
-REQUIRED_CHAOS_COUNTERS = ("chaos.injected", "chaos.recovered")
+#: What a hub-instrumented chaos run (``pacon-bench chaos``) must have
+#: produced on top of :data:`REQUIRED_FIELDS`: every fault emits
+#: inject/recover, and each recovery one downtime observation.
+#: ``net.dropped`` may legitimately be absent for planned churn.
+REQUIRED_CHAOS_FIELDS = (
+    (("counters",), ("chaos.injected", "chaos.recovered")),
+    (("histograms",), ("chaos.downtime",)),
+)
 
-#: Histograms a chaos run must have produced (one downtime observation
-#: per recovered fault).
-REQUIRED_CHAOS_HISTOGRAMS = ("chaos.downtime",)
+#: The ``pacon.bench/v1`` contract, same row format.  ``rows``/``derived``
+#: are the simulated (deterministic) payload; ``host`` holds harness
+#: wall-clock facts and is excluded from byte-identity guarantees.
+REQUIRED_BENCH_FIELDS = (
+    ((), ("schema", "label", "scale", "seed", "experiments", "host")),
+    (("host",), ()),
+    (("experiments", "{}"), ("title", "scale", "seed", "params", "rows",
+                             "derived", "notes", "host")),
+    (("experiments", "{}", "derived"), ()),
+    (("experiments", "{}", "host"), ()),
+)
+
+
+def _check_table(doc: Any, schema: str, table) -> List[str]:
+    """What a table can say about ``doc``: it is an object, it names
+    ``schema``, and every row's keys are where the row says."""
+    if not isinstance(doc, dict):
+        return [f"document is {type(doc).__name__}, expected object"]
+    problems: List[str] = []
+    if doc.get("schema") != schema:
+        problems.append(f"schema is {doc.get('schema')!r},"
+                        f" expected {schema!r}")
+    for path, fields in table:
+        _check_fields(doc, path, fields, "", problems)
+    return problems
 
 
 def validate(doc: Dict[str, Any]) -> List[str]:
     """Return a list of schema-drift problems (empty means conformant)."""
+    problems = _check_table(doc, SCHEMA, REQUIRED_FIELDS)
     if not isinstance(doc, dict):
-        return [f"document is {type(doc).__name__}, expected object"]
-    problems: List[str] = []
-    if doc.get("schema") != SCHEMA:
-        problems.append(f"schema is {doc.get('schema')!r},"
-                        f" expected {SCHEMA!r}")
-    for path, fields in REQUIRED_FIELDS:
-        _check_fields(doc, path, fields, "", problems)
+        return problems
     if doc.get("regions") == {}:
         problems.append("no regions in export (hub never attached?)")
     slo = doc.get("slo")
@@ -123,11 +130,10 @@ def _check_fields(node: Any, path: Tuple[str, ...], fields: Tuple[str, ...],
                   where: str, problems: List[str]) -> None:
     """Apply one :data:`REQUIRED_FIELDS` row below ``node``.
 
-    A wrong container type is reported only by the row that ends there,
-    so rows that merely pass through it do not repeat the complaint.
+    A wrong container type (``null`` included) is reported only by the
+    row that ends there, so rows that merely pass through it do not
+    repeat the complaint.
     """
-    if node is None:
-        return
     if not path:
         if isinstance(node, dict):
             problems.extend(f"{where or 'document'} missing {field!r}"
@@ -153,8 +159,8 @@ def _check_fields(node: Any, path: Tuple[str, ...], fields: Tuple[str, ...],
                               problems)
         elif not rest:
             problems.append(f"{where} is not a list")
-    elif isinstance(node, dict):
-        _check_fields(node.get(step), rest, fields,
+    elif isinstance(node, dict) and step in node:
+        _check_fields(node[step], rest, fields,
                       f"{where}.{step}" if where else step, problems)
 
 
@@ -167,96 +173,73 @@ def validate_chaos(doc: Dict[str, Any]) -> List[str]:
     a downtime observation.
     """
     problems = validate(doc)
-    counters = doc.get("counters", {})
+    if not isinstance(doc, dict):
+        return problems
+    for path, fields in REQUIRED_CHAOS_FIELDS:
+        _check_fields(doc, path, fields, "", problems)
+    counters = doc.get("counters")
     if isinstance(counters, dict):
-        for name in REQUIRED_CHAOS_COUNTERS:
-            if name not in counters:
-                problems.append(f"missing chaos counter {name!r}")
         injected = counters.get("chaos.injected")
         recovered = counters.get("chaos.recovered")
-        if _is_number(injected) and not injected > 0:
+        if is_number(injected) and not injected > 0:
             problems.append("chaos.injected is 0 (no fault ever fired)")
-        if _is_number(injected) and _is_number(recovered) \
+        if is_number(injected) and is_number(recovered) \
                 and injected != recovered:
             problems.append(f"chaos.injected ({injected}) !="
                             f" chaos.recovered ({recovered}):"
                             " some fault never recovered")
-    histograms = doc.get("histograms", {})
-    if isinstance(histograms, dict):
-        for name in REQUIRED_CHAOS_HISTOGRAMS:
-            if name not in histograms:
-                problems.append(f"missing chaos histogram {name!r}")
     return problems
 
 
-def _is_number(value: Any) -> bool:
+def is_number(value: Any) -> bool:
+    """A JSON number (``bool`` is an ``int`` in Python, not a metric)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_bench(doc: Dict[str, Any]) -> List[str]:
-    """Return schema problems of a ``pacon.bench/v1`` snapshot document."""
-    problems: List[str] = []
+    """Return schema problems of a ``pacon.bench/v1`` snapshot document.
+
+    :data:`REQUIRED_BENCH_FIELDS` plus what a table cannot express:
+    integer seeds, non-empty list-of-object ``rows``, numeric ``derived``.
+    """
+    problems = _check_table(doc, BENCH_SCHEMA, REQUIRED_BENCH_FIELDS)
     if not isinstance(doc, dict):
-        return [f"document is {type(doc).__name__}, expected object"]
-    schema = doc.get("schema")
-    if schema != BENCH_SCHEMA:
-        problems.append(f"schema is {schema!r}, expected {BENCH_SCHEMA!r}")
-    for key in REQUIRED_BENCH_TOP_LEVEL:
-        if key not in doc:
-            problems.append(f"missing top-level field {key!r}")
-    if "seed" in doc and not isinstance(doc.get("seed"), int):
-        problems.append("'seed' is not an integer")
-    host = doc.get("host")
-    if host is not None and not isinstance(host, dict):
-        problems.append("'host' is not an object")
-    experiments = doc.get("experiments")
-    if not isinstance(experiments, dict):
-        if "experiments" in doc:
-            problems.append("'experiments' is not an object")
         return problems
-    if not experiments:
+    if "seed" in doc and not isinstance(doc["seed"], int):
+        problems.append("'seed' is not an integer")
+    experiments = doc.get("experiments")
+    if experiments == {}:
         problems.append("no experiments in snapshot (runner never ran?)")
+    if not isinstance(experiments, dict):
+        return problems
     for name, record in experiments.items():
         if not isinstance(record, dict):
-            problems.append(f"experiment {name!r} is not an object")
             continue
-        for field in REQUIRED_BENCH_EXPERIMENT_FIELDS:
-            if field not in record:
-                problems.append(f"experiment {name!r} missing {field!r}")
-        rows = record.get("rows")
-        if rows is not None:
-            if not isinstance(rows, list) or any(
-                    not isinstance(row, dict) for row in rows):
-                problems.append(f"experiment {name!r} rows are not a list"
-                                " of objects")
-            elif not rows:
-                problems.append(f"experiment {name!r} has no rows")
-        derived = record.get("derived")
-        if derived is not None:
-            if not isinstance(derived, dict):
-                problems.append(f"experiment {name!r} 'derived' is not"
-                                " an object")
-            else:
-                for key, value in derived.items():
-                    if not _is_number(value):
-                        problems.append(
-                            f"experiment {name!r} derived metric {key!r}"
-                            f" is not numeric ({value!r})")
-        exp_host = record.get("host")
-        if exp_host is not None and not isinstance(exp_host, dict):
-            problems.append(f"experiment {name!r} 'host' is not an object")
-        if "seed" in record and record.get("seed") is not None \
-                and not isinstance(record.get("seed"), int):
+        if not isinstance(record.get("seed"), (int, type(None))):
             problems.append(f"experiment {name!r} 'seed' is not an integer")
+        rows = record.get("rows")
+        if rows is not None and not (isinstance(rows, list) and all(
+                isinstance(row, dict) for row in rows)):
+            problems.append(f"experiment {name!r} rows are not a list"
+                            " of objects")
+        elif rows == []:
+            problems.append(f"experiment {name!r} has no rows")
+        derived = record.get("derived")
+        if isinstance(derived, dict):
+            problems.extend(
+                f"experiment {name!r} derived metric {key!r}"
+                f" is not numeric ({value!r})"
+                for key, value in derived.items() if not is_number(value))
     return problems
 
 
-def validate_any(doc: Any) -> List[str]:
-    """Dispatch on the document's schema family (metrics vs bench)."""
+def validate_any(doc: Any, chaos: bool = False) -> List[str]:
+    """Dispatch on the document's schema family (metrics vs bench);
+    ``chaos`` holds a metrics export to :func:`validate_chaos`."""
     if isinstance(doc, dict) and \
             str(doc.get("schema", "")).startswith("pacon.bench/"):
         return validate_bench(doc)
-    return validate(doc)
+    return validate_chaos(doc) if chaos else validate(doc)
 
 
 def main(argv: List[str] = None) -> int:
@@ -278,11 +261,7 @@ def main(argv: List[str] = None) -> int:
     for path in argv:
         with open(path) as fh:
             doc = json.load(fh)
-        if chaos and not (isinstance(doc, dict) and str(
-                doc.get("schema", "")).startswith("pacon.bench/")):
-            problems = validate_chaos(doc)
-        else:
-            problems = validate_any(doc)
+        problems = validate_any(doc, chaos=chaos)
         if problems:
             status = 1
             print(f"{path}: {len(problems)} schema problem(s)")

@@ -1,4 +1,10 @@
-"""Constant-memory streaming quantile sketch (HDR-style log buckets).
+"""The metric store behind one hub: quantile sketches, gauge series, counters.
+
+A :class:`StatsRegistry` is the flat name → metric store of one
+:class:`~repro.obs.hub.MetricsHub`: the hub's recorders publish into it
+and its export reads it back in sorted order.  Counters are plain ints,
+gauges are append-only :class:`Series`, and every distribution is a
+constant-memory :class:`QuantileSketch` (HDR-style log buckets).
 
 Keeping every raw sample is fine for the experiments at paper scale but
 grows without bound once ``AggregateClient`` sweeps push 20-100x the
@@ -27,9 +33,9 @@ keys so ``json.dumps(..., sort_keys=True)`` stays byte-stable run to run.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["QuantileSketch", "DEFAULT_GROWTH"]
+__all__ = ["QuantileSketch", "DEFAULT_GROWTH", "Series", "StatsRegistry"]
 
 #: Default bucket growth factor; relative quantile error <= growth - 1.
 DEFAULT_GROWTH = 1.05
@@ -175,3 +181,80 @@ class QuantileSketch:
     def __repr__(self) -> str:
         return (f"QuantileSketch({self.name}: count={self.count}"
                 f" buckets={len(self._buckets)})")
+
+
+class Series:
+    """An append-only time-indexed gauge (sampler output).
+
+    Each point is ``(simulated_time, value)``; the observability sampler
+    appends one point per gauge per tick.  A cap guards runaway runs, with
+    the overflow counted in ``dropped``.
+    """
+
+    def __init__(self, name: str, max_points: int = 1_000_000):
+        self.name = name
+        self.max_points = max_points
+        self._times: List[float] = []
+        self._values: List[float] = []
+        self.dropped = 0
+
+    def append(self, time: float, value: float) -> None:
+        if len(self._times) >= self.max_points:
+            self.dropped += 1
+            return
+        self._times.append(float(time))
+        self._values.append(float(value))
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def points(self) -> List[Tuple[float, float]]:
+        return list(zip(self._times, self._values))
+
+    def last(self) -> Optional[Tuple[float, float]]:
+        if not self._times:
+            return None
+        return self._times[-1], self._values[-1]
+
+    def export(self) -> Dict[str, Any]:
+        return {"t": list(self._times), "v": list(self._values),
+                "dropped": self.dropped}
+
+
+class StatsRegistry:
+    """A flat namespace of counters/series/sketches for one experiment."""
+
+    def __init__(self):
+        self._counters: Dict[str, int] = {}
+        self._series: Dict[str, Series] = {}
+        self._sketches: Dict[str, QuantileSketch] = {}
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the monotonically increasing count ``name``."""
+        self._counters[name] = self._counters.get(name, 0) + n
+
+    def series(self, name: str) -> Series:
+        s = self._series.get(name)
+        if s is None:
+            s = self._series[name] = Series(name)
+        return s
+
+    def sketch(self, name: str) -> QuantileSketch:
+        """Constant-memory quantile sketch (latency recording hot path)."""
+        s = self._sketches.get(name)
+        if s is None:
+            s = self._sketches[name] = QuantileSketch(name)
+        return s
+
+    def counters(self) -> Dict[str, int]:
+        return dict(sorted(self._counters.items()))
+
+    def histograms(self) -> Dict[str, Dict[str, float]]:
+        """Summary of every distribution (the export's ``histograms``)."""
+        return {k: v.summary() for k, v in sorted(self._sketches.items())}
+
+    def sketches(self) -> Dict[str, QuantileSketch]:
+        return dict(self._sketches)
+
+    def series_export(self) -> Dict[str, Dict[str, Any]]:
+        return {k: v.export() for k, v in sorted(self._series.items())}

@@ -3,7 +3,7 @@
 A :class:`Policy` is a named list of objectives; each objective evaluates
 one exported metrics document (the dict :meth:`MetricsHub.export`
 returns, or the same JSON loaded back from disk) into a :class:`Verdict`.
-Four objective kinds cover the paper's service-level story:
+Five objective kinds cover the paper's service-level story:
 
 * :class:`LatencyObjective` — a percentile of an exported latency
   distribution (``histograms`` section) must not exceed a target.
@@ -35,10 +35,11 @@ byte-identical SLO sections.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
+    "series_in_window",
     "Verdict",
     "PolicyResult",
     "LatencyObjective",
@@ -67,17 +68,6 @@ class Verdict:
     ok: bool
     detail: str = ""
 
-    def to_doc(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "metric": self.metric,
-            "measured": self.measured,
-            "target": self.target,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class PolicyResult:
@@ -94,24 +84,48 @@ class PolicyResult:
         return {
             "policy": self.policy,
             "verdict": "pass" if self.passed else "fail",
-            "objectives": [v.to_doc() for v in
+            "objectives": [asdict(v) for v in
                            sorted(self.verdicts, key=lambda v: v.name)],
         }
 
 
-def _series_points(doc: Dict[str, Any], prefix: str,
+def series_in_window(doc: Dict[str, Any], family: str = "",
+                     window: Optional[Tuple[float, float]] = None,
+                     ) -> Iterator[Tuple[str, List[Tuple[float, float]]]]:
+    """The one reader of the exported ``series`` section.
+
+    Yields ``(name, [(t, v), ...])`` for each series of ``family`` (named
+    ``family`` or ``family[...]``; every series when empty) in name
+    order, its points clipped to ``window``.
+    """
+    for name, series in sorted((doc.get("series") or {}).items()):
+        if family and name != family and not name.startswith(family + "["):
+            continue
+        yield name, [(t, v) for t, v in zip(series.get("t", []),
+                                            series.get("v", []))
+                     if window is None or window[0] <= t <= window[1]]
+
+
+def _series_points(doc: Dict[str, Any], family: str,
                    window: Optional[Tuple[float, float]] = None,
                    ) -> List[Tuple[float, float]]:
-    """All ``(t, v)`` points of series named ``prefix`` or ``prefix[...]``,
-    merged across regions, time-sorted, clipped to ``window``."""
-    out: List[Tuple[float, float]] = []
-    for name, series in (doc.get("series") or {}).items():
-        if name == prefix or name.startswith(prefix + "["):
-            for t, v in zip(series.get("t", []), series.get("v", [])):
-                if window is None or window[0] <= t <= window[1]:
-                    out.append((t, v))
-    out.sort()
-    return out
+    """One family's points merged across regions, time-sorted."""
+    merged: List[Tuple[float, float]] = []
+    for _, points in series_in_window(doc, family, window):
+        merged += points
+    return sorted(merged)
+
+
+def _aggregate(points: List[Tuple[float, float]], mode: str) -> float:
+    """``max`` (worst excursion), ``final`` (last sample) or ``mean`` of
+    merged series points; 0.0 when there are none."""
+    if not points:
+        return 0.0
+    if mode == "final":
+        return points[-1][1]
+    if mode == "mean":
+        return sum(v for _, v in points) / len(points)
+    return max(v for _, v in points)
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,6 @@ class LatencyObjective:
     percentile: str  # summary key: p50 | p95 | p99 | mean | max
     target: float
     kind = "latency"
-    windowable = False
 
     def evaluate(self, doc: Dict[str, Any],
                  window: Optional[Tuple[float, float]] = None,
@@ -157,7 +170,6 @@ class StalenessObjective:
     percentile: str = "p99"
     mode: str = "max"  # windowed aggregation: max | final
     kind = "staleness"
-    windowable = True
 
     def evaluate(self, doc: Dict[str, Any],
                  window: Optional[Tuple[float, float]] = None,
@@ -170,10 +182,7 @@ class StalenessObjective:
             detail = "" if age.get("count") else "no samples"
         else:
             pts = _series_points(doc, "consistency.pending_age", window)
-            if self.mode == "final":
-                measured = pts[-1][1] if pts else 0.0
-            else:
-                measured = max((v for _, v in pts), default=0.0)
+            measured = _aggregate(pts, self.mode)
             metric = f"consistency.pending_age.{self.mode}"
             detail = "" if pts else "no samples in window"
         return Verdict(self.name, self.kind, metric, measured, self.bound,
@@ -188,7 +197,6 @@ class ErrorRatioObjective:
     max_ratio: float
     total_metric: str = "client.ops"
     kind = "error_ratio"
-    windowable = False
 
     def evaluate(self, doc: Dict[str, Any],
                  window: Optional[Tuple[float, float]] = None,
@@ -223,7 +231,6 @@ class BurnRateObjective:
     budget: float
     windows: Tuple[float, ...] = (0.1, 1.0)
     kind = "burn_rate"
-    windowable = True
 
     def evaluate(self, doc: Dict[str, Any],
                  window: Optional[Tuple[float, float]] = None,
@@ -265,7 +272,6 @@ class SeriesThresholdObjective:
     bound: float
     mode: str = "max"  # max | final | mean
     kind = "series_threshold"
-    windowable = True
 
     def evaluate(self, doc: Dict[str, Any],
                  window: Optional[Tuple[float, float]] = None,
@@ -275,12 +281,7 @@ class SeriesThresholdObjective:
             return Verdict(self.name, self.kind,
                            f"{self.series}.{self.mode}", 0.0, self.bound,
                            True, "no samples")
-        if self.mode == "final":
-            measured = pts[-1][1]
-        elif self.mode == "mean":
-            measured = sum(v for _, v in pts) / len(pts)
-        else:
-            measured = max(v for _, v in pts)
+        measured = _aggregate(pts, self.mode)
         return Verdict(self.name, self.kind,
                        f"{self.series}.{self.mode}", measured, self.bound,
                        measured <= self.bound)
@@ -305,7 +306,7 @@ class Policy:
 
 
 def default_policy() -> Policy:
-    """The policy the hub stamps into every v3 export.
+    """The policy the hub stamps into every export.
 
     Bounds are deliberately loose — they assert the *machinery* (commit
     pipeline drains, staleness bounded, errors rare), not a particular

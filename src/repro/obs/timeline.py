@@ -48,10 +48,10 @@ commit     backpressure.stall   a bounded commit queue stalled a client
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["ControlEvent", "Timeline", "NULL_TIMELINE"]
+__all__ = ["ControlEvent", "Timeline", "NULL_TIMELINE", "event_extents"]
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,10 @@ class ControlEvent:
     ref: int = -1      # seq of the paired opening event; -1 = none
 
     def to_doc(self) -> Dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "t": self.time,
-            "source": self.source,
-            "kind": self.kind,
-            "label": self.label,
-            "detail": self.detail,
-            "duration": self.duration,
-            "ref": self.ref,
-        }
+        """The exported record: the fields as they are, ``time`` as ``t``."""
+        doc = asdict(self)
+        doc["t"] = doc.pop("time")
+        return doc
 
 
 class Timeline:
@@ -132,6 +126,26 @@ class Timeline:
     def clear(self) -> None:
         self._events.clear()
         self.dropped = 0
+
+
+def event_extents(events: List[Dict[str, Any]],
+                  ) -> Iterator[Tuple[Dict[str, Any], Optional[float]]]:
+    """``(event, end)`` for each exported event in order, ``end`` None for
+    a point: the one place an event gets its extent.
+
+    A ``fault.recovered`` whose ``ref`` names an injection's ``seq`` is
+    folded into that injection (which ends at the recovery) and not
+    returned; an event carrying a ``duration`` ends after it.
+    """
+    recovered_at = {ev["ref"]: ev["t"] for ev in events
+                    if ev["kind"] == "fault.recovered" and ev["ref"] >= 0}
+    for ev in events:
+        if ev["kind"] == "fault.recovered" and ev["ref"] >= 0:
+            continue
+        end = recovered_at.get(ev["seq"])
+        if end is None and ev["duration"] > 0.0:
+            end = ev["t"] + ev["duration"]
+        yield ev, end
 
 
 #: The shared disabled timeline a disabled hub carries.

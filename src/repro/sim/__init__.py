@@ -35,7 +35,6 @@ from repro.sim.network import (
 )
 from repro.sim.costs import CostModel
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Counter, StatsRegistry
 
 __all__ = [
     "AllOf",
@@ -43,7 +42,6 @@ __all__ = [
     "Barrier",
     "Cluster",
     "CostModel",
-    "Counter",
     "Environment",
     "Event",
     "Interrupt",
@@ -56,7 +54,6 @@ __all__ = [
     "RngStreams",
     "Service",
     "SimulationError",
-    "StatsRegistry",
     "Timeout",
     "run_sync",
 ]

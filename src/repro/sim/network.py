@@ -179,11 +179,8 @@ class Network:
         tracer = self.tracer
         ctx = None
         if tracer.enabled:
-            parent = tracer.current_context(env.active_process)
-            if parent is not None:
-                ctx = tracer.child_context(parent)
-                tracer.span_start(env.now, "net", ctx, "network",
-                                  f"{src.name}->{dst.name}")
+            ctx = tracer.open_child(env.active_process, env.now, "net",
+                                    "network", f"{src.name}->{dst.name}")
         p = self.params
         try:
             if src is dst:
@@ -287,18 +284,16 @@ class Service:
                       if resp_size is None else resp_size)
         net = self.cluster.network
         tracer = self.cluster.tracer
-        parent = (tracer.current_context(self.env.active_process)
-                  if tracer.enabled else None)
+        proc = self.env.active_process if tracer.enabled else None
         yield from net.transfer(src, self.node, req_bytes)
         mark = self.node.incarnation
-        if parent is not None:
-            qctx = tracer.child_context(parent)
-            tracer.span_start(self.env.now, self.name, qctx,
-                              self.span_queue_category, method)
-            yield self.workers.acquire()
+        qctx = None
+        if proc is not None:
+            qctx = tracer.open_child(proc, self.env.now, self.name,
+                                     self.span_queue_category, method)
+        yield self.workers.acquire()
+        if qctx is not None:
             tracer.span_end(self.env.now, self.name, qctx)
-        else:
-            yield self.workers.acquire()
         if not self.node.alive or self.node.incarnation != mark:
             # The service's node died while the request sat in the worker
             # queue: the handler never runs and no response is sent.
@@ -307,12 +302,10 @@ class Service:
             raise MessageDropped(
                 f"service {self.name} node {self.node.name} died while"
                 f" {method!r} was queued")
-        if parent is not None:
-            sctx = tracer.child_context(parent)
-            tracer.span_start(self.env.now, self.name, sctx,
-                              self.span_service_category, method)
-        else:
-            sctx = None
+        sctx = None
+        if proc is not None:
+            sctx = tracer.open_child(proc, self.env.now, self.name,
+                                     self.span_service_category, method)
         error: Optional[BaseException] = None
         result = None
         try:

@@ -140,10 +140,6 @@ class Tracer:
         return SpanContext(op_id=self.new_op_id(),
                            span_id=self.new_span_id(), parent_id=None)
 
-    def child_context(self, parent: SpanContext) -> SpanContext:
-        return SpanContext(op_id=parent.op_id, span_id=self.new_span_id(),
-                           parent_id=parent.span_id)
-
     def adopt_context(self, op_id: int, span_id: int) -> SpanContext:
         """Rebuild a context from ids carried across a process boundary
         (e.g. on an OpMessage), so downstream spans parent correctly."""
@@ -159,9 +155,22 @@ class Tracer:
         if not stack:
             self._ctx.pop(process, None)
 
-    def current_context(self, process: Any) -> Optional[SpanContext]:
+    def open_child(self, process: Any, time: float, actor: str,
+                   category: str, name: str = "") -> Optional[SpanContext]:
+        """Open a child span under ``process``'s innermost in-flight span:
+        the one way a stage (cache RPC, network hop, worker queue, commit
+        queue residency) attaches itself to the op it serves.  Returns the
+        child's context for :meth:`span_end`, or None when the process
+        carries no op (set-up work, the commit loop between ops).
+        """
         stack = self._ctx.get(process)
-        return stack[-1] if stack else None
+        if not stack:
+            return None
+        parent = stack[-1]
+        ctx = SpanContext(op_id=parent.op_id, span_id=self.new_span_id(),
+                          parent_id=parent.span_id)
+        self.span_start(time, actor, ctx, category, name)
+        return ctx
 
     def span_start(self, time: float, actor: str, ctx: SpanContext,
                    category: str, name: str = "") -> None:

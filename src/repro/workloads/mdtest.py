@@ -47,7 +47,6 @@ class MdtestConfig:
     #: pattern) instead of the shared parent.  An implicit setup phase
     #: creates the per-rank directories before the timed phases.
     unique_dir_per_rank: bool = False
-    seed_label: str = "mdtest"
 
 
 @dataclass

@@ -172,12 +172,6 @@ def test_lifecycle_pin():
         ("membership", "node.joined", "spare1")]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "found by this scenario, present at the parent commit: a crash that"
-    " interrupts a commit segment after a create+rm pair in it was"
-    " coalesced counts the pair as coalesced AND lost (the pair stays in"
-    " CommitProcess._in_flight without _in_flight_committed credit until"
-    " the segment ends) — 129 accounted vs 127 submitted; ROADMAP item 3"))
 def test_lifecycle_accounting_is_exact():
     w, _hub, _moved, lost = _run_lifecycle()
     resolved = sum(cp.committed + cp.discarded + cp.coalesced

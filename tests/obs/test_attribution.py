@@ -105,7 +105,7 @@ class TestAttribution:
                     == pytest.approx(att["duration"], abs=1e-12))
 
     def test_rollup_reconstructs_mean_within_one_percent(self, driven):
-        rollup = attribution_rollup(driven.hub.tracer)
+        rollup = attribution_rollup(driven.hub.tracer.attributions())
         assert rollup["buckets"] == list(ATTRIBUTION_BUCKETS)
         assert rollup["ops"]
         for op_class, entry in rollup["ops"].items():
@@ -115,7 +115,7 @@ class TestAttribution:
                 entry["mean_latency"], rel=0.01), op_class
 
     def test_readdir_attribution_includes_barrier_wait(self, driven):
-        rollup = attribution_rollup(driven.hub.tracer)
+        rollup = attribution_rollup(driven.hub.tracer.attributions())
         assert "readdir" in rollup["ops"]
         assert rollup["ops"]["readdir"]["buckets"]["barrier"] > 0.0
 
@@ -130,7 +130,7 @@ class TestFig07Acceptance:
 
         hub = MetricsHub(tracer=Tracer(), sample_interval=200e-6)
         fig07.run("smoke", hub=hub)
-        rollup = attribution_rollup(hub.tracer)
+        rollup = attribution_rollup(hub.tracer.attributions())
         assert rollup["total_ops"] > 0
         assert hub.tracer.open_span_count() == 0
         for op_class, entry in rollup["ops"].items():

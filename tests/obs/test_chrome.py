@@ -27,7 +27,7 @@ def _drive(world):
 class TestStructure:
     def test_spans_counters_metadata_present(self):
         world = _drive(make_observed_world())
-        doc = chrome_trace(world.hub.tracer, world.hub)
+        doc = chrome_trace(world.hub.tracer, world.hub.export())
         events = doc["traceEvents"]
         phases = {ev["ph"] for ev in events}
         assert {"X", "C", "M", "i"} <= phases
@@ -59,7 +59,7 @@ class TestStructure:
         tracer = world.hub.tracer
         spans = sorted((s, op) for op, (s, e, d) in tracer.spans().items())
         cut = spans[len(spans) // 2][0]
-        doc = chrome_trace(tracer, world.hub, since=cut)
+        doc = chrome_trace(tracer, world.hub.export(), since=cut)
         kept = [ev for ev in doc["traceEvents"]
                 if ev["ph"] == "X" and ev["cat"] == "op"]
         expected = [op for s, op in spans if s >= cut]
@@ -75,7 +75,7 @@ class TestControlPlaneTracks:
         tl.record(0.003, "chaos", "fault.recovered", "mds_crash[0]",
                   ref=seq)
         tl.record(0.002, "autoscale", "scale.grow", "grow[node2]")
-        doc = chrome_trace(world.hub.tracer, world.hub)
+        doc = chrome_trace(world.hub.tracer, world.hub.export())
         control = [ev for ev in doc["traceEvents"]
                    if ev.get("pid") == 1_000_000]
         names = {ev["args"]["name"] for ev in control if ev["ph"] == "M"}
@@ -100,8 +100,9 @@ class TestControlPlaneTracks:
                                     "kind": "fault.injected",
                                     "label": "mds_crash[0]", "t": 0.001,
                                     "score": 1.0, "evidence": "e"}]}]
-        doc = chrome_trace(world.hub.tracer, world.hub,
-                           incidents=incidents)
+        exported = world.hub.export()
+        exported["incidents"]["incidents"] = incidents
+        doc = chrome_trace(world.hub.tracer, exported)
         track = [ev for ev in doc["traceEvents"]
                  if ev.get("pid") == 1_000_001]
         (slice_,) = [ev for ev in track if ev["ph"] == "X"]
@@ -111,7 +112,7 @@ class TestControlPlaneTracks:
 
     def test_disabled_hub_emits_no_control_tracks(self):
         world = _drive(make_observed_world())
-        doc = chrome_trace(world.hub.tracer, hub=None)
+        doc = chrome_trace(world.hub.tracer, doc=None)
         assert not any(ev.get("pid") in (1_000_000, 1_000_001)
                        for ev in doc["traceEvents"])
 
@@ -125,7 +126,8 @@ class TestDeterminism:
         for run in ("a", "b"):
             world = _drive(make_observed_world(seed=13))
             path = tmp_path / f"trace_{run}.json"
-            write_chrome_trace(str(path), world.hub.tracer, world.hub)
+            write_chrome_trace(str(path), world.hub.tracer,
+                               world.hub.export())
             paths.append(path)
             jsons.append(world.hub.to_json())
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -134,7 +136,8 @@ class TestDeterminism:
     def test_write_returns_event_count(self, tmp_path):
         world = _drive(make_observed_world())
         path = tmp_path / "out.json"
-        count = write_chrome_trace(str(path), world.hub.tracer, world.hub)
+        count = write_chrome_trace(str(path), world.hub.tracer,
+                                   world.hub.export())
         doc = json.loads(path.read_text())
         assert count == len(doc["traceEvents"]) > 0
         assert doc["displayTimeUnit"] == "ms"

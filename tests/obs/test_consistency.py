@@ -178,7 +178,7 @@ class TestStalenessLens:
 class TestZeroCostWhenOff:
     def test_uninstrumented_run_allocates_no_sketch_or_slo_state(
             self, monkeypatch):
-        from repro.sim import stats as stats_mod
+        from repro.obs import sketch as stats_mod
 
         def boom(*a, **kw):
             raise AssertionError("sketch allocated on an uninstrumented"

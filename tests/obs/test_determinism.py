@@ -8,12 +8,18 @@ name through ``repro.sim.rng.stable_hash``.  This test runs the same
 seeded workload in two subprocesses with *different* hash seeds and
 requires identical output (shadow file listing + trace rendering +
 MetricsHub JSON); it fails before the fix.
+
+The same two-hash-seed diff covers the exports whose worlds the control
+plane mutates while they run: a chaos scenario (crash, recovery, blame)
+and the smoke elastic run's autoscaled mode (grow, migrate, retire).
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -65,10 +71,31 @@ print("===")
 print(hub.to_json())
 """
 
+CHAOS_SCRIPT = r"""
+import json
+from repro.chaos.scenarios import run_scenario
 
-def _run(hashseed: int) -> str:
+result = run_scenario("node_crash")
+print(json.dumps(result.summary(), sort_keys=True))
+print(json.dumps(result.metrics_doc, sort_keys=True))
+"""
+
+ELASTIC_SCRIPT = r"""
+from repro.bench import elastic
+from repro.obs.hub import MetricsHub
+from repro.sim.rng import DEFAULT_SEED
+
+params = elastic.SCALES["smoke"]
+hub = MetricsHub(sample_interval=params["sample_interval"])
+print(sorted(elastic._run_mode("autoscale", params, DEFAULT_SEED,
+                               hub=hub).items()))
+print(hub.to_json())
+"""
+
+
+def _run(script: str, hashseed: int) -> str:
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed), PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -76,4 +103,12 @@ def _run(hashseed: int) -> str:
 
 
 def test_output_identical_across_hash_seeds():
-    assert _run(1) == _run(2)
+    assert _run(SCRIPT, 1) == _run(SCRIPT, 2)
+
+
+@pytest.mark.parametrize("script", [CHAOS_SCRIPT, ELASTIC_SCRIPT],
+                         ids=["chaos", "elastic"])
+def test_control_plane_exports_identical_across_hash_seeds(script):
+    first = _run(script, 1)
+    assert len(first) > 10_000
+    assert first == _run(script, 2)

@@ -1,8 +1,8 @@
 """Export-safety regressions: Series caps, trace drops, stable hashing."""
 
+from repro.obs.sketch import Series, StatsRegistry
 from repro.sim import rng
 from repro.sim.rng import stable_hash
-from repro.sim.stats import Series, StatsRegistry
 from repro.sim.trace import Tracer
 
 

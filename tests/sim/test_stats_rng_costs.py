@@ -2,26 +2,28 @@
 
 import pytest
 
+from repro.obs.sketch import StatsRegistry
 from repro.sim.costs import CostModel
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Counter, StatsRegistry
 
 
 class TestCounter:
     def test_inc_default(self):
-        c = Counter("ops")
-        c.inc()
-        c.inc(4)
-        assert int(c) == 5
+        reg = StatsRegistry()
+        reg.count("ops")
+        reg.count("ops", 4)
+        assert reg.counters()["ops"] == 5
 
     def test_registry_reuses(self):
         reg = StatsRegistry()
-        assert reg.counter("x") is reg.counter("x")
+        reg.count("x")
+        reg.count("x")
+        assert reg.counters() == {"x": 2}
 
     def test_registry_snapshot(self):
         reg = StatsRegistry()
-        reg.counter("b").inc(2)
-        reg.counter("a").inc(1)
+        reg.count("b", 2)
+        reg.count("a", 1)
         assert reg.counters() == {"a": 1, "b": 2}
 
 
