@@ -38,8 +38,28 @@ class CapacityExceeded(Exception):
     """Store is full and the owner has not freed space."""
 
 
+#: Footprint of the fixed-size scalars, by exact type.
+_SCALAR_SIZE = {type(None): 8, int: 16, float: 16, bool: 16}
+
+
 def _sizeof(value: Any) -> int:
     """Approximate in-cache footprint of a value, in bytes."""
+    if type(value) is dict:
+        # The hot case — a flat metadata record on every set/add/cas —
+        # sized in one pass: scalars by table, ASCII strings by length,
+        # anything else (and every other top-level value) by the general
+        # rule below.
+        size = 64
+        scalar_size = _SCALAR_SIZE.get
+        for key, item in value.items():
+            size += (len(key) if type(key) is str and key.isascii()
+                     else _sizeof(key))
+            item_size = scalar_size(type(item))
+            if item_size is None:
+                item_size = (len(item) if type(item) is str
+                             and item.isascii() else _sizeof(item))
+            size += item_size
+        return size
     if value is None:
         return 8
     if isinstance(value, bytes):

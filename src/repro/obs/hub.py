@@ -24,6 +24,7 @@ read from it.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.incidents import detect_incidents
@@ -48,6 +49,25 @@ COMMIT_TALLIES = ("committed", "discarded", "resubmissions", "coalesced",
 SAMPLE_INTERVAL = 200e-6
 
 
+class _SketchMemo(dict):
+    """``(name part, ...) -> sketch``: each recorder's sketch, resolved once.
+
+    A recorder keys its sketch by the metric name in pieces
+    (``("client.op.", op, ".latency")``), so an observation costs one
+    tuple and one lookup.  Only the first one joins the name and creates
+    the sketch in the registry — never earlier, because ``histograms``
+    exports every sketch that exists.
+    """
+
+    def __init__(self, stats: StatsRegistry):
+        super().__init__()
+        self._stats = stats
+
+    def __missing__(self, parts: Tuple[str, ...]) -> QuantileSketch:
+        sketch = self[parts] = self._stats.sketch("".join(parts))
+        return sketch
+
+
 class MetricsHub:
     """Aggregates client + commit + cache + queue statistics region-wide."""
 
@@ -56,6 +76,7 @@ class MetricsHub:
                  enabled: bool = True):
         self.enabled = enabled
         self.stats = StatsRegistry()
+        self._sketch = _SketchMemo(self.stats)
         #: Tracer shared with every attached region; NULL_TRACER unless the
         #: caller wants span/commit events collected too.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -92,8 +113,7 @@ class MetricsHub:
         """
         if not self.enabled:
             return
-        self.stats.sketch(f"client.op.{op}.latency").observe(latency,
-                                                             weight)
+        self._sketch["client.op.", op, ".latency"].observe(latency, weight)
         self.stats.count("client.ops", weight)
         if not ok:
             self.stats.count(f"client.op.{op}.errors", weight)
@@ -103,14 +123,14 @@ class MetricsHub:
         """One committed operation; latency is publish→commit."""
         if not self.enabled:
             return
-        self.stats.sketch("commit.latency").observe(latency)
-        self.stats.sketch(f"commit.op.{op}.latency").observe(latency)
+        self._sketch["commit.latency",].observe(latency)
+        self._sketch["commit.op.", op, ".latency"].observe(latency)
         self.stats.count("commit.committed")
 
     def observe(self, name: str, value: float, weight: int = 1) -> None:
         if not self.enabled:
             return
-        self.stats.sketch(name).observe(value, weight)
+        self._sketch[name,].observe(value, weight)
 
     def observe_staleness(self, tier: str, op: str, age: float, lag: int,
                           weight: int = 1) -> None:
@@ -125,11 +145,10 @@ class MetricsHub:
         if not self.enabled:
             return
         self.stats.count(f"consistency.reads[{tier}]", weight)
-        self.stats.sketch(
-            f"consistency.staleness.age[{tier}:{op}]").observe(age, weight)
-        self.stats.sketch(
-            f"consistency.staleness.lag[{tier}:{op}]").observe(
-                float(lag), weight)
+        self._sketch["consistency.staleness.age[", tier, ":", op,
+                     "]"].observe(age, weight)
+        self._sketch["consistency.staleness.lag[", tier, ":", op,
+                     "]"].observe(float(lag), weight)
 
     def observe_visibility(self, stage: str, op: str, latency: float,
                            weight: int = 1) -> None:
@@ -143,9 +162,8 @@ class MetricsHub:
         """
         if not self.enabled:
             return
-        self.stats.sketch(
-            f"consistency.visibility.{stage}[{op}]").observe(latency,
-                                                             weight)
+        self._sketch["consistency.visibility.", stage, "[", op,
+                     "]"].observe(latency, weight)
 
     def count(self, name: str, n: int = 1) -> None:
         if not self.enabled:
@@ -224,9 +242,8 @@ class MetricsHub:
             if label in self._resources:
                 label = f"{label}#{len(self._resources)}"
             self._resources[label] = resource
-            resource._wait_observe = (
-                lambda waited, _n=label:
-                self.observe(f"resource.wait[{_n}]", waited))
+            resource._wait_observe = partial(self.observe,
+                                             f"resource.wait[{label}]")
             fresh.append((label, resource))
         for sampler in self._samplers:
             if sampler.region is region:
@@ -299,6 +316,8 @@ class MetricsHub:
         regions: Dict[str, Any] = {}
         for idx, region in enumerate(self._regions):
             regions[f"{idx:02d}:{region.name}"] = _region_snapshot(region)
+        # The one parse of the event log an export pays for.
+        ops = self.tracer.op_rows()
         doc = {
             "schema": SCHEMA,
             "enabled": self.enabled,
@@ -311,12 +330,13 @@ class MetricsHub:
             "regions": regions,
             "clients": _client_snapshot(
                 [c for region in self._regions for c in region.clients]),
-            "attribution": attribution_rollup(self.tracer.attributions()),
+            "attribution": attribution_rollup(
+                self.tracer.attributions(ops)),
             "resources": self.resource_snapshot(),
             "consistency": self.consistency_snapshot(),
             "trace": {"events": len(self.tracer),
                       "dropped": self.tracer.dropped,
-                      "open_spans": self.tracer.open_span_count()},
+                      "open_spans": self.tracer.open_span_count(ops)},
         }
         # The SLO engine and the incident detector read the finished
         # document (series + timeline), so they run last, in this order.
@@ -365,16 +385,20 @@ def attribution_rollup(attributions: Dict[int, Dict[str, Any]],
     per_class: Dict[str, Dict[str, Any]] = {}
     for op_id in sorted(attributions):
         att = attributions[op_id]
-        agg = per_class.setdefault(att["op"] or "?", {
-            "count": 0,
-            "total_latency": 0.0,
-            "buckets": {name: 0.0 for name in ATTRIBUTION_BUCKETS},
-            "residual": 0.0,
-        })
+        op_class = att["op"] or "?"
+        agg = per_class.get(op_class)
+        if agg is None:
+            agg = per_class[op_class] = {
+                "count": 0,
+                "total_latency": 0.0,
+                "buckets": dict.fromkeys(ATTRIBUTION_BUCKETS, 0.0),
+                "residual": 0.0,
+            }
         agg["count"] += 1
         agg["total_latency"] += att["duration"]
+        totals = agg["buckets"]
         for name, value in att["buckets"].items():
-            agg["buckets"][name] += value
+            totals[name] += value
         agg["residual"] += att["residual"]
     ops: Dict[str, Any] = {}
     for op_class, agg in per_class.items():

@@ -32,7 +32,7 @@ keys so ``json.dumps(..., sort_keys=True)`` stays byte-stable run to run.
 
 from __future__ import annotations
 
-import math
+from math import floor, log
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["QuantileSketch", "DEFAULT_GROWTH", "Series", "StatsRegistry"]
@@ -52,7 +52,7 @@ class QuantileSketch:
             raise ValueError(f"growth must be > 1, got {growth}")
         self.name = name
         self.growth = growth
-        self._inv_log_growth = 1.0 / math.log(growth)
+        self._inv_log_growth = 1.0 / log(growth)
         self.count = 0
         self.total = 0.0
         self.zero_count = 0
@@ -75,12 +75,13 @@ class QuantileSketch:
         if value <= 0.0:
             self.zero_count += weight
             return
-        idx = int(math.floor(math.log(value) * self._inv_log_growth))
+        idx = floor(log(value) * self._inv_log_growth)
         # Float rounding can land an exact power of growth one bucket low;
         # nudge up so the bucket invariant low <= value < high holds.
         if self.growth ** (idx + 1) <= value:
             idx += 1
-        self._buckets[idx] = self._buckets.get(idx, 0) + weight
+        buckets = self._buckets
+        buckets[idx] = buckets.get(idx, 0) + weight
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (bucket-count addition)."""

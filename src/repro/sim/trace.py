@@ -17,19 +17,21 @@ operation opens a root span (``op.start``/``op.end``), and each child
 stage it exercises — cache KV service, network transfers, service worker
 queues, barrier rendezvous, commit-queue residency — emits a
 ``span.start``/``span.end`` pair carrying a :class:`SpanContext`
-(``op_id``, ``span_id``, ``parent_id``).  :meth:`Tracer.span_tree`
-reassembles the tree for one op and :meth:`Tracer.attribution` walks the
-client critical path, bucketing the op's wall time into the
-:data:`ATTRIBUTION_BUCKETS` with an explicit residual.
+(``op_id``, ``span_id``, ``parent_id``).  One parser
+(:meth:`Tracer.op_rows`) reads them back; :meth:`Tracer.span_tree`
+wraps one op's rows into a tree and :meth:`Tracer.attribution` folds
+them along the client critical path, bucketing the op's wall time into
+the :data:`ATTRIBUTION_BUCKETS` with an explicit residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 __all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "SpanContext", "Span",
-           "ATTRIBUTION_BUCKETS"]
+           "OpRows", "ATTRIBUTION_BUCKETS"]
 
 #: Latency-attribution buckets for one client operation's wall time.
 #: Anything not covered (client CPU charges, permission checks, DFS data
@@ -38,8 +40,15 @@ ATTRIBUTION_BUCKETS = ("cache", "network", "queue_wait", "barrier",
                        "publish_stall", "mds_service", "mds_queue")
 
 
-@dataclass(frozen=True)
-class SpanContext:
+# Records are tuples: one small allocation per recorded fact, no
+# per-instance ``__dict__``, and untracked by the cyclic GC once it has
+# looked at them (they hold only scalars and strings).  The recording
+# paths build them with ``_record(cls, fields)``, which skips the
+# Python-level ``__new__`` a NamedTuple call goes through.
+_record = tuple.__new__
+
+
+class SpanContext(NamedTuple):
     """Causal identity of one span: which op, which span, which parent."""
 
     op_id: int
@@ -47,8 +56,7 @@ class SpanContext:
     parent_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One timestamped event."""
 
     time: float
@@ -65,7 +73,7 @@ class TraceEvent:
                 f" {self.kind:<12} {tag:<8} {self.detail}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One reassembled span; ``end`` is None while the span is open."""
 
@@ -98,6 +106,23 @@ class Span:
         return "\n".join(lines)
 
 
+@dataclass(slots=True)
+class OpRows:
+    """One op's share of the event log, as :meth:`Tracer.op_rows` parses
+    it: the events themselves, keyed for the readers — nothing is
+    allocated per span."""
+
+    #: The op's ``op.start`` event.
+    begin: Optional[TraceEvent] = None
+    #: Time of its ``op.end``; None while the op is open.
+    end: Optional[float] = None
+    #: Span id -> ``span.start`` event of each stage, in log order (and
+    #: the root's span id -> ``begin``).
+    starts: Dict[int, TraceEvent] = field(default_factory=dict)
+    #: Span id -> end time of each stage that closed.
+    ends: Dict[int, float] = field(default_factory=dict)
+
+
 class Tracer:
     """Append-only, filterable event log with span reassembly."""
 
@@ -119,10 +144,6 @@ class Tracer:
         self._next_op_id += 1
         return self._next_op_id
 
-    def new_span_id(self) -> int:
-        self._next_span_id += 1
-        return self._next_span_id
-
     def emit(self, time: float, actor: str, kind: str, detail: str = "",
              op_id: Optional[int] = None, span_id: Optional[int] = None,
              parent_id: Optional[int] = None) -> None:
@@ -131,19 +152,20 @@ class Tracer:
         if len(self._events) >= self.capacity:
             self.dropped += 1
             return
-        self._events.append(TraceEvent(time, actor, kind, detail, op_id,
-                                       span_id, parent_id))
+        self._events.append(_record(TraceEvent, (
+            time, actor, kind, detail, op_id, span_id, parent_id)))
 
     # -- span contexts -----------------------------------------------------
     def root_context(self) -> SpanContext:
         """A fresh root context for one client operation."""
-        return SpanContext(op_id=self.new_op_id(),
-                           span_id=self.new_span_id(), parent_id=None)
+        self._next_span_id += 1
+        return _record(SpanContext, (self.new_op_id(), self._next_span_id,
+                                     None))
 
     def adopt_context(self, op_id: int, span_id: int) -> SpanContext:
         """Rebuild a context from ids carried across a process boundary
         (e.g. on an OpMessage), so downstream spans parent correctly."""
-        return SpanContext(op_id=op_id, span_id=span_id, parent_id=None)
+        return _record(SpanContext, (op_id, span_id, None))
 
     def push_context(self, process: Any, ctx: SpanContext) -> None:
         self._ctx.setdefault(process, []).append(ctx)
@@ -159,28 +181,35 @@ class Tracer:
                    category: str, name: str = "") -> Optional[SpanContext]:
         """Open a child span under ``process``'s innermost in-flight span:
         the one way a stage (cache RPC, network hop, worker queue, commit
-        queue residency) attaches itself to the op it serves.  Returns the
-        child's context for :meth:`span_end`, or None when the process
-        carries no op (set-up work, the commit loop between ops).
+        queue residency) attaches itself to the op it serves — the only
+        place that allocates a child span id and writes a ``span.start``.
+        Returns the child's context for :meth:`span_end`, or None when
+        the process carries no op (set-up work, the commit loop between
+        ops).
         """
         stack = self._ctx.get(process)
         if not stack:
             return None
-        parent = stack[-1]
-        ctx = SpanContext(op_id=parent.op_id, span_id=self.new_span_id(),
-                          parent_id=parent.span_id)
-        self.span_start(time, actor, ctx, category, name)
-        return ctx
-
-    def span_start(self, time: float, actor: str, ctx: SpanContext,
-                   category: str, name: str = "") -> None:
-        detail = f"{category} {name}".rstrip()
-        self.emit(time, actor, "span.start", detail, op_id=ctx.op_id,
-                  span_id=ctx.span_id, parent_id=ctx.parent_id)
+        op_id, parent_id, _ = stack[-1]
+        self._next_span_id = span_id = self._next_span_id + 1
+        if self.enabled:
+            if len(self._events) >= self.capacity:
+                self.dropped += 1
+            else:
+                self._events.append(_record(TraceEvent, (
+                    time, actor, "span.start",
+                    f"{category} {name}" if name else category,
+                    op_id, span_id, parent_id)))
+        return _record(SpanContext, (op_id, span_id, parent_id))
 
     def span_end(self, time: float, actor: str, ctx: SpanContext) -> None:
-        self.emit(time, actor, "span.end", "", op_id=ctx.op_id,
-                  span_id=ctx.span_id, parent_id=ctx.parent_id)
+        if not self.enabled:
+            return
+        if len(self._events) >= self.capacity:
+            self.dropped += 1
+            return
+        self._events.append(_record(
+            TraceEvent, (time, actor, "span.end", "") + ctx))
 
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
@@ -202,6 +231,35 @@ class Tracer:
                 continue
             yield ev
 
+    def op_rows(self) -> Dict[int, OpRows]:
+        """The one parser of the event log: ``{op_id: OpRows}`` for every
+        op that emitted an ``op.start``, in one pass.  Every reader below
+        takes these rows; one that needs several answers parses once and
+        hands the rows to each.
+        """
+        ops: Dict[int, OpRows] = {}
+        for ev in self._events:
+            time, _, kind, _, op_id, span_id, _ = ev
+            if op_id is None:
+                continue
+            op = ops.get(op_id)
+            if op is None:
+                op = ops[op_id] = OpRows()
+            if kind == "span.start":
+                if span_id is not None:
+                    op.starts[span_id] = ev
+            elif kind == "span.end":
+                if span_id in op.starts:
+                    op.ends[span_id] = time
+            elif kind == "op.start":
+                op.begin, op.end = ev, None
+                if span_id is not None:
+                    op.starts[span_id] = ev
+            elif kind == "op.end" and op.begin is not None:
+                op.end = time
+        return {op_id: op for op_id, op in ops.items()
+                if op.begin is not None}
+
     def spans(self) -> Dict[int, Tuple[float, Optional[float], str]]:
         """op_id -> (start, end, detail) for op.start/op.end events.
 
@@ -209,76 +267,51 @@ class Tracer:
         yet — a hung or in-flight op) are returned as open-ended entries
         with ``end is None`` rather than silently dropped.
         """
-        starts: Dict[int, TraceEvent] = {}
-        out: Dict[int, Tuple[float, Optional[float], str]] = {}
-        for ev in self._events:
-            if ev.op_id is None:
-                continue
-            if ev.kind == "op.start":
-                starts[ev.op_id] = ev
-            elif ev.kind == "op.end" and ev.op_id in starts:
-                begin = starts.pop(ev.op_id)
-                out[ev.op_id] = (begin.time, ev.time, begin.detail)
-        for op_id, begin in starts.items():
-            out[op_id] = (begin.time, None, begin.detail)
-        return out
+        return {op_id: (op.begin.time, op.end, op.begin.detail)
+                for op_id, op in self.op_rows().items()}
 
-    def open_span_count(self) -> int:
-        """Number of op spans started but not yet ended (hung ops)."""
-        return sum(1 for _s, end, _d in self.spans().values() if end is None)
+    def open_span_count(self,
+                        ops: Optional[Dict[int, OpRows]] = None) -> int:
+        """Number of op spans started but not yet ended (hung ops), from
+        ``ops`` (an :meth:`op_rows` result) or a fresh parse."""
+        if ops is None:
+            ops = self.op_rows()
+        return sum(1 for op in ops.values() if op.end is None)
 
     # -- span trees and latency attribution ------------------------------------
     def span_trees(self) -> Dict[int, Span]:
-        """All ops' span trees, assembled in one pass over the event log.
+        """All ops' span trees: the parsed rows wrapped into :class:`Span`
+        objects, for the readers that render trees.
 
         Returns ``{op_id: root Span}`` for every op that emitted an
         ``op.start`` (roots of never-completed ops have ``end is None``).
         """
-        roots: Dict[int, Span] = {}
-        spans: Dict[int, Dict[int, Span]] = {}
-        for ev in self._events:
-            if ev.op_id is None:
-                continue
-            per_op = spans.setdefault(ev.op_id, {})
-            if ev.kind == "op.start":
-                root = Span(op_id=ev.op_id, span_id=ev.span_id or 0,
-                            parent_id=None, actor=ev.actor, category="op",
-                            name=ev.detail, start=ev.time)
-                roots[ev.op_id] = root
-                if ev.span_id is not None:
-                    per_op[ev.span_id] = root
-            elif ev.kind == "op.end":
-                root = roots.get(ev.op_id)
-                if root is not None:
-                    root.end = ev.time
-            elif ev.kind == "span.start" and ev.span_id is not None:
-                parts = ev.detail.split(" ", 1)
-                per_op[ev.span_id] = Span(
-                    op_id=ev.op_id, span_id=ev.span_id,
-                    parent_id=ev.parent_id, actor=ev.actor,
-                    category=parts[0] if parts else "",
-                    name=parts[1] if len(parts) > 1 else "",
-                    start=ev.time)
-            elif ev.kind == "span.end" and ev.span_id in per_op:
-                per_op[ev.span_id].end = ev.time
-        for op_id, root in roots.items():
-            per_op = spans.get(op_id, {})
-            for span in per_op.values():
-                if span is root:
-                    continue
-                parent = (per_op.get(span.parent_id)
-                          if span.parent_id is not None else None)
-                (parent if parent is not None else root).children.append(span)
-        return roots
+        trees: Dict[int, Span] = {}
+        for op_id, op in self.op_rows().items():
+            begin = op.begin
+            trees[op_id] = root = Span(
+                op_id, begin.span_id or 0, None, begin.actor, "op",
+                begin.detail, begin.time, op.end)
+            made: Dict[Optional[int], Span] = {begin.span_id: root}
+            for span_id, ev in op.starts.items():
+                if ev is not begin:
+                    category, _, name = ev.detail.partition(" ")
+                    made[span_id] = Span(
+                        op_id, span_id, ev.parent_id, ev.actor, category,
+                        name, ev.time, op.ends.get(span_id))
+            for parent_id, stages in _children(op).items():
+                made[parent_id].children = [made[ev.span_id]
+                                            for ev in stages]
+        return trees
 
-    def attributions(self) -> Dict[int, Dict[str, Any]]:
-        """Latency attribution for every *completed* op, keyed by op_id."""
-        out: Dict[int, Dict[str, Any]] = {}
-        for op_id, root in self.span_trees().items():
-            if root.end is None:
-                continue
-            out[op_id] = _attribute(root)
-        return out
+    def attributions(self, ops: Optional[Dict[int, OpRows]] = None,
+                     ) -> Dict[int, Dict[str, Any]]:
+        """Latency attribution for every *completed* op, keyed by op_id,
+        from ``ops`` (an :meth:`op_rows` result) or a fresh parse."""
+        if ops is None:
+            ops = self.op_rows()
+        return {op_id: _attribute(op) for op_id, op in ops.items()
+                if op.end is not None}
 
     def span_tree(self, op_id: int) -> Optional[Span]:
         """The causal span tree of one operation, or None if it never
@@ -293,19 +326,16 @@ class Tracer:
     def attribution(self, op_id: int) -> Optional[Dict[str, Any]]:
         """Critical-path wall-time decomposition for one completed op.
 
-        Walks the op's span tree, clips every stage span to the client
-        span's ``[start, end]`` window (stages that resolved after the op
+        Folds the op's stage spans, each clipped to the client span's
+        ``[start, end]`` window (stages that resolved after the op
         returned — e.g. the asynchronous commit — contribute nothing to
-        the *client-visible* latency), and sums the in-window time per
+        the *client-visible* latency), into the in-window time per
         :data:`ATTRIBUTION_BUCKETS` category.  The residual
         (``duration - sum(buckets)``: client CPU charges, permission
         checks, uncategorized stages) is reported explicitly, never
         hidden.  Returns None for ops that never completed.
         """
-        root = self.span_tree(op_id)
-        if root is None or root.end is None:
-            return None
-        return _attribute(root)
+        return self.attributions().get(op_id)
 
     def render(self, limit: int = 200, **filters: Any) -> str:
         lines = [ev.render() for ev in self.events(**filters)]
@@ -327,23 +357,61 @@ class Tracer:
         self._ctx.clear()
 
 
-def _attribute(root: Span) -> Dict[str, Any]:
-    """Bucket a completed root span's wall time (see Tracer.attribution)."""
-    t0, t1 = root.start, root.end
-    buckets = {name: 0.0 for name in ATTRIBUTION_BUCKETS}
-    for span in root.walk():
-        if span is root or span.category not in buckets:
+def _children(op: OpRows) -> Dict[Optional[int], List[TraceEvent]]:
+    """An op's stage ``span.start`` events by parent span id, each list
+    in log order.  A stage whose parent id is unknown hangs off the root,
+    so nothing disappears."""
+    begin, starts = op.begin, op.starts
+    root_id = begin.span_id
+    children: Dict[Optional[int], List[TraceEvent]] = {}
+    for ev in starts.values():
+        if ev is begin:
             continue
-        end = t1 if span.end is None else span.end
-        overlap = min(end, t1) - max(span.start, t0)
+        parent = ev.parent_id
+        if parent not in starts:
+            parent = root_id
+        siblings = children.get(parent)
+        if siblings is None:
+            children[parent] = [ev]
+        else:
+            siblings.append(ev)
+    return children
+
+
+def _attribute(op: OpRows) -> Dict[str, Any]:
+    """Bucket a completed op's wall time (see Tracer.attribution).
+
+    The stages are folded in pre-order, children in ``span.start`` order,
+    which fixes the order each bucket's floats are summed in (the
+    exported means are pinned byte for byte).
+    """
+    begin, t1, ends = op.begin, op.end, op.ends
+    t0 = begin.time
+    buckets = dict.fromkeys(ATTRIBUTION_BUCKETS, 0.0)
+    children = _children(op)
+    stack = children.pop(begin.span_id, [])
+    stack.reverse()
+    while stack:
+        start, _, _, detail, _, span_id, _ = stack.pop()
+        below = children.pop(span_id, None)
+        if below:
+            below.reverse()
+            stack += below
+        category = detail.partition(" ")[0]
+        if category not in buckets:
+            continue
+        # The stage clipped to the op's window; still open counts as
+        # running to the op's end.
+        end = ends.get(span_id, t1)
+        overlap = (end if end < t1 else t1) - (start if start > t0 else t0)
         if overlap > 0:
-            buckets[span.category] += overlap
+            buckets[category] += overlap
     duration = t1 - t0
     residual = duration - sum(buckets.values())
     return {
-        "op": root.name.split(" ", 1)[0] if root.name else "",
-        "detail": root.name,
-        "actor": root.actor,
+        "op": begin.detail.partition(" ")[0],
+        "detail": begin.detail,
+        "actor": begin.actor,
         "start": t0,
         "duration": duration,
         "buckets": buckets,

@@ -11,9 +11,14 @@ MetricsHub JSON); it fails before the fix.
 
 The same two-hash-seed diff covers the exports whose worlds the control
 plane mutates while they run: a chaos scenario (crash, recovery, blame)
-and the smoke elastic run's autoscaled mode (grow, migrate, retire).
+and the smoke elastic run's autoscaled mode (grow, migrate, retire) —
+and the counters of the repo's benchmark: every per-layer metric its
+``--compare`` treats as exact (``L.calls``, kernel event counts, the
+observer's export size and event count) must not depend on the hash seed
+either, or a count-based claim could not be checked across processes.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +26,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+from benchmarks.perf.run import is_exact
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = str(ROOT / "src")
 
 SCRIPT = r"""
 from repro.core.config import PaconConfig
@@ -112,3 +120,27 @@ def test_control_plane_exports_identical_across_hash_seeds(script):
     first = _run(script, 1)
     assert len(first) > 10_000
     assert first == _run(script, 2)
+
+
+def test_perf_counters_identical_across_hash_seeds():
+    """The traced pass of the observed workload at the smoke geometry."""
+    def counters(hashseed: int):
+        env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "benchmarks" / "perf" / "run.py"),
+             "--quick", "--workload", "mdtest_pacon_observed",
+             "--trace", "1"],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        line = json.loads(proc.stdout.splitlines()[-1])
+        assert line["correct"] and line["failed"] == 0
+        return {name: metric["value"]
+                for name, metric in line["metrics"].items()
+                if is_exact(name)}
+
+    first = counters(1)
+    assert {"obs.export_bytes", "obs.trace_events", "obs.calls",
+            "sim.core.events", "sim.core.calls", "kvstore.calls",
+            "core.calls"} <= first.keys()
+    assert first["obs.calls"] > 0 and first["obs.trace_events"] > 0
+    assert first == counters(2)

@@ -116,5 +116,5 @@ def test_discovery_finds_the_known_recorders():
     assert {"observe_op", "observe_commit", "observe", "observe_staleness",
             "observe_visibility", "count", "record_sample",
             "series_recorder"} <= found["MetricsHub"]
-    assert {"emit", "span_start", "span_end"} <= found["Tracer"]
+    assert {"emit", "span_end"} <= found["Tracer"]
     assert {"record"} <= found["Timeline"]

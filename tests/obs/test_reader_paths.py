@@ -2,10 +2,12 @@
 
 The exported ``pacon.metrics/v4`` document is the one interface between
 recording and reading; the only thing a reader takes from the tracer is
-the span trees, reassembled once per report.  Two angles:
+one parse of the event log (``Tracer.op_rows``), wrapped into span trees
+only by the readers that render trees.  Two angles:
 
-* a call count — an export, a profile report and a Chrome trace each walk
-  the event log into span trees exactly once;
+* a call count — an export, a profile report and a Chrome trace each
+  parse the event log exactly once, and only the Chrome trace builds
+  span trees from it;
 * source guards (in the style of ``tests/core/test_membership_paths.py``)
   that keep each shared mechanism from being spelled a second time.
 """
@@ -30,7 +32,7 @@ from tests.obs.conftest import make_observed_world
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-# ------------------------------------------------- one reassembly per report
+# ------------------------------------------------------ one parse per report
 @pytest.fixture(scope="module")
 def driven():
     world = make_observed_world(n_nodes=2, clients_per_node=2)
@@ -43,24 +45,33 @@ def driven():
     return world.hub, world.hub.export()
 
 
-@pytest.mark.parametrize("reader", [
-    lambda hub, doc: hub.export(),
-    lambda hub, doc: render_report(hub.tracer, doc),
-    lambda hub, doc: chrome_trace(hub.tracer, doc),
+@pytest.mark.parametrize("reader,trees", [
+    (lambda hub, doc: hub.export(), 0),
+    (lambda hub, doc: render_report(hub.tracer, doc), 0),
+    (lambda hub, doc: chrome_trace(hub.tracer, doc), 1),
 ], ids=["export", "render_report", "chrome_trace"])
-def test_each_reader_reassembles_the_span_trees_once(driven, monkeypatch,
-                                                     reader):
+def test_each_reader_parses_the_event_log_once(driven, monkeypatch, reader,
+                                               trees):
+    """One ``op_rows`` parse per reader; ``trees`` is how many times the
+    reader wraps that parse into ``Span`` objects on top."""
     hub, doc = driven
     calls = []
-    real = Tracer.span_trees
 
-    def counted(self):
-        calls.append(self)
-        return real(self)
+    def counted(name):
+        real = getattr(Tracer, name)
 
-    monkeypatch.setattr(Tracer, "span_trees", counted)
+        def method(self, *args):
+            calls.append((name, self))
+            return real(self, *args)
+
+        monkeypatch.setattr(Tracer, name, method)
+
+    counted("op_rows")
+    counted("span_trees")
     reader(hub, doc)
-    assert calls == [hub.tracer]
+    assert calls.count(("op_rows", hub.tracer)) == 1
+    assert calls.count(("span_trees", hub.tracer)) == trees
+    assert len(calls) == 1 + trees
 
 
 def test_the_tables_render_from_a_document_read_back_from_disk(driven):
@@ -90,16 +101,37 @@ def _users(pattern, sources):
             for name, text in sources.items() if re.search(pattern, text)}
 
 
+def _defs(pattern, source):
+    """Names of the functions of ``source`` whose body matches."""
+    return [re.match(r" *def (\w+)", fn).group(1)
+            for fn in _functions(source) if re.search(pattern, fn)]
+
+
 class TestOneSpellingPerMechanism:
     def test_one_way_to_open_a_child_span(self):
-        """``Tracer.open_child`` is the only context lookup + span-id
-        allocation + ``span.start`` emission; the five stages call it."""
+        """``Tracer.open_child`` is the only context lookup + child
+        span-id allocation + ``span.start`` record; the five stages call
+        it, and ``span_start`` is gone."""
         sources = _sources()
-        for gone in ("child_context", "current_context"):
+        for gone in ("child_context", "current_context", "span_start"):
             assert not _users(gone, sources), gone
-        assert _users(r"\.span_start\(", sources) == {"sim/trace.py": 1}
+        trace = sources["sim/trace.py"]
+        assert _defs(r'actor, "span\.start"', trace) == ["open_child"]
+        # Span ids come from one counter: roots take theirs in
+        # root_context, every child in open_child.
+        assert _defs(r"_next_span_id (\+= 1|= span_id)", trace) == \
+            ["root_context", "open_child"]
         assert _users(r"\.open_child\(", sources) == \
             {"core/client.py": 2, "sim/network.py": 3}
+
+    def test_span_events_are_parsed_in_one_function(self):
+        """``op_rows`` is the one parser: no other function of the trace
+        module (or of any reader) matches span events by kind."""
+        sources = _sources()
+        for kind in (r"span\.start", r"span\.end"):
+            assert _defs(rf'== "{kind}"', sources["sim/trace.py"]) == \
+                ["op_rows"], kind
+            assert _users(rf'== "{kind}"', sources) == {"sim/trace.py": 1}
 
     def test_one_interval_fold(self):
         folds = [name for name, text in _sources().items()
