@@ -39,12 +39,13 @@ SCALES: Dict[str, Dict[str, Tuple[int, int]]] = {
 
 
 def _timeout_storm(n_processes: int, hops: int) -> int:
-    """Pure timer churn: the create/schedule/fire/resume cycle."""
+    """Pure sleep churn: the schedule/pop/resume cycle of a bare delay
+    (same heap entries as the ``env.timeout`` spelling it replaced)."""
     env = Environment()
 
     def proc(i):
         for h in range(hops):
-            yield env.timeout(1e-6 * ((i + h) % 7 + 1))
+            yield 1e-6 * ((i + h) % 7 + 1)
 
     for i in range(n_processes):
         env.process(proc(i))
@@ -69,15 +70,15 @@ def _resource_churn(n_processes: int, hops: int) -> int:
 
 def _interrupt_storm(n_processes: int, hops: int) -> int:
     """Chaos-style detach pressure: every victim is interrupted out of a
-    long wait ``hops`` times, leaving its original timeout to fire into
-    nothing — the path that used to cost a linear ``callbacks.remove``
-    per detach."""
+    long sleep ``hops`` times, leaving its original wake-up to fire into
+    nothing (one stale heap entry per interrupt, dropped by an identity
+    check)."""
     env = Environment()
 
     def victim(i):
         for _ in range(hops):
             try:
-                yield env.timeout(1000.0)
+                yield 1000.0
             except Interrupt:
                 pass
 
@@ -85,7 +86,7 @@ def _interrupt_storm(n_processes: int, hops: int) -> int:
 
     def killer():
         for h in range(hops):
-            yield env.timeout(1e-3)
+            yield 1e-3
             for v in victims:
                 if v.is_alive:
                     v.interrupt(h)

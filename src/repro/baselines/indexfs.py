@@ -81,7 +81,7 @@ class IndexFSServer(Service):
         cost = c.indexfs_op_cpu + c.lsm_memtable_op
         cost += c.lsm_bloom_check * receipt.bloom_checks
         cost += c.lsm_sstable_read * receipt.tables_probed
-        yield self.env.timeout(cost)
+        yield cost
 
     def _charge_write(self, receipt: WriteReceipt,
                       synced: bool = True) -> Generator[Event, Any, None]:
@@ -91,7 +91,7 @@ class IndexFSServer(Service):
             cost += c.lsm_wal_append
         cost += c.lsm_flush_per_entry * receipt.flushed_entries
         cost += c.lsm_compact_per_entry * receipt.compacted_entries
-        yield self.env.timeout(cost)
+        yield cost
 
     # -- internal helpers -------------------------------------------------------
     def _get(self, path: str) -> Generator[Event, Any, Optional[Dict]]:
@@ -156,7 +156,7 @@ class IndexFSServer(Service):
         cost += c.lsm_wal_append  # single group sync
         cost += c.lsm_flush_per_entry * receipt.flushed_entries
         cost += c.lsm_compact_per_entry * receipt.compacted_entries
-        yield self.env.timeout(cost)
+        yield cost
         for path, record in items:
             if record["ftype"] == FileType.DIRECTORY.value:
                 self.deployment.dirmap[path] = record
@@ -195,9 +195,9 @@ class IndexFSServer(Service):
     def handle_readdir(self, path: str) -> Generator[Event, Any, List[str]]:
         entries = list(self.lsm.scan_prefix(path.rstrip("/") + "/"))
         c = self.costs
-        yield self.env.timeout(c.indexfs_op_cpu + c.lsm_memtable_op +
-                               c.lsm_sstable_read +
-                               c.lsm_bloom_check * len(entries))
+        yield (c.indexfs_op_cpu + c.lsm_memtable_op +
+               c.lsm_sstable_read +
+               c.lsm_bloom_check * len(entries))
         names = []
         prefix_len = len(path.rstrip("/")) + 1
         for key, _record in entries:
@@ -301,7 +301,7 @@ class IndexFSClient:
                          ino=-1, now=self.env.now)
         self._bulk_buffer.append((path, record))
         if self.costs.client_op_cpu > 0:
-            yield self.env.timeout(self.costs.client_op_cpu)
+            yield self.costs.client_op_cpu
         if len(self._bulk_buffer) >= self.bulk_batch_size:
             yield from self.flush_bulk()
         return record

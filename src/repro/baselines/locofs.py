@@ -32,7 +32,7 @@ class _DirectoryServer(Service):
 
     def handle_mkdir(self, path: str, attrs: Dict) -> Generator[Event, Any,
                                                                 None]:
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         if path in self.dirs:
             raise FileExists(path)
         if parent_of(path) not in self.dirs:
@@ -42,8 +42,7 @@ class _DirectoryServer(Service):
     def handle_check_path(self, path: str) -> Generator[Event, Any, bool]:
         """Validate every ancestor locally — single-node traversal."""
         parts = split_path(path)
-        yield self.env.timeout(self.costs.mds_lookup_service +
-                               1e-6 * max(0, len(parts) - 1))
+        yield self.costs.mds_lookup_service + 1e-6 * max(0, len(parts) - 1)
         current = ""
         for name in parts[:-1]:
             current += "/" + name
@@ -62,21 +61,21 @@ class _FileServer(Service):
 
     def handle_create(self, path: str, attrs: Dict) -> Generator[Event, Any,
                                                                  Dict]:
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         if path in self.files:
             raise FileExists(path)
         self.files[path] = attrs
         return attrs
 
     def handle_getattr(self, path: str) -> Generator[Event, Any, Dict]:
-        yield self.env.timeout(self.costs.mds_read_service)
+        yield self.costs.mds_read_service
         record = self.files.get(path)
         if record is None:
             raise FileNotFound(path)
         return record
 
     def handle_unlink(self, path: str) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         if path not in self.files:
             raise FileNotFound(path)
         del self.files[path]

@@ -35,7 +35,7 @@ class _ShardFSServer(Service):
         parts = split_path(path)
         current = ""
         # One cheap in-memory step per level — local, not RPCs.
-        yield self.env.timeout(1e-6 * max(1, len(parts) - 1))
+        yield 1e-6 * max(1, len(parts) - 1)
         for name in parts[:-1]:
             current += "/" + name
             if current not in self.dirs:
@@ -44,7 +44,7 @@ class _ShardFSServer(Service):
     def handle_mkdir_replica(self, path: str,
                              attrs: Dict) -> Generator[Event, Any, None]:
         """Apply a directory mutation to this replica."""
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         if path in self.dirs:
             raise FileExists(path)
         self.dirs[path] = attrs
@@ -52,7 +52,7 @@ class _ShardFSServer(Service):
     def handle_create(self, path: str,
                       attrs: Dict) -> Generator[Event, Any, Dict]:
         yield from self._local_resolve(path)
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         if path in self.files or path in self.dirs:
             raise FileExists(path)
         if parent_of(path) not in self.dirs:
@@ -62,7 +62,7 @@ class _ShardFSServer(Service):
 
     def handle_getattr(self, path: str) -> Generator[Event, Any, Dict]:
         yield from self._local_resolve(path)
-        yield self.env.timeout(self.costs.mds_read_service)
+        yield self.costs.mds_read_service
         record = self.files.get(path) or self.dirs.get(path)
         if record is None:
             raise FileNotFound(path)
@@ -70,7 +70,7 @@ class _ShardFSServer(Service):
 
     def handle_unlink(self, path: str) -> Generator[Event, Any, None]:
         yield from self._local_resolve(path)
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         if path not in self.files:
             raise FileNotFound(path)
         del self.files[path]

@@ -130,7 +130,7 @@ def _client_loop(client, base_dir: str, params: Dict[str, Any],
     yield from client.mkdir(base_dir)
     for i in range(files):
         yield from client.create(f"{base_dir}/f{i:04d}")
-        yield env.timeout(params["setup_pacing"])
+        yield params["setup_pacing"]
     i = 0
     while env.now < horizon:
         t0 = env.now
@@ -138,7 +138,7 @@ def _client_loop(client, base_dir: str, params: Dict[str, Any],
         if window_lo <= t0 < window_hi:
             steady.append(env.now - t0)
         i += 1
-        yield env.timeout(_think(env.now, params))
+        yield _think(env.now, params)
 
 
 def _autoscale_config(params: Dict[str, Any]) -> PaconConfig:

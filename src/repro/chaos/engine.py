@@ -200,7 +200,7 @@ class ChaosEngine:
     }
 
     def _run_fault(self, fault: Fault):
-        yield self.env.timeout(fault.at)
+        yield float(fault.at)
         region, injected_at = self.region, self.env.now
         record = FaultRecord(kind=fault.kind, target=fault.target,
                              injected_at=injected_at, recovered_at=-1.0)
@@ -220,7 +220,7 @@ class ChaosEngine:
             args = yield from args
         self.lost_ops += record.lost_ops
         self.lost_cache_entries += record.lost_cache_entries
-        yield self.env.timeout(fault.duration)
+        yield float(fault.duration)
         step = recover(*args)
         if isgenerator(step):
             yield from step

@@ -167,7 +167,6 @@ def _with_retry(client, make_op: Callable[[], Any]):
     move on.  Loss accounting stays exact either way because publish is
     the last, purely local step of every client op.
     """
-    env = client.env
     for _ in range(_MAX_RETRIES):
         try:
             result = yield from make_op()
@@ -175,7 +174,7 @@ def _with_retry(client, make_op: Callable[[], Any]):
         except (FileExists, FileNotFound):
             return None
         except NodeDownError:
-            yield env.timeout(_RETRY_DELAY)
+            yield _RETRY_DELAY
     raise RuntimeError("client op still failing after"
                        f" {_MAX_RETRIES} retries")
 
@@ -186,11 +185,10 @@ def _client_workload(client, base_dir: str, items: int, pacing: float,
 
     ``rounds`` adds create-then-rmdir cycles on a scratch subtree —
     every rmdir triggers a region barrier, which is what the
-    crash-during-barrier scenario needs in flight.  The pacing timeouts
+    crash-during-barrier scenario needs in flight.  The pacing sleeps
     leave idle gaps so planned churn (quiesce + settle) can complete
     while the workload runs.
     """
-    env = client.env
     yield from _with_retry(client, lambda: client.mkdir(base_dir))
     for r in range(rounds):
         scratch = f"{base_dir}/round{r}"
@@ -198,13 +196,13 @@ def _client_workload(client, base_dir: str, items: int, pacing: float,
         for j in range(round_files):
             path = f"{scratch}/tmp{j}"
             yield from _with_retry(client, lambda p=path: client.create(p))
-        yield env.timeout(pacing)
+        yield pacing
         yield from _with_retry(client, lambda s=scratch: client.rmdir(s))
-        yield env.timeout(pacing)
+        yield pacing
     for i in range(items):
         path = f"{base_dir}/f{i:04d}"
         yield from _with_retry(client, lambda p=path: client.create(p))
-        yield env.timeout(pacing)
+        yield pacing
 
 
 def _drive(world: ChaosWorld, engine: Optional[ChaosEngine], *,

@@ -210,7 +210,7 @@ class Autoscaler:
                 if queues and all(q.closed for q in queues):
                     return
                 yield from self._tick()
-                yield self.env.timeout(self.policy.interval)
+                yield float(self.policy.interval)
         except Interrupt:
             return
 

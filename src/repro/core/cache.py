@@ -65,35 +65,35 @@ class CacheShard(Service):
     # Each verb yields its ``memkv_op`` service time directly: a helper
     # generator here would add one frame to every cache round trip.
     def handle_get(self, key: str) -> Generator[Event, Any, Optional[Dict]]:
-        yield self.env.timeout(self.costs.memkv_op)
+        yield self.costs.memkv_op
         return self.kv.get(key)
 
     def handle_gets(self, key: str) -> Generator[Event, Any,
                                                  Optional[Tuple[Dict, int]]]:
-        yield self.env.timeout(self.costs.memkv_op)
+        yield self.costs.memkv_op
         return self.kv.gets(key)
 
     def handle_set(self, key: str, value: Dict) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.memkv_op)
+        yield self.costs.memkv_op
         return self.kv.set(key, value)
 
     def handle_add(self, key: str, value: Dict) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.memkv_op)
+        yield self.costs.memkv_op
         return self.kv.add(key, value)
 
     def handle_cas(self, key: str, value: Dict,
                    token: int) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.memkv_op)
+        yield self.costs.memkv_op
         return self.kv.cas(key, value, token)
 
     def handle_delete(self, key: str) -> Generator[Event, Any, bool]:
-        yield self.env.timeout(self.costs.memkv_op)
+        yield self.costs.memkv_op
         return self.kv.delete(key)
 
     def handle_delete_if_ino(self, key: str,
                              ino: int) -> Generator[Event, Any, bool]:
         """Atomic conditional delete: only the matching generation dies."""
-        yield self.env.timeout(self.costs.memkv_op)
+        yield self.costs.memkv_op
         record = self.kv.get(key)
         if record is not None and record.get("ino") == ino:
             return self.kv.delete(key)
@@ -102,13 +102,13 @@ class CacheShard(Service):
     def handle_scan_prefix(self, prefix: str) -> Generator[
             Event, Any, List[Tuple[str, Dict]]]:
         """Full-table scan — cold path only (rmdir cleanup, rebuild)."""
-        yield self.env.timeout(self.costs.memkv_op +
-                               self.costs.memkv_scan_per_item * len(self.kv))
+        yield (self.costs.memkv_op +
+               self.costs.memkv_scan_per_item * len(self.kv))
         return list(self.kv.scan_prefix(prefix))
 
     def handle_delete_prefix(self, prefix: str) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.memkv_op +
-                               self.costs.memkv_scan_per_item * len(self.kv))
+        yield (self.costs.memkv_op +
+               self.costs.memkv_scan_per_item * len(self.kv))
         doomed = [k for k, _ in self.kv.scan_prefix(prefix)]
         for k in doomed:
             self.kv.delete(k)

@@ -120,7 +120,7 @@ class CheckpointManager:
         if interval <= 0:
             raise ValueError("interval must be positive")
         while True:
-            yield self.env.timeout(interval)
+            yield float(interval)
             yield from self.checkpoint()
 
 

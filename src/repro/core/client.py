@@ -212,7 +212,7 @@ class PaconClient:
                 f"{path} belongs to merged region {target.name};"
                 " merged regions are read-only (§III.D.4)")
         if self.costs.client_op_cpu > 0:
-            yield self.env.timeout(self.costs.client_op_cpu)
+            yield self.costs.client_op_cpu
         yield from self._check_permission(op, path, target)
         return path, target
 
@@ -234,7 +234,7 @@ class PaconClient:
                 self.costs.permission_check_special_per_item *
                 receipt.special_items_scanned)
         if cost > 0:
-            yield self.env.timeout(cost)
+            yield cost
         if not receipt.allowed:
             raise PermissionDenied(path, receipt.reason)
 
@@ -290,7 +290,7 @@ class PaconClient:
             stall_started = self.env.now
             stall_ctx = self._stage_start("publish_stall", f"{op} {path}")
             while len(queue) >= capacity:
-                yield self.env.timeout(RETRY_DELAY)
+                yield RETRY_DELAY
             self._stage_end(stall_ctx)
             if self.region.hub.enabled:
                 stalled = self.env.now - stall_started
@@ -300,7 +300,7 @@ class PaconClient:
                     stall_started, "commit", "backpressure.stall",
                     queue.name, detail=f"{op} {path}", duration=stalled)
         if self.costs.commit_queue_push > 0:
-            yield self.env.timeout(self.costs.commit_queue_push)
+            yield self.costs.commit_queue_push
         msg = OpMessage(op=op, path=path, mode=mode, uid=self.uid,
                         gid=self.gid, timestamp=self.env.now,
                         epoch=self.region.client_epoch,
@@ -619,7 +619,7 @@ class PaconClient:
                 "rename must stay inside the caller's own region"
                 f" ({src} -> {dst})")
         if self.costs.client_op_cpu > 0:
-            yield self.env.timeout(self.costs.client_op_cpu)
+            yield self.costs.client_op_cpu
         # Both sides need write access to their parent directory.
         yield from self._check_permission("rm", src, self.region)
         yield from self._check_permission("create", dst, self.region)
@@ -819,7 +819,7 @@ class PaconClient:
             self._note("fsync", "none", "sync", "none")
             return  # DFS writes in this model are already durable
         if self.costs.client_op_cpu > 0:
-            yield self.env.timeout(self.costs.client_op_cpu)
+            yield self.costs.client_op_cpu
         got = yield from self.region.cache.gets(self.node, path)
         if got is None:
             return  # large/DFS-resident: nothing inline to flush

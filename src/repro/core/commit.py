@@ -352,7 +352,7 @@ class CommitProcess:
                 yield from self._dispatch_batch(batch)
             elif self._pending:
                 # Nothing new; give blocked dependencies a beat, then retry.
-                yield self.env.timeout(RETRY_DELAY)
+                yield RETRY_DELAY
                 yield from self._dispatch_batch([self._pending.popleft()])
             else:
                 # closing and fully drained
@@ -386,7 +386,7 @@ class CommitProcess:
         outstanding = len(held)
         try:
             if self.costs.commit_queue_pop > 0:
-                yield self.env.timeout(self.costs.commit_queue_pop)
+                yield self.costs.commit_queue_pop
             segment: List[OpMessage] = []
             for msg in msgs:
                 if isinstance(msg, BarrierMessage):

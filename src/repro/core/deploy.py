@@ -225,12 +225,11 @@ class PaconDeployment:
         forever after a chaos ``fail_node``.  Their backlog is recovery's
         responsibility, not quiescing's.
         """
-        env = self.cluster.env
         while True:
             if all(cp.idle for cp in region.commit_processes
                    if not cp.dead):
                 return
-            yield env.timeout(poll_interval)
+            yield poll_interval
 
     def settle(self, region: ConsistentRegion,
                poll_interval: float = 200e-6):
@@ -239,7 +238,7 @@ class PaconDeployment:
         what "fully drained" means at the end of a faulty run."""
         yield from self.quiesce(region)
         while not region.barriers_settled:
-            yield self.cluster.env.timeout(poll_interval)
+            yield poll_interval
             yield from self.quiesce(region)
 
     def quiesce_sync(self, region: ConsistentRegion) -> None:

@@ -124,7 +124,7 @@ class EvictionManager:
     def run(self, poll_interval: float = 1e-3) -> Generator[Event, Any, None]:
         """Background process: watch usage, evict to the target watermark."""
         while True:
-            yield self.env.timeout(poll_interval)
+            yield poll_interval
             while self.under_pressure():
                 removed = yield from self.evict_once()
                 if removed == 0:

@@ -63,7 +63,7 @@ class DFSClient:
         path = normalize_path(path)
         yield from self._traverse_parents(path)
         if self.costs.client_op_cpu > 0:
-            yield self.env.timeout(self.costs.client_op_cpu)
+            yield self.costs.client_op_cpu
         mds = self.fs.mds_for(parent_of(path) if path != "/" else "/")
         self.rpcs_sent += 1
         result = yield from mds.request(self.node, method, path, *args,
@@ -113,7 +113,7 @@ class DFSClient:
                                  f" directory, got {path} outside {parent}")
         yield from self._traverse_parents(ops[0][1])
         if self.costs.client_op_cpu > 0:
-            yield self.env.timeout(self.costs.client_op_cpu)
+            yield self.costs.client_op_cpu
         mds = self.fs.mds_for(parent)
         self.rpcs_sent += 1
         per_op = self.costs.request_header_size

@@ -88,27 +88,26 @@ class MetadataServer(Service):
         client walks the path issuing one of these per level (§II.C).
         """
         child_path = (dir_path.rstrip("/") + "/" + name) if name else dir_path
-        yield self.env.timeout(self.costs.mds_lookup_service +
-                               self._touch_inode_cache(child_path))
+        yield (self.costs.mds_lookup_service +
+               self._touch_inode_cache(child_path))
         inode = self.namespace.getattr(child_path, uid, gid, check_perms=True)
         return inode.to_record()
 
     def handle_getattr(self, path: str, uid: int = 0,
                        gid: int = 0) -> Generator[Event, Any, Dict]:
-        yield self.env.timeout(self.costs.mds_read_service +
-                               self._touch_inode_cache(path))
+        yield self.costs.mds_read_service + self._touch_inode_cache(path)
         return self.namespace.getattr(path, uid, gid,
                                       check_perms=True).to_record()
 
     def handle_readdir(self, path: str, uid: int = 0,
                        gid: int = 0) -> Generator[Event, Any, List[str]]:
         names = self.namespace.readdir(path, uid, gid, check_perms=True)
-        yield self.env.timeout(self.costs.mds_readdir_base +
-                               self.costs.mds_readdir_per_entry * len(names))
+        yield (self.costs.mds_readdir_base +
+               self.costs.mds_readdir_per_entry * len(names))
         return names
 
     def handle_exists(self, path: str) -> Generator[Event, Any, bool]:
-        yield self.env.timeout(self.costs.mds_lookup_service)
+        yield self.costs.mds_lookup_service
         return self.namespace.exists(path)
 
     # -- write path ------------------------------------------------------------
@@ -126,9 +125,9 @@ class MetadataServer(Service):
         if token is not None and token in applied:
             applied.move_to_end(token)
             self.token_replays += 1
-            yield self.env.timeout(self.costs.mds_lookup_service)
+            yield self.costs.mds_lookup_service
             return applied[token]
-        yield self.env.timeout(service_time)
+        yield service_time
         if op == "mkdir":
             record = self.namespace.mkdir(
                 path, mode, uid, gid, now=self.env.now,
@@ -170,26 +169,25 @@ class MetadataServer(Service):
     def handle_rmdir(self, path: str, uid: int = 0, gid: int = 0,
                      check_perms: bool = True,
                      recursive: bool = False) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         removed = self.namespace.rmdir(path, uid, gid, now=self.env.now,
                                        check_perms=check_perms,
                                        recursive=recursive)
         if removed > 1:
-            yield self.env.timeout(self.costs.mds_remove_per_entry *
-                                   (removed - 1))
+            yield self.costs.mds_remove_per_entry * (removed - 1)
         return removed
 
     def handle_setattr(self, path: str, uid: int = 0, gid: int = 0,
                        check_perms: bool = True,
                        **attrs) -> Generator[Event, Any, Dict]:
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         inode = self.namespace.setattr(path, uid, gid, now=self.env.now,
                                        check_perms=check_perms, **attrs)
         return inode.to_record()
 
     def handle_rename(self, src: str, dst: str, uid: int = 0, gid: int = 0,
                       check_perms: bool = True) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.costs.mds_op_service)
+        yield self.costs.mds_op_service
         self.namespace.rename(src, dst, uid, gid, now=self.env.now,
                               check_perms=check_perms)
 
@@ -236,12 +234,12 @@ class MetadataServer(Service):
     def handle_export_subtree(self, path: str) -> Generator[Event, Any, Dict]:
         snapshot = self.namespace.export_subtree(path)
         entries = snapshot_entries(snapshot["tree"])
-        yield self.env.timeout(self.costs.mds_read_service +
-                               self.costs.mds_readdir_per_entry * entries)
+        yield (self.costs.mds_read_service +
+               self.costs.mds_readdir_per_entry * entries)
         return snapshot
 
     def handle_restore_subtree(self, checkpoint: Dict) -> Generator[Event, Any, int]:
         entries = snapshot_entries(checkpoint["tree"])
-        yield self.env.timeout(self.costs.mds_op_service +
-                               self.costs.mds_remove_per_entry * entries)
+        yield (self.costs.mds_op_service +
+               self.costs.mds_remove_per_entry * entries)
         return self.namespace.restore_subtree(checkpoint, now=self.env.now)

@@ -53,8 +53,7 @@ class DataServer(Service):
 
     def handle_write_chunk(self, ino: int, chunk: int, chunk_off: int,
                            size: int) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.disk_seek +
-                               self.costs.disk_transfer_time(size))
+        yield self.costs.disk_seek + self.costs.disk_transfer_time(size)
         key = (ino, chunk)
         self._chunks[key] = max(self._chunks.get(key, 0), chunk_off + size)
         self.bytes_written += size
@@ -62,15 +61,14 @@ class DataServer(Service):
 
     def handle_read_chunk(self, ino: int, chunk: int, chunk_off: int,
                           size: int) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.disk_seek +
-                               self.costs.disk_transfer_time(size))
+        yield self.costs.disk_seek + self.costs.disk_transfer_time(size)
         valid = self._chunks.get((ino, chunk), 0)
         available = max(0, min(chunk_off + size, valid) - chunk_off)
         self.bytes_read += available
         return available
 
     def handle_truncate(self, ino: int) -> Generator[Event, Any, int]:
-        yield self.env.timeout(self.costs.disk_seek)
+        yield self.costs.disk_seek
         dead = [k for k in self._chunks if k[0] == ino]
         for k in dead:
             del self._chunks[k]

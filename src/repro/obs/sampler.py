@@ -31,7 +31,7 @@ queue), so a wakeup is a single pass over the region's queues and
 resources with no per-sample f-string formatting or registry lookups.
 
 The sampler only *reads* state and never yields anything but its own
-timeout, so it cannot perturb the simulated timing of the system under
+sleep, so it cannot perturb the simulated timing of the system under
 test.  It exits on its own once the region's commit queues close (end of
 run) or when interrupted via :meth:`stop`, so a drained event heap stays
 drainable.  A region with *zero* commit queues (cache-only) never
@@ -129,7 +129,7 @@ class GaugeSampler:
                 all_closed = self.sample_once()
                 if all_closed:
                     return  # end of run: let the event heap drain
-                yield self.env.timeout(self.interval)
+                yield float(self.interval)
         except Interrupt:
             return
 

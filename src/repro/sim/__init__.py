@@ -8,9 +8,12 @@ models (:mod:`repro.sim.costs`), contend on capacity-limited
 :class:`~repro.sim.resources.Resource` objects, and exchange messages over
 the latency/bandwidth network model in :mod:`repro.sim.network`.
 
-The kernel is intentionally SimPy-flavoured (``yield env.timeout(dt)``,
-``yield resource.acquire()``) but self-contained: the reproduction has no
-third-party runtime dependencies beyond numpy.
+The kernel is intentionally SimPy-flavoured (``yield resource.acquire()``,
+``yield env.timeout(dt)`` where the delay must be an event) but
+self-contained: the reproduction has no third-party runtime dependencies
+beyond numpy.  A process that only sleeps yields the delay itself,
+``yield dt`` with ``dt`` a float — same schedule, no event object
+(``docs/kernel.md``, "Sleeping").
 """
 
 from repro.sim.core import (

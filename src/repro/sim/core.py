@@ -5,11 +5,13 @@ A minimal, deterministic, generator-based DES in the style of SimPy:
 * :class:`Environment` owns the simulation clock and the pending-event heap.
 * :class:`Event` is a one-shot future; processes wait on events by yielding
   them.
-* :class:`Process` wraps a generator.  Each value the generator yields must
-  be an :class:`Event`; the process resumes when that event fires and
-  receives the event's value (or has the event's exception thrown into it).
-  A process is itself an event that succeeds with the generator's return
-  value, so processes can wait on each other.
+* :class:`Process` wraps a generator.  The generator yields either an
+  :class:`Event` — the process resumes when that event fires and receives
+  the event's value (or has the event's exception thrown into it) — or a
+  bare non-negative ``float``, which is a *sleep*: the process resumes that
+  many simulated seconds later, straight from the heap, with no event
+  object in between.  A process is itself an event that succeeds with the
+  generator's return value, so processes can wait on each other.
 
 Determinism: ties in the event heap are broken by a monotonically increasing
 sequence number, so two runs with the same seed replay identically.  This is
@@ -26,7 +28,7 @@ instead of a linear ``callbacks.remove``.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "SimulationError",
@@ -41,8 +43,9 @@ __all__ = [
     "cancel_wait",
 ]
 
-# A process body is a generator that yields Events and returns a value.
-ProcessGenerator = Generator["Event", Any, Any]
+# A process body is a generator that yields Events (or bare delays, which
+# are sleeps) and returns a value.
+ProcessGenerator = Generator[Union["Event", float], Any, Any]
 
 _PENDING = object()
 
@@ -176,6 +179,12 @@ class Event:
         return f"<{type(self).__name__}{label} {state} at t={self.env.now:.6g}>"
 
 
+def _bad_delay(delay: Any) -> ValueError:
+    """What a negative or NaN delay raises (callers test ``not delay >= 0``,
+    the one comparison that is False for both)."""
+    return ValueError(f"delay must be a number >= 0, got {delay!r}")
+
+
 def _fire_timeout(timeout: "Timeout") -> None:
     """Deliver a Timeout: move the pending value in, run callbacks.
 
@@ -200,13 +209,19 @@ class Timeout(Event):
     fire time, so ``triggered``/``ok``/``value`` answer honestly while
     the timeout is still pending (a fresh ``Timeout(env, 5, value=3)``
     is *not* triggered until t=5).
+
+    This is the composable spelling of a delay — something to hand to
+    :class:`AnyOf`/:class:`AllOf`, register a callback on or carry a
+    value with.  A process that only wants to sleep yields the bare
+    delay instead (see :meth:`Process._resume`): same heap entry, same
+    sequence number, no object.
     """
 
     __slots__ = ("delay", "_pending_value")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise _bad_delay(delay)
         # Inlined Event.__init__ — timeouts are the single most-allocated
         # object in any run (one per simulated service time), so the
         # super().__init__ call is worth skipping.
@@ -256,8 +271,9 @@ class Process(Event):
         super().__init__(env)
         self.label = label
         self._generator = generator
-        #: The event (or bootstrap/interrupt outcome) whose firing resumes
-        #: the generator next; ``None`` while running or once finished.
+        #: The event (or bootstrap/interrupt outcome, or sleep token) whose
+        #: firing resumes the generator next; ``None`` while running or
+        #: once finished.
         self._waiting_on: Any = _BOOT
         #: Event we were detached from by an interrupt whose (stale)
         #: callback is still registered — removal-marking instead of a
@@ -277,7 +293,8 @@ class Process(Event):
 
     @property
     def waiting_on(self) -> Optional[Event]:
-        """The event this process is currently blocked on (or ``None``).
+        """The event this process is currently blocked on (or ``None``,
+        also while it sleeps on a bare delay).
 
         Fault injection pairs this with :func:`cancel_wait`: before
         interrupting a process, cancel the wait so the resource/store/
@@ -285,7 +302,9 @@ class Process(Event):
         leaking a waiter slot.
         """
         waiting = self._waiting_on
-        return None if waiting is _BOOT else waiting
+        if waiting is _BOOT or waiting.__class__ is int:
+            return None  # nothing a caller could cancel
+        return waiting
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -294,22 +313,28 @@ class Process(Event):
         self.env._schedule_interrupt(self, Interrupt(cause))
 
     # -- internal ------------------------------------------------------
-    def _resume(self, trigger: Event) -> None:
-        """Callback: the event this process was waiting on has fired.
+    def _resume(self, trigger: Any) -> None:
+        """Callback: what this process was waiting on has happened.
 
-        The only place the generator is advanced: the bootstrap heap
-        entry and ``_deliver_interrupt`` enter here too, with an
-        :class:`_Outcome` standing in for the event.
+        The only place the generator is advanced.  ``trigger`` is the
+        event that fired, an :class:`_Outcome` standing in for one (the
+        bootstrap heap entry and ``_deliver_interrupt`` enter here too),
+        or the integer token of a sleep's wake-up entry.
         """
         if trigger is not self._waiting_on:
-            # Stale wakeup from an event we detached from (interrupt won),
-            # a bootstrap the interrupt beat, or the process already
-            # finished.  Consume the marker so a future wait on the same
-            # event registers a fresh callback.
+            # Stale wakeup from an event we detached from or a sleep we
+            # were interrupted out of (interrupt won), a bootstrap the
+            # interrupt beat, or the process already finished.  Consume
+            # the marker so a future wait on the same event registers a
+            # fresh callback.
             if trigger is self._detached:
                 self._detached = None
             return
-        exc = trigger._exc
+        if trigger.__class__ is int:
+            exc = value = None  # a sleep's wake-up delivers nothing
+        else:
+            exc = trigger._exc
+            value = trigger._value
         env = self.env
         self._waiting_on = None
         env._active_process = self
@@ -317,7 +342,7 @@ class Process(Event):
             if exc is not None:
                 target = self._generator.throw(exc)
             else:
-                target = self._generator.send(trigger._value)
+                target = self._generator.send(value)
         except StopIteration as stop:
             env._active_process = None
             self._value = stop.value
@@ -332,13 +357,32 @@ class Process(Event):
                 raise
             return
         env._active_process = None
-        # Timeout is what nearly every wait yields; the exact-class check
+        cls = target.__class__
+        if cls is float:
+            # A sleep: the wake-up re-enters this method straight from
+            # the heap.  Its sequence number doubles as the wait's
+            # identity (unique, and the heap entry carries the very
+            # object stored here), so the staleness test above covers it.
+            # A Timeout built at the yield would have taken the same
+            # number and pushed the same key.
+            if target >= 0:
+                env._seq = seq = env._seq + 1
+                _heappush(env._heap,
+                          (env.now + target, seq, self._resume_cb, seq))
+                self._waiting_on = seq
+                return
+            # Negative or NaN: raise at the offending yield, delivered
+            # the way an interrupt is.
+            self._waiting_on = carrier = _Outcome(_bad_delay(target))
+            self._resume(carrier)
+            return
+        # Timeout is the most common event yielded; the exact-class check
         # skips the generic isinstance walk on that path.
-        if target.__class__ is not Timeout and not isinstance(target, Event):
+        if cls is not Timeout and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.label or self._generator!r} yielded"
-                f" {target!r}; processes must yield Event instances"
-                " (use 'yield from' for sub-generators)")
+                f" {target!r}; processes must yield Event instances or a"
+                " float delay (use 'yield from' for sub-generators)")
         if target.env is not env:
             raise SimulationError("yielded event belongs to another Environment")
         self._waiting_on = target
@@ -374,13 +418,15 @@ class Process(Event):
             self._value = None
             self.env._schedule(self)
             return
-        if waiting is not None:
+        if waiting is not None and waiting.__class__ is not int:
             # Detach from the event we were waiting on; it may still fire
             # later but must no longer resume us with its value.  Mark
             # instead of the old linear ``callbacks.remove`` — `_resume`
             # drops the stale wakeup via an O(1) identity check.  One
             # marker slot suffices for the common case; a second detach
             # while the first marker is live falls back to removal.
+            # A sleep token takes neither: it never recurs, so the wake-up
+            # still on the heap is stale by the same identity check.
             if self._detached is None:
                 self._detached = waiting
             else:

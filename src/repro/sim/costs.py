@@ -88,6 +88,13 @@ class CostModel:
     request_header_size: int = 96
     small_file_threshold: int = 4 * KiB
 
+    def __post_init__(self) -> None:
+        # Service times reach the kernel as bare ``yield <delay>`` sleeps,
+        # which must be floats: keep ``CostModel(memkv_op=0)`` working.
+        for name, f in self.__dataclass_fields__.items():
+            if f.type == "float":
+                setattr(self, name, float(getattr(self, name)))
+
     def with_overrides(self, **kw) -> "CostModel":
         """Return a copy with the given fields replaced."""
         return replace(self, **kw)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
-from repro.sim.core import Environment, Event, Interrupt, Timeout
+from repro.sim.core import Environment, Event, Interrupt
 from repro.sim.costs import CostModel
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
@@ -190,7 +190,7 @@ class Network:
                     nic = src.nic
                     yield nic.acquire()
                     try:
-                        yield Timeout(env, p.local_loopback)
+                        yield p.local_loopback
                     finally:
                         nic.release()
                 if not dst.alive:
@@ -208,12 +208,12 @@ class Network:
             nic = src.nic
             yield nic.acquire()
             try:
-                yield Timeout(env, p.msg_overhead + nbytes / p.bandwidth)
+                yield p.msg_overhead + nbytes / p.bandwidth
             finally:
                 nic.release()
             # Propagation.
             if p.latency > 0:
-                yield Timeout(env, p.latency)
+                yield p.latency
             if (doomed or not dst.alive or dst.incarnation != mark
                     or self.is_partitioned(src, dst)):
                 # Dropped on the wire: the receiver NIC never sees it.
@@ -225,7 +225,7 @@ class Network:
             nic = dst.nic
             yield nic.acquire()
             try:
-                yield Timeout(env, p.msg_overhead)
+                yield p.msg_overhead
             finally:
                 nic.release()
             if not dst.alive or dst.incarnation != mark:

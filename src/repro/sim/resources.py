@@ -147,7 +147,7 @@ class Resource:
         """Convenience generator: acquire, hold for ``service_time``, release."""
         yield self.acquire()
         try:
-            yield self.env.timeout(service_time)
+            yield service_time
         finally:
             self.release()
 

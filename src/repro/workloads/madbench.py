@@ -99,7 +99,7 @@ def run_madbench(env: Environment, clients: Sequence[Any],
         # --- S/W/C rounds: compute, write, read.
         for _ in range(config.iterations):
             t0 = env.now
-            yield env.timeout(config.compute_time)
+            yield float(config.compute_time)
             acc.other_time += env.now - t0
             t0 = env.now
             pos = 0

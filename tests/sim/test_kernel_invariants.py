@@ -478,3 +478,203 @@ class TestOneResumeBody:
         env.run()
         assert proc.value == 7
         assert (env.processed_events, env.now) == (3, 1.0)
+
+
+#: The two spellings of a delay.  Every count below is the literal the
+#: ``env.timeout`` spelling gave before bare delays existed: a sleep must
+#: cost exactly the heap entries a Timeout did, stale wake-ups included.
+_SPELLINGS = {"delay": lambda env, d: d,
+              "timeout": lambda env, d: env.timeout(d)}
+
+
+@pytest.fixture(params=sorted(_SPELLINGS))
+def nap(request):
+    return _SPELLINGS[request.param]
+
+
+class TestSleep:
+    """``yield <float>`` re-enters ``_resume`` straight from the heap."""
+
+    def test_sleep_allocates_no_event_and_exposes_nothing_to_cancel(self, env):
+        def body():
+            yield 1.5
+            return env.now
+
+        proc = env.process(body())
+        env.step()
+        (time, seq, fn, token), = env._heap
+        assert (time, fn, token) == (1.5, proc._resume_cb, seq)
+        assert proc.is_alive and proc.waiting_on is None
+        assert core_mod.cancel_wait(proc.waiting_on) is False
+        env.run()
+        assert proc.value == 1.5
+        assert env.processed_events == 3
+
+    def test_interrupt_during_a_sleep(self, env, nap):
+        log = []
+
+        def body():
+            try:
+                yield nap(env, 10.0)
+            except Interrupt as intr:
+                log.append((intr.cause, env.now))
+            yield nap(env, 1.0)
+            return "done"
+
+        def killer():
+            yield nap(env, 2.0)
+            proc.interrupt("k")
+
+        proc = env.process(body())
+        env.process(killer())
+        env.run()
+        assert log == [("k", 2.0)]
+        assert proc.value == "done"
+        assert (env.processed_events, env.now) == (8, 10.0)
+
+    def test_two_interrupts_while_the_first_stale_wakeup_is_pending(
+            self, env, nap):
+        log = []
+
+        def body():
+            for _ in range(2):
+                try:
+                    yield nap(env, 10.0)
+                except Interrupt as intr:
+                    log.append((intr.cause, env.now))
+            return "done"
+
+        def killer():
+            yield nap(env, 1.0)
+            proc.interrupt("first")
+            yield nap(env, 1.0)
+            proc.interrupt("second")
+
+        proc = env.process(body())
+        env.process(killer())
+        env.run(until=proc)
+        assert log == [("first", 1.0), ("second", 2.0)]
+        assert (env.processed_events, env.now) == (8, 2.0)
+        # Both wake-ups (t=10, t=11) are still on the heap, and stale.
+        env.run()
+        assert proc.value == "done"
+        assert (env.processed_events, env.now) == (10, 11.0)
+
+    def test_stale_wakeup_arriving_during_the_next_sleep_is_ignored(
+            self, env, nap):
+        log = []
+
+        def body():
+            try:
+                yield nap(env, 5.0)
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield nap(env, 10.0)     # the t=5 wake-up lands inside this
+            log.append(("woke", env.now))
+
+        def killer():
+            yield nap(env, 2.0)
+            proc.interrupt()
+
+        proc = env.process(body())
+        env.process(killer())
+        env.run()
+        assert log == [("interrupted", 2.0), ("woke", 12.0)]
+        assert (env.processed_events, env.now) == (8, 12.0)
+
+    def test_interrupt_beats_a_wakeup_at_the_same_instant(self, env, nap):
+        log = []
+
+        def killer():
+            yield nap(env, 2.0)
+            proc.interrupt("tie")
+
+        def body():
+            try:
+                yield nap(env, 2.0)
+                log.append(("woke", env.now))
+            except Interrupt as intr:
+                log.append((intr.cause, env.now))
+
+        env.process(killer())       # lower sequence number: wakes first
+        proc = env.process(body())
+        env.run()
+        assert log == [("tie", 2.0)]
+        assert (env.processed_events, env.now) == (7, 2.0)
+
+    def test_sleeps_and_timeouts_share_one_sequence(self, env):
+        order = []
+
+        def sleeper(tag, spelling):
+            yield _SPELLINGS[spelling](env, 1.0)
+            order.append(tag)
+
+        for tag, spelling in enumerate(["delay", "timeout", "delay",
+                                        "timeout"]):
+            env.process(sleeper(tag, spelling))
+        env.run()
+        assert order == [0, 1, 2, 3]
+        assert env._seq == 12
+
+
+class TestBadDelay:
+    """Negative and NaN delays raise the same ValueError, for both
+    spellings; NaN used to slip through ``delay < 0`` and set the clock
+    to NaN."""
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), -0.5e-9])
+    def test_timeout_rejects(self, env, bad):
+        with pytest.raises(ValueError, match="delay"):
+            env.timeout(bad)
+        assert env._heap == [] and env._seq == 0
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bare_delay_raises_at_the_offending_yield(self, env, bad):
+        seen = []
+
+        def body():
+            try:
+                yield bad
+            except ValueError as err:
+                seen.append(err)
+            yield 1.0
+            return env.now
+
+        assert run_sync(env, body()) == 1.0
+        (err,) = seen
+        assert "delay" in str(err)
+        # The traceback points at the generator's own yield.
+        frames = []
+        tb = err.__traceback__
+        while tb is not None:
+            frames.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert frames == ["body"]
+        assert env.now == 1.0      # the clock never saw the bad value
+
+    def test_uncaught_bad_delay_fails_the_process(self, env):
+        def body():
+            yield float("nan")
+
+        proc = env.process(body())
+        with pytest.raises(ValueError):
+            env.run()
+        assert isinstance(proc.exception, ValueError)
+        assert env.now == 0.0
+
+    @pytest.mark.parametrize("junk", [True, None, "1.0", 42])
+    def test_non_float_non_event_is_still_a_simulation_error(self, env, junk):
+        def body():
+            yield junk
+
+        with pytest.raises(SimulationError, match="must yield Event"):
+            run_sync(env, body())
+
+    def test_foreign_event_is_still_a_simulation_error(self, env):
+        other = Environment()
+
+        def body():
+            yield other.timeout(1.0)
+
+        with pytest.raises(SimulationError, match="another Environment"):
+            run_sync(env, body())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import Interrupt, Timeout, cancel_wait, run_sync
+from repro.sim.core import Interrupt, cancel_wait, run_sync
 from repro.sim.costs import CostModel
 from repro.sim.network import Cluster, MessageDropped, NodeDownError, Service
 from repro.sim.trace import Tracer
@@ -201,7 +201,9 @@ class TestOneFramePerHop:
         request = svc.request(client, "echo", "x")
         proc = cluster.env.process(request)
         cluster.run(until=cluster.network.params.msg_overhead / 2)
-        assert client.nic.in_use == 1 and isinstance(proc.waiting_on, Timeout)
+        # Holding the sender NIC, asleep on a bare delay: nothing to cancel.
+        assert client.nic.in_use == 1 and proc.is_alive
+        assert proc.waiting_on is None
         assert _frames_below(request) == 1      # transfer; 3 with use()
         cluster.run()
         assert proc.value == "x"

@@ -75,6 +75,14 @@ class TestCostModel:
         assert tweaked.mds_op_service == 1.0
         assert base.mds_op_service != 1.0
 
+    def test_integer_costs_become_floats(self):
+        # Service times reach the kernel as bare-delay sleeps, and only a
+        # float is a delay: ``memkv_op=0`` must keep working.
+        c = CostModel(memkv_op=0, net_latency=1)
+        assert type(c.memkv_op) is float and type(c.net_latency) is float
+        assert type(c.with_overrides(mds_op_service=2).mds_op_service) is float
+        assert type(c.mds_workers) is int
+
     def test_slow_network_scales(self):
         slow = CostModel.slow_network(factor=10)
         assert slow.net_latency == pytest.approx(CostModel().net_latency * 10)

@@ -1,7 +1,7 @@
 """Dead-surface guard: nothing public that nobody references, nothing
 imported that is not used.
 
-Three static checks over ``src/repro`` (``ast`` + regex, no dependency):
+Four static checks over ``src/repro`` (``ast`` + regex, no dependency):
 
 * every public function, class, method and module- or class-level
   attribute (constants, dataclass fields) defined there is mentioned at
@@ -14,7 +14,10 @@ Three static checks over ``src/repro`` (``ast`` + regex, no dependency):
   ``F401``, which CI runs (flake8 is not installed in every dev image);
 * imports of ``repro`` modules sit at module level: a function-level one
   dodges an import cycle, so each survivor is listed here with its
-  reason and the list only shrinks.
+  reason and the list only shrinks;
+* a process that only sleeps yields the bare delay: no ``yield`` of a
+  freshly built ``Timeout`` outside the kernel, so a sleep has one
+  spelling (``Timeout`` stays for composing and for callbacks).
 
 The reference check is by word, not by resolved binding: a name shared by
 several definitions passes as soon as the corpus mentions it more often
@@ -185,3 +188,26 @@ def test_repro_imports_sit_at_module_level():
         f"stale LAZY_IMPORTS rows: {sorted(LAZY_IMPORTS - found)}")
     assert not any(module.startswith(("repro.obs", "repro.sim.trace"))
                    for _path, module in found)
+
+
+def _yielded_timeouts():
+    found = []
+    for path in _source_files():
+        if path == SRC / "sim" / "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = node.value if isinstance(node, ast.Yield) else None
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in ("timeout", "Timeout"):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    return found
+
+
+def test_a_sleep_is_a_bare_delay():
+    assert _yielded_timeouts() == [], (
+        "yield the delay itself (a float), not a Timeout built on the"
+        " spot — docs/kernel.md, 'Sleeping'")

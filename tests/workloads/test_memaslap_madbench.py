@@ -90,6 +90,13 @@ class TestMadbench:
         result = run_madbench(bed.env, bed.clients, config)
         assert result.other_time >= 3 * 5e-3 * len(bed.clients)
 
+    def test_integer_compute_time_is_accepted(self, beds):
+        bed = beds["beegfs"]
+        config = MadbenchConfig(file_size=128 * 1024, iterations=1,
+                                compute_time=1)
+        result = run_madbench(bed.env, bed.clients, config)
+        assert result.other_time >= 1.0 * len(bed.clients)
+
     def test_pacon_total_close_to_beegfs(self, beds):
         config = MadbenchConfig(file_size=1024 * 1024, iterations=2)
         totals = {}
