@@ -9,11 +9,12 @@ models (:mod:`repro.sim.costs`), contend on capacity-limited
 the latency/bandwidth network model in :mod:`repro.sim.network`.
 
 The kernel is intentionally SimPy-flavoured (``yield resource.acquire()``,
-``yield env.timeout(dt)`` where the delay must be an event) but
-self-contained: the reproduction has no third-party runtime dependencies
-beyond numpy.  A process that only sleeps yields the delay itself,
-``yield dt`` with ``dt`` a float — same schedule, no event object
-(``docs/kernel.md``, "Sleeping").
+``yield env.timeout(dt)`` where the request or the delay must be an
+event) but self-contained: the reproduction has no third-party runtime
+dependencies beyond numpy.  A process that only sleeps yields the delay
+itself, ``yield dt`` with ``dt`` a float, and one that wants a slot
+yields the resource, ``yield resource`` — same schedule, no event object
+(``docs/kernel.md``, "Sleeping" and "Parking").
 """
 
 from repro.sim.core import (

@@ -5,13 +5,16 @@ A minimal, deterministic, generator-based DES in the style of SimPy:
 * :class:`Environment` owns the simulation clock and the pending-event heap.
 * :class:`Event` is a one-shot future; processes wait on events by yielding
   them.
-* :class:`Process` wraps a generator.  The generator yields either an
+* :class:`Process` wraps a generator.  The generator yields an
   :class:`Event` — the process resumes when that event fires and receives
   the event's value (or has the event's exception thrown into it) — or a
-  bare non-negative ``float``, which is a *sleep*: the process resumes that
-  many simulated seconds later, straight from the heap, with no event
-  object in between.  A process is itself an event that succeeds with the
-  generator's return value, so processes can wait on each other.
+  bare non-negative ``float``, which is a *sleep* (the process resumes that
+  many simulated seconds later), or a
+  :class:`~repro.sim.resources.Resource`, which is a *park* (the process
+  resumes holding one of its slots).  Sleeps and parks are resumed straight
+  from the heap, with no event object in between.  A process is itself an
+  event that succeeds with the generator's return value, so processes can
+  wait on each other.
 
 Determinism: ties in the event heap are broken by a monotonically increasing
 sequence number, so two runs with the same seed replay identically.  This is
@@ -43,9 +46,10 @@ __all__ = [
     "cancel_wait",
 ]
 
-# A process body is a generator that yields Events (or bare delays, which
-# are sleeps) and returns a value.
-ProcessGenerator = Generator[Union["Event", float], Any, Any]
+# A process body is a generator that yields Events, bare delays (floats:
+# sleeps) or Resources (parks; the class lives in sim/resources.py, which
+# imports this module) and returns a value.
+ProcessGenerator = Generator[Any, Any, Any]
 
 _PENDING = object()
 
@@ -63,6 +67,11 @@ _INTERRUPT_BIAS = 1 << 62
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+#: The one class a process may yield to park on: ``sim/resources.py``
+#: stores its ``Resource`` here when it is imported (it imports this
+#: module, so the kernel cannot import it back).
+_Resource: Any = None
 
 
 class SimulationError(RuntimeError):
@@ -259,8 +268,8 @@ _BOOT = _Outcome()
 class Process(Event):
     """A running generator; also an event that fires on completion."""
 
-    __slots__ = ("_generator", "_waiting_on", "_detached", "_resume_cb",
-                 "label")
+    __slots__ = ("_generator", "_waiting_on", "_parked_on", "_detached",
+                 "_resume_cb", "label")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  label: str = ""):
@@ -271,10 +280,16 @@ class Process(Event):
         super().__init__(env)
         self.label = label
         self._generator = generator
-        #: The event (or bootstrap/interrupt outcome, or sleep token) whose
-        #: firing resumes the generator next; ``None`` while running or
-        #: once finished.
+        #: The event (or bootstrap/interrupt outcome, or sleep/grant token)
+        #: whose firing resumes the generator next — or, while queued on a
+        #: resource, that park's own ``(process, requested_at)`` waiter
+        #: entry, which nothing fires: ``Resource.release`` swaps a grant
+        #: token in.  ``None`` while running or once finished.
         self._waiting_on: Any = _BOOT
+        #: The resource of the latest park; read only while ``_waiting_on``
+        #: is a waiter entry or a grant token, and cleared by the cancel
+        #: that gives a granted slot back (so it does so once).
+        self._parked_on: Any = None
         #: Event we were detached from by an interrupt whose (stale)
         #: callback is still registered — removal-marking instead of a
         #: linear ``callbacks.remove`` (see ``_deliver_interrupt``).
@@ -292,9 +307,10 @@ class Process(Event):
         return not self.triggered
 
     @property
-    def waiting_on(self) -> Optional[Event]:
-        """The event this process is currently blocked on (or ``None``,
-        also while it sleeps on a bare delay).
+    def waiting_on(self) -> Optional[Union[Event, _Parked]]:
+        """What this process is currently blocked on: the event, a
+        handle built on demand for a park (``yield resource``), or
+        ``None`` — also while it sleeps on a bare delay.
 
         Fault injection pairs this with :func:`cancel_wait`: before
         interrupting a process, cancel the wait so the resource/store/
@@ -302,8 +318,15 @@ class Process(Event):
         leaking a waiter slot.
         """
         waiting = self._waiting_on
-        if waiting is _BOOT or waiting.__class__ is int:
-            return None  # nothing a caller could cancel
+        cls = waiting.__class__
+        if waiting is _BOOT or (cls is int and waiting > 0):
+            return None  # not started, or asleep: nothing to cancel
+        if cls is int or cls is tuple:
+            # Parked — on a grant token (negative) or a waiter entry —
+            # unless a cancel has already given the granted slot back.
+            resource = self._parked_on
+            return None if resource is None else \
+                _Parked(resource, self, waiting)
         return waiting
 
     def interrupt(self, cause: Any = None) -> None:
@@ -319,19 +342,19 @@ class Process(Event):
         The only place the generator is advanced.  ``trigger`` is the
         event that fired, an :class:`_Outcome` standing in for one (the
         bootstrap heap entry and ``_deliver_interrupt`` enter here too),
-        or the integer token of a sleep's wake-up entry.
+        or the integer token of a sleep's or a grant's wake-up entry.
         """
         if trigger is not self._waiting_on:
-            # Stale wakeup from an event we detached from or a sleep we
-            # were interrupted out of (interrupt won), a bootstrap the
-            # interrupt beat, or the process already finished.  Consume
+            # Stale wakeup from an event we detached from or a sleep or
+            # park we were interrupted out of (interrupt won), a bootstrap
+            # the interrupt beat, or the process already finished.  Consume
             # the marker so a future wait on the same event registers a
             # fresh callback.
             if trigger is self._detached:
                 self._detached = None
             return
         if trigger.__class__ is int:
-            exc = value = None  # a sleep's wake-up delivers nothing
+            exc = value = None  # a sleep or a grant delivers nothing
         else:
             exc = trigger._exc
             value = trigger._value
@@ -376,13 +399,24 @@ class Process(Event):
             self._waiting_on = carrier = _Outcome(_bad_delay(target))
             self._resume(carrier)
             return
-        # Timeout is the most common event yielded; the exact-class check
-        # skips the generic isinstance walk on that path.
-        if cls is not Timeout and not isinstance(target, Event):
+        if cls is _Resource:
+            # A park: the resource takes a slot and pushes the wake-up, or
+            # queues the process; either way what it hands back is the
+            # wait's identity (a grant token, or the waiter entry that
+            # ``release`` will swap one in for).  ``acquire()`` yielded on
+            # the spot would have taken the same sequence number.
+            self._parked_on = target
+            self._waiting_on = target._park(self)
+            return
+        # Sleeps and parks are gone by here; a bare Event (a queue's or a
+        # barrier's hand-out) is the most common event yielded, and the
+        # exact-class check skips the generic isinstance walk for it.
+        if cls is not Event and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.label or self._generator!r} yielded"
-                f" {target!r}; processes must yield Event instances or a"
-                " float delay (use 'yield from' for sub-generators)")
+                f" {target!r}; processes must yield Event instances, a"
+                " float delay or a Resource (use 'yield from' for"
+                " sub-generators)")
         if target.env is not env:
             raise SimulationError("yielded event belongs to another Environment")
         self._waiting_on = target
@@ -418,15 +452,19 @@ class Process(Event):
             self._value = None
             self.env._schedule(self)
             return
-        if waiting is not None and waiting.__class__ is not int:
+        cls = waiting.__class__
+        if waiting is not None and cls is not int and cls is not tuple:
             # Detach from the event we were waiting on; it may still fire
             # later but must no longer resume us with its value.  Mark
             # instead of the old linear ``callbacks.remove`` — `_resume`
             # drops the stale wakeup via an O(1) identity check.  One
             # marker slot suffices for the common case; a second detach
             # while the first marker is live falls back to removal.
-            # A sleep token takes neither: it never recurs, so the wake-up
-            # still on the heap is stale by the same identity check.
+            # A sleep or grant token takes neither: it never recurs, so
+            # the wake-up still on the heap is stale by the same identity
+            # check.  Nor does a waiter entry: a hand-over that finds the
+            # process no longer waiting on it pushes a wake-up nobody
+            # claims (the slot leaks unless the caller cancelled first).
             if self._detached is None:
                 self._detached = waiting
             else:
@@ -439,7 +477,31 @@ class Process(Event):
         return f"<Process {self.label or self._generator!r} {state}>"
 
 
-def cancel_wait(event: Optional[Event]) -> bool:
+class _Parked:
+    """One park of one process, as :attr:`Process.waiting_on` reports it.
+
+    Built on demand — the park itself allocates nothing — and good for
+    one thing, :func:`cancel_wait`: it describes the park as it stood
+    when ``waiting_on`` was read (``mark`` is the waiter entry while
+    queued, the grant token once a slot was handed over).
+    """
+
+    __slots__ = ("resource", "process", "mark")
+
+    def __init__(self, resource: Any, process: Process, mark: Any):
+        self.resource = resource
+        self.process = process
+        self.mark = mark
+
+    def _on_cancel(self, _handle: "_Parked") -> bool:
+        return self.resource._cancel_park(self.process, self.mark)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "queued" if self.mark.__class__ is tuple else "granted"
+        return f"<parked {self.process!r} {state} on {self.resource.name!r}>"
+
+
+def cancel_wait(event: Optional[Union[Event, _Parked]]) -> bool:
     """Undo the side effects of waiting on ``event``, if it knows how.
 
     Synchronization primitives that *register* a waiter (resource queues,
@@ -450,7 +512,9 @@ def cancel_wait(event: Optional[Event]) -> bool:
     or item back, and so on — returning True if it reclaimed anything.
 
     Plain events and timeouts have no hook (the slot is never written on
-    the hot path) and cancel to a no-op.  Callers interrupt the process
+    the hot path) and cancel to a no-op.  A park has no event at all:
+    ``Process.waiting_on`` builds a handle with the same hook for it.  A
+    hook reclaims at most once.  Callers interrupt the process
     *after* cancelling its wait; the interrupt detaches the process from
     the event, so a later spurious trigger is harmless.
     """

@@ -188,7 +188,7 @@ class Network:
                 # real NIC traffic on the node (kernel TCP path).
                 if p.local_loopback > 0:
                     nic = src.nic
-                    yield nic.acquire()
+                    yield nic
                     try:
                         yield p.local_loopback
                     finally:
@@ -206,7 +206,7 @@ class Network:
             mark = dst.incarnation
             # Sender NIC serializes the message onto the fabric.
             nic = src.nic
-            yield nic.acquire()
+            yield nic
             try:
                 yield p.msg_overhead + nbytes / p.bandwidth
             finally:
@@ -223,7 +223,7 @@ class Network:
             # Receiver NIC processes the arrival; fan-in contention
             # happens here.
             nic = dst.nic
-            yield nic.acquire()
+            yield nic
             try:
                 yield p.msg_overhead
             finally:
@@ -291,7 +291,7 @@ class Service:
         if proc is not None:
             qctx = tracer.open_child(proc, self.env.now, self.name,
                                      self.span_queue_category, method)
-        yield self.workers.acquire()
+        yield self.workers
         if qctx is not None:
             tracer.span_end(self.env.now, self.name, qctx)
         if not self.node.alive or self.node.incarnation != mark:

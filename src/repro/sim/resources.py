@@ -3,7 +3,9 @@
 * :class:`Resource` — capacity-limited server (models MDS worker pools,
   cache-node CPUs, NIC serialization).  FIFO grant order keeps runs
   deterministic, and a queued waiter's wait is accounted at the instant
-  the slot is handed over.
+  the slot is handed over.  A process takes a slot with ``yield resource``
+  (a *park*: no event object, ``docs/kernel.md`` §Parking);
+  ``resource.acquire()`` is the same request as an :class:`Event`.
 * :class:`Barrier` — classic N-party rendezvous (used by the mdtest
   workload to reproduce MPI phase barriers).
 
@@ -14,9 +16,11 @@ The message channel of the commit pipeline is
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim import core as _kernel
+from repro.sim.core import Environment, Event, Process, SimulationError
 
 __all__ = ["Resource", "Barrier"]
 
@@ -32,7 +36,9 @@ class Resource:
         self.capacity = capacity
         self.created_at = env.now
         self._in_use = 0
-        #: FIFO of ``(event, request time)`` per queued waiter.
+        #: FIFO of ``(waiter, request time)`` per queued request: the
+        #: waiter is the parked :class:`Process` itself, or the bare
+        #: :class:`Event` ``acquire()`` handed out.
         self._waiters: Deque[Tuple[Event, float]] = deque()
         # Contention accounting (read by MetricsHub.resource_snapshot).
         self.total_acquires = 0
@@ -90,8 +96,64 @@ class Resource:
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
+    def _park(self, process: Process) -> Any:
+        """``yield resource``: ``acquire()`` for a process, minus the event.
+
+        Called by ``Process._resume`` only.  Same accounting, same FIFO,
+        same sequence number as an ``acquire()`` yielded on the spot; the
+        return value is what the process waits on — the token of the
+        wake-up just pushed (a slot was free: the negated sequence number,
+        which no sleep token equals), or this park's waiter entry, which
+        :meth:`release` replaces with such a token at the hand-over.
+        """
+        env = process.env
+        if env is not self.env:
+            raise SimulationError(
+                f"yielded resource {self.name!r} belongs to another"
+                " Environment")
+        now = env.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
+        self.total_acquires += 1
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            env._seq = seq = env._seq + 1
+            token = -seq
+            _heappush(env._heap, (now, seq, process._resume_cb, token))
+            return token
+        entry = (process, now)
+        self._waiters.append(entry)
+        if len(self._waiters) > self.peak_queue:
+            self.peak_queue = len(self._waiters)
+        return entry
+
+    def _cancel_park(self, process: Process, mark: Any) -> bool:
+        """Cancel hook of a park; the cases of :meth:`_cancel_acquire`."""
+        if mark.__class__ is tuple:  # queued when waiting_on was read
+            return self._unqueue(mark)
+        if process._waiting_on is mark and process._parked_on is self:
+            # Granted, wake-up still on the heap.  Clearing ``_parked_on``
+            # is what makes a second cancel find nothing to give back.
+            process._parked_on = None
+            self.release()
+            return True
+        return False
+
+    def _unqueue(self, match: Any) -> bool:
+        """Drop the queued entry that is ``match`` or whose waiter is."""
+        for i, entry in enumerate(self._waiters):
+            if entry is match or entry[0] is match:
+                del self._waiters[i]
+                return True
+        return False
+
     def acquire(self) -> Event:
-        """Return an event that fires when a slot is granted."""
+        """Return an event that fires when a slot is granted.
+
+        The composable spelling — a child for ``AnyOf``, a request made
+        outside any process — of what ``yield resource`` does without an
+        event; both share one queue and one set of counters.
+        """
         now = self.env.now
         # _account(), inlined: acquire/release run several times per op.
         self._busy_time += self._in_use * (now - self._last_change)
@@ -115,12 +177,13 @@ class Resource:
         waiting process never resumed (release the slot — otherwise it
         leaks for the lifetime of the resource), or already consumed
         (the holder is responsible for its own release; nothing to do).
+        Giving a slot back unhooks the event, so cancelling it again is
+        a no-op rather than a second release.
         """
-        for i, (waiter, _requested_at) in enumerate(self._waiters):
-            if waiter is ev:
-                del self._waiters[i]
-                return True
+        if self._unqueue(ev):
+            return True
         if ev.triggered and not ev.processed and ev.exception is None:
+            ev._on_cancel = None
             self.release()
             return True
         return False
@@ -128,28 +191,43 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        now = self.env.now
+        env = self.env
+        now = env.now
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
         if self._waiters:
             # Hand the slot directly to the next waiter; _in_use unchanged.
             # Its wait ends at this instant, so account it here.
-            nxt, requested_at = self._waiters.popleft()
+            nxt, requested_at = entry = self._waiters.popleft()
             waited = now - requested_at
             self.total_wait_time += waited
             if self._wait_observe is not None:
                 self._wait_observe(waited)
-            nxt.succeed(now)
+            if nxt.__class__ is Event:  # an acquire() hand-out
+                nxt.succeed(now)
+            else:
+                # A parked process: push the wake-up ``succeed`` would
+                # have scheduled.  The token goes in only if the process
+                # still waits on this very entry; one interrupted away
+                # without ``cancel_wait`` gets a wake-up it drops as stale.
+                env._seq = seq = env._seq + 1
+                token = -seq
+                _heappush(env._heap, (now, seq, nxt._resume_cb, token))
+                if nxt._waiting_on is entry:
+                    nxt._waiting_on = token
         else:
             self._in_use -= 1
 
     def use(self, service_time: float) -> Generator[Event, Any, None]:
         """Convenience generator: acquire, hold for ``service_time``, release."""
-        yield self.acquire()
+        yield self
         try:
             yield service_time
         finally:
             self.release()
+
+
+_kernel._Resource = Resource
 
 
 class Barrier:

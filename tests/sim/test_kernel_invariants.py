@@ -23,6 +23,7 @@ from repro.sim.core import (
     Interrupt,
     SimulationError,
     Timeout,
+    cancel_wait,
     run_sync,
 )
 from repro.sim.resources import Resource
@@ -615,6 +616,251 @@ class TestSleep:
         env.run()
         assert order == [0, 1, 2, 3]
         assert env._seq == 12
+
+
+#: The two spellings of a request for a slot.  Every literal below is
+#: what ``yield res.acquire()`` gave before parks existed (the second
+#: cancel in ``test_waiting_on_and_cancel_wait`` excepted: it used to
+#: release a second time).
+_GRABS = {"park": lambda res: res,
+          "acquire": lambda res: res.acquire()}
+
+
+@pytest.fixture(params=sorted(_GRABS))
+def grab(request):
+    return _GRABS[request.param]
+
+
+def _counters(env, res):
+    return (env.processed_events, env._seq, env.now, res.in_use,
+            res.queue_length, res.total_acquires, res.total_wait_time,
+            res.peak_queue)
+
+
+class TestPark:
+    """``yield <Resource>`` parks the process on the resource: the grant
+    re-enters ``_resume`` straight from the heap."""
+
+    @staticmethod
+    def _holder(res, grab, hold):
+        yield grab(res)
+        yield hold
+        res.release()
+
+    def test_heap_entry_and_waiter_entry_shape(self, env):
+        res = Resource(env, capacity=1)
+
+        def body():
+            yield res
+            yield 1.0
+            res.release()
+
+        first, second = env.process(body()), env.process(body())
+        env.step()
+        env.step()
+        # A free slot: the wake-up is already on the heap, its token the
+        # negated sequence number (no sleep token is negative).
+        (time, seq, fn, token), = env._heap
+        assert (time, fn, token) == (0.0, first._resume_cb, -seq)
+        assert first._waiting_on is token
+        # No free slot: the process waits on its own waiter entry.
+        (entry,) = res._waiters
+        assert entry == (second, 0.0) and second._waiting_on is entry
+        env.run(until=0.5)
+        assert env._heap[0][0] == 1.0       # only the first's sleep
+        env.step()                          # ... whose end hands over
+        (time, seq, _fn, token), = [entry for entry in env._heap
+                                    if entry[2] is second._resume_cb]
+        assert (time, token) == (1.0, -seq)
+        assert second._waiting_on is token and not res._waiters
+        env.run()
+        assert _counters(env, res) == (8, 8, 2.0, 0, 0, 2, 1.0, 1)
+
+    def test_interrupted_while_queued(self, env, grab):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def victim():
+            try:
+                yield grab(res)
+                log.append(("granted", env.now))
+            except Interrupt as intr:
+                log.append((intr.cause, env.now))
+            yield 1.0
+            return "done"
+
+        def killer():
+            yield 2.0
+            log.append(("cancel", cancel_wait(proc.waiting_on)))
+            proc.interrupt("k")
+
+        env.process(self._holder(res, grab, 5.0))
+        proc = env.process(victim())
+        env.process(killer())
+        env.run()
+        assert log == [("cancel", True), ("k", 2.0)]
+        assert proc.value == "done"
+        assert _counters(env, res) == (11, 11, 5.0, 0, 0, 2, 0.0, 1)
+
+    def test_interrupted_while_granted_but_not_yet_resumed(self, env, grab):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def victim():
+            try:
+                yield grab(res)
+                log.append(("granted", env.now))
+            except Interrupt as intr:
+                log.append((intr.cause, env.now, res.in_use))
+            yield 1.0
+            return "done"
+
+        def killer():
+            log.append(("in_use", res.in_use))
+            log.append(("cancel", cancel_wait(proc.waiting_on)))
+            proc.interrupt("k")
+            yield 0.0
+
+        proc = env.process(victim())    # takes the slot at its first yield
+        env.process(killer())           # runs before the grant's wake-up
+        env.run()
+        assert log == [("in_use", 1), ("cancel", True), ("k", 0.0, 0)]
+        assert proc.value == "done"
+        assert _counters(env, res) == (8, 8, 1.0, 0, 0, 1, 0.0, 0)
+
+    def test_interrupt_beats_a_handover_at_the_same_instant(self, env, grab):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def victim():
+            try:
+                yield grab(res)
+                log.append(("granted", env.now))
+            except Interrupt as intr:
+                log.append((intr.cause, env.now, res.in_use))
+
+        def killer():
+            yield 1.0
+            yield 1.0           # wakes at t=2 after the holder does
+            log.append(("handed over", res.in_use, res.queue_length))
+            log.append(("cancel", cancel_wait(proc.waiting_on)))
+            proc.interrupt("tie")
+
+        env.process(self._holder(res, grab, 2.0))   # releases first at t=2
+        proc = env.process(victim())
+        env.process(killer())
+        env.run()
+        # The slot the victim never consumed went back with the cancel;
+        # its wake-up was popped, counted and dropped.
+        assert log == [("handed over", 1, 0), ("cancel", True),
+                       ("tie", 2.0, 0)]
+        assert _counters(env, res) == (12, 12, 2.0, 0, 0, 2, 2.0, 1)
+
+    def test_park_again_past_a_stale_grant(self, env, grab):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def victim():
+            try:
+                yield grab(res)
+                log.append("first grant")
+            except Interrupt:
+                log.append("interrupted")
+            yield grab(res)     # the first grant's wake-up is still queued
+            log.append("second grant")
+            res.release()
+
+        def killer():
+            cancel_wait(proc.waiting_on)
+            proc.interrupt()
+            yield 0.0           # wakes between the two grants' wake-ups
+            log.append("killer woke")
+
+        proc = env.process(victim())
+        env.process(killer())
+        env.run()
+        assert log == ["interrupted", "killer woke", "second grant"]
+        assert _counters(env, res) == (8, 8, 0.0, 0, 0, 2, 0.0, 0)
+
+    def test_interrupt_without_cancel_wait_leaks_but_corrupts_nothing(
+            self, env, grab):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def victim():
+            try:
+                yield grab(res)
+                log.append(("granted", env.now))
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield grab(res)     # queues again, behind its own stale entry
+            log.append(("granted", env.now))
+
+        def killer():
+            yield 1.0
+            proc.interrupt()    # no cancel_wait: the entry stays queued
+
+        env.process(self._holder(res, grab, 5.0))
+        proc = env.process(victim())
+        env.process(killer())
+        env.run()
+        # The hand-over at t=5 went to the abandoned request (its wait is
+        # accounted, its slot never released); the live one is untouched.
+        assert log == [("interrupted", 1.0)]
+        assert proc.is_alive
+        assert _counters(env, res) == (10, 10, 5.0, 1, 1, 3, 5.0, 2)
+        assert cancel_wait(proc.waiting_on) is True
+        assert cancel_wait(proc.waiting_on) is False
+        assert res.queue_length == 0
+
+    def test_waiting_on_and_cancel_wait(self, env, grab):
+        res = Resource(env, capacity=1)
+
+        def body():
+            yield grab(res)
+            yield 1.0
+            res.release()
+
+        first, second = env.process(body()), env.process(body())
+        env.step()
+        env.step()      # both bootstraps: one granted, one queued
+        seen = []
+        for proc in (second, first):
+            seen.append((proc.waiting_on is not None,
+                         cancel_wait(proc.waiting_on),
+                         cancel_wait(proc.waiting_on),
+                         res.in_use, res.queue_length))
+        # Each wait is reclaimed once: the queued entry is withdrawn, the
+        # granted slot goes back, and a second cancel finds nothing.
+        assert seen == [(True, True, False, 1, 0), (True, True, False, 0, 0)]
+        env.step()      # the first's wake-up still arrives: it sleeps now
+        assert first.waiting_on is None
+        assert cancel_wait(first.waiting_on) is False
+
+    def test_the_handle_names_the_park(self, env):
+        res = Resource(env, capacity=1, name="nic")
+
+        def body():
+            yield res
+
+        procs = [env.process(body()) for _ in range(2)]
+        env.step()
+        env.step()
+        for proc in procs:
+            handle = proc.waiting_on
+            assert (handle.resource, handle.process) == (res, proc)
+            assert handle.mark is proc._waiting_on
+            assert not isinstance(handle, Event)
+
+    def test_foreign_resource_is_a_simulation_error(self, env):
+        other = Resource(Environment(), capacity=1)
+
+        def body():
+            yield other
+
+        with pytest.raises(SimulationError, match="another Environment"):
+            run_sync(env, body())
+        assert (other.in_use, other.total_acquires) == (0, 0)
 
 
 class TestBadDelay:

@@ -149,6 +149,18 @@ class TestResource:
         assert res.total_wait_time == 7.0
         assert not doomed.triggered
 
+    def test_cancelling_a_granted_acquire_twice_releases_once(self, env):
+        res = Resource(env, capacity=1)
+        granted = res.acquire()         # holds the slot, never consumed
+        queued = res.acquire()
+        assert cancel_wait(granted) is True     # the slot passes on
+        assert queued.triggered and (res.in_use, res.queue_length) == (1, 0)
+        # Used to release again, from under the request just granted.
+        assert cancel_wait(granted) is False
+        assert res.in_use == 1
+        env.run()
+        assert cancel_wait(granted) is False    # consumed: nothing to do
+
     def test_handoff_keeps_capacity_invariant(self, env):
         res = Resource(env, capacity=2)
         max_seen = []

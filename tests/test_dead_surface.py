@@ -1,7 +1,7 @@
 """Dead-surface guard: nothing public that nobody references, nothing
 imported that is not used.
 
-Four static checks over ``src/repro`` (``ast`` + regex, no dependency):
+Five static checks over ``src/repro`` (``ast`` + regex, no dependency):
 
 * every public function, class, method and module- or class-level
   attribute (constants, dataclass fields) defined there is mentioned at
@@ -17,7 +17,9 @@ Four static checks over ``src/repro`` (``ast`` + regex, no dependency):
   reason and the list only shrinks;
 * a process that only sleeps yields the bare delay: no ``yield`` of a
   freshly built ``Timeout`` outside the kernel, so a sleep has one
-  spelling (``Timeout`` stays for composing and for callbacks).
+  spelling (``Timeout`` stays for composing and for callbacks) — and a
+  process that wants a slot yields the ``Resource``: no ``yield`` of an
+  ``.acquire()`` call anywhere.
 
 The reference check is by word, not by resolved binding: a name shared by
 several definitions passes as soon as the corpus mentions it more often
@@ -211,3 +213,21 @@ def test_a_sleep_is_a_bare_delay():
     assert _yielded_timeouts() == [], (
         "yield the delay itself (a float), not a Timeout built on the"
         " spot — docs/kernel.md, 'Sleeping'")
+
+
+def _yielded_acquires():
+    found = []
+    for path in _source_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = node.value if isinstance(node, ast.Yield) else None
+            if (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "acquire"):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    return found
+
+
+def test_a_grant_is_a_yielded_resource():
+    assert _yielded_acquires() == [], (
+        "yield the Resource itself, not an acquire() event built on the"
+        " spot — docs/kernel.md, 'Parking'")
