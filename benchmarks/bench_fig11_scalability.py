@@ -22,15 +22,16 @@ def test_fig11_scalability(benchmark, scale):
     assert all(b >= a * 0.9 for a, b in zip(norms, norms[1:]))
 
 
-def test_fig11_aggregate_scalability(benchmark, scale):
-    """Aggregate-client scenario: one process stands in for N ranks,
-    reaching >=10x the faithful sweep's maximum client count."""
-    result = benchmark.pedantic(fig11.run_aggregate, args=(scale,),
+def test_fig11_wide_scalability(benchmark, scale):
+    """The faithful Pacon sweep carried past the fig11 maximum keeps
+    growing: one simulated process per client, no multiplier."""
+    result = benchmark.pedantic(fig11.run_wide, args=(scale,),
                                 iterations=1, rounds=1)
     faithful_max = max(n * c for n, c in fig11.SCALES[scale]["points"])
-    max_logical = result.derived["max_logical_clients"]
-    assert max_logical >= 10 * faithful_max
-    for row in result.where(system="pacon"):
-        assert row["logical_clients"] == (row["physical_clients"]
-                                          * row["multiplier"])
-        assert row["logical_ops_per_sec"] >= row["ops_per_sec"]
+    assert max(result.column("clients")) >= 2 * faithful_max
+    assert {row["system"] for row in result.rows} == {"pacon"}
+    norms = result.column("normalized")
+    assert norms[0] == 1.0
+    assert all(b >= a for a, b in zip(norms, norms[1:]))
+    assert result.derived["pacon_peak_ops_per_sec"] == \
+        max(result.column("ops_per_sec"))

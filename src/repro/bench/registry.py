@@ -27,5 +27,5 @@ EXPERIMENTS: Dict[str, Experiment] = {row.name: row for row in (
     ablations.run_commit_ablation, ablations.run_permission_ablation,
     ablations.run_related_ablation, ablations.run_mds_scaling_ablation,
     ablations.run_bulk_insertion_ablation,
-    fig11.run_aggregate, chaos.run, elastic.run,
+    fig11.run_wide, chaos.run, elastic.run,
 )}

@@ -81,8 +81,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
                  parent_check: bool = True,
                  hub: Optional[Any] = None,
                  commit_batch_size: Optional[int] = None,
-                 commit_coalesce: Optional[bool] = None,
-                 aggregate_multiplier: int = 1) -> TestBed:
+                 commit_coalesce: Optional[bool] = None) -> TestBed:
     """Build one system with ``n_apps`` applications.
 
     Application ``k`` gets workspace ``{workdir_base}{k}`` (or exactly
@@ -149,7 +148,6 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
             parent_check=parent_check,
             permissions=PermissionSpec(mode=0o755, uid=1000 + k,
                                        gid=1000 + k),
-            aggregate_multiplier=aggregate_multiplier,
             **commit_kwargs)
         region = bed.pacon.create_region(config, app_nodes[k])
         if hub is not None:

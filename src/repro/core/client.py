@@ -46,7 +46,7 @@ from repro.kvstore.memkv import CasMismatch, KeyExists
 from repro.sim.core import Event
 from repro.sim.rng import stable_hash
 
-__all__ = ["PaconClient", "AggregateClient"]
+__all__ = ["PaconClient"]
 
 
 def _traced(fn):
@@ -75,11 +75,6 @@ def _traced(fn):
 
 class PaconClient:
     """Per-process handle bound to a node inside a consistent region."""
-
-    #: Logical clients this handle stands for; AggregateClient overrides.
-    #: Metric weights use this so hub counters/distributions agree between
-    #: faithful and aggregate runs at matched logical scale.
-    multiplier = 1
 
     def __init__(self, region: ConsistentRegion, node):
         self.region = region
@@ -118,7 +113,7 @@ class PaconClient:
 
     # ------------------------------------------------------------------ utils
     def _note(self, op: str, cache_op: str, comm: str, commit: str) -> None:
-        self.ops += self.multiplier  # ops counts *logical* operations
+        self.ops += 1
         self._last_op = op
         self.last_class = (cache_op, comm, commit)
 
@@ -174,8 +169,7 @@ class PaconClient:
                 tracer.emit(t1, actor, "op.end", detail, op_id,
                             span_id=ctx.span_id)
             if hub.enabled:
-                hub.observe_op(op, t1 - t0, ok=outcome == "ok",
-                               weight=self.multiplier)
+                hub.observe_op(op, t1 - t0, ok=outcome == "ok")
 
     def _stage_start(self, category: str, name: str = ""):
         """Open a child stage span under the current op; None when off."""
@@ -304,8 +298,7 @@ class PaconClient:
         msg = OpMessage(op=op, path=path, mode=mode, uid=self.uid,
                         gid=self.gid, timestamp=self.env.now,
                         epoch=self.region.client_epoch,
-                        client_id=self.client_id, gen_ino=gen_ino,
-                        weight=self.multiplier)
+                        client_id=self.client_id, gen_ino=gen_ino)
         tracer = self.region.tracer
         if tracer.enabled:
             # Commit-queue residency span: opened at publish, closed by
@@ -387,7 +380,7 @@ class PaconClient:
             # no record to compare): age 0 by definition; the memo case
             # still reports the path's pending-mutation lag.
             lag = 0 if tier == "mds" else region.pending_mutations(path)
-            hub.observe_staleness(tier, op, 0.0, lag, self.multiplier)
+            hub.observe_staleness(tier, op, 0.0, lag)
             return
         lag = region.pending_mutations(path)
         if record.get("committed") and lag == 0:
@@ -397,12 +390,12 @@ class PaconClient:
             namespace = getattr(region.dfs, "namespace", None)
             if namespace is not None and \
                     namespace.commit_stamp(path) is None:
-                hub.count("consistency.orphan_reads", self.multiplier)
+                hub.count("consistency.orphan_reads")
         else:
             # The cache (primary copy) is ahead of the MDS: the backup
             # has lagged since the record's last mutation.
             age = self.env.now - record.get("mtime", self.env.now)
-        hub.observe_staleness(tier, op, age, lag, self.multiplier)
+        hub.observe_staleness(tier, op, age, lag)
 
     def _cache_fill(self, path: str,
                     record: Dict) -> Generator[Event, Any, None]:
@@ -861,31 +854,3 @@ class PaconClient:
         if updated is None and state["committed_meanwhile"]:
             yield from self.dfs_client.write(path, 0, record["size"])
         self._note("fsync", "cas-update", "sync", "none")
-
-
-class AggregateClient(PaconClient):
-    """One DES process standing in for ``multiplier`` identical clients.
-
-    Hierarchical aggregation for very large client-count sweeps: instead
-    of one simulated process per application rank, one process runs the
-    op stream once and each completed op is *accounted* ``multiplier``
-    times (``ops`` counts logical operations).  This trades per-rank
-    fidelity for a 10–100× larger logical client population at the same
-    event-heap footprint.
-
-    The model is a documented approximation: it assumes the aggregated
-    ranks are statistically identical and that per-op service times are
-    load-independent over the aggregated population — physical contention
-    (cache shards, commit queues, node CPUs) is exercised only by the
-    physical processes, so saturation effects beyond the physical
-    population are *not* reproduced.  Never used by the paper figures;
-    deployments hand it out only when
-    ``config.aggregate_multiplier > 1`` (see the fig11 aggregate
-    scenario).
-    """
-
-    def __init__(self, region: ConsistentRegion, node, multiplier: int):
-        if multiplier < 1:
-            raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-        super().__init__(region, node)
-        self.multiplier = multiplier

@@ -91,10 +91,6 @@ class OpMessage:
     #: DFS/MDS spans under it.  -1 when tracing is off.
     op_id: int = -1
     span_id: int = -1
-    #: Logical operations this message stands for (the publishing
-    #: client's ``multiplier``); consistency metrics weight by it so
-    #: aggregate and faithful runs agree at matched logical scale.
-    weight: int = 1
 
     def __post_init__(self) -> None:
         if self.op not in DFS_METHOD:
@@ -639,8 +635,7 @@ class CommitProcess:
             # the client pushes the message into its commit queue.
             hub.observe_commit(op.op, self.env.now - op.timestamp)
             hub.observe_visibility("committed", op.op,
-                                   self.env.now - op.timestamp,
-                                   weight=op.weight)
+                                   self.env.now - op.timestamp)
             if op.retries > 0:
                 hub.observe("commit.retries_to_commit", op.retries)
         try:
@@ -658,8 +653,7 @@ class CommitProcess:
             # the committed DFS copy — later reads anywhere see the commit.
             if hub.enabled:
                 hub.observe_visibility("global", op.op,
-                                       self.env.now - op.timestamp,
-                                       weight=op.weight)
+                                       self.env.now - op.timestamp)
 
     def _discard(self, op: OpMessage, orphan: bool = False) -> None:
         self.discarded += 1

@@ -68,16 +68,6 @@ class PaconConfig:
     #: checkpointing is optional and application-driven).
     checkpoint_interval: Optional[float] = None
 
-    #: Hierarchical aggregation: each client object stands in for this
-    #: many statistically identical application processes.  1 (default)
-    #: gives one DES process per client — the faithful model every paper
-    #: figure uses.  Larger values make deployments hand out
-    #: :class:`~repro.core.client.AggregateClient` instances whose ops
-    #: are counted ``aggregate_multiplier`` times, extending client-count
-    #: sweeps 10–100× at the same event-heap footprint (opt-in; used only
-    #: by the aggregate scalability scenario).
-    aggregate_multiplier: int = 1
-
     #: The elastic controller's knobs (:mod:`repro.core.autoscale`).
     autoscale: AutoscalePolicy = field(default_factory=AutoscalePolicy)
 
@@ -91,5 +81,6 @@ class PaconConfig:
         if self.commit_queue_capacity is not None \
                 and self.commit_queue_capacity < 1:
             raise ValueError("commit_queue_capacity must be >= 1 or None")
-        if self.aggregate_multiplier < 1:
-            raise ValueError("aggregate_multiplier must be >= 1")
+        if self.checkpoint_interval is not None \
+                and self.checkpoint_interval <= 0:
+            raise ValueError("checkpoint_interval must be positive or None")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.checkpoint import CheckpointManager
-from repro.core.client import AggregateClient, PaconClient
+from repro.core.client import PaconClient
 from repro.core.commit import CommitProcess
 from repro.core.config import PaconConfig
 from repro.core.eviction import EvictionManager
@@ -197,9 +197,6 @@ class PaconDeployment:
 
     # -- component factories --------------------------------------------------
     def client(self, region: ConsistentRegion, node: Node) -> PaconClient:
-        multiplier = region.config.aggregate_multiplier
-        if multiplier > 1:
-            return AggregateClient(region, node, multiplier)
         return PaconClient(region, node)
 
     def evictor(self, region: ConsistentRegion,

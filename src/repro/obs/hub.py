@@ -93,31 +93,24 @@ class MetricsHub:
         #: Tracked contention resources by export label (deduplicated by
         #: identity: one DFS under many regions is profiled once).
         self._resources: Dict[str, Any] = {}
-        #: Running hub-wide failed-op total (weight-summed).  Samplers
-        #: poll it per tick to derive the ``client.error_rate[*]``
-        #: series without scanning the counter registry on the hot path.
+        #: Running hub-wide failed-op total.  Samplers poll it per tick to
+        #: derive the ``client.error_rate[*]`` series without scanning the
+        #: counter registry on the hot path.
         self.error_count = 0
 
     # -- recording ---------------------------------------------------------
     # Hot paths guard on ``.enabled`` before calling (so a disabled run
     # builds no arguments); each recorder also returns early when the hub
     # is disabled, which is the whole of what makes NULL_HUB inert.
-    def observe_op(self, op: str, latency: float, ok: bool = True,
-                   weight: int = 1) -> None:
-        """One completed client operation with its simulated latency.
-
-        ``weight`` is the number of logical clients the observation stands
-        for (``AggregateClient.multiplier``), so op counters and latency
-        distributions agree between faithful and aggregate runs at
-        matched scale.
-        """
+    def observe_op(self, op: str, latency: float, ok: bool = True) -> None:
+        """One completed client operation with its simulated latency."""
         if not self.enabled:
             return
-        self._sketch["client.op.", op, ".latency"].observe(latency, weight)
-        self.stats.count("client.ops", weight)
+        self._sketch["client.op.", op, ".latency"].observe(latency)
+        self.stats.count("client.ops")
         if not ok:
-            self.stats.count(f"client.op.{op}.errors", weight)
-            self.error_count += weight
+            self.stats.count(f"client.op.{op}.errors")
+            self.error_count += 1
 
     def observe_commit(self, op: str, latency: float) -> None:
         """One committed operation; latency is publish→commit."""
@@ -127,13 +120,13 @@ class MetricsHub:
         self._sketch["commit.op.", op, ".latency"].observe(latency)
         self.stats.count("commit.committed")
 
-    def observe(self, name: str, value: float, weight: int = 1) -> None:
+    def observe(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        self._sketch[name,].observe(value, weight)
+        self._sketch[name,].observe(value)
 
-    def observe_staleness(self, tier: str, op: str, age: float, lag: int,
-                          weight: int = 1) -> None:
+    def observe_staleness(self, tier: str, op: str, age: float,
+                          lag: int) -> None:
         """One metadata read served from ``tier`` with its staleness.
 
         ``age`` is sim-time since the served value last changed while the
@@ -144,26 +137,24 @@ class MetricsHub:
         """
         if not self.enabled:
             return
-        self.stats.count(f"consistency.reads[{tier}]", weight)
+        self.stats.count(f"consistency.reads[{tier}]")
         self._sketch["consistency.staleness.age[", tier, ":", op,
-                     "]"].observe(age, weight)
+                     "]"].observe(age)
         self._sketch["consistency.staleness.lag[", tier, ":", op,
-                     "]"].observe(float(lag), weight)
+                     "]"].observe(float(lag))
 
-    def observe_visibility(self, stage: str, op: str, latency: float,
-                           weight: int = 1) -> None:
+    def observe_visibility(self, stage: str, op: str,
+                           latency: float) -> None:
         """Submit-to-``stage`` visibility latency of one committed op.
 
         ``stage`` is ``committed`` (MDS applied the mutation) or
         ``global`` (the cached copy flipped to committed too, i.e. both
         copies converged and every tier serves fresh metadata).
-        ``weight`` is the logical-op weight the message was published
-        with (:attr:`OpMessage.weight`).
         """
         if not self.enabled:
             return
         self._sketch["consistency.visibility.", stage, "[", op,
-                     "]"].observe(latency, weight)
+                     "]"].observe(latency)
 
     def count(self, name: str, n: int = 1) -> None:
         if not self.enabled:

@@ -18,8 +18,8 @@ records point-in-time gauges for one region into the hub's registry:
   pipeline is the signature of an MDS outage, a partition, or a stuck
   barrier, and is what the incident detector keys on,
 * ``client.error_rate[<region>]`` — failed client ops since the
-  previous sample (hub-wide total, weight-summed): the availability
-  lens that surfaces crashed nodes and partitions clients actually hit,
+  previous sample (hub-wide total): the availability lens that
+  surfaces crashed nodes and partitions clients actually hit,
 * ``resource.util[<name>]`` — *windowed* time-weighted utilization of
   each resource handed to the sampler (node CPUs/NICs, worker pools):
   busy slot-seconds accumulated since the previous sample divided by

@@ -6,10 +6,9 @@ and its export reads it back in sorted order.  Counters are plain ints,
 gauges are append-only :class:`Series`, and every distribution is a
 constant-memory :class:`QuantileSketch` (HDR-style log buckets).
 
-Keeping every raw sample is fine for the experiments at paper scale but
-grows without bound once ``AggregateClient`` sweeps push 20-100x the
-faithful client count through one hub.  The sketch replaces the sample
-list with log-spaced buckets:
+Keeping every raw sample grows without bound with the number of
+observations — one per client op, commit and served read.  The sketch
+replaces the sample list with log-spaced buckets:
 
 * bucket ``i`` covers the value range ``[growth**i, growth**(i+1))``, so
   memory is O(log(max/min)) regardless of sample count and every
@@ -22,9 +21,6 @@ list with log-spaced buckets:
 * sketches with the same growth merge by bucket-count addition, which is
   associative and commutative — region-level sketches roll up into
   fleet-level ones without reordering error.
-
-Observations accept an integer ``weight`` so one :class:`AggregateClient`
-observation can stand for ``multiplier`` logical clients without looping.
 
 Everything is pure Python over a plain dict; exports use string bucket
 keys so ``json.dumps(..., sort_keys=True)`` stays byte-stable run to run.
@@ -62,18 +58,16 @@ class QuantileSketch:
         self._buckets: Dict[int, int] = {}
 
     # -- recording -----------------------------------------------------------
-    def observe(self, value: float, weight: int = 1) -> None:
-        """Record ``value`` as ``weight`` identical observations."""
-        if weight <= 0:
-            return
-        self.count += weight
-        self.total += value * weight
+    def observe(self, value: float) -> None:
+        """Record one observation of ``value``."""
+        self.count += 1
+        self.total += value
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
         if value <= 0.0:
-            self.zero_count += weight
+            self.zero_count += 1
             return
         idx = floor(log(value) * self._inv_log_growth)
         # Float rounding can land an exact power of growth one bucket low;
@@ -81,7 +75,7 @@ class QuantileSketch:
         if self.growth ** (idx + 1) <= value:
             idx += 1
         buckets = self._buckets
-        buckets[idx] = buckets.get(idx, 0) + weight
+        buckets[idx] = buckets.get(idx, 0) + 1
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (bucket-count addition)."""

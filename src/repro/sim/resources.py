@@ -39,7 +39,7 @@ class Resource:
         #: FIFO of ``(waiter, request time)`` per queued request: the
         #: waiter is the parked :class:`Process` itself, or the bare
         #: :class:`Event` ``acquire()`` handed out.
-        self._waiters: Deque[Tuple[Event, float]] = deque()
+        self._waiters: Deque[Tuple[Process | Event, float]] = deque()
         # Contention accounting (read by MetricsHub.resource_snapshot).
         self.total_acquires = 0
         self.total_wait_time = 0.0
@@ -49,8 +49,8 @@ class Resource:
         # Optional observer called with each queued waiter's wait time;
         # installed by MetricsHub to feed resource.wait[<name>] histograms.
         self._wait_observe: Optional[Callable[[float], None]] = None
-        # Event name built once — acquire() runs per simulated op and a
-        # per-call f-string shows up in kernel profiles.
+        # Event name built once, not per acquire() call (the Event form of
+        # a request; processes in src/ park with ``yield resource``).
         self._event_name = f"acquire:{name}"
 
     @property

@@ -71,6 +71,20 @@ class TestDriverSchemas:
             rows = r.where(system=system)
             assert rows[0]["normalized"] == 1.0
 
+    def test_fig11_wide_is_the_same_faithful_sweep(self):
+        wide = fig11.run_wide("smoke")
+        narrow = fig11.run("smoke", seed=wide.seed)
+        wide_ops = dict(zip(wide.column("clients"),
+                            wide.column("ops_per_sec")))
+        narrow_ops = {row["clients"]: row["ops_per_sec"]
+                      for row in narrow.where(system="pacon")}
+        shared = wide_ops.keys() & narrow_ops.keys()
+        assert len(shared) >= 2
+        assert all(wide_ops[c] == narrow_ops[c] for c in shared)
+        assert max(wide_ops) > max(narrow_ops)
+        norms = wide.column("normalized")
+        assert all(b >= a for a, b in zip(norms, norms[1:]))
+
     def test_fig12(self):
         r = fig12.run("smoke")
         assert len(r.rows) == 2

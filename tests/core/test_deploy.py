@@ -21,6 +21,17 @@ class TestPaconConfig:
         with pytest.raises(ValueError):
             PaconConfig(cache_capacity_bytes=0)
 
+    @pytest.mark.parametrize("interval", [0, -1.5])
+    def test_checkpoint_interval_rejected_at_construction(self, interval):
+        # Not later, from inside the background checkpoint process.
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            PaconConfig(checkpoint_interval=interval)
+
+    def test_checkpoint_interval_none_means_off(self):
+        assert PaconConfig(checkpoint_interval=None).checkpoint_interval \
+            is None
+        assert PaconConfig(checkpoint_interval=0.5).checkpoint_interval == 0.5
+
 
 class TestDeploymentInit:
     def test_workspace_materialized_on_dfs(self):

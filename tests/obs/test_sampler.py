@@ -95,7 +95,8 @@ class TestFlightRecorderGauges:
         world = make_observed_world(sample_interval=None)
         sampler = GaugeSampler(world.hub, world.region, interval=1e-4)
         sampler.sample_once()
-        world.hub.observe_op("getattr", 1e-6, ok=False, weight=3)
+        for _ in range(3):
+            world.hub.observe_op("getattr", 1e-6, ok=False)
         sampler.sample_once()
         sampler.sample_once()  # no new errors: delta back to zero
         rates = world.hub.stats.series_export()["client.error_rate[/app]"]["v"]

@@ -1,7 +1,8 @@
 """Dead-surface guard: nothing public that nobody references, nothing
 imported that is not used.
 
-Five static checks over ``src/repro`` (``ast`` + regex, no dependency):
+Five static checks over ``src/repro`` (``ast`` + regex, no dependency),
+and one over live signatures:
 
 * every public function, class, method and module- or class-level
   attribute (constants, dataclass fields) defined there is mentioned at
@@ -19,7 +20,10 @@ Five static checks over ``src/repro`` (``ast`` + regex, no dependency):
   freshly built ``Timeout`` outside the kernel, so a sleep has one
   spelling (``Timeout`` stays for composing and for callbacks) — and a
   process that wants a slot yields the ``Resource``: no ``yield`` of an
-  ``.acquire()`` call anywhere.
+  ``.acquire()`` call anywhere;
+* one simulated process is one client: no recorder, sketch or commit
+  message takes a ``weight``, and ``PaconConfig`` keeps its 12 fields —
+  the aggregate client stays deleted.
 
 The reference check is by word, not by resolved binding: a name shared by
 several definitions passes as soon as the corpus mentions it more often
@@ -28,9 +32,17 @@ catch surface that is referenced *nowhere*, not to prove call graphs.
 """
 
 import ast
+import dataclasses
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
+
+from repro.core import client as client_module
+from repro.core.commit import OpMessage
+from repro.core.config import PaconConfig
+from repro.obs.hub import MetricsHub
+from repro.obs.sketch import QuantileSketch
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -231,3 +243,21 @@ def test_a_grant_is_a_yielded_resource():
     assert _yielded_acquires() == [], (
         "yield the Resource itself, not an acquire() event built on the"
         " spot — docs/kernel.md, 'Parking'")
+
+
+def test_an_observation_is_one_client():
+    # Scoped to the surfaces the aggregate client threaded a weight
+    # through; ConsistentHashRing.add(weight=) and the incident
+    # CAUSE_WEIGHTS are unrelated.
+    recorders = [getattr(MetricsHub, name) for name in (
+        "observe_op", "observe", "observe_staleness", "observe_visibility")]
+    for fn in recorders + [QuantileSketch.observe]:
+        assert "weight" not in inspect.signature(fn).parameters, \
+            fn.__qualname__
+    assert "weight" not in {f.name for f in dataclasses.fields(OpMessage)}
+    assert client_module.__all__ == ["PaconClient"]
+    assert [f.name for f in dataclasses.fields(PaconConfig)] == [
+        "workspace", "uid", "gid", "small_file_threshold", "parent_check",
+        "permissions", "cache_capacity_bytes", "commit_batch_size",
+        "commit_coalesce", "commit_queue_capacity", "checkpoint_interval",
+        "autoscale"]
