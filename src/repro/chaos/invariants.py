@@ -100,7 +100,7 @@ def check_convergence(region, dfs, *,
         if not cp.idle:
             problems.append(
                 f"{who} not idle (queue={len(cp.queue)},"
-                f" pending={len(cp._pending)}, in_flight={cp._in_flight})")
+                f" pending={len(cp._pending)}, in_flight={len(cp._drain)})")
     checks["commit_processes"] = len(region.commit_processes)
 
     if region.commit_barrier.n_waiting != 0:

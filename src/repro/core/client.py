@@ -319,7 +319,8 @@ class PaconClient:
             self.region.hub.count("commit.published")
             # Version-lag ledger: the MDS copy of ``path`` now lags the
             # cache by one more mutation, until the commit process
-            # resolves this message (commit/discard/coalesce/abort).
+            # resolves this message (commit/discard/coalesce) or
+            # ``fail_node`` loses it.
             self.region.note_op_pending(path)
 
     def _parent_check(self, path: str) -> Generator[Event, Any, None]:

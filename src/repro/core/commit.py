@@ -143,22 +143,14 @@ class CommitProcess:
         self.replays = 0
         self.aborts = 0
         self._process = None
-        self._in_flight = 0
-        #: In-flight ops of the current segment that are already accounted
-        #: for (:meth:`_settle`): counted committed, discarded or
-        #: coalesced, or handed to ``_pending``.  They stay in
-        #: ``_in_flight`` until their segment's bulk decrement, so
-        #: ``abort`` must not count them as lost in flight as well.
-        self._in_flight_settled = 0
-        #: Oldest publish timestamp among ops drained but not yet resolved
-        #: (the removed-subtree pruner must see them as outstanding).
-        self._in_flight_oldest: Optional[float] = None
-        #: Ledger shadow of drained-but-unresolved ops, maintained only
-        #: while a hub is attached: on a crash, exactly these (plus
-        #: ``_pending``/``_future``) are the published mutations that will
-        #: never resolve, and the region's version-lag ledger must be
-        #: reconciled for them or post-fault staleness never drains.
-        self._in_flight_msgs: List[OpMessage] = []
+        #: Op messages of the drain in progress, kept whole until the
+        #: drain returns: ``idle`` and the removed-subtree prune cutoff
+        #: must see every one of them as outstanding, settled or not.
+        self._drain: List[OpMessage] = []
+        #: The ops of ``_drain`` with no outcome yet, by ``id`` (an
+        #: ``OpMessage`` compares by fields and is unhashable).  On a
+        #: crash exactly these, plus ``_pending``/``_future``, are lost.
+        self._unsettled: Dict[int, OpMessage] = {}
         #: Set by failure injection; the interrupt that actually stops the
         #: loop is delivered on the next simulation step, so recovery code
         #: keys off this flag rather than the process's alive state.
@@ -176,8 +168,7 @@ class CommitProcess:
     def idle(self) -> bool:
         """No queued, held, retrying, or in-flight work."""
         return (len(self.queue) == 0 and not self._pending
-                and not any(self._future.values())
-                and self._in_flight == 0)
+                and not any(self._future.values()) and not self._drain)
 
     @property
     def alive(self) -> bool:
@@ -201,26 +192,20 @@ class CommitProcess:
         return (self._process is not None and not self._process.is_alive
                 and not self.queue.closed)
 
-    def abort(self, reason: str = "abort") -> Dict[str, int]:
-        """Drop all unresolved work and stop the loop; return loss counts.
+    def abort(self, reason: str = "abort") -> List[OpMessage]:
+        """Drop all unresolved work and stop the loop; return the lost ops.
 
         This is the crash path (§III.G): in-flight, retrying, and
         held-for-future-epoch operations are destroyed, the commit loop
-        is interrupted, and the counts of what was lost are returned so
-        failure injection can account for them exactly.  The loop's wait
-        (queue get, barrier arrival, MDS worker slot, ...) is cancelled
-        first so no waiter registration or granted-but-unconsumed
-        resource slot leaks past the crash.
+        is interrupted, and the ops that were lost are returned so
+        failure injection can account for them exactly.  An op
+        interrupted *after* it settled (mid post-commit bookkeeping) is
+        counted under its outcome, not here.  The loop's wait (queue
+        get, barrier arrival, MDS worker slot, ...) is cancelled first so
+        no waiter registration or granted-but-unconsumed resource slot
+        leaks past the crash.
         """
-        counts = {
-            # An op interrupted *after* it settled (mid post-commit
-            # bookkeeping, or awaiting its segment's bulk decrement) has
-            # its outcome counted already, or is counted under "pending".
-            "in_flight": max(0, self._in_flight - self._in_flight_settled),
-            "pending": len(self._pending),
-            "future": sum(len(v) for v in self._future.values()),
-        }
-        counts["total"] = sum(counts.values())
+        lost = [*self._unsettled.values(), *self._waiting_ops()]
         self._drop_unresolved()
         self.aborts += 1
         if self.region.hub.enabled:
@@ -229,7 +214,7 @@ class CommitProcess:
             self.killed = True
             cancel_wait(self._process.waiting_on)
             self._process.interrupt(reason)
-        return counts
+        return lost
 
     def _waiting_ops(self) -> Generator[OpMessage, None, None]:
         """Ops retrying in this epoch or held for a future one."""
@@ -240,48 +225,32 @@ class CommitProcess:
     def oldest_outstanding_timestamp(self) -> Optional[float]:
         """Oldest publish timestamp among this process's unresolved ops
         (retrying, held for a future epoch, or mid-commit); None if none."""
-        stamps = [op.timestamp for op in self._waiting_ops()]
-        if self._in_flight_oldest is not None:
-            stamps.append(self._in_flight_oldest)
-        return min(stamps, default=None)
+        return min([op.timestamp for ops in (self._drain, self._waiting_ops())
+                    for op in ops], default=None)
 
-    # -- the in-flight window and its version-lag ledger shadow ---------------
-    def _ledger_untrack(self, op: OpMessage) -> None:
-        if op in self._in_flight_msgs:
-            self._in_flight_msgs.remove(op)
-
+    # -- the commit window ---------------------------------------------------
     def _settle(self, op: OpMessage) -> None:
-        """The credit rule of the commit window: an op that is resolved
-        inside its segment (committed, discarded, coalesced) or handed to
-        ``_pending`` (resubmit, replay) is accounted for from this moment,
-        though ``_in_flight`` only drops when the segment ends.  A crash
-        in between must count it once — under its outcome or under
-        ``pending`` — never again as lost in flight."""
-        self._in_flight_settled += 1
-        self._ledger_untrack(op)  # _pending is scanned on crash
+        """The op has an outcome: resolved inside its segment (committed,
+        discarded, coalesced) or handed to ``_pending`` (resubmit, replay)
+        or ``_future``.  A crash from here on counts it there, never again
+        as lost in flight — and settling it twice raises."""
+        del self._unsettled[id(op)]
 
-    def _resolve_ledger(self, op: OpMessage) -> None:
+    def _resolve(self, op: OpMessage) -> None:
         """The op left the pipeline (committed/discarded/coalesced)."""
         self._settle(op)
         if self.region.hub.enabled:
             self.region.note_op_resolved(op.path)
 
     def _drop_unresolved(self) -> None:
-        """Crash path: every unresolved op is lost — reconcile the ledger
-        exactly once per op (or post-fault version lag never drains) and
-        forget all retrying, held and in-flight state.  Runs at ``abort``
-        and again when the interrupt lands in ``run``; by then the lists
-        are empty, so nothing is resolved twice."""
-        if self.region.hub.enabled:
-            for op in (*self._in_flight_msgs, *self._waiting_ops()):
-                self.region.note_op_resolved(op.path)
-        self._in_flight_msgs.clear()
+        """Crash path: forget all retrying, held and in-flight state (the
+        caller of ``abort`` reconciles the ops it returns).  Runs at
+        ``abort`` and again when the interrupt lands in ``run``."""
+        self._drain.clear()
+        self._unsettled.clear()
         self._pending.clear()
         self._future.clear()
         self._barrier_counts.clear()
-        self._in_flight = 0
-        self._in_flight_settled = 0
-        self._in_flight_oldest = None
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> Generator[Event, Any, None]:
@@ -329,9 +298,13 @@ class CommitProcess:
                 # older than the epoch has committed region-wide, so stale
                 # removed-subtree entries can go.
                 self.region.prune_removed_subtrees()
-                # Release operations held for the new epoch.
-                for msg in self._future.pop(self.current_epoch, []):
-                    yield from self._dispatch_batch([msg])
+                # Release operations held for the new epoch; each stays in
+                # ``_future`` until its own drain, so a crash mid-release
+                # still finds the rest.
+                released = self._future.get(self.current_epoch, [])
+                while released:
+                    yield from self._dispatch_batch([released.pop(0)])
+                self._future.pop(self.current_epoch, None)
                 continue
 
             if len(self.queue) > 0 or (not self._pending and not closing):
@@ -367,42 +340,32 @@ class CommitProcess:
 
         Every drained op message counts as in-flight (and holds down the
         removed-subtree prune cutoff) from the moment it leaves the queue
-        until its segment resolves — ``Region.quiesce`` must never observe
+        until the drain returns — ``Region.quiesce`` must never observe
         a lull while drained work sits in a local variable here.
         """
-        held = [m for m in msgs if not isinstance(m, BarrierMessage)]
-        self._in_flight += len(held)
-        if self.region.hub.enabled:
-            self._in_flight_msgs.extend(held)
-        previous_oldest = self._in_flight_oldest
-        if held:
-            oldest = min(m.timestamp for m in held)
-            if previous_oldest is None or oldest < previous_oldest:
-                self._in_flight_oldest = oldest
-        outstanding = len(held)
+        self._drain = [m for m in msgs if not isinstance(m, BarrierMessage)]
+        self._unsettled = {id(op): op for op in self._drain}
         try:
             if self.costs.commit_queue_pop > 0:
                 yield self.costs.commit_queue_pop
             segment: List[OpMessage] = []
             for msg in msgs:
                 if isinstance(msg, BarrierMessage):
-                    outstanding -= yield from self._commit_segment(segment)
+                    yield from self._commit_segment(segment)
                     segment = []
                     self._barrier_counts[msg.epoch] = \
                         self._barrier_counts.get(msg.epoch, 0) + 1
                 elif msg.epoch > self.current_epoch:
                     self._future.setdefault(msg.epoch, []).append(msg)
-                    self._ledger_untrack(msg)  # _future is scanned on crash
-                    self._in_flight -= 1
-                    outstanding -= 1
+                    self._settle(msg)
                 else:
                     segment.append(msg)
-            outstanding -= yield from self._commit_segment(segment)
+            yield from self._commit_segment(segment)
+            if self._unsettled:
+                raise RuntimeError(f"drain ended with {len(self._unsettled)}"
+                                   " ops unsettled")
         finally:
-            # Only nonzero when an exception cut the drain short.
-            self._in_flight -= outstanding
-            self._in_flight_settled = 0
-            self._in_flight_oldest = previous_oldest
+            self._drain.clear()
 
     def _coalesce(self, ops: List[OpMessage]) -> Generator[Event, Any,
                                                            List[OpMessage]]:
@@ -435,8 +398,8 @@ class CommitProcess:
                 alive[j] = None
                 del creations[(op.path, op.gen_ino)]
                 self.coalesced += 2
-                self._resolve_ledger(ops[j])
-                self._resolve_ledger(op)
+                self._resolve(ops[j])
+                self._resolve(op)
                 if self.region.tracer.enabled:
                     self.region.tracer.emit(
                         self.env.now, f"commit:{self.node.name}",
@@ -452,9 +415,9 @@ class CommitProcess:
         return [op for op in alive if op is not None]
 
     def _commit_segment(self, ops: List[OpMessage]) -> Generator[Event, Any,
-                                                                 int]:
+                                                                 None]:
         """Commit one barrier-free run of ops, sharing MDS round trips per
-        parent directory; returns how many ops left the in-flight window.
+        parent directory.
 
         After coalescing, the §III.D.1 discard rule is applied per-op;
         survivors are grouped by parent so N same-directory operations pay
@@ -462,8 +425,7 @@ class CommitProcess:
         outcome is resolved independently — rejected ops resubmit, whether
         they travelled alone or in a group.
         """
-        drained = len(ops)
-        if self.coalesce_enabled and drained > 1:
+        if self.coalesce_enabled and len(ops) > 1:
             ops = yield from self._coalesce(ops)
         groups: Dict[str, List[Tuple[OpMessage, int]]] = {}
         for op in ops:
@@ -498,9 +460,6 @@ class CommitProcess:
                     yield from self._commit_success(op, mode)
                 else:
                     yield from self._handle_commit_failure(op, mode, detail)
-        self._in_flight -= drained
-        self._in_flight_settled = 0
-        return drained
 
     # -- committing one operation ------------------------------------------------
     def _dfs_call(self, op: OpMessage,
@@ -621,7 +580,6 @@ class CommitProcess:
     def _commit_success(self, op: OpMessage,
                         mode: int) -> Generator[Event, Any, None]:
         self.committed += 1
-        self.region.ops_committed += 1
         self._close_queue_span(op)
         if self.region.tracer.enabled:
             self.region.tracer.emit(
@@ -629,7 +587,7 @@ class CommitProcess:
                 f"{op.op} {op.path}",
                 op_id=op.op_id if op.op_id >= 0 else None)
         hub = self.region.hub
-        self._resolve_ledger(op)
+        self._resolve(op)
         if hub.enabled:
             # Publish→commit latency: OpMessage.timestamp is stamped when
             # the client pushes the message into its commit queue.
@@ -657,7 +615,7 @@ class CommitProcess:
 
     def _discard(self, op: OpMessage, orphan: bool = False) -> None:
         self.discarded += 1
-        self._resolve_ledger(op)
+        self._resolve(op)
         self._close_queue_span(op)
         if self.region.tracer.enabled:
             label = f"{op.op} {op.path}"

@@ -46,9 +46,11 @@ def fail_node(region, node) -> FailureReport:
     The commit process is aborted *before* the queue is drained: aborting
     cancels its pending ``get`` wait, which pushes a granted-but-
     undelivered message back into the queue so the drain counts it
-    exactly once.  Only :class:`OpMessage` instances count as lost
-    operations — barrier markers are control traffic, re-published by
-    :func:`recover_node`, and counting them would break the
+    exactly once.  The ops ``abort`` returns plus the drained queue's are
+    the lost set, and the version-lag ledger is reconciled once over it.
+    Only :class:`OpMessage` instances count as lost operations — barrier
+    markers are control traffic, re-published by :func:`recover_node`,
+    and counting them would break the
     ``submitted == committed + discarded + coalesced + lost`` identity
     the chaos invariant checker enforces.
     """
@@ -60,23 +62,22 @@ def fail_node(region, node) -> FailureReport:
         if shard.node is node:
             lost_cache += len(shard.kv)
             shard.kv.flush_all()
-    lost_ops = 0
+    lost = []
     for cp in region.commit_processes:
         if cp.node is node:
-            lost_ops += cp.abort(reason="node-failure")["total"]
+            lost += cp.abort(reason="node-failure")
     queue = region.queues.route(node.node_id)
-    for msg in queue.drain():
-        if isinstance(msg, OpMessage):
-            lost_ops += 1
-            if region.hub.enabled:
-                # Reconcile the version-lag ledger: this published mutation
-                # will never commit, so it must stop counting as pending.
-                region.note_op_resolved(msg.path)
+    lost += [msg for msg in queue.drain() if isinstance(msg, OpMessage)]
+    if region.hub.enabled:
+        # Reconcile the version-lag ledger: these published mutations
+        # will never commit, so they must stop counting as pending.
+        for op in lost:
+            region.note_op_resolved(op.path)
     return FailureReport(
         node_name=node.name,
         region_name=region.name,
         lost_cache_entries=lost_cache,
-        lost_queued_ops=lost_ops,
+        lost_queued_ops=len(lost),
     )
 
 

@@ -107,7 +107,6 @@ class ConsistentRegion:
         self._next_provisional_ino = 1 << 30
         # stats
         self.ops_submitted = 0
-        self.ops_committed = 0
         self.barrier_epochs_completed = 0
         # Membership history: ``(time, node_count)`` per change, seeded
         # with the initial size.  The autoscaler bench integrates this
@@ -125,6 +124,12 @@ class ConsistentRegion:
         ino = self._next_provisional_ino
         self._next_provisional_ino += 1
         return ino
+
+    @property
+    def ops_committed(self) -> int:
+        """Ops committed to the DFS, summed over the commit processes (a
+        retired node hosted no clients, so its queue never carried one)."""
+        return sum(cp.committed for cp in self.commit_processes)
 
     # -- membership -----------------------------------------------------------
     def register_client(self, node: Node) -> int:

@@ -130,9 +130,7 @@ class TestChaosEngine:
 class TestAbort:
     def test_abort_on_idle_process_loses_nothing(self, world):
         cp = world.region.commit_processes[0]
-        counts = cp.abort(reason="test")
-        assert counts == {"in_flight": 0, "pending": 0, "future": 0,
-                          "total": 0}
+        assert cp.abort(reason="test") == []
         assert cp.killed
         assert cp.aborts == 1
 
@@ -158,20 +156,78 @@ class TestAbort:
         deployment.start_commit_processes(region)
         cp = next(p for p in region.commit_processes
                   if p.node is region.nodes[0])
-        while cp._in_flight == 0:
+        while not cp._drain:
             cluster.env.step()
         # Drained, but the MDS round trip has not come back: the op is
         # interrupted before its commit accounting.
         assert cp.committed == 0
-        counts = cp.abort(reason="test")
-        assert counts["in_flight"] == 1 and counts["total"] == 1
-        assert cp._in_flight == 0
+        lost = cp.abort(reason="test")
+        assert [op.path for op in lost] == ["/app/f"]
+        assert not cp._drain and not cp._unsettled
         deployment.quiesce_sync(region)
-        # The unwinding drain's own decrement must not go negative.
-        assert cp._in_flight == 0
+        # The unwinding drain leaves nothing behind.
+        assert not cp._drain and not cp._unsettled
         resolved = sum(p.committed + p.discarded + p.coalesced
                        for p in region.commit_processes)
-        assert region.ops_submitted == resolved + counts["total"] == 2
+        assert region.ops_submitted == resolved + len(lost) == 2
+
+    def test_fail_node_reconciles_the_ledger_once_per_lost_op(self):
+        # One op drained but unsettled (its MDS round trip is out), two
+        # still queued behind it: the crash loses all three, and the
+        # version-lag ledger of a hub-attached region forgets each once.
+        config = PaconConfig(workspace="/app", commit_batch_size=1)
+        cluster, dfs, deployment, region, client = make_paused_world(config)
+        MetricsHub().attach_region(region)
+        paths = ["/app/f0", "/app/f1", "/app/f2"]
+        for path in paths:
+            run_sync(cluster.env, client.create(path))        # node 0
+        assert [region.pending_mutations(p) for p in paths] == [1, 1, 1]
+        deployment.start_commit_processes(region)
+        cp = next(p for p in region.commit_processes
+                  if p.node is region.nodes[0])
+        while not cp._drain:
+            cluster.env.step()
+        assert list(cp._unsettled.values()) == cp._drain
+        assert len(cp._drain) == 1 and len(cp.queue) == 2
+        report = fail_node(region, region.nodes[0])
+        assert report.lost_queued_ops == 3
+        assert [region.pending_mutations(p) for p in paths] == [0, 0, 0]
+        assert region.total_pending_mutations() == 0
+        deployment.quiesce_sync(region)
+        assert region.ops_submitted == (region.ops_committed
+                                        + report.lost_queued_ops) == 3
+
+    def test_crash_mid_release_of_held_ops_loses_each_once(self):
+        # B's creates are stamped with the epoch A's rmdir just opened and
+        # drained beside its barrier markers, so node 0 holds them for the
+        # next epoch and releases them one drain at a time.  A crash
+        # during the first release must still find the other two.
+        w = make_world(n_nodes=2, config=PaconConfig(workspace="/app",
+                                                     commit_batch_size=16))
+        env, region = w.cluster.env, w.region
+        a, b = w.client, w.new_client(0)
+        w.run(a.mkdir("/app/d"))
+        w.quiesce()
+
+        def burst():
+            for i in range(6):
+                yield from a.create(f"/app/x{i}")
+            env.process(a.rmdir("/app/d"), label="rmdir")
+            yield 1e-6
+            for i in range(3):
+                yield from b.create(f"/app/f{i}")
+
+        env.process(burst(), label="burst")
+        cp = region.commit_processes[0]
+        while not (cp.current_epoch == 1 and cp._drain
+                   and cp._drain[0].path == "/app/f0"):
+            env.step()
+        assert [op.path for op in cp._future[1]] == ["/app/f1", "/app/f2"]
+        report = fail_node(region, w.nodes[0])
+        assert report.lost_queued_ops == 3
+        resolved = sum(p.committed + p.discarded + p.coalesced
+                       for p in region.commit_processes)
+        assert region.ops_submitted == resolved + report.lost_queued_ops
 
     def test_fail_node_counts_queued_ops_exactly(self, world):
         client = world.client

@@ -9,10 +9,12 @@ once::
 
     ops_submitted == Σ(committed + discarded + coalesced) + lost
 
-and no commit process is left believing work is in flight.  The commit
-window's credit rule (``CommitProcess._settle``) is what makes this hold;
-without it ops that settled inside an interrupted segment were counted
-under their outcome (or as pending) *and* as lost in flight.
+no commit process is left believing work is in flight, and the
+version-lag ledger of the hub-attached region drains to zero.  An op
+leaves ``CommitProcess._unsettled`` the moment it has an outcome
+(``_settle``), so ``abort`` hands back exactly the ops that had none:
+one that settled inside an interrupted segment is counted under its
+outcome (or as pending), never also as lost in flight.
 
 The clients behave like an application that notices the outage: a unit
 of work (a file and its removal, a scratch directory's life) that a
@@ -20,7 +22,7 @@ crash interrupted is abandoned, not resumed — its earlier half may be
 among the lost ops, and a remove whose create was lost can never commit.
 One such livelock the workload cannot avoid: a publish racing the crash
 lands in the dead node's already-drained queue and survives the op it
-depends on.  It is real, and ROADMAP item 3's to fix; this property is
+depends on.  It is real, and ROADMAP item 1's to fix; this property is
 about the accounting of what *was* lost, so an instant that strands an op
 that way (``CommitStalled``) is rejected, not counted as a pass.
 """
@@ -31,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core.commit import CommitStalled
 from repro.core.failure import fail_node, recover_node
 from repro.dfs.errors import FileExists, FileNotFound
+from repro.obs.hub import MetricsHub
 from repro.sim.network import NodeDownError
 from tests.core.conftest import make_world
 
@@ -38,6 +41,7 @@ from tests.core.conftest import make_world
 def _run(crash_at: float, down_for: float, victim: int):
     w = make_world(n_nodes=3, seed=11)
     env, region = w.cluster.env, w.region
+    MetricsHub().attach_region(region)
     clients = [w.client, w.new_client(1)]
     lost = []
     for cp in region.commit_processes:
@@ -107,4 +111,6 @@ def test_a_crash_at_any_instant_accounts_every_op_once(crash_at, down_for,
     resolved = sum(cp.committed + cp.discarded + cp.coalesced
                    for cp in region.commit_processes)
     assert region.ops_submitted == resolved + lost
-    assert [cp._in_flight for cp in region.commit_processes] == [0, 0, 0]
+    assert region.total_pending_mutations() == 0
+    assert all(not cp._drain and not cp._unsettled
+               for cp in region.commit_processes)

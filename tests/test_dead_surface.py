@@ -1,7 +1,7 @@
 """Dead-surface guard: nothing public that nobody references, nothing
 imported that is not used.
 
-Five static checks over ``src/repro`` (``ast`` + regex, no dependency),
+Six static checks over ``src/repro`` (``ast`` + regex, no dependency),
 and one over live signatures:
 
 * every public function, class, method and module- or class-level
@@ -23,7 +23,12 @@ and one over live signatures:
   ``.acquire()`` call anywhere;
 * one simulated process is one client: no recorder, sketch or commit
   message takes a ``weight``, and ``PaconConfig`` keeps its 12 fields —
-  the aggregate client stays deleted.
+  the aggregate client stays deleted;
+* an op in the commit window is an object: the in-flight counters, the
+  hub-only shadow list and the second committed count stay deleted, and
+  the version-lag ledger forgets an op at one site per way out of the
+  pipeline (resolved in ``CommitProcess._resolve``, lost in
+  ``fail_node``).
 
 The reference check is by word, not by resolved binding: a name shared by
 several definitions passes as soon as the corpus mentions it more often
@@ -261,3 +266,21 @@ def test_an_observation_is_one_client():
         "permissions", "cache_capacity_bytes", "commit_batch_size",
         "commit_coalesce", "commit_queue_capacity", "checkpoint_interval",
         "autoscale"]
+
+
+#: Names of the counter-based commit window and its hub-only ledger
+#: shadow, and the second committed count beside ``cp.committed``.
+COMMIT_WINDOW_REMNANTS = ("_in_flight", "_in_flight_settled",
+                          "_in_flight_oldest", "_in_flight_msgs",
+                          "_ledger_untrack", "_resolve_ledger",
+                          "ops_committed +=")
+
+
+def test_an_op_in_the_commit_window_is_an_object():
+    sources = {path: path.read_text() for path in _source_files()}
+    for name in COMMIT_WINDOW_REMNANTS:
+        found = [str(path.relative_to(SRC))
+                 for path, text in sources.items() if name in text]
+        assert not found, f"{name!r} is back in {found}"
+    calls = sum(text.count(".note_op_resolved(") for text in sources.values())
+    assert calls == 2
