@@ -2,12 +2,17 @@
 
 Runs every packaged :mod:`repro.chaos.scenarios` scenario at a named
 scale and reports, per scenario, what the invariant checker proved: the
-convergence verdict, faults injected, ops lost to crashes, MDS replays
-absorbed by commit-token dedup, and messages dropped by the
-delivery-time network semantics.  All of these are **simulated metrics**
-— two same-seed runs produce byte-identical rows — so the snapshot
-(``benchmarks/baseline_chaos.json``) gates fault-handling semantics in
-CI the same way ``baseline_kernel.json`` gates kernel event counts.
+convergence verdict, whether every injected fault was blamed by the
+incident flight recorder, faults injected, ops lost to crashes, MDS
+replays absorbed by commit-token dedup, messages dropped by the
+delivery-time network semantics, and incidents detected.  All of these
+are **simulated metrics** — two same-seed runs produce byte-identical
+rows — so the snapshot (``benchmarks/baseline_chaos.json``) gates
+fault-handling semantics in CI the same way ``baseline_kernel.json``
+gates kernel event counts.  Each scenario's full report (invariant
+checks, fault records, SLO objectives, incidents) is one note, and a
+scenario that failed any verdict fails the row
+(:meth:`~repro.bench.report.ExperimentResult.fail`).
 
 Not part of ``pacon-bench all`` (``in_all=False``): the default suite
 and its baseline stay untouched; ``pacon-bench figure chaos --bench-out``
@@ -20,6 +25,7 @@ from typing import Any, Dict
 
 from repro.bench.report import experiment
 from repro.chaos.scenarios import SCENARIOS, run_all
+from repro.obs.incidents import format_report
 
 __all__ = ["SCALES", "run"]
 
@@ -42,8 +48,10 @@ SCALES: Dict[str, Dict[str, Any]] = {
 def run(out, params, seed, hub):
     """Run all chaos scenarios; one row per scenario.
 
-    The hub (if any) observes the last scenario only — see
-    :func:`repro.chaos.scenarios.run_all`.
+    A scenario fails the row unless its namespace converged, staleness
+    drained after recovery, and every injected fault is the top suspect
+    of an incident.  The hub (if any) observes the last scenario only —
+    see :func:`repro.chaos.scenarios.run_all`.
     """
     scenarios_ok = 0
     total_faults = total_lost = total_replays = total_dropped = 0
@@ -54,13 +62,20 @@ def run(out, params, seed, hub):
         total_replays += result.replays
         total_dropped += result.dropped
         out.add(scenario=name, ok=int(result.ok),
+                attributed=int(result.faults_attributed),
                 faults=len(result.fault_records),
                 lost_ops=result.lost_ops, replays=result.replays,
                 net_dropped=result.dropped,
                 entries=int(result.report.checks.get("entries", 0)),
-                problems=len(result.report.problems))
-        for problem in result.report.problems:
-            out.note(f"{name}: INVARIANT VIOLATION: {problem}")
+                problems=len(result.report.problems),
+                incidents=result.metrics_doc["incidents"]["count"])
+        out.note(_scenario_report(name, result))
+        verdicts = {"converged": result.report.ok,
+                    "staleness drained after recovery": result.slo_ok,
+                    "every fault attributed": result.faults_attributed}
+        for verdict, held in verdicts.items():
+            if not held:
+                out.fail(f"{name}: not {verdict}")
     out.derive("scenarios_ok", scenarios_ok)
     out.derive("scenarios_total", len(SCENARIOS))
     out.derive("total_faults", total_faults)
@@ -71,3 +86,22 @@ def run(out, params, seed, hub):
              f" ({total_faults} faults, {total_lost} ops lost,"
              f" {total_replays} replays deduplicated,"
              f" {total_dropped} messages dropped)")
+
+
+def _scenario_report(name: str, result) -> str:
+    """What one scenario proved: the invariant report, each fault, each
+    windowed SLO objective, and the incident report that blames them."""
+    lines = [f"{name}: {result.report}"]
+    for rec in result.fault_records:
+        lines.append(f"  fault {rec.kind}[{rec.target}]"
+                     f" t={rec.injected_at:.6f}->{rec.recovered_at:.6f}"
+                     f" lost={rec.lost_ops} {rec.detail}")
+    for label, doc in (("during-fault", result.slo_during),
+                       ("post-recovery", result.slo_post)):
+        for obj in (doc or {}).get("objectives", ()):
+            mark = "ok" if obj["ok"] else "VIOLATED"
+            lines.append(f"  slo {label} [{mark}] {obj['name']}:"
+                         f" {obj['measured']:.6g} <= {obj['target']:.6g}"
+                         f" ({obj['metric']})")
+    lines.append(format_report(result.metrics_doc))
+    return "\n".join(lines)

@@ -47,6 +47,8 @@ class ExperimentResult:
     #: Harness-side facts (wall-clock seconds, ...).  Everything under
     #: ``host`` is excluded from the snapshot's deterministic view.
     host: Dict[str, Any] = field(default_factory=dict)
+    #: Why the run failed its own check (see :meth:`fail`); empty if held.
+    failures: List[str] = field(default_factory=list)
 
     def add(self, **row: Any) -> None:
         self.rows.append(row)
@@ -57,6 +59,13 @@ class ExperimentResult:
     def derive(self, name: str, value: Any) -> None:
         """Record one named headline claim (a simulated metric)."""
         self.derived[name] = value
+
+    def fail(self, reason: str) -> None:
+        """The run disproved what the experiment checks — the one way a
+        row fails.  ``pacon-bench figure``/``all`` exit 1 on it, after
+        writing every requested artifact."""
+        self.failures.append(reason)
+        self.note(f"FAILED: {reason}")
 
     def to_snapshot(self) -> Dict[str, Any]:
         """JSON-normalized record for ``BENCH_*.json`` snapshots.

@@ -14,7 +14,7 @@ partial-consistency bugs live.
   commit processes or leaked waiters, exact lost-op accounting.
 * :mod:`~repro.chaos.scenarios` — packaged crash-mid-commit /
   crash-during-barrier / partition-heal / cache-churn scenarios used by
-  the tests, the chaos benchmark, and ``pacon-bench chaos``.
+  the tests and the chaos benchmark (``pacon-bench figure chaos``).
 """
 
 from repro.chaos.engine import ChaosEngine, ChaosSchedule, Fault, FaultRecord

@@ -91,8 +91,8 @@ class ScenarioResult:
     #: The faulty run's full metrics export (``pacon.metrics/v4``).  The
     #: incident flight recorder reads it: ``timeline``/``incidents``
     #: sections plus :func:`repro.obs.incidents.fault_attribution` rows.
-    #: Not part of :meth:`summary` (it is large); the CLI writes it via
-    #: ``--metrics-out`` and ``pacon-bench incidents`` gates on it.
+    #: Not part of :meth:`summary` (it is large); ``figure chaos`` writes
+    #: it via ``--metrics-out`` and gates on its attribution.
     metrics_doc: Optional[Dict[str, Any]] = None
     #: Per injected fault: the incidents that blamed it (see
     #: ``fault_attribution``).  None when no hub export was taken.

@@ -5,18 +5,24 @@ Installed as ``pacon-bench`` (see pyproject) or usable as
 
     pacon-bench mdtest --system pacon --nodes 4 --clients-per-node 8 \
         --items 100
+    pacon-bench mdtest --nodes 2 --items 25 --metrics-out metrics.json \
+        --profile-out profile.txt --top 10
+    pacon-bench mdtest --nodes 2 --items 5 --log-out log.txt --limit 100
+    pacon-bench mdtest --since 0.001 --until 0.002 --trace-out trace.json
     pacon-bench madbench --system beegfs --file-size 4194304
     pacon-bench figure fig07 --scale paper --metrics-out fig07.metrics.json
     pacon-bench figure chaos --scale smoke --bench-out chaos.json
+    pacon-bench figure elastic --scale smoke --metrics-out elastic.json
     pacon-bench all --scale ci --out report.md --bench-label nightly
     pacon-bench compare BENCH_a.json BENCH_b.json --json
     pacon-bench history --metric 'fig07.*'
-    pacon-bench stats --nodes 2 --items 25 --out metrics.json
-    pacon-bench incidents --json --out incidents.json
-    pacon-bench trace --nodes 2 --items 5 --limit 100
-    pacon-bench trace --since 0.001 --until 0.002 --chrome trace.json
-    pacon-bench profile --nodes 2 --items 25 --top 10
-    pacon-bench elastic --scale smoke --metrics-out elastic.metrics.json
+    pacon-bench slo metrics.json --policy chaos
+
+Every simulation has one verb, and every verdict comes from one run:
+``mdtest`` writes each view of its observed run (metrics, Chrome trace,
+event log, profile) from that run, and ``figure``/``all`` exit 1 when a
+row's own check failed (:meth:`ExperimentResult.fail`), after writing
+every requested artifact.
 """
 
 from __future__ import annotations
@@ -34,11 +40,9 @@ from repro.bench.baseline import (compare_files, history_rows,
 from repro.bench.registry import EXPERIMENTS
 from repro.bench.report import NotObservable, write_markdown
 from repro.bench.snapshot import SnapshotError, collect_snapshot_paths
-from repro.bench.systems import make_testbed
-from repro.chaos.scenarios import SCENARIOS, run_scenario
+from repro.bench.systems import SYSTEMS, make_testbed
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.hub import SAMPLE_INTERVAL, MetricsHub
-from repro.obs.incidents import format_report
 from repro.obs.profile import render_report
 from repro.obs.slo import evaluate_file, format_result, get_policy
 from repro.sim.rng import DEFAULT_SEED
@@ -55,15 +59,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pacon reproduction: workloads and paper experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mdtest = sub.add_parser("mdtest", help="run the mdtest-like workload")
-    mdtest.add_argument("--system", choices=("beegfs", "indexfs", "pacon"),
-                        default="pacon")
+    def _artifact_args(p, trace: bool = True) -> None:
+        p.add_argument("--metrics-out", default=None,
+                       help="write a MetricsHub JSON artifact here")
+        if trace:
+            p.add_argument("--trace-out", default=None, metavar="OUT_JSON",
+                           help="write a Chrome trace-event JSON artifact"
+                                " here (open in Perfetto / chrome://tracing)")
+
+    mdtest = sub.add_parser(
+        "mdtest", help="run the mdtest-like workload; any --*-out flag"
+                       " observes the run and writes that view of it")
+    mdtest.add_argument("--system", choices=SYSTEMS, default="pacon")
     mdtest.add_argument("--nodes", type=int, default=4)
     mdtest.add_argument("--clients-per-node", type=int, default=8)
     mdtest.add_argument("--items", type=int, default=50)
     mdtest.add_argument("--phases", default="mkdir,create,stat",
                         help="comma-separated: mkdir,create,stat,rm")
     mdtest.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _artifact_args(mdtest)
+    mdtest.add_argument("--log-out", default=None,
+                        help="write the span/commit event log here")
+    mdtest.add_argument("--limit", type=int, default=200,
+                        help="max events in the log")
+    mdtest.add_argument("--kind", default=None,
+                        help="log only this event kind (e.g. op.end)")
+    mdtest.add_argument("--actor", default=None,
+                        help="log only this actor's events")
+    mdtest.add_argument("--since", type=float, default=0.0,
+                        help="log and trace only events at/after this"
+                             " simulated time (s)")
+    mdtest.add_argument("--until", type=float, default=float("inf"),
+                        help="log and trace only events at/before this"
+                             " simulated time (s)")
+    mdtest.add_argument("--profile-out", default=None,
+                        help="write the latency attribution + resource"
+                             " profile tables here")
+    mdtest.add_argument("--top", type=int, default=10,
+                        help="how many slowest ops the profile lists")
 
     madbench = sub.add_parser("madbench",
                               help="run the MADbench2-like workload")
@@ -79,25 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
                        default="ci")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="simulation seed")
-        p.add_argument("--metrics-out", default=None,
-                       help="write a MetricsHub JSON artifact here"
-                            " (experiments that support observability)")
         p.add_argument("--bench-out", default=None, metavar="SNAPSHOT",
                        help="write a pacon.bench/v1 snapshot here")
         p.add_argument("--bench-label", default=None,
                        help="write a snapshot named BENCH_<label>.json"
                             " in the current directory")
 
-    figure = sub.add_parser("figure", help="run one experiment")
+    figure = sub.add_parser(
+        "figure", help="run one experiment (exit 1 if its check fails)")
     figure.add_argument("name", choices=tuple(EXPERIMENTS))
     _experiment_args(figure)
-    figure.add_argument("--trace-out", default=None, metavar="OUT_JSON",
-                        help="write a Chrome trace-event JSON artifact"
-                             " here (experiments that support"
-                             " observability)")
+    _artifact_args(figure)
 
     everything = sub.add_parser("all", help="regenerate every experiment")
     _experiment_args(everything)
+    _artifact_args(everything, trace=False)
     everything.add_argument("--out", default=None,
                             help="write a markdown report here")
 
@@ -125,57 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument("--json", action="store_true", dest="as_json",
                          help="machine-readable output instead of a table")
 
-    def _observed_workload_args(p) -> None:
-        p.add_argument("--nodes", type=int, default=2)
-        p.add_argument("--clients-per-node", type=int, default=4)
-        p.add_argument("--items", type=int, default=20)
-        p.add_argument("--phases", default="mkdir,create,stat",
-                       help="comma-separated: mkdir,create,stat,rm")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--sample-interval", type=float,
-                       default=SAMPLE_INTERVAL,
-                       help="gauge sampler period in simulated seconds"
-                            " (0 disables sampling)")
-        p.add_argument("--out", default=None, help="write output here"
-                                                   " instead of stdout")
-
-    stats = sub.add_parser(
-        "stats", help="run an observed Pacon mdtest workload and export"
-                      " the MetricsHub JSON document")
-    _observed_workload_args(stats)
-    stats.add_argument("--compact", action="store_true",
-                       help="single-line JSON (default is indented)")
-
-    trace = sub.add_parser(
-        "trace", help="run a traced Pacon mdtest workload and render the"
-                      " span/commit event log")
-    _observed_workload_args(trace)
-    trace.add_argument("--limit", type=int, default=200,
-                       help="max events to render")
-    trace.add_argument("--kind", default=None,
-                       help="filter events by kind (e.g. op.end, commit)")
-    trace.add_argument("--actor", default=None,
-                       help="filter events by actor")
-    trace.add_argument("--since", type=float, default=0.0,
-                       help="only events at/after this simulated time (s)")
-    trace.add_argument("--until", type=float, default=float("inf"),
-                       help="only events at/before this simulated time (s)")
-    trace.add_argument("--chrome", default=None, metavar="OUT_JSON",
-                       help="additionally write a Chrome trace-event JSON"
-                            " file (open in Perfetto / chrome://tracing)")
-
-    profile = sub.add_parser(
-        "profile", help="run a traced Pacon mdtest workload and print"
-                        " latency attribution + resource profile tables")
-    _observed_workload_args(profile)
-    profile.add_argument("--top", type=int, default=10,
-                         help="how many slowest ops to list")
-
     slo = sub.add_parser(
         "slo", help="evaluate SLO objectives against an exported"
                     " pacon.metrics JSON document")
-    slo.add_argument("metrics", help="metrics JSON (pacon-bench stats /"
-                                     " figure --metrics-out)")
+    slo.add_argument("metrics", help="metrics JSON (mdtest / figure"
+                                     " --metrics-out)")
     slo.add_argument("--policy", default="default",
                      help="named policy (default, chaos)")
     slo.add_argument("--window", nargs=2, type=float, default=None,
@@ -184,65 +167,67 @@ def build_parser() -> argparse.ArgumentParser:
                           " this simulated-time window")
     slo.add_argument("--json", action="store_true", dest="as_json",
                      help="machine-readable result instead of a table")
-
-    def _scenario_args(p) -> None:
-        p.add_argument("scenario", nargs="?", default="all",
-                       choices=("all",) + SCENARIOS)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--items", type=int, default=24,
-                       help="files created per client")
-        p.add_argument("--nodes", type=int, default=3)
-        p.add_argument("--clients-per-node", type=int, default=2)
-
-    chaos = sub.add_parser(
-        "chaos", help="inject faults into a live Pacon run and check the"
-                      " post-recovery convergence invariants")
-    _scenario_args(chaos)
-    chaos.add_argument("--metrics-out", default=None,
-                       help="write the faulty run's MetricsHub JSON here"
-                            " (includes the chaos.* counters)")
-    chaos.add_argument("--json", action="store_true", dest="as_json",
-                       help="machine-readable scenario summaries")
-
-    incidents = sub.add_parser(
-        "incidents", help="run chaos scenarios through the incident"
-                          " flight recorder: detect SLO-burn incidents,"
-                          " blame control-plane causes, and gate on"
-                          " every fault being the top suspect")
-    _scenario_args(incidents)
-    incidents.add_argument("--json", action="store_true", dest="as_json",
-                           help="machine-readable incident + attribution"
-                                " payload instead of a report")
-    incidents.add_argument("--out", default=None,
-                           help="also write the output here (CI artifact)")
-
-    elastic = sub.add_parser(
-        "elastic", help="flash-crowd elasticity bench: autoscaled vs."
-                        " statically provisioned runs of one workload")
-    elastic.add_argument("--scale", choices=("smoke", "ci", "paper"),
-                         default="smoke")
-    elastic.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    elastic.add_argument("--metrics-out", default=None,
-                         help="write the autoscaled run's MetricsHub JSON"
-                              " here (includes the autoscale.* series)")
-    elastic.add_argument("--json", action="store_true", dest="as_json",
-                         help="machine-readable rows + derived metrics")
     return parser
 
 
-def _cmd_mdtest(args) -> int:
+def _observed(args) -> bool:
+    """Did any ``mdtest`` output flag ask for a view of the run?"""
+    return any((args.metrics_out, args.trace_out, args.log_out,
+                args.profile_out))
+
+
+def _run_mdtest(args):
+    """One mdtest run, observed by a traced hub when :func:`_observed`.
+
+    Every view is read off this one run, so a run that writes all four
+    writes what four single-view runs would.  Returns ``(result, hub)``;
+    ``hub`` is None for an unobserved run.
+    """
+    hub = None
+    if _observed(args):
+        hub = MetricsHub(tracer=Tracer(), sample_interval=SAMPLE_INTERVAL)
     bed = make_testbed(args.system, n_apps=1, nodes_per_app=args.nodes,
                        clients_per_node=args.clients_per_node,
-                       seed=args.seed)
+                       seed=args.seed, hub=hub)
     phases = tuple(p.strip() for p in args.phases.split(",") if p.strip())
     config = MdtestConfig(workdir="/app", items_per_client=args.items,
                           phases=phases)
     result = run_mdtest(bed.env, bed.clients, config)
-    print(f"system={args.system} clients={len(bed.clients)}"
+    if hub is not None:
+        bed.quiesce()
+        hub.stop_samplers()
+    return result, hub
+
+
+def _cmd_mdtest(args) -> int:
+    if _observed(args) and args.system != "pacon":
+        print(f"--system {args.system} is not observable; the --*-out"
+              " flags need pacon", file=sys.stderr)
+        return 2
+    result, hub = _run_mdtest(args)
+    print(f"system={args.system}"
+          f" clients={args.nodes * args.clients_per_node}"
           f" items/client={args.items}")
-    for phase in phases:
+    for phase, elapsed in result.phase_elapsed.items():
         print(f"  {phase:>7}: {result.ops(phase):>12,.0f} ops/s"
-              f"  ({result.phase_elapsed[phase] * 1e3:.2f} ms simulated)")
+              f"  ({elapsed * 1e3:.2f} ms simulated)")
+    if hub is None:
+        return 0
+    doc = _write_artifacts(hub, args.metrics_out, args.trace_out,
+                           since=args.since, until=args.until)
+    if args.log_out:
+        filters = {"since": args.since, "until": args.until}
+        if args.kind:
+            filters["kind"] = args.kind
+        if args.actor:
+            filters["actor"] = args.actor
+        _write(args.log_out,
+               hub.tracer.render(limit=args.limit, **filters) + "\n",
+               "event log ")
+    if args.profile_out:
+        _write(args.profile_out,
+               render_report(hub.tracer, doc, top=args.top) + "\n",
+               "profile ")
     return 0
 
 
@@ -269,38 +254,57 @@ def _write(path: str, text: str, what: str = "") -> None:
     print(f"{what}written to {path}")
 
 
-def _write_snapshot(args, results, wall_clock_s: float) -> None:
-    """``--bench-out/--bench-label``: emit the run's BENCH_*.json."""
+def _write_artifacts(hub, metrics_out: Optional[str],
+                     trace_out: Optional[str] = None, **window):
+    """``--metrics-out``/``--trace-out`` of one observed run; returns the
+    export.  One export serves both artifacts, so the metrics JSON and the
+    trace's incident track are guaranteed to agree."""
+    doc = hub.export()
+    if metrics_out:
+        _write(metrics_out, hub.to_json(indent=2, doc=doc), "metrics ")
+    if trace_out:
+        count = write_chrome_trace(trace_out, hub.tracer, doc, **window)
+        print(f"chrome trace written to {trace_out} ({count} events)")
+    return doc
+
+
+def _finish(args, results, wall_clock_s: float) -> int:
+    """Emit the run's BENCH_*.json (``--bench-out/--bench-label``), then
+    turn any row's failed check into exit 1."""
     if args.bench_out or args.bench_label:
         path = runner.write_snapshot_file(
             results, scale=args.scale, seed=args.seed, path=args.bench_out,
             label=args.bench_label, wall_clock_s=wall_clock_s)
         print(f"benchmark snapshot written to {path}")
+    failures = [f"{r.experiment}: {reason}" for r in results
+                for reason in r.failures]
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_figure(args) -> int:
+    experiment = EXPERIMENTS[args.name]
     hub = None
     if args.metrics_out or args.trace_out:
-        hub = MetricsHub(tracer=Tracer() if args.trace_out else None,
-                         sample_interval=SAMPLE_INTERVAL)
+        # The gauge sampler runs inside the simulated world (the
+        # autoscaler reads what it samples), so a row that declares its
+        # own cadence is observed at that cadence, or the observed run
+        # would not be the run the row reports.
+        hub = MetricsHub(
+            tracer=Tracer() if args.trace_out else None,
+            sample_interval=experiment.scales[args.scale].get(
+                "sample_interval", SAMPLE_INTERVAL))
     try:
-        result = EXPERIMENTS[args.name](args.scale, seed=args.seed, hub=hub)
+        result = experiment(args.scale, seed=args.seed, hub=hub)
     except NotObservable:
         print(f"{args.name} does not support --metrics-out/--trace-out",
               file=sys.stderr)
         return 2
     print(result.render())
-    # One export serves both artifacts, so the metrics JSON and the
-    # trace's incident track are guaranteed to agree.
-    doc = hub.export() if hub is not None else None
-    if args.metrics_out:
-        _write(args.metrics_out, hub.to_json(indent=2, doc=doc), "metrics ")
-    if args.trace_out:
-        count = write_chrome_trace(args.trace_out, hub.tracer, doc)
-        print(f"chrome trace written to {args.trace_out}"
-              f" ({count} events)")
-    _write_snapshot(args, [result], result.host["wall_clock_s"])
-    return 0
+    if hub is not None:
+        _write_artifacts(hub, args.metrics_out, args.trace_out)
+    return _finish(args, [result], result.host["wall_clock_s"])
 
 
 def _cmd_all(args) -> int:
@@ -310,12 +314,11 @@ def _cmd_all(args) -> int:
     results = runner.run_all(args.scale, seed=args.seed, hub=hub)
     wall = time.perf_counter() - started
     if hub is not None:
-        _write(args.metrics_out, hub.to_json(indent=2), "metrics ")
+        _write_artifacts(hub, args.metrics_out)
     if args.out:
         write_markdown(results, args.out)
         print(f"report written to {args.out}")
-    _write_snapshot(args, results, wall)
-    return 0
+    return _finish(args, results, wall)
 
 
 def _cmd_compare(args) -> int:
@@ -365,62 +368,6 @@ def _cmd_history(args) -> int:
     return 0
 
 
-def _run_observed(args, with_tracer: bool):
-    """Run one Pacon mdtest workload with observability installed.
-
-    Returns the populated :class:`repro.obs.MetricsHub` (its tracer holds
-    the event log when ``with_tracer``).
-    """
-
-    tracer = Tracer() if with_tracer else None
-    interval = args.sample_interval if args.sample_interval > 0 else None
-    hub = MetricsHub(tracer=tracer, sample_interval=interval)
-    bed = make_testbed("pacon", n_apps=1, nodes_per_app=args.nodes,
-                       clients_per_node=args.clients_per_node,
-                       seed=args.seed, hub=hub)
-    phases = tuple(p.strip() for p in args.phases.split(",") if p.strip())
-    config = MdtestConfig(workdir="/app", items_per_client=args.items,
-                          phases=phases)
-    run_mdtest(bed.env, bed.clients, config)
-    bed.quiesce()
-    hub.stop_samplers()
-    return hub
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        _write(out, text + "\n")
-    else:
-        print(text)
-
-
-def _cmd_stats(args) -> int:
-    hub = _run_observed(args, with_tracer=False)
-    _emit(hub.to_json(indent=None if args.compact else 2), args.out)
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    hub = _run_observed(args, with_tracer=True)
-    filters = {"since": args.since, "until": args.until}
-    if args.kind:
-        filters["kind"] = args.kind
-    if args.actor:
-        filters["actor"] = args.actor
-    _emit(hub.tracer.render(limit=args.limit, **filters), args.out)
-    if args.chrome:
-        count = write_chrome_trace(args.chrome, hub.tracer, hub.export(),
-                                   since=args.since, until=args.until)
-        print(f"chrome trace written to {args.chrome} ({count} events)")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    hub = _run_observed(args, with_tracer=True)
-    _emit(render_report(hub.tracer, hub.export(), top=args.top), args.out)
-    return 0
-
-
 def _cmd_slo(args) -> int:
     try:
         policy = get_policy(args.policy)
@@ -436,109 +383,12 @@ def _cmd_slo(args) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_chaos(args) -> int:
-    names = SCENARIOS if args.scenario == "all" else (args.scenario,)
-    results = []
-    hub = None
-    for name in names:
-        # Fresh hub per scenario: each scenario is its own simulated
-        # world starting at t=0, so sharing one hub would interleave
-        # their gauge series and corrupt the windowed SLO verdicts.
-        # The metrics artifact carries the last scenario's run.
-        hub = MetricsHub(sample_interval=SAMPLE_INTERVAL) \
-            if args.metrics_out else None
-        results.append(run_scenario(
-            name, seed=args.seed, hub=hub, items=args.items,
-            n_nodes=args.nodes, clients_per_node=args.clients_per_node))
-    if args.as_json:
-        print(json.dumps([r.summary() for r in results], indent=2,
-                         sort_keys=True))
-    else:
-        for r in results:
-            status = "ok" if r.ok else "FAILED"
-            print(f"== {r.name} [{status}] seed={r.seed}"
-                  f" faults={len(r.fault_records)} lost={r.lost_ops}"
-                  f" replays={r.replays} dropped={r.dropped}")
-            print(r.report)
-            for rec in r.fault_records:
-                print(f"  fault {rec.kind}[{rec.target}]"
-                      f" t={rec.injected_at:.6f}->{rec.recovered_at:.6f}"
-                      f" lost={rec.lost_ops} {rec.detail}")
-            for label, doc in (("during-fault", r.slo_during),
-                               ("post-recovery", r.slo_post)):
-                if doc is None:
-                    continue
-                for obj in doc["objectives"]:
-                    mark = "ok" if obj["ok"] else "VIOLATED"
-                    print(f"  slo {label} [{mark}] {obj['name']}:"
-                          f" {obj['measured']:.6g} <="
-                          f" {obj['target']:.6g} ({obj['metric']})")
-    if hub is not None:
-        _write(args.metrics_out, hub.to_json(indent=2), "metrics ")
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _cmd_incidents(args) -> int:
-    names = SCENARIOS if args.scenario == "all" else (args.scenario,)
-    chunks: List[str] = []
-    payload = []
-    all_attributed = True
-    for name in names:
-        result = run_scenario(
-            name, seed=args.seed, items=args.items, n_nodes=args.nodes,
-            clients_per_node=args.clients_per_node)
-        doc = result.metrics_doc
-        all_attributed &= result.faults_attributed
-        if args.as_json:
-            payload.append({
-                "scenario": name,
-                "seed": result.seed,
-                "attributed": result.faults_attributed,
-                "incidents": doc["incidents"],
-                "attribution": result.attribution,
-            })
-        else:
-            status = "ok" if result.faults_attributed else "UNATTRIBUTED"
-            chunks.append(f"== {name} [{status}] seed={result.seed}")
-            chunks.append(format_report(doc))
-    text = json.dumps(payload, indent=2, sort_keys=True) if args.as_json \
-        else "\n".join(chunks)
-    print(text)
-    if args.out:
-        _write(args.out, text + "\n")
-    return 0 if all_attributed else 1
-
-
-def _cmd_elastic(args) -> int:
-    experiment = EXPERIMENTS["elastic"]
-    hub = None
-    if args.metrics_out:
-        hub = MetricsHub(sample_interval=experiment.scales[args.scale][
-            "sample_interval"])
-    result = experiment(args.scale, seed=args.seed, hub=hub)
-    if args.as_json:
-        print(json.dumps(result.to_snapshot(), indent=2, sort_keys=True))
-    else:
-        print(result.render())
-    if hub is not None:
-        _write(args.metrics_out, hub.to_json(indent=2), "metrics ")
-    # The headline claim gates the exit code: once adapted, the
-    # autoscaled run must beat static_min on steady-state tail latency
-    # while costing less than static_peak provisioning.
-    ok = (result.derived["steady_p99_speedup_vs_static_min"] > 1.0
-          and result.derived["cost_ratio_vs_static_peak"] < 1.0)
-    return 0 if ok else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"mdtest": _cmd_mdtest, "madbench": _cmd_madbench,
                 "figure": _cmd_figure, "all": _cmd_all,
                 "compare": _cmd_compare, "history": _cmd_history,
-                "stats": _cmd_stats, "trace": _cmd_trace,
-                "profile": _cmd_profile, "chaos": _cmd_chaos,
-                "slo": _cmd_slo, "elastic": _cmd_elastic,
-                "incidents": _cmd_incidents}
+                "slo": _cmd_slo}
     return handlers[args.command](args)
 
 

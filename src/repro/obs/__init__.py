@@ -16,7 +16,7 @@ The subsystem has six pieces (readers take the hub's exported document):
   simulated-time interval,
 * :mod:`repro.obs.chrome` — Chrome trace-event JSON export of the span
   trees and counter series, loadable in Perfetto / ``chrome://tracing``,
-* :mod:`repro.obs.profile` — the ``pacon-bench profile`` report: latency
+* :mod:`repro.obs.profile` — the ``mdtest --profile-out`` report: latency
   attribution per op class, top-N slowest ops, and the per-resource
   utilization/queueing table,
 * the **incident flight recorder** — :mod:`repro.obs.timeline` (the

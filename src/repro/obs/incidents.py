@@ -11,7 +11,7 @@ Everything is pure arithmetic over one already-exported metrics document
 — the same dict :meth:`MetricsHub.export` builds, or the same JSON
 loaded back from disk — so detection works identically online (stamped
 into the export as the ``incidents`` section) and offline
-(``pacon-bench incidents`` re-reading a file), and same-seed runs
+(re-reading a saved export), and same-seed runs
 produce byte-identical sections.
 
 Detection
@@ -309,7 +309,7 @@ def detect_incidents(doc: Dict[str, Any],
 
     Pure and deterministic: same document → byte-identical section.
     Usable online (inside :meth:`MetricsHub.export`) and offline
-    (``pacon-bench incidents`` over a saved v4 JSON).
+    (over a saved v4 JSON).
     """
     rules = DEFAULT_RULES if rules is None else rules
     causes = _cause_intervals(doc)

@@ -1,4 +1,4 @@
-"""Latency-attribution and resource-profile reports (``pacon-bench profile``).
+"""Latency-attribution and resource-profile reports (``mdtest --profile-out``).
 
 Turns one observed run's exported document (and, for the per-op list, its
 tracer) into two human-readable tables and a top-N list:
@@ -99,8 +99,8 @@ def render_resource_table(snapshot: Dict[str, Any]) -> str:
 
 def render_report(tracer: Tracer, doc: Dict[str, Any],
                   top: int = 10) -> str:
-    """The full ``pacon-bench profile`` report of one run: its tracer and
-    its exported document."""
+    """The full ``pacon-bench mdtest --profile-out`` report of one run: its
+    tracer and its exported document."""
     parts = [
         "== Latency attribution by op class (mean, us) ==",
         render_attribution_table(doc["attribution"]),

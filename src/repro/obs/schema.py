@@ -75,8 +75,8 @@ REQUIRED_FIELDS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...]], ...] = (
      ("rank", "seq", "kind", "label", "t", "score", "evidence")),
 )
 
-#: What a hub-instrumented chaos run (``pacon-bench chaos``) must have
-#: produced on top of :data:`REQUIRED_FIELDS`: every fault emits
+#: What a hub-instrumented chaos run (``figure chaos --metrics-out``) must
+#: have produced on top of :data:`REQUIRED_FIELDS`: every fault emits
 #: inject/recover, and each recovery one downtime observation.
 #: ``net.dropped`` may legitimately be absent for planned churn.
 REQUIRED_CHAOS_FIELDS = (
@@ -165,7 +165,7 @@ def _check_fields(node: Any, path: Tuple[str, ...], fields: Tuple[str, ...],
 
 
 def validate_chaos(doc: Dict[str, Any]) -> List[str]:
-    """Extended contract for fault-injection runs (``pacon-bench chaos``).
+    """Extended contract for fault-injection runs (``figure chaos``).
 
     Everything :func:`validate` requires, plus the ``chaos.*`` fault
     lifecycle metrics: each injected fault must have recovered (the

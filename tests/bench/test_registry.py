@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench.baseline import compare_files
 from repro.bench.registry import EXPERIMENTS
-from repro.bench.report import NotObservable
+from repro.bench.report import Experiment, NotObservable
 from repro.bench.systems import DEFAULT_SEED
 from repro.cli import build_parser, main
 from repro.obs.hub import MetricsHub
@@ -66,3 +66,53 @@ def test_figure_bench_out_matches_the_chaos_baseline(tmp_path, capsys):
     comparison = compare_files(
         os.path.join(BASELINES, "baseline_chaos.json"), str(out))
     assert comparison.ok
+
+
+def _failing_row(name):
+    """A registry row that observes nothing and fails its own check."""
+    def body(out, params, seed, hub):
+        out.add(scenario="x", ok=0)
+        out.fail("forced")
+    return Experiment(name, "forced failure", {"smoke": {}}, body,
+                      in_all=False, observable=True)
+
+
+class TestFigureVerdicts:
+    def test_chaos_rows_carry_attribution_and_incidents(
+            self, smoke_results):
+        result = smoke_results["chaos"]
+        assert result.failures == []
+        for row in result.rows:
+            assert row["attributed"] == 1, row["scenario"]
+            assert row["incidents"] >= 1, row["scenario"]
+        mds = next(n for n in result.notes if n.startswith("mds_crash:"))
+        assert "convergence OK" in mds
+        assert "INC-001" in mds
+        assert "slo post-recovery [ok]" in mds
+
+    @pytest.mark.parametrize("name", ["chaos", "elastic"])
+    def test_failed_check_exits_one_after_writing_artifacts(
+            self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, name, _failing_row(name))
+        metrics, bench = tmp_path / "m.json", tmp_path / "b.json"
+        rc = main(["figure", name, "--scale", "smoke",
+                   "--metrics-out", str(metrics), "--bench-out", str(bench)])
+        assert rc == 1
+        assert "FAILED: forced" in capsys.readouterr().out
+        assert json.loads(metrics.read_text())["schema"] == \
+            "pacon.metrics/v4"
+        snapshot = json.loads(bench.read_text())
+        assert snapshot["experiments"][name]["notes"] == ["FAILED: forced"]
+
+    def test_elastic_rows_do_not_depend_on_metrics_out(
+            self, smoke_results, tmp_path, capsys):
+        """The observed run is the run the row reports: the hub samples
+        at the row's own cadence."""
+        bench = tmp_path / "b.json"
+        assert main(["figure", "elastic", "--scale", "smoke",
+                     "--metrics-out", str(tmp_path / "m.json"),
+                     "--bench-out", str(bench)]) == 0
+        observed = json.loads(bench.read_text())["experiments"]["elastic"]
+        plain = smoke_results["elastic"].to_snapshot()
+        assert observed["rows"] == plain["rows"]
+        assert observed["derived"] == plain["derived"]

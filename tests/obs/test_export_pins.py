@@ -19,7 +19,8 @@ from repro.chaos.scenarios import run_scenario
 from repro.cli import main
 
 #: One fixed-seed observed mdtest run (``--seed`` defaults to the repo's).
-OBSERVED = ["--nodes", "2", "--clients-per-node", "2", "--items", "6"]
+OBSERVED = ["mdtest", "--nodes", "2", "--clients-per-node", "2",
+            "--items", "6"]
 
 PINS = {
     "fig07.metrics":
@@ -54,15 +55,15 @@ def test_fig07_smoke_metrics_and_chrome_trace(tmp_path, capsys):
 
 def test_profile_report_text(tmp_path, capsys):
     out = tmp_path / "profile.txt"
-    assert main(["profile", *OBSERVED, "--out", str(out)]) == 0
+    assert main([*OBSERVED, "--profile-out", str(out)]) == 0
     capsys.readouterr()
     assert _sha(out.read_bytes()) == PINS["profile.txt"]
 
 
 def test_trace_render_and_its_chrome_file(tmp_path, capsys):
     out, chrome = tmp_path / "trace.txt", tmp_path / "c.json"
-    assert main(["trace", *OBSERVED, "--limit", "100000", "--out", str(out),
-                 "--chrome", str(chrome)]) == 0
+    assert main([*OBSERVED, "--limit", "100000", "--log-out", str(out),
+                 "--trace-out", str(chrome)]) == 0
     capsys.readouterr()
     assert _sha(out.read_bytes()) == PINS["trace.txt"]
     assert _sha(chrome.read_bytes()) == PINS["trace.chrome"]

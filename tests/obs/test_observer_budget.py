@@ -35,8 +35,9 @@ def observed_run(monkeypatch):
     """The pinned ``OBSERVED`` run, recording into a given tracer."""
     def run(tracer: Tracer) -> MetricsHub:
         monkeypatch.setattr(cli, "Tracer", lambda: tracer)
-        args = cli.build_parser().parse_args(["profile", *OBSERVED])
-        return cli._run_observed(args, with_tracer=True)
+        args = cli.build_parser().parse_args([*OBSERVED, "--profile-out",
+                                              os.devnull])
+        return cli._run_mdtest(args)[1]
     return run
 
 

@@ -22,14 +22,15 @@ class TestParser:
             build_parser().parse_args(["figure", "fig99"])
 
     def test_stats_defaults(self):
-        args = build_parser().parse_args(["stats"])
-        assert args.nodes == 2
-        assert args.sample_interval == pytest.approx(200e-6)
-        assert not args.compact
+        """An unobserved mdtest asks for no view of its run."""
+        args = build_parser().parse_args(["mdtest"])
+        assert args.nodes == 4
+        assert (args.metrics_out, args.trace_out, args.log_out,
+                args.profile_out) == (None, None, None, None)
 
     def test_trace_filters(self):
         args = build_parser().parse_args(
-            ["trace", "--kind", "op.end", "--limit", "10"])
+            ["mdtest", "--kind", "op.end", "--limit", "10"])
         assert args.kind == "op.end"
         assert args.limit == 10
 
@@ -190,11 +191,15 @@ class TestHistoryCommand:
         assert [row["metric"] for row in rows] == ["figX.rows[0].ops"]
 
 
+#: A small observed Pacon mdtest run (the views below all read it).
+SMALL = ["mdtest", "--nodes", "1", "--clients-per-node", "2", "--items", "3"]
+
+
 class TestObservabilityCommands:
     def test_stats_writes_metrics_json(self, tmp_path, capsys):
         out_file = tmp_path / "metrics.json"
-        rc = main(["stats", "--nodes", "2", "--clients-per-node", "2",
-                   "--items", "5", "--out", str(out_file)])
+        rc = main(["mdtest", "--nodes", "2", "--clients-per-node", "2",
+                   "--items", "5", "--metrics-out", str(out_file)])
         assert rc == 0
         doc = json.loads(out_file.read_text())
         assert doc["schema"] == "pacon.metrics/v4"
@@ -203,29 +208,22 @@ class TestObservabilityCommands:
         assert any(name.startswith("queue.depth[")
                    for name in doc["series"])
 
-    def test_stats_compact_to_stdout(self, capsys):
-        rc = main(["stats", "--nodes", "1", "--clients-per-node", "2",
-                   "--items", "3", "--compact"])
+    def test_trace_renders_spans(self, tmp_path, capsys):
+        log = tmp_path / "log.txt"
+        rc = main([*SMALL, "--limit", "500", "--log-out", str(log)])
         assert rc == 0
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert doc["schema"] == "pacon.metrics/v4"
-        assert out.count("\n") == 1  # single line + trailing newline
-
-    def test_trace_renders_spans(self, capsys):
-        rc = main(["trace", "--nodes", "1", "--clients-per-node", "2",
-                   "--items", "3", "--limit", "500"])
-        assert rc == 0
-        out = capsys.readouterr().out
+        out = log.read_text()
         assert "op.start" in out
         assert "op.end" in out
         assert "[ok]" in out
 
-    def test_trace_kind_filter(self, capsys):
-        rc = main(["trace", "--nodes", "1", "--clients-per-node", "1",
-                   "--items", "2", "--kind", "op.end", "--limit", "500"])
+    def test_trace_kind_filter(self, tmp_path, capsys):
+        log = tmp_path / "log.txt"
+        rc = main(["mdtest", "--nodes", "1", "--clients-per-node", "1",
+                   "--items", "2", "--kind", "op.end", "--limit", "500",
+                   "--log-out", str(log)])
         assert rc == 0
-        out = capsys.readouterr().out
+        out = log.read_text()
         assert "op.end" in out
         assert "op.start" not in out
 
@@ -237,36 +235,57 @@ class TestObservabilityCommands:
         err = capsys.readouterr().err
         assert "does not support --metrics-out" in err
 
+    def test_unobservable_system_rejects_output_flags(self, tmp_path,
+                                                       capsys):
+        rc = main(["mdtest", "--system", "beegfs",
+                   "--metrics-out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "not observable" in capsys.readouterr().err
+
     def test_trace_chrome_export(self, tmp_path, capsys):
         out_file = tmp_path / "trace.json"
-        rc = main(["trace", "--nodes", "1", "--clients-per-node", "1",
-                   "--items", "2", "--limit", "5",
-                   "--chrome", str(out_file)])
+        rc = main(["mdtest", "--nodes", "1", "--clients-per-node", "1",
+                   "--items", "2", "--trace-out", str(out_file)])
         assert rc == 0
         doc = json.loads(out_file.read_text())
         assert doc["displayTimeUnit"] == "ms"
         assert any(ev["ph"] == "X" for ev in doc["traceEvents"])
         assert "chrome trace written" in capsys.readouterr().out
 
-    def test_trace_window_flags(self, capsys):
-        rc = main(["trace", "--nodes", "1", "--clients-per-node", "1",
+    def test_trace_window_flags(self, tmp_path, capsys):
+        log = tmp_path / "log.txt"
+        rc = main(["mdtest", "--nodes", "1", "--clients-per-node", "1",
                    "--items", "2", "--limit", "500",
-                   "--since", "1.0", "--until", "2.0"])
+                   "--since", "1.0", "--until", "2.0", "--log-out", str(log)])
         assert rc == 0
-        out = capsys.readouterr().out
         # The workload finishes in simulated microseconds, so nothing
         # falls inside the [1s, 2s] window.
-        assert "op.start" not in out
+        assert "op.start" not in log.read_text()
 
-    def test_profile_renders_tables(self, capsys):
-        rc = main(["profile", "--nodes", "1", "--clients-per-node", "2",
-                   "--items", "3", "--top", "3"])
+    def test_profile_renders_tables(self, tmp_path, capsys):
+        profile = tmp_path / "profile.txt"
+        rc = main([*SMALL, "--top", "3", "--profile-out", str(profile)])
         assert rc == 0
-        out = capsys.readouterr().out
+        out = profile.read_text()
         assert "Latency attribution by op class" in out
         assert "Top 3 slowest operations" in out
         assert "Resource utilization and queueing" in out
         assert "residual" in out
+
+    def test_one_run_writes_every_view_as_single_view_runs_do(
+            self, tmp_path, capsys):
+        views = ("--metrics-out", "--trace-out", "--log-out",
+                 "--profile-out")
+        together = tmp_path / "together"
+        together.mkdir()
+        argv = [*SMALL]
+        for flag in views:
+            argv += [flag, str(together / flag)]
+        assert main(argv) == 0
+        for flag in views:
+            alone = tmp_path / flag
+            assert main([*SMALL, flag, str(alone)]) == 0
+            assert alone.read_bytes() == (together / flag).read_bytes(), flag
 
     def test_figure_trace_out(self, tmp_path, capsys):
         out_file = tmp_path / "fig07.trace.json"
@@ -280,8 +299,8 @@ class TestObservabilityCommands:
 class TestSloCommand:
     def metrics_file(self, tmp_path):
         path = tmp_path / "metrics.json"
-        rc = main(["stats", "--nodes", "2", "--clients-per-node", "2",
-                   "--items", "5", "--out", str(path)])
+        rc = main(["mdtest", "--nodes", "2", "--clients-per-node", "2",
+                   "--items", "5", "--metrics-out", str(path)])
         assert rc == 0
         return path
 
@@ -307,30 +326,3 @@ class TestSloCommand:
         rc = main(["slo", str(path), "--policy", "nonsense"])
         assert rc == 2
         assert "unknown SLO policy" in capsys.readouterr().err
-
-
-class TestIncidentsCommand:
-    def test_single_scenario_attributes_and_writes_json(
-            self, tmp_path, capsys):
-        out_file = tmp_path / "incidents.json"
-        rc = main(["incidents", "mds_crash", "--json",
-                   "--out", str(out_file)])
-        assert rc == 0
-        rows = json.loads(out_file.read_text())
-        (row,) = rows
-        assert row["scenario"] == "mds_crash"
-        assert row["attributed"] is True
-        assert row["incidents"]["count"] >= 1
-        top = row["incidents"]["incidents"][0]["suspects"][0]
-        assert top["kind"] == "fault.injected"
-        out = capsys.readouterr().out
-        body, tail = out.rsplit("\n", 2)[0], out.splitlines()[-1]
-        assert json.loads(body) == rows
-        assert tail == f"written to {out_file}"
-
-    def test_text_report_names_scenario_and_verdict(self, capsys):
-        rc = main(["incidents", "mds_crash"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "== mds_crash [ok]" in out
-        assert "INC-001" in out

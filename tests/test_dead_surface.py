@@ -2,7 +2,7 @@
 imported that is not used.
 
 Six static checks over ``src/repro`` (``ast`` + regex, no dependency),
-and one over live signatures:
+and two over live objects:
 
 * every public function, class, method and module- or class-level
   attribute (constants, dataclass fields) defined there is mentioned at
@@ -28,7 +28,9 @@ and one over live signatures:
   hub-only shadow list and the second committed count stay deleted, and
   the version-lag ledger forgets an op at one site per way out of the
   pipeline (resolved in ``CommitProcess._resolve``, lost in
-  ``fail_node``).
+  ``fail_node``);
+* one simulation, one verb: the six CLI verbs that re-ran a simulation
+  another verb already runs stay argparse errors.
 
 The reference check is by word, not by resolved binding: a name shared by
 several definitions passes as soon as the corpus mentions it more often
@@ -43,6 +45,9 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from repro.cli import build_parser
 from repro.core import client as client_module
 from repro.core.commit import OpMessage
 from repro.core.config import PaconConfig
@@ -284,3 +289,17 @@ def test_an_op_in_the_commit_window_is_an_object():
         assert not found, f"{name!r} is back in {found}"
     calls = sum(text.count(".note_op_resolved(") for text in sources.values())
     assert calls == 2
+
+
+#: Verbs that re-ran a simulation another verb already runs: ``stats``,
+#: ``trace`` and ``profile`` are ``mdtest`` output flags, ``chaos``,
+#: ``incidents`` and ``elastic`` are ``figure chaos|elastic``.
+DELETED_VERBS = ("stats", "trace", "profile", "chaos", "incidents",
+                 "elastic")
+
+
+@pytest.mark.parametrize("verb", DELETED_VERBS)
+def test_one_verb_per_simulation(verb, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([verb])
+    assert "invalid choice" in capsys.readouterr().err
