@@ -106,8 +106,8 @@ class BarrierMessage:
     node_id: int
     #: Publish instant.  Stamped like OpMessage.timestamp so a queue's
     #: head message always lower-bounds the age of its whole backlog
-    #: (publish stamps are monotone) — the removed-subtree pruner keys
-    #: off that bound.
+    #: (publish stamps are monotone) — the ``commit.stall_age`` gauge
+    #: keys off that bound.
     timestamp: float = 0.0
 
 
@@ -144,8 +144,8 @@ class CommitProcess:
         self.aborts = 0
         self._process = None
         #: Op messages of the drain in progress, kept whole until the
-        #: drain returns: ``idle`` and the removed-subtree prune cutoff
-        #: must see every one of them as outstanding, settled or not.
+        #: drain returns: ``idle`` and the oldest-outstanding stamp must
+        #: see every one of them as outstanding, settled or not.
         self._drain: List[OpMessage] = []
         #: The ops of ``_drain`` with no outcome yet, by ``id`` (an
         #: ``OpMessage`` compares by fields and is unhashable).  On a
@@ -294,10 +294,6 @@ class CommitProcess:
                     hub.observe("commit.barrier_wait",
                                 self.env.now - wait_started)
                     hub.count("commit.barriers_passed")
-                # An epoch boundary is a natural low-water mark: every op
-                # older than the epoch has committed region-wide, so stale
-                # removed-subtree entries can go.
-                self.region.prune_removed_subtrees()
                 # Release operations held for the new epoch; each stays in
                 # ``_future`` until its own drain, so a crash mid-release
                 # still finds the rest.
@@ -339,7 +335,7 @@ class CommitProcess:
         preserving the §III.E epoch discipline.
 
         Every drained op message counts as in-flight (and holds down the
-        removed-subtree prune cutoff) from the moment it leaves the queue
+        oldest-outstanding stamp) from the moment it leaves the queue
         until the drain returns — ``Region.quiesce`` must never observe
         a lull while drained work sits in a local variable here.
         """

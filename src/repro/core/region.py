@@ -15,7 +15,7 @@ only supports read-only access to the merged consistent region").
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.cache import CacheShard, DistributedCache
 from repro.core.config import PaconConfig
@@ -80,14 +80,13 @@ class ConsistentRegion:
         # Client handles register here (observers read them off the region).
         self.clients: List = []
         # Subtrees removed by committed rmdirs: commit processes discard
-        # pending creations inside them (§III.D.1).  Indexed by normalized
-        # prefix so a discard check walks the op path's ancestors (O(depth)
-        # dict lookups) instead of scanning every removal ever recorded.
-        # Timestamped entries are pruned once no outstanding operation can
-        # still be older than the removal; the timestamp-free set answers
-        # the "was this prefix ever removed" orphan query and only dedups.
+        # pending creations inside them (§III.D.1).  Normalized prefix ->
+        # latest removal time, so a discard check walks the op path's
+        # ancestors (O(depth) dict lookups) instead of scanning every
+        # removal ever recorded.  One entry per removed prefix, never
+        # dropped: the orphan query asks whether a prefix was *ever*
+        # removed, so no entry could go anyway.
         self._removed_subtrees: Dict[str, float] = {}
-        self._ever_removed: Set[str] = set()
         # Barrier-party bumps deferred while a rendezvous is in flight
         # (epoch watermarks; see add_node).
         self._deferred_barrier_parties: List[int] = []
@@ -333,11 +332,6 @@ class ConsistentRegion:
         return max(1, self.clients_on_node.get(node_id, 0))
 
     # -- removed-subtree bookkeeping -----------------------------------------------------
-    @property
-    def removed_subtrees(self) -> List[Tuple[str, float]]:
-        """Unpruned timestamped removal entries (inspection only)."""
-        return sorted(self._removed_subtrees.items())
-
     @staticmethod
     def _prefixes(path: str) -> Iterator[str]:
         """``path`` and every proper ancestor, deepest first (not '/')."""
@@ -354,10 +348,7 @@ class ConsistentRegion:
         the same name is legitimate, so the discard check is
         timestamp-bounded.
         """
-        self.prune_removed_subtrees()
-        path = normalize_path(path)
-        self._removed_subtrees[path] = self.env.now
-        self._ever_removed.add(path)
+        self._removed_subtrees[normalize_path(path)] = self.env.now
 
     def inside_removed_subtree(self, path: str,
                                timestamp: Optional[float] = None) -> bool:
@@ -366,18 +357,12 @@ class ConsistentRegion:
         ``timestamp=None`` asks the unbounded question — was this prefix
         *ever* removed (the orphaned-straggler discard extension).
         """
-        if timestamp is None:
-            if not self._ever_removed:
-                return False
-            path = normalize_path(path)
-            return any(prefix in self._ever_removed
-                       for prefix in self._prefixes(path))
         if not self._removed_subtrees:
             return False
-        path = normalize_path(path)
-        for prefix in self._prefixes(path):
+        for prefix in self._prefixes(normalize_path(path)):
             removed_at = self._removed_subtrees.get(prefix)
-            if removed_at is not None and timestamp <= removed_at:
+            if removed_at is not None and (timestamp is None
+                                           or timestamp <= removed_at):
                 return True
         return False
 
@@ -423,27 +408,6 @@ class ConsistentRegion:
             if ts is not None and (oldest is None or ts < oldest):
                 oldest = ts
         return oldest
-
-    def prune_removed_subtrees(self) -> int:
-        """Drop timestamped removal entries no outstanding op can match.
-
-        An entry ``(path, removed_at)`` only ever dooms operations with
-        ``timestamp <= removed_at``; once every operation still in the
-        pipeline is strictly newer, the entry is dead weight.  Without
-        pruning the index grows per rmdir for the life of the region
-        (and, before the prefix index, was *linearly scanned on every
-        commit attempt*).  Returns the number of entries pruned.
-        """
-        if not self._removed_subtrees:
-            return 0
-        cutoff = self.oldest_outstanding_op_timestamp()
-        if cutoff is None:
-            cutoff = self.env.now
-        stale = [path for path, removed_at in self._removed_subtrees.items()
-                 if removed_at < cutoff]
-        for path in stale:
-            del self._removed_subtrees[path]
-        return len(stale)
 
     # -- shutdown ----------------------------------------------------------------
     def close(self) -> None:

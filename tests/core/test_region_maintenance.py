@@ -1,5 +1,25 @@
-"""Region bookkeeping fixes: removed-subtree pruning and elastic growth
-during an in-flight barrier rendezvous."""
+"""Region bookkeeping fixes: the removed-subtree index and elastic growth
+during an in-flight barrier rendezvous.
+
+The removed-subtree index used to be two structures: timestamped entries
+pruned below the oldest outstanding op, and a never-pruned set for the
+"ever removed" orphan query.  It is one never-pruned dict of prefix ->
+latest removal time now (the set already spent whatever memory the
+pruner saved).  The prune assertions deleted with the pruner, and what
+still checks the behaviour each one guarded:
+
+* ``len(removed_subtrees) <= 600`` after 10k rmdirs — the index is
+  bounded by distinct prefixes, not rmdirs
+  (``test_index_stays_bounded_after_many_rmdirs``);
+* ``len(_ever_removed) == 10_000`` — the same test: one entry per prefix;
+* ``removed_subtrees.keys() == {"/app/fresh"}`` after a prune — nothing
+  to prune; the bounded and unbounded answers it protected are asserted
+  in ``test_pruning_preserves_discard_semantics``;
+* ``prune_removed_subtrees() == 0`` with a queued op older than the
+  removal, and ``removed_subtrees == {}`` after the drain — the queued op
+  is still doomed by the removal however long it waited
+  (``test_queue_backlog_holds_the_prune_cutoff``).
+"""
 
 import time
 
@@ -10,26 +30,23 @@ from tests.core.conftest import make_world
 
 def advance(world, dt):
     def gen():
-        yield world.cluster.env.timeout(dt)
+        yield dt
     world.run(gen())
 
 
 class TestRemovedSubtreePruning:
     def test_index_stays_bounded_after_many_rmdirs(self):
-        """10k recorded removals must not accumulate 10k timestamped
-        entries: with an empty commit pipeline, everything older than the
-        current instant is prunable."""
+        """10k recorded removals of 100 names hold 100 entries, each at
+        its latest removal time."""
         world = make_world()
+        region = world.region
         for i in range(10_000):
-            world.region.note_removed_subtree(f"/app/d{i}")
-            if i % 500 == 499:
+            if i % 500 == 0:
                 advance(world, 1e-3)
-        advance(world, 1e-3)
-        world.region.prune_removed_subtrees()
-        # Only the last same-instant chunk can survive (strict < cutoff).
-        assert len(world.region.removed_subtrees) <= 600
-        # The orphan-query dedup set keeps every prefix (O(depth) lookups).
-        assert len(world.region._ever_removed) == 10_000
+            region.note_removed_subtree(f"/app/d{i % 100}")
+        assert len(region._removed_subtrees) == 100
+        assert set(region._removed_subtrees.values()) == {
+            world.cluster.env.now}
 
     def test_discard_checks_stay_flat_after_many_rmdirs(self):
         """The discard precheck is O(path depth), not O(#removals ever).
@@ -47,26 +64,24 @@ class TestRemovedSubtreePruning:
         assert time.perf_counter() - started < 2.0
 
     def test_pruning_preserves_discard_semantics(self):
-        """An op with ts == removed_at is still doomed after other entries
-        prune, and the timestamp-free orphan query survives pruning."""
+        """An op with ts == removed_at is doomed, a later one is not, and
+        the timestamp-free orphan query never forgets an old removal."""
         world = make_world()
         region = world.region
         region.note_removed_subtree("/app/old")
         advance(world, 1.0)
         region.note_removed_subtree("/app/fresh")
-        removed_at = dict(region.removed_subtrees)["/app/fresh"]
-        region.prune_removed_subtrees()
-        # /app/old pruned (no outstanding op can predate it) ...
-        assert dict(region.removed_subtrees).keys() == {"/app/fresh"}
-        # ... but the bounded query still dooms same-instant stragglers,
+        removed_at = world.cluster.env.now
         assert region.inside_removed_subtree("/app/fresh/f", removed_at)
         assert not region.inside_removed_subtree("/app/fresh/f",
                                                  removed_at + 1e-9)
-        # ... and the unbounded (orphan) query never forgets.
+        assert not region.inside_removed_subtree("/app/old/f", removed_at)
         assert region.inside_removed_subtree("/app/old/f")
+        assert not region.inside_removed_subtree("/app/other/f")
 
     def test_queue_backlog_holds_the_prune_cutoff(self):
-        """A queued op older than a removal keeps its entry alive."""
+        """A queued op older than a removal is discarded by it, however
+        long it waited in the backlog."""
         world = make_world(config=PaconConfig(workspace="/app",
                                               parent_check=False))
         region = world.region
@@ -75,16 +90,10 @@ class TestRemovedSubtreePruning:
         # burns one resubmission per RETRY_DELAY while we wait.
         world.run(world.client.create("/app/missing/leaf"))
         advance(world, 1e-3)
-        region.note_removed_subtree("/app/doomed")
-        advance(world, 1e-3)
-        assert region.prune_removed_subtrees() == 0
-        assert "/app/doomed" in dict(region.removed_subtrees)
-        # Unblock, drain, and the entry becomes prunable.
-        world.run(world.new_client(1).mkdir("/app/missing"))
+        region.note_removed_subtree("/app/missing")
         world.quiesce()
-        advance(world, 1e-6)
-        region.prune_removed_subtrees()
-        assert dict(region.removed_subtrees) == {}
+        assert sum(cp.discarded for cp in region.commit_processes) == 1
+        assert not world.dfs.namespace.exists("/app/missing/leaf")
 
     def test_commits_still_work_after_heavy_pruning(self):
         world = make_world()
