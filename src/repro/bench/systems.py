@@ -80,8 +80,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
                  split_threshold: int = 2000,
                  parent_check: bool = True,
                  hub: Optional[Any] = None,
-                 commit_batch_size: Optional[int] = None,
-                 commit_coalesce: Optional[bool] = None) -> TestBed:
+                 commit_batch_size: Optional[int] = None) -> TestBed:
     """Build one system with ``n_apps`` applications.
 
     Application ``k`` gets workspace ``{workdir_base}{k}`` (or exactly
@@ -137,11 +136,8 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
     # pacon
     bed.dfs = BeeGFS(cluster, n_mds=n_mds, n_data=n_data)
     bed.pacon = PaconDeployment(cluster, bed.dfs)
-    commit_kwargs = {}
-    if commit_batch_size is not None:
-        commit_kwargs["commit_batch_size"] = commit_batch_size
-    if commit_coalesce is not None:
-        commit_kwargs["commit_coalesce"] = commit_coalesce
+    commit_kwargs = ({} if commit_batch_size is None
+                     else {"commit_batch_size": commit_batch_size})
     for k, workdir in enumerate(workdirs):
         config = PaconConfig(
             workspace=workdir, uid=1000 + k, gid=1000 + k,

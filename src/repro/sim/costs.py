@@ -86,7 +86,6 @@ class CostModel:
     # --- metadata record sizes (bytes on the wire / in caches) ------------
     metadata_record_size: int = 240
     request_header_size: int = 96
-    small_file_threshold: int = 4 * KiB
 
     def __post_init__(self) -> None:
         # Service times reach the kernel as bare ``yield <delay>`` sleeps,

@@ -30,7 +30,9 @@ and two over live objects:
   pipeline (resolved in ``CommitProcess._resolve``, lost in
   ``fail_node``);
 * one simulation, one verb: the six CLI verbs that re-ran a simulation
-  another verb already runs stay argparse errors.
+  another verb already runs stay argparse errors — and one knob, one
+  place: ``PaconConfig.small_file_threshold`` is the only small-file
+  threshold, and ``make_testbed`` takes no ``commit_coalesce``.
 
 The reference check is by word, not by resolved binding: a name shared by
 several definitions passes as soon as the corpus mentions it more often
@@ -47,12 +49,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.systems import make_testbed
 from repro.cli import build_parser
 from repro.core import client as client_module
 from repro.core.commit import OpMessage
 from repro.core.config import PaconConfig
 from repro.obs.hub import MetricsHub
 from repro.obs.sketch import QuantileSketch
+from repro.sim.costs import CostModel
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -303,3 +307,10 @@ def test_one_verb_per_simulation(verb, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([verb])
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_one_knob_one_place():
+    assert "small_file_threshold" not in {
+        f.name for f in dataclasses.fields(CostModel)}
+    assert "commit_coalesce" not in inspect.signature(
+        make_testbed).parameters
