@@ -80,8 +80,6 @@ class ScenarioResult:
     lost_ops: int
     replays: int
     dropped: int
-    reference_span: float
-    sim_time: float
     #: Windowed SLO verdicts (``PolicyResult.to_doc()`` dicts) over the
     #: staleness lens: exposure while the fault was live, and whether
     #: staleness returned below bound after recovery.  None when the run
@@ -91,8 +89,8 @@ class ScenarioResult:
     #: The faulty run's full metrics export (``pacon.metrics/v4``).  The
     #: incident flight recorder reads it: ``timeline``/``incidents``
     #: sections plus :func:`repro.obs.incidents.fault_attribution` rows.
-    #: Not part of :meth:`summary` (it is large); ``figure chaos`` writes
-    #: it via ``--metrics-out`` and gates on its attribution.
+    #: ``figure chaos`` writes it via ``--metrics-out`` and reports its
+    #: attribution.
     metrics_doc: Optional[Dict[str, Any]] = None
     #: Per injected fault: the incidents that blamed it (see
     #: ``fault_attribution``).  None when no hub export was taken.
@@ -112,28 +110,6 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return self.report.ok and self.slo_ok
-
-    def summary(self) -> Dict[str, Any]:
-        """Flat dict for JSON export (CLI / chaos bench snapshot)."""
-        return {
-            "scenario": self.name,
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest": self.report.digest,
-            "problems": list(self.report.problems),
-            "checks": {k: str(v) for k, v in self.report.checks.items()},
-            "faults": len(self.fault_records),
-            "lost_ops": self.lost_ops,
-            "replays": self.replays,
-            "net_dropped": self.dropped,
-            "reference_span": self.reference_span,
-            "sim_time": self.sim_time,
-            "slo": {
-                "ok": self.slo_ok,
-                "during_fault": self.slo_during,
-                "post_recovery": self.slo_post,
-            },
-        }
 
 
 def build_world(seed: int, n_nodes: int = 3, clients_per_node: int = 2,
@@ -334,7 +310,6 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
         lost_ops=engine.lost_ops,
         replays=sum(cp.replays for cp in world.region.commit_processes),
         dropped=world.cluster.network.dropped,
-        reference_span=horizon, sim_time=world.env.now,
         slo_during=slo_during, slo_post=slo_post,
         metrics_doc=doc, attribution=fault_attribution(doc))
 

@@ -84,7 +84,8 @@ import json
 from repro.chaos.scenarios import run_scenario
 
 result = run_scenario("node_crash")
-print(json.dumps(result.summary(), sort_keys=True))
+print(json.dumps({k: v for k, v in vars(result).items()
+                  if k != "metrics_doc"}, sort_keys=True, default=str))
 print(json.dumps(result.metrics_doc, sort_keys=True))
 """
 
