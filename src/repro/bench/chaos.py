@@ -11,7 +11,7 @@ rows — so the snapshot (``benchmarks/baseline_chaos.json``) gates
 fault-handling semantics in CI the same way ``baseline_kernel.json``
 gates kernel event counts.  Each scenario's full report (invariant
 checks, fault records, SLO objectives, incidents) is one note, and a
-scenario that failed any verdict fails the row
+scenario that did not converge fails the row
 (:meth:`~repro.bench.report.ExperimentResult.fail`).
 
 Not part of ``pacon-bench all`` (``in_all=False``): the default suite
@@ -48,10 +48,13 @@ SCALES: Dict[str, Dict[str, Any]] = {
 def run(out, params, seed, hub):
     """Run all chaos scenarios; one row per scenario.
 
-    A scenario fails the row unless its namespace converged, staleness
-    drained after recovery, and every injected fault is the top suspect
-    of an incident.  The hub (if any) observes the last scenario only —
-    see :func:`repro.chaos.scenarios.run_all`.
+    A scenario fails the row unless it converged and its staleness
+    drained after recovery.  Fault attribution is reported, not failed
+    on (the baseline compare holds it at the default seed): a fault that
+    only destroyed queued work, or landed inside an incident an earlier
+    fault heads, leaves no burn of its own to be blamed for.  The hub
+    (if any) observes the last scenario only — see
+    :func:`repro.chaos.scenarios.run_all`.
     """
     scenarios_ok = 0
     total_faults = total_lost = total_replays = total_dropped = 0
@@ -70,12 +73,10 @@ def run(out, params, seed, hub):
                 problems=len(result.report.problems),
                 incidents=result.metrics_doc["incidents"]["count"])
         out.note(_scenario_report(name, result))
-        verdicts = {"converged": result.report.ok,
-                    "staleness drained after recovery": result.slo_ok,
-                    "every fault attributed": result.faults_attributed}
-        for verdict, held in verdicts.items():
-            if not held:
-                out.fail(f"{name}: not {verdict}")
+        if not result.report.ok:
+            out.fail(f"{name}: did not converge")
+        if not result.slo_ok:
+            out.fail(f"{name}: staleness did not drain after recovery")
     out.derive("scenarios_ok", scenarios_ok)
     out.derive("scenarios_total", len(SCENARIOS))
     out.derive("total_faults", total_faults)

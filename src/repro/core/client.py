@@ -44,6 +44,7 @@ from repro.dfs.inode import FileType, Inode
 from repro.dfs.namespace import normalize_path, parent_of
 from repro.kvstore.memkv import CasMismatch, KeyExists
 from repro.sim.core import Event
+from repro.sim.network import NodeDownError
 from repro.sim.rng import stable_hash
 
 __all__ = ["PaconClient"]
@@ -261,7 +262,7 @@ class PaconClient:
         yield done
         self._stage_end(ctx)
 
-    def _forget_subtree(self, path: str) -> None:
+    def forget_subtree(self, path: str) -> None:
         """Drop ``path`` and everything under it from the parent memo."""
         prefix = path + "/"
         self._parent_memo = {p for p in self._parent_memo
@@ -295,6 +296,11 @@ class PaconClient:
                     queue.name, detail=f"{op} {path}", duration=stalled)
         if self.costs.commit_queue_push > 0:
             yield self.costs.commit_queue_push
+        if not self.node.alive:
+            # The queue died with the node (drained at the crash): a
+            # message landing there would outlive the ops it depends on.
+            raise NodeDownError(f"node {self.node.name} is down; cannot"
+                                f" publish {op} {path}")
         msg = OpMessage(op=op, path=path, mode=mode, uid=self.uid,
                         gid=self.gid, timestamp=self.env.now,
                         epoch=self.region.client_epoch,
@@ -444,27 +450,35 @@ class PaconClient:
             "nlink": 1,
             "inline_data": b"" if ftype is FileType.FILE else None,
         }, committed=False)
-        # Sub-operation 1: apply to the distributed cache (primary copy).
-        while True:
-            try:
-                yield from self.region.cache.add(self.node, path, record)
-                break
-            except KeyExists:
-                existing = yield from self.region.cache.gets(self.node, path)
-                if existing is None:
-                    continue  # deleted between add and gets: retry
-                old, token = existing
-                if not old.get("deleted"):
-                    raise FileExists(path)
-                # Recreate over a pending-removal entry: CAS it over.
+        try:
+            # Sub-operation 1: apply to the distributed cache (primary
+            # copy).
+            while True:
                 try:
-                    yield from self.region.cache.cas(self.node, path, record,
-                                                     token)
+                    yield from self.region.cache.add(self.node, path,
+                                                     record)
                     break
-                except CasMismatch:
-                    continue
-        # Sub-operation 2: queue the asynchronous, independent commit.
-        yield from self._publish(op, path, mode, gen_ino=record["ino"])
+                except KeyExists:
+                    existing = yield from self.region.cache.gets(self.node,
+                                                                 path)
+                    if existing is None:
+                        continue  # deleted between add and gets: retry
+                    old, token = existing
+                    if not old.get("deleted"):
+                        raise FileExists(path)
+                    # Recreate over a pending-removal entry: CAS it over.
+                    try:
+                        yield from self.region.cache.cas(self.node, path,
+                                                         record, token)
+                        break
+                    except CasMismatch:
+                        continue
+            # Sub-operation 2: queue the asynchronous, independent commit.
+            yield from self._publish(op, path, mode, gen_ino=record["ino"])
+        except NodeDownError:
+            # The node died between the cache write and the publish.
+            self.region.fence_lost(op, path, record["ino"], published=False)
+            raise
         if ftype is FileType.DIRECTORY:
             self._parent_memo.add(path)
         self._note(op, "put", "async", "indep")
@@ -478,7 +492,8 @@ class PaconClient:
             yield from self.dfs_client.unlink(path)
             return
 
-        state = {"missing": False, "was_dir": False, "already_deleted": False}
+        # The generation this rm marks, as soon as it is known.
+        state = {"was_dir": False, "already_deleted": False, "ino": -1}
 
         def mark_deleted(record):
             if record.get("deleted"):
@@ -487,31 +502,35 @@ class PaconClient:
             if record["ftype"] == FileType.DIRECTORY.value:
                 state["was_dir"] = True
                 return None
+            state["ino"] = record["ino"]
             record["deleted"] = True
             record["mtime"] = self.env.now
             return record
 
-        updated = yield from self.region.cache.update(self.node, path,
-                                                      mark_deleted)
-        if state["was_dir"]:
-            raise IsADirectory(path)
-        if state["already_deleted"]:
-            raise FileNotFound(path)
-        if updated is None:
-            # Cache miss: the file may exist only on the DFS.  Load and
-            # mark in one step.
-            self.cache_misses += 1
-            inode = yield from self.dfs_client.getattr(path)  # may raise
-            if inode.is_dir:
+        try:
+            updated = yield from self.region.cache.update(self.node, path,
+                                                          mark_deleted)
+            if state["was_dir"]:
                 raise IsADirectory(path)
-            record = new_record(inode.to_record(), committed=True,
-                                deleted=True)
-            yield from self._cache_fill(path, record)
-            gen_ino = record["ino"]
-        else:
-            self.cache_hits += 1
-            gen_ino = updated["ino"]
-        yield from self._publish("rm", path, 0, gen_ino=gen_ino)
+            if state["already_deleted"]:
+                raise FileNotFound(path)
+            if updated is None:
+                # Cache miss: the file may exist only on the DFS.  Load
+                # and mark in one step.
+                self.cache_misses += 1
+                inode = yield from self.dfs_client.getattr(path)
+                if inode.is_dir:
+                    raise IsADirectory(path)
+                record = new_record(inode.to_record(), committed=True,
+                                    deleted=True)
+                state["ino"] = record["ino"]
+                yield from self._cache_fill(path, record)
+            else:
+                self.cache_hits += 1
+            yield from self._publish("rm", path, 0, gen_ino=state["ino"])
+        except NodeDownError:
+            self.region.fence_lost("rm", path, state["ino"], published=False)
+            raise
         self._note("rm", "update+delete", "async", "indep")
 
     unlink = rm
@@ -582,7 +601,7 @@ class PaconClient:
         yield from self._barrier(self.region)
         removed = yield from self.dfs_client.rmdir(path, recursive=True)
         self.region.note_removed_subtree(path)
-        self._forget_subtree(path)
+        self.forget_subtree(path)
         # Clean related metadata from the distributed cache (§III.D.1).
         yield from self.region.cache.delete_subtree(self.node, path)
         self._note("rmdir", "delete", "sync", "barrier")
@@ -622,7 +641,7 @@ class PaconClient:
         # Drop stale cache state for both names; reads repopulate lazily.
         yield from self.region.cache.delete_subtree(self.node, src)
         yield from self.region.cache.delete(self.node, dst)
-        self._forget_subtree(src)
+        self.forget_subtree(src)
         self._note("rename", "delete", "sync", "barrier")
 
     @_traced

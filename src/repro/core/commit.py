@@ -557,9 +557,12 @@ class CommitProcess:
             # record is an orphan: nothing queued anywhere can ever create
             # its parent, so retrying is a livelock — discard it (the
             # §III.D.1 discard rule extended to post-removal stragglers).
-            if (op.op in ("create", "mkdir")
-                    and self.region.inside_removed_subtree(op.path)
-                    and self.region.cache.peek(parent_of(op.path)) is None):
+            # So is an rm whose generation's create a crash destroyed.
+            if ((op.op == "rm" and op.gen_ino in self.region.lost_creations)
+                    or (op.op != "rm"
+                        and self.region.inside_removed_subtree(op.path)
+                        and self.region.cache.peek(parent_of(op.path))
+                        is None)):
                 self._discard(op, orphan=True)
                 return
             self._resubmit(op)

@@ -47,7 +47,9 @@ def fail_node(region, node) -> FailureReport:
     cancels its pending ``get`` wait, which pushes a granted-but-
     undelivered message back into the queue so the drain counts it
     exactly once.  The ops ``abort`` returns plus the drained queue's are
-    the lost set, and the version-lag ledger is reconciled once over it.
+    the lost set: the version-lag ledger is reconciled once over it, and
+    the lost-op fence (:meth:`~repro.core.region.ConsistentRegion.
+    fence_lost`) over every op in it.
     Only :class:`OpMessage` instances count as lost operations — barrier
     markers are control traffic, re-published by :func:`recover_node`,
     and counting them would break the
@@ -68,11 +70,12 @@ def fail_node(region, node) -> FailureReport:
             lost += cp.abort(reason="node-failure")
     queue = region.queues.route(node.node_id)
     lost += [msg for msg in queue.drain() if isinstance(msg, OpMessage)]
-    if region.hub.enabled:
-        # Reconcile the version-lag ledger: these published mutations
-        # will never commit, so they must stop counting as pending.
-        for op in lost:
+    for op in lost:
+        if region.hub.enabled:
+            # Reconcile the version-lag ledger: this published mutation
+            # will never commit, so it must stop counting as pending.
             region.note_op_resolved(op.path)
+        region.fence_lost(op.op, op.path, op.gen_ino)
     return FailureReport(
         node_name=node.name,
         region_name=region.name,

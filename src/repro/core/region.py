@@ -15,7 +15,7 @@ only supports read-only access to the merged consistent region").
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.cache import CacheShard, DistributedCache
 from repro.core.config import PaconConfig
@@ -87,6 +87,9 @@ class ConsistentRegion:
         # dropped: the orphan query asks whether a prefix was *ever*
         # removed, so no entry could go anyway.
         self._removed_subtrees: Dict[str, float] = {}
+        # Generations whose create a crash destroyed (``fence_lost``): an
+        # rm of one can only ever meet ENOENT, so commit discards it.
+        self.lost_creations: Set[int] = set()
         # Barrier-party bumps deferred while a rendezvous is in flight
         # (epoch watermarks; see add_node).
         self._deferred_barrier_parties: List[int] = []
@@ -365,6 +368,43 @@ class ConsistentRegion:
                                            or timestamp <= removed_at):
                 return True
         return False
+
+    # -- the lost-op fence (§III.G) -------------------------------------------
+    def fence_lost(self, op: str, path: str, gen_ino: int,
+                   published: bool = True) -> None:
+        """No op may outlive a lost op it depends on; zero simulated cost.
+
+        A lost create/mkdir takes its surviving *uncommitted* record of
+        that generation with it — a mkdir also everything cached under
+        it and every client's memo of it — and the ops queued behind it
+        resolve through the §III.D.1 discard rule instead of resubmitting
+        forever: the lost directory counts as removed now, and an rm of
+        the lost file's generation (never of an older generation of the
+        same name) is discarded on ENOENT.  A lost rm un-deletes its
+        generation's tombstone.  An op that was never ``published`` (its
+        node died between cache write and publish) is lost only if its
+        write landed.
+        """
+        record = self.cache.peek(path)
+        mine = record is not None and record["ino"] == gen_ino
+        if not (mine or published):
+            return
+        if op == "rm":
+            if mine and record.get("deleted"):
+                self.cache.shard_for(path).kv.set(
+                    path, {**record, "deleted": False})
+            return
+        if mine and not record["committed"]:
+            self.cache.shard_for(path).kv.delete(path)
+        if op == "create":
+            self.lost_creations.add(gen_ino)
+            return
+        self.note_removed_subtree(path)
+        for shard in self.shards:
+            for key, _record in shard.kv.scan_prefix(path + "/"):
+                shard.kv.delete(key)
+        for client in self.clients:
+            client.forget_subtree(path)
 
     # -- version-lag ledger (observability; hub-gated at call sites) ---------
     def note_op_pending(self, path: str) -> None:

@@ -1,11 +1,13 @@
-"""Property (§III.G): a node crash loses ops, it never miscounts them.
+"""Property (§III.G): a node crash loses ops, it never miscounts them, and
+no op outlives a lost dependency.
 
 A small fixed-seed world runs paced create / rm / rmdir units from two
-clients while one node crashes at a drawn instant and recovers a drawn
-while later.  Wherever the crash lands — mid-coalesce, between a commit
-and its post-commit bookkeeping, with ops resubmitted or replayed but
-their segment not yet closed — every submitted op is accounted exactly
-once::
+clients while one node (each of the three, in turn) crashes at a drawn
+instant and recovers a drawn while later.  Wherever the crash lands —
+mid-coalesce, between a commit and its post-commit bookkeeping, with ops
+resubmitted or replayed but their segment not yet closed, or between a
+client's cache write and its publish — every submitted op is accounted
+exactly once::
 
     ops_submitted == Σ(committed + discarded + coalesced) + lost
 
@@ -16,26 +18,32 @@ leaves ``CommitProcess._unsettled`` the moment it has an outcome
 one that settled inside an interrupted segment is counted under its
 outcome (or as pending), never also as lost in flight.
 
-The clients behave like an application that notices the outage: a unit
-of work (a file and its removal, a scratch directory's life) that a
-crash interrupted is abandoned, not resumed — its earlier half may be
-among the lost ops, and a remove whose create was lost can never commit.
-One such livelock the workload cannot avoid: a publish racing the crash
-lands in the dead node's already-drained queue and survives the op it
-depends on.  It is real, and ROADMAP item 1's to fix; this property is
-about the accounting of what *was* lost, so an instant that strands an op
-that way (``CommitStalled``) is rejected, not counted as a pass.
+The clients behave like a real client library: an op that hits a dead
+node is retried until the node is back, and a step whose target is gone
+(or already there, after a half-applied attempt) is moot.  So a client
+resumes the units a crash interrupted — it removes a file whose create
+was lost, or creates under a directory whose mkdir was lost.  The
+lost-op fence in ``fail_node`` is what lets that converge: the lost
+creation's surviving cache record goes, and the ops queued behind it are
+discarded instead of resubmitting forever (``CommitStalled``).  The
+second property is the fence's own: at quiescence every surviving cache
+record has a committed creator (and every tombstone a removal that
+reached the DFS).
 """
 
-from hypothesis import HealthCheck, given, reject, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.commit import CommitStalled
 from repro.core.failure import fail_node, recover_node
 from repro.dfs.errors import FileExists, FileNotFound
 from repro.obs.hub import MetricsHub
 from repro.sim.network import NodeDownError
 from tests.core.conftest import make_world
+
+#: A drawn crash instant and outage length; the victim is parametrized.
+CRASHES = {"crash_at": st.floats(min_value=50e-6, max_value=4e-3),
+           "down_for": st.floats(min_value=100e-6, max_value=2e-3)}
 
 
 def _run(crash_at: float, down_for: float, victim: int):
@@ -44,41 +52,37 @@ def _run(crash_at: float, down_for: float, victim: int):
     MetricsHub().attach_region(region)
     clients = [w.client, w.new_client(1)]
     lost = []
-    for cp in region.commit_processes:
-        cp.MAX_RETRIES = 400   # 20 ms of retries: 10x the longest outage
 
-    def unit(*steps):
-        """One unit of application work, abandoned at the first outage
-        (a step that found its target gone is moot, as in the chaos
-        scenarios' workload)."""
-        for step in steps:
+    def step(op):
+        """One client op, retried while its node (or a peer) is down."""
+        while True:
             try:
-                yield from step()
-            except (FileExists, FileNotFound):
-                pass
-            except NodeDownError:
-                yield env.timeout(1e-3)
+                yield from op()
                 return
+            except (FileExists, FileNotFound):
+                return
+            except NodeDownError:
+                yield 1e-3
 
     def load(client, base):
         for i in range(16):
             path = f"{base}/f{i:02d}"
             if i % 8 == 4:
                 tmp = f"{base}/tmp{i}"
-                yield from unit(lambda: client.mkdir(tmp),
-                                lambda: client.create(f"{tmp}/x"),
-                                lambda: client.rmdir(tmp))
+                yield from step(lambda: client.mkdir(tmp))
+                yield from step(lambda: client.create(f"{tmp}/x"))
+                yield from step(lambda: client.rmdir(tmp))
             elif i % 3 == 2:
-                yield from unit(lambda: client.create(path),
-                                lambda: client.rm(path))
+                yield from step(lambda: client.create(path))
+                yield from step(lambda: client.rm(path))
             else:
-                yield from unit(lambda: client.create(path))
-            yield env.timeout(150e-6)
+                yield from step(lambda: client.create(path))
+            yield 150e-6
 
     def crash():
-        yield env.timeout(crash_at)
+        yield crash_at
         lost.append(fail_node(region, w.nodes[victim]).lost_queued_ops)
-        yield env.timeout(down_for)
+        yield down_for
         recover_node(region, w.nodes[victim])
 
     for i, client in enumerate(clients):
@@ -94,23 +98,40 @@ def _run(crash_at: float, down_for: float, victim: int):
         yield from w.deployment.quiesce(region)
 
     w.run(driver(), label="driver")
-    return region, sum(lost)
+    return w, sum(lost)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
+@pytest.mark.parametrize("victim", [0, 1, 2])
+@settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(crash_at=st.floats(min_value=50e-6, max_value=4e-3),
-       down_for=st.floats(min_value=100e-6, max_value=2e-3),
-       victim=st.integers(min_value=0, max_value=2))
+@given(**CRASHES)
 def test_a_crash_at_any_instant_accounts_every_op_once(crash_at, down_for,
                                                        victim):
-    try:
-        region, lost = _run(crash_at, down_for, victim)
-    except CommitStalled:
-        reject()
+    w, lost = _run(crash_at, down_for, victim)
+    region = w.region
     resolved = sum(cp.committed + cp.discarded + cp.coalesced
                    for cp in region.commit_processes)
     assert region.ops_submitted == resolved + lost
     assert region.total_pending_mutations() == 0
     assert all(not cp._drain and not cp._unsettled
                for cp in region.commit_processes)
+
+
+@pytest.mark.parametrize("victim", [0, 1, 2])
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**CRASHES)
+def test_every_surviving_record_has_a_committed_creator(crash_at, down_for,
+                                                        victim):
+    """At quiescence nothing is queued, so a live record's creator
+    committed — the record says so, or, when the post-commit bookkeeping
+    was lost to the crash, the DFS holds its path — or was lost, and the
+    fence took the record with it.  A tombstone's removal reached the DFS
+    (or a lost rm's tombstone was un-deleted)."""
+    w, _lost = _run(crash_at, down_for, victim)
+    exists = w.dfs.namespace.exists
+    disagree = [path for shard in w.region.shards
+                for path, record in shard.kv.scan_prefix("/app/")
+                if (exists(path) if record["deleted"]
+                    else not (record["committed"] or exists(path)))]
+    assert disagree == []
