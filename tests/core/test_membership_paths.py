@@ -154,9 +154,8 @@ def test_lifecycle_pin():
     w, hub, moved, _lost = _run_lifecycle()
     env, region = w.cluster.env, w.region
     assert env.processed_events == 8231
-    # 1 us earlier than before the lost-op fence: the crash's fence drops
-    # the two surviving records of lost creates (c1/f17, c1/f20), so each
-    # later full-shard scan of an rmdir charges two items fewer.
+    # The crash's lost-op fence drops the surviving records of two lost
+    # creates (c1/f17, c1/f20), which later full-shard scans then skip.
     assert env.now == 0.08157747034835787
     assert namespace_digest(namespace_entries(w.dfs.namespace, "/app")) == \
         "9bac18b0f4c4d524a4cfd8e58ed49c0a53aaa16a65b811237c8172ee69ebf0c1"

@@ -35,12 +35,9 @@ PINS = {
         "6c7c097d3fb42237db9db1a6a3220e245e8c4fe7fde22222dc2f1f51318f6464",
     "cache_churn.metrics_doc":
         "caeba14cbfc0a78bfb51775f1406a46e242d1db8754639dfe9e3a843835b1a64",
-    # Re-captured with the lost-op fence: client c3's publish of
-    # /chaos/c3/f0010 lands just after its node crashed.  It used to
-    # survive in the drained queue and commit after recovery; now it is
-    # refused, its cache record goes, and the client re-creates the file
-    # after recovery — same namespace, accounting and 19 lost ops, a
-    # different request sequence.
+    # Client c3 publishes /chaos/c3/f0010 just after its node crashed:
+    # the publish is refused, the lost-op fence drops its cache record,
+    # and the client re-creates the file after recovery.
     "node_crash.metrics_doc":
         "e94dcffbdfb571664dc8cc47c0d2d1577c066f420b1a0eb00e1196de4c427f80",
 }
