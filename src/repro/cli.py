@@ -287,10 +287,10 @@ def _cmd_figure(args) -> int:
     experiment = EXPERIMENTS[args.name]
     hub = None
     if args.metrics_out or args.trace_out:
-        # The gauge sampler runs inside the simulated world (the
-        # autoscaler reads what it samples), so a row that declares its
-        # own cadence is observed at that cadence, or the observed run
-        # would not be the run the row reports.
+        # The gauge sampler is a process of the simulated world: its
+        # last tick ends the run, and elastic integrates node-seconds up
+        # to that instant.  A row that declares its cadence is observed
+        # at it, or the observed run would not be the run it reports.
         hub = MetricsHub(
             tracer=Tracer() if args.trace_out else None,
             sample_interval=experiment.scales[args.scale].get(
