@@ -78,18 +78,6 @@ def _failing_row(name):
 
 
 class TestFigureVerdicts:
-    def test_chaos_rows_carry_attribution_and_incidents(
-            self, smoke_results):
-        result = smoke_results["chaos"]
-        assert result.failures == []
-        for row in result.rows:
-            assert row["attributed"] == 1, row["scenario"]
-            assert row["incidents"] >= 1, row["scenario"]
-        mds = next(n for n in result.notes if n.startswith("mds_crash:"))
-        assert "convergence OK" in mds
-        assert "INC-001" in mds
-        assert "slo post-recovery [ok]" in mds
-
     @pytest.mark.parametrize("name", ["chaos", "elastic"])
     def test_failed_check_exits_one_after_writing_artifacts(
             self, name, tmp_path, capsys, monkeypatch):

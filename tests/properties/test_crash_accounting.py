@@ -31,8 +31,7 @@ record has a committed creator (and every tombstone a removal that
 reached the DFS).
 """
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from repro.core.failure import fail_node, recover_node
@@ -41,9 +40,11 @@ from repro.obs.hub import MetricsHub
 from repro.sim.network import NodeDownError
 from tests.core.conftest import make_world
 
-#: A drawn crash instant and outage length; the victim is parametrized.
+#: A drawn crash instant and outage length; each example crashes every
+#: node in turn, so all three victims see the same instants.
 CRASHES = {"crash_at": st.floats(min_value=50e-6, max_value=4e-3),
            "down_for": st.floats(min_value=100e-6, max_value=2e-3)}
+VICTIMS = (0, 1, 2)
 
 
 def _run(crash_at: float, down_for: float, victim: int):
@@ -101,37 +102,37 @@ def _run(crash_at: float, down_for: float, victim: int):
     return w, sum(lost)
 
 
-@pytest.mark.parametrize("victim", [0, 1, 2])
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(**CRASHES)
-def test_a_crash_at_any_instant_accounts_every_op_once(crash_at, down_for,
-                                                       victim):
-    w, lost = _run(crash_at, down_for, victim)
-    region = w.region
-    resolved = sum(cp.committed + cp.discarded + cp.coalesced
+def test_a_crash_at_any_instant_accounts_every_op_once(crash_at, down_for):
+    for victim in VICTIMS:
+        note(f"victim={victim}")
+        w, lost = _run(crash_at, down_for, victim)
+        region = w.region
+        resolved = sum(cp.committed + cp.discarded + cp.coalesced
+                       for cp in region.commit_processes)
+        assert region.ops_submitted == resolved + lost
+        assert region.total_pending_mutations() == 0
+        assert all(not cp._drain and not cp._unsettled
                    for cp in region.commit_processes)
-    assert region.ops_submitted == resolved + lost
-    assert region.total_pending_mutations() == 0
-    assert all(not cp._drain and not cp._unsettled
-               for cp in region.commit_processes)
 
 
-@pytest.mark.parametrize("victim", [0, 1, 2])
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(**CRASHES)
-def test_every_surviving_record_has_a_committed_creator(crash_at, down_for,
-                                                        victim):
+def test_every_surviving_record_has_a_committed_creator(crash_at, down_for):
     """At quiescence nothing is queued, so a live record's creator
     committed — the record says so, or, when the post-commit bookkeeping
     was lost to the crash, the DFS holds its path — or was lost, and the
     fence took the record with it.  A tombstone's removal reached the DFS
     (or a lost rm's tombstone was un-deleted)."""
-    w, _lost = _run(crash_at, down_for, victim)
-    exists = w.dfs.namespace.exists
-    disagree = [path for shard in w.region.shards
-                for path, record in shard.kv.scan_prefix("/app/")
-                if (exists(path) if record["deleted"]
-                    else not (record["committed"] or exists(path)))]
-    assert disagree == []
+    for victim in VICTIMS:
+        note(f"victim={victim}")
+        w, _lost = _run(crash_at, down_for, victim)
+        exists = w.dfs.namespace.exists
+        disagree = [path for shard in w.region.shards
+                    for path, record in shard.kv.scan_prefix("/app/")
+                    if (exists(path) if record["deleted"]
+                        else not (record["committed"] or exists(path)))]
+        assert disagree == []

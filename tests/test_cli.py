@@ -326,3 +326,36 @@ class TestSloCommand:
         rc = main(["slo", str(path), "--policy", "nonsense"])
         assert rc == 2
         assert "unknown SLO policy" in capsys.readouterr().err
+
+
+class TestIncidentsCommand:
+    """The incident report is part of ``figure chaos``: each scenario row
+    carries its attribution and incident count, and its note prints the
+    invariant verdict, the SLO objectives and ``format_report``."""
+
+    def test_single_scenario_attributes_and_writes_json(
+            self, tmp_path, capsys):
+        out_file = tmp_path / "chaos.json"
+        rc = main(["figure", "chaos", "--scale", "smoke",
+                   "--bench-out", str(out_file)])
+        assert rc == 0
+        rows = json.loads(out_file.read_text())["experiments"]["chaos"]["rows"]
+        row = next(r for r in rows if r["scenario"] == "mds_crash")
+        assert row["attributed"] == 1
+        assert row["incidents"] >= 1
+        assert all(r["attributed"] == 1 and r["incidents"] >= 1
+                   for r in rows), rows
+        tail = capsys.readouterr().out.splitlines()[-1]
+        assert tail == f"benchmark snapshot written to {out_file}"
+
+    def test_text_report_names_scenario_and_verdict(self, capsys):
+        rc = main(["figure", "chaos", "--scale", "smoke"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "FAILED" not in out
+        report = out.split("note: mds_crash:", 1)[1].split("note: ", 1)[0]
+        assert report.startswith(" convergence OK")
+        assert "INC-001" in report
+        assert "slo post-recovery [ok]" in report
+        assert "mds_crash[0]" in report
+        assert "top suspect of: INC-001" in report
