@@ -224,7 +224,7 @@ class PaconClient:
             return  # region-root access was granted at region creation
         if self.hierarchical_permissions:
             yield from self._hierarchical_walk(path, region)
-        receipt = region.permissions.check_op(op, path, self.uid, self.gid)
+        receipt = region.permissions._check_op(op, path, self.uid, self.gid)
         cost = (self.costs.permission_check_batch * receipt.normal_checks +
                 self.costs.permission_check_special_per_item *
                 receipt.special_items_scanned)
@@ -413,19 +413,17 @@ class PaconClient:
             pass
 
     # ------------------------------------------------------- write operations
+    # ``mkdir``/``create`` hand back ``_create_entry``'s generator: no
+    # pass-through frame on every resume of the op.
     @_traced
     def mkdir(self, path: str,
               mode: Optional[int] = None) -> Generator[Event, Any, Inode]:
-        inode = yield from self._create_entry("mkdir", path, mode,
-                                              FileType.DIRECTORY)
-        return inode
+        return self._create_entry("mkdir", path, mode, FileType.DIRECTORY)
 
     @_traced
     def create(self, path: str,
                mode: Optional[int] = None) -> Generator[Event, Any, Inode]:
-        inode = yield from self._create_entry("create", path, mode,
-                                              FileType.FILE)
-        return inode
+        return self._create_entry("create", path, mode, FileType.FILE)
 
     def _create_entry(self, op: str, path: str, mode: Optional[int],
                       ftype: FileType) -> Generator[Event, Any, Inode]:
@@ -437,7 +435,7 @@ class PaconClient:
         if self.config.parent_check:
             yield from self._parent_check(path)
         if mode is None:
-            mode = self.region.permissions.effective(path).mode
+            mode = self.region.permissions._effective(path).mode
         record = new_record({
             "ino": self.region.alloc_provisional_ino(),
             "ftype": ftype.value,

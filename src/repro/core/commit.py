@@ -40,6 +40,7 @@ from repro.dfs.errors import (
     NotADirectory,
 )
 from repro.dfs.namespace import parent_of
+from repro.kvstore.memkv import CasMismatch
 from repro.mq.queue import QueueClosed
 from repro.sim.core import Event, Interrupt, cancel_wait
 from repro.sim.network import NodeDownError
@@ -254,114 +255,111 @@ class CommitProcess:
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> Generator[Event, Any, None]:
-        """Commit loop; dies cleanly (dropping state) on node failure."""
+        """Commit loop; dies cleanly (dropping state) on node failure.
+
+        The loop and its drain are one frame: every resume of an RPC below
+        re-enters the whole ``yield from`` chain (docs/commit-pipeline.md,
+        "Frame layout")."""
+        closing = False
+        released: List[OpMessage] = []
         try:
-            yield from self._loop()
+            while True:
+                # Backstop for a swallowed kill: if abort() flagged this
+                # loop dead but its Interrupt got absorbed downstream, stop
+                # here rather than run on as a zombie.
+                if self.killed:
+                    raise Interrupt("aborted")
+                if released:
+                    # A future-epoch release is a drain of one.  Each op
+                    # stays in ``_future`` until its own drain, so a crash
+                    # mid-release still finds the rest.
+                    msgs: List[Any] = [released.pop(0)]
+                    if not released:
+                        self._future.pop(self.current_epoch, None)
+                # Barrier: local epoch fully drained -> rendezvous
+                # region-wide.
+                elif (self._barrier_counts.get(self.current_epoch, 0)
+                        >= self.region.expected_barrier_messages(
+                            self.node.node_id)
+                        and not self._pending):
+                    epoch = self.current_epoch
+                    wait_started = self.env.now
+                    gen = yield self.region.commit_barrier.arrive()
+                    # All commit processes have drained this epoch.
+                    self.region.signal_barrier_complete(gen)
+                    self._barrier_counts.pop(epoch, None)
+                    self.current_epoch += 1
+                    self.barriers_passed += 1
+                    if self.region.tracer.enabled:
+                        self.region.tracer.emit(
+                            self.env.now, f"commit:{self.node.name}",
+                            "barrier", f"epoch {epoch} done")
+                    hub = self.region.hub
+                    if hub.enabled:
+                        # Stall between local drain and region-wide release.
+                        hub.observe("commit.barrier_wait",
+                                    self.env.now - wait_started)
+                        hub.count("commit.barriers_passed")
+                    # Release operations held for the new epoch.
+                    released = self._future.get(self.current_epoch, [])
+                    continue
+                elif len(self.queue) > 0 or (not self._pending
+                                             and not closing):
+                    try:
+                        msg = yield self.queue.get()
+                    except QueueClosed:
+                        closing = True
+                        continue
+                    msgs = [msg] + self.queue.get_batch(self.batch_size - 1)
+                    # Retries and epoch releases are drains too, but not
+                    # queue drains: only these are observed.
+                    if self.region.hub.enabled:
+                        self.region.hub.observe("commit.batch_size",
+                                                len(msgs))
+                elif self._pending:
+                    # Nothing new; give blocked dependencies a beat, then
+                    # retry.
+                    yield RETRY_DELAY
+                    msgs = [self._pending.popleft()]
+                else:
+                    # closing and fully drained
+                    return
+
+                # The drain: one queue-pop charge for all of it; barrier
+                # markers cut it into segments that never share a
+                # coalescing window or an MDS batch (§III.E).  Drained ops
+                # stay in-flight until it ends, so a quiesce never sees a
+                # lull while work sits in a local variable here.
+                self._drain = [m for m in msgs
+                               if not isinstance(m, BarrierMessage)]
+                self._unsettled = {id(op): op for op in self._drain}
+                try:
+                    if self.costs.commit_queue_pop > 0:
+                        yield self.costs.commit_queue_pop
+                    segment: List[OpMessage] = []
+                    for msg in msgs:
+                        if isinstance(msg, BarrierMessage):
+                            yield from self._commit_segment(segment)
+                            segment = []
+                            self._barrier_counts[msg.epoch] = \
+                                self._barrier_counts.get(msg.epoch, 0) + 1
+                        elif msg.epoch > self.current_epoch:
+                            self._future.setdefault(msg.epoch, []).append(
+                                msg)
+                            self._settle(msg)
+                        else:
+                            segment.append(msg)
+                    yield from self._commit_segment(segment)
+                    if self._unsettled:
+                        raise RuntimeError(f"drain ended with"
+                                           f" {len(self._unsettled)} ops"
+                                           " unsettled")
+                finally:
+                    self._drain.clear()
         except Interrupt:
             # Node crash (§III.G): whatever was queued or in flight here is
             # lost; isolation means only this region is affected.
             self._drop_unresolved()
-
-    def _loop(self) -> Generator[Event, Any, None]:
-        closing = False
-        while True:
-            # Backstop for a swallowed kill: if abort() flagged this loop
-            # dead but its Interrupt got absorbed downstream (e.g. caught
-            # mid-RPC and replaced by a network error), stop here rather
-            # than run on as a zombie corrupting in-flight accounting.
-            if self.killed:
-                raise Interrupt("aborted")
-            # Barrier: local epoch fully drained -> rendezvous region-wide.
-            if (self._barrier_counts.get(self.current_epoch, 0)
-                    >= self.region.expected_barrier_messages(
-                        self.node.node_id)
-                    and not self._pending):
-                epoch = self.current_epoch
-                wait_started = self.env.now
-                gen = yield self.region.commit_barrier.arrive()
-                # All commit processes have drained this epoch.
-                self.region.signal_barrier_complete(gen)
-                self._barrier_counts.pop(epoch, None)
-                self.current_epoch += 1
-                self.barriers_passed += 1
-                if self.region.tracer.enabled:
-                    self.region.tracer.emit(self.env.now,
-                                            f"commit:{self.node.name}",
-                                            "barrier", f"epoch {epoch} done")
-                hub = self.region.hub
-                if hub.enabled:
-                    # Stall between local drain and region-wide release.
-                    hub.observe("commit.barrier_wait",
-                                self.env.now - wait_started)
-                    hub.count("commit.barriers_passed")
-                # Release operations held for the new epoch; each stays in
-                # ``_future`` until its own drain, so a crash mid-release
-                # still finds the rest.
-                released = self._future.get(self.current_epoch, [])
-                while released:
-                    yield from self._dispatch_batch([released.pop(0)])
-                self._future.pop(self.current_epoch, None)
-                continue
-
-            if len(self.queue) > 0 or (not self._pending and not closing):
-                try:
-                    msg = yield self.queue.get()
-                except QueueClosed:
-                    closing = True
-                    continue
-                batch = [msg] + self.queue.get_batch(self.batch_size - 1)
-                # Observed here, not in _dispatch_batch: retries and epoch
-                # releases reuse the dispatch but are not queue drains.
-                if self.region.hub.enabled:
-                    self.region.hub.observe("commit.batch_size", len(batch))
-                yield from self._dispatch_batch(batch)
-            elif self._pending:
-                # Nothing new; give blocked dependencies a beat, then retry.
-                yield RETRY_DELAY
-                yield from self._dispatch_batch([self._pending.popleft()])
-            else:
-                # closing and fully drained
-                return
-
-    def _dispatch_batch(self, msgs: List[Any]) -> Generator[Event, Any,
-                                                            None]:
-        """Resolve one wakeup's worth of drained messages (a pending retry
-        or a future-epoch release is a drain of one).
-
-        The queue-pop overhead is paid once for the whole drain — that is
-        the amortization batching buys on the queue side.  Barrier
-        messages cut the drain into segments: operations on either side of
-        a barrier marker never share a coalescing window or an MDS batch,
-        preserving the §III.E epoch discipline.
-
-        Every drained op message counts as in-flight (and holds down the
-        oldest-outstanding stamp) from the moment it leaves the queue
-        until the drain returns — ``Region.quiesce`` must never observe
-        a lull while drained work sits in a local variable here.
-        """
-        self._drain = [m for m in msgs if not isinstance(m, BarrierMessage)]
-        self._unsettled = {id(op): op for op in self._drain}
-        try:
-            if self.costs.commit_queue_pop > 0:
-                yield self.costs.commit_queue_pop
-            segment: List[OpMessage] = []
-            for msg in msgs:
-                if isinstance(msg, BarrierMessage):
-                    yield from self._commit_segment(segment)
-                    segment = []
-                    self._barrier_counts[msg.epoch] = \
-                        self._barrier_counts.get(msg.epoch, 0) + 1
-                elif msg.epoch > self.current_epoch:
-                    self._future.setdefault(msg.epoch, []).append(msg)
-                    self._settle(msg)
-                else:
-                    segment.append(msg)
-            yield from self._commit_segment(segment)
-            if self._unsettled:
-                raise RuntimeError(f"drain ended with {len(self._unsettled)}"
-                                   " ops unsettled")
-        finally:
-            self._drain.clear()
 
     def _coalesce(self, ops: List[OpMessage]) -> Generator[Event, Any,
                                                            List[OpMessage]]:
@@ -432,10 +430,33 @@ class CommitProcess:
                 continue
             groups.setdefault(parent_of(op.path), []).append(
                 (op, self._committed_mode(op)))
+        tracer = self.region.tracer
         for group in groups.values():
             if len(group) == 1:
                 op, mode = group[0]
-                yield from self._attempt_single(op, mode)
+                ctx = proc = None
+                if tracer.enabled and op.span_id >= 0:
+                    # Adopt the op's commit_queue span so the DFS/MDS spans
+                    # this attempt generates nest under it in the op's tree.
+                    ctx = tracer.adopt_context(op.op_id, op.span_id)
+                    proc = self.env.active_process
+                    tracer.push_context(proc, ctx)
+                try:
+                    method, path, kwargs = self._dfs_call(op, mode)
+                    yield from getattr(self.dfs_client, method)(path,
+                                                                **kwargs)
+                except (FileExists, FileNotFound, NotADirectory) as exc:
+                    yield from self._handle_commit_failure(op, mode, exc)
+                except NodeDownError:
+                    # MDS (or the wire to it) went down mid-commit: the op
+                    # may or may not have applied.  Replay with the same
+                    # token — the MDS dedup memory resolves the ambiguity.
+                    self._replay(op)
+                else:
+                    yield from self._commit_success(op, mode)
+                finally:
+                    if ctx is not None:
+                        tracer.pop_context(proc, ctx)
                 continue
             try:
                 results = yield from self.dfs_client.commit_batch(
@@ -503,33 +524,6 @@ class CommitProcess:
                 mode = record.get("mode", mode)
         return mode
 
-    def _attempt_single(self, op: OpMessage,
-                        mode: int) -> Generator[Event, Any, None]:
-        tracer = self.region.tracer
-        ctx = proc = None
-        if tracer.enabled and op.span_id >= 0:
-            # Adopt the op's commit_queue span so the DFS/MDS spans this
-            # attempt generates nest under it in the op's span tree.
-            ctx = tracer.adopt_context(op.op_id, op.span_id)
-            proc = self.env.active_process
-            tracer.push_context(proc, ctx)
-        try:
-            method, path, kwargs = self._dfs_call(op, mode)
-            try:
-                yield from getattr(self.dfs_client, method)(path, **kwargs)
-            except (FileExists, FileNotFound, NotADirectory) as exc:
-                yield from self._handle_commit_failure(op, mode, exc)
-            except NodeDownError:
-                # MDS (or the wire to it) went down mid-commit: the op may
-                # or may not have applied.  Replay with the same token —
-                # the MDS dedup memory resolves the ambiguity.
-                self._replay(op)
-            else:
-                yield from self._commit_success(op, mode)
-        finally:
-            if ctx is not None:
-                tracer.pop_context(proc, ctx)
-
     def _handle_commit_failure(self, op: OpMessage, mode: int,
                                exc: Exception) -> Generator[Event, Any, None]:
         """Resolve a DFS rejection: committed-elsewhere, orphan, or retry."""
@@ -578,6 +572,9 @@ class CommitProcess:
 
     def _commit_success(self, op: OpMessage,
                         mode: int) -> Generator[Event, Any, None]:
+        """Count the op committed, then update the cached (primary) copy —
+        generation-guarded: a record a newer generation of the name owns
+        (removed and recreated meanwhile) is left to that generation."""
         self.committed += 1
         self._close_queue_span(op)
         if self.region.tracer.enabled:
@@ -595,8 +592,45 @@ class CommitProcess:
                                    self.env.now - op.timestamp)
             if op.retries > 0:
                 hub.observe("commit.retries_to_commit", op.retries)
+        cache = self.region.cache
         try:
-            yield from self._after_commit(op, committed_mode=mode)
+            if op.op == "rm":
+                # "removed files are marked and their cached metadata are
+                # deleted after the operations are committed."  Conditional
+                # on the generation: never delete a recreated entry's record.
+                yield from cache.delete_if_ino(self.node, op.path, op.gen_ino)
+            else:
+                # create/mkdir: flip the committed flag, write back fsynced
+                # inline data parked in a cache file (§III.D.2), reconcile a
+                # chmod made while the create was in flight.  This is
+                # ``DistributedCache.update``'s §III.D.3 CAS loop, inlined.
+                shadow_size = 0
+                mode_drift = None
+                while True:
+                    got = yield from cache.gets(self.node, op.path)
+                    if got is None or got[0].get("ino") != op.gen_ino:
+                        break  # gone, or a newer generation owns it now
+                    record, token = dict(got[0]), got[1]
+                    record["committed"] = True
+                    if (record.get("shadow")
+                            and record.get("inline_data") is not None):
+                        shadow_size = record["size"]
+                        record["shadow"] = False
+                    if record["mode"] != mode:
+                        mode_drift = record["mode"]
+                    try:
+                        yield from cache.cas(self.node, op.path, record,
+                                             token)
+                    except CasMismatch:
+                        cache.cas_retries += 1
+                        continue
+                    if shadow_size > 0:
+                        yield from self.dfs_client.write(op.path, 0,
+                                                         shadow_size)
+                    if mode_drift is not None:
+                        yield from self.dfs_client.setattr(op.path,
+                                                           mode=mode_drift)
+                    break
         except NodeDownError:
             # The op is committed on the DFS; only the cache-side
             # bookkeeping RPC was lost (cache node down or partitioned).
@@ -635,44 +669,3 @@ class CommitProcess:
             raise CommitStalled(f"{op.op} {op.path} exceeded"
                                 f" {self.MAX_RETRIES} resubmissions")
         self._pending.append(op)
-
-    def _after_commit(self, op: OpMessage,
-                      committed_mode: int = -1) -> Generator[Event, Any,
-                                                             None]:
-        """Post-commit bookkeeping on the cached (primary) copy.
-
-        All updates are generation-guarded: if the cache record now
-        belongs to a newer generation of the same name (the application
-        removed and recreated it while this commit was in flight), leave
-        it alone — the newer generation's own operations manage it.
-        """
-        cache = self.region.cache
-        if op.op == "rm":
-            # "removed files are marked and their cached metadata are
-            # deleted after the operations are committed."  Conditional on
-            # the generation: never delete a recreated entry's record.
-            yield from cache.delete_if_ino(self.node, op.path, op.gen_ino)
-            return
-        # create/mkdir: flip the committed flag; write back fsynced inline
-        # data that had been parked in a cache file (§III.D.2); reconcile a
-        # mode changed by chmod while the create was in flight.
-        shadow_size = 0
-        mode_drift = None
-
-        def mark_committed(record):
-            nonlocal shadow_size, mode_drift
-            if record.get("ino") != op.gen_ino:
-                return None  # newer generation owns this record now
-            record["committed"] = True
-            if record.get("shadow") and record.get("inline_data") is not None:
-                shadow_size = record["size"]
-                record["shadow"] = False
-            if committed_mode >= 0 and record["mode"] != committed_mode:
-                mode_drift = record["mode"]
-            return record
-
-        updated = yield from cache.update(self.node, op.path, mark_committed)
-        if updated is not None and shadow_size > 0:
-            yield from self.dfs_client.write(op.path, 0, shadow_size)
-        if updated is not None and mode_drift is not None:
-            yield from self.dfs_client.setattr(op.path, mode=mode_drift)

@@ -85,7 +85,11 @@ class RegionPermissions:
 
     def effective(self, path: str) -> PermissionSpec:
         """The permission spec that governs ``path``."""
-        return self._special.get(normalize_path(path), self.normal)
+        return self._effective(normalize_path(path))
+
+    def _effective(self, path: str) -> PermissionSpec:
+        """:meth:`effective` on an already-normalized ``path``."""
+        return self._special.get(path, self.normal)
 
     # -- the batch check -------------------------------------------------------
     def check(self, path: str, uid: int, gid: int,
@@ -147,7 +151,11 @@ class RegionPermissions:
         WRITE|EXECUTE on the parent directory; reads need the appropriate
         bit on the target.
         """
-        path = normalize_path(path)
+        return self._check_op(op, normalize_path(path), uid, gid)
+
+    def _check_op(self, op: str, path: str, uid: int,
+                  gid: int) -> CheckReceipt:
+        """:meth:`check_op` on an already-normalized ``path``."""
         if op in ("create", "mkdir", "rm", "unlink", "rmdir"):
             parent = parent_of(path) if path != "/" else path
             return self._check(parent, uid, gid, _WRITE_EXECUTE)

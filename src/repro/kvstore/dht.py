@@ -35,8 +35,12 @@ class ConsistentHashRing(Generic[N]):
         self._ring: List[int] = []          # sorted vnode hashes
         self._owners: Dict[int, N] = {}     # vnode hash -> member
         self._members: List[N] = []
+        #: key -> member until the membership next changes, so a path is
+        #: hashed once, not once per cache verb.  Holds one entry per
+        #: distinct key looked up since that change.
+        self._memo: Dict[str, N] = {}
         # Per-member lookup counts, opt-in (None = off, the default, so
-        # the placement hot path stays a hash + bisect).  Keyed by the
+        # the placement hot path stays one dict hit).  Keyed by the
         # member's stable string identity for export-ready snapshots.
         self._lookup_counts: Optional[Dict[str, int]] = None
 
@@ -58,6 +62,7 @@ class ConsistentHashRing(Generic[N]):
                 h = (h + 1) % (1 << 64)
             self._owners[h] = member
             bisect.insort(self._ring, h)
+        self._memo.clear()
 
     def remove(self, member: N) -> None:
         if member not in self._members:
@@ -67,16 +72,19 @@ class ConsistentHashRing(Generic[N]):
         for h in dead:
             del self._owners[h]
         self._ring = sorted(self._owners)
+        self._memo.clear()
 
     # -- lookup --------------------------------------------------------------
     def lookup(self, key: str) -> N:
-        if not self._ring:
-            raise LookupError("empty hash ring")
-        h = stable_hash64(key)
-        idx = bisect.bisect_right(self._ring, h)
-        if idx == len(self._ring):
-            idx = 0
-        owner = self._owners[self._ring[idx]]
+        owner = self._memo.get(key)
+        if owner is None:
+            if not self._ring:
+                raise LookupError("empty hash ring")
+            idx = bisect.bisect_right(self._ring, stable_hash64(key))
+            if idx == len(self._ring):
+                idx = 0
+            owner = self._memo[key] = self._owners[self._ring[idx]]
+        # Counted on a memo hit too: the count is of lookups, not hashes.
         if self._lookup_counts is not None:
             label = _member_key(owner)
             self._lookup_counts[label] = \

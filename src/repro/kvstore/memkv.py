@@ -46,17 +46,18 @@ def _sizeof(value: Any) -> int:
     """Approximate in-cache footprint of a value, in bytes."""
     if type(value) is dict:
         # The hot case — a flat metadata record on every set/add/cas —
-        # sized in one pass: scalars by table, ASCII strings by length,
-        # anything else (and every other top-level value) by the general
-        # rule below.
+        # sized in one pass: scalars by table, bytes (a file record's
+        # ``inline_data``) and ASCII strings by length, anything else (and
+        # every other top-level value) by the general rule below.
         size = 64
         scalar_size = _SCALAR_SIZE.get
         for key, item in value.items():
             size += (len(key) if type(key) is str and key.isascii()
                      else _sizeof(key))
-            item_size = scalar_size(type(item))
+            kind = type(item)
+            item_size = scalar_size(kind)
             if item_size is None:
-                item_size = (len(item) if type(item) is str
+                item_size = (len(item) if kind is bytes or kind is str
                              and item.isascii() else _sizeof(item))
             size += item_size
         return size

@@ -6,9 +6,10 @@ default — nothing in the hot path touches it unless a tracer is installed
 — and exists for the workflows a reproduction keeps needing:
 
 * "why did this op take 3 ms?" → dump the span tree for one op id
-  (``pacon-bench profile`` and :meth:`Tracer.span_tree`),
+  (``pacon-bench mdtest --profile-out`` and :meth:`Tracer.span_tree`),
 * "what did the commit process do between the barrier and the rmdir?" →
-  filter by actor and time window (``pacon-bench trace --since --until``),
+  filter by actor and time window
+  (``pacon-bench mdtest --log-out --since --until``),
 * regression diffing: two runs with the same seed produce identical traces,
   so ``diff`` localizes a behavior change to the first divergent event.
 

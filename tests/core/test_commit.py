@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
-from tests.core.conftest import make_world
+from repro.sim.core import run_sync
+from tests.core.conftest import make_paused_world, make_world
 
 
 class TestOpMessage:
@@ -163,3 +164,68 @@ class TestCommitProcessLifecycle:
         assert any(not cp.idle for cp in world.region.commit_processes)
         world.quiesce()
         assert all(cp.idle for cp in world.region.commit_processes)
+
+
+def _chain(generator):
+    """The ``yield from`` chain hanging off ``generator``, itself first."""
+    chain = [generator]
+    while chain[-1].gi_yieldfrom is not None:
+        chain.append(chain[-1].gi_yieldfrom)
+    return chain
+
+
+def _in_gets_nic_hold(process):
+    """Asleep holding a NIC inside the post-commit ``gets`` round trip.
+
+    Nothing else runs in the world, so the NIC the hop last took is in use
+    exactly while this process holds it."""
+    chain = _chain(process._generator)
+    if len(chain) < 2 or chain[-1].gi_code.co_name != "transfer":
+        return False
+    request, transfer = chain[-2:]
+    nic = transfer.gi_frame.f_locals.get("nic")
+    return (request.gi_frame.f_locals.get("method") == "gets"
+            and process.waiting_on is None
+            and nic is not None and nic.in_use == 1)
+
+
+class TestCommitFrames:
+    """Every resume of a post-commit cache RPC re-enters the commit
+    process's whole ``yield from`` chain: keep it at most five deep."""
+
+    @pytest.mark.parametrize("n_ops", [1, 3])   # lone DFS call; one batch
+    def test_post_commit_gets_runs_five_frames_deep(self, n_ops):
+        cluster, dfs, deployment, region, client = make_paused_world(
+            PaconConfig(workspace="/app"))
+        for i in range(n_ops):
+            run_sync(cluster.env, client.create(f"/app/f{i}"))   # node 0
+        deployment.start_commit_processes(region)
+        cp = next(p for p in region.commit_processes
+                  if p.node is region.nodes[0])
+        while not _in_gets_nic_hold(cp._process):
+            cluster.env.step()
+        names = [g.gi_code.co_name for g in _chain(cp._process._generator)]
+        # 10 (lone op) and 9 (batch) when the CAS loop lived in
+        # DistributedCache.update, behind _loop, _dispatch_batch,
+        # _attempt_single and _after_commit.
+        assert names == ["run", "_commit_segment", "_commit_success",
+                         "request", "transfer"]
+
+        # A crash right there: the first op has committed, the rest of
+        # the drain has not.
+        assert cp.committed == 1
+        lost = cp.abort(reason="test")
+        assert [op.path for op in lost] == [f"/app/f{i}"
+                                            for i in range(1, n_ops)]
+        cluster.run()
+        assert not cp.alive and not cp._drain and not cp._unsettled
+        queue = region.queues.route(region.nodes[0].node_id)
+        assert queue.waiting_getters == 0
+        resources = ([node.nic for node in cluster.nodes]
+                     + [shard.workers for shard in region.shards]
+                     + [mds.workers for mds in dfs.mds_servers])
+        assert [(r.in_use, r.queue_length) for r in resources] == \
+            [(0, 0)] * len(resources)
+        resolved = sum(p.committed + p.discarded + p.coalesced
+                       for p in region.commit_processes)
+        assert region.ops_submitted == resolved + len(lost) == n_ops

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.indexfs import IndexFS
+from repro.core.config import PaconConfig
 from repro.core.permissions import PermissionSpec, RegionPermissions
 from repro.dfs.beegfs import BeeGFS
 from repro.dfs.client import DFSClient
@@ -27,7 +28,7 @@ from repro.dfs.namespace import (
 )
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster
-from tests.core.conftest import make_world
+from tests.core.conftest import make_paused_world, make_world
 
 INVALID = ["/a/../b", "rel", "", "/a\x00"]
 
@@ -174,6 +175,22 @@ def test_cached_pacon_getattr_validates_at_most_twice(normalize_calls):
     world.run(world.client.getattr(DEEP))
     assert world.client.cache_hits == hits + 1
     assert len(normalize_calls) <= 2        # _enter + check_op; 9 before
+
+
+def test_in_region_ops_validate_once(normalize_calls):
+    """``_enter`` validates; the permission check and the default-mode
+    lookup below it trust the path (3 calls per create before, 2 per
+    getattr).  Commit processes stay unstarted, so no DFS call counts."""
+    cluster, _dfs, _deployment, _region, client = make_paused_world(
+        PaconConfig(workspace="/app"))
+    ops = [lambda: client.mkdir("/app//d/"),
+           lambda: client.create("/app/d/f"),       # parent memoized
+           lambda: client.getattr("/app/d/f")]      # cache hit
+    for op in ops:
+        del normalize_calls[:]
+        run_sync(cluster.env, op())
+        assert len(normalize_calls) == 1
+    assert client.cache_hits == 1 and client.cache_misses == 0
 
 
 class _StubMDS:

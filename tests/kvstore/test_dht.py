@@ -1,6 +1,10 @@
 """Unit tests for consistent hashing and the mod-N partitioner."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.kvstore.dht import ConsistentHashRing, HashPartitioner, stable_hash64
 
@@ -117,6 +121,46 @@ class TestRingPlacement:
         keys = [f"/k{i}" for i in range(3000)]
         dist = ring.distribution(keys)
         assert dist[heavy] > dist[light] * 2
+
+
+MEMBERS = [FakeNode(f"n{i}") for i in range(5)]
+ring_steps = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(MEMBERS),
+              st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("remove"), st.sampled_from(MEMBERS)),
+    # A handful of keys, so most lookups of a key hit its memo entry.
+    st.tuples(st.just("lookup"),
+              st.sampled_from(["/a", "/a/b", "/c", "/d/e/f", "/g"]))),
+    max_size=40)
+
+
+class TestLookupMemo:
+    @given(steps=ring_steps)
+    def test_memoized_lookup_answers_as_a_fresh_ring(self, steps):
+        """The key -> member memo survives no membership change, and every
+        lookup is counted, memo hit or miss."""
+        ring = ConsistentHashRing(vnodes=8)
+        ring.enable_lookup_stats()
+        weights = {}
+        counted = Counter()
+        for verb, arg, *weight in steps:
+            if verb == "add" and arg.name not in weights:
+                ring.add(arg, weight=weight[0])
+                weights[arg.name] = weight[0]
+            elif verb == "remove" and arg.name in weights:
+                ring.remove(arg)
+                del weights[arg.name]
+            elif verb == "lookup" and weights:
+                fresh = ConsistentHashRing(vnodes=8)
+                for m in ring.members:
+                    fresh.add(m, weight=weights[m.name])
+                owner = ring.lookup(arg)
+                assert owner is fresh.lookup(arg)
+                counted[f"FakeNode:{owner.name}"] += 1
+                assert ring.lookup_counts() == counted
+            elif verb == "lookup":
+                with pytest.raises(LookupError):
+                    ring.lookup(arg)
 
 
 class TestHashPartitioner:

@@ -1,13 +1,17 @@
 """Unit tests for the Memcached-equivalent MemKV store."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.kvstore.memkv import (
     CapacityExceeded,
     CasMismatch,
     KeyExists,
     MemKV,
+    _sizeof,
 )
+from tests.properties.test_memkv_sizeof import reference_sizeof
 
 
 @pytest.fixture
@@ -141,6 +145,22 @@ class TestMemoryAccounting:
         kv = MemKV(capacity_bytes=10_000)
         kv.set("/a", b"x" * 5000)
         assert 0.4 < kv.usage_fraction() < 0.7
+
+    @given(record=st.dictionaries(
+        st.one_of(st.text(alphabet="abc_", max_size=8), st.text(max_size=4)),
+        st.one_of(
+            st.binary(max_size=16),                  # inline_data
+            st.text(alphabet="abc/._-", max_size=12),  # ASCII
+            st.text(alphabet="éß漢/a", max_size=6),     # non-ASCII
+            st.none(), st.booleans(), st.integers(), st.floats(),
+            st.lists(st.binary(max_size=4), max_size=3),
+            st.dictionaries(st.text(max_size=3), st.binary(max_size=4),
+                            max_size=2)),
+        max_size=14))
+    def test_flat_record_sized_by_the_recursive_rule(self, record):
+        """One pass over a flat record, ``bytes`` values included, sizes
+        it exactly as the recursive rule does."""
+        assert _sizeof(record) == reference_sizeof(record)
 
     def test_stats_snapshot(self, kv):
         kv.set("/a", 1)

@@ -64,8 +64,9 @@ class TestZeroOverhead:
         plain = make_observed_world(with_hub=False)
         gen = plain.client.mkdir("/app/x")
         # NULL_TRACER/NULL_HUB fast path: the decorator hands back the
-        # undecorated generator, not the _spanned wrapper.
-        assert gen.gi_code.co_name == "mkdir"
+        # undecorated generator (mkdir's is _create_entry's own), not the
+        # _spanned wrapper.
+        assert gen.gi_code.co_name == "_create_entry"
         gen.close()
 
     def test_enabled_wraps_in_span(self, observed):

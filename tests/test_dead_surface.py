@@ -29,6 +29,9 @@ and two over live objects:
   the version-lag ledger forgets an op at one site per way out of the
   pipeline (resolved in ``CommitProcess._resolve``, lost in
   ``fail_node``);
+* one frame per commit stage: the commit loop, its drain, the lone-op
+  attempt and the post-commit CAS loop stay inlined
+  (``tests/core/test_commit.py::TestCommitFrames`` pins the depth);
 * one simulation, one verb: the six CLI verbs that re-ran a simulation
   another verb already runs stay argparse errors — and one knob, one
   place: ``PaconConfig.small_file_threshold`` is the only small-file
@@ -52,7 +55,7 @@ import pytest
 from repro.bench.systems import make_testbed
 from repro.cli import build_parser
 from repro.core import client as client_module
-from repro.core.commit import OpMessage
+from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
 from repro.obs.hub import MetricsHub
 from repro.obs.sketch import QuantileSketch
@@ -293,6 +296,17 @@ def test_an_op_in_the_commit_window_is_an_object():
         assert not found, f"{name!r} is back in {found}"
     calls = sum(text.count(".note_op_resolved(") for text in sources.values())
     assert calls == 2
+
+
+#: Commit-path frames folded into their callers: each was one more
+#: ``yield from`` level on every resume of a commit-side RPC.
+FOLDED_COMMIT_FRAMES = ("_loop", "_dispatch_batch", "_attempt_single",
+                        "_after_commit")
+
+
+@pytest.mark.parametrize("name", FOLDED_COMMIT_FRAMES)
+def test_one_frame_per_commit_stage(name):
+    assert not hasattr(CommitProcess, name)
 
 
 #: Verbs that re-ran a simulation another verb already runs: ``stats``,
