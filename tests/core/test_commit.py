@@ -205,9 +205,6 @@ class TestCommitFrames:
         while not _in_gets_nic_hold(cp._process):
             cluster.env.step()
         names = [g.gi_code.co_name for g in _chain(cp._process._generator)]
-        # 10 (lone op) and 9 (batch) when the CAS loop lived in
-        # DistributedCache.update, behind _loop, _dispatch_batch,
-        # _attempt_single and _after_commit.
         assert names == ["run", "_commit_segment", "_commit_success",
                          "request", "transfer"]
 

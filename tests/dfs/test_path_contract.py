@@ -179,8 +179,8 @@ def test_cached_pacon_getattr_validates_at_most_twice(normalize_calls):
 
 def test_in_region_ops_validate_once(normalize_calls):
     """``_enter`` validates; the permission check and the default-mode
-    lookup below it trust the path (3 calls per create before, 2 per
-    getattr).  Commit processes stay unstarted, so no DFS call counts."""
+    lookup below it trust the path.  Commit processes stay unstarted, so
+    no DFS call counts."""
     cluster, _dfs, _deployment, _region, client = make_paused_world(
         PaconConfig(workspace="/app"))
     ops = [lambda: client.mkdir("/app//d/"),
