@@ -136,6 +136,8 @@ class PaconClient:
         the driving DES process for the duration of the op — child stages
         (cache RPCs, network transfers, MDS requests) find it there and
         emit their spans as children, forming the op's causal span tree.
+        An op outside the trace sample gets no context and no events; the
+        hub still observes it.
         """
         tracer = self.region.tracer
         hub = self.region.hub
@@ -146,6 +148,7 @@ class PaconClient:
         self.last_class = None
         if tracer.enabled:
             ctx = tracer.root_context()
+        if ctx is not None:
             op_id = ctx.op_id
             proc = self.env.active_process
             tracer.push_context(proc, ctx)

@@ -394,10 +394,11 @@ class CommitProcess:
                 self.coalesced += 2
                 self._resolve(ops[j])
                 self._resolve(op)
-                if self.region.tracer.enabled:
-                    self.region.tracer.emit(
-                        self.env.now, f"commit:{self.node.name}",
-                        "coalesce", f"create+rm {op.path}")
+                tracer = self.region.tracer
+                if (tracer.enabled and op.op_id >= 0
+                        and tracer.sampled(op.op_id)):
+                    tracer.emit(self.env.now, f"commit:{self.node.name}",
+                                "coalesce", f"create+rm {op.path}")
                 if self.region.hub.enabled:
                     self.region.hub.count("commit.coalesced", 2)
                 try:
@@ -577,11 +578,10 @@ class CommitProcess:
         (removed and recreated meanwhile) is left to that generation."""
         self.committed += 1
         self._close_queue_span(op)
-        if self.region.tracer.enabled:
+        if self.region.tracer.enabled and op.op_id >= 0:
             self.region.tracer.emit(
                 self.env.now, f"commit:{self.node.name}", "commit",
-                f"{op.op} {op.path}",
-                op_id=op.op_id if op.op_id >= 0 else None)
+                f"{op.op} {op.path}", op_id=op.op_id)
         hub = self.region.hub
         self._resolve(op)
         if hub.enabled:
@@ -650,12 +650,11 @@ class CommitProcess:
         self.discarded += 1
         self._resolve(op)
         self._close_queue_span(op)
-        if self.region.tracer.enabled:
+        if self.region.tracer.enabled and op.op_id >= 0:
             label = f"{op.op} {op.path}"
             self.region.tracer.emit(
                 self.env.now, f"commit:{self.node.name}", "discard",
-                f"orphan {label}" if orphan else label,
-                op_id=op.op_id if op.op_id >= 0 else None)
+                f"orphan {label}" if orphan else label, op_id=op.op_id)
         if self.region.hub.enabled:
             self.region.hub.count("commit.discarded")
 

@@ -8,7 +8,8 @@ tracer) into two human-readable tables and a top-N list:
   mds_queue) plus the explicit residual — the sum of the printed columns
   reconstructs the mean end-to-end latency exactly;
 * the top-N slowest individual operations with their own breakdowns and
-  span trees' worth of context (op, path, outcome);
+  span trees' worth of context (op, path, outcome) — of the traced ops
+  only, once the run outgrows the trace sample;
 * per-resource utilization and queueing: lifetime utilization, busy
   time, acquires, total/mean wait, and the peak queue length.
 
@@ -114,6 +115,9 @@ def render_report(tracer: Tracer, doc: Dict[str, Any],
     open_spans = doc["trace"]["open_spans"]
     if open_spans:
         parts.append(f"\n... {open_spans} spans still open")
+    sampling = tracer.sampling_note()
+    if sampling:
+        parts.append(f"\n{sampling}")
     return "\n".join(parts)
 
 

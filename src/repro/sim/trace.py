@@ -23,6 +23,10 @@ queues, barrier rendezvous, commit-queue residency — emits a
 wraps one op's rows into a tree and :meth:`Tracer.attribution` folds
 them along the client critical path, bucketing the op's wall time into
 the :data:`ATTRIBUTION_BUCKETS` with an explicit residual.
+
+Past :data:`SAMPLED_OPS` the tracer keeps whole span trees for an evenly
+spread, deterministic sample of ops instead of every op (head sampling:
+the keep-or-drop decision is made once, at the root).
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
 __all__ = ["TraceEvent", "Tracer", "NULL_TRACER", "SpanContext", "Span",
-           "OpRows", "ATTRIBUTION_BUCKETS"]
+           "OpRows", "ATTRIBUTION_BUCKETS", "SAMPLED_OPS"]
+
+#: The trace-sampling budget.  An op is traced when ``op_id % stride ==
+#: 0``; the stride starts at 1 and doubles whenever the traced count
+#: reaches ``2 * SAMPLED_OPS``, dropping the ops that fell out of the
+#: sample.  So a run of up to ``2 * SAMPLED_OPS - 1`` ops is traced whole,
+#: and a longer one keeps between ``SAMPLED_OPS`` and ``2 * SAMPLED_OPS -
+#: 1`` whole trees, spread evenly over it.
+SAMPLED_OPS = 1024
 
 #: Latency-attribution buckets for one client operation's wall time.
 #: Anything not covered (client CPU charges, permission checks, DFS data
@@ -134,6 +146,10 @@ class Tracer:
         self._next_op_id = 0
         self._next_span_id = 0
         self.enabled = True
+        #: The sample (see :data:`SAMPLED_OPS`): ops after ``_sample_base``
+        #: whose id is a multiple of ``_stride``.
+        self._stride = 1
+        self._sample_base = 0
         #: Per-process stacks of in-flight span contexts.  Child stages
         #: running inside the same DES process (cache RPCs, network
         #: transfers) look their parent up here; cross-process stages
@@ -145,10 +161,16 @@ class Tracer:
         self._next_op_id += 1
         return self._next_op_id
 
+    def sampled(self, op_id: int) -> bool:
+        """Whether op ``op_id`` is (still) in the sample."""
+        return op_id % self._stride == 0
+
     def emit(self, time: float, actor: str, kind: str, detail: str = "",
              op_id: Optional[int] = None, span_id: Optional[int] = None,
              parent_id: Optional[int] = None) -> None:
         if not self.enabled:
+            return
+        if op_id is not None and op_id % self._stride:
             return
         if len(self._events) >= self.capacity:
             self.dropped += 1
@@ -157,11 +179,31 @@ class Tracer:
             time, actor, kind, detail, op_id, span_id, parent_id)))
 
     # -- span contexts -----------------------------------------------------
-    def root_context(self) -> SpanContext:
-        """A fresh root context for one client operation."""
+    def root_context(self) -> Optional[SpanContext]:
+        """A fresh root context for one client operation, or None when the
+        op falls outside the sample.  Every op takes the next op id either
+        way, so ids stay op indices."""
+        op_id = self.new_op_id()
+        stride = self._stride
+        if op_id % stride:
+            return None
+        if (op_id // stride - self._sample_base // stride
+                >= 2 * SAMPLED_OPS):
+            self._thin()
+            if op_id % self._stride:
+                # Only after clear(): the op that doubles the stride is
+                # then not always a multiple of the new one.
+                return None
         self._next_span_id += 1
-        return _record(SpanContext, (self.new_op_id(), self._next_span_id,
-                                     None))
+        return _record(SpanContext, (op_id, self._next_span_id, None))
+
+    def _thin(self) -> None:
+        """Double the stride and drop the events of every op that fell out
+        of the sample, in one rebuild of the log.  Flat events (no op id)
+        stay."""
+        self._stride = stride = self._stride * 2
+        self._events = [ev for ev in self._events
+                        if ev[4] is None or ev[4] % stride == 0]
 
     def adopt_context(self, op_id: int, span_id: int) -> SpanContext:
         """Rebuild a context from ids carried across a process boundary
@@ -186,12 +228,15 @@ class Tracer:
         place that allocates a child span id and writes a ``span.start``.
         Returns the child's context for :meth:`span_end`, or None when
         the process carries no op (set-up work, the commit loop between
-        ops).
+        ops, an op outside the sample) or its op was thinned out of the
+        sample while in flight.
         """
         stack = self._ctx.get(process)
         if not stack:
             return None
         op_id, parent_id, _ = stack[-1]
+        if op_id % self._stride:
+            return None
         self._next_span_id = span_id = self._next_span_id + 1
         if self.enabled:
             if len(self._events) >= self.capacity:
@@ -204,7 +249,7 @@ class Tracer:
         return _record(SpanContext, (op_id, span_id, parent_id))
 
     def span_end(self, time: float, actor: str, ctx: SpanContext) -> None:
-        if not self.enabled:
+        if not self.enabled or ctx[0] % self._stride:
             return
         if len(self._events) >= self.capacity:
             self.dropped += 1
@@ -347,15 +392,30 @@ class Tracer:
         open_spans = self.open_span_count()
         if open_spans > 0:
             lines.append(f"... {open_spans} spans still open")
+        sampling = self.sampling_note()
+        if sampling:
+            lines.append(sampling)
         if self.dropped > 0:
             lines.append(f"... {self.dropped} events dropped"
                          f" (capacity {self.capacity})")
         return "\n".join(lines)
 
+    def sampling_note(self) -> str:
+        """``... traced 1 in K ops (M of N)`` once the sample has thinned
+        (K > 1), else the empty string."""
+        stride, base, ops = self._stride, self._sample_base, self._next_op_id
+        if stride == 1:
+            return ""
+        return (f"... traced 1 in {stride} ops"
+                f" ({ops // stride - base // stride} of {ops - base})")
+
     def clear(self) -> None:
+        """Empty the log and restart the sample."""
         self._events.clear()
         self.dropped = 0
         self._ctx.clear()
+        self._stride = 1
+        self._sample_base = self._next_op_id
 
 
 def _children(op: OpRows) -> Dict[Optional[int], List[TraceEvent]]:

@@ -75,7 +75,7 @@ def test_each_reader_parses_the_event_log_once(driven, monkeypatch, reader,
 
 
 def test_the_tables_render_from_a_document_read_back_from_disk(driven):
-    """What ``report <metrics.json>`` (ROADMAP item 4b) needs: the table
+    """What ``report <metrics.json>`` (ROADMAP item 8b) needs: the table
     renderers take document sections, not a live run."""
     hub, doc = driven
     loaded = json.loads(hub.to_json(doc=doc))
