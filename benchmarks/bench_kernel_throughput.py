@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Tuple
 
-from repro.sim.core import AllOf, AnyOf, Environment, Interrupt
+from repro.sim.core import Environment, Interrupt
 from repro.sim.resources import Resource
 
 #: (processes, hops) per scenario per scale.  ``tiny`` is the CI smoke
@@ -32,15 +32,14 @@ from repro.sim.resources import Resource
 #: (the committed before/after evidence pair).
 SCALES: Dict[str, Dict[str, Tuple[int, int]]] = {
     "tiny": {"timeout_storm": (60, 20), "resource_churn": (40, 15),
-             "interrupt_storm": (24, 8), "condition_fanin": (20, 10)},
+             "interrupt_storm": (24, 8)},
     "bench": {"timeout_storm": (400, 150), "resource_churn": (250, 120),
-              "interrupt_storm": (120, 40), "condition_fanin": (120, 60)},
+              "interrupt_storm": (120, 40)},
 }
 
 
 def _timeout_storm(n_processes: int, hops: int) -> int:
-    """Pure sleep churn: the schedule/pop/resume cycle of a bare delay
-    (same heap entries as the ``env.timeout`` spelling it replaced)."""
+    """Pure sleep churn: the schedule/pop/resume cycle of a bare delay."""
     env = Environment()
 
     def proc(i):
@@ -54,7 +53,7 @@ def _timeout_storm(n_processes: int, hops: int) -> int:
 
 
 def _resource_churn(n_processes: int, hops: int) -> int:
-    """Contended acquire/release: grant handoff and wait accounting."""
+    """Contended park/release: grant handoff and wait accounting."""
     env = Environment()
     res = Resource(env, capacity=4)
 
@@ -96,30 +95,10 @@ def _interrupt_storm(n_processes: int, hops: int) -> int:
     return env.processed_events
 
 
-def _condition_fanin(n_processes: int, hops: int) -> int:
-    """AnyOf/AllOf composition: one fast winner racing slow losers, then
-    a small AllOf join — exercises loser-callback detach."""
-    env = Environment()
-
-    def proc(i):
-        for h in range(hops):
-            winner = env.timeout(1e-6, value=i)
-            losers = [env.timeout(1e-3 * (k + 1)) for k in range(3)]
-            idx, value = yield AnyOf(env, [winner] + losers)
-            assert idx == 0 and value == i
-            yield AllOf(env, [env.timeout(1e-6), env.timeout(2e-6)])
-
-    for i in range(n_processes):
-        env.process(proc(i))
-    env.run()
-    return env.processed_events
-
-
 SCENARIOS = {
     "timeout_storm": _timeout_storm,
     "resource_churn": _resource_churn,
     "interrupt_storm": _interrupt_storm,
-    "condition_fanin": _condition_fanin,
 }
 
 
@@ -140,12 +119,6 @@ def test_kernel_interrupt_throughput(benchmark):
     events = benchmark.pedantic(_interrupt_storm, args=(40, 10),
                                 iterations=1, rounds=3)
     assert events >= 40 * 10
-
-
-def test_kernel_condition_throughput(benchmark):
-    events = benchmark.pedantic(_condition_fanin, args=(40, 20),
-                                iterations=1, rounds=3)
-    assert events >= 40 * 20
 
 
 # --------------------------------------------------------- snapshot face

@@ -8,24 +8,20 @@ models (:mod:`repro.sim.costs`), contend on capacity-limited
 :class:`~repro.sim.resources.Resource` objects, and exchange messages over
 the latency/bandwidth network model in :mod:`repro.sim.network`.
 
-The kernel is intentionally SimPy-flavoured (``yield resource.acquire()``,
-``yield env.timeout(dt)`` where the request or the delay must be an
-event) but self-contained: the reproduction has no third-party runtime
-dependencies beyond numpy.  A process that only sleeps yields the delay
-itself, ``yield dt`` with ``dt`` a float, and one that wants a slot
-yields the resource, ``yield resource`` — same schedule, no event object
+The kernel is SimPy-flavoured but self-contained: the reproduction has no
+third-party runtime dependencies beyond numpy.  A process waits by
+yielding an event, sleeps by yielding the delay itself (``yield dt`` with
+``dt`` a float) and takes a slot by yielding the resource
+(``yield resource``) — the last two with no event object
 (``docs/kernel.md``, "Sleeping" and "Parking").
 """
 
 from repro.sim.core import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
     Process,
     SimulationError,
-    Timeout,
     run_sync,
 )
 from repro.sim.resources import Barrier, Resource
@@ -41,8 +37,6 @@ from repro.sim.costs import CostModel
 from repro.sim.rng import RngStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Barrier",
     "Cluster",
     "CostModel",
@@ -58,6 +52,5 @@ __all__ = [
     "RngStreams",
     "Service",
     "SimulationError",
-    "Timeout",
     "run_sync",
 ]

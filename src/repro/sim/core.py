@@ -37,10 +37,7 @@ __all__ = [
     "SimulationError",
     "Interrupt",
     "Event",
-    "Timeout",
     "Process",
-    "AllOf",
-    "AnyOf",
     "Environment",
     "run_sync",
     "cancel_wait",
@@ -149,12 +146,9 @@ class Event:
 
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
-        # _scheduled covers both the triggered states and a pending
-        # Timeout (scheduled from birth): manually triggering either is
-        # kernel misuse.
-        if self._scheduled or self.triggered:
-            raise SimulationError(f"event {self!r} already triggered"
-                                  " or scheduled")
+        # Triggering schedules, so _scheduled is the triggered test.
+        if self._scheduled:
+            raise SimulationError(f"event {self!r} already triggered")
         self._value = value
         self.env._schedule(self)
         return self
@@ -162,9 +156,8 @@ class Event:
     def fail(self, exc: BaseException) -> "Event":
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() needs an exception, got {exc!r}")
-        if self._scheduled or self.triggered:
-            raise SimulationError(f"event {self!r} already triggered"
-                                  " or scheduled")
+        if self._scheduled:
+            raise SimulationError(f"event {self!r} already triggered")
         self._exc = exc
         self._value = None
         self.env._schedule(self)
@@ -192,58 +185,6 @@ def _bad_delay(delay: Any) -> ValueError:
     """What a negative or NaN delay raises (callers test ``not delay >= 0``,
     the one comparison that is False for both)."""
     return ValueError(f"delay must be a number >= 0, got {delay!r}")
-
-
-def _fire_timeout(timeout: "Timeout") -> None:
-    """Deliver a Timeout: move the pending value in, run callbacks.
-
-    Module-level (not a bound method) so scheduling a Timeout allocates
-    nothing beyond its heap tuple.
-    """
-    timeout._value = timeout._pending_value
-    callbacks = timeout.callbacks
-    timeout.callbacks = _PROCESSED
-    if callbacks is not None:
-        if type(callbacks) is list:
-            for fn in callbacks:
-                fn(timeout)
-        else:
-            callbacks(timeout)
-
-
-class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation.
-
-    The value is held in ``_pending_value`` until the clock reaches the
-    fire time, so ``triggered``/``ok``/``value`` answer honestly while
-    the timeout is still pending (a fresh ``Timeout(env, 5, value=3)``
-    is *not* triggered until t=5).
-
-    This is the composable spelling of a delay — something to hand to
-    :class:`AnyOf`/:class:`AllOf`, register a callback on or carry a
-    value with.  A process that only wants to sleep yields the bare
-    delay instead (see :meth:`Process._resume`): same heap entry, same
-    sequence number, no object.
-    """
-
-    __slots__ = ("delay", "_pending_value")
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if not delay >= 0:
-            raise _bad_delay(delay)
-        # Inlined Event.__init__ — timeouts are the single most-allocated
-        # object in any run (one per simulated service time), so the
-        # super().__init__ call is worth skipping.
-        self.env = env
-        self.name = ""
-        self.callbacks = None
-        self._value = _PENDING
-        self._exc = None
-        self.delay = delay
-        self._pending_value = value
-        self._scheduled = True
-        env._seq = seq = env._seq + 1
-        _heappush(env._heap, (env.now + delay, seq, _fire_timeout, self))
 
 
 class _Outcome:
@@ -313,9 +254,9 @@ class Process(Event):
         ``None`` — also while it sleeps on a bare delay.
 
         Fault injection pairs this with :func:`cancel_wait`: before
-        interrupting a process, cancel the wait so the resource/store/
-        queue it was parked in reclaims the registration instead of
-        leaking a waiter slot.
+        interrupting a process, cancel the wait so the resource, queue or
+        barrier it waits in reclaims the registration instead of leaking
+        a waiter slot.
         """
         waiting = self._waiting_on
         cls = waiting.__class__
@@ -386,8 +327,6 @@ class Process(Event):
             # the heap.  Its sequence number doubles as the wait's
             # identity (unique, and the heap entry carries the very
             # object stored here), so the staleness test above covers it.
-            # A Timeout built at the yield would have taken the same
-            # number and pushed the same key.
             if target >= 0:
                 env._seq = seq = env._seq + 1
                 _heappush(env._heap,
@@ -403,8 +342,7 @@ class Process(Event):
             # A park: the resource takes a slot and pushes the wake-up, or
             # queues the process; either way what it hands back is the
             # wait's identity (a grant token, or the waiter entry that
-            # ``release`` will swap one in for).  ``acquire()`` yielded on
-            # the spot would have taken the same sequence number.
+            # ``release`` will swap one in for).
             self._parked_on = target
             self._waiting_on = target._park(self)
             return
@@ -467,8 +405,10 @@ class Process(Event):
             # claims (the slot leaks unless the caller cancelled first).
             if self._detached is None:
                 self._detached = waiting
-            else:
-                _detach_callback((waiting,), None, self._resume_cb)
+            elif waiting.callbacks is self._resume_cb:
+                waiting.callbacks = None
+            elif type(waiting.callbacks) is list:
+                waiting.callbacks.remove(self._resume_cb)
         self._waiting_on = carrier = _Outcome(interrupt)
         self._resume(carrier)
 
@@ -504,14 +444,14 @@ class _Parked:
 def cancel_wait(event: Optional[Union[Event, _Parked]]) -> bool:
     """Undo the side effects of waiting on ``event``, if it knows how.
 
-    Synchronization primitives that *register* a waiter (resource queues,
-    store getters, barrier arrivals, message-queue gets) stash a cancel
-    hook on the events they hand out via the ``_on_cancel`` slot.  The
-    hook receives the event and must release whatever the registration
-    holds — remove the waiter entry, push a granted-but-undelivered slot
-    or item back, and so on — returning True if it reclaimed anything.
+    Synchronization primitives that *register* a waiter (barrier
+    arrivals, message-queue gets) stash a cancel hook on the events they
+    hand out via the ``_on_cancel`` slot.  The hook receives the event
+    and must release whatever the registration holds — remove the waiter
+    entry, push a handed-out but undelivered item back, and so on —
+    returning True if it reclaimed anything.
 
-    Plain events and timeouts have no hook (the slot is never written on
+    Plain events and processes have no hook (the slot is never written on
     the hot path) and cancel to a no-op.  A park has no event at all:
     ``Process.waiting_on`` builds a handle with the same hook for it.  A
     hook reclaims at most once.  Callers interrupt the process
@@ -526,91 +466,6 @@ def cancel_wait(event: Optional[Union[Event, _Parked]]) -> bool:
     return bool(hook(event))
 
 
-def _detach_callback(children: Iterable[Event], winner: Optional[Event],
-                     callback: Callable) -> None:
-    """Drop ``callback`` from every still-pending child except ``winner``.
-
-    Condition events (AnyOf, fail-fast AllOf) decide on their first
-    relevant child; without this, a long-lived losing child (e.g. a
-    crash-watchdog raced against every op) pins the condition event and
-    its whole children list for the rest of the run.
-    """
-    for child in children:
-        if child is winner:
-            continue
-        callbacks = child.callbacks
-        if callbacks is callback:
-            child.callbacks = None
-        elif type(callbacks) is list:
-            try:
-                callbacks.remove(callback)
-            except ValueError:
-                pass
-
-
-class AllOf(Event):
-    """Fires when every child event has fired; value is a list of values.
-
-    Fails fast with the first child failure (and detaches from the
-    remaining children so they no longer reference this event).
-    """
-
-    __slots__ = ("_children", "_remaining", "_child_cb")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        # One bound method shared by every child registration, so the
-        # detach path can drop it by identity.
-        self._child_cb = cb = self._on_child
-        for ev in self._children:
-            ev.add_callback(cb)
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev._exc is not None:
-            self.fail(ev._exc)
-            _detach_callback(self._children, ev, self._child_cb)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c._value for c in self._children])
-
-
-class AnyOf(Event):
-    """Fires when the first child event fires; value is (index, value).
-
-    The first child to fire wins; the losers' callbacks are detached so
-    long-lived losing events do not pin this event (and its children
-    list) for the rest of the run.
-    """
-
-    __slots__ = ("_children", "_child_cb")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf needs at least one event")
-        self._child_cb = cb = self._on_child
-        for ev in self._children:
-            ev.add_callback(cb)
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev._exc is not None:
-            self.fail(ev._exc)
-        else:
-            self.succeed((self._children.index(ev), ev._value))
-        _detach_callback(self._children, ev, self._child_cb)
-
-
 class Environment:
     """The simulation clock, event heap, and process factory."""
 
@@ -622,8 +477,8 @@ class Environment:
         #: is unique, so ``fn``/``arg`` are never compared.  ``fn`` is
         #: None for ordinary events (``arg`` is the Event to process);
         #: otherwise the entry is a bare deferred call ``fn(arg)`` —
-        #: timeout firing, late callbacks, interrupt delivery, process
-        #: bootstrap — with no shadow Event allocated.
+        #: sleep and grant wake-ups, late callbacks, interrupt delivery,
+        #: process bootstrap — with no shadow Event allocated.
         self._heap: list = []
         self._seq = 0
         self._active_process: Optional[Process] = None
@@ -634,17 +489,49 @@ class Environment:
     def event(self, name: str = "") -> Event:
         return Event(self, name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> float:
+        """``yield env.timeout(d)`` is ``yield d``: a sleep, validated here.
+
+        Kept only because ``benchmarks/perf`` spells its sleeps this way;
+        the float it returns takes the heap key and the event count of a
+        bare delay.
+        """
+        if not delay >= 0:
+            raise _bad_delay(delay)
+        return float(delay)
 
     def process(self, generator: ProcessGenerator, label: str = "") -> Process:
         return Process(self, generator, label=label)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
+    def all_of(self, events: Iterable[Event]) -> Event:
+        """An event that succeeds with the list of ``events``' values once
+        all have fired, or fails with the first one that fails.
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+        Kept because ``benchmarks/perf`` joins its rank processes with it
+        (as ``DFSClient._stripe_io`` joins its chunk RPCs).  One counting
+        callback is shared by every child; the join costs the one heap
+        entry its own trigger pushes.
+        """
+        join = Event(self)
+        children = list(events)
+        remaining = len(children)
+        if not remaining:
+            return join.succeed([])
+
+        def on_child(child: Event) -> None:
+            nonlocal remaining
+            if join._scheduled:
+                return
+            if child._exc is not None:
+                join.fail(child._exc)
+                return
+            remaining -= 1
+            if not remaining:
+                join.succeed([c._value for c in children])
+
+        for child in children:
+            child.add_callback(on_child)
+        return join
 
     @property
     def active_process(self) -> Optional[Process]:

@@ -4,8 +4,8 @@
   cache-node CPUs, NIC serialization).  FIFO grant order keeps runs
   deterministic, and a queued waiter's wait is accounted at the instant
   the slot is handed over.  A process takes a slot with ``yield resource``
-  (a *park*: no event object, ``docs/kernel.md`` §Parking);
-  ``resource.acquire()`` is the same request as an :class:`Event`.
+  (a *park*: no event object, ``docs/kernel.md`` §Parking) and gives it
+  back with ``resource.release()``.
 * :class:`Barrier` — classic N-party rendezvous (used by the mdtest
   workload to reproduce MPI phase barriers).
 
@@ -36,10 +36,8 @@ class Resource:
         self.capacity = capacity
         self.created_at = env.now
         self._in_use = 0
-        #: FIFO of ``(waiter, request time)`` per queued request: the
-        #: waiter is the parked :class:`Process` itself, or the bare
-        #: :class:`Event` ``acquire()`` handed out.
-        self._waiters: Deque[Tuple[Process | Event, float]] = deque()
+        #: FIFO of ``(process, request time)``, one per queued park.
+        self._waiters: Deque[Tuple[Process, float]] = deque()
         # Contention accounting (read by MetricsHub.resource_snapshot).
         self.total_acquires = 0
         self.total_wait_time = 0.0
@@ -49,9 +47,6 @@ class Resource:
         # Optional observer called with each queued waiter's wait time;
         # installed by MetricsHub to feed resource.wait[<name>] histograms.
         self._wait_observe: Optional[Callable[[float], None]] = None
-        # Event name built once, not per acquire() call (the Event form of
-        # a request; processes in src/ park with ``yield resource``).
-        self._event_name = f"acquire:{name}"
 
     @property
     def in_use(self) -> int:
@@ -97,13 +92,12 @@ class Resource:
         self._last_change = now
 
     def _park(self, process: Process) -> Any:
-        """``yield resource``: ``acquire()`` for a process, minus the event.
+        """``yield resource``: ask for a slot on behalf of ``process``.
 
-        Called by ``Process._resume`` only.  Same accounting, same FIFO,
-        same sequence number as an ``acquire()`` yielded on the spot; the
-        return value is what the process waits on — the token of the
-        wake-up just pushed (a slot was free: the negated sequence number,
-        which no sleep token equals), or this park's waiter entry, which
+        Called by ``Process._resume`` only.  Accounts the request, then
+        returns what the process waits on — the token of the wake-up just
+        pushed (a slot was free: the negated sequence number, which no
+        sleep token equals), or this park's waiter entry, which
         :meth:`release` replaces with such a token at the hand-over.
         """
         env = process.env
@@ -128,62 +122,22 @@ class Resource:
         return entry
 
     def _cancel_park(self, process: Process, mark: Any) -> bool:
-        """Cancel hook of a park; the cases of :meth:`_cancel_acquire`."""
+        """Cancel hook of a park: withdraw a queued request, or give back
+        a granted slot the process has not resumed with yet (it would
+        leak for the resource's lifetime).  A consumed grant is the
+        holder's to release: nothing to do."""
         if mark.__class__ is tuple:  # queued when waiting_on was read
-            return self._unqueue(mark)
+            # By identity: a stale entry and a re-park by the same process
+            # at the same instant are equal tuples.
+            for i, entry in enumerate(self._waiters):
+                if entry is mark:
+                    del self._waiters[i]
+                    return True
+            return False
         if process._waiting_on is mark and process._parked_on is self:
             # Granted, wake-up still on the heap.  Clearing ``_parked_on``
             # is what makes a second cancel find nothing to give back.
             process._parked_on = None
-            self.release()
-            return True
-        return False
-
-    def _unqueue(self, match: Any) -> bool:
-        """Drop the queued entry that is ``match`` or whose waiter is."""
-        for i, entry in enumerate(self._waiters):
-            if entry is match or entry[0] is match:
-                del self._waiters[i]
-                return True
-        return False
-
-    def acquire(self) -> Event:
-        """Return an event that fires when a slot is granted.
-
-        The composable spelling — a child for ``AnyOf``, a request made
-        outside any process — of what ``yield resource`` does without an
-        event; both share one queue and one set of counters.
-        """
-        now = self.env.now
-        # _account(), inlined: acquire/release run several times per op.
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
-        self.total_acquires += 1
-        ev = Event(self.env, self._event_name)
-        ev._on_cancel = self._cancel_acquire
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            ev.succeed(now)  # value: grant time (== request time)
-        else:
-            self._waiters.append((ev, now))
-            if len(self._waiters) > self.peak_queue:
-                self.peak_queue = len(self._waiters)
-        return ev
-
-    def _cancel_acquire(self, ev: Event) -> bool:
-        """Cancel hook: reclaim a queued or granted-but-unconsumed slot.
-
-        Three cases: still queued (remove the waiter), granted but the
-        waiting process never resumed (release the slot — otherwise it
-        leaks for the lifetime of the resource), or already consumed
-        (the holder is responsible for its own release; nothing to do).
-        Giving a slot back unhooks the event, so cancelling it again is
-        a no-op rather than a second release.
-        """
-        if self._unqueue(ev):
-            return True
-        if ev.triggered and not ev.processed and ev.exception is None:
-            ev._on_cancel = None
             self.release()
             return True
         return False
@@ -203,23 +157,20 @@ class Resource:
             self.total_wait_time += waited
             if self._wait_observe is not None:
                 self._wait_observe(waited)
-            if nxt.__class__ is Event:  # an acquire() hand-out
-                nxt.succeed(now)
-            else:
-                # A parked process: push the wake-up ``succeed`` would
-                # have scheduled.  The token goes in only if the process
-                # still waits on this very entry; one interrupted away
-                # without ``cancel_wait`` gets a wake-up it drops as stale.
-                env._seq = seq = env._seq + 1
-                token = -seq
-                _heappush(env._heap, (now, seq, nxt._resume_cb, token))
-                if nxt._waiting_on is entry:
-                    nxt._waiting_on = token
+            # Push the parked process's wake-up.  The token goes in only
+            # if the process still waits on this very entry; one
+            # interrupted away without ``cancel_wait`` gets a wake-up it
+            # drops as stale.
+            env._seq = seq = env._seq + 1
+            token = -seq
+            _heappush(env._heap, (now, seq, nxt._resume_cb, token))
+            if nxt._waiting_on is entry:
+                nxt._waiting_on = token
         else:
             self._in_use -= 1
 
     def use(self, service_time: float) -> Generator[Event, Any, None]:
-        """Convenience generator: acquire, hold for ``service_time``, release."""
+        """Convenience generator: park, hold for ``service_time``, release."""
         yield self
         try:
             yield service_time

@@ -258,7 +258,7 @@ class TestChaosComposition:
         ghost = w.cluster.add_node("ghost")
 
         def never_joins(region, node):
-            yield w.cluster.env.timeout(1e-4)
+            yield 1e-4
             raise NodeDownError("ghost went away before joining")
 
         w.deployment.grow_region_async = never_joins

@@ -268,7 +268,7 @@ class TestDeliveryTimeDrops:
 
         def scenario():
             def killer():
-                yield cluster.env.timeout(1e-9)
+                yield 1e-9
                 dst.fail()
             cluster.env.process(killer(), label="killer")
             with pytest.raises(MessageDropped):
@@ -300,7 +300,7 @@ class TestDeliveryTimeDrops:
 
         def scenario():
             def bouncer():
-                yield cluster.env.timeout(1e-9)
+                yield 1e-9
                 dst.fail()
                 dst.recover()
             cluster.env.process(bouncer(), label="bouncer")

@@ -59,7 +59,7 @@ class TestGrowMigrationRace:
 
         def racer():
             while new_node not in w.region.nodes:
-                yield env.timeout(5e-6)
+                yield 5e-6
             new_shard = next(s for s in w.region.shards
                              if s.node is new_node)
             # Keys below are still on their old shards but now route to

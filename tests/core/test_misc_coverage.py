@@ -57,11 +57,11 @@ class TestKernelErrorHandling:
         env = Environment(catch_process_errors=True)
 
         def bad():
-            yield env.timeout(1.0)
+            yield 1.0
             raise RuntimeError("inside process")
 
         def good():
-            yield env.timeout(2.0)
+            yield 2.0
             return "survived"
 
         p_bad = env.process(bad())
@@ -74,7 +74,7 @@ class TestKernelErrorHandling:
         env = Environment()
 
         def bad():
-            yield env.timeout(1.0)
+            yield 1.0
             raise RuntimeError("boom")
 
         env.process(bad())
@@ -84,16 +84,16 @@ class TestKernelErrorHandling:
     def test_env_condition_factories(self):
         env = Environment()
 
-        def proc():
-            values = yield env.all_of([env.timeout(1.0, "a"),
-                                       env.timeout(2.0, "b")])
-            idx, value = yield env.any_of([env.timeout(5.0, "slow"),
-                                           env.timeout(0.5, "fast")])
-            return values, idx, value
+        def after(delay, value):
+            yield delay
+            return value
 
-        values, idx, value = run_sync(env, proc())
-        assert values == ["a", "b"]
-        assert (idx, value) == (1, "fast")
+        def proc():
+            values = yield env.all_of([env.process(after(2.0, "a")),
+                                       env.process(after(1.0, "b"))])
+            return values, env.now
+
+        assert run_sync(env, proc()) == (["a", "b"], 2.0)
 
 
 class TestSystemsOptions:

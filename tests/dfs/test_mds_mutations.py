@@ -167,7 +167,7 @@ class TestCommitBatchPricing:
         elapsed = {}
 
         def batch(name, delay, ops):
-            yield env.timeout(delay)
+            yield delay
             yield from mds.handle_commit_batch(ops)
             elapsed[name] = env.now - t0 - delay
 

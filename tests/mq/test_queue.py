@@ -45,7 +45,7 @@ class TestMessageQueue:
             got.append((msg, env.now))
 
         def pub():
-            yield env.timeout(2.0)
+            yield 2.0
             q.publish("late")
 
         env.process(sub())
@@ -66,7 +66,7 @@ class TestMessageQueue:
             env.process(sub(i))
 
         def pub():
-            yield env.timeout(1.0)
+            yield 1.0
             for x in "abc":
                 q.publish(x)
 
@@ -86,7 +86,7 @@ class TestMessageQueue:
                 return "closed"
 
         def closer():
-            yield env.timeout(1.0)
+            yield 1.0
             q.close()
 
         p = env.process(sub())

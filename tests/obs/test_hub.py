@@ -106,7 +106,7 @@ class TestSampler:
         (sampler,) = world.hub.samplers
 
         def wait(dt):
-            yield world.env.timeout(dt)
+            yield dt
 
         world.run(world.client.mkdir("/app/d"))
         assert sampler.samples > 0

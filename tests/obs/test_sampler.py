@@ -28,7 +28,7 @@ def _series_lengths(hub):
 
 def _advance(world, dt):
     def waiter():
-        yield world.env.timeout(dt)
+        yield dt
     world.run(waiter(), label="advance")
 
 

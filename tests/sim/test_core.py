@@ -2,21 +2,20 @@
 
 import pytest
 
-from repro.sim.core import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-    run_sync,
-)
+from repro.dfs import BeeGFS
+from repro.sim.core import Environment, Interrupt, SimulationError, run_sync
+from repro.sim.network import Cluster
 
 
 @pytest.fixture
 def env():
     return Environment()
+
+
+def _after(delay, value=None):
+    """A process body that returns ``value`` ``delay`` seconds in."""
+    yield delay
+    return value
 
 
 class TestEvent:
@@ -72,35 +71,53 @@ class TestEvent:
 
 
 class TestTimeout:
+    """``env.timeout(d)`` is the spelling of a sleep ``benchmarks/perf``
+    still yields: it returns the delay itself."""
+
     def test_timeout_advances_clock(self, env):
-        t = env.timeout(5.0)
-        env.run(until=t)
+        def proc():
+            yield env.timeout(5.0)
+
+        run_sync(env, proc())
         assert env.now == 5.0
 
     def test_timeout_value_passthrough(self, env):
-        t = env.timeout(1.0, value="done")
-        assert env.run(until=t) == "done"
+        # The value passed through is the delay, as the float a sleep needs.
+        assert env.timeout(1) == 1.0 and type(env.timeout(1)) is float
+        assert env._heap == [] and env._seq == 0
 
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1.0)
 
     def test_zero_delay_fires_at_now(self, env):
-        t = env.timeout(0.0)
-        env.run(until=t)
-        assert env.now == 0.0
+        def proc():
+            yield env.timeout(0.0)
+            return env.now
+
+        assert run_sync(env, proc()) == 0.0
 
     def test_timeouts_fire_in_order(self, env):
         order = []
+
+        def proc(d):
+            yield env.timeout(d)
+            order.append(d)
+
         for d in (3.0, 1.0, 2.0):
-            env.timeout(d).add_callback(lambda e, d=d: order.append(d))
+            env.process(proc(d))
         env.run()
         assert order == [1.0, 2.0, 3.0]
 
     def test_same_time_fifo_tiebreak(self, env):
         order = []
+
+        def proc(i):
+            yield env.timeout(1.0)
+            order.append(i)
+
         for i in range(5):
-            env.timeout(1.0).add_callback(lambda e, i=i: order.append(i))
+            env.process(proc(i))
         env.run()
         assert order == [0, 1, 2, 3, 4]
 
@@ -108,7 +125,7 @@ class TestTimeout:
 class TestProcess:
     def test_process_returns_value(self, env):
         def proc():
-            yield env.timeout(1.0)
+            yield 1.0
             return "result"
 
         assert run_sync(env, proc()) == "result"
@@ -127,7 +144,7 @@ class TestProcess:
 
     def test_processes_wait_on_each_other(self, env):
         def child():
-            yield env.timeout(2.0)
+            yield 2.0
             return 7
 
         def parent():
@@ -138,7 +155,7 @@ class TestProcess:
 
     def test_exception_propagates_to_waiter(self, env):
         def child():
-            yield env.timeout(1.0)
+            yield 1.0
             raise KeyError("inner")
 
         def parent():
@@ -149,7 +166,7 @@ class TestProcess:
 
     def test_subgenerator_via_yield_from(self, env):
         def sub(x):
-            yield env.timeout(1.0)
+            yield 1.0
             return x * 2
 
         def main():
@@ -175,7 +192,7 @@ class TestProcess:
 
     def test_is_alive_transitions(self, env):
         def proc():
-            yield env.timeout(1.0)
+            yield 1.0
 
         p = env.process(proc())
         assert p.is_alive
@@ -187,14 +204,14 @@ class TestInterrupt:
     def test_interrupt_delivers_cause(self, env):
         def victim():
             try:
-                yield env.timeout(100.0)
+                yield 100.0
             except Interrupt as intr:
                 return ("interrupted", intr.cause, env.now)
 
         p = env.process(victim())
 
         def killer():
-            yield env.timeout(5.0)
+            yield 5.0
             p.interrupt("node-crash")
 
         env.process(killer())
@@ -202,7 +219,7 @@ class TestInterrupt:
 
     def test_interrupt_finished_process_is_noop(self, env):
         def quick():
-            yield env.timeout(1.0)
+            yield 1.0
             return "ok"
 
         p = env.process(quick())
@@ -213,16 +230,16 @@ class TestInterrupt:
     def test_interrupted_process_can_continue(self, env):
         def victim():
             try:
-                yield env.timeout(100.0)
+                yield 100.0
             except Interrupt:
                 pass
-            yield env.timeout(1.0)
+            yield 1.0
             return env.now
 
         p = env.process(victim())
 
         def killer():
-            yield env.timeout(2.0)
+            yield 2.0
             p.interrupt()
 
         env.process(killer())
@@ -233,7 +250,7 @@ class TestInterrupt:
         up at the generator's first line; the process dies with the
         Interrupt as its outcome."""
         def never_started():
-            yield env.timeout(1.0)
+            yield 1.0
             return "unreachable"
 
         p = env.process(never_started())
@@ -248,17 +265,17 @@ class TestInterrupt:
 
         def victim():
             try:
-                yield env.timeout(5.0)
+                yield 5.0
                 resumed.append("timeout")
             except Interrupt:
                 resumed.append("interrupt")
-            yield env.timeout(10.0)
+            yield 10.0
             resumed.append("end")
 
         p = env.process(victim())
 
         def killer():
-            yield env.timeout(1.0)
+            yield 1.0
             p.interrupt()
 
         env.process(killer())
@@ -268,10 +285,10 @@ class TestInterrupt:
 
 class TestConditions:
     def test_all_of_collects_values(self, env):
-        events = [env.timeout(d, value=d) for d in (3.0, 1.0, 2.0)]
+        events = [env.process(_after(d, d)) for d in (3.0, 1.0, 2.0)]
 
         def proc():
-            values = yield AllOf(env, events)
+            values = yield env.all_of(events)
             return values
 
         assert run_sync(env, proc()) == [3.0, 1.0, 2.0]
@@ -279,7 +296,7 @@ class TestConditions:
 
     def test_all_of_empty_is_immediate(self, env):
         def proc():
-            values = yield AllOf(env, [])
+            values = yield env.all_of([])
             return values
 
         assert run_sync(env, proc()) == []
@@ -288,40 +305,111 @@ class TestConditions:
         bad = env.event()
 
         def failer():
-            yield env.timeout(1.0)
+            yield 1.0
             bad.fail(IOError("disk"))
 
         env.process(failer())
 
         def proc():
-            yield AllOf(env, [env.timeout(50.0), bad])
+            yield env.all_of([env.process(_after(50.0)), bad])
 
         with pytest.raises(IOError):
             run_sync(env, proc())
         assert env.now == 1.0
 
-    def test_any_of_returns_first(self, env):
-        events = [env.timeout(3.0, "slow"), env.timeout(1.0, "fast")]
 
-        def proc():
-            idx, value = yield AnyOf(env, events)
-            return idx, value
+class TestJoin:
+    """``env.all_of`` pinned to the schedule the ``AllOf`` class gave:
+    every literal below was recorded with it — events processed, the
+    final sequence number, the clock and the joined values."""
 
-        assert run_sync(env, proc()) == (1, "fast")
-        assert env.now == 1.0
+    @staticmethod
+    def _joiner(env, children):
+        values = yield env.all_of(children)
+        return values, env.now
 
-    def test_any_of_empty_rejected(self, env):
-        with pytest.raises(ValueError):
-            AnyOf(env, [])
+    def _pin(self, env, children):
+        proc = env.process(self._joiner(env, children))
+        env.run()
+        return proc.value, env.processed_events, env._seq, env.now
+
+    def test_children_finishing_at_distinct_times(self, env):
+        children = [env.process(_after(d, d)) for d in (3.0, 1.0, 2.0)]
+        assert self._pin(env, children) == (([3.0, 1.0, 2.0], 3.0),
+                                            12, 12, 3.0)
+
+    def test_children_finishing_at_one_instant(self, env):
+        children = [env.process(_after(1.0, v)) for v in "abc"]
+        assert self._pin(env, children) == ((["a", "b", "c"], 1.0),
+                                            12, 12, 1.0)
+
+    def test_a_child_processed_before_the_join(self, env):
+        done = env.process(_after(0.5, "early"))
+        env.run()
+        assert (env.processed_events, env._seq, env.now) == (3, 3, 0.5)
+        late = env.process(_after(1.0, "late"))
+        # The processed child's callback is deferred through the heap.
+        assert self._pin(env, [done, late]) == ((["early", "late"], 1.5),
+                                                10, 10, 1.5)
+
+    def test_an_empty_join(self, env):
+        assert self._pin(env, []) == (([], 0.0), 3, 3, 0.0)
+
+    def test_a_failing_child_fails_the_join_at_its_instant(self):
+        env = Environment(catch_process_errors=True)
+
+        def bad(delay, msg):
+            yield delay
+            raise IOError(msg)
+
+        def guarded(children):
+            try:
+                yield env.all_of(children)
+            except IOError as err:
+                return str(err), env.now
+
+        children = [env.process(_after(5.0, "slow")),
+                    env.process(bad(2.0, "second")),
+                    env.process(bad(1.0, "first"))]
+        proc = env.process(guarded(children))
+        env.run()
+        assert proc.value == ("first", 1.0)
+        assert (env.processed_events, env._seq, env.now) == (12, 12, 5.0)
+
+    def test_a_striped_write_and_read_join_three_chunks(self):
+        cluster = Cluster()
+        fs = BeeGFS(cluster, n_mds=1, n_data=3)
+        client = fs.client(cluster.add_node("client0"), uid=1000, gid=1000)
+        env = cluster.env
+
+        def setup():
+            yield from client.mkdir("/w")
+            yield from client.create("/w/f")
+
+        run_sync(env, setup())
+        assert (env.processed_events, env._seq) == (40, 40)
+        wrote = run_sync(env, client.write("/w/f", 0, 3 * 512 * 1024))
+        assert (wrote, env.processed_events, env._seq, env.now) == (
+            1572864, 135, 135, 0.0019679201300726997)
+        assert [ds.bytes_written for ds in fs.data_servers] == [524288] * 3
+        got = run_sync(env, client.read("/w/f", 100_000, 1_200_000))
+        assert (got, env.processed_events, env._seq, env.now) == (
+            1200000, 205, 205, 0.0026192614462110736)
+        assert client.rpcs_sent == 15
 
 
 class TestEnvironmentRun:
     def test_run_until_time_stops_clock(self, env):
         fired = []
-        env.timeout(1.0).add_callback(lambda e: fired.append(1))
-        env.timeout(10.0).add_callback(lambda e: fired.append(10))
+
+        def proc(d):
+            yield d
+            fired.append(d)
+
+        env.process(proc(1.0))
+        env.process(proc(10.0))
         env.run(until=5.0)
-        assert fired == [1]
+        assert fired == [1.0]
         assert env.now == 5.0
 
     def test_run_until_past_time_rejected(self, env):
@@ -330,7 +418,7 @@ class TestEnvironmentRun:
             env.run(until=1.0)
 
     def test_run_to_exhaustion(self, env):
-        env.timeout(2.5)
+        env.process(_after(2.5))
         env.run()
         assert env.now == 2.5
         assert env.peek() == float("inf")
@@ -350,7 +438,7 @@ class TestEnvironmentRun:
 
     def test_event_count_increments(self, env):
         before = env.processed_events
-        env.timeout(1.0)
+        env.process(_after(1.0))
         env.run()
         assert env.processed_events > before
 
@@ -360,9 +448,9 @@ class TestEnvironmentRun:
             out = []
 
             def proc(i):
-                yield env.timeout(0.5 * (i % 3))
+                yield 0.5 * (i % 3)
                 out.append((i, env.now))
-                yield env.timeout(1.0)
+                yield 1.0
                 out.append((i, env.now))
 
             for i in range(10):

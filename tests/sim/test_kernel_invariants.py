@@ -1,9 +1,8 @@
 """Kernel invariants: event-state honesty, detach behavior, determinism.
 
 Regression suite for the hot-path rewrite: ``triggered``/``processed``
-must tell the truth at every point of an event's life (a pending Timeout
-used to claim ``triggered`` from birth), interrupts and condition events
-must actually detach from the events they leave behind, and the same
+must tell the truth at every point of an event's life, an interrupt must
+actually detach the process from the event it leaves behind, and the same
 program must replay byte-identically.
 """
 
@@ -16,13 +15,10 @@ import repro.sim.core as core_mod
 
 from repro.mq import MessageQueue
 from repro.sim.core import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
     SimulationError,
-    Timeout,
     cancel_wait,
     run_sync,
 )
@@ -34,56 +30,11 @@ def env():
     return Environment()
 
 
-class TestTimeoutTriggeredHonesty:
-    """A pending Timeout is not triggered until the clock reaches it."""
-
-    def test_fresh_timeout_not_triggered(self, env):
-        t = Timeout(env, 5.0, value=3)
-        assert not t.triggered
-        assert not t.processed
-
-    def test_fresh_timeout_value_and_ok_raise(self, env):
-        t = Timeout(env, 5.0, value=3)
-        with pytest.raises(SimulationError):
-            _ = t.value
-        with pytest.raises(SimulationError):
-            _ = t.ok
-
-    def test_not_triggered_until_clock_reaches_fire_time(self, env):
-        t = Timeout(env, 5.0, value=3)
-        env.timeout(2.0)
-        env.run(until=2.0)
-        assert not t.triggered
-        env.run(until=t)
-        assert env.now == 5.0
-        assert t.triggered
-        assert t.processed
-        assert t.ok
-        assert t.value == 3
-
-    def test_zero_delay_timeout_pending_before_run(self, env):
-        t = env.timeout(0.0, value="v")
-        assert not t.triggered
-        env.run()
-        assert t.triggered and t.value == "v"
-
-    def test_succeed_on_pending_timeout_rejected(self, env):
-        t = env.timeout(5.0)
-        with pytest.raises(SimulationError):
-            t.succeed(1)
-
-    def test_fail_on_pending_timeout_rejected(self, env):
-        t = env.timeout(5.0)
-        with pytest.raises(SimulationError):
-            t.fail(RuntimeError("no"))
-
-    def test_none_value_timeout_still_reports_triggered(self, env):
-        # triggered must flip even for the default value=None payload.
-        t = env.timeout(1.0)
-        env.run()
-        assert t.triggered
-        assert t.ok
-        assert t.value is None
+def _after(delay, value=None):
+    """A process body that returns ``value`` ``delay`` seconds in: as a
+    process, an event that fires then."""
+    yield delay
+    return value
 
 
 class TestStateTransitions:
@@ -106,7 +57,7 @@ class TestStateTransitions:
 
     def test_process_transitions(self, env):
         def proc():
-            yield env.timeout(1.0)
+            yield 1.0
             return "r"
 
         p = env.process(proc())
@@ -138,7 +89,7 @@ class TestInterruptDetach:
         resumes = []
 
         def victim():
-            t = env.timeout(10.0, value="fired")
+            t = env.process(_after(10.0, "fired"))
             try:
                 yield t
                 resumes.append("first-wait")
@@ -151,7 +102,7 @@ class TestInterruptDetach:
         p = env.process(victim())
 
         def killer():
-            yield env.timeout(1.0)
+            yield 1.0
             p.interrupt()
 
         env.process(killer())
@@ -162,7 +113,7 @@ class TestInterruptDetach:
         """The abandoned event still fires for other waiters, but not for
         the interrupted process."""
         log = []
-        shared = env.timeout(5.0, value="shared")
+        shared = env.process(_after(5.0, "shared"))
 
         def bystander():
             got = yield shared
@@ -174,13 +125,13 @@ class TestInterruptDetach:
                 log.append(("victim-wrong", env.now))
             except Interrupt:
                 log.append(("victim-interrupted", env.now))
-            yield env.timeout(100.0)
+            yield 100.0
 
         env.process(bystander())
         p = env.process(victim())
 
         def killer():
-            yield env.timeout(1.0)
+            yield 1.0
             p.interrupt()
 
         env.process(killer())
@@ -190,12 +141,14 @@ class TestInterruptDetach:
         assert not any(entry[0] == "victim-wrong" for entry in log)
 
     def test_repeated_interrupts_detach_each_wait(self, env):
-        hits = []
+        hits, seen = [], []
+        waits = [env.event() for _ in range(4)]
+        waits[2].add_callback(seen.append)    # shared: a list of callbacks
 
         def victim():
-            for _ in range(4):
+            for ev in waits:
                 try:
-                    yield env.timeout(1000.0)
+                    yield ev
                 except Interrupt as intr:
                     hits.append((intr.cause, env.now))
             return len(hits)
@@ -204,18 +157,23 @@ class TestInterruptDetach:
 
         def killer():
             for k in range(4):
-                yield env.timeout(1.0)
+                yield 1.0
                 p.interrupt(k)
 
         env.process(killer())
         assert env.run(until=p) == 4
         assert hits == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
+        # The first abandoned event keeps the stale callback as the detach
+        # marker; with the marker live, each later detach removes the
+        # process's callback outright, leaving other callbacks alone.
+        assert [ev.callbacks for ev in waits] == [
+            p._resume_cb, None, [seen.append], None]
 
     def test_interrupt_while_waiting_on_shared_event_list(self, env):
         """Detach when the victim shares the event's callback list with
         other waiters (list-shaped callbacks, not the single-callback
         fast path)."""
-        shared = env.timeout(5.0, value="s")
+        shared = env.process(_after(5.0, "s"))
         order = []
 
         def waiter(tag):
@@ -234,7 +192,7 @@ class TestInterruptDetach:
         env.process(waiter("b"))
 
         def killer():
-            yield env.timeout(1.0)
+            yield 1.0
             p.interrupt()
 
         env.process(killer())
@@ -244,71 +202,9 @@ class TestInterruptDetach:
         assert ("victim", "wrong") not in order
 
 
-def _live_callbacks(event):
-    """The callbacks still registered on a pending event, as a list."""
-    callbacks = event.callbacks
-    if callbacks is None:
-        return []
-    if type(callbacks) is list:
-        return list(callbacks)
-    return [callbacks]
-
-
-class TestConditionDetach:
-    def test_anyof_detaches_losers(self, env):
-        winner = env.timeout(1.0, value="w")
-        losers = [env.timeout(100.0) for _ in range(3)]
-        cond = AnyOf(env, [winner] + losers)
-        for ev in losers:
-            assert _live_callbacks(ev), "child registration missing"
-        env.run(until=cond)
-        for ev in losers:
-            assert _live_callbacks(ev) == [], (
-                "AnyOf left its callback on a losing child")
-        assert cond.value == (0, "w")
-
-    def test_anyof_losers_remain_usable(self, env):
-        winner = env.timeout(1.0, value="w")
-        loser = env.timeout(2.0, value="l")
-        AnyOf(env, [winner, loser])
-
-        def late():
-            got = yield loser
-            return (got, env.now)
-
-        assert run_sync(env, late()) == ("l", 2.0)
-
-    def test_allof_fail_fast_detaches_remaining(self, env):
-        bad = env.event()
-        slow = env.timeout(100.0)
-        cond = AllOf(env, [slow, bad])
-
-        def failer():
-            yield env.timeout(1.0)
-            bad.fail(IOError("disk"))
-
-        env.process(failer())
-        env.run(until=2.0)
-        assert cond.triggered and not cond.ok
-        assert _live_callbacks(slow) == [], (
-            "failed AllOf left its callback on a pending child")
-
-    def test_anyof_detach_with_shared_waiters(self, env):
-        """Detach must remove only the condition's own callback."""
-        winner = env.timeout(1.0, value="w")
-        loser = env.timeout(3.0, value="l")
-        seen = []
-        loser.add_callback(lambda e: seen.append(("direct", e.value)))
-        cond = AnyOf(env, [winner, loser])
-        env.run(until=cond)
-        assert len(_live_callbacks(loser)) == 1
-        env.run()
-        assert seen == [("direct", "l")]
-
-
 class TestSameSeedDeterminism:
     """The same program replays byte-identically, including through
-    interrupts, shared resources, and condition events."""
+    interrupts, shared resources, and joins."""
 
     @staticmethod
     def _mixed_workload():
@@ -324,16 +220,15 @@ class TestSameSeedDeterminism:
             box.publish(i)
 
         def racer(i):
-            fast = env.timeout(0.005 * (i + 1), value="fast")
-            slow = env.timeout(10.0, value="slow")
-            idx, value = yield AnyOf(env, [fast, slow])
-            trace.append(("race", i, idx, value, round(env.now, 9)))
-            yield AllOf(env, [env.timeout(0.001), env.timeout(0.002)])
-            trace.append(("joined", i, round(env.now, 9)))
+            yield 0.005 * (i + 1)
+            trace.append(("raced", i, round(env.now, 9)))
+            values = yield env.all_of([env.process(_after(0.001, "a")),
+                                       env.process(_after(0.002, "b"))])
+            trace.append(("joined", i, values, round(env.now, 9)))
 
         def victim():
             try:
-                yield env.timeout(1000.0)
+                yield 1000.0
             except Interrupt as intr:
                 trace.append(("interrupted", intr.cause, round(env.now, 9)))
 
@@ -345,7 +240,7 @@ class TestSameSeedDeterminism:
         victims = [env.process(victim()) for _ in range(2)]
 
         def killer():
-            yield env.timeout(0.02)
+            yield 0.02
             for k, v in enumerate(victims):
                 v.interrupt(k)
 
@@ -387,8 +282,10 @@ class TestOneResumeBody:
         assert not hasattr(core_mod, "_start_process")
 
     def test_bootstrap_heap_entry_is_the_resume_callback(self, env):
+        ev = env.event()
+
         def body():
-            yield env.timeout(1.0)
+            yield ev
 
         proc = env.process(body())
         (_time, _key, fn, _arg), = env._heap
@@ -396,14 +293,14 @@ class TestOneResumeBody:
         # Not waiting on anything a caller could cancel, before or after.
         assert proc.waiting_on is None
         env.step()
-        assert isinstance(proc.waiting_on, Timeout)
+        assert proc.waiting_on is ev
 
     def test_interrupt_before_bootstrap(self, env):
         started = []
 
         def body():
             started.append(True)
-            yield env.timeout(1.0)
+            yield 1.0
 
         proc = env.process(body())
         proc.interrupt("early")
@@ -422,16 +319,16 @@ class TestOneResumeBody:
 
         def body():
             try:
-                yield env.timeout(10.0)
+                yield 10.0
             except Interrupt as intr:
                 log.append((intr.cause, env.now))
-            yield env.timeout(1.0)
+            yield 1.0
             return "done"
 
         proc = env.process(body())
 
         def killer():
-            yield env.timeout(2.0)
+            yield 2.0
             proc.interrupt("k")
 
         env.process(killer())
@@ -456,9 +353,9 @@ class TestOneResumeBody:
         proc = env.process(body())
 
         def driver():
-            yield env.timeout(1.0)
+            yield 1.0
             proc.interrupt()
-            yield env.timeout(1.0)
+            yield 1.0
             shared.succeed("s")
 
         env.process(driver())
@@ -469,7 +366,7 @@ class TestOneResumeBody:
 
     def test_interrupt_of_a_finished_process(self, env):
         def body():
-            yield env.timeout(1.0)
+            yield 1.0
             return 7
 
         proc = env.process(body())
@@ -481,9 +378,11 @@ class TestOneResumeBody:
         assert (env.processed_events, env.now) == (3, 1.0)
 
 
-#: The two spellings of a delay.  Every count below is the literal the
-#: ``env.timeout`` spelling gave before bare delays existed: a sleep must
-#: cost exactly the heap entries a Timeout did, stale wake-ups included.
+#: The two spellings of a delay: the bare float, and ``env.timeout(d)``,
+#: which ``benchmarks/perf`` still yields.  Every count below is the
+#: literal the ``env.timeout`` spelling gave when it built an event
+#: object: a sleep must cost exactly the heap entries that object did,
+#: stale wake-ups included.
 _SPELLINGS = {"delay": lambda env, d: d,
               "timeout": lambda env, d: env.timeout(d)}
 
@@ -618,19 +517,6 @@ class TestSleep:
         assert env._seq == 12
 
 
-#: The two spellings of a request for a slot.  Every literal below is
-#: what ``yield res.acquire()`` gave before parks existed (the second
-#: cancel in ``test_waiting_on_and_cancel_wait`` excepted: it used to
-#: release a second time).
-_GRABS = {"park": lambda res: res,
-          "acquire": lambda res: res.acquire()}
-
-
-@pytest.fixture(params=sorted(_GRABS))
-def grab(request):
-    return _GRABS[request.param]
-
-
 def _counters(env, res):
     return (env.processed_events, env._seq, env.now, res.in_use,
             res.queue_length, res.total_acquires, res.total_wait_time,
@@ -639,11 +525,15 @@ def _counters(env, res):
 
 class TestPark:
     """``yield <Resource>`` parks the process on the resource: the grant
-    re-enters ``_resume`` straight from the heap."""
+    re-enters ``_resume`` straight from the heap.  Every literal below is
+    what ``yield res.acquire()``, the event spelling of a request, gave
+    before parks existed (the second cancel in
+    ``test_waiting_on_and_cancel_wait`` excepted: it used to release a
+    second time)."""
 
     @staticmethod
-    def _holder(res, grab, hold):
-        yield grab(res)
+    def _holder(res, hold):
+        yield res
         yield hold
         res.release()
 
@@ -676,13 +566,13 @@ class TestPark:
         env.run()
         assert _counters(env, res) == (8, 8, 2.0, 0, 0, 2, 1.0, 1)
 
-    def test_interrupted_while_queued(self, env, grab):
+    def test_interrupted_while_queued(self, env):
         res = Resource(env, capacity=1)
         log = []
 
         def victim():
             try:
-                yield grab(res)
+                yield res
                 log.append(("granted", env.now))
             except Interrupt as intr:
                 log.append((intr.cause, env.now))
@@ -694,7 +584,7 @@ class TestPark:
             log.append(("cancel", cancel_wait(proc.waiting_on)))
             proc.interrupt("k")
 
-        env.process(self._holder(res, grab, 5.0))
+        env.process(self._holder(res, 5.0))
         proc = env.process(victim())
         env.process(killer())
         env.run()
@@ -702,13 +592,13 @@ class TestPark:
         assert proc.value == "done"
         assert _counters(env, res) == (11, 11, 5.0, 0, 0, 2, 0.0, 1)
 
-    def test_interrupted_while_granted_but_not_yet_resumed(self, env, grab):
+    def test_interrupted_while_granted_but_not_yet_resumed(self, env):
         res = Resource(env, capacity=1)
         log = []
 
         def victim():
             try:
-                yield grab(res)
+                yield res
                 log.append(("granted", env.now))
             except Interrupt as intr:
                 log.append((intr.cause, env.now, res.in_use))
@@ -728,13 +618,13 @@ class TestPark:
         assert proc.value == "done"
         assert _counters(env, res) == (8, 8, 1.0, 0, 0, 1, 0.0, 0)
 
-    def test_interrupt_beats_a_handover_at_the_same_instant(self, env, grab):
+    def test_interrupt_beats_a_handover_at_the_same_instant(self, env):
         res = Resource(env, capacity=1)
         log = []
 
         def victim():
             try:
-                yield grab(res)
+                yield res
                 log.append(("granted", env.now))
             except Interrupt as intr:
                 log.append((intr.cause, env.now, res.in_use))
@@ -746,7 +636,7 @@ class TestPark:
             log.append(("cancel", cancel_wait(proc.waiting_on)))
             proc.interrupt("tie")
 
-        env.process(self._holder(res, grab, 2.0))   # releases first at t=2
+        env.process(self._holder(res, 2.0))   # releases first at t=2
         proc = env.process(victim())
         env.process(killer())
         env.run()
@@ -756,17 +646,17 @@ class TestPark:
                        ("tie", 2.0, 0)]
         assert _counters(env, res) == (12, 12, 2.0, 0, 0, 2, 2.0, 1)
 
-    def test_park_again_past_a_stale_grant(self, env, grab):
+    def test_park_again_past_a_stale_grant(self, env):
         res = Resource(env, capacity=1)
         log = []
 
         def victim():
             try:
-                yield grab(res)
+                yield res
                 log.append("first grant")
             except Interrupt:
                 log.append("interrupted")
-            yield grab(res)     # the first grant's wake-up is still queued
+            yield res   # the first grant's wake-up is still queued
             log.append("second grant")
             res.release()
 
@@ -783,24 +673,24 @@ class TestPark:
         assert _counters(env, res) == (8, 8, 0.0, 0, 0, 2, 0.0, 0)
 
     def test_interrupt_without_cancel_wait_leaks_but_corrupts_nothing(
-            self, env, grab):
+            self, env):
         res = Resource(env, capacity=1)
         log = []
 
         def victim():
             try:
-                yield grab(res)
+                yield res
                 log.append(("granted", env.now))
             except Interrupt:
                 log.append(("interrupted", env.now))
-            yield grab(res)     # queues again, behind its own stale entry
+            yield res   # queues again, behind its own stale entry
             log.append(("granted", env.now))
 
         def killer():
             yield 1.0
             proc.interrupt()    # no cancel_wait: the entry stays queued
 
-        env.process(self._holder(res, grab, 5.0))
+        env.process(self._holder(res, 5.0))
         proc = env.process(victim())
         env.process(killer())
         env.run()
@@ -813,11 +703,11 @@ class TestPark:
         assert cancel_wait(proc.waiting_on) is False
         assert res.queue_length == 0
 
-    def test_waiting_on_and_cancel_wait(self, env, grab):
+    def test_waiting_on_and_cancel_wait(self, env):
         res = Resource(env, capacity=1)
 
         def body():
-            yield grab(res)
+            yield res
             yield 1.0
             res.release()
 
@@ -920,7 +810,7 @@ class TestBadDelay:
         other = Environment()
 
         def body():
-            yield other.timeout(1.0)
+            yield other.event()
 
         with pytest.raises(SimulationError, match="another Environment"):
             run_sync(env, body())

@@ -15,11 +15,11 @@ def cluster():
 
 class EchoService(Service):
     def handle_echo(self, value):
-        yield self.env.timeout(10e-6)
+        yield 10e-6
         return value
 
     def handle_boom(self):
-        yield self.env.timeout(1e-6)
+        yield 1e-6
         raise ValueError("handler error")
 
 
@@ -222,9 +222,13 @@ class TestOneFramePerHop:
             "receiver_hold": (b, sent + p.latency + p.msg_overhead / 2),
             "loopback_hold": (a, p.local_loopback / 2),
         }[stage]
+        def blocker():
+            yield a.nic     # takes a slot and keeps it
+
         blockers = []
         if stage == "nic_queue":
-            blockers = [a.nic.acquire() for _ in range(a.nic.capacity)]
+            blockers = [cluster.env.process(blocker())
+                        for _ in range(a.nic.capacity)]
 
         def sender():
             try:

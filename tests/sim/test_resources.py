@@ -11,6 +11,12 @@ def env():
     return Environment()
 
 
+def _parker(res, delay=0.0):
+    """Park on ``res`` after ``delay`` and keep the slot (no release)."""
+    yield delay
+    yield res
+
+
 class TestResource:
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
@@ -18,18 +24,20 @@ class TestResource:
 
     def test_immediate_grant_under_capacity(self, env):
         res = Resource(env, capacity=2)
-        ev = res.acquire()
-        assert ev.triggered
-        assert res.in_use == 1
+        proc = env.process(_parker(res))
+        env.run(until=0.0)
+        assert not proc.is_alive
+        assert (res.in_use, res.queue_length, res.total_wait_time) == \
+            (1, 0, 0.0)
 
     def test_fifo_queueing_over_capacity(self, env):
         res = Resource(env, capacity=1)
         order = []
 
         def worker(i):
-            yield res.acquire()
+            yield res
             order.append((i, env.now))
-            yield env.timeout(1.0)
+            yield 1.0
             res.release()
 
         for i in range(3):
@@ -57,10 +65,10 @@ class TestResource:
 
     def test_queue_length_tracks_waiters(self, env):
         res = Resource(env, capacity=1)
-        res.acquire()
-        res.acquire()
-        res.acquire()
-        assert res.queue_length == 2
+        for _ in range(3):
+            env.process(_parker(res))
+        env.run()
+        assert (res.in_use, res.queue_length) == (1, 2)
 
     def test_utilization_full_load(self, env):
         res = Resource(env, capacity=1)
@@ -88,7 +96,7 @@ class TestResource:
         while 100% busy.  It must divide by the resource's own lifetime
         (now - created_at)."""
         def setup():
-            yield env.timeout(90.0)
+            yield 90.0
 
         env.process(setup())
         env.run()
@@ -132,43 +140,49 @@ class TestResource:
         res = Resource(env, capacity=1)
         observed = []
         res._wait_observe = observed.append
-        res.acquire()                               # holder, t=0
-        env.run(until=1.0)
-        first = res.acquire()
-        env.run(until=2.0)
-        doomed = res.acquire()
+        holder, first, doomed, last = [env.process(_parker(res, t))
+                                       for t in (0.0, 1.0, 2.0, 4.0)]
         env.run(until=4.0)
-        last = res.acquire()
-        assert cancel_wait(doomed) and res.queue_length == 2
+        assert cancel_wait(doomed.waiting_on) and res.queue_length == 2
         env.run(until=5.0)
         res.release()
-        assert first.triggered and observed == [4.0]    # 5 - 1
+        assert observed == [4.0]                    # 5 - 1
         env.run(until=7.0)
         res.release()
-        assert last.triggered and observed == [4.0, 3.0]    # 7 - 4, not 7 - 2
+        assert observed == [4.0, 3.0]               # 7 - 4, not 7 - 2
         assert res.total_wait_time == 7.0
-        assert not doomed.triggered
+        env.run()
+        assert [p.is_alive for p in (holder, first, doomed, last)] == \
+            [False, False, True, False]
 
     def test_cancelling_a_granted_acquire_twice_releases_once(self, env):
         res = Resource(env, capacity=1)
-        granted = res.acquire()         # holds the slot, never consumed
-        queued = res.acquire()
-        assert cancel_wait(granted) is True     # the slot passes on
-        assert queued.triggered and (res.in_use, res.queue_length) == (1, 0)
+
+        def body():
+            yield res                   # takes the slot, never releases
+
+        granted = env.process(body())
+        env.process(body())
+        env.step()
+        env.step()                      # both bootstraps: granted, queued
+        handle = granted.waiting_on     # granted, not yet resumed
+        assert res.queue_length == 1
+        assert cancel_wait(handle) is True      # the slot passes on
+        assert (res.in_use, res.queue_length) == (1, 0)
         # Used to release again, from under the request just granted.
-        assert cancel_wait(granted) is False
+        assert cancel_wait(handle) is False
         assert res.in_use == 1
         env.run()
-        assert cancel_wait(granted) is False    # consumed: nothing to do
+        assert cancel_wait(granted.waiting_on) is False     # finished
 
     def test_handoff_keeps_capacity_invariant(self, env):
         res = Resource(env, capacity=2)
         max_seen = []
 
         def worker(i):
-            yield res.acquire()
+            yield res
             max_seen.append(res.in_use)
-            yield env.timeout(1.0)
+            yield 1.0
             res.release()
 
         for i in range(6):
@@ -187,7 +201,7 @@ class TestBarrier:
         released = []
 
         def party(i, delay):
-            yield env.timeout(delay)
+            yield delay
             gen = yield barrier.arrive()
             released.append((i, env.now, gen))
 
@@ -205,7 +219,7 @@ class TestBarrier:
             for _ in range(3):
                 gen = yield barrier.arrive()
                 gens.append(gen)
-                yield env.timeout(1.0)
+                yield 1.0
 
         env.process(party(0))
         env.process(party(1))

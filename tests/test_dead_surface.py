@@ -16,11 +16,11 @@ and two over live objects:
 * imports of ``repro`` modules sit at module level: a function-level one
   dodges an import cycle, so each survivor is listed here with its
   reason and the list only shrinks;
-* a process that only sleeps yields the bare delay: no ``yield`` of a
-  freshly built ``Timeout`` outside the kernel, so a sleep has one
-  spelling (``Timeout`` stays for composing and for callbacks) — and a
-  process that wants a slot yields the ``Resource``: no ``yield`` of an
-  ``.acquire()`` call anywhere;
+* one wait spelling: the kernel's event forms of a wait (``Timeout``,
+  ``AnyOf``, ``AllOf``, ``Resource.acquire`` and their helpers) are
+  defined nowhere, and nothing calls ``.timeout(``, which is kept only
+  for ``benchmarks/perf`` — a process sleeps on a bare delay and takes a
+  slot by yielding the ``Resource``;
 * one simulated process is one client: no recorder, sketch or commit
   message takes a ``weight``, and ``PaconConfig`` keeps its 12 fields —
   the aggregate client stays deleted;
@@ -221,45 +221,38 @@ def test_repro_imports_sit_at_module_level():
                    for _path, module in found)
 
 
-def _yielded_timeouts():
+#: The kernel's deleted event forms of a wait, as defined names, and
+#: ``timeout(`` for a call of ``Environment.timeout``.
+SLEEP_REMNANTS = ("Timeout", "_fire_timeout", "AnyOf", "AllOf", "any_of",
+                  "timeout(")
+GRANT_REMNANTS = ("acquire", "_cancel_acquire")
+
+
+def _wait_remnants(names):
     found = []
     for path in _source_files():
-        if path == SRC / "sim" / "core.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            call = node.value if isinstance(node, ast.Yield) else None
-            if not isinstance(call, ast.Call):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                name = node.func.attr + "("
+            else:
                 continue
-            func = call.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                getattr(func, "id", None)
-            if name in ("timeout", "Timeout"):
-                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            if name in names:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno} {name}")
     return found
 
 
 def test_a_sleep_is_a_bare_delay():
-    assert _yielded_timeouts() == [], (
-        "yield the delay itself (a float), not a Timeout built on the"
-        " spot — docs/kernel.md, 'Sleeping'")
-
-
-def _yielded_acquires():
-    found = []
-    for path in _source_files():
-        for node in ast.walk(ast.parse(path.read_text())):
-            call = node.value if isinstance(node, ast.Yield) else None
-            if (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "acquire"):
-                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
-    return found
+    assert _wait_remnants(SLEEP_REMNANTS) == [], (
+        "yield the delay itself (a float) — docs/kernel.md, 'Sleeping';"
+        " env.timeout() is kept only for benchmarks/perf")
 
 
 def test_a_grant_is_a_yielded_resource():
-    assert _yielded_acquires() == [], (
-        "yield the Resource itself, not an acquire() event built on the"
-        " spot — docs/kernel.md, 'Parking'")
+    assert _wait_remnants(GRANT_REMNANTS) == [], (
+        "yield the Resource itself — docs/kernel.md, 'Parking'")
 
 
 def test_an_observation_is_one_client():

@@ -148,11 +148,11 @@ class TestClosedLoop:
         left_at = {}
 
         def setup(rank, client):
-            yield env.timeout(setup_time[rank])
+            yield setup_time[rank]
 
         def body(rank, client):
             assert env.now == 3.0  # nobody starts before the barrier opens
-            yield env.timeout(body_time[rank])
+            yield body_time[rank]
             left_at[rank] = env.now
 
         elapsed = run_closed_loop(env, ["c0", "c1"], body, setup)
