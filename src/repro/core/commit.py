@@ -284,7 +284,7 @@ class CommitProcess:
                         and not self._pending):
                     epoch = self.current_epoch
                     wait_started = self.env.now
-                    gen = yield self.region.commit_barrier.arrive()
+                    gen = yield self.region.commit_barrier
                     # All commit processes have drained this epoch.
                     self.region.signal_barrier_complete(gen)
                     self._barrier_counts.pop(epoch, None)
@@ -306,7 +306,7 @@ class CommitProcess:
                 elif len(self.queue) > 0 or (not self._pending
                                              and not closing):
                     try:
-                        msg = yield self.queue.get()
+                        msg = yield self.queue
                     except QueueClosed:
                         closing = True
                         continue

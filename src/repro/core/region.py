@@ -308,14 +308,19 @@ class ConsistentRegion:
                 queue.publish(BarrierMessage(epoch=epoch,
                                              node_id=node.node_id,
                                              timestamp=self.env.now))
-        done = self._barrier_done.setdefault(
-            epoch, self.env.event(name=f"{self.name}.barrier[{epoch}]"))
-        return epoch, done
+        return epoch, self._epoch_gate(epoch)
+
+    def _epoch_gate(self, epoch: int) -> Event:
+        """The event that fires once ``epoch`` drains region-wide."""
+        gate = self._barrier_done.get(epoch)
+        if gate is None:
+            gate = self._barrier_done[epoch] = self.env.event(
+                name=f"{self.name}.barrier[{epoch}]")
+        return gate
 
     def signal_barrier_complete(self, epoch: int) -> None:
         """Called by the commit process that completes the epoch barrier."""
-        ev = self._barrier_done.setdefault(
-            epoch, self.env.event(name=f"{self.name}.barrier[{epoch}]"))
+        ev = self._epoch_gate(epoch)
         if not ev.triggered:
             self.barrier_epochs_completed += 1
             ev.succeed(epoch)

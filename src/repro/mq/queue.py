@@ -7,11 +7,12 @@ Semantics mirrored from ZeroMQ push/pull sockets as Pacon uses them:
 * closing wakes blocked subscribers with :class:`QueueClosed` so commit
   processes can shut down cleanly at the end of an application run.
 
-Delivery is accounted where it happens — at the hand-over of a message to
-a ``get`` — the same rule :class:`~repro.sim.resources.Resource` follows
-for slot grants: ``delivered`` and ``total_wait_time`` move in ``get``
-(buffered message), ``get_batch``, or ``publish`` (a subscriber was
-already blocked), never in a callback on the event handed out.
+A get is ``msg = yield queue``, a park (``docs/kernel.md`` §Parking).
+Delivery is accounted at the hand-over of a message to a get, the rule
+:class:`~repro.sim.resources.Resource` follows for slot grants:
+``delivered`` and ``total_wait_time`` move at the yield (buffered
+message), in ``get_batch``, or in ``publish`` (a subscriber was already
+blocked), never when the subscriber resumes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Tuple
 
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Process, _hand_over, _Outcome, \
+    _withdraw
 
 __all__ = ["MessageQueue", "QueueGroup", "QueueClosed"]
 
@@ -37,9 +39,9 @@ class MessageQueue:
         self._closed = False
         #: Undelivered ``(message, publish time)`` pairs, oldest first.
         self._buffer: Deque[Tuple[Any, float]] = deque()
-        #: Blocked ``get`` events, oldest first.  Non-empty only while the
-        #: buffer is empty.
-        self._getters: Deque[Event] = deque()
+        #: ``(process, request time)`` of each blocked get, oldest first.
+        #: Non-empty only while the buffer is empty.
+        self._getters: Deque[Tuple[Process, float]] = deque()
         self.published = 0
         self.delivered = 0
         #: High-water mark of the backlog; updated on publish so the
@@ -50,8 +52,6 @@ class MessageQueue:
         #: Aggregate publish→delivery residency (simulated seconds) over
         #: all delivered messages.
         self.total_wait_time = 0.0
-        # Event name built once — get() runs per committed op.
-        self._event_name = f"get:{name}"
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -67,7 +67,7 @@ class MessageQueue:
         if self._getters:
             # Hand over to the oldest blocked subscriber: zero residency.
             self.delivered += 1
-            self._getters.popleft().succeed(message)
+            _hand_over(self._getters.popleft(), _Outcome(message))
             return
         self._buffer.append((message, self.env.now))
         if len(self._buffer) > self.peak_depth:
@@ -80,57 +80,60 @@ class MessageQueue:
         self.total_wait_time += self.env.now - published_at
         return message
 
-    def get(self) -> Event:
-        """Event that fires with the next message (or fails QueueClosed)."""
-        ev = Event(self.env, self._event_name)
-        ev._on_cancel = self._cancel_get
+    def get(self) -> "MessageQueue":
+        """``yield queue``'s old spelling, kept only because the probes of
+        ``benchmarks/perf`` take messages this way (like ``env.timeout``)."""
+        return self
+
+    def _park(self, process: Process) -> Any:
+        """``yield queue``: hand over the oldest buffered message, fail
+        with ``QueueClosed`` on a closed empty queue, or queue the get."""
+        entry = (process, self.env.now)
         if self._buffer:
-            ev.succeed(self._take())
-        elif self._closed:
-            ev.fail(QueueClosed(self.name))
-        else:
-            self._getters.append(ev)
-        return ev
+            return _hand_over(entry, _Outcome(self._take()))
+        if self._closed:
+            return _hand_over(entry, _Outcome(exc=QueueClosed(self.name)))
+        self._getters.append(entry)
+        return entry
 
     @property
     def waiting_getters(self) -> int:
-        """Number of subscribers currently blocked in :meth:`get`."""
+        """Number of subscribers currently blocked in a get."""
         return len(self._getters)
 
-    def _cancel_get(self, ev: Event) -> bool:
+    def _cancel_park(self, process: Process, mark: Any) -> bool:
         """Cancel hook (see :func:`repro.sim.core.cancel_wait`).
 
-        Three cases: still blocked (unregister the getter); handed a
-        message the getter will never resume to consume (the message goes
-        back to the head of the queue so it is redelivered instead of
-        silently lost, and the delivery is un-counted); or already
-        consumed / failed (nothing to do).  The pushed-back message gets
-        a fresh publish stamp at the cancel instant: its residency up to
-        the hand-over is already in ``total_wait_time``, so wait-time
+        Three cases: still blocked (withdraw the entry); handed a message
+        the getter will never resume to consume (the message goes back to
+        the head of the queue so it is redelivered instead of silently
+        lost, and the delivery is un-counted); or already consumed /
+        failed (nothing to do).  The pushed-back message gets a fresh
+        publish stamp at the cancel instant: its residency up to the
+        hand-over is already in ``total_wait_time``, so wait-time
         accounting treats the redelivery as a new publish.  With another
         getter blocked (no queue in ``src/`` has two subscribers) the
         message goes to it instead and stays counted: buffered behind a
         blocked getter it would wait for a publish that may never come.
         """
-        try:
-            self._getters.remove(ev)
-            return True
-        except ValueError:
-            pass
-        if ev.triggered and not ev.processed and ev.exception is None:
-            if self._getters:
-                self._getters.popleft().succeed(ev._value)
-            else:
-                self._buffer.appendleft((ev._value, self.env.now))
-                self.delivered -= 1
-            return True
-        return False
+        if mark.__class__ is tuple:
+            return _withdraw(self._getters, mark)
+        if (process._waiting_on is not mark or process._parked_on is not self
+                or mark._exc is not None):
+            return False
+        process._parked_on = None
+        if self._getters:
+            _hand_over(self._getters.popleft(), _Outcome(mark._value))
+        else:
+            self._buffer.appendleft((mark._value, self.env.now))
+            self.delivered -= 1
+        return True
 
     def get_batch(self, max_items: int) -> List[Any]:
         """Take up to ``max_items`` already-buffered messages, non-blocking.
 
-        Complements :meth:`get`: a batch consumer blocks on ``get`` for the
-        first message, then drains the rest of its batch in one step with
+        Complements a get: a batch consumer blocks on ``yield queue`` for
+        the first message, then drains the rest of its batch in one step with
         no further event round trips.  Returns an empty list when nothing
         is buffered (including on a closed queue — close keeps buffered
         messages readable, and there is nothing to fail here).
@@ -150,7 +153,8 @@ class MessageQueue:
             return
         self._closed = True
         while self._getters:
-            self._getters.popleft().fail(QueueClosed(self.name))
+            _hand_over(self._getters.popleft(),
+                       _Outcome(exc=QueueClosed(self.name)))
 
     def backlog(self) -> List[Any]:
         """Snapshot of undelivered messages (inspection only)."""

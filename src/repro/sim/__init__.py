@@ -11,8 +11,9 @@ the latency/bandwidth network model in :mod:`repro.sim.network`.
 The kernel is SimPy-flavoured but self-contained: the reproduction has no
 third-party runtime dependencies beyond numpy.  A process waits by
 yielding an event, sleeps by yielding the delay itself (``yield dt`` with
-``dt`` a float) and takes a slot by yielding the resource
-(``yield resource``) — the last two with no event object
+``dt`` a float) and parks by yielding the owner of the wait — ``yield
+resource`` for a slot, ``yield queue`` for a message, ``yield barrier``
+for a rendezvous — the last two kinds with no event object
 (``docs/kernel.md``, "Sleeping" and "Parking").
 """
 

@@ -9,9 +9,9 @@ A minimal, deterministic, generator-based DES in the style of SimPy:
   :class:`Event` — the process resumes when that event fires and receives
   the event's value (or has the event's exception thrown into it) — or a
   bare non-negative ``float``, which is a *sleep* (the process resumes that
-  many simulated seconds later), or a
-  :class:`~repro.sim.resources.Resource`, which is a *park* (the process
-  resumes holding one of its slots).  Sleeps and parks are resumed straight
+  many simulated seconds later), or a ``Resource``, ``MessageQueue`` or
+  ``Barrier``, which is a *park* (the process resumes holding a slot, with
+  a message, or with a generation).  Sleeps and parks are resumed straight
   from the heap, with no event object in between.  A process is itself an
   event that succeeds with the generator's return value, so processes can
   wait on each other.
@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 # A process body is a generator that yields Events, bare delays (floats:
-# sleeps) or Resources (parks; the class lives in sim/resources.py, which
-# imports this module) and returns a value.
+# sleeps) or the owners of a park (Resource, MessageQueue, Barrier: the
+# classes live in modules that import this one) and returns a value.
 ProcessGenerator = Generator[Any, Any, Any]
 
 _PENDING = object()
@@ -64,11 +64,6 @@ _INTERRUPT_BIAS = 1 << 62
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: The one class a process may yield to park on: ``sim/resources.py``
-#: stores its ``Resource`` here when it is imported (it imports this
-#: module, so the kernel cannot import it back).
-_Resource: Any = None
 
 
 class SimulationError(RuntimeError):
@@ -104,8 +99,7 @@ class Event:
     callbacks have run.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_exc", "_scheduled", "name",
-                 "_on_cancel")
+    __slots__ = ("env", "callbacks", "_value", "_exc", "_scheduled", "name")
 
     def __init__(self, env: "Environment", name: str = ""):
         self.env = env
@@ -190,15 +184,17 @@ def _bad_delay(delay: Any) -> ValueError:
 class _Outcome:
     """The two fields ``Process._resume`` reads off the event that woke it.
 
-    Lets the bootstrap and an interrupt enter the one resume body without
-    allocating a real :class:`Event` for either.
+    Lets the bootstrap, an interrupt and the wake-up of a park that
+    delivers something (a message, a barrier generation, ``QueueClosed``)
+    enter the one resume body without allocating a real :class:`Event`.
     """
 
     __slots__ = ("_exc", "_value")
 
-    def __init__(self, exc: Optional[BaseException] = None):
+    def __init__(self, value: Any = None,
+                 exc: Optional[BaseException] = None):
+        self._value = value
         self._exc = exc
-        self._value = None
 
 
 #: What every process "waits on" until its bootstrap heap entry runs:
@@ -221,15 +217,15 @@ class Process(Event):
         super().__init__(env)
         self.label = label
         self._generator = generator
-        #: The event (or bootstrap/interrupt outcome, or sleep/grant token)
-        #: whose firing resumes the generator next — or, while queued on a
-        #: resource, that park's own ``(process, requested_at)`` waiter
-        #: entry, which nothing fires: ``Resource.release`` swaps a grant
-        #: token in.  ``None`` while running or once finished.
+        #: The event (or an outcome, or a sleep/grant token) whose firing
+        #: resumes the generator next — or, while queued in a park, its
+        #: own ``(process, requested_at)`` waiter entry, which nothing
+        #: fires: ``_hand_over`` swaps a wake-up in.  ``None`` while
+        #: running or once finished.
         self._waiting_on: Any = _BOOT
-        #: The resource of the latest park; read only while ``_waiting_on``
-        #: is a waiter entry or a grant token, and cleared by the cancel
-        #: that gives a granted slot back (so it does so once).
+        #: The owner of the latest park; read only while ``_waiting_on``
+        #: is a park's, and cleared by the cancel that gives a handed-over
+        #: slot or message back (so it does so once).
         self._parked_on: Any = None
         #: Event we were detached from by an interrupt whose (stale)
         #: callback is still registered — removal-marking instead of a
@@ -259,16 +255,13 @@ class Process(Event):
         a waiter slot.
         """
         waiting = self._waiting_on
-        cls = waiting.__class__
-        if waiting is _BOOT or (cls is int and waiting > 0):
-            return None  # not started, or asleep: nothing to cancel
-        if cls is int or cls is tuple:
-            # Parked — on a grant token (negative) or a waiter entry —
-            # unless a cancel has already given the granted slot back.
-            resource = self._parked_on
-            return None if resource is None else \
-                _Parked(resource, self, waiting)
-        return waiting
+        if waiting is None or isinstance(waiting, Event):
+            return waiting
+        if (waiting is _BOOT or (waiting.__class__ is int and waiting > 0)
+                or self._parked_on is None):
+            return None  # not started, asleep, or the hand-over given back
+        # Parked: on a grant token (negative), an outcome or a waiter entry.
+        return _Parked(self._parked_on, self, waiting)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -282,8 +275,8 @@ class Process(Event):
 
         The only place the generator is advanced.  ``trigger`` is the
         event that fired, an :class:`_Outcome` standing in for one (the
-        bootstrap heap entry and ``_deliver_interrupt`` enter here too),
-        or the integer token of a sleep's or a grant's wake-up entry.
+        bootstrap, an interrupt, a get's or an arrival's wake-up), or the
+        integer token of a sleep's or a grant's wake-up entry.
         """
         if trigger is not self._waiting_on:
             # Stale wakeup from an event we detached from or a sleep or
@@ -335,28 +328,26 @@ class Process(Event):
                 return
             # Negative or NaN: raise at the offending yield, delivered
             # the way an interrupt is.
-            self._waiting_on = carrier = _Outcome(_bad_delay(target))
+            self._waiting_on = carrier = _Outcome(exc=_bad_delay(target))
             self._resume(carrier)
             return
-        if cls is _Resource:
-            # A park: the resource takes a slot and pushes the wake-up, or
-            # queues the process; either way what it hands back is the
-            # wait's identity (a grant token, or the waiter entry that
-            # ``release`` will swap one in for).
-            self._parked_on = target
-            self._waiting_on = target._park(self)
-            return
-        # Sleeps and parks are gone by here; a bare Event (a queue's or a
-        # barrier's hand-out) is the most common event yielded, and the
-        # exact-class check skips the generic isinstance walk for it.
-        if cls is not Event and not isinstance(target, Event):
+        park = getattr(cls, "_park", None)
+        if park is None and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.label or self._generator!r} yielded"
                 f" {target!r}; processes must yield Event instances, a"
-                " float delay or a Resource (use 'yield from' for"
-                " sub-generators)")
+                " float delay or a Resource, MessageQueue or Barrier (use"
+                " 'yield from' for sub-generators)")
         if target.env is not env:
-            raise SimulationError("yielded event belongs to another Environment")
+            raise SimulationError(
+                f"yielded {target!r} belongs to another Environment")
+        if park is not None:
+            # A park: the owner pushes the wake-up or queues the process;
+            # either way it returns the wait's identity (a grant token, an
+            # outcome, or the waiter entry a hand-over swaps one in for).
+            self._parked_on = target
+            self._waiting_on = park(target, self)
+            return
         self._waiting_on = target
         if target is self._detached:
             # Re-waiting on the event we were detached from: its stale
@@ -390,26 +381,25 @@ class Process(Event):
             self._value = None
             self.env._schedule(self)
             return
-        cls = waiting.__class__
-        if waiting is not None and cls is not int and cls is not tuple:
+        if isinstance(waiting, Event):
             # Detach from the event we were waiting on; it may still fire
             # later but must no longer resume us with its value.  Mark
             # instead of the old linear ``callbacks.remove`` — `_resume`
             # drops the stale wakeup via an O(1) identity check.  One
             # marker slot suffices for the common case; a second detach
             # while the first marker is live falls back to removal.
-            # A sleep or grant token takes neither: it never recurs, so
-            # the wake-up still on the heap is stale by the same identity
-            # check.  Nor does a waiter entry: a hand-over that finds the
-            # process no longer waiting on it pushes a wake-up nobody
-            # claims (the slot leaks unless the caller cancelled first).
+            # A park's token or outcome takes neither: it never recurs,
+            # so the wake-up still on the heap is stale by the same
+            # identity check.  Nor does a waiter entry: a hand-over that
+            # finds the process no longer waiting on it pushes a wake-up
+            # nobody claims (the slot leaks unless cancelled first).
             if self._detached is None:
                 self._detached = waiting
             elif waiting.callbacks is self._resume_cb:
                 waiting.callbacks = None
             elif type(waiting.callbacks) is list:
                 waiting.callbacks.remove(self._resume_cb)
-        self._waiting_on = carrier = _Outcome(interrupt)
+        self._waiting_on = carrier = _Outcome(exc=interrupt)
         self._resume(carrier)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -423,47 +413,61 @@ class _Parked:
     Built on demand — the park itself allocates nothing — and good for
     one thing, :func:`cancel_wait`: it describes the park as it stood
     when ``waiting_on`` was read (``mark`` is the waiter entry while
-    queued, the grant token once a slot was handed over).
+    queued, the grant token or value outcome once it was handed over).
     """
 
-    __slots__ = ("resource", "process", "mark")
+    __slots__ = ("owner", "process", "mark")
 
-    def __init__(self, resource: Any, process: Process, mark: Any):
-        self.resource = resource
+    def __init__(self, owner: Any, process: Process, mark: Any):
+        self.owner = owner
         self.process = process
         self.mark = mark
 
-    def _on_cancel(self, _handle: "_Parked") -> bool:
-        return self.resource._cancel_park(self.process, self.mark)
+    def _on_cancel(self) -> bool:
+        return self.owner._cancel_park(self.process, self.mark)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "queued" if self.mark.__class__ is tuple else "granted"
-        return f"<parked {self.process!r} {state} on {self.resource.name!r}>"
+        state = "queued" if self.mark.__class__ is tuple else "handed over"
+        return f"<parked {self.process!r} {state} on {self.owner.name!r}>"
 
 
-def cancel_wait(event: Optional[Union[Event, _Parked]]) -> bool:
-    """Undo the side effects of waiting on ``event``, if it knows how.
+def _hand_over(entry: Any, wake: Any = None) -> Any:
+    """End the park ``entry`` = ``(process, requested_at)`` now: push and
+    return its wake-up — ``wake``, an outcome carrying what it delivers,
+    or for a grant the negated sequence number.  It becomes what the
+    process waits on only if that is still ``entry``; one interrupted away
+    without :func:`cancel_wait` drops it as stale."""
+    process = entry[0]
+    env = process.env
+    env._seq = seq = env._seq + 1
+    if wake is None:
+        wake = -seq
+    _heappush(env._heap, (env.now, seq, process._resume_cb, wake))
+    if process._waiting_on is entry:
+        process._waiting_on = wake
+    return wake
 
-    Synchronization primitives that *register* a waiter (barrier
-    arrivals, message-queue gets) stash a cancel hook on the events they
-    hand out via the ``_on_cancel`` slot.  The hook receives the event
-    and must release whatever the registration holds — remove the waiter
-    entry, push a handed-out but undelivered item back, and so on —
-    returning True if it reclaimed anything.
 
-    Plain events and processes have no hook (the slot is never written on
-    the hot path) and cancel to a no-op.  A park has no event at all:
-    ``Process.waiting_on`` builds a handle with the same hook for it.  A
-    hook reclaims at most once.  Callers interrupt the process
-    *after* cancelling its wait; the interrupt detaches the process from
-    the event, so a later spurious trigger is harmless.
+def _withdraw(waiters: Any, entry: Any) -> bool:
+    """Remove the park ``entry`` from ``waiters`` by identity (a stale
+    entry and a re-park at the same instant are equal tuples)."""
+    for i, queued in enumerate(waiters):
+        if queued is entry:
+            del waiters[i]
+            return True
+    return False
+
+
+def cancel_wait(wait: Optional[Union[Event, _Parked]]) -> bool:
+    """Undo the side effects of the wait ``Process.waiting_on`` reported.
+
+    Only a park holds anything: the owner's ``_cancel_park`` withdraws a
+    queued entry or gives back what was handed over but not consumed,
+    True if it reclaimed something (at most once).  Anything else cancels
+    to False.  Interrupt the process *after* cancelling: that makes a
+    wake-up still on the heap stale.
     """
-    if event is None:
-        return False
-    hook = getattr(event, "_on_cancel", None)
-    if hook is None:
-        return False
-    return bool(hook(event))
+    return wait.__class__ is _Parked and wait._on_cancel()
 
 
 class Environment:
@@ -477,7 +481,7 @@ class Environment:
         #: is unique, so ``fn``/``arg`` are never compared.  ``fn`` is
         #: None for ordinary events (``arg`` is the Event to process);
         #: otherwise the entry is a bare deferred call ``fn(arg)`` —
-        #: sleep and grant wake-ups, late callbacks, interrupt delivery,
+        #: sleep and park wake-ups, late callbacks, interrupt delivery,
         #: process bootstrap — with no shadow Event allocated.
         self._heap: list = []
         self._seq = 0

@@ -7,10 +7,10 @@
   (a *park*: no event object, ``docs/kernel.md`` §Parking) and gives it
   back with ``resource.release()``.
 * :class:`Barrier` — classic N-party rendezvous (used by the mdtest
-  workload to reproduce MPI phase barriers).
+  workload to reproduce MPI phase barriers); ``yield barrier`` parks too.
 
 The message channel of the commit pipeline is
-:class:`repro.mq.MessageQueue`, which follows the same hand-over rule.
+:class:`repro.mq.MessageQueue`, which parks a get the same way.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from collections import deque
 from heapq import heappush as _heappush
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from repro.sim import core as _kernel
-from repro.sim.core import Environment, Event, Process, SimulationError
+from repro.sim.core import Environment, Event, Process, SimulationError, \
+    _hand_over, _Outcome, _withdraw
 
 __all__ = ["Resource", "Barrier"]
 
@@ -100,16 +100,14 @@ class Resource:
         sleep token equals), or this park's waiter entry, which
         :meth:`release` replaces with such a token at the hand-over.
         """
-        env = process.env
-        if env is not self.env:
-            raise SimulationError(
-                f"yielded resource {self.name!r} belongs to another"
-                " Environment")
+        env = self.env
         now = env.now
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
         self.total_acquires += 1
         if self._in_use < self.capacity and not self._waiters:
+            # Inline, not ``_hand_over``: a call here costs one per grant
+            # on 36-40 % of all heap entries (docs/kernel.md, "Parking").
             self._in_use += 1
             env._seq = seq = env._seq + 1
             token = -seq
@@ -127,13 +125,7 @@ class Resource:
         leak for the resource's lifetime).  A consumed grant is the
         holder's to release: nothing to do."""
         if mark.__class__ is tuple:  # queued when waiting_on was read
-            # By identity: a stale entry and a re-park by the same process
-            # at the same instant are equal tuples.
-            for i, entry in enumerate(self._waiters):
-                if entry is mark:
-                    del self._waiters[i]
-                    return True
-            return False
+            return _withdraw(self._waiters, mark)
         if process._waiting_on is mark and process._parked_on is self:
             # Granted, wake-up still on the heap.  Clearing ``_parked_on``
             # is what makes a second cancel find nothing to give back.
@@ -145,27 +137,18 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        env = self.env
-        now = env.now
+        now = self.env.now
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
         if self._waiters:
             # Hand the slot directly to the next waiter; _in_use unchanged.
             # Its wait ends at this instant, so account it here.
-            nxt, requested_at = entry = self._waiters.popleft()
-            waited = now - requested_at
+            entry = self._waiters.popleft()
+            waited = now - entry[1]
             self.total_wait_time += waited
             if self._wait_observe is not None:
                 self._wait_observe(waited)
-            # Push the parked process's wake-up.  The token goes in only
-            # if the process still waits on this very entry; one
-            # interrupted away without ``cancel_wait`` gets a wake-up it
-            # drops as stale.
-            env._seq = seq = env._seq + 1
-            token = -seq
-            _heappush(env._heap, (now, seq, nxt._resume_cb, token))
-            if nxt._waiting_on is entry:
-                nxt._waiting_on = token
+            _hand_over(entry)
         else:
             self._in_use -= 1
 
@@ -178,15 +161,12 @@ class Resource:
             self.release()
 
 
-_kernel._Resource = Resource
-
-
 class Barrier:
     """N-party reusable barrier.
 
-    The first ``parties - 1`` arrivals block; the last arrival releases
-    everyone and resets the barrier for the next generation.  ``arrive``
-    returns an event whose value is the generation number that completed.
+    The first ``parties - 1`` arrivals (``yield barrier``) block; the last
+    releases everyone and resets the barrier for the next generation.
+    Every party resumes with the generation number that completed.
     """
 
     def __init__(self, env: Environment, parties: int, name: str = ""):
@@ -196,34 +176,38 @@ class Barrier:
         self.name = name
         self.parties = parties
         self.generation = 0
-        self._waiting: list[Event] = []
-        self._event_name = f"barrier:{name}"
+        #: ``(process, arrival time)``, one per blocked arrival.
+        self._waiters: List[Tuple[Process, float]] = []
 
-    def arrive(self) -> Event:
-        ev = Event(self.env, self._event_name)
-        ev._on_cancel = self._cancel_arrival
-        self._waiting.append(ev)
-        if len(self._waiting) == self.parties:
-            gen = self.generation
-            self.generation += 1
-            waiting, self._waiting = self._waiting, []
-            for w in waiting:
-                w.succeed(gen)
-        return ev
+    def arrive(self) -> "Barrier":
+        """``yield barrier``'s old spelling, kept only because
+        ``benchmarks/perf`` arrives this way (like ``env.timeout``)."""
+        return self
 
-    def _cancel_arrival(self, ev: Event) -> bool:
+    def _park(self, process: Process) -> Any:
+        """``yield barrier``: queue the arrival, or end the generation —
+        handed to every party in arrival order — and return this, the
+        last arrival's, own wake-up."""
+        entry = (process, self.env.now)
+        self._waiters.append(entry)
+        if len(self._waiters) != self.parties:
+            return entry
+        gen = self.generation
+        self.generation += 1
+        waiting, self._waiters = self._waiters, []
+        for entry in waiting:
+            wake = _hand_over(entry, _Outcome(gen))
+        return wake
+
+    def _cancel_park(self, process: Process, mark: Any) -> bool:
         """Cancel hook: withdraw an arrival that has not completed yet.
 
         A crashed party must not hold the barrier hostage; removing its
         arrival lets the remaining parties complete the generation.  An
         arrival of an already-released generation needs no cleanup.
         """
-        try:
-            self._waiting.remove(ev)
-            return True
-        except ValueError:
-            return False
+        return mark.__class__ is tuple and _withdraw(self._waiters, mark)
 
     @property
     def n_waiting(self) -> int:
-        return len(self._waiting)
+        return len(self._waiters)

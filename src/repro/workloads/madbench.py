@@ -83,7 +83,7 @@ def run_madbench(env: Environment, clients: Sequence[Any],
 
     def proc(rank: int, client: Any) -> Generator[Event, Any, None]:
         path = f"{config.workdir}/data.{rank}"
-        yield barrier.arrive()
+        yield barrier
         t_begin.setdefault("t", env.now)
         # --- init: create the per-process file and write evaluation data.
         t0 = env.now
@@ -115,7 +115,7 @@ def run_madbench(env: Environment, clients: Sequence[Any],
                 yield from _read(client, path, pos, take)
                 pos += take
             acc.read_time += env.now - t0
-        yield barrier.arrive()
+        yield barrier
         t_end["t"] = max(t_end["t"], env.now)
 
     procs = [env.process(proc(rank, client), label=f"madbench:{rank}")

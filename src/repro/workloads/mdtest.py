@@ -114,7 +114,7 @@ def spawn_mdtest(env: Environment, clients: Sequence[Any],
         if config.unique_dir_per_rank:
             yield from client.mkdir(base)  # untimed setup, mdtest -u style
         for phase in config.phases:
-            yield barrier.arrive()
+            yield barrier
             mark_start(phase)
             if phase == "mkdir":
                 for i in range(config.items_per_client):
@@ -142,7 +142,7 @@ def spawn_mdtest(env: Environment, clients: Sequence[Any],
                     result.total_ops += 1
             else:
                 raise ValueError(f"unknown phase {phase!r}")
-            yield barrier.arrive()
+            yield barrier
             mark_end(phase)
 
     procs = [env.process(client_proc(rank, client),
@@ -229,11 +229,11 @@ def run_closed_loop(env: Environment, clients: Sequence[Any],
     def proc(rank: int, client: Any) -> Generator[Event, Any, None]:
         if setup is not None:
             yield from setup(rank, client)
-        yield barrier.arrive()
+        yield barrier
         if span["start"] is None:
             span["start"] = env.now
         yield from body(rank, client)
-        yield barrier.arrive()
+        yield barrier
         span["end"] = max(span["end"], env.now)
 
     procs = [env.process(proc(rank, client), label=f"closed_loop:{rank}")

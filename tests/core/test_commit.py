@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
-from repro.sim.core import run_sync
+from repro.sim.core import _Parked, run_sync
 from tests.core.conftest import make_paused_world, make_world
 
 
@@ -147,16 +147,16 @@ class TestCommitProcessLifecycle:
         for cp in world.region.commit_processes:
             assert cp.idle
 
-    def test_idle_loop_waits_on_one_bare_callback(self, world):
-        """The queue registers no callback of its own on the events it
-        hands out (delivery is accounted at the hand-over), so an idle
-        commit loop's wait keeps the kernel's single-callback fast path."""
+    def test_idle_loop_is_parked_on_its_queue(self, world):
+        """An idle commit loop is parked on its node's queue: it waits on
+        its own waiter entry there, with no event and no callback."""
         world.run(world.client.create("/app/f"))
         world.quiesce()
         for cp in world.region.commit_processes:
-            waiting = cp._process.waiting_on
-            assert waiting is not None and not waiting.triggered
-            assert waiting.callbacks == cp._process._resume_cb
+            handle = cp._process.waiting_on
+            assert isinstance(handle, _Parked) and handle.owner is cp.queue
+            assert list(cp.queue._getters) == [handle.mark]
+            assert handle.mark is cp._process._waiting_on
 
     def test_idle_reflects_backlog(self, world):
         world.run(world.client.create("/app/f"))

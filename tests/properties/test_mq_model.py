@@ -6,13 +6,14 @@ simplest form that could be right — a deque of ``(message, stamp)`` pairs,
 a deque of blocked consumer ids and a handful of counters — and checks
 the two agree after every step.
 
-Consumers are real DES processes blocked in ``yield queue.get()``, so the
+Consumers are real DES processes parked in ``yield queue``, so the
 machine also sees what a commit loop sees: which consumer receives which
-message, ``QueueClosed`` on close, and that the event a blocked consumer
-waits on carries exactly one bare callback (the queue registers none of
-its own).  Every rule settles the environment at the current instant
-before returning, so a "granted but not yet consumed" get exists only
-inside the two rules that cancel one.
+message, ``QueueClosed`` on close, that a blocked consumer waits on a park
+of this queue and that no queue operation builds an ``Event`` (the only
+events constructed are the consumer processes themselves).  Every rule
+settles the environment at the current instant before returning, so a
+"granted but not yet consumed" get exists only inside the two rules that
+cancel one.
 """
 
 from collections import deque
@@ -24,7 +25,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, \
     precondition, rule
 
 from repro.mq import MessageQueue, QueueClosed
-from repro.sim.core import Environment, Interrupt, cancel_wait
+from repro.sim.core import Environment, Event, Interrupt, _Parked, \
+    cancel_wait
 
 
 class MessageQueueMachine(RuleBasedStateMachine):
@@ -49,15 +51,26 @@ class MessageQueueMachine(RuleBasedStateMachine):
         self.saw_closed = set()
         self.taken = []
         self.procs = {}
-        self.events = {}
-        self.consumed_events = []
+        self.handles = {}            # consumer id -> handle read at its park
+        self.consumed = []           # consumer ids that took a message
+        # Count every Event built from here on; each consumer process is
+        # one, and nothing else may be.
+        self.events_built = 0
+        self._event_init = Event.__init__
+
+        def counting_init(event, *args, **kwargs):
+            self.events_built += 1
+            self._event_init(event, *args, **kwargs)
+
+        Event.__init__ = counting_init
+
+    def teardown(self):
+        Event.__init__ = self._event_init
 
     # -- helpers ----------------------------------------------------------
     def _consumer(self, cid):
-        ev = self.q.get()
-        self.events[cid] = ev
         try:
-            message = yield ev
+            message = yield self.q
         except QueueClosed:
             self.saw_closed.add(cid)
         except Interrupt:
@@ -65,7 +78,19 @@ class MessageQueueMachine(RuleBasedStateMachine):
         else:
             self.got.append((cid, message))
             self.taken.append(message)
-            self.consumed_events.append(ev)
+            self.consumed.append(cid)
+
+    def _park_consumer(self):
+        """Spawn a consumer and run only its bootstrap (the rules leave
+        nothing else on the heap), so it has parked on the queue but — if
+        the park handed it a message — not yet resumed."""
+        cid = len(self.procs)
+        self.procs[cid] = proc = self.env.process(self._consumer(cid),
+                                                  label=f"consumer{cid}")
+        self.env.step()
+        self.handles[cid] = handle = proc.waiting_on
+        assert isinstance(handle, _Parked) and handle.owner is self.q
+        return cid
 
     def _settle(self):
         """Run everything scheduled for the current instant."""
@@ -100,9 +125,7 @@ class MessageQueueMachine(RuleBasedStateMachine):
 
     @rule()
     def blocking_get(self):
-        cid = len(self.procs)
-        self.procs[cid] = self.env.process(self._consumer(cid),
-                                           label=f"consumer{cid}")
+        cid = self._park_consumer()
         self._settle()
         if self.buffer:
             self.delivered += 1
@@ -128,8 +151,10 @@ class MessageQueueMachine(RuleBasedStateMachine):
     def cancel_blocked_getter(self, pick):
         cid = self.blocked[pick % len(self.blocked)]
         proc = self.procs[cid]
-        assert proc.waiting_on is self.events[cid]
-        assert cancel_wait(proc.waiting_on) is True
+        handle = proc.waiting_on
+        assert handle.mark is self.handles[cid].mark
+        assert cancel_wait(handle) is True
+        assert cancel_wait(handle) is False
         proc.interrupt("cancelled")
         self.blocked.remove(cid)
         self._settle()
@@ -145,10 +170,12 @@ class MessageQueueMachine(RuleBasedStateMachine):
         self.q.publish(message)
         self.published += 1
         cid = self.blocked.popleft()
-        ev = self.events[cid]
-        assert ev.triggered and not ev.processed
-        assert cancel_wait(ev) is True
-        self.procs[cid].interrupt("cancelled")
+        proc = self.procs[cid]
+        handle = proc.waiting_on    # the hand-over swapped the wake-up in
+        assert handle.mark is not self.handles[cid].mark
+        assert cancel_wait(handle) is True
+        assert cancel_wait(handle) is False
+        proc.interrupt("cancelled")
         if self.blocked:
             # Redelivered to the next blocked consumer, still one delivery.
             self.delivered += 1
@@ -160,20 +187,23 @@ class MessageQueueMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.buffer)
     @rule()
     def cancel_get_granted_from_buffer(self):
-        ev = self.q.get()
-        assert ev.triggered and not ev.processed
-        assert cancel_wait(ev) is True
+        cid = self._park_consumer()     # served at its yield, not resumed
+        handle = self.handles[cid]
+        assert cancel_wait(handle) is True
+        assert cancel_wait(handle) is False
+        self.procs[cid].interrupt("cancelled")
         # Residency so far is accounted at the hand-over; the message
         # goes back to the head with a fresh stamp.
         message = self._pop_buffered()
         self.buffer.appendleft((message, self.env.now))
         self._settle()
 
-    @precondition(lambda self: self.consumed_events)
+    @precondition(lambda self: self.consumed)
     @rule(pick=st.integers(min_value=0, max_value=7))
     def cancel_consumed_get_is_a_noop(self, pick):
-        ev = self.consumed_events[pick % len(self.consumed_events)]
-        assert cancel_wait(ev) is False
+        cid = self.consumed[pick % len(self.consumed)]
+        assert cancel_wait(self.handles[cid]) is False
+        assert cancel_wait(self.procs[cid].waiting_on) is False
 
     @rule()
     def drain(self):
@@ -223,11 +253,15 @@ class MessageQueueMachine(RuleBasedStateMachine):
         assert self.taken == sorted(set(self.taken))
 
     @invariant()
-    def a_blocked_getter_event_carries_one_bare_callback(self):
+    def a_blocked_consumer_is_parked_on_the_queue(self):
         for cid in self.blocked:
-            callbacks = self.events[cid].callbacks
-            assert callable(callbacks), callbacks
-            assert self.procs[cid].waiting_on is self.events[cid]
+            handle = self.procs[cid].waiting_on
+            assert isinstance(handle, _Parked) and handle.owner is self.q
+            assert handle.mark is self.handles[cid].mark
+
+    @invariant()
+    def no_queue_operation_builds_an_event(self):
+        assert self.events_built == len(self.procs)
 
 
 TestMessageQueueModel = MessageQueueMachine.TestCase

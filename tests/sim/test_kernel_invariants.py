@@ -234,7 +234,7 @@ class TestSameSeedDeterminism:
 
         def collector():
             for _ in range(3):
-                item = yield box.get()
+                item = yield box
                 trace.append(("collected", item, round(env.now, 9)))
 
         victims = [env.process(victim()) for _ in range(2)]
@@ -738,7 +738,7 @@ class TestPark:
         env.step()
         for proc in procs:
             handle = proc.waiting_on
-            assert (handle.resource, handle.process) == (res, proc)
+            assert (handle.owner, handle.process) == (res, proc)
             assert handle.mark is proc._waiting_on
             assert not isinstance(handle, Event)
 

@@ -2,13 +2,23 @@
 
 import pytest
 
-from repro.sim.core import Environment, SimulationError, cancel_wait
+from repro.sim.core import Environment, Interrupt, SimulationError, \
+    cancel_wait
 from repro.sim.resources import Barrier, Resource
+
+
+def _barrier_pin(env, barrier):
+    return (env.processed_events, env._seq, env.now, barrier.generation,
+            barrier.n_waiting)
 
 
 @pytest.fixture
 def env():
     return Environment()
+
+
+def _arriver(barrier):
+    return (yield barrier)
 
 
 def _parker(res, delay=0.0):
@@ -202,7 +212,7 @@ class TestBarrier:
 
         def party(i, delay):
             yield delay
-            gen = yield barrier.arrive()
+            gen = yield barrier
             released.append((i, env.now, gen))
 
         env.process(party(0, 1.0))
@@ -217,7 +227,7 @@ class TestBarrier:
 
         def party(i):
             for _ in range(3):
-                gen = yield barrier.arrive()
+                gen = yield barrier
                 gens.append(gen)
                 yield 1.0
 
@@ -226,16 +236,76 @@ class TestBarrier:
         env.run()
         assert sorted(gens) == [0, 0, 1, 1, 2, 2]
 
+    def test_schedule_pin_three_parties(self, env):
+        barrier = Barrier(env, parties=3)
+        released = []
+
+        def party(i):
+            yield float(i)
+            released.append((i, (yield barrier.arrive()), env.now))
+
+        for i in range(3):
+            env.process(party(i))
+        env.run()
+        assert released == [(0, 0, 2.0), (1, 0, 2.0), (2, 0, 2.0)]
+        assert _barrier_pin(env, barrier) == (12, 12, 2.0, 1, 0)
+
+    def test_schedule_pin_one_party(self, env):
+        barrier = Barrier(env, parties=1)
+        gens = []
+
+        def party():
+            for _ in range(2):
+                gens.append(((yield barrier.arrive()), env.now))
+
+        env.process(party())
+        env.run()
+        assert gens == [(0, 0.0), (1, 0.0)]
+        assert _barrier_pin(env, barrier) == (4, 4, 0.0, 2, 0)
+
+    def test_schedule_pin_an_arrival_cancelled_before_the_last(self, env):
+        barrier = Barrier(env, parties=3)
+        log = []
+
+        def party(i, delay):
+            yield delay
+            try:
+                log.append((i, (yield barrier.arrive()), env.now))
+            except Interrupt as intr:
+                log.append((i, intr.cause, env.now))
+
+        def killer():
+            yield 1.5
+            log.append(("cancel", cancel_wait(doomed.waiting_on)))
+            doomed.interrupt("k")
+
+        env.process(party(0, 0.0))
+        doomed = env.process(party(1, 1.0))
+        env.process(killer())
+        env.process(party(2, 2.0))
+        env.process(party(3, 3.0))
+        env.run()
+        assert log == [("cancel", True), (1, "k", 1.5), (0, 0, 3.0),
+                       (2, 0, 3.0), (3, 0, 3.0)]
+        assert _barrier_pin(env, barrier) == (19, 19, 3.0, 1, 0)
+
     def test_single_party_never_blocks(self, env):
         barrier = Barrier(env, parties=1)
-        ev = barrier.arrive()
-        assert ev.triggered
+        proc = env.process(_arriver(barrier))
+        env.step()          # the bootstrap: the arrival ends generation 0
+        assert (barrier.generation, barrier.n_waiting) == (1, 0)
+        (_time, _seq, fn, wake), = env._heap
+        assert fn is proc._resume_cb and wake is proc._waiting_on
+        env.run()
+        assert proc.value == 0
 
     def test_n_waiting(self, env):
         barrier = Barrier(env, parties=3)
-        barrier.arrive()
+        for _ in range(3):
+            env.process(_arriver(barrier))
+        env.step()
         assert barrier.n_waiting == 1
-        barrier.arrive()
+        env.step()
         assert barrier.n_waiting == 2
-        barrier.arrive()
+        env.step()
         assert barrier.n_waiting == 0

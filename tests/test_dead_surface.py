@@ -20,7 +20,11 @@ and two over live objects:
   ``AnyOf``, ``AllOf``, ``Resource.acquire`` and their helpers) are
   defined nowhere, and nothing calls ``.timeout(``, which is kept only
   for ``benchmarks/perf`` — a process sleeps on a bare delay and takes a
-  slot by yielding the ``Resource``;
+  slot by yielding the ``Resource``; likewise a get and a barrier
+  arrival are parks (no ``Event._on_cancel`` slot, no ``_cancel_get`` /
+  ``_cancel_arrival``, no ``_kernel._Resource`` registration), and
+  nothing calls ``.arrive(`` or a zero-argument ``.get()``, kept only
+  for ``benchmarks/perf``;
 * one simulated process is one client: no recorder, sketch or commit
   message takes a ``weight``, and ``PaconConfig`` keeps its 12 fields —
   the aggregate client stays deleted;
@@ -59,6 +63,7 @@ from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
 from repro.obs.hub import MetricsHub
 from repro.obs.sketch import QuantileSketch
+from repro.sim.core import Event
 from repro.sim.costs import CostModel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -253,6 +258,35 @@ def test_a_sleep_is_a_bare_delay():
 def test_a_grant_is_a_yielded_resource():
     assert _wait_remnants(GRANT_REMNANTS) == [], (
         "yield the Resource itself — docs/kernel.md, 'Parking'")
+
+
+def _get_arrive_and_registry_remnants():
+    """``.arrive(`` and zero-argument ``.get()`` calls, and assignments to
+    an attribute named ``_Resource``, under ``src/repro``."""
+    found = []
+    for path in _source_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func,
+                                                         ast.Attribute):
+                attr = node.func.attr
+                if attr == "arrive" or (attr == "get" and not node.args
+                                        and not node.keywords):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}"
+                                 f" .{attr}(")
+            elif isinstance(node, ast.Assign):
+                found += [f"{path.relative_to(SRC)}:{node.lineno} _Resource"
+                          for target in node.targets
+                          if isinstance(target, ast.Attribute)
+                          and target.attr == "_Resource"]
+    return found
+
+
+def test_a_get_and_an_arrival_are_parks():
+    assert "_on_cancel" not in Event.__slots__
+    assert _wait_remnants(("_cancel_get", "_cancel_arrival")) == []
+    assert _get_arrive_and_registry_remnants() == [], (
+        "yield the MessageQueue or the Barrier itself — docs/kernel.md,"
+        " 'Parking'; get() and arrive() are kept only for benchmarks/perf")
 
 
 def test_an_observation_is_one_client():
