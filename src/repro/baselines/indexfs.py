@@ -439,11 +439,14 @@ class IndexFS:
         if not parts:
             return [self.servers[0]]
         parent = parent_of(path)
-        name = parts[-1]
+        servers = self.servers
+        # ``server_for_entry`` per generation, with each md5 taken once.
+        name_hash = stable_hash64(parts[-1])
+        dir_hash = stable_hash64(parent)
         chain: List[IndexFSServer] = []
         nparts = self.partitions_of(parent)
         while True:
-            server = self.server_for_entry(parent, name, nparts)
+            server = servers[(dir_hash + name_hash % nparts) % len(servers)]
             if server not in chain:
                 chain.append(server)
             if nparts == 1:

@@ -22,6 +22,9 @@ from repro.sim.core import Event, Interrupt
 
 __all__ = ["DFSClient"]
 
+#: RPCs whose result is an inode record; ``_op`` returns it as an Inode.
+_INODE_RESULTS = frozenset({"mkdir", "create", "getattr", "setattr"})
+
 
 class DFSClient:
     """Per-process client handle onto a BeeGFS-like deployment."""
@@ -38,56 +41,63 @@ class DFSClient:
         self.rpcs_sent = 0
         self.lookup_rpcs = 0
 
-    # -- path traversal ---------------------------------------------------
-    def _traverse_parents(self, path: str) -> Generator[Event, Any, None]:
-        """Resolve every ancestor of ``path`` with per-component lookups.
-
-        Issues ``len(components) - 1`` lookup RPCs (the final component is
-        resolved by the operation RPC itself).  This is the depth-
-        proportional network cost measured in Figs. 2 and 9.  ``path`` is
-        already normalized (``_op``/``rename`` validate at entry).
-        """
-        parts = split_path(path)
-        current = "/"
-        for name in parts[:-1]:
-            mds = self.fs.mds_for(current)
-            self.rpcs_sent += 1
-            self.lookup_rpcs += 1
-            yield from mds.request(self.node, "lookup", current, name,
-                                   self.uid, self.gid)
-            current = current.rstrip("/") + "/" + name
-
+    # -- the one RPC path ---------------------------------------------------
     def _op(self, path: str, method: str, *args,
             **kwargs) -> Generator[Event, Any, Any]:
-        """Validate ``path``, traverse ancestors, issue the operation RPC."""
+        """One metadata operation, driven from this one generator frame.
+
+        Validates ``path`` and resolves every ancestor with one lookup RPC
+        per component (the final component is resolved by the operation
+        RPC itself) -- the depth-proportional network cost measured in
+        Figs. 2 and 9.  Then it sends ``method`` with ``path`` first to
+        the MDS owning ``path``'s parent and hands an inode record back as
+        an :class:`Inode`.  A ``rename`` validates and resolves its
+        destination (``args[0]``) first; a ``commit_batch`` sends ``args``
+        alone, its ``path`` naming the batch's first op.
+        """
+        walk: Tuple[str, ...] = ()
+        if method == "rename":
+            dst = normalize_path(args[0])
+            args = (dst,) + args[1:]
+            walk = (dst,)
         path = normalize_path(path)
-        yield from self._traverse_parents(path)
+        node, uid, gid = self.node, self.uid, self.gid
+        for target in walk + (path,):
+            current = "/"
+            for name in split_path(target)[:-1]:
+                self.rpcs_sent += 1
+                self.lookup_rpcs += 1
+                yield from self.fs.mds_for(current).request(
+                    node, "lookup", current, name, uid, gid)
+                current = current.rstrip("/") + "/" + name
         if self.costs.client_op_cpu > 0:
             yield self.costs.client_op_cpu
         mds = self.fs.mds_for(parent_of(path) if path != "/" else "/")
         self.rpcs_sent += 1
-        result = yield from mds.request(self.node, method, path, *args,
-                                        **kwargs)
+        if method == "commit_batch":
+            return (yield from mds.request(node, method, *args, **kwargs))
+        result = yield from mds.request(node, method, path, *args, **kwargs)
+        if method in _INODE_RESULTS:
+            return Inode.from_record(result)
         return result
 
     # -- metadata operations -------------------------------------------------
-    # ``token`` (optional) is an idempotency key for at-least-once retry
-    # of the mutation; see MetadataServer's commit-dedup token memory.
+    # Each returns ``_op``'s generator itself, so a resume crosses one
+    # client frame.  ``token`` (optional) is an idempotency key for
+    # at-least-once retry of the mutation; see MetadataServer's
+    # commit-dedup token memory.
     def mkdir(self, path: str, mode: int = 0o755,
               token: Any = None) -> Generator[Event, Any, Inode]:
-        record = yield from self._op(path, "mkdir", mode, self.uid, self.gid,
-                                     token=token)
-        return Inode.from_record(record)
+        return self._op(path, "mkdir", mode, self.uid, self.gid, token=token)
 
     def create(self, path: str, mode: int = 0o644,
                token: Any = None) -> Generator[Event, Any, Inode]:
-        record = yield from self._op(path, "create", mode, self.uid, self.gid,
-                                     token=token)
-        return Inode.from_record(record)
+        return self._op(path, "create", mode, self.uid, self.gid,
+                        token=token)
 
     def unlink(self, path: str,
                token: Any = None) -> Generator[Event, Any, None]:
-        yield from self._op(path, "unlink", self.uid, self.gid, token=token)
+        return self._op(path, "unlink", self.uid, self.gid, token=token)
 
     rm = unlink  # alias shared with the Pacon/IndexFS client protocols
 
@@ -107,31 +117,24 @@ class DFSClient:
         if not ops:
             return []
         parent = parent_of(ops[0][1])
-        for _op, path, _kw in ops[1:]:
+        for _kind, path, _kw in ops[1:]:
             if parent_of(path) != parent:
                 raise ValueError("commit_batch requires a shared parent"
                                  f" directory, got {path} outside {parent}")
-        yield from self._traverse_parents(ops[0][1])
-        if self.costs.client_op_cpu > 0:
-            yield self.costs.client_op_cpu
-        mds = self.fs.mds_for(parent)
-        self.rpcs_sent += 1
-        per_op = self.costs.request_header_size
-        results = yield from mds.request(
-            self.node, "commit_batch", ops, self.uid, self.gid,
-            req_size=per_op + self.costs.metadata_record_size * len(ops),
-            resp_size=per_op + self.costs.metadata_record_size * len(ops))
+        size = (self.costs.request_header_size
+                + self.costs.metadata_record_size * len(ops))
+        results = yield from self._op(ops[0][1], "commit_batch", ops,
+                                      self.uid, self.gid, req_size=size,
+                                      resp_size=size)
         return results
 
     def rmdir(self, path: str,
               recursive: bool = False) -> Generator[Event, Any, int]:
-        removed = yield from self._op(path, "rmdir", self.uid, self.gid,
-                                      recursive=recursive)
-        return removed
+        return self._op(path, "rmdir", self.uid, self.gid,
+                        recursive=recursive)
 
     def getattr(self, path: str) -> Generator[Event, Any, Inode]:
-        record = yield from self._op(path, "getattr", self.uid, self.gid)
-        return Inode.from_record(record)
+        return self._op(path, "getattr", self.uid, self.gid)
 
     def exists(self, path: str) -> Generator[Event, Any, bool]:
         try:
@@ -143,18 +146,13 @@ class DFSClient:
             return False
 
     def readdir(self, path: str) -> Generator[Event, Any, List[str]]:
-        names = yield from self._op(path, "readdir", self.uid, self.gid)
-        return names
+        return self._op(path, "readdir", self.uid, self.gid)
 
     def setattr(self, path: str, **attrs) -> Generator[Event, Any, Inode]:
-        record = yield from self._op(path, "setattr", self.uid, self.gid,
-                                     **attrs)
-        return Inode.from_record(record)
+        return self._op(path, "setattr", self.uid, self.gid, **attrs)
 
     def rename(self, src: str, dst: str) -> Generator[Event, Any, None]:
-        dst = normalize_path(dst)
-        yield from self._traverse_parents(dst)
-        yield from self._op(src, "rename", dst, self.uid, self.gid)
+        return self._op(src, "rename", dst, self.uid, self.gid)
 
     # -- data operations ---------------------------------------------------------
     def write(self, path: str, offset: int,

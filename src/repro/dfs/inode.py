@@ -22,6 +22,12 @@ class AccessMode(enum.IntFlag):
     EXECUTE = 1
 
 
+# Wire value -> FileType without ``EnumMeta.__call__`` per record.  The
+# other way reads the member's ``_value_`` slot: the ``value`` property
+# and ``Enum.__hash__`` (a dict keyed by member) are Python-level calls.
+_FTYPE_OF_VALUE = {ftype.value: ftype for ftype in FileType}
+
+
 def check_mode_bits(mode: int, uid: int, gid: int, owner_uid: int,
                     owner_gid: int, want: AccessMode) -> bool:
     """Classic owner/group/other mode-bit evaluation.
@@ -37,7 +43,8 @@ def check_mode_bits(mode: int, uid: int, gid: int, owner_uid: int,
         bits = (mode >> 3) & 0o7
     else:
         bits = mode & 0o7
-    return (bits & int(want)) == int(want)
+    want = int(want)
+    return (bits & want) == want
 
 
 @dataclass
@@ -77,7 +84,7 @@ class Inode:
         """Serialize to the plain-dict wire/cache format."""
         return {
             "ino": self.ino,
-            "ftype": self.ftype.value,
+            "ftype": self.ftype._value_,
             "mode": self.mode,
             "uid": self.uid,
             "gid": self.gid,
@@ -90,18 +97,13 @@ class Inode:
 
     @classmethod
     def from_record(cls, record: Dict) -> "Inode":
-        return cls(
-            ino=record["ino"],
-            ftype=FileType(record["ftype"]),
-            mode=record["mode"],
-            uid=record["uid"],
-            gid=record["gid"],
-            size=record["size"],
-            ctime=record["ctime"],
-            mtime=record["mtime"],
-            nlink=record.get("nlink", 1),
-            inline_data=record.get("inline_data"),
-        )
+        value = record["ftype"]
+        # An unknown value falls through to FileType(), which raises.
+        ftype = _FTYPE_OF_VALUE.get(value) or FileType(value)
+        return cls(record["ino"], ftype, record["mode"], record["uid"],
+                   record["gid"], record["size"], record["ctime"],
+                   record["mtime"], record.get("nlink", 1),
+                   record.get("inline_data"))
 
     def copy(self) -> "Inode":
         return Inode(self.ino, self.ftype, self.mode, self.uid, self.gid,

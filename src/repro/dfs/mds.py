@@ -90,14 +90,12 @@ class MetadataServer(Service):
         child_path = (dir_path.rstrip("/") + "/" + name) if name else dir_path
         yield (self.costs.mds_lookup_service +
                self._touch_inode_cache(child_path))
-        inode = self.namespace.getattr(child_path, uid, gid, check_perms=True)
-        return inode.to_record()
+        return self.namespace.getattr_record(child_path, uid, gid)
 
     def handle_getattr(self, path: str, uid: int = 0,
                        gid: int = 0) -> Generator[Event, Any, Dict]:
         yield self.costs.mds_read_service + self._touch_inode_cache(path)
-        return self.namespace.getattr(path, uid, gid,
-                                      check_perms=True).to_record()
+        return self.namespace.getattr_record(path, uid, gid)
 
     def handle_readdir(self, path: str, uid: int = 0,
                        gid: int = 0) -> Generator[Event, Any, List[str]]:

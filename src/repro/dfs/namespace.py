@@ -31,14 +31,26 @@ __all__ = ["Namespace", "normalize_path", "split_path", "parent_of",
            "basename", "is_within", "snapshot_entries"]
 
 ROOT_INO = 1
+_SEARCH = int(AccessMode.EXECUTE)
+#: A mutation needs write and search permission on the parent directory.
+_WRITE_SEARCH = AccessMode.WRITE | AccessMode.EXECUTE
 
 
 def normalize_path(path: str) -> str:
     """Validate and canonicalize an absolute path.
 
     Rejects relative paths and '.'/'..' segments (the DFS client resolves
-    those before they hit the wire, as real DFS clients do).
+    those before they hit the wire, as real DFS clients do).  A path that
+    is already canonical -- a ``str`` starting with ``/``, with no ``//``,
+    ``/.`` or NUL, and no trailing ``/`` unless it is the root -- is
+    returned as is: every '.'/'..' segment or empty component needs one
+    of those substrings, so the full check could only rebuild the same
+    string.  Anything else takes the full check.
     """
+    if (type(path) is str and path[:1] == "/" and "//" not in path
+            and "/." not in path and "\x00" not in path
+            and (path[-1] != "/" or len(path) == 1)):
+        return path
     if not isinstance(path, str) or not path:
         raise InvalidPath(str(path), "empty path")
     if not path.startswith("/"):
@@ -98,8 +110,7 @@ class Namespace:
         self._inodes: Dict[int, Inode] = {}
         self._children: Dict[int, Dict[str, int]] = {}
         self._next_ino = ROOT_INO
-        # op counters (observability; the MDS exports these)
-        self.lookups = 0
+        # Mutation count: the generation half of every commit stamp.
         self.mutations = 0
         # Commit stamps: ino -> (commit generation, commit sim-time) of
         # the last authoritative mutation touching that inode.  A side
@@ -135,20 +146,32 @@ class Namespace:
 
     def _walk(self, parts: List[str], uid: int, gid: int,
               check_perms: bool) -> Inode:
-        """Walk validated components from the root; raises on any violation."""
-        current = self._inodes[ROOT_INO]
+        """Walk validated components from the root; raises on any violation.
+
+        The search check is ``check_mode_bits`` for EXECUTE written out:
+        root passes, otherwise the owner, group or other bits decide.
+        """
+        inodes = self._inodes
+        children = self._children
+        check = check_perms and uid != 0
+        current = inodes[ROOT_INO]
         for i, name in enumerate(parts):
-            if not current.is_dir:
+            if current.ftype is not FileType.DIRECTORY:
                 raise NotADirectory("/" + "/".join(parts[:i]))
-            if check_perms and not current.permits(uid, gid,
-                                                   AccessMode.EXECUTE):
-                raise PermissionDenied("/" + "/".join(parts[:i]),
-                                       "search permission")
-            child_ino = self._children[current.ino].get(name)
+            if check:
+                if uid == current.uid:
+                    bits = current.mode >> 6
+                elif gid == current.gid:
+                    bits = current.mode >> 3
+                else:
+                    bits = current.mode
+                if not bits & _SEARCH:
+                    raise PermissionDenied("/" + "/".join(parts[:i]),
+                                           "search permission")
+            child_ino = children[current.ino].get(name)
             if child_ino is None:
                 raise FileNotFound("/" + "/".join(parts[: i + 1]))
-            current = self._inodes[child_ino]
-            self.lookups += 1
+            current = inodes[child_ino]
         return current
 
     def _resolve_parent(self, path: str, uid: int, gid: int,
@@ -173,6 +196,11 @@ class Namespace:
                 check_perms: bool = True) -> Inode:
         return self._resolve(path, uid, gid, check_perms).copy()
 
+    def getattr_record(self, path: str, uid: int = 0, gid: int = 0,
+                       check_perms: bool = True) -> Dict[str, Any]:
+        """``getattr(...).to_record()`` without the intermediate copy."""
+        return self._resolve(path, uid, gid, check_perms).to_record()
+
     def readdir(self, path: str, uid: int = 0, gid: int = 0,
                 check_perms: bool = True) -> List[str]:
         inode = self._resolve(path, uid, gid, check_perms)
@@ -189,9 +217,9 @@ class Namespace:
     def commit_stamp(self, path: str) -> Optional[Tuple[int, float]]:
         """(commit generation, commit sim-time) of ``path``'s inode.
 
-        Zero-cost observability peek: walks the child maps directly
-        (no permission checks, no ``lookups`` counter bump — this query
-        must never perturb the counters an instrumented run exports).
+        Zero-cost observability peek: walks the child maps directly (no
+        permission checks, no mutation of any kind — this query must never
+        perturb what an instrumented run exports).
         Returns None when the path does not exist authoritatively.
         """
         try:
@@ -349,8 +377,7 @@ class Namespace:
 
     def _check_parent_write(self, parent: Inode, path: str, uid: int,
                             gid: int, check_perms: bool) -> None:
-        if check_perms and not parent.permits(
-                uid, gid, AccessMode.WRITE | AccessMode.EXECUTE):
+        if check_perms and not parent.permits(uid, gid, _WRITE_SEARCH):
             raise PermissionDenied(path, "write permission on parent")
 
     # -- subtree checkpoint/restore (§III.G) -----------------------------------

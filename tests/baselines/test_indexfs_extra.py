@@ -36,6 +36,26 @@ class TestAdminMkdir:
         assert fs.partitions_of("/") >= 2
 
 
+class TestProbeChain:
+    def test_chain_is_server_for_entry_per_generation(self):
+        """Newest generation first, halving to one partition, each owner
+        listed once -- what ``server_for_entry`` names per generation."""
+        _cluster, fs, _nodes = make(n_nodes=8, split_threshold=2)
+        for i in range(40):
+            fs.admin_mkdir(f"/d{i}")
+        assert fs.partitions_of("/") == 8
+        for name in ("d0", "d7", "x", "é"):
+            expected = []
+            nparts = 8
+            while nparts >= 1:
+                server = fs.server_for_entry("/", name, nparts)
+                if server not in expected:
+                    expected.append(server)
+                nparts //= 2
+            assert fs.probe_chain("/" + name) == expected
+            assert expected[0] is fs.server_for("/" + name)
+
+
 class TestConcurrentClients:
     def test_many_clients_share_namespace(self):
         cluster, fs, nodes = make()

@@ -241,3 +241,51 @@ class TestMultiMDS:
         cluster = Cluster()
         with pytest.raises(ValueError):
             BeeGFS(cluster, n_mds=0)
+
+
+def _chain(generator):
+    """The ``yield from`` chain hanging off ``generator``, itself first."""
+    chain = [generator]
+    while chain[-1].gi_yieldfrom is not None:
+        chain.append(chain[-1].gi_yieldfrom)
+    return chain
+
+
+def _in_sender_nic_hold(process, method):
+    """Asleep holding the client's NIC while sending a ``method`` RPC.
+
+    Nothing else runs in the world, so the NIC is in use exactly while
+    this process holds it."""
+    chain = _chain(process._generator)
+    if len(chain) < 2 or chain[-1].gi_code.co_name != "transfer":
+        return False
+    request, transfer = chain[-2:]
+    hop = transfer.gi_frame.f_locals
+    nic = hop.get("nic")
+    return (request.gi_frame.f_locals.get("method") == method
+            and process.waiting_on is None and nic is not None
+            and nic is hop["src"].nic and nic.in_use == 1)
+
+
+class TestClientFrames:
+    """Every resume of a DFS op re-enters the driving process's whole
+    ``yield from`` chain: one client frame, lookups and op RPC alike."""
+
+    def test_getattr_resumes_through_op_alone(self, world):
+        cluster, fs, client = world
+        fs.mkdir_sync("/a")
+        fs.mkdir_sync("/a/b")
+        fs.namespace.create("/a/b/c")
+
+        def body():
+            inode = yield from client.getattr("/a/b/c")
+            return inode
+
+        proc = cluster.env.process(body())
+        for method in ("lookup", "getattr"):
+            while not _in_sender_nic_hold(proc, method):
+                cluster.env.step()
+            names = [g.gi_code.co_name for g in _chain(proc._generator)]
+            assert names == ["body", "_op", "request", "transfer"]
+        cluster.run()
+        assert proc.value.is_file and client.lookup_rpcs == 2

@@ -1,5 +1,7 @@
 """Unit tests for inodes and mode-bit permission evaluation."""
 
+import json
+
 import pytest
 
 from repro.dfs.inode import AccessMode, FileType, Inode, check_mode_bits
@@ -63,3 +65,40 @@ class TestInode:
         rec = Inode(1, FileType.FILE).to_record()
         del rec["nlink"]
         assert Inode.from_record(rec).nlink == 1
+
+
+class TestRecordFormat:
+    """The wire/cache record, byte for byte (key order included)."""
+
+    def test_file_record_bytes(self):
+        inode = Inode(7, FileType.FILE, mode=0o600, uid=3, gid=4, size=100,
+                      ctime=1.5, mtime=2.5)
+        assert json.dumps(inode.to_record()) == (
+            '{"ino": 7, "ftype": "file", "mode": 384, "uid": 3, "gid": 4,'
+            ' "size": 100, "ctime": 1.5, "mtime": 2.5, "nlink": 1,'
+            ' "inline_data": null}')
+
+    def test_directory_record_bytes(self):
+        inode = Inode(2, FileType.DIRECTORY, mode=0o755, uid=1000, gid=1000,
+                      ctime=0.25, mtime=0.5, nlink=2)
+        assert json.dumps(inode.to_record()) == (
+            '{"ino": 2, "ftype": "dir", "mode": 493, "uid": 1000,'
+            ' "gid": 1000, "size": 0, "ctime": 0.25, "mtime": 0.5,'
+            ' "nlink": 2, "inline_data": null}')
+
+    @pytest.mark.parametrize("ftype", list(FileType))
+    def test_from_record_gives_back_the_member(self, ftype):
+        back = Inode.from_record(Inode(3, ftype).to_record())
+        assert back.ftype is ftype
+
+    def test_unknown_ftype_raises_value_error(self):
+        rec = Inode(3, FileType.FILE).to_record()
+        rec["ftype"] = "symlink"
+        with pytest.raises(ValueError):
+            Inode.from_record(rec)
+
+    def test_missing_optional_fields_take_defaults(self):
+        rec = Inode(3, FileType.FILE, nlink=4, inline_data=b"x").to_record()
+        del rec["nlink"], rec["inline_data"]
+        back = Inode.from_record(rec)
+        assert (back.nlink, back.inline_data) == (1, None)

@@ -279,6 +279,36 @@ def test_normalize_is_idempotent(path):
     assert "//" not in once and (once == "/" or not once.endswith("/"))
 
 
+def _reference_normalize(path):
+    """``normalize_path`` as it was before the canonical fast path."""
+    if not isinstance(path, str) or not path:
+        raise InvalidPath(str(path), "empty path")
+    if not path.startswith("/"):
+        raise InvalidPath(path, "path must be absolute")
+    if "\x00" in path:
+        raise InvalidPath(path, "embedded NUL")
+    parts = [p for p in path.split("/") if p]
+    for p in parts:
+        if p in (".", ".."):
+            raise InvalidPath(path, "'.'/'..' must be client-resolved")
+    return "/" + "/".join(parts)
+
+
+def _outcome(normalize, path):
+    try:
+        return "ok", normalize(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(messy, canonical, st.text(alphabet="/.a\x00é"),
+                 st.sampled_from([None, b"/a", 3])))
+def test_fast_path_equals_the_full_check(path):
+    """Same string back, or the same exception class and message."""
+    assert (_outcome(normalize_path, path)
+            == _outcome(_reference_normalize, path))
+
+
 def test_helpers_do_not_validate():
     """The precondition is the caller's job: no hidden normalize_path."""
     for helper in (split_path, parent_of, basename, is_within):
