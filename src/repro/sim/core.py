@@ -310,9 +310,7 @@ class Process(Event):
             self._exc = err
             self._value = None
             env._schedule(self)
-            if not env._catch_process_errors:
-                raise
-            return
+            raise
         env._active_process = None
         cls = target.__class__
         if cls is float:
@@ -470,11 +468,19 @@ def cancel_wait(wait: Optional[Union[Event, _Parked]]) -> bool:
     return wait.__class__ is _Parked and wait._on_cancel()
 
 
+class _Stop:
+    """What ``run(until=<time>)`` ends on: the ``arg`` of an event-like
+    heap entry keyed ``inf``, after every entry due at that instant
+    (pushed while it waits included).  Not an :class:`Event`; it takes
+    no ``_seq`` and is not counted."""
+
+    __slots__ = ("callbacks",)
+
+
 class Environment:
     """The simulation clock, event heap, and process factory."""
 
-    def __init__(self, initial_time: float = 0.0,
-                 catch_process_errors: bool = False):
+    def __init__(self, initial_time: float = 0.0):
         self.now = float(initial_time)
         #: Heap of ``(time, key, fn, arg)``.  ``key`` is the schedule
         #: sequence number (biased negative for interrupt carriers) and
@@ -486,7 +492,6 @@ class Environment:
         self._heap: list = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self._catch_process_errors = catch_process_errors
         self._event_count = 0
 
     # -- factories -------------------------------------------------------
@@ -547,12 +552,12 @@ class Environment:
         return self._event_count
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event) -> None:
         if event._scheduled:
             return
         event._scheduled = True
         self._seq = seq = self._seq + 1
-        _heappush(self._heap, (self.now + delay, seq, None, event))
+        _heappush(self._heap, (self.now, seq, None, event))
 
     def _schedule_callback(self, fn: Callable[[Event], None],
                            event: Event) -> None:
@@ -594,89 +599,73 @@ class Environment:
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run to heap exhaustion), a number (run to
-        that simulated time), or an :class:`Event` (run until it triggers
-        and return its value).
+        ``until`` may be ``None`` (run to heap exhaustion), a time (run
+        every entry due at or before it, then set the clock to it), or an
+        :class:`Event` (run until it has been processed — all of its
+        callbacks included — and return its value).
 
-        The ``step`` body is inlined into each loop below: one Python
-        function call per event is the single largest fixed cost in the
-        kernel, and these loops process millions of events per run.  The
-        event count is accumulated locally and flushed in ``finally`` so
-        ``processed_events`` stays correct even when a process error
-        propagates out mid-run.
+        One loop serves all three: it ends on the heap running dry or on
+        processing ``target``, one identity test on event entries only.
+        A time bound becomes a :class:`_Stop` entry keyed after every
+        entry due at that instant, so no per-event bound test exists.
+        The ``step`` body is inlined: one Python call per event is the
+        largest fixed cost in the kernel.  The event count is kept
+        locally and flushed in ``finally``, so ``processed_events`` stays
+        right when an exception leaves mid-run; a stop entry still on
+        the heap then is taken off it.
         """
         heap = self._heap
-        pop = _heappop
         processed = _PROCESSED
-        count = 0
-        if until is None:
-            try:
-                while heap:
-                    t, _key, fn, arg = pop(heap)
-                    self.now = t
-                    count += 1
-                    if fn is not None:
-                        fn(arg)
-                    else:
-                        callbacks = arg.callbacks
-                        arg.callbacks = processed
-                        if callbacks is not None:
-                            if type(callbacks) is list:
-                                for cb in callbacks:
-                                    cb(arg)
-                            else:
-                                callbacks(arg)
-            finally:
-                self._event_count += count
-            return None
+        stop = target = None
         if isinstance(until, Event):
             target = until
-            try:
-                while target.callbacks is not processed:
-                    if not heap:
-                        raise SimulationError(
-                            "simulation ran out of events before the awaited"
-                            f" event triggered: {target!r} — deadlock?")
-                    t, _key, fn, arg = pop(heap)
-                    self.now = t
-                    count += 1
-                    if fn is not None:
-                        fn(arg)
-                    else:
-                        callbacks = arg.callbacks
-                        arg.callbacks = processed
-                        if callbacks is not None:
-                            if type(callbacks) is list:
-                                for cb in callbacks:
-                                    cb(arg)
-                            else:
-                                callbacks(arg)
-            finally:
-                self._event_count += count
-            return target.value
-        deadline = float(until)
-        if deadline < self.now:
-            raise ValueError(f"run(until={deadline}) is in the past "
-                             f"(now={self.now})")
+            if target.callbacks is processed:
+                return target.value
+        elif until is not None:
+            deadline = float(until)
+            if not deadline >= self.now:
+                raise ValueError(f"run(until={until!r}) needs a time >= now"
+                                 f" ({self.now})")
+            target = _Stop()
+            target.callbacks = None
+            stop = (deadline, float("inf"), None, target)
+            _heappush(heap, stop)
+        pop = _heappop
+        count = 0
         try:
-            while heap and heap[0][0] <= deadline:
+            while heap:
                 t, _key, fn, arg = pop(heap)
                 self.now = t
                 count += 1
                 if fn is not None:
                     fn(arg)
-                else:
-                    callbacks = arg.callbacks
-                    arg.callbacks = processed
-                    if callbacks is not None:
-                        if type(callbacks) is list:
-                            for cb in callbacks:
-                                cb(arg)
-                        else:
-                            callbacks(arg)
+                    continue
+                callbacks = arg.callbacks
+                arg.callbacks = processed
+                if callbacks is not None:
+                    if type(callbacks) is list:
+                        for cb in callbacks:
+                            cb(arg)
+                    else:
+                        callbacks(arg)
+                if arg is target:
+                    break
+            else:
+                if target is not None:
+                    raise SimulationError(
+                        "simulation ran out of events before the awaited"
+                        f" event triggered: {target!r} — deadlock?")
+        except BaseException:
+            if stop is not None:
+                heap.remove(stop)
+                heapq.heapify(heap)
+            raise
         finally:
             self._event_count += count
-        self.now = deadline
+        if stop is not None:
+            self._event_count -= 1  # the stop entry is not an event
+        elif target is not None:
+            return target.value
         return None
 
     def peek(self) -> float:

@@ -356,6 +356,3 @@ class Cluster:
                   cores: int = 24) -> list[Node]:
         return [self.add_node(f"{prefix}{i + len(self.nodes)}", cores=cores)
                 for i in range(count)]
-
-    def run(self, until: Any = None) -> Any:
-        return self.env.run(until)

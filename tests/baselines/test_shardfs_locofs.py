@@ -172,6 +172,6 @@ class TestLocoFS:
 
         for i in range(8):
             cluster.env.process(creator(i))
-        cluster.run()
+        cluster.env.run()
         assert len(done) == 8
         assert fs.dms.requests_by_method["check_path"] == 8

@@ -120,7 +120,7 @@ class TestDistributedCache:
         run_sync(cluster.env, proc())
         for i in range(8):
             cluster.env.process(writer(i))
-        cluster.run()
+        cluster.env.run()
         final = cache.peek("/ctr")
         assert final["size"] == 8
 

@@ -250,7 +250,7 @@ class TestMultiClientConsistency:
 
         for cl in clients:
             world.cluster.env.process(racer(cl))
-        world.cluster.run()
+        world.cluster.env.run()
         assert outcomes.count("won") == 1
         assert outcomes.count("lost") == 3
         world.quiesce()

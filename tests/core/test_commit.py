@@ -128,7 +128,7 @@ class TestBarrierCommit:
 
         world.cluster.env.process(straggler())
         world.cluster.env.process(race())
-        world.cluster.run()
+        world.cluster.env.run()
         world.quiesce()
         discarded = sum(cp.discarded for cp in world.region.commit_processes)
         # Either the straggler committed before the rmdir wiped it, or it
@@ -142,7 +142,7 @@ class TestCommitProcessLifecycle:
     def test_close_drains_and_exits(self, world):
         world.run(world.client.create("/app/f"))
         world.region.close()
-        world.cluster.run()
+        world.cluster.env.run()
         assert world.dfs.namespace.exists("/app/f")
         for cp in world.region.commit_processes:
             assert cp.idle
@@ -214,7 +214,7 @@ class TestCommitFrames:
         lost = cp.abort(reason="test")
         assert [op.path for op in lost] == [f"/app/f{i}"
                                             for i in range(1, n_ops)]
-        cluster.run()
+        cluster.env.run()
         assert not cp.alive and not cp._drain and not cp._unsettled
         queue = region.queues.route(region.nodes[0].node_id)
         assert queue.waiting_getters == 0

@@ -53,8 +53,8 @@ class TestRecoveryOptions:
 
 
 class TestKernelErrorHandling:
-    def test_catch_process_errors_keeps_sim_alive(self):
-        env = Environment(catch_process_errors=True)
+    def test_a_process_error_propagates_and_run_carries_on(self):
+        env = Environment()
 
         def bad():
             yield 1.0
@@ -66,6 +66,9 @@ class TestKernelErrorHandling:
 
         p_bad = env.process(bad())
         p_good = env.process(good())
+        with pytest.raises(RuntimeError, match="inside process"):
+            env.run()
+        assert env.now == 1.0 and p_good.is_alive
         env.run()
         assert p_good.value == "survived"
         assert isinstance(p_bad.exception, RuntimeError)

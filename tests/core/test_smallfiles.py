@@ -50,7 +50,7 @@ class TestSmallFiles:
 
         for i, cl in enumerate(clients):
             world.cluster.env.process(writer(cl, i))
-        world.cluster.run()
+        world.cluster.env.run()
         data = world.run(world.client.read("/app/f", 0, 40))
         assert data == b"A" * 10 + b"B" * 10 + b"C" * 10 + b"D" * 10
 

@@ -287,5 +287,5 @@ class TestClientFrames:
                 cluster.env.step()
             names = [g.gi_code.co_name for g in _chain(proc._generator)]
             assert names == ["body", "_op", "request", "transfer"]
-        cluster.run()
+        cluster.env.run()
         assert proc.value.is_file and client.lookup_rpcs == 2

@@ -10,7 +10,10 @@ back, so one wait is cancelled twice) — are run once per spelling and
 must agree on every resume, on ``processed_events``, on the final
 sequence number and on the resource's own counters.  Two programs are
 pinned to the numbers the event spellings (a ``Timeout`` object, an
-``acquire()`` event) gave before sleeps and parks existed.
+``acquire()`` event) gave before sleeps and parks existed.  The same
+programs also run under four drivers of ``Environment.run`` — one plain
+``run()``, time slices, awaiting a process first, and ``step()`` to the
+end — which must agree as well: where a run stops is not a result.
 
 The second half is the allocation proof in the repo's monkeypatch style:
 once the process exists, neither sleeping nor taking a slot — free or
@@ -20,7 +23,8 @@ contended — constructs an ``Event`` of any kind.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import Environment, Event, Interrupt, cancel_wait
+from repro.sim.core import (Environment, Event, Interrupt, SimulationError,
+                            cancel_wait)
 from repro.sim.resources import Barrier, Resource
 
 _SPELLINGS = {"delay": lambda env, d: d,
@@ -63,7 +67,42 @@ def _worker(env, pid, steps, res, barrier, procs, nap, log):
             log.append((env.now, pid, n, "interrupted by", intr.cause))
 
 
-def _run(program, capacity, spelling):
+def _sliced(env, procs):
+    # Slice at the program's own tie times.  A bound past the last entry
+    # would become the final clock, so step until one is pending at or
+    # past it (or none is left).
+    for bound in (0.25, 0.5, 1.0, 2.0):
+        while env._heap and max(entry[0] for entry in env._heap) < bound:
+            env.step()
+        if env._heap:
+            env.run(until=bound)
+            # Every entry due at the bound ran, those pushed at it too.
+            assert env.now == bound
+            assert all(entry[0] > bound for entry in env._heap)
+    env.run()
+
+
+def _awaited(env, procs):
+    last = procs[-1]
+    try:
+        env.run(until=last)
+    except SimulationError:
+        assert last.is_alive and not env._heap  # it waits at the barrier
+    except Interrupt:
+        assert last.exception is not None  # struck before it started
+    env.run()
+
+
+def _stepped(env, procs):
+    while env._heap:
+        env.step()
+
+
+_DRIVERS = {"run": lambda env, procs: env.run(), "sliced": _sliced,
+            "awaited": _awaited, "stepped": _stepped}
+
+
+def _run(program, capacity, spelling, driver="run"):
     env = Environment()
     res = Resource(env, capacity=capacity)
     barrier = Barrier(env, parties=2)
@@ -72,7 +111,7 @@ def _run(program, capacity, spelling):
         procs.append(env.process(_worker(
             env, pid, steps, res, barrier, procs, _SPELLINGS[spelling],
             log)))
-    env.run()
+    _DRIVERS[driver](env, procs)
     return (log, env.processed_events, env._seq, env.now,
             [p.is_alive for p in procs], res.in_use, res.queue_length,
             res.total_acquires, res.total_wait_time, res.peak_queue)
@@ -83,6 +122,16 @@ def _run(program, capacity, spelling):
 def test_bare_delays_and_timeouts_give_the_same_schedule(program, capacity):
     assert _run(program, capacity, "delay") == \
         _run(program, capacity, "timeout")
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=_programs, capacity=st.integers(1, 2))
+def test_the_bound_is_not_a_result(program, capacity):
+    """Slicing a run by time, awaiting a process first, or stepping
+    entry by entry gives the schedule one plain ``run()`` gives."""
+    whole = _run(program, capacity, "delay")
+    for driver in ("sliced", "awaited", "stepped"):
+        assert _run(program, capacity, "delay", driver) == whole, driver
 
 
 def test_an_interrupted_sleep_with_a_three_way_tie():

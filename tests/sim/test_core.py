@@ -355,9 +355,7 @@ class TestJoin:
     def test_an_empty_join(self, env):
         assert self._pin(env, []) == (([], 0.0), 3, 3, 0.0)
 
-    def test_a_failing_child_fails_the_join_at_its_instant(self):
-        env = Environment(catch_process_errors=True)
-
+    def test_a_failing_child_fails_the_join_at_its_instant(self, env):
         def bad(delay, msg):
             yield delay
             raise IOError(msg)
@@ -372,7 +370,16 @@ class TestJoin:
                     env.process(bad(2.0, "second")),
                     env.process(bad(1.0, "first"))]
         proc = env.process(guarded(children))
-        env.run()
+        # Each child's error leaves run(); the failed child is already
+        # scheduled, so running again carries on from that instant.
+        raised = []
+        while True:
+            try:
+                env.run()
+                break
+            except IOError as err:
+                raised.append((str(err), env.now))
+        assert raised == [("first", 1.0), ("second", 2.0)]
         assert proc.value == ("first", 1.0)
         assert (env.processed_events, env._seq, env.now) == (12, 12, 5.0)
 
@@ -416,6 +423,44 @@ class TestEnvironmentRun:
         env.run(until=5.0)
         with pytest.raises(ValueError):
             env.run(until=1.0)
+
+    def test_run_until_nan_rejected(self, env):
+        env.process(_after(1.0))
+        with pytest.raises(ValueError, match="until=nan") as info:
+            env.run(until=float("nan"))
+        assert "past" not in str(info.value)
+        assert (env.now, env.processed_events, len(env._heap)) == (0.0, 0, 1)
+        env.run()
+        assert env.now == 1.0
+
+    def test_an_exception_mid_slice_leaves_no_stop(self):
+        """The perf driver's shape: a callback on the last op raises out
+        of a time slice.  The slice's stop entry goes with it, so the
+        rest of the run is exactly the uninterrupted one."""
+        class Finished(Exception):
+            pass
+
+        def finish(_event):
+            raise Finished
+
+        def start(env, raising):
+            done = env.process(_after(1.0))
+            if raising:
+                done.add_callback(finish)
+            env.process(_after(3.0))
+
+        env = Environment()
+        start(env, raising=True)
+        with pytest.raises(Finished):
+            env.run(until=5.0)
+        assert [entry[0] for entry in env._heap] == [3.0]
+        assert (env.now, env.processed_events) == (1.0, 4)
+        env.run()
+        assert (env.now, env.processed_events, env._seq) == (3.0, 6, 6)
+        whole = Environment()
+        start(whole, raising=False)
+        whole.run()
+        assert (whole.now, whole.processed_events, whole._seq) == (3.0, 6, 6)
 
     def test_run_to_exhaustion(self, env):
         env.process(_after(2.5))

@@ -120,7 +120,7 @@ class TestNetworkTransfer:
 
         for src in senders:
             cluster.env.process(sender(src))
-        cluster.run()
+        cluster.env.run()
         # All arrive at the same time but are processed at most
         # nic_channels at a time at the receiver.
         from collections import Counter
@@ -179,7 +179,7 @@ class TestService:
 
         for i in range(4):
             cluster.env.process(proc(i))
-        cluster.run()
+        cluster.env.run()
         # 10us handler serialized across 4 requests: completions spread out.
         spans = [b - a for a, b in zip(done, done[1:])]
         assert all(s >= 9e-6 for s in spans)
@@ -200,12 +200,12 @@ class TestOneFramePerHop:
         svc = EchoService(cluster, server, "echo")
         request = svc.request(client, "echo", "x")
         proc = cluster.env.process(request)
-        cluster.run(until=cluster.network.params.msg_overhead / 2)
+        cluster.env.run(until=cluster.network.params.msg_overhead / 2)
         # Holding the sender NIC, asleep on a bare delay: nothing to cancel.
         assert client.nic.in_use == 1 and proc.is_alive
         assert proc.waiting_on is None
         assert _frames_below(request) == 1      # transfer; 3 with use()
-        cluster.run()
+        cluster.env.run()
         assert proc.value == "x"
 
     @pytest.mark.parametrize("stage", ["nic_queue", "sender_hold", "latency",
@@ -238,11 +238,11 @@ class TestOneFramePerHop:
 
         proc = cluster.env.process(sender())
         tracer.push_context(proc, tracer.root_context())
-        cluster.run(until=stop_at)
+        cluster.env.run(until=stop_at)
         assert a.nic.queue_length == (1 if stage == "nic_queue" else 0)
         cancel_wait(proc.waiting_on)
         proc.interrupt()
-        cluster.run()
+        cluster.env.run()
         for _ in blockers:
             a.nic.release()
         assert proc.value == "interrupted"
@@ -267,8 +267,8 @@ class TestOneFramePerHop:
                 return "dropped"
 
         proc = cluster.env.process(sender())
-        cluster.run(until=p.msg_overhead + p.latency / 2)   # on the wire
+        cluster.env.run(until=p.msg_overhead + p.latency / 2)   # on the wire
         net.partition([a], [b]) if cut_sender else net.partition([c], [d])
-        cluster.run()
+        cluster.env.run()
         assert proc.value == ("dropped" if dropped else "delivered")
         assert net.dropped == dropped

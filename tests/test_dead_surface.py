@@ -25,6 +25,9 @@ and two over live objects:
   ``_cancel_arrival``, no ``_kernel._Resource`` registration), and
   nothing calls ``.arrive(`` or a zero-argument ``.get()``, kept only
   for ``benchmarks/perf``;
+* one run loop: ``Environment.run`` holds a single ``while``, the
+  environment takes no knob beside ``initial_time`` and ``Cluster``
+  has no ``run`` pass-through;
 * one simulated process is one client: no recorder, sketch or commit
   message takes a ``weight``, and ``PaconConfig`` keeps its 12 fields —
   the aggregate client stays deleted;
@@ -51,6 +54,7 @@ import ast
 import dataclasses
 import inspect
 import re
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -63,8 +67,9 @@ from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
 from repro.obs.hub import MetricsHub
 from repro.obs.sketch import QuantileSketch
-from repro.sim.core import Event
+from repro.sim.core import Environment, Event
 from repro.sim.costs import CostModel
+from repro.sim.network import Cluster
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -287,6 +292,15 @@ def test_a_get_and_an_arrival_are_parks():
     assert _get_arrive_and_registry_remnants() == [], (
         "yield the MessageQueue or the Barrier itself — docs/kernel.md,"
         " 'Parking'; get() and arrive() are kept only for benchmarks/perf")
+
+
+def test_one_run_loop():
+    loops = [node for node in ast.walk(ast.parse(textwrap.dedent(
+        inspect.getsource(Environment.run)))) if isinstance(node, ast.While)]
+    assert len(loops) == 1, "Environment.run inlines one loop"
+    assert list(inspect.signature(Environment.__init__).parameters) == [
+        "self", "initial_time"]
+    assert "run" not in vars(Cluster), "drive cluster.env.run() directly"
 
 
 def test_an_observation_is_one_client():
