@@ -160,7 +160,7 @@ def run(scale: str = "tiny", rounds: int = 3):
 def main() -> int:  # pragma: no cover - CLI
     import argparse
 
-    from repro.bench import runner
+    from repro.bench.snapshot import build_snapshot, write_snapshot
 
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_kernel_throughput.py",
@@ -175,9 +175,9 @@ def main() -> int:  # pragma: no cover - CLI
     t0 = time.perf_counter()
     result = run(args.scale, rounds=args.rounds)
     wall = time.perf_counter() - t0
-    path = runner.write_snapshot_file([result], scale=args.scale, seed=0,
-                                      path=args.out, label=args.label,
-                                      wall_clock_s=wall)
+    path = write_snapshot(build_snapshot([result], scale=args.scale, seed=0,
+                                         label=args.label,
+                                         wall_clock_s=wall), args.out)
     print(result.render())
     print(f"snapshot written to {path}")
     return 0

@@ -1,23 +1,22 @@
-"""Run the whole experiment table and emit ``BENCH_*.json`` snapshots.
+"""Run the whole experiment table.
 
-``pacon-bench all`` and ``pacon-bench figure`` are the command-line faces
-of this module: :func:`run_all` runs every ``in_all`` row of
-:data:`repro.bench.registry.EXPERIMENTS`, and :func:`write_snapshot_file`
-is the one emitter of the versioned, schema-validated snapshot (see
-``repro.bench.snapshot``) that ``pacon-bench compare``/``history`` and the
-CI gates consume.
+``pacon-bench all`` is the command-line face of :func:`run_all`, which
+runs every ``in_all`` row of :data:`repro.bench.registry.EXPERIMENTS`.
+Its results become a ``BENCH_*.json`` snapshot through
+``write_snapshot(build_snapshot(results, ...))`` in
+``repro.bench.snapshot``, the one module that writes, reads, compares and
+folds that format.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.bench import snapshot as snap
 from repro.bench.registry import EXPERIMENTS
 from repro.bench.report import ExperimentResult
 from repro.bench.systems import DEFAULT_SEED
 
-__all__ = ["run_all", "write_snapshot_file"]
+__all__ = ["run_all"]
 
 
 def run_all(scale: str = "ci", verbose: bool = True,
@@ -36,19 +35,3 @@ def run_all(scale: str = "ci", verbose: bool = True,
             print(result.render())
             print(f"  [{result.host['wall_clock_s']:.1f}s]\n")
     return results
-
-
-def write_snapshot_file(results: List[ExperimentResult], *, scale: str,
-                        seed: int, path: Optional[str] = None,
-                        label: Optional[str] = None,
-                        wall_clock_s: Optional[float] = None) -> str:
-    """Build, validate, and write one ``BENCH_*.json`` snapshot.
-
-    With no explicit ``path``, writes ``BENCH_<label>.json`` in the
-    current directory, defaulting the label to the short git SHA.
-    """
-    label = label or snap.default_label()
-    path = path or snap.snapshot_path(label)
-    doc = snap.build_snapshot(results, label=label, scale=scale, seed=seed,
-                              wall_clock_s=wall_clock_s)
-    return snap.write_snapshot(doc, path)

@@ -34,12 +34,13 @@ import time
 from typing import List, Optional
 
 from repro.bench import runner
-from repro.bench.baseline import (compare_files, history_rows,
-                                  load_history, render_comparison,
-                                  render_history)
 from repro.bench.registry import EXPERIMENTS
 from repro.bench.report import NotObservable, write_markdown
-from repro.bench.snapshot import SnapshotError, collect_snapshot_paths
+from repro.bench.snapshot import (SnapshotError, build_snapshot,
+                                  collect_snapshot_paths, compare_snapshots,
+                                  history_rows, load_history, load_snapshot,
+                                  render_comparison, render_history,
+                                  write_snapshot)
 from repro.bench.systems import SYSTEMS, make_testbed
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.hub import SAMPLE_INTERVAL, MetricsHub
@@ -135,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " snapshots and flag regressions")
     compare.add_argument("baseline", help="baseline BENCH_*.json")
     compare.add_argument("candidate", help="candidate BENCH_*.json")
-    compare.add_argument("--tolerance", action="append", default=[],
-                         metavar="METRIC=REL",
-                         help="per-metric relative tolerance for simulated"
-                              " metrics (glob ok; e.g."
-                              " 'fig07.derived.*=0.05'); default exact")
     compare.add_argument("--json", action="store_true", dest="as_json",
                          help="machine-readable output instead of a table")
 
@@ -272,9 +268,10 @@ def _finish(args, results, wall_clock_s: float) -> int:
     """Emit the run's BENCH_*.json (``--bench-out/--bench-label``), then
     turn any row's failed check into exit 1."""
     if args.bench_out or args.bench_label:
-        path = runner.write_snapshot_file(
-            results, scale=args.scale, seed=args.seed, path=args.bench_out,
-            label=args.bench_label, wall_clock_s=wall_clock_s)
+        path = write_snapshot(build_snapshot(
+            results, scale=args.scale, seed=args.seed,
+            label=args.bench_label, wall_clock_s=wall_clock_s),
+            args.bench_out)
         print(f"benchmark snapshot written to {path}")
     failures = [f"{r.experiment}: {reason}" for r in results
                 for reason in r.failures]
@@ -322,22 +319,9 @@ def _cmd_all(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    tolerances = {}
-    for spec in args.tolerance:
-        name, sep, value = spec.partition("=")
-        if not sep or not name:
-            print(f"bad --tolerance {spec!r}: expected METRIC=REL",
-                  file=sys.stderr)
-            return 2
-        try:
-            tolerances[name] = float(value)
-        except ValueError:
-            print(f"bad --tolerance {spec!r}: {value!r} is not a number",
-                  file=sys.stderr)
-            return 2
     try:
-        comparison = compare_files(args.baseline, args.candidate,
-                                   tolerances=tolerances)
+        comparison = compare_snapshots(load_snapshot(args.baseline),
+                                       load_snapshot(args.candidate))
     except SnapshotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

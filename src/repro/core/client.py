@@ -600,11 +600,15 @@ class PaconClient:
         if path == self.region.workspace:
             raise PermissionDenied(path, "cannot remove the region root")
         yield from self._barrier(self.region)
-        removed = yield from self.dfs_client.rmdir(path, recursive=True)
-        self.region.note_removed_subtree(path)
-        self.forget_subtree(path)
-        # Clean related metadata from the distributed cache (§III.D.1).
-        yield from self.region.cache.delete_subtree(self.node, path)
+        try:
+            removed = yield from self.dfs_client.rmdir(path, recursive=True)
+            self.region.note_removed_subtree(path)
+            self.forget_subtree(path)
+            # Clean related metadata from the distributed cache (§III.D.1).
+            yield from self.region.cache.delete_subtree(self.node, path)
+        except NodeDownError:
+            self.region.fence_unlink(path, subtree_removed=True)
+            raise
         self._note("rmdir", "delete", "sync", "barrier")
         return removed
 
@@ -638,10 +642,15 @@ class PaconClient:
         yield from self._check_permission("rm", src, self.region)
         yield from self._check_permission("create", dst, self.region)
         yield from self._barrier(self.region)
-        yield from self.dfs_client.rename(src, dst)
-        # Drop stale cache state for both names; reads repopulate lazily.
-        yield from self.region.cache.delete_subtree(self.node, src)
-        yield from self.region.cache.delete(self.node, dst)
+        try:
+            yield from self.dfs_client.rename(src, dst)
+            # Drop stale cache state for both names; reads repopulate
+            # lazily.
+            yield from self.region.cache.delete_subtree(self.node, src)
+            yield from self.region.cache.delete(self.node, dst)
+        except NodeDownError:
+            self.region.fence_unlink(src, dst)
+            raise
         self.forget_subtree(src)
         self._note("rename", "delete", "sync", "barrier")
 
@@ -673,26 +682,31 @@ class PaconClient:
             record["mtime"] = self.env.now
             return record
 
-        updated = yield from self.region.cache.update(self.node, path,
-                                                      apply)
-        if state["deleted"]:
-            raise FileNotFound(path)
-        if updated is None:
-            # Not cached — or the record vanished mid-update (a concurrent
-            # rm commit or rmdir cleanup won the race).  Either way the
-            # DFS copy is authoritative: it must exist there to be
-            # chmod-able (getattr raises FileNotFound otherwise), and the
-            # backup-copy update below must not be skipped.
-            inode = yield from self.dfs_client.getattr(path)  # may raise
-            record = new_record(inode.to_record(), committed=True)
-            record["mode"] = mode
-            yield from self._cache_fill(path, record)
-            state["committed"] = True
-        from repro.core.permissions import PermissionSpec
-        self.region.permissions.add_special(
-            path, PermissionSpec(mode=mode, uid=self.uid, gid=self.gid))
-        if state["committed"]:
-            yield from self.dfs_client.setattr(path, mode=mode)
+        try:
+            updated = yield from self.region.cache.update(self.node, path,
+                                                          apply)
+            if state["deleted"]:
+                raise FileNotFound(path)
+            if updated is None:
+                # Not cached — or the record vanished mid-update (a
+                # concurrent rm commit or rmdir cleanup won the race).
+                # Either way the DFS copy is authoritative: it must exist
+                # there to be chmod-able (getattr raises FileNotFound
+                # otherwise), and the backup-copy update below must not be
+                # skipped.
+                inode = yield from self.dfs_client.getattr(path)  # may raise
+                record = new_record(inode.to_record(), committed=True)
+                record["mode"] = mode
+                yield from self._cache_fill(path, record)
+                state["committed"] = True
+            from repro.core.permissions import PermissionSpec
+            self.region.permissions.add_special(
+                path, PermissionSpec(mode=mode, uid=self.uid, gid=self.gid))
+            if state["committed"]:
+                yield from self.dfs_client.setattr(path, mode=mode)
+        except NodeDownError:
+            self.region.fence_chmod(path)
+            raise
         self._note("chmod", "cas-update", "sync", "none")
 
     # ------------------------------------------------------------- file data

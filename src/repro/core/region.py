@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.cache import CacheShard, DistributedCache
 from repro.core.config import PaconConfig
-from repro.core.permissions import RegionPermissions
+from repro.core.permissions import PermissionSpec, RegionPermissions
 from repro.dfs.namespace import is_within, normalize_path
 from repro.mq.queue import QueueGroup
 from repro.obs.hub import NULL_HUB
@@ -405,6 +405,56 @@ class ConsistentRegion:
             self.lost_creations.add(gen_ino)
             return
         self.note_removed_subtree(path)
+        self._drop_subtree(path)
+
+    def fence_chmod(self, path: str) -> None:
+        """Settle a chmod whose reply was lost; zero simulated cost.
+
+        A chmod writes the cache first and the DFS, the durable copy
+        (§III.G), last; when the reply is lost — the client's node
+        crashed, or the link dropped it — the client cannot tell whether
+        the DFS took it, so the region asks the DFS.  A committed
+        record's mode and the special-list entry fall back to the DFS's
+        mode in place (a small file's bytes live only in its record); an
+        uncommitted entry's record is its only copy.
+        """
+        ns = self.dfs.namespace
+        if not ns.exists(path):
+            return
+        mode = ns.getattr(path, check_perms=False).mode
+        record = self.cache.peek(path)
+        if record is not None and record["committed"] \
+                and record["mode"] != mode:
+            self.cache.shard_for(path).kv.set(path, {**record, "mode": mode})
+        spec = self.permissions.special.get(path)
+        if spec is not None and spec.mode != mode:
+            self.permissions.add_special(
+                path, PermissionSpec(mode, spec.uid, spec.gid))
+
+    def fence_unlink(self, path: str, dst: str = "",
+                     subtree_removed: bool = False) -> None:
+        """Settle an rmdir or a rename whose reply was lost; zero
+        simulated cost.
+
+        Both write the DFS first and the cache after, so the region asks
+        the DFS.  One the DFS took gets the cache side its client never
+        ran: the records at and under ``path`` (and a rename's ``dst``
+        record) go and every client forgets ``path``; an rmdir's
+        ``subtree_removed`` directory counts as removed now, so the ops
+        queued under it resolve through the §III.D.1 discard rule.  One
+        the DFS did not take changed nothing.
+        """
+        if self.dfs.namespace.exists(path):
+            return
+        if subtree_removed:
+            self.note_removed_subtree(path)
+        self.cache.shard_for(path).kv.delete(path)
+        if dst:
+            self.cache.shard_for(dst).kv.delete(dst)
+        self._drop_subtree(path)
+
+    def _drop_subtree(self, path: str) -> None:
+        """Every record under ``path`` and every client's memo of it."""
         for shard in self.shards:
             for key, _record in shard.kv.scan_prefix(path + "/"):
                 shard.kv.delete(key)

@@ -254,25 +254,24 @@ class Namespace:
     # -- mutations ------------------------------------------------------------
     def mkdir(self, path: str, mode: int = 0o755, uid: int = 0, gid: int = 0,
               now: float = 0.0, check_perms: bool = True) -> Inode:
-        parent, name = self._resolve_parent(path, uid, gid, check_perms)
-        self._check_parent_write(parent, path, uid, gid, check_perms)
-        if name in self._children[parent.ino]:
-            raise FileExists(path)
-        inode = self._alloc(FileType.DIRECTORY, mode, uid, gid, now)
-        self._children[parent.ino][name] = inode.ino
-        parent.mtime = now
-        self.mutations += 1
-        self._stamps[inode.ino] = (self.mutations, now)
-        return inode.copy()
+        return self._make(FileType.DIRECTORY, path, mode, uid, gid, now,
+                          check_perms)
 
     def create(self, path: str, mode: int = 0o644, uid: int = 0, gid: int = 0,
                now: float = 0.0, check_perms: bool = True) -> Inode:
         """Exclusive file creation (O_CREAT|O_EXCL semantics)."""
+        return self._make(FileType.FILE, path, mode, uid, gid, now,
+                          check_perms)
+
+    def _make(self, ftype: FileType, path: str, mode: int, uid: int,
+              gid: int, now: float, check_perms: bool) -> Inode:
+        """Link a new ``ftype`` inode at ``path``: the body of
+        :meth:`mkdir` and :meth:`create`."""
         parent, name = self._resolve_parent(path, uid, gid, check_perms)
         self._check_parent_write(parent, path, uid, gid, check_perms)
         if name in self._children[parent.ino]:
             raise FileExists(path)
-        inode = self._alloc(FileType.FILE, mode, uid, gid, now)
+        inode = self._alloc(ftype, mode, uid, gid, now)
         self._children[parent.ino][name] = inode.ino
         parent.mtime = now
         self.mutations += 1

@@ -3,7 +3,7 @@
 CI regenerates the tiny / chaos / elastic / kernel snapshots and compares
 them against the committed ``benchmarks/baseline_*.json`` with
 ``pacon-bench compare``; these tests do the same through the same code
-(``runner.run_all`` / the registry rows, ``write_snapshot_file``), so
+(``runner.run_all`` / the registry rows, ``write_snapshot``), so
 simulated drift is caught locally, before CI.  The duplication is deliberate: CI keeps the uploaded
 snapshots, tier-1 keeps the fast feedback.
 """
@@ -13,9 +13,9 @@ import os
 import pytest
 
 from benchmarks import bench_kernel_throughput
-from repro.bench.baseline import compare_snapshots, render_comparison
-from repro.bench.runner import write_snapshot_file
-from repro.bench.snapshot import load_snapshot
+from repro.bench.snapshot import (build_snapshot, compare_snapshots,
+                                  load_snapshot, render_comparison,
+                                  write_snapshot)
 from repro.bench.systems import DEFAULT_SEED
 from tests.bench.conftest import BASELINES
 
@@ -28,9 +28,9 @@ def _assert_no_drift(baseline, fresh):
 
 
 def _emit(result, tmp_path, scale="smoke", seed=DEFAULT_SEED):
-    return load_snapshot(write_snapshot_file(
-        [result], scale=scale, seed=seed, label="fresh",
-        path=str(tmp_path / "fresh.json")))
+    return load_snapshot(write_snapshot(
+        build_snapshot([result], scale=scale, seed=seed, label="fresh"),
+        str(tmp_path / "fresh.json")))
 
 
 def test_tiny_baseline(snapshot_pair):

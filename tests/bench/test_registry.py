@@ -8,9 +8,9 @@ import os
 
 import pytest
 
-from repro.bench.baseline import compare_files
 from repro.bench.registry import EXPERIMENTS
 from repro.bench.report import Experiment, NotObservable
+from repro.bench.snapshot import compare_snapshots, load_snapshot
 from repro.bench.systems import DEFAULT_SEED
 from repro.cli import build_parser, main
 from repro.obs.hub import MetricsHub
@@ -63,8 +63,9 @@ def test_figure_bench_out_matches_the_chaos_baseline(tmp_path, capsys):
     assert main(["figure", "chaos", "--scale", "smoke",
                  "--bench-out", str(out)]) == 0
     assert f"benchmark snapshot written to {out}" in capsys.readouterr().out
-    comparison = compare_files(
-        os.path.join(BASELINES, "baseline_chaos.json"), str(out))
+    comparison = compare_snapshots(
+        load_snapshot(os.path.join(BASELINES, "baseline_chaos.json")),
+        load_snapshot(str(out)))
     assert comparison.ok
 
 

@@ -126,3 +126,112 @@ def test_a_write_that_never_landed_fences_nothing():
         w.run(w.client.mkdir("/app/d"))
     assert not w.region.inside_removed_subtree(leaf)
     assert w.region.cache.peek(leaf) is not None
+
+
+def _crash_on_reply(monkeypatch, w, method, applied=True, meanwhile=None):
+    """Node 0's DFS ``method`` reaches the MDS (or, with ``applied``
+    false, does not), ``meanwhile`` runs, then node 0 crashes and the
+    client sees :class:`NodeDownError` — the reply is lost either way."""
+    real = getattr(w.client.dfs_client, method)
+
+    def crash(*args, **kwargs):
+        if applied:
+            yield from real(*args, **kwargs)
+        if meanwhile is not None:
+            yield from meanwhile()
+        fail_node(w.region, w.nodes[0])
+        raise NodeDownError(f"{method} reply lost")
+
+    monkeypatch.setattr(w.client.dfs_client, method, crash)
+
+
+def _recover_node0(w):
+    recover_node(w.region, w.nodes[0])
+    w.quiesce()
+
+
+def test_an_rmdir_whose_reply_is_lost_leaves_no_record_of_its_subtree(
+        monkeypatch):
+    """The DFS removed the tree; the region finishes the cache side the
+    client never ran, so nothing reads or creates under it, and a create
+    queued under it while the reply was in flight is discarded."""
+    w = make_world(n_nodes=2)
+    other = w.new_client(1)
+    leaf = _kept_by_node1(w.region, "d/x")
+    w.run(w.client.mkdir("/app/d"))
+    w.run(other.create(leaf))  # other memoizes /app/d
+    w.quiesce()
+    _crash_on_reply(monkeypatch, w, "rmdir",
+                    meanwhile=lambda: other.create("/app/d/z"))
+    with pytest.raises(NodeDownError):
+        w.run(w.client.rmdir("/app/d"))
+    _recover_node0(w)
+    assert not w.dfs.namespace.exists("/app/d")
+    assert w.region.cache.peek(leaf) is None
+    assert w.region.cache.peek("/app/d/z") is None
+    assert w.region.commit_processes[1].discarded == 1
+    with pytest.raises(FileNotFound):
+        w.run(other.getattr(leaf))
+    with pytest.raises(FileNotFound):
+        w.run(other.create("/app/d/y"))
+    w.quiesce()  # nothing queued resubmits forever
+
+
+def test_an_rmdir_lost_before_the_dfs_keeps_its_subtree(monkeypatch):
+    w = make_world(n_nodes=2)
+    leaf = _kept_by_node1(w.region, "d/x")
+    w.run(w.client.mkdir("/app/d"))
+    w.run(w.client.create(leaf))
+    w.quiesce()
+    _crash_on_reply(monkeypatch, w, "rmdir", applied=False)
+    with pytest.raises(NodeDownError):
+        w.run(w.client.rmdir("/app/d"))
+    _recover_node0(w)
+    assert w.dfs.namespace.exists(leaf)
+    assert not w.region.inside_removed_subtree(leaf)
+    assert w.run(w.new_client(1).getattr(leaf)) is not None
+
+
+def test_a_rename_whose_reply_is_lost_leaves_no_record_of_its_source(
+        monkeypatch):
+    w = make_world(n_nodes=2)
+    src = _kept_by_node1(w.region, "f")
+    w.run(w.client.create(src))
+    w.quiesce()
+    assert w.region.cache.peek(src)["committed"]
+    _crash_on_reply(monkeypatch, w, "rename")
+    with pytest.raises(NodeDownError):
+        w.run(w.client.rename(src, "/app/moved"))
+    _recover_node0(w)
+    assert not w.dfs.namespace.exists(src)
+    assert w.region.cache.peek(src) is None
+    other = w.new_client(1)
+    with pytest.raises(FileNotFound):
+        w.run(other.getattr(src))
+    assert w.run(other.getattr("/app/moved")) is not None
+
+
+@pytest.mark.parametrize("applied", [False, True],
+                         ids=["lost-before-the-dfs", "dfs-took-it"])
+def test_a_chmod_whose_reply_is_lost_agrees_with_the_dfs(applied,
+                                                         monkeypatch):
+    """Lost before the DFS took it, the cached record and the special
+    list had the new mode and the DFS never did: both fall back to the
+    DFS's.  Taken by the DFS, all three keep the new mode.  Either way
+    the small file's bytes, which live only in its record, survive."""
+    w = make_world(n_nodes=2)
+    path = _kept_by_node1(w.region, "f")
+    w.run(w.client.create(path))
+    w.quiesce()
+    w.run(w.client.write(path, 0, data=b"kept"))
+    before = w.dfs.namespace.getattr(path).mode
+    assert before != 0o600
+    _crash_on_reply(monkeypatch, w, "setattr", applied=applied)
+    with pytest.raises(NodeDownError):
+        w.run(w.client.chmod(path, 0o600))
+    _recover_node0(w)
+    mode = w.dfs.namespace.getattr(path).mode
+    assert mode == (0o600 if applied else before)
+    assert w.run(w.new_client(1).getattr(path)).mode == mode
+    assert w.region.permissions.effective(path).mode == mode
+    assert w.run(w.new_client(1).read(path, 0, 4)) == b"kept"

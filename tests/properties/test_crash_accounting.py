@@ -1,8 +1,8 @@
 """Property (§III.G): a node crash loses ops, it never miscounts them, and
 no op outlives a lost dependency.
 
-A small fixed-seed world runs paced create / rm / rmdir units from two
-clients while one node (each of the three, in turn) crashes at a drawn
+A small fixed-seed world runs paced create / rm / rename / chmod / rmdir
+units from two clients while one node (each of the three, in turn) crashes at a drawn
 instant and recovers a drawn while later.  Wherever the crash lands —
 mid-coalesce, between a commit and its post-commit bookkeeping, with ops
 resubmitted or replayed but their segment not yet closed, or between a
@@ -28,7 +28,10 @@ creation's surviving cache record goes, and the ops queued behind it are
 discarded instead of resubmitting forever (``CommitStalled``).  The
 second property is the fence's own: at quiescence every surviving cache
 record has a committed creator (and every tombstone a removal that
-reached the DFS).
+reached the DFS), and agrees with the DFS — a sync op (rmdir, rename,
+chmod) whose reply a crash lost is settled against the DFS, so no record
+outlives the entry it removed or renamed, or keeps a mode the DFS never
+took.
 """
 
 from hypothesis import HealthCheck, given, note, settings
@@ -72,6 +75,8 @@ def _run(crash_at: float, down_for: float, victim: int):
                 tmp = f"{base}/tmp{i}"
                 yield from step(lambda: client.mkdir(tmp))
                 yield from step(lambda: client.create(f"{tmp}/x"))
+                yield from step(lambda: client.rename(f"{tmp}/x", path))
+                yield from step(lambda: client.chmod(path, 0o600))
                 yield from step(lambda: client.rmdir(tmp))
             elif i % 3 == 2:
                 yield from step(lambda: client.create(path))
@@ -123,16 +128,21 @@ def test_a_crash_at_any_instant_accounts_every_op_once(crash_at, down_for):
 @given(**CRASHES)
 def test_every_surviving_record_has_a_committed_creator(crash_at, down_for):
     """At quiescence nothing is queued, so a live record's creator
-    committed — the record says so, or, when the post-commit bookkeeping
-    was lost to the crash, the DFS holds its path — or was lost, and the
-    fence took the record with it.  A tombstone's removal reached the DFS
-    (or a lost rm's tombstone was un-deleted)."""
+    committed — the DFS holds its path, with the record's mode — or was
+    lost, and the fence took the record with it.  A tombstone's removal
+    reached the DFS (or a lost rm's tombstone was un-deleted)."""
     for victim in VICTIMS:
         note(f"victim={victim}")
         w, _lost = _run(crash_at, down_for, victim)
-        exists = w.dfs.namespace.exists
+        namespace = w.dfs.namespace
+
+        def agrees(path, record):
+            if not namespace.exists(path):
+                return record["deleted"]
+            return (not record["deleted"] and record["mode"]
+                    == namespace.getattr(path, check_perms=False).mode)
+
         disagree = [path for shard in w.region.shards
                     for path, record in shard.kv.scan_prefix("/app/")
-                    if (exists(path) if record["deleted"]
-                        else not (record["committed"] or exists(path)))]
+                    if not agrees(path, record)]
         assert disagree == []

@@ -125,19 +125,6 @@ class TestCompareCommand:
         assert "-25.00%" in out
         assert "must match exactly" in out
 
-    def test_tolerance_flag(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", _bench_doc("a", speedup=2.0))
-        b = self._write(tmp_path, "b.json", _bench_doc("b", speedup=1.9))
-        rc = main(["compare", a, b,
-                   "--tolerance", "figX.derived.speedup=0.1"])
-        assert rc == 0
-
-    def test_bad_tolerance_exits_two(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", _bench_doc("a"))
-        rc = main(["compare", a, a, "--tolerance", "nonsense"])
-        assert rc == 2
-        assert "METRIC=REL" in capsys.readouterr().err
-
     def test_json_output(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.json", _bench_doc("a", speedup=2.0))
         b = self._write(tmp_path, "b.json", _bench_doc("b", speedup=4.0))
@@ -156,6 +143,14 @@ class TestCompareCommand:
         rc = main(["compare", a, b])
         assert rc == 2
         assert "pacon.bench/v1" in capsys.readouterr().err
+
+    def test_nonconformant_snapshot_exits_two(self, tmp_path, capsys):
+        a = self._write(tmp_path, "a.json", _bench_doc("a"))
+        b = self._write(tmp_path, "b.json", _bench_doc("b", speedup="fast"))
+        rc = main(["compare", a, b])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "derived metric 'speedup' is not numeric ('fast')" in err
 
 
 class TestHistoryCommand:

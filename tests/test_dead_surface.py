@@ -42,7 +42,11 @@ and two over live objects:
 * one simulation, one verb: the six CLI verbs that re-ran a simulation
   another verb already runs stay argparse errors — and one knob, one
   place: ``PaconConfig.small_file_threshold`` is the only small-file
-  threshold, and ``make_testbed`` takes no ``commit_coalesce``.
+  threshold, and ``make_testbed`` takes no ``commit_coalesce``;
+* one snapshot module: ``repro.bench.snapshot`` writes, reads, compares
+  and folds ``pacon.bench/v1`` (no ``bench/baseline.py``, no
+  ``runner.write_snapshot_file``), ``compare`` has no ``--tolerance``,
+  and only ``obs/schema.py`` compares a document's schema string.
 
 The reference check is by word, not by resolved binding: a name shared by
 several definitions passes as soon as the corpus mentions it more often
@@ -60,6 +64,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import runner
+from repro.bench.snapshot import compare_snapshots
 from repro.bench.systems import make_testbed
 from repro.cli import build_parser
 from repro.core import client as client_module
@@ -369,3 +375,34 @@ def test_one_knob_one_place():
         f.name for f in dataclasses.fields(CostModel)}
     assert "commit_coalesce" not in inspect.signature(
         make_testbed).parameters
+
+
+def _compares_a_schema(node) -> bool:
+    """Does this comparison test a schema string: ``BENCH_SCHEMA``, the
+    literal, a ``"schema"`` key, or a local named ``*schema``?"""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id.lower().endswith("schema"):
+            return True
+        if isinstance(sub, ast.Constant) and sub.value in (
+                "schema", "pacon.bench/v1"):
+            return True
+    return False
+
+
+def test_one_snapshot_module():
+    assert not (SRC / "bench" / "baseline.py").exists()
+    assert not hasattr(runner, "write_snapshot_file")
+    verbs = next(action for action in build_parser()._actions
+                 if action.dest == "command")
+    flags = {flag for action in verbs.choices["compare"]._actions
+             for flag in action.option_strings}
+    assert "--tolerance" not in flags
+    assert list(inspect.signature(compare_snapshots).parameters) == [
+        "baseline", "candidate"]
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in _source_files()
+             if path.relative_to(SRC).as_posix() != "obs/schema.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare) and _compares_a_schema(node)]
+    assert found == [], "obs.schema.validate_bench checks the version"
+
