@@ -28,11 +28,10 @@ SCALES: Dict[str, Dict] = {
 
 def stat_throughput_at_depth(system: str, depth: int, fanout: int,
                              nodes: int, cpn: int, stats_per_client: int,
-                             lease_ttl: float = 200e-3,
                              seed: int = DEFAULT_SEED) -> float:
     """Build the tree, then measure random leaf-dir stat throughput."""
     bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
-                       clients_per_node=cpn, lease_ttl=lease_ttl, seed=seed)
+                       clients_per_node=cpn, seed=seed)
     builder = bed.clients[0]
     leaves = build_tree(bed.env, builder, "/app", fanout=fanout, depth=depth)
     bed.quiesce()

@@ -42,7 +42,7 @@ PERTURBATIONS = {
 @experiment("sensitivity", "Conclusion robustness under cost-model"
             " perturbation", SCALES)
 def run(out, params, seed):
-    base = CostModel.tianhe2_like()
+    base = CostModel()
     orderings_hold = True
     for knob, perturb in PERTURBATIONS.items():
         for factor in params["factors"]:

@@ -75,10 +75,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
                  workdir_base: str = "/app",
                  costs: Optional[CostModel] = None,
                  seed: int = DEFAULT_SEED,
-                 n_mds: int = 1, n_data: int = 3,
-                 lease_ttl: float = 200e-3,
-                 split_threshold: int = 2000,
-                 parent_check: bool = True,
+                 n_mds: int = 1,
                  hub: Optional[Any] = None,
                  commit_batch_size: Optional[int] = None) -> TestBed:
     """Build one system with ``n_apps`` applications.
@@ -106,7 +103,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
     bed = TestBed(system=system, cluster=cluster, apps=[])
 
     if system == "beegfs":
-        bed.dfs = BeeGFS(cluster, n_mds=n_mds, n_data=n_data)
+        bed.dfs = BeeGFS(cluster, n_mds=n_mds)
         for k, workdir in enumerate(workdirs):
             bed.dfs.mkdir_sync(workdir, mode=0o777, uid=1000 + k,
                                gid=1000 + k)
@@ -121,8 +118,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
         # Co-located with the client nodes; LevelDB tables live on BeeGFS
         # (captured by the LSM cost constants), so no separate MDS is
         # simulated — the data servers exist for fairness of node counts.
-        bed.indexfs = IndexFS(cluster, all_nodes, lease_ttl=lease_ttl,
-                              split_threshold=split_threshold)
+        bed.indexfs = IndexFS(cluster, all_nodes)
         for k, workdir in enumerate(workdirs):
             bed.indexfs.admin_mkdir(workdir, mode=0o777, uid=1000 + k,
                                     gid=1000 + k)
@@ -134,14 +130,13 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
         return bed
 
     # pacon
-    bed.dfs = BeeGFS(cluster, n_mds=n_mds, n_data=n_data)
+    bed.dfs = BeeGFS(cluster, n_mds=n_mds)
     bed.pacon = PaconDeployment(cluster, bed.dfs)
     commit_kwargs = ({} if commit_batch_size is None
                      else {"commit_batch_size": commit_batch_size})
     for k, workdir in enumerate(workdirs):
         config = PaconConfig(
             workspace=workdir, uid=1000 + k, gid=1000 + k,
-            parent_check=parent_check,
             permissions=PermissionSpec(mode=0o755, uid=1000 + k,
                                        gid=1000 + k),
             **commit_kwargs)

@@ -26,15 +26,10 @@ and drives :meth:`PaconDeployment.grow_region_async` /
 * **bounds** — the pool never leaves ``[min_nodes, max_nodes]``.
 
 The knobs are the region's :class:`AutoscalePolicy`
-(``PaconConfig.autoscale``).  Its optional SLO hook (``burn_threshold``)
-evaluates a
-burn-rate objective over the region's ``consistency.pending_age`` gauge
-series and forces a scale-up when the error budget is burning on every
-window, regardless of the utilization streak (still cooldown- and
-max-bounded).  Scaling actions emit ``autoscale.*`` counters/series into
-the attached hub and ``autoscale.grow``/``autoscale.retire`` trace
-events, and every action is recorded as an :class:`AutoscaleAction` for
-tests and the bench driver.
+(``PaconConfig.autoscale``).  Scaling actions emit ``autoscale.*``
+counters/series into the attached hub and
+``autoscale.grow``/``autoscale.retire`` trace events, and every action is
+recorded as an :class:`AutoscaleAction` for tests and the bench driver.
 
 The controller composes with the chaos engine: a grow that races a node
 crash either completes (crashed peers are skipped by the migration) or
@@ -48,7 +43,6 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
                     Optional)
 
-from repro.obs.slo import BurnRateObjective
 from repro.sim.core import Event, Interrupt
 from repro.sim.network import Node, NodeDownError
 
@@ -57,9 +51,6 @@ if TYPE_CHECKING:  # repro.core.config imports AutoscalePolicy from here
     from repro.core.region import ConsistentRegion
 
 __all__ = ["Autoscaler", "AutoscaleAction", "AutoscalePolicy"]
-
-#: Error budget of the burn-rate SLO hook (``burn_threshold``).
-BURN_BUDGET = 0.25
 
 #: Everything that differs between the two scaling actions: the
 #: deployment generator that performs it, the failures it is expected to
@@ -105,14 +96,6 @@ class AutoscalePolicy:
     up_consecutive: int = 2
     down_consecutive: int = 4
 
-    #: Optional SLO hook: when set, the controller also evaluates a
-    #: burn-rate objective over ``consistency.pending_age`` (threshold =
-    #: this value, budget = :data:`BURN_BUDGET`) and forces a scale-up
-    #: when the error budget is burning on every window — regardless of
-    #: the utilization streak, though still subject to cooldown and the
-    #: max bound.  None disables the SLO trigger.
-    burn_threshold: Optional[float] = None
-
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
             raise ValueError("min_nodes must be >= 1")
@@ -126,8 +109,6 @@ class AutoscalePolicy:
             raise ValueError("need 0 <= backlog_low < backlog_high")
         if self.up_consecutive < 1 or self.down_consecutive < 1:
             raise ValueError("*_consecutive must be >= 1")
-        if self.burn_threshold is not None and self.burn_threshold <= 0:
-            raise ValueError("burn_threshold must be > 0 or None")
 
 
 @dataclass
@@ -137,7 +118,7 @@ class AutoscaleAction:
     time: float
     kind: str            # "grow" | "retire"
     node: str            # node name
-    reason: str          # "util" | "backlog" | "burn_rate" | ...
+    reason: str          # "util" | "backlog" | "idle" | ...
     ok: bool
     latency: float = 0.0
     moved: int = 0       # records migrated (grow/retire)
@@ -232,22 +213,6 @@ class Autoscaler:
                 peak = max(peak, resource.window_utilization(mark))
         return peak
 
-    def _burn_rate_breached(self) -> bool:
-        """SLO hook: is the staleness error budget burning everywhere?"""
-        threshold = self.policy.burn_threshold
-        hub = self.hub
-        if threshold is None or not hub.enabled:
-            return False
-        series = hub.stats.series(
-            f"consistency.pending_age[{self.region.name}]")
-        if len(series) < 4:
-            return False  # not enough signal to window over yet
-        objective = BurnRateObjective(
-            "autoscale-burn", "consistency.pending_age",
-            threshold=threshold, budget=BURN_BUDGET)
-        doc = {"series": {series.name: series.export()}}
-        return not objective.evaluate(doc).ok
-
     # -- deciding ----------------------------------------------------------
     def _tick(self) -> Generator[Event, Any, None]:
         policy = self.policy
@@ -269,14 +234,11 @@ class Autoscaler:
                        and backlog <= policy.backlog_low)
         self._up_streak = self._up_streak + 1 if overloaded else 0
         self._down_streak = self._down_streak + 1 if underloaded else 0
-        burning = self._burn_rate_breached()
         if self._last_action_at is not None and \
                 t - self._last_action_at < policy.cooldown:
             return
-        if burning or self._up_streak >= policy.up_consecutive:
-            reason = ("burn_rate" if burning
-                      else ("util" if util >= policy.util_high
-                            else "backlog"))
+        if self._up_streak >= policy.up_consecutive:
+            reason = "util" if util >= policy.util_high else "backlog"
             self._up_streak = 0
             if len(region.nodes) >= policy.max_nodes:
                 self._reject("grow", reason)

@@ -31,7 +31,7 @@ import functools
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.cache import new_record
-from repro.core.commit import RETRY_DELAY, OpMessage
+from repro.core.commit import OpMessage
 from repro.core.region import ConsistentRegion, ReadOnlyRegion
 from repro.dfs.errors import (
     FileExists,
@@ -273,30 +273,8 @@ class PaconClient:
 
     def _publish(self, op: str, path: str, mode: int,
                  gen_ino: int = -1) -> Generator[Event, Any, None]:
-        """Push an operation message into the local commit queue.
-
-        With ``config.commit_queue_capacity`` set, a full queue stalls the
-        *client* until the commit process drains below the bound — the
-        backpressure is a visible, metered delay instead of unbounded
-        buffering.  Barrier control messages bypass this path entirely
-        (``ConsistentRegion.trigger_barrier`` publishes directly), so
-        backpressure can never deadlock a barrier rendezvous.
-        """
+        """Push an operation message into the local commit queue."""
         queue = self.region.queues.route(self.node.node_id)
-        capacity = self.region.config.commit_queue_capacity
-        if capacity is not None and len(queue) >= capacity:
-            stall_started = self.env.now
-            stall_ctx = self._stage_start("publish_stall", f"{op} {path}")
-            while len(queue) >= capacity:
-                yield RETRY_DELAY
-            self._stage_end(stall_ctx)
-            if self.region.hub.enabled:
-                stalled = self.env.now - stall_started
-                self.region.hub.observe("commit.publish_stall", stalled)
-                self.region.hub.count("commit.publish_stalls")
-                self.region.hub.timeline.record(
-                    stall_started, "commit", "backpressure.stall",
-                    queue.name, detail=f"{op} {path}", duration=stalled)
         if self.costs.commit_queue_push > 0:
             yield self.costs.commit_queue_push
         if not self.node.alive:

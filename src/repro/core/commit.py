@@ -52,8 +52,7 @@ __all__ = ["OpMessage", "BarrierMessage", "CommitProcess", "CommitStalled"]
 DFS_METHOD = {"create": "create", "mkdir": "mkdir", "rm": "unlink"}
 
 #: Delay between commit retries when an operation does not yet satisfy
-#: the namespace conventions (parent not committed yet); also the poll
-#: period of a client stalled on a full commit queue.
+#: the namespace conventions (parent not committed yet).
 RETRY_DELAY = 50e-6
 
 
@@ -134,7 +133,6 @@ class CommitProcess:
         # Batched draining (§III.E stays intact: barrier messages cut
         # batches, resubmission and the discard rule are per-op).
         self.batch_size = max(1, region.config.commit_batch_size)
-        self.coalesce_enabled = region.config.commit_coalesce
         # stats
         self.committed = 0
         self.discarded = 0
@@ -420,7 +418,7 @@ class CommitProcess:
         outcome is resolved independently — rejected ops resubmit, whether
         they travelled alone or in a group.
         """
-        if self.coalesce_enabled and len(ops) > 1:
+        if len(ops) > 1:
             ops = yield from self._coalesce(ops)
         groups: Dict[str, List[Tuple[OpMessage, int]]] = {}
         for op in ops:

@@ -4,6 +4,25 @@ An application configures Pacon with its workspace path and the nodes it
 runs on; everything else has defaults matching the prototype in the paper
 (4 KB small-file threshold, parent checking on, Linux-like default
 permissions).
+
+Why each field stays settable:
+
+* ``workspace``, ``uid``/``gid``, ``permissions``, ``small_file_threshold``,
+  ``parent_check`` (§III.C) and ``cache_capacity_bytes`` are the paper's
+  initialization parameters and deployment settings, so they stay even
+  where no bench moves them;
+* ``commit_batch_size`` is swept by Fig. 7's batching row and the
+  staleness row;
+* ``autoscale`` carries the watermarks the elastic row sets and
+  ``tests/core/test_autoscale.py`` uses to drive the controller's edge
+  cases.
+
+Of the bench testbed's knobs, ``make_testbed`` keeps ``n_mds`` (the
+ablation row) and ``costs`` (the sensitivity row).
+
+An application that wants periodic checkpoints starts them itself
+(§III.G: checkpointing is optional and application-driven):
+``env.process(deployment.checkpointer(region).run(interval))``.
 """
 
 from __future__ import annotations
@@ -52,21 +71,10 @@ class PaconConfig:
     #: same-directory operations share one MDS round trip
     #: (``DFSClient.commit_batch``).  Convergence (§III.E) is unaffected:
     #: barrier messages cut batches and the discard rule stays per-op.
+    #: A drained segment of more than one op also cancels a create/mkdir
+    #: and a same-generation rm that meet inside it, so size 1 commits
+    #: every op without coalescing.
     commit_batch_size: int = 16
-
-    #: Cancel a create/mkdir and a same-generation rm that meet inside one
-    #: drained batch — neither ever reaches the MDS.
-    commit_coalesce: bool = True
-
-    #: Optional bound on each node's commit-queue depth.  When set,
-    #: ``publish`` stalls the client (a visible, metered delay) until the
-    #: commit process drains below the bound, instead of buffering
-    #: unboundedly.  None keeps the paper's unbounded ZeroMQ behaviour.
-    commit_queue_capacity: Optional[int] = None
-
-    #: Optional periodic checkpoint interval in simulated seconds (§III.G;
-    #: checkpointing is optional and application-driven).
-    checkpoint_interval: Optional[float] = None
 
     #: The elastic controller's knobs (:mod:`repro.core.autoscale`).
     autoscale: AutoscalePolicy = field(default_factory=AutoscalePolicy)
@@ -78,9 +86,3 @@ class PaconConfig:
             raise ValueError("cache_capacity_bytes must be positive")
         if self.commit_batch_size < 1:
             raise ValueError("commit_batch_size must be >= 1")
-        if self.commit_queue_capacity is not None \
-                and self.commit_queue_capacity < 1:
-            raise ValueError("commit_queue_capacity must be >= 1 or None")
-        if self.checkpoint_interval is not None \
-                and self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive or None")

@@ -59,13 +59,6 @@ class PaconDeployment:
                               uid=config.uid, gid=config.gid)
         if start_commit:
             self.start_commit_processes(region)
-        if config.checkpoint_interval is not None:
-            # §III.G: periodic checkpointing at the application's cadence.
-            ckpt = self.checkpointer(region)
-            region.checkpoint_manager = ckpt
-            self.cluster.env.process(
-                ckpt.run(config.checkpoint_interval),
-                label=f"checkpoint:{region.name}")
         return region
 
     def _ensure_dfs_path(self, path: str, mode: int, uid: int,

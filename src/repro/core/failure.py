@@ -84,26 +84,25 @@ def fail_node(region, node) -> FailureReport:
     )
 
 
-def recover_node(region, node, restart_commit: bool = True) -> None:
+def recover_node(region, node) -> None:
     """Bring a node back up (cache shard empty, queue empty) and restart
     its commit process at the region's current barrier position."""
     if node not in region.nodes:
         raise ValueError(f"node {node.name} not in region {region.name}")
     node.recover()
-    if restart_commit:
-        for cp in region.commit_processes:
-            if cp.node is node and (cp.killed or not cp.alive):
-                # The kill interrupt (scheduled at higher priority) stops
-                # the old loop before this fresh one's bootstrap runs.
-                cp.killed = False
-                # Epoch floor: epochs complete in order, so the restarted
-                # process can never be asked to drain an epoch that the
-                # region already finished — e.g. its own arrival was
-                # triggered but undelivered at the crash instant.
-                if region.barrier_epochs_completed > cp.current_epoch:
-                    cp.current_epoch = region.barrier_epochs_completed
-                cp.start()
-                _republish_barriers(region, node, cp)
+    for cp in region.commit_processes:
+        if cp.node is node and (cp.killed or not cp.alive):
+            # The kill interrupt (scheduled at higher priority) stops
+            # the old loop before this fresh one's bootstrap runs.
+            cp.killed = False
+            # Epoch floor: epochs complete in order, so the restarted
+            # process can never be asked to drain an epoch that the
+            # region already finished — e.g. its own arrival was
+            # triggered but undelivered at the crash instant.
+            if region.barrier_epochs_completed > cp.current_epoch:
+                cp.current_epoch = region.barrier_epochs_completed
+            cp.start()
+            _republish_barriers(region, node, cp)
 
 
 def _republish_barriers(region, node, cp) -> None:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Tuple
 
+from repro.dfs.errors import FileNotFound
 from repro.dfs.inode import Inode
 from repro.dfs.namespace import normalize_path, parent_of, split_path
-from repro.sim.core import Event, Interrupt
+from repro.sim.core import Event
 
 __all__ = ["DFSClient"]
 
@@ -140,9 +141,7 @@ class DFSClient:
         try:
             yield from self.getattr(path)
             return True
-        except Interrupt:
-            raise  # caller killed mid-probe (node crash), not "absent"
-        except Exception:
+        except FileNotFound:
             return False
 
     def readdir(self, path: str) -> Generator[Event, Any, List[str]]:

@@ -21,7 +21,7 @@ The subsystem has six pieces (readers take the hub's exported document):
   utilization/queueing table,
 * the **incident flight recorder** — :mod:`repro.obs.timeline` (the
   sim-time-ordered control-plane event log every chaos/autoscale/
-  membership/backpressure hook records into) and
+  membership hook records into) and
   :mod:`repro.obs.incidents` (SLO-burn incident detection with causal
   blame attribution over that log), surfaced as the ``timeline`` and
   ``incidents`` sections of the v4 export and the ``pacon-bench

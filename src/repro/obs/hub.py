@@ -83,7 +83,7 @@ class MetricsHub:
         #: Simulated-seconds between gauge samples; None disables sampling.
         self.sample_interval = sample_interval
         #: Control-plane event log (chaos faults, scaling actions,
-        #: membership changes, backpressure stalls).  Only allocated when
+        #: membership changes).  Only allocated when
         #: the hub is live — the NULL path shares one no-op timeline, and
         #: the zero-cost tests monkeypatch Timeline.__init__ to prove no
         #: disabled run ever constructs one.

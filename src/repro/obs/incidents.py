@@ -4,7 +4,7 @@ The SLO engine (:mod:`repro.obs.slo`) answers "did the run pass?"; this
 module answers "*when* did it degrade and *what caused it*?".  It is the
 analysis half of the incident flight recorder: the control-plane
 :class:`~repro.obs.timeline.Timeline` records what the operators (chaos
-engine, autoscaler, membership, backpressure) *did*, and this module
+engine, autoscaler, membership) *did*, and this module
 lines those events up against what the gauges *saw*.
 
 Everything is pure arithmetic over one already-exported metrics document
@@ -32,15 +32,15 @@ exactly its own window.
 Blame
 -----
 Every timeline event becomes a *cause interval*: a fault spans
-injection→recovery (paired by ``ref``), a scaling action or stall spans
-its duration, membership changes are points.  A suspect's score against
+injection→recovery (paired by ``ref``), a scaling action spans its
+duration, membership changes are points.  A suspect's score against
 an incident is ``weight × (1.5 × overlap + precedence)`` where
 ``overlap`` is the fraction of the incident covered by the cause and
 ``precedence`` rewards causes that began shortly before the incident
 opened.  Weights (:data:`CAUSE_WEIGHTS`) encode the causal prior:
 injected faults outrank failed scaling actions outrank planned scaling
-outrank their own membership side-effects outrank backpressure stalls
-(which are usually symptoms).  Each suspect carries an evidence string::
+outrank their own membership side-effects.  Each suspect carries an
+evidence string::
 
     mds_crash[0]@t=12.4 → queue.depth ↑ peak 38 (bound 6) →
         commit-backlog breach 12.6–19.1
@@ -70,8 +70,7 @@ __all__ = [
 
 #: Causal prior per timeline-event kind.  Faults are the strongest
 #: explanation; membership changes rank below the scaling/chaos actions
-#: that produced them so a churn fault beats its own side-effects;
-#: backpressure stalls are usually symptoms, not causes.
+#: that produced them so a churn fault beats its own side-effects.
 CAUSE_WEIGHTS: Dict[str, float] = {
     "fault.injected": 1.0,
     "scale.failed": 0.9,
@@ -80,7 +79,6 @@ CAUSE_WEIGHTS: Dict[str, float] = {
     "scale.retire": 0.6,
     "node.joined": 0.45,
     "node.departed": 0.45,
-    "backpressure.stall": 0.3,
 }
 
 #: Utilization above this inside an incident window marks the resource

@@ -4,8 +4,7 @@ Turns one observed run's exported document (and, for the per-op list, its
 tracer) into two human-readable tables and a top-N list:
 
 * per-op-class mean latency decomposed into the attribution buckets
-  (cache, network, queue_wait, barrier, publish_stall, mds_service,
-  mds_queue) plus the explicit residual — the sum of the printed columns
+  (cache, network, queue_wait, barrier, mds_service, mds_queue) plus the explicit residual — the sum of the printed columns
   reconstructs the mean end-to-end latency exactly;
 * the top-N slowest individual operations with their own breakdowns and
   span trees' worth of context (op, path, outcome) — of the traced ops

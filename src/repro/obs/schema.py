@@ -15,7 +15,7 @@ Two contracts live here:
 
 The required counter and histogram names are the metrics an instrumented
 Pacon run is *guaranteed* to produce (both are created lazily, so
-conditionally emitted series — discards, publish stalls — are not
+conditionally emitted series — discards, for one — are not
 required, only structurally checked when present).
 """
 

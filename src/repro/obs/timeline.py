@@ -3,17 +3,16 @@
 Pacon's partial-consistency design makes *explaining* a degradation
 window as important as detecting it: a staleness or backlog breach is
 almost always downstream of some control-plane action — a chaos fault,
-an autoscale grow/retire (or its failure), a membership change, a
-backpressure stall.  Those layers each kept private records
-(``FaultRecord``, ``AutoscaleAction``, ``membership_log``) and disjoint
-``chaos.*``/``autoscale.*`` counters; nothing lined them up on one time
-axis.
+an autoscale grow/retire (or its failure), a membership change.  Those
+layers each kept private records (``FaultRecord``, ``AutoscaleAction``,
+``membership_log``) and disjoint ``chaos.*``/``autoscale.*`` counters;
+nothing lined them up on one time axis.
 
 A :class:`Timeline` is that axis: an append-only, capacity-bounded log
 of :class:`ControlEvent` records fed by instrumentation hooks in the
-chaos engine, the autoscaler, region membership, and the client publish
-path.  Every hook is guarded by ``hub.enabled``, and the hub only
-allocates a Timeline when it is enabled — the shared
+chaos engine, the autoscaler and region membership.  Every hook is
+guarded by ``hub.enabled``, and the hub only allocates a Timeline when
+it is enabled — the shared
 :data:`NULL_TIMELINE` has ``enabled`` off, so ``record`` discards
 everything — so the zero-cost-when-off guarantee of the rest of
 ``repro.obs`` holds here too (the tests prove it by monkeypatching
@@ -21,8 +20,7 @@ allocation to raise).
 
 Events are recorded *when their outcome is known* but stamped with
 their *start* time (a scale-up is recorded after the migration lands,
-timestamped at the decision; a backpressure stall is recorded when it
-drains, timestamped at its onset), so :meth:`Timeline.export` sorts by
+timestamped at the decision), so :meth:`Timeline.export` sorts by
 ``(time, seq)`` to restore simulation order.  Everything downstream —
 the v4 ``timeline`` export section, the incident blame attributor
 (:mod:`repro.obs.incidents`), the Perfetto control-plane tracks — reads
@@ -42,7 +40,6 @@ autoscale  scale.failed         a grow/retire raised; error in detail
 autoscale  scale.rejected       decision suppressed (bounds, candidates)
 membership node.joined          region membership grew (any path)
 membership node.departed        region membership shrank (any path)
-commit     backpressure.stall   a bounded commit queue stalled a client
 ========== ==================== =========================================
 """
 
@@ -58,15 +55,15 @@ __all__ = ["ControlEvent", "Timeline", "NULL_TIMELINE", "event_extents"]
 class ControlEvent:
     """One control-plane event.
 
-    ``duration`` is the event's own extent where it has one (a stall's
-    length, a scaling action's latency); interval faults instead pair a
+    ``duration`` is the event's own extent where it has one (a scaling
+    action's latency); interval faults instead pair a
     point ``fault.injected`` with a ``fault.recovered`` whose ``ref``
     names the injection's ``seq``.
     """
 
     seq: int
     time: float
-    source: str        # chaos | autoscale | membership | commit
+    source: str        # chaos | autoscale | membership
     kind: str          # see module docstring vocabulary
     label: str         # target label, e.g. "mds_crash[0]" or a node name
     detail: str = ""

@@ -100,11 +100,6 @@ class CostModel:
 
     # --- presets ----------------------------------------------------------
     @classmethod
-    def tianhe2_like(cls) -> "CostModel":
-        """Default calibration; mirrors the paper's testbed class."""
-        return cls()
-
-    @classmethod
     def zero(cls) -> "CostModel":
         """All costs zero — pure-semantics runs for unit tests."""
         numeric = {}
@@ -112,15 +107,6 @@ class CostModel:
             if f.type == "float":
                 numeric[name] = 0.0
         return cls(**numeric)
-
-    @classmethod
-    def slow_network(cls, factor: float = 10.0) -> "CostModel":
-        """Stretch network costs — used by ablation benches."""
-        base = cls()
-        return base.with_overrides(
-            net_latency=base.net_latency * factor,
-            net_msg_overhead=base.net_msg_overhead * factor,
-        )
 
     def transfer_time(self, nbytes: int) -> float:
         """Serialization time for ``nbytes`` on the fabric."""

@@ -336,7 +336,7 @@ class Cluster:
 
     def __init__(self, costs: Optional[CostModel] = None, seed: int = 0xC0FFEE):
         self.env = Environment()
-        self.costs = costs if costs is not None else CostModel.tianhe2_like()
+        self.costs = costs if costs is not None else CostModel()
         self.network = Network(self.env,
                                NetworkParams.from_costs(self.costs))
         self.rng = RngStreams(seed)

@@ -50,7 +50,7 @@ SAMPLED_OPS = 1024
 #: Anything not covered (client CPU charges, permission checks, DFS data
 #: I/O, ...) lands in the reported residual — never silently hidden.
 ATTRIBUTION_BUCKETS = ("cache", "network", "queue_wait", "barrier",
-                       "publish_stall", "mds_service", "mds_queue")
+                       "mds_service", "mds_queue")
 
 
 # Records are tuples: one small allocation per recorded fact, no

@@ -85,6 +85,16 @@ class TestSnapshotBuild:
         with pytest.raises(SnapshotError, match="pacon.bench/v1"):
             load_snapshot(str(path))
 
+    def test_load_names_five_problems_and_counts_the_rest(self, tmp_path):
+        path = tmp_path / "BENCH_empty.json"
+        path.write_text("{}")
+        assert len(validate_bench({})) == 7
+        with pytest.raises(SnapshotError) as excinfo:
+            load_snapshot(str(path))
+        message = str(excinfo.value)
+        assert message.endswith(" (+2 more)")
+        assert message.count("; ") == 4
+
 class TestFlatten:
     def test_only_the_simulated_payload_is_flattened(self, snapshot_pair):
         metrics = flatten_metrics(snapshot_pair[0])

@@ -50,9 +50,9 @@ class TestMakeTestbed:
 
     def test_beegfs_topology(self):
         bed = make_testbed("beegfs", n_apps=1, nodes_per_app=2,
-                           clients_per_node=1, n_mds=2, n_data=4)
+                           clients_per_node=1, n_mds=2)
         assert len(bed.dfs.mds_servers) == 2
-        assert len(bed.dfs.data_servers) == 4
+        assert len(bed.dfs.data_servers) == 3
 
     def test_quiesce_lands_pacon_commits(self):
         bed = make_testbed("pacon", n_apps=1, nodes_per_app=2,

@@ -103,38 +103,6 @@ class TestScalingLoop:
         scaler.stop()
 
 
-class TestBurnRateTrigger:
-    def test_burning_slo_forces_scale_up_without_load(self):
-        from repro.obs.hub import MetricsHub
-
-        cfg = _elastic_config(
-            burn_threshold=10e-6,
-            # Make the load-based triggers unreachable: only the SLO
-            # hook can grow this region.
-            backlog_high=10**9,
-            util_high=1.0,
-            up_consecutive=10**6,
-        )
-        w = make_world(n_nodes=2, config=cfg)
-        env = w.cluster.env
-        hub = MetricsHub(sample_interval=None)
-        hub.attach_region(w.region, start_sampler=False)
-        scaler = Autoscaler(w.deployment, w.region)
-        scaler.start()
-        # No load at all: every tick is underloaded.  Paint the
-        # staleness gauge far above the objective's threshold so every
-        # burn window is over budget.
-        series_name = f"consistency.pending_age[{w.region.name}]"
-        for i in range(8):
-            hub.record_sample(series_name, i * 1e-3, 500e-6)
-        env.run(until=0.02)
-        assert scaler.scale_ups >= 1
-        grow = next(a for a in scaler.actions if a.kind == "grow")
-        assert grow.reason == "burn_rate"
-        assert grow.ok
-        scaler.stop()
-
-
 class TestChaosComposition:
     def test_scale_up_races_peer_crash(self):
         """Growth triggered while a base node is down must complete

@@ -1,4 +1,4 @@
-"""Tests for the batched commit pipeline: drain, coalescing, backpressure.
+"""Tests for the batched commit pipeline: drain and coalescing.
 
 The batching contract: any ``commit_batch_size`` produces the same final
 DFS namespace as the op-at-a-time seed pipeline (§III.E convergence is
@@ -83,8 +83,8 @@ class TestCoalescing:
         assert region.cache.peek("/app/tmp") is None
 
     def test_coalescing_disabled_commits_both(self):
-        config = PaconConfig(workspace="/app", commit_batch_size=16,
-                             commit_coalesce=False)
+        # Coalescing needs two ops in one drained segment: size 1 has none.
+        config = PaconConfig(workspace="/app", commit_batch_size=1)
         cluster, dfs, deployment, region, client = make_paused_world(config)
         run_sync(cluster.env, client.create("/app/tmp"))
         run_sync(cluster.env, client.rm("/app/tmp"))
@@ -128,12 +128,9 @@ class TestCoalescing:
 
 
 class TestMetricsBalance:
-    @pytest.mark.parametrize("batch_size,coalesce", [(1, True), (4, True),
-                                                     (16, False)])
-    def test_published_equals_committed_discarded_coalesced(self, batch_size,
-                                                            coalesce):
-        config = PaconConfig(workspace="/app", commit_batch_size=batch_size,
-                             commit_coalesce=coalesce)
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    def test_published_equals_committed_discarded_coalesced(self, batch_size):
+        config = PaconConfig(workspace="/app", commit_batch_size=batch_size)
         cluster, dfs, deployment, region, client = make_paused_world(config)
         hub = MetricsHub()
         hub.attach_region(region)
@@ -151,50 +148,6 @@ class TestMetricsBalance:
                     + counters.get("commit.coalesced", 0))
         assert published == 9
         assert published == resolved
-
-
-class TestBackpressure:
-    def test_bounded_queue_stalls_publisher_visibly(self):
-        config = PaconConfig(workspace="/app", commit_batch_size=4,
-                             commit_queue_capacity=4)
-        world = make_world(config=config, n_nodes=2)
-        hub = MetricsHub()
-        hub.attach_region(world.region)
-
-        def burst():
-            for i in range(40):
-                yield from world.client.create(f"/app/f{i}")
-
-        world.run(burst())
-        world.quiesce()
-        counters = hub.stats.counters()
-        assert counters.get("commit.publish_stalls", 0) >= 1
-        stalls = hub.stats.sketch("commit.publish_stall").summary()
-        assert stalls["count"] >= 1 and stalls["max"] > 0
-        for i in range(40):
-            assert world.dfs.namespace.exists(f"/app/f{i}")
-        depth_cap = config.commit_queue_capacity + 1  # one racing publish
-        for queue in world.region.queues.queues():
-            assert queue.peak_depth <= depth_cap
-
-    def test_unbounded_default_never_stalls(self):
-        world = make_world(config=PaconConfig(workspace="/app"), n_nodes=2)
-        hub = MetricsHub()
-        hub.attach_region(world.region)
-
-        def burst():
-            for i in range(20):
-                yield from world.client.create(f"/app/f{i}")
-
-        world.run(burst())
-        world.quiesce()
-        assert hub.stats.counters().get("commit.publish_stalls", 0) == 0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            PaconConfig(workspace="/app", commit_queue_capacity=0)
-        with pytest.raises(ValueError):
-            PaconConfig(workspace="/app", commit_batch_size=0)
 
 
 class TestBatchingThroughput:

@@ -29,7 +29,7 @@ def _paused():
 def _crash_node0_then_drain(deployment, region) -> int:
     node = region.nodes[0]
     lost = fail_node(region, node).lost_queued_ops
-    recover_node(region, node, restart_commit=False)
+    recover_node(region, node)
     deployment.start_commit_processes(region)
     region.env.run()  # until every commit process waits on an empty queue
     resolved = sum(cp.committed + cp.discarded + cp.coalesced

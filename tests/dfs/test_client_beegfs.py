@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.failure import fail_mds
 from repro.dfs import BeeGFS, FileExists, FileNotFound, PermissionDenied
 from repro.sim.core import run_sync
-from repro.sim.network import Cluster
+from repro.sim.network import Cluster, MessageDropped
 
 
 @pytest.fixture
@@ -108,6 +109,19 @@ class TestMetadataOps:
 
         with pytest.raises(PermissionDenied):
             run(cluster, scenario())
+
+    def test_exists_with_the_mds_down_raises_instead_of_reporting_absent(
+            self, world):
+        # Only FileNotFound means "absent", as for the Pacon and IndexFS
+        # clients; a transport error is not an answer.
+        cluster, fs, client = world
+        run(cluster, client.mkdir("/w"))
+        run(cluster, client.create("/w/f"))
+        fail_mds(fs)
+        with pytest.raises(MessageDropped):
+            run(cluster, client.getattr("/w/f"))
+        with pytest.raises(MessageDropped):
+            run(cluster, client.exists("/w/f"))
 
 
 class TestTraversalCost:

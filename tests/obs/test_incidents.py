@@ -145,8 +145,8 @@ class TestBlame:
                                   rules=(RULE,))["incidents"]
         assert inc["suspects"] == []
 
-    def test_overlapping_fault_outranks_preceding_stall(self):
-        events = [event(1, 0.45, "backpressure.stall", "q0", duration=0.02),
+    def test_overlapping_fault_outranks_preceding_scaling_action(self):
+        events = [event(1, 0.45, "scale.grow", "n9", duration=0.02),
                   event(2, 0.4, "fault.injected", "mds_crash[0]"),
                   event(3, 1.1, "fault.recovered", "mds_crash[0]", ref=2)]
         (inc,) = detect_incidents(make_doc(self.breach_points(), events),
@@ -172,7 +172,7 @@ class TestBlame:
         # the vocabulary documented in repro.obs.timeline
         vocabulary = {"fault.injected", "scale.grow", "scale.retire",
                       "scale.failed", "scale.rejected", "node.joined",
-                      "node.departed", "backpressure.stall"}
+                      "node.departed"}
         assert vocabulary == set(CAUSE_WEIGHTS)
 
 

@@ -17,7 +17,7 @@ class TestTimeline:
     def test_events_sorted_by_time_then_seq(self):
         tl = Timeline()
         tl.record(0.5, "autoscale", "scale.grow", "late")
-        tl.record(0.1, "commit", "backpressure.stall", "early",
+        tl.record(0.1, "autoscale", "scale.failed", "early",
                   duration=0.02)
         tl.record(0.1, "membership", "node.joined", "tie")
         keys = [(ev.time, ev.seq) for ev in tl.events()]

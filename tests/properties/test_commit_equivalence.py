@@ -128,26 +128,24 @@ def test_independent_commit_converges_to_temporal_order(ops, node_picks,
         assert cp.idle
 
 
-@pytest.mark.parametrize("batch_size,coalesce",
-                         [(1, True), (4, True), (4, False),
-                          (32, True), (32, False)])
+@pytest.mark.parametrize("batch_size", [1, 4, 32])
 @given(ops=op_sequences(), node_picks=st.lists(
     st.integers(min_value=0, max_value=3), min_size=30, max_size=30))
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_batched_commit_converges_to_temporal_order(batch_size, coalesce,
-                                                    ops, node_picks):
-    """§III.E holds for every commit batch size, with or without
-    create+rm coalescing — and the pipeline accounts for every published
-    op exactly once (committed, discarded, or coalesced)."""
+def test_batched_commit_converges_to_temporal_order(batch_size, ops,
+                                                    node_picks):
+    """§III.E holds for every commit batch size — size 1 without
+    create+rm coalescing, larger sizes with it — and the pipeline accounts
+    for every published op exactly once (committed, discarded, or
+    coalesced)."""
     cluster = Cluster(seed=23)
     dfs = BeeGFS(cluster)
     nodes = [cluster.add_node(f"n{i}") for i in range(4)]
     deployment = PaconDeployment(cluster, dfs)
     region = deployment.create_region(
         PaconConfig(workspace=WS, parent_check=True,
-                    commit_batch_size=batch_size,
-                    commit_coalesce=coalesce), nodes)
+                    commit_batch_size=batch_size), nodes)
     hub = MetricsHub()
     hub.attach_region(region)
     clients = [deployment.client(region, node) for node in nodes]

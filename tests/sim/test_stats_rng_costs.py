@@ -83,10 +83,6 @@ class TestCostModel:
         assert type(c.with_overrides(mds_op_service=2).mds_op_service) is float
         assert type(c.mds_workers) is int
 
-    def test_slow_network_scales(self):
-        slow = CostModel.slow_network(factor=10)
-        assert slow.net_latency == pytest.approx(CostModel().net_latency * 10)
-
     def test_transfer_time(self):
         c = CostModel()
         assert c.transfer_time(int(c.net_bandwidth)) == pytest.approx(1.0)

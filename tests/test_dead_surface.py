@@ -29,7 +29,7 @@ and two over live objects:
   environment takes no knob beside ``initial_time`` and ``Cluster``
   has no ``run`` pass-through;
 * one simulated process is one client: no recorder, sketch or commit
-  message takes a ``weight``, and ``PaconConfig`` keeps its 12 fields —
+  message takes a ``weight``, and ``PaconConfig`` keeps its 9 fields —
   the aggregate client stays deleted;
 * an op in the commit window is an object: the in-flight counters, the
   hub-only shadow list and the second committed count stay deleted, and
@@ -42,7 +42,11 @@ and two over live objects:
 * one simulation, one verb: the six CLI verbs that re-ran a simulation
   another verb already runs stay argparse errors — and one knob, one
   place: ``PaconConfig.small_file_threshold`` is the only small-file
-  threshold, and ``make_testbed`` takes no ``commit_coalesce``;
+  threshold, and every option has a caller that sets it
+  (``AutoscalePolicy`` has no ``burn_threshold``, ``make_testbed`` takes
+  its 10 parameters, ``recover_node`` always restarts the commit
+  process, ``CostModel`` has no presets but ``zero`` and no
+  ``publish_stall`` attribution bucket is left);
 * one snapshot module: ``repro.bench.snapshot`` writes, reads, compares
   and folds ``pacon.bench/v1`` (no ``bench/baseline.py``, no
   ``runner.write_snapshot_file``), ``compare`` has no ``--tolerance``,
@@ -69,13 +73,16 @@ from repro.bench.snapshot import compare_snapshots
 from repro.bench.systems import make_testbed
 from repro.cli import build_parser
 from repro.core import client as client_module
+from repro.core.autoscale import AutoscalePolicy
 from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
+from repro.core.failure import recover_node
 from repro.obs.hub import MetricsHub
 from repro.obs.sketch import QuantileSketch
 from repro.sim.core import Environment, Event
 from repro.sim.costs import CostModel
 from repro.sim.network import Cluster
+from repro.sim.trace import ATTRIBUTION_BUCKETS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -323,7 +330,6 @@ def test_an_observation_is_one_client():
     assert [f.name for f in dataclasses.fields(PaconConfig)] == [
         "workspace", "uid", "gid", "small_file_threshold", "parent_check",
         "permissions", "cache_capacity_bytes", "commit_batch_size",
-        "commit_coalesce", "commit_queue_capacity", "checkpoint_interval",
         "autoscale"]
 
 
@@ -373,8 +379,17 @@ def test_one_verb_per_simulation(verb, capsys):
 def test_one_knob_one_place():
     assert "small_file_threshold" not in {
         f.name for f in dataclasses.fields(CostModel)}
-    assert "commit_coalesce" not in inspect.signature(
-        make_testbed).parameters
+    assert "burn_threshold" not in {
+        f.name for f in dataclasses.fields(AutoscalePolicy)}
+    assert list(inspect.signature(make_testbed).parameters) == [
+        "system", "n_apps", "nodes_per_app", "clients_per_node",
+        "workdir_base", "costs", "seed", "n_mds", "hub",
+        "commit_batch_size"]
+    assert list(inspect.signature(recover_node).parameters) == [
+        "region", "node"]
+    assert not hasattr(CostModel, "slow_network")
+    assert not hasattr(CostModel, "tianhe2_like")
+    assert "publish_stall" not in ATTRIBUTION_BUCKETS
 
 
 def _compares_a_schema(node) -> bool:
