@@ -200,7 +200,7 @@ class PaconClient:
         batch permission check runs against the *covering* region.
         """
         path = normalize_path(path)
-        target = self._route(path)
+        target = self.region.covering_region(path)
         if target is None:
             self.redirects += 1
             self._note(op, "none", "sync", "none")
@@ -252,9 +252,6 @@ class PaconClient:
             current = parent_of(current)
         for ancestor in reversed(ancestors):
             yield from region.cache.get(self.node, ancestor)
-
-    def _route(self, path: str) -> Optional[ConsistentRegion]:
-        return self.region.covering_region(path)
 
     def _barrier(self, region: ConsistentRegion) -> Generator[Event, Any,
                                                               None]:
@@ -510,6 +507,8 @@ class PaconClient:
         except NodeDownError:
             self.region.fence_lost("rm", path, state["ino"], published=False)
             raise
+        # A later entry of this name starts from the normal permission.
+        self.region.permissions.remove_special(path)
         self._note("rm", "update+delete", "async", "indep")
 
     unlink = rm
@@ -581,6 +580,7 @@ class PaconClient:
         try:
             removed = yield from self.dfs_client.rmdir(path, recursive=True)
             self.region.note_removed_subtree(path)
+            self.region.permissions.remove_special(path, subtree=True)
             self.forget_subtree(path)
             # Clean related metadata from the distributed cache (§III.D.1).
             yield from self.region.cache.delete_subtree(self.node, path)
@@ -603,8 +603,8 @@ class PaconClient:
         """
         src = normalize_path(src)
         dst = normalize_path(dst)
-        src_target = self._route(src)
-        dst_target = self._route(dst)
+        src_target = self.region.covering_region(src)
+        dst_target = self.region.covering_region(dst)
         if src_target is None and dst_target is None:
             self.redirects += 1
             self._note("rename", "none", "sync", "none")
@@ -629,6 +629,7 @@ class PaconClient:
         except NodeDownError:
             self.region.fence_unlink(src, dst)
             raise
+        self.region.permissions.move_special(src, dst)
         self.forget_subtree(src)
         self._note("rename", "delete", "sync", "barrier")
 
@@ -820,7 +821,7 @@ class PaconClient:
         write-back).
         """
         path = normalize_path(path)
-        target = self._route(path)
+        target = self.region.covering_region(path)
         if target is not self.region:
             self._note("fsync", "none", "sync", "none")
             return  # DFS writes in this model are already durable

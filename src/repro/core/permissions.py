@@ -18,6 +18,13 @@ the normal permission, checking EXECUTE once against the normal permission
 answers for all of them; special ancestors are covered by the list scan.
 (`tests/properties/test_permission_equivalence.py` verifies this against
 the real namespace traversal.)
+
+A region decides each ``(target, uid, gid, access)`` key once and keeps
+the frozen receipt: a verdict depends only on those, the normal spec, the
+special list and the workspace, and every change to the special list
+clears the cache.  After a key's first sight a check costs the host one
+dict lookup per op; the simulated cost, read off the receipt's counts, is
+unchanged.
 """
 
 from __future__ import annotations
@@ -39,13 +46,16 @@ class PermissionSpec:
     uid: int = 1000
     gid: int = 1000
 
-    def permits(self, uid: int, gid: int, want: AccessMode) -> bool:
+    def permits(self, uid: int, gid: int, want: int) -> bool:
         return check_mode_bits(self.mode, uid, gid, self.uid, self.gid, want)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReceipt:
-    """Outcome + work performed by one batch permission check."""
+    """Outcome + work performed by one batch permission check.
+
+    Frozen: the region hands the same receipt to every check of its key.
+    """
 
     allowed: bool
     normal_checks: int = 0
@@ -53,7 +63,22 @@ class CheckReceipt:
     reason: str = ""
 
 
-_WRITE_EXECUTE = AccessMode.WRITE | AccessMode.EXECUTE
+_READ = int(AccessMode.READ)
+_WRITE = int(AccessMode.WRITE)
+_EXECUTE = int(AccessMode.EXECUTE)
+_WRITE_EXECUTE = _WRITE | _EXECUTE
+
+# op -> (checked on the parent?, access wanted there).  Mutations need
+# WRITE|EXECUTE on the parent directory; a stat is pure traversal (search
+# on the ancestors, EXECUTE on the parent as the final gate); reads and
+# writes need their bit on the target.
+_OP_ACCESS: Dict[str, Tuple[bool, int]] = {
+    **dict.fromkeys(("create", "mkdir", "rm", "unlink", "rmdir"),
+                    (True, _WRITE_EXECUTE)),
+    **dict.fromkeys(("getattr", "stat"), (True, _EXECUTE)),
+    **dict.fromkeys(("read", "readdir"), (False, _READ)),
+    **dict.fromkeys(("write", "setattr", "chmod", "fsync"), (False, _WRITE)),
+}
 
 
 class RegionPermissions:
@@ -62,10 +87,18 @@ class RegionPermissions:
     def __init__(self, workspace: str, normal: PermissionSpec,
                  special: Optional[Dict[str, PermissionSpec]] = None):
         self.workspace = normalize_path(workspace)
-        self.normal = normal
+        self._normal = normal
         self._special: Dict[str, PermissionSpec] = {}
+        # (target path, uid, gid, access) -> its receipt.  A verdict
+        # depends on nothing else that can change, so the cache only
+        # goes stale when the special list does, and then it is cleared.
+        self._verdicts: Dict[Tuple[str, int, int, int], CheckReceipt] = {}
         for path, spec in (special or {}).items():
             self.add_special(path, spec)
+
+    @property
+    def normal(self) -> PermissionSpec:
+        return self._normal
 
     # -- special list maintenance -------------------------------------------
     def add_special(self, path: str, spec: PermissionSpec) -> None:
@@ -75,9 +108,32 @@ class RegionPermissions:
                 f"special permission {path!r} outside workspace"
                 f" {self.workspace!r}")
         self._special[path] = spec
+        self._verdicts.clear()
 
-    def remove_special(self, path: str) -> None:
-        self._special.pop(normalize_path(path), None)
+    def remove_special(self, path: str, subtree: bool = False) -> None:
+        """Drop the entry for ``path`` — an ``rm`` — and with ``subtree``
+        every entry under it too — an ``rmdir``."""
+        path = normalize_path(path)
+        if subtree:
+            doomed = [p for p in self._special if is_within(p, path)]
+        else:
+            doomed = [path] if path in self._special else []
+        for p in doomed:
+            del self._special[p]
+        if doomed:
+            self._verdicts.clear()
+
+    def move_special(self, src: str, dst: str) -> None:
+        """A rename of ``src`` to ``dst``: the entries at or under ``dst``
+        go, and those at or under ``src`` move to the same relative path
+        under ``dst``."""
+        src, dst = normalize_path(src), normalize_path(dst)
+        self.remove_special(dst, subtree=True)
+        moved = [p for p in self._special if is_within(p, src)]
+        for p in moved:
+            self._special[dst + p[len(src):]] = self._special.pop(p)
+        if moved:
+            self._verdicts.clear()
 
     @property
     def special(self) -> Dict[str, PermissionSpec]:
@@ -89,7 +145,7 @@ class RegionPermissions:
 
     def _effective(self, path: str) -> PermissionSpec:
         """:meth:`effective` on an already-normalized ``path``."""
-        return self._special.get(path, self.normal)
+        return self._special.get(path, self._normal)
 
     # -- the batch check -------------------------------------------------------
     def check(self, path: str, uid: int, gid: int,
@@ -101,47 +157,8 @@ class RegionPermissions:
         of the special list for ancestor overrides; ``want`` is then
         matched against the target's effective permission.
         """
-        return self._check(normalize_path(path), uid, gid, want)
-
-    def _check(self, path: str, uid: int, gid: int,
-               want: AccessMode) -> CheckReceipt:
-        """:meth:`check` on an already-normalized ``path``."""
-        receipt = CheckReceipt(allowed=False)
-        if not is_within(path, self.workspace):
-            receipt.reason = "outside region"
-            return receipt
-        # 1) Region-wide search permission via the normal spec (one check
-        #    answers for every non-special ancestor inside the region).
-        receipt.normal_checks = 1
-        if path != self.workspace:
-            if not self.normal.permits(uid, gid, AccessMode.EXECUTE):
-                # Every ancestor strictly inside the region carries the
-                # normal spec unless overridden; if even one ancestor with
-                # the normal spec exists on the path, access dies here.
-                if self._has_normal_ancestor(path):
-                    receipt.reason = "search permission (normal)"
-                    return receipt
-        # 2) Scan the special list for ancestor overrides.
-        for special_path, spec in self._special.items():
-            receipt.special_items_scanned += 1
-            if special_path != path and is_within(path, special_path) \
-                    and special_path != self.workspace:
-                if not spec.permits(uid, gid, AccessMode.EXECUTE):
-                    receipt.reason = f"search permission ({special_path})"
-                    return receipt
-        # 3) The target itself.  Search permission on the workspace root is
-        #    granted by region membership (established at region creation),
-        #    so only the non-EXECUTE bits are checked there.
-        want_bits = int(want)
-        if path == self.workspace:
-            want_bits &= ~int(AccessMode.EXECUTE)
-        target_spec = self._special.get(path, self.normal)
-        if want_bits and not target_spec.permits(uid, gid,
-                                                 AccessMode(want_bits)):
-            receipt.reason = "target permission"
-            return receipt
-        receipt.allowed = True
-        return receipt
+        key = (normalize_path(path), uid, gid, int(want))
+        return self._verdicts.get(key) or self._decide(key)
 
     def check_op(self, op: str, path: str, uid: int,
                  gid: int) -> CheckReceipt:
@@ -156,19 +173,53 @@ class RegionPermissions:
     def _check_op(self, op: str, path: str, uid: int,
                   gid: int) -> CheckReceipt:
         """:meth:`check_op` on an already-normalized ``path``."""
-        if op in ("create", "mkdir", "rm", "unlink", "rmdir"):
-            parent = parent_of(path) if path != "/" else path
-            return self._check(parent, uid, gid, _WRITE_EXECUTE)
-        if op in ("getattr", "stat"):
-            # Pure traversal: validated by the ancestor machinery; use
-            # EXECUTE on the parent as the final gate.
-            parent = parent_of(path) if path != "/" else path
-            return self._check(parent, uid, gid, AccessMode.EXECUTE)
-        if op in ("read", "readdir"):
-            return self._check(path, uid, gid, AccessMode.READ)
-        if op in ("write", "setattr", "chmod", "fsync"):
-            return self._check(path, uid, gid, AccessMode.WRITE)
-        raise ValueError(f"unknown operation {op!r}")
+        try:
+            on_parent, want = _OP_ACCESS[op]
+        except KeyError:
+            raise ValueError(f"unknown operation {op!r}") from None
+        if on_parent and path != "/":
+            path = path[:path.rfind("/")] or "/"
+        key = (path, uid, gid, want)
+        return self._verdicts.get(key) or self._decide(key)
+
+    def _decide(self, key: Tuple[str, int, int, int]) -> CheckReceipt:
+        """Decide a key on its first sight and keep the receipt (always
+        truthy, so ``self._verdicts.get(key) or self._decide(key)``)."""
+        receipt = self._verdicts[key] = self._batch_check(*key)
+        return receipt
+
+    def _batch_check(self, path: str, uid: int, gid: int,
+                     want: int) -> CheckReceipt:
+        """The batch check itself, on an already-normalized ``path``."""
+        if not is_within(path, self.workspace):
+            return CheckReceipt(False, reason="outside region")
+        # 1) Region-wide search permission via the normal spec (one check
+        #    answers for every non-special ancestor inside the region).
+        #    Every ancestor strictly inside the region carries the normal
+        #    spec unless overridden; if even one ancestor with the normal
+        #    spec exists on the path, access dies here.
+        if path != self.workspace \
+                and not self._normal.permits(uid, gid, _EXECUTE) \
+                and self._has_normal_ancestor(path):
+            return CheckReceipt(False, 1, 0, "search permission (normal)")
+        # 2) Scan the special list for ancestor overrides.
+        scanned = 0
+        for special_path, spec in self._special.items():
+            scanned += 1
+            if special_path != path and is_within(path, special_path) \
+                    and special_path != self.workspace \
+                    and not spec.permits(uid, gid, _EXECUTE):
+                return CheckReceipt(False, 1, scanned,
+                                    f"search permission ({special_path})")
+        # 3) The target itself.  Search permission on the workspace root is
+        #    granted by region membership (established at region creation),
+        #    so only the non-EXECUTE bits are checked there.
+        if path == self.workspace:
+            want &= ~_EXECUTE
+        if want and not self._special.get(path, self._normal).permits(
+                uid, gid, want):
+            return CheckReceipt(False, 1, scanned, "target permission")
+        return CheckReceipt(True, 1, scanned)
 
     def _has_normal_ancestor(self, path: str) -> bool:
         """True if some strict ancestor inside the region is non-special."""

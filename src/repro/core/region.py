@@ -47,6 +47,9 @@ class ConsistentRegion:
         self.dfs = dfs
         self.config = config
         self.workspace = normalize_path(config.workspace)
+        # Every path strictly under the workspace starts with this; a root
+        # workspace's prefix is "/" itself, which every path starts with.
+        self._subtree_prefix = self.workspace.rstrip("/") + "/"
         self.name = name or self.workspace
         self.nodes = list(nodes)
         # Distributed cache: one shard per region node.  ``shards`` is the
@@ -148,11 +151,12 @@ class ConsistentRegion:
 
     # -- coverage ---------------------------------------------------------------
     def covers(self, path: str) -> bool:
-        return is_within(path, self.workspace)
+        return path.startswith(self._subtree_prefix) \
+            or path == self.workspace
 
     def covering_region(self, path: str) -> Optional["ConsistentRegion"]:
         """This region, a merged region, or None (redirect to DFS)."""
-        if self.covers(path):
+        if path.startswith(self._subtree_prefix) or path == self.workspace:
             return self
         for other in self.merged:
             if other.covers(path):
@@ -398,6 +402,13 @@ class ConsistentRegion:
             if mine and record.get("deleted"):
                 self.cache.shard_for(path).kv.set(
                     path, {**record, "deleted": False})
+                # The rm dropped the file's special entry, and the file
+                # lives on: its mode goes back on the list.
+                if record["mode"] != self.permissions.normal.mode and \
+                        self.permissions.effective(path) \
+                        is self.permissions.normal:
+                    self.permissions.add_special(path, PermissionSpec(
+                        record["mode"], record["uid"], record["gid"]))
             return
         if mine and not record["committed"]:
             self.cache.shard_for(path).kv.delete(path)
@@ -439,7 +450,9 @@ class ConsistentRegion:
         Both write the DFS first and the cache after, so the region asks
         the DFS.  One the DFS took gets the cache side its client never
         ran: the records at and under ``path`` (and a rename's ``dst``
-        record) go and every client forgets ``path``; an rmdir's
+        record) go, every client forgets ``path``, and the special
+        permission entries at and under ``path`` go or, for a rename,
+        move under ``dst``; an rmdir's
         ``subtree_removed`` directory counts as removed now, so the ops
         queued under it resolve through the §III.D.1 discard rule.  One
         the DFS did not take changed nothing.
@@ -451,6 +464,9 @@ class ConsistentRegion:
         self.cache.shard_for(path).kv.delete(path)
         if dst:
             self.cache.shard_for(dst).kv.delete(dst)
+            self.permissions.move_special(path, dst)
+        else:
+            self.permissions.remove_special(path, subtree=True)
         self._drop_subtree(path)
 
     def _drop_subtree(self, path: str) -> None:

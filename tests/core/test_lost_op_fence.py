@@ -235,3 +235,45 @@ def test_a_chmod_whose_reply_is_lost_agrees_with_the_dfs(applied,
     assert w.run(w.new_client(1).getattr(path)).mode == mode
     assert w.region.permissions.effective(path).mode == mode
     assert w.run(w.new_client(1).read(path, 0, 4)) == b"kept"
+
+
+def test_a_lost_rm_keeps_the_special_entry_of_the_file_it_leaves():
+    w = make_world(n_nodes=2)
+    path = _kept_by_node1(w.region, "f")
+    w.run(w.client.create(path))
+    w.run(w.client.chmod(path, 0o600))
+    w.quiesce()
+    w.run(w.client.rm(path))
+    assert path not in w.region.permissions.special
+    assert fail_node(w.region, w.nodes[0]).lost_queued_ops == 1
+    recover_node(w.region, w.nodes[0])
+    w.quiesce()
+    assert w.dfs.namespace.getattr(path).mode & 0o777 == 0o600
+    assert w.region.permissions.effective(path).mode == 0o600
+
+
+@pytest.mark.parametrize("method", ["rmdir", "rename"])
+def test_a_lost_reply_still_prunes_the_special_list(method, monkeypatch):
+    """The DFS took the rmdir (or rename) of ``/app/d``: the fence drops
+    the entries under it (or moves them under ``/app/e``)."""
+    w = make_world(n_nodes=2)
+    leaf = _kept_by_node1(w.region, "d/x")
+    w.run(w.client.mkdir("/app/d"))
+    w.run(w.client.create(leaf))
+    w.run(w.client.chmod(leaf, 0o400))
+    w.quiesce()
+    _crash_on_reply(monkeypatch, w, method)
+    with pytest.raises(NodeDownError):
+        if method == "rmdir":
+            w.run(w.client.rmdir("/app/d"))
+        else:
+            w.run(w.client.rename("/app/d", "/app/e"))
+    _recover_node0(w)
+    perms = w.region.permissions
+    if method == "rmdir":
+        assert perms.special == {}
+    else:
+        moved = "/app/e" + leaf[len("/app/d"):]
+        assert set(perms.special) == {moved}
+        assert perms.effective(moved).mode == 0o400
+        assert w.dfs.namespace.getattr(moved).mode & 0o777 == 0o400

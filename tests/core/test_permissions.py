@@ -1,7 +1,10 @@
 """Unit tests for batch permission management (§III.C)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from repro.core.deploy import PaconFS
 from repro.core.permissions import PermissionSpec, RegionPermissions
 from repro.dfs.inode import AccessMode
 
@@ -150,3 +153,104 @@ class TestDefaults:
         perms.add_special("/ws/a", PermissionSpec())
         perms.add_special("/ws/b", PermissionSpec())
         assert perms.cost_items() == (1, 2)
+
+
+class TestVerdictCache:
+    """A region keeps one receipt per key until its special list changes."""
+
+    def test_a_denied_special_denies_on_the_very_next_check(self, perms):
+        assert perms.check_op("create", "/ws/d/f", APP_UID, APP_GID).allowed
+        assert perms.check("/ws/d/f", APP_UID, APP_GID,
+                           AccessMode.READ).allowed
+        perms.add_special("/ws/d", PermissionSpec(mode=0o600, uid=APP_UID,
+                                                  gid=APP_GID))
+        assert not perms.check_op("create", "/ws/d/f", APP_UID,
+                                  APP_GID).allowed
+        assert not perms.check("/ws/d/f", APP_UID, APP_GID,
+                               AccessMode.READ).allowed
+
+    def test_remove_special_restores_the_allowed_verdict(self, perms):
+        perms.add_special("/ws/d", PermissionSpec(mode=0o600, uid=APP_UID,
+                                                  gid=APP_GID))
+        denied = perms.check_op("getattr", "/ws/d/f", APP_UID, APP_GID)
+        assert not denied.allowed and denied.special_items_scanned == 1
+        perms.remove_special("/ws/d")
+        allowed = perms.check_op("getattr", "/ws/d/f", APP_UID, APP_GID)
+        assert allowed.allowed and allowed.special_items_scanned == 0
+
+    def test_receipts_are_shared_and_frozen(self, perms):
+        first = perms.check_op("getattr", "/ws/d/f", APP_UID, APP_GID)
+        assert perms.check_op("stat", "/ws/d/g", APP_UID, APP_GID) is first
+        with pytest.raises(FrozenInstanceError):
+            first.allowed = False
+
+    def test_the_normal_spec_is_read_only(self, perms):
+        with pytest.raises(AttributeError):
+            perms.normal = PermissionSpec(mode=0o000)
+
+    def test_remove_special_subtree_keeps_siblings(self, perms):
+        for path in ("/ws/d", "/ws/d/x", "/ws/d/x/y", "/ws/dd"):
+            perms.add_special(path, PermissionSpec())
+        perms.remove_special("/ws/d/x")
+        assert set(perms.special) == {"/ws/d", "/ws/d/x/y", "/ws/dd"}
+        perms.remove_special("/ws/d", subtree=True)
+        assert set(perms.special) == {"/ws/dd"}
+
+    def test_move_special_replaces_the_destination_subtree(self, perms):
+        a, b, c = (PermissionSpec(mode=m) for m in (0o500, 0o600, 0o640))
+        perms.add_special("/ws/src", a)
+        perms.add_special("/ws/src/x", b)
+        perms.add_special("/ws/dst/old", c)
+        perms.add_special("/ws/srcx", c)
+        perms.move_special("/ws/src", "/ws/dst")
+        assert perms.special == {"/ws/dst": a, "/ws/dst/x": b,
+                                 "/ws/srcx": c}
+
+
+class TestSpecialListFollowsTheNamespace:
+    """A special entry goes with the name it describes: a later entry of
+    that name starts from the normal permission (0o700 here)."""
+
+    @staticmethod
+    def _modes(fs, path):
+        return (fs.region.cache.peek(path)["mode"],
+                fs.dfs.namespace.getattr(path, check_perms=False).mode
+                & 0o777)
+
+    @staticmethod
+    def _steps(fs, *steps):
+        for step in steps:
+            step()
+            fs.quiesce()
+
+    def test_rm_drops_the_entry_of_the_removed_file(self):
+        fs = PaconFS(workspace="/app", nodes=2)
+        self._steps(fs, lambda: fs.create("/app/f"),
+                    lambda: fs.chmod("/app/f", 0o600),
+                    lambda: fs.rm("/app/f"),
+                    lambda: fs.create("/app/f"))
+        assert self._modes(fs, "/app/f") == (0o700, 0o700)
+        assert fs.region.permissions.special == {}
+
+    def test_rmdir_drops_every_entry_under_the_directory(self):
+        fs = PaconFS(workspace="/app", nodes=2)
+        self._steps(fs, lambda: fs.mkdir("/app/d"),
+                    lambda: fs.create("/app/d/x"),
+                    lambda: fs.chmod("/app/d/x", 0o400),
+                    lambda: fs.rmdir("/app/d"),
+                    lambda: fs.mkdir("/app/d"),
+                    lambda: fs.create("/app/d/x"))
+        assert self._modes(fs, "/app/d/x") == (0o700, 0o700)
+        assert fs.region.permissions.special == {}
+
+    def test_rename_moves_the_entry_to_the_new_name(self):
+        fs = PaconFS(workspace="/app", nodes=2)
+        self._steps(fs, lambda: fs.create("/app/r"),
+                    lambda: fs.chmod("/app/r", 0o640),
+                    lambda: fs.rename("/app/r", "/app/r2"),
+                    lambda: fs.create("/app/r"))
+        assert self._modes(fs, "/app/r") == (0o700, 0o700)
+        perms = fs.region.permissions
+        assert set(perms.special) == {"/app/r2"}
+        assert perms.effective("/app/r2").mode == 0o640
+        assert fs.stat("/app/r2").mode & 0o777 == 0o640

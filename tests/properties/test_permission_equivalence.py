@@ -5,16 +5,21 @@ region's normal permission except a declared special list — Pacon's batch
 check (one normal match + one special-list scan) must agree with the
 classic layer-by-layer traversal over a real namespace carrying those same
 modes.  Hypothesis generates random trees, special lists, and access
-requests; the oracle is the repro DFS namespace itself.
+requests; the oracle is the repro DFS namespace itself.  A second property
+runs the special list through a live region's op sequences: it must keep
+naming exactly the entries its client chmod-ed, and the cached verdicts
+must still agree with the traversal afterwards.
 """
 
 from typing import Dict, List, Tuple
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PaconConfig
+from repro.core.deploy import PaconFS
 from repro.core.permissions import PermissionSpec, RegionPermissions
-from repro.dfs.errors import PermissionDenied
+from repro.dfs.errors import FSError, PermissionDenied
 from repro.dfs.inode import AccessMode
 from repro.dfs.namespace import Namespace, parent_of
 
@@ -126,3 +131,77 @@ def test_batch_check_matches_hierarchical_traversal(ws, user, op, pick):
         f"divergence on {op} {path} as uid={uid},gid={gid}: "
         f"batch={batch} oracle={oracle} normal={oct(normal_mode)} "
         f"special={ {p: oct(m) for p, m in special.items()} }")
+
+
+# -- the special list over a live region's op sequences ----------------------
+
+#: Built and chmod-ed before the steps run, so every step meets entries
+#: on the special list; ``/ws/c`` starts free for a create or a rename.
+START = [("mkdir", f"{WS}/a"), ("create", f"{WS}/a/x"),
+         ("create", f"{WS}/b")]
+NAMES = [f"{WS}/a", f"{WS}/a/x", f"{WS}/b", f"{WS}/c"]
+CHMOD_MODES = [0o700, 0o600, 0o500, 0o400, 0o300]
+
+
+@st.composite
+def ops(draw):
+    """One op on the small tree, each kind equally likely."""
+    op = draw(st.sampled_from(["create", "mkdir", "chmod", "rm", "rmdir",
+                               "rename", "stat"]))
+    path = draw(st.sampled_from(NAMES))
+    if op == "chmod":
+        return op, path, draw(st.sampled_from(CHMOD_MODES))
+    if op == "rename":
+        # Hypothesis leans toward the first choice: the free name, where
+        # a rename of a live entry lands.
+        return op, path, draw(st.sampled_from(NAMES[::-1]))
+    return op, path
+
+
+@given(normal_mode=st.sampled_from([0o711, 0o755]),
+       start_modes=st.lists(st.sampled_from(CHMOD_MODES), min_size=3,
+                            max_size=3),
+       steps=st.lists(ops(), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_the_special_list_follows_the_namespace(normal_mode, start_modes,
+                                                steps):
+    """The normal modes give everyone search on the workspace root, the
+    entry the region grants at creation, so the DFS traversal from ``/``
+    is the oracle as is.
+
+    Each step quiesces, and a create or mkdir looks its name up first:
+    two commit-pipeline defects (ROADMAP item 12) would otherwise stall
+    the drain before the special list is ever checked.
+    """
+    fs = PaconFS(workspace=WS, nodes=2, config=PaconConfig(
+        workspace=WS, permissions=PermissionSpec(mode=normal_mode,
+                                                 uid=APP[0], gid=APP[1])))
+    for op, path in START:
+        getattr(fs, op)(path)
+    fs.quiesce()
+    for (_op, path), mode in zip(reversed(START), start_modes):
+        fs.chmod(path, mode)
+    fs.quiesce()
+    for op, *args in steps:
+        try:
+            if op in ("create", "mkdir"):
+                fs.exists(args[0])
+            getattr(fs, op)(*args)
+        except FSError:
+            pass
+        fs.quiesce()
+    ns = fs.dfs.namespace
+    perms = fs.region.permissions
+    for path, spec in perms.special.items():
+        assert ns.exists(path), f"special entry {path} outlived its name"
+        assert ns.getattr(path, check_perms=False).mode == spec.mode, path
+    for path, inode in ns.walk(WS):
+        if path == WS:
+            continue
+        for uid, gid in USERS:
+            for check in (["create", "getattr", "write"]
+                          + ["readdir"] * inode.is_dir):
+                assert perms.check_op(check, path, uid, gid).allowed == \
+                    oracle_allows(ns, check, path, uid, gid), (
+                        f"{check} {path} as {uid}/{gid} after {steps}")
