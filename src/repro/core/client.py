@@ -32,6 +32,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.cache import new_record
 from repro.core.commit import OpMessage
+from repro.core.permissions import PermissionSpec
 from repro.core.region import ConsistentRegion, ReadOnlyRegion
 from repro.dfs.errors import (
     FileExists,
@@ -268,8 +269,9 @@ class PaconClient:
         self._parent_memo = {p for p in self._parent_memo
                              if p != path and not p.startswith(prefix)}
 
-    def _publish(self, op: str, path: str, mode: int,
-                 gen_ino: int = -1) -> Generator[Event, Any, None]:
+    def _publish(self, op: str, path: str, mode: int, gen_ino: int = -1,
+                 special: Optional[Dict[str, PermissionSpec]] = None,
+                 ) -> Generator[Event, Any, None]:
         """Push an operation message into the local commit queue."""
         queue = self.region.queues.route(self.node.node_id)
         if self.costs.commit_queue_push > 0:
@@ -282,7 +284,8 @@ class PaconClient:
         msg = OpMessage(op=op, path=path, mode=mode, uid=self.uid,
                         gid=self.gid, timestamp=self.env.now,
                         epoch=self.region.client_epoch,
-                        client_id=self.client_id, gen_ino=gen_ino)
+                        client_id=self.client_id, gen_ino=gen_ino,
+                        special=special)
         tracer = self.region.tracer
         if tracer.enabled:
             # Commit-queue residency span: opened at publish, closed by
@@ -468,8 +471,10 @@ class PaconClient:
             yield from self.dfs_client.unlink(path)
             return
 
-        # The generation this rm marks, as soon as it is known.
-        state = {"was_dir": False, "already_deleted": False, "ino": -1}
+        # The generation this rm marks, as soon as it is known, and the
+        # special entry it drops.
+        state = {"was_dir": False, "already_deleted": False, "ino": -1,
+                 "special": None}
 
         def mark_deleted(record):
             if record.get("deleted"):
@@ -503,12 +508,17 @@ class PaconClient:
                 yield from self._cache_fill(path, record)
             else:
                 self.cache_hits += 1
-            yield from self._publish("rm", path, 0, gen_ino=state["ino"])
+            # A later entry of this name starts from the normal permission.
+            # The dropped entry rides with the rm, so that a lost rm can
+            # put it back.
+            state["special"] = \
+                self.region.permissions.remove_special(path) or None
+            yield from self._publish("rm", path, 0, gen_ino=state["ino"],
+                                     special=state["special"])
         except NodeDownError:
-            self.region.fence_lost("rm", path, state["ino"], published=False)
+            self.region.fence_lost("rm", path, state["ino"], published=False,
+                                   special=state["special"])
             raise
-        # A later entry of this name starts from the normal permission.
-        self.region.permissions.remove_special(path)
         self._note("rm", "update+delete", "async", "indep")
 
     unlink = rm
@@ -580,7 +590,7 @@ class PaconClient:
         try:
             removed = yield from self.dfs_client.rmdir(path, recursive=True)
             self.region.note_removed_subtree(path)
-            self.region.permissions.remove_special(path, subtree=True)
+            self.region.permissions.remove_special(path)
             self.forget_subtree(path)
             # Clean related metadata from the distributed cache (§III.D.1).
             yield from self.region.cache.delete_subtree(self.node, path)
@@ -678,7 +688,6 @@ class PaconClient:
                 record["mode"] = mode
                 yield from self._cache_fill(path, record)
                 state["committed"] = True
-            from repro.core.permissions import PermissionSpec
             self.region.permissions.add_special(
                 path, PermissionSpec(mode=mode, uid=self.uid, gid=self.gid))
             if state["committed"]:

@@ -34,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
+from repro.core.permissions import PermissionSpec
 from repro.dfs.errors import (
     FileExists,
     FileNotFound,
@@ -91,6 +92,9 @@ class OpMessage:
     #: DFS/MDS spans under it.  -1 when tracing is off.
     op_id: int = -1
     span_id: int = -1
+    #: The special-permission entries an rm dropped (§III.C), kept so a
+    #: lost rm can put them back on the list of the file it leaves.
+    special: Optional[Dict[str, PermissionSpec]] = None
 
     def __post_init__(self) -> None:
         if self.op not in DFS_METHOD:

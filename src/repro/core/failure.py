@@ -75,7 +75,7 @@ def fail_node(region, node) -> FailureReport:
             # Reconcile the version-lag ledger: this published mutation
             # will never commit, so it must stop counting as pending.
             region.note_op_resolved(op.path)
-        region.fence_lost(op.op, op.path, op.gen_ino)
+        region.fence_lost(op.op, op.path, op.gen_ino, special=op.special)
     return FailureReport(
         node_name=node.name,
         region_name=region.name,

@@ -110,25 +110,24 @@ class RegionPermissions:
         self._special[path] = spec
         self._verdicts.clear()
 
-    def remove_special(self, path: str, subtree: bool = False) -> None:
-        """Drop the entry for ``path`` — an ``rm`` — and with ``subtree``
-        every entry under it too — an ``rmdir``."""
+    def remove_special(self, path: str) -> Dict[str, PermissionSpec]:
+        """Drop the entries at or under ``path`` — an ``rm`` or an
+        ``rmdir`` — and return them."""
         path = normalize_path(path)
-        if subtree:
-            doomed = [p for p in self._special if is_within(p, path)]
-        else:
-            doomed = [path] if path in self._special else []
-        for p in doomed:
+        dropped = {p: spec for p, spec in self._special.items()
+                   if is_within(p, path)}
+        for p in dropped:
             del self._special[p]
-        if doomed:
+        if dropped:
             self._verdicts.clear()
+        return dropped
 
     def move_special(self, src: str, dst: str) -> None:
         """A rename of ``src`` to ``dst``: the entries at or under ``dst``
         go, and those at or under ``src`` move to the same relative path
         under ``dst``."""
         src, dst = normalize_path(src), normalize_path(dst)
-        self.remove_special(dst, subtree=True)
+        self.remove_special(dst)
         moved = [p for p in self._special if is_within(p, src)]
         for p in moved:
             self._special[dst + p[len(src):]] = self._special.pop(p)

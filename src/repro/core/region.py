@@ -156,7 +156,7 @@ class ConsistentRegion:
 
     def covering_region(self, path: str) -> Optional["ConsistentRegion"]:
         """This region, a merged region, or None (redirect to DFS)."""
-        if path.startswith(self._subtree_prefix) or path == self.workspace:
+        if self.covers(path):
             return self
         for other in self.merged:
             if other.covers(path):
@@ -380,7 +380,9 @@ class ConsistentRegion:
 
     # -- the lost-op fence (§III.G) -------------------------------------------
     def fence_lost(self, op: str, path: str, gen_ino: int,
-                   published: bool = True) -> None:
+                   published: bool = True,
+                   special: Optional[Dict[str, PermissionSpec]] = None,
+                   ) -> None:
         """No op may outlive a lost op it depends on; zero simulated cost.
 
         A lost create/mkdir takes its surviving *uncommitted* record of
@@ -389,26 +391,29 @@ class ConsistentRegion:
         resolve through the §III.D.1 discard rule instead of resubmitting
         forever: the lost directory counts as removed now, and an rm of
         the lost file's generation (never of an older generation of the
-        same name) is discarded on ENOENT.  A lost rm un-deletes its
-        generation's tombstone.  An op that was never ``published`` (its
-        node died between cache write and publish) is lost only if its
-        write landed.
+        same name) is discarded on ENOENT.  An op that was never
+        ``published`` (its node died between cache write and publish) is
+        lost only if its write landed.
+
+        A lost rm un-deletes its generation's tombstone, and the file it
+        leaves gets back the ``special`` entries the rm dropped from the
+        special permission list.  When the crash took the tombstone too,
+        the file lives on if the DFS still holds it, and so do those
+        entries.
         """
         record = self.cache.peek(path)
         mine = record is not None and record["ino"] == gen_ino
-        if not (mine or published):
-            return
         if op == "rm":
             if mine and record.get("deleted"):
                 self.cache.shard_for(path).kv.set(
                     path, {**record, "deleted": False})
-                # The rm dropped the file's special entry, and the file
-                # lives on: its mode goes back on the list.
-                if record["mode"] != self.permissions.normal.mode and \
-                        self.permissions.effective(path) \
-                        is self.permissions.normal:
-                    self.permissions.add_special(path, PermissionSpec(
-                        record["mode"], record["uid"], record["gid"]))
+            elif record is not None or not special \
+                    or not self.dfs.namespace.exists(path):
+                return
+            for entry, spec in (special or {}).items():
+                self.permissions.add_special(entry, spec)
+            return
+        if not (mine or published):
             return
         if mine and not record["committed"]:
             self.cache.shard_for(path).kv.delete(path)
@@ -466,7 +471,7 @@ class ConsistentRegion:
             self.cache.shard_for(dst).kv.delete(dst)
             self.permissions.move_special(path, dst)
         else:
-            self.permissions.remove_special(path, subtree=True)
+            self.permissions.remove_special(path)
         self._drop_subtree(path)
 
     def _drop_subtree(self, path: str) -> None:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import PaconConfig
 from repro.core.failure import fail_node, recover_node
+from repro.core.permissions import PermissionSpec
 from repro.dfs.errors import FileNotFound
 from repro.sim.core import run_sync
 from repro.sim.network import NodeDownError
@@ -250,6 +251,43 @@ def test_a_lost_rm_keeps_the_special_entry_of_the_file_it_leaves():
     w.quiesce()
     assert w.dfs.namespace.getattr(path).mode & 0o777 == 0o600
     assert w.region.permissions.effective(path).mode == 0o600
+
+
+@pytest.mark.parametrize("keeper", [1, 0])
+def test_a_lost_rm_gives_back_exactly_the_entry_it_dropped(keeper):
+    """The entry's owner differs from the record's, so only the entry the
+    rm dropped can restore it.  With ``keeper`` 0 the crash wipes the
+    tombstone too, and the DFS copy is the file that lives on."""
+    w = make_world(n_nodes=2)
+    path = next(p for p in (f"/app/f{i}" for i in range(64))
+                if w.region.cache.shard_for(p).node is w.nodes[keeper])
+    w.run(w.client.create(path))
+    w.run(w.client.chmod(path, 0o600))
+    spec = PermissionSpec(mode=0o600, uid=1000, gid=2000)
+    w.region.permissions.add_special(path, spec)
+    w.quiesce()
+    w.run(w.client.rm(path))
+    assert w.region.permissions.special == {}
+    assert fail_node(w.region, w.nodes[0]).lost_queued_ops == 1
+    recover_node(w.region, w.nodes[0])
+    w.quiesce()
+    assert w.dfs.namespace.getattr(path).mode & 0o777 == 0o600
+    assert w.region.permissions.special == {path: spec}
+
+
+def test_a_lost_rm_adds_no_entry_its_file_never_had():
+    """A create with an explicit mode puts nothing on the special list,
+    so the lost rm of that file has nothing to give back."""
+    w = make_world(n_nodes=2)
+    path = _kept_by_node1(w.region, "f")
+    w.run(w.client.create(path, mode=0o600))
+    w.quiesce()
+    w.run(w.client.rm(path))
+    assert fail_node(w.region, w.nodes[0]).lost_queued_ops == 1
+    recover_node(w.region, w.nodes[0])
+    w.quiesce()
+    assert w.dfs.namespace.getattr(path).mode & 0o777 == 0o600
+    assert w.region.permissions.special == {}
 
 
 @pytest.mark.parametrize("method", ["rmdir", "rename"])

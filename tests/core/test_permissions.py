@@ -188,13 +188,15 @@ class TestVerdictCache:
         with pytest.raises(AttributeError):
             perms.normal = PermissionSpec(mode=0o000)
 
-    def test_remove_special_subtree_keeps_siblings(self, perms):
-        for path in ("/ws/d", "/ws/d/x", "/ws/d/x/y", "/ws/dd"):
-            perms.add_special(path, PermissionSpec())
-        perms.remove_special("/ws/d/x")
-        assert set(perms.special) == {"/ws/d", "/ws/d/x/y", "/ws/dd"}
-        perms.remove_special("/ws/d", subtree=True)
-        assert set(perms.special) == {"/ws/dd"}
+    def test_remove_special_drops_the_subtree_and_keeps_siblings(self,
+                                                                  perms):
+        specs = {path: PermissionSpec(mode=0o500 + i) for i, path in
+                 enumerate(("/ws/d", "/ws/d/x", "/ws/d/x/y", "/ws/dd"))}
+        for path, spec in specs.items():
+            perms.add_special(path, spec)
+        assert perms.remove_special("/ws/d") == {
+            p: specs[p] for p in ("/ws/d", "/ws/d/x", "/ws/d/x/y")}
+        assert perms.special == {"/ws/dd": specs["/ws/dd"]}
 
     def test_move_special_replaces_the_destination_subtree(self, perms):
         a, b, c = (PermissionSpec(mode=m) for m in (0o500, 0o600, 0o640))

@@ -13,13 +13,15 @@ must still agree with the traversal afterwards.
 
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.commit import CommitStalled
 from repro.core.config import PaconConfig
 from repro.core.deploy import PaconFS
 from repro.core.permissions import PermissionSpec, RegionPermissions
-from repro.dfs.errors import FSError, PermissionDenied
+from repro.dfs.errors import FileExists, FSError, PermissionDenied
 from repro.dfs.inode import AccessMode
 from repro.dfs.namespace import Namespace, parent_of
 
@@ -171,8 +173,9 @@ def test_the_special_list_follows_the_namespace(normal_mode, start_modes,
     is the oracle as is.
 
     Each step quiesces, and a create or mkdir looks its name up first:
-    two commit-pipeline defects (ROADMAP item 12) would otherwise stall
-    the drain before the special list is ever checked.
+    two commit-pipeline defects (ROADMAP item 12, pinned by the xfail
+    tests below) would otherwise stall the drain before the special list
+    is ever checked.
     """
     fs = PaconFS(workspace=WS, nodes=2, config=PaconConfig(
         workspace=WS, permissions=PermissionSpec(mode=normal_mode,
@@ -205,3 +208,38 @@ def test_the_special_list_follows_the_namespace(normal_mode, start_modes,
                 assert perms.check_op(check, path, uid, gid).allowed == \
                     oracle_allows(ns, check, path, uid, gid), (
                         f"{check} {path} as {uid}/{gid} after {steps}")
+
+
+# -- the two stalls the property steps around (ROADMAP item 12) ---------------
+# Each starts passing when its defect is fixed; then drop the matching
+# concession from test_the_special_list_follows_the_namespace.
+
+@pytest.mark.xfail(strict=True, raises=CommitStalled,
+                   reason="ROADMAP item 12(a): the create resubmits forever")
+def test_a_create_over_a_renamed_directory_is_refused():
+    """Rename drops both names from the cache, so the create's cache add
+    succeeds over a name the DFS already holds."""
+    fs = PaconFS(workspace=WS, nodes=2)
+    fs.mkdir(f"{WS}/a")
+    fs.rename(f"{WS}/a", f"{WS}/b")
+    try:
+        fs.create(f"{WS}/b")
+    except FileExists:
+        pass
+    fs.quiesce()
+    assert fs.dfs.namespace.getattr(f"{WS}/b", check_perms=False).is_dir
+
+
+@pytest.mark.xfail(strict=True, raises=PermissionDenied,
+                   reason="ROADMAP item 12(b): the DFS refuses the create")
+def test_a_chmod_of_an_uncommitted_directory_keeps_the_create_under_it():
+    """The create was legal when it was issued; the mkdir commits with
+    the chmod's mode, which forbids it on the DFS."""
+    fs = PaconFS(workspace=WS, nodes=2)
+    fs.mkdir(f"{WS}/d")
+    fs.create(f"{WS}/d/f")
+    fs.chmod(f"{WS}/d", 0o500)
+    fs.quiesce()
+    ns = fs.dfs.namespace
+    assert ns.exists(f"{WS}/d/f")
+    assert ns.getattr(f"{WS}/d", check_perms=False).mode & 0o777 == 0o500

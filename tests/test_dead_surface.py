@@ -207,14 +207,13 @@ def test_every_import_is_used_or_reexported():
 #: Indented ``from repro...`` imports that remain.  The two in
 #: ``core/autoscale.py`` sit under ``if TYPE_CHECKING:`` and dodge a real
 #: cycle (``core.config`` imports ``AutoscalePolicy`` from there); the
-#: other five predate this guard, touch neither ``repro.obs`` nor
+#: other four predate this guard, touch neither ``repro.obs`` nor
 #: ``repro.sim.trace``, and were left as found.  The set only shrinks:
 #: hoist one and delete its row; a new one needs a row and a reason.
 LAZY_IMPORTS = {
     ("core/autoscale.py", "repro.core.deploy"),
     ("core/autoscale.py", "repro.core.region"),
     ("core/region.py", "repro.core.commit"),
-    ("core/client.py", "repro.core.permissions"),
     ("baselines/indexfs.py", "repro.dfs.errors"),
     ("dfs/client.py", "repro.dfs.storage"),
     ("bench/table1.py", "repro.sim.core"),
