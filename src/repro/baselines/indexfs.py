@@ -11,7 +11,8 @@ This module reproduces those design elements on this repo's substrates:
 
 * each server owns an :class:`~repro.kvstore.lsm.LSMTree`; every operation
   charges simulated time from the tree's physical receipts (memtable vs.
-  WAL vs. SSTable probes), so LSM read amplification and flush/compaction
+  SSTable probes, flushed and compacted entries) plus one write-ahead-log
+  append per synced write, so LSM read amplification and flush/compaction
   costs shape the results exactly as LevelDB shapes IndexFS's,
 * metadata is partitioned by *parent directory* with GIGA+-style
   incremental splitting: a directory starts on one server and doubles its
@@ -40,6 +41,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.dfs.errors import (
     FileExists,
     FileNotFound,
+    IsADirectory,
     NotADirectory,
     PermissionDenied,
 )
@@ -169,7 +171,6 @@ class IndexFSServer(Service):
         if record is None:
             raise FileNotFound(path)
         if record["ftype"] == FileType.DIRECTORY.value:
-            from repro.dfs.errors import IsADirectory
             raise IsADirectory(path)
         receipt = self.lsm.delete(path)
         yield from self._charge_write(receipt)

@@ -11,6 +11,7 @@ from typing import Dict
 
 from repro.bench.report import experiment
 from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.sim.core import run_sync
 
 __all__ = ["run", "DESIGN_TABLE"]
 
@@ -33,7 +34,6 @@ def observe(seed: int = DEFAULT_SEED) -> Dict[str, Dict[str, str]]:
                        clients_per_node=1, seed=seed)
     client = bed.clients[0]
     env = bed.env
-    from repro.sim.core import run_sync
 
     observed: Dict[str, Dict[str, str]] = {}
 

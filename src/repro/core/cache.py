@@ -226,10 +226,13 @@ class DistributedCache:
         return hits / total if total else 0.0
 
     def peek(self, path: str) -> Optional[Dict]:
-        """Zero-cost read for tests/assertions (not a simulated op).
+        """Read a record at zero simulated cost (no RPC, no service time).
 
-        Bypasses the shard's hit/miss accounting so peeking in assertions
-        does not perturb measured cache statistics.
+        The commit pipeline (coalescing, commit-failure triage) and the
+        lost-op fences call it, and tests use it in assertions.  It skips
+        the shard's hit/miss counts, but not the ring: each call is a
+        ``ring.lookup``, which ``consistency.shard_reads`` counts while a
+        hub is attached.
         """
         item = self.shard_for(path).kv._items.get(path)
         return None if item is None else item.value

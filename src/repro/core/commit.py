@@ -424,19 +424,18 @@ class CommitProcess:
         """
         if len(ops) > 1:
             ops = yield from self._coalesce(ops)
-        groups: Dict[str, List[Tuple[OpMessage, int]]] = {}
+        groups: Dict[str, List[OpMessage]] = {}
         for op in ops:
             # Only ops older than the removal are discarded; later
             # re-creations of the same names are legitimate work.
             if self.region.inside_removed_subtree(op.path, op.timestamp):
                 self._discard(op)
                 continue
-            groups.setdefault(parent_of(op.path), []).append(
-                (op, self._committed_mode(op)))
+            groups.setdefault(parent_of(op.path), []).append(op)
         tracer = self.region.tracer
         for group in groups.values():
             if len(group) == 1:
-                op, mode = group[0]
+                op = group[0]
                 ctx = proc = None
                 if tracer.enabled and op.span_id >= 0:
                     # Adopt the op's commit_queue span so the DFS/MDS spans
@@ -445,45 +444,44 @@ class CommitProcess:
                     proc = self.env.active_process
                     tracer.push_context(proc, ctx)
                 try:
-                    method, path, kwargs = self._dfs_call(op, mode)
+                    method, path, kwargs = self._dfs_call(op)
                     yield from getattr(self.dfs_client, method)(path,
                                                                 **kwargs)
                 except (FileExists, FileNotFound, NotADirectory) as exc:
-                    yield from self._handle_commit_failure(op, mode, exc)
+                    yield from self._handle_commit_failure(op, exc)
                 except NodeDownError:
                     # MDS (or the wire to it) went down mid-commit: the op
                     # may or may not have applied.  Replay with the same
                     # token — the MDS dedup memory resolves the ambiguity.
                     self._replay(op)
                 else:
-                    yield from self._commit_success(op, mode)
+                    yield from self._commit_success(op)
                 finally:
                     if ctx is not None:
                         tracer.pop_context(proc, ctx)
                 continue
             try:
                 results = yield from self.dfs_client.commit_batch(
-                    [self._dfs_call(op, mode) for op, mode in group])
+                    [self._dfs_call(op) for op in group])
             except NodeDownError:
-                for op, mode in group:
+                for op in group:
                     self._replay(op)
                 continue
             except (FileNotFound, NotADirectory) as exc:
                 # The shared ancestor traversal failed (parent creation
                 # pending in some queue, or subtree removed): every op in
                 # the group fails the same way each would have alone.
-                for op, mode in group:
-                    yield from self._handle_commit_failure(op, mode, exc)
+                for op in group:
+                    yield from self._handle_commit_failure(op, exc)
                 continue
-            for (op, mode), (status, detail) in zip(group, results):
+            for op, (status, detail) in zip(group, results):
                 if status == "ok":
-                    yield from self._commit_success(op, mode)
+                    yield from self._commit_success(op)
                 else:
-                    yield from self._handle_commit_failure(op, mode, detail)
+                    yield from self._handle_commit_failure(op, detail)
 
     # -- committing one operation ------------------------------------------------
-    def _dfs_call(self, op: OpMessage,
-                  mode: int) -> Tuple[str, str, Dict[str, Any]]:
+    def _dfs_call(self, op: OpMessage) -> Tuple[str, str, Dict[str, Any]]:
         """``(DFS method, path, kwargs)`` that commits ``op`` — one
         ``commit_batch`` payload entry, or one direct client call.
 
@@ -493,7 +491,7 @@ class CommitProcess:
         ops get no dedup — they also never ride the replay path, which is
         the only at-least-once producer.
         """
-        kwargs: Dict[str, Any] = {} if op.op == "rm" else {"mode": mode}
+        kwargs: Dict[str, Any] = {} if op.op == "rm" else {"mode": op.mode}
         if op.gen_ino != -1:
             kwargs["token"] = (self.region.name, op.gen_ino, op.op)
         return DFS_METHOD[op.op], op.path, kwargs
@@ -513,21 +511,7 @@ class CommitProcess:
             self.region.hub.count("commit.replays")
         self._pending.append(op)
 
-    def _committed_mode(self, op: OpMessage) -> int:
-        """The mode this op should commit with.
-
-        The mode may have changed since the op was queued (chmod on a
-        not-yet-committed entry); the cache record of this generation is
-        authoritative.
-        """
-        mode = op.mode
-        if op.op in ("mkdir", "create"):
-            record = self.region.cache.peek(op.path)
-            if record is not None and record.get("ino") == op.gen_ino:
-                mode = record.get("mode", mode)
-        return mode
-
-    def _handle_commit_failure(self, op: OpMessage, mode: int,
+    def _handle_commit_failure(self, op: OpMessage,
                                exc: Exception) -> Generator[Event, Any, None]:
         """Resolve a DFS rejection: committed-elsewhere, orphan, or retry."""
         if isinstance(exc, FileExists):
@@ -543,7 +527,7 @@ class CommitProcess:
             if (record is not None and record.get("committed")
                     and record.get("ino") == op.gen_ino):
                 # this generation is on the DFS; count it committed
-                yield from self._commit_success(op, mode)
+                yield from self._commit_success(op)
             else:
                 self._resubmit(op)
             return
@@ -573,8 +557,7 @@ class CommitProcess:
             ctx = tracer.adopt_context(op.op_id, op.span_id)
             tracer.span_end(self.env.now, f"commitq:{self.region.name}", ctx)
 
-    def _commit_success(self, op: OpMessage,
-                        mode: int) -> Generator[Event, Any, None]:
+    def _commit_success(self, op: OpMessage) -> Generator[Event, Any, None]:
         """Count the op committed, then update the cached (primary) copy —
         generation-guarded: a record a newer generation of the name owns
         (removed and recreated meanwhile) is left to that generation."""
@@ -603,8 +586,9 @@ class CommitProcess:
                 yield from cache.delete_if_ino(self.node, op.path, op.gen_ino)
             else:
                 # create/mkdir: flip the committed flag, write back fsynced
-                # inline data parked in a cache file (§III.D.2), reconcile a
-                # chmod made while the create was in flight.  This is
+                # inline data parked in a cache file (§III.D.2), and apply a
+                # chmod made since the op was queued (the DFS got ``op.mode``
+                # at create) with one ``setattr``.  This is
                 # ``DistributedCache.update``'s §III.D.3 CAS loop, inlined.
                 shadow_size = 0
                 mode_drift = None
@@ -618,7 +602,7 @@ class CommitProcess:
                             and record.get("inline_data") is not None):
                         shadow_size = record["size"]
                         record["shadow"] = False
-                    if record["mode"] != mode:
+                    if record["mode"] != op.mode:
                         mode_drift = record["mode"]
                     try:
                         yield from cache.cas(self.node, op.path, record,

@@ -236,7 +236,3 @@ class RegionPermissions:
                            gid: int) -> "RegionPermissions":
         """§III.C default: creator has full access to everything."""
         return cls(workspace, PermissionSpec(mode=0o700, uid=uid, gid=gid))
-
-    def cost_items(self) -> Tuple[int, int]:
-        """(normal checks, special list length) — for the cost model."""
-        return 1, len(self._special)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.cache import CacheShard, DistributedCache
+from repro.core.commit import BarrierMessage
 from repro.core.config import PaconConfig
 from repro.core.permissions import PermissionSpec, RegionPermissions
 from repro.dfs.namespace import is_within, normalize_path
@@ -302,8 +303,6 @@ class ConsistentRegion:
         bumps the client epoch.  Returns ``(epoch, done_event)`` where the
         event fires once every commit process has drained that epoch.
         """
-        from repro.core.commit import BarrierMessage
-
         epoch = self.client_epoch
         self.client_epoch += 1
         for node in self.nodes:
@@ -560,16 +559,6 @@ class RegionManager:
                     " first (paper §III.B case 3)")
         self._regions[ws] = region
         return region
-
-    def region_for(self, path: str) -> Optional[ConsistentRegion]:
-        """Longest-prefix region covering ``path``, or None."""
-        path = normalize_path(path)
-        best: Optional[ConsistentRegion] = None
-        for ws, region in self._regions.items():
-            if is_within(path, ws):
-                if best is None or len(ws) > len(best.workspace):
-                    best = region
-        return best
 
     def regions(self) -> List[ConsistentRegion]:
         return list(self._regions.values())

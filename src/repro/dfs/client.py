@@ -19,6 +19,7 @@ from typing import Any, Dict, Generator, List, Tuple
 from repro.dfs.errors import FileNotFound
 from repro.dfs.inode import Inode
 from repro.dfs.namespace import normalize_path, parent_of, split_path
+from repro.dfs.storage import stripe_ranges
 from repro.sim.core import Event
 
 __all__ = ["DFSClient"]
@@ -173,8 +174,6 @@ class DFSClient:
 
     def _stripe_io(self, method: str, ino: int, offset: int,
                    size: int) -> Generator[Event, Any, int]:
-        from repro.dfs.storage import stripe_ranges
-
         ranges = stripe_ranges(offset, size, self.costs.stripe_size)
         procs = []
         for chunk, chunk_off, take in ranges:

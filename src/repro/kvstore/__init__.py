@@ -5,10 +5,10 @@ Two families, mirroring the paper's two storage technologies:
 * :mod:`repro.kvstore.memkv` + :mod:`repro.kvstore.dht` — a Memcached-class
   in-memory KV with CAS versioning, sharded across nodes by a consistent
   hash ring.  This is Pacon's distributed metadata cache substrate.
-* :mod:`repro.kvstore.lsm` (with :mod:`~repro.kvstore.wal`,
-  :mod:`~repro.kvstore.sstable`, :mod:`~repro.kvstore.bloom`) — a
-  LevelDB-class log-structured merge tree.  This is the IndexFS baseline's
-  metadata backend.
+* :mod:`repro.kvstore.lsm` (with :mod:`~repro.kvstore.sstable` and
+  :mod:`~repro.kvstore.bloom`) — a LevelDB-class log-structured merge
+  tree.  This is the IndexFS baseline's metadata backend; its write-ahead
+  log is a cost constant the IndexFS server charges, not a structure.
 
 All stores here are *functional* (pure data structures, no simulated time);
 the DES actors that wrap them charge time per operation using the
@@ -16,9 +16,8 @@ operation receipts the stores return (e.g. how many SSTables a get probed).
 """
 
 from repro.kvstore.memkv import CasMismatch, Item, KeyExists, MemKV
-from repro.kvstore.dht import ConsistentHashRing, HashPartitioner
+from repro.kvstore.dht import ConsistentHashRing
 from repro.kvstore.bloom import BloomFilter
-from repro.kvstore.wal import WriteAheadLog
 from repro.kvstore.sstable import SSTable
 from repro.kvstore.lsm import LSMTree, ReadReceipt
 
@@ -26,12 +25,10 @@ __all__ = [
     "BloomFilter",
     "CasMismatch",
     "ConsistentHashRing",
-    "HashPartitioner",
     "Item",
     "KeyExists",
     "LSMTree",
     "MemKV",
     "ReadReceipt",
     "SSTable",
-    "WriteAheadLog",
 ]

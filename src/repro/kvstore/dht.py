@@ -1,4 +1,4 @@
-"""Key placement: consistent hashing ring and a simple mod-N partitioner.
+"""Key placement: a consistent hashing ring.
 
 Pacon "uses full path as the key to store the metadata, and distributes
 them in the distributed cache by DHT" (§III.A).  The consistent-hash ring
@@ -14,7 +14,7 @@ import bisect
 import hashlib
 from typing import Dict, Generic, List, Optional, Sequence, TypeVar
 
-__all__ = ["ConsistentHashRing", "HashPartitioner", "stable_hash64"]
+__all__ = ["ConsistentHashRing", "stable_hash64"]
 
 N = TypeVar("N")
 
@@ -101,59 +101,12 @@ class ConsistentHashRing(Generic[N]):
         """Per-member lookup counts since enabling; {} when disabled."""
         return dict(self._lookup_counts or {})
 
-    def lookup_n(self, key: str, n: int) -> List[N]:
-        """First ``n`` distinct members clockwise from the key's position."""
-        if not self._ring:
-            raise LookupError("empty hash ring")
-        n = min(n, len(self._members))
-        h = stable_hash64(key)
-        idx = bisect.bisect_right(self._ring, h)
-        out: List[N] = []
-        seen = set()
-        for step in range(len(self._ring)):
-            owner = self._owners[self._ring[(idx + step) % len(self._ring)]]
-            marker = id(owner)
-            if marker not in seen:
-                seen.add(marker)
-                out.append(owner)
-                if len(out) == n:
-                    break
-        return out
-
     def distribution(self, keys: Sequence[str]) -> Dict[N, int]:
         """Placement histogram over ``keys`` (used by balance tests)."""
         counts: Dict[N, int] = {m: 0 for m in self._members}
         for k in keys:
             counts[self.lookup(k)] += 1
         return counts
-
-
-class HashPartitioner(Generic[N]):
-    """Trivial ``hash(key) mod N`` placement (IndexFS-style server pick).
-
-    IndexFS partitions the namespace by hashing directory identities onto a
-    fixed server list; it re-shuffles wholesale when membership changes,
-    which is fine for its deployment model and a useful contrast with the
-    ring in ablation tests.
-    """
-
-    def __init__(self, members: Sequence[N]):
-        if not members:
-            raise ValueError("need at least one member")
-        self._members = list(members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def members(self) -> Sequence[N]:
-        return tuple(self._members)
-
-    def lookup(self, key: str) -> N:
-        return self._members[stable_hash64(key) % len(self._members)]
-
-    def index_of(self, key: str) -> int:
-        return stable_hash64(key) % len(self._members)
 
 
 def _member_key(member) -> str:

@@ -1,10 +1,12 @@
 """LevelDB-class log-structured merge tree.
 
 The IndexFS baseline keeps all file-system metadata in LevelDB tables
-(paper §II.B); this module is that backend, built from the repo's own WAL,
-SSTable, and bloom-filter parts:
+(paper §II.B); this module is that backend, built from the repo's own
+SSTable and bloom-filter parts:
 
-* writes go to the WAL then an in-memory memtable,
+* writes go to an in-memory memtable (LevelDB's write-ahead log is not a
+  structure here: the IndexFS server charges its append as a cost
+  constant, ``CostModel.lsm_wal_append``),
 * a full memtable flushes to a new level-0 table (L0 tables overlap),
 * when L0 grows past a threshold, L0+L1 compact into a fresh sorted L1
   (tombstones dropped at the bottom),
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.kvstore.sstable import SSTable, TOMBSTONE, merge_tables
-from repro.kvstore.wal import WriteAheadLog
 
 __all__ = ["LSMTree", "ReadReceipt", "WriteReceipt"]
 
@@ -44,7 +45,6 @@ class ReadReceipt:
 class WriteReceipt:
     """Physical work done by one write (flush/compaction amortized)."""
 
-    wal_append: bool
     flushed_entries: int = 0
     compacted_entries: int = 0
 
@@ -53,13 +53,12 @@ class LSMTree:
     """A two-level (L0 tiered / L1 leveled) LSM tree."""
 
     def __init__(self, memtable_limit: int = 4096, l0_limit: int = 4,
-                 auto_sync_wal: bool = False, name: str = ""):
+                 name: str = ""):
         if memtable_limit < 1:
             raise ValueError("memtable_limit must be >= 1")
         self.name = name
         self.memtable_limit = memtable_limit
         self.l0_limit = l0_limit
-        self.wal = WriteAheadLog(auto_sync=auto_sync_wal, name=f"{name}.wal")
         self._memtable: Dict[str, Any] = {}
         self._l0: List[SSTable] = []  # newest first
         self._l1: Optional[SSTable] = None
@@ -74,34 +73,26 @@ class LSMTree:
     # -- write path --------------------------------------------------------
     def put(self, key: str, value: Any) -> WriteReceipt:
         self.puts += 1
-        self.wal.append("put", key, value)
         self._memtable[key] = value
         return self._maybe_flush()
 
     def delete(self, key: str) -> WriteReceipt:
         self.puts += 1
-        self.wal.append("del", key)
         self._memtable[key] = TOMBSTONE
         return self._maybe_flush()
 
     def put_batch(self, items: List[Tuple[str, Any]]) -> WriteReceipt:
-        """Bulk insertion: one WAL sync for the whole batch.
+        """Bulk insertion: the whole batch lands in one write.
 
         This is the primitive behind IndexFS "bulk insertion" (and hence
         BatchFS/DeltaFS): clients buffer inserts and merge them in batches.
         """
-        for key, value in items:
-            self.wal.append("put", key, value)
-            self._memtable[key] = value
+        self._memtable.update(items)
         self.puts += len(items)
-        self.wal.sync()
         return self._maybe_flush()
 
-    def sync(self) -> None:
-        self.wal.sync()
-
     def _maybe_flush(self) -> WriteReceipt:
-        receipt = WriteReceipt(wal_append=True)
+        receipt = WriteReceipt()
         if len(self._memtable) < self.memtable_limit:
             return receipt
         receipt.flushed_entries = self.flush()
@@ -110,15 +101,13 @@ class LSMTree:
         return receipt
 
     def flush(self) -> int:
-        """Write the memtable out as a new L0 table; truncate the WAL."""
+        """Write the memtable out as a new L0 table."""
         if not self._memtable:
             return 0
-        self.wal.sync()
         table = SSTable(list(self._memtable.items()))
         self._l0.insert(0, table)
         count = len(self._memtable)
         self._memtable.clear()
-        self.wal.truncate()
         self.flushes += 1
         self.entries_flushed += count
         return count
@@ -192,24 +181,6 @@ class LSMTree:
             v = merged[k]
             if v is not TOMBSTONE:
                 yield k, v
-
-    # -- recovery ------------------------------------------------------------
-    def crash(self) -> int:
-        """Lose the memtable and unsynced WAL tail; return records lost."""
-        lost = self.wal.crash()
-        self._memtable.clear()
-        return lost
-
-    def recover(self) -> int:
-        """Rebuild the memtable from the durable WAL; return records applied."""
-        applied = 0
-        for op, key, value in self.wal.replay():
-            if op == "put":
-                self._memtable[key] = value
-            elif op == "del":
-                self._memtable[key] = TOMBSTONE
-            applied += 1
-        return applied
 
     # -- introspection --------------------------------------------------------
     @property

@@ -156,20 +156,6 @@ class QuantileSketch:
                         for idx, n in sorted(self._buckets.items())},
         }
 
-    @classmethod
-    def from_export(cls, doc: Dict[str, Any],
-                    name: str = "") -> "QuantileSketch":
-        sketch = cls(name, growth=doc.get("growth", DEFAULT_GROWTH))
-        sketch.count = int(doc.get("count", 0))
-        sketch.total = float(doc.get("sum", 0.0))
-        sketch.zero_count = int(doc.get("zero", 0))
-        if sketch.count:
-            sketch._min = float(doc.get("min", 0.0))
-            sketch._max = float(doc.get("max", 0.0))
-        sketch._buckets = {int(idx): int(n)
-                           for idx, n in doc.get("buckets", {}).items()}
-        return sketch
-
     def __len__(self) -> int:
         return len(self._buckets)
 

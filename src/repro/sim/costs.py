@@ -108,9 +108,5 @@ class CostModel:
                 numeric[name] = 0.0
         return cls(**numeric)
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Serialization time for ``nbytes`` on the fabric."""
-        return nbytes / self.net_bandwidth
-
     def disk_transfer_time(self, nbytes: int) -> float:
         return nbytes / self.disk_bandwidth

@@ -22,7 +22,7 @@ DEFAULT_SEED = 0xBEE
 
 
 class RngStreams:
-    """A tree of named, independent numpy Generators under one root seed."""
+    """Named, independent numpy Generators under one root seed."""
 
     def __init__(self, seed: int = 0xC0FFEE):
         self.seed = int(seed)
@@ -44,11 +44,6 @@ class RngStreams:
             gen = np.random.default_rng(child)
             self._streams[name] = gen
         return gen
-
-    def child(self, name: str) -> "RngStreams":
-        """A nested namespace of streams (e.g. one per application)."""
-        return RngStreams(seed=(self.seed * 1_000_003 + _stable_hash(name))
-                          % (2 ** 63))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RngStreams seed={self.seed} streams={sorted(self._streams)}>"

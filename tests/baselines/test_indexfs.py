@@ -11,6 +11,7 @@ from repro.dfs.errors import (
     PermissionDenied,
 )
 from repro.sim.core import run_sync
+from repro.sim.costs import CostModel
 from repro.sim.network import Cluster
 
 
@@ -265,3 +266,54 @@ class TestLSMCostCoupling:
         in_mem_key = next(iter(lsm._memtable)) if lsm.memtable_size else None
         if in_mem_key:
             assert in_table >= timed_stat(in_mem_key)
+
+
+class TestWalAppendCost:
+    """The write-ahead log is a cost, not a structure: a synced write pays
+    ``lsm_wal_append`` once, a bulk batch once, a per-child rmdir delete
+    never."""
+
+    WAL = 1.0  # dwarfs every other cost, so each append shows whole
+
+    def _op_times(self, wal_append):
+        """Simulated seconds each step of one fixed script takes."""
+        costs = CostModel().with_overrides(lsm_wal_append=wal_append)
+        cluster = Cluster(costs=costs, seed=5)
+        nodes = [cluster.add_node(f"n{i}") for i in range(4)]
+        # Leases never expire, so both runs resolve paths alike.
+        fs = IndexFS(cluster, nodes, lease_ttl=1e9)
+        client = fs.client(nodes[0])
+        bulk_paths = [f"/b{d}/f{i}" for d in range(4) for i in range(5)]
+        steps = [("mkdir", lambda: client.mkdir("/d"))]
+        steps += [(f"create{i}", lambda i=i: client.create(f"/d/f{i}"))
+                  for i in range(5)]
+        steps.append(("unlink", lambda: client.unlink("/d/f0")))
+        steps.append(("rmdir", lambda: client.rmdir("/d")))
+        steps += [(f"mkdir_b{d}", lambda d=d: client.mkdir(f"/b{d}"))
+                  for d in range(4)]
+
+        def bulk():
+            client.bulk_mode = True
+            for path in bulk_paths:
+                yield from client.create(path)
+            yield from client.flush_bulk()
+
+        steps.append(("bulk", bulk))
+        times = {}
+        for name, step in steps:
+            t0 = cluster.env.now
+            run_sync(cluster.env, step())
+            times[name] = cluster.env.now - t0
+        batches = len({fs.server_for(p) for p in bulk_paths})
+        return times, batches
+
+    def test_each_synced_write_pays_one_append(self):
+        free, batches = self._op_times(0.0)
+        paid, _ = self._op_times(self.WAL)
+        assert batches >= 2
+        extra = {name: paid[name] - free[name] for name in free}
+        expected = dict.fromkeys(extra, self.WAL)
+        # rmdir: four partition children deleted unsynced, the directory's
+        # own record synced once.
+        expected["bulk"] = self.WAL * batches
+        assert extra == pytest.approx(expected, abs=1e-9)

@@ -148,11 +148,6 @@ class TestDefaults:
                            | AccessMode.EXECUTE).allowed
         assert not perms.check("/ws/any", 7, 7, AccessMode.READ).allowed
 
-    def test_cost_items(self):
-        perms = RegionPermissions.linux_like_default("/ws", 1, 1)
-        perms.add_special("/ws/a", PermissionSpec())
-        perms.add_special("/ws/b", PermissionSpec())
-        assert perms.cost_items() == (1, 2)
 
 
 class TestVerdictCache:

@@ -139,17 +139,6 @@ class TestRegionManagerOverlap:
         with pytest.raises(ValueError):
             dep.create_region(PaconConfig(workspace="/A"), nodes)
 
-    def test_region_for_longest_prefix(self):
-        cluster = Cluster()
-        dfs = BeeGFS(cluster)
-        nodes = [cluster.add_node("n0")]
-        dep = PaconDeployment(cluster, dfs)
-        ra = dep.create_region(PaconConfig(workspace="/x"), nodes)
-        rb = dep.create_region(PaconConfig(workspace="/y"), nodes)
-        assert dep.manager.region_for("/x/deep/path") is ra
-        assert dep.manager.region_for("/y/f") is rb
-        assert dep.manager.region_for("/z") is None
-
     def test_merge_overlapping_rejected(self):
         cluster = Cluster()
         dfs = BeeGFS(cluster)

@@ -1,10 +1,9 @@
-"""Unit tests for BloomFilter, WriteAheadLog, and SSTable."""
+"""Unit tests for BloomFilter and SSTable."""
 
 import pytest
 
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.sstable import SSTable, TOMBSTONE, merge_tables
-from repro.kvstore.wal import WriteAheadLog
 
 
 class TestBloomFilter:
@@ -41,55 +40,6 @@ class TestBloomFilter:
         for i in range(100):
             bf.add(str(i))
         assert bf.fill_ratio() > empty
-
-
-class TestWriteAheadLog:
-    def test_append_and_replay_durable_only(self):
-        wal = WriteAheadLog()
-        wal.append("put", "/a", 1)
-        wal.sync()
-        wal.append("put", "/b", 2)
-        assert [r[1] for r in wal.replay()] == ["/a"]
-
-    def test_crash_drops_unsynced_tail(self):
-        wal = WriteAheadLog()
-        wal.append("put", "/a", 1)
-        wal.sync()
-        wal.append("put", "/b", 2)
-        wal.append("del", "/a", None)
-        lost = wal.crash()
-        assert lost == 2
-        assert len(wal) == 1
-
-    def test_auto_sync_makes_everything_durable(self):
-        wal = WriteAheadLog(auto_sync=True)
-        wal.append("put", "/a", 1)
-        wal.append("put", "/b", 2)
-        assert wal.crash() == 0
-        assert len(list(wal.replay())) == 2
-
-    def test_sync_returns_newly_durable_count(self):
-        wal = WriteAheadLog()
-        wal.append("put", "/a", 1)
-        wal.append("put", "/b", 2)
-        assert wal.sync() == 2
-        assert wal.sync() == 0
-
-    def test_truncate_clears(self):
-        wal = WriteAheadLog()
-        wal.append("put", "/a", 1)
-        wal.sync()
-        wal.truncate()
-        assert len(wal) == 0
-        assert list(wal.replay()) == []
-
-    def test_counters(self):
-        wal = WriteAheadLog()
-        wal.append("put", "/abc", 1)
-        wal.sync()
-        assert wal.appends == 1
-        assert wal.syncs == 1
-        assert wal.bytes_written > 0
 
 
 class TestSSTable:

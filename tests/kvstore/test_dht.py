@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kvstore.dht import ConsistentHashRing, HashPartitioner, stable_hash64
+from repro.kvstore.dht import ConsistentHashRing, stable_hash64
 
 
 class FakeNode:
@@ -100,19 +100,6 @@ class TestRingPlacement:
                 assert before[k] is nodes[0]
         assert moved > 0  # the removed node did own some keys
 
-    def test_lookup_n_distinct(self, ring):
-        owners = ring.lookup_n("/some/key", 3)
-        assert len(owners) == 3
-        assert len({id(o) for o in owners}) == 3
-
-    def test_lookup_n_caps_at_membership(self, ring):
-        owners = ring.lookup_n("/some/key", 99)
-        assert len(owners) == 4
-
-    def test_lookup_n_first_matches_lookup(self, ring):
-        key = "/x/y/z"
-        assert ring.lookup_n(key, 2)[0] is ring.lookup(key)
-
     def test_weight_increases_share(self):
         heavy, light = FakeNode("heavy"), FakeNode("light")
         ring = ConsistentHashRing(vnodes=32)
@@ -163,21 +150,3 @@ class TestLookupMemo:
                     ring.lookup(arg)
 
 
-class TestHashPartitioner:
-    def test_needs_members(self):
-        with pytest.raises(ValueError):
-            HashPartitioner([])
-
-    def test_lookup_deterministic(self, nodes):
-        p = HashPartitioner(nodes)
-        assert p.lookup("/a/b") is p.lookup("/a/b")
-
-    def test_index_of_matches_lookup(self, nodes):
-        p = HashPartitioner(nodes)
-        idx = p.index_of("/a/b")
-        assert p.lookup("/a/b") is nodes[idx]
-
-    def test_spread_over_members(self, nodes):
-        p = HashPartitioner(nodes)
-        picks = {p.index_of(f"/k{i}") for i in range(200)}
-        assert picks == {0, 1, 2, 3}

@@ -54,11 +54,6 @@ class TestFlushAndCompaction:
         assert lsm.memtable_size == 0
         assert lsm.l0_tables == 1
 
-    def test_flush_truncates_wal(self, lsm):
-        lsm.put("/a", 1)
-        lsm.flush()
-        assert len(lsm.wal) == 0
-
     def test_reads_after_flush(self):
         lsm = LSMTree(memtable_limit=4, l0_limit=10)
         for i in range(12):
@@ -160,55 +155,12 @@ class TestScan:
         assert lsm.total_live_keys() == 9
 
 
-class TestCrashRecovery:
-    def test_unsynced_writes_lost(self):
-        lsm = LSMTree(memtable_limit=100)
-        lsm.put("/a", 1)
-        lsm.sync()
-        lsm.put("/b", 2)
-        lost = lsm.crash()
-        assert lost == 1
-        lsm.recover()
-        assert lsm.get("/a").found
-        assert not lsm.get("/b").found
-
-    def test_auto_sync_loses_nothing(self):
-        lsm = LSMTree(memtable_limit=100, auto_sync_wal=True)
-        lsm.put("/a", 1)
-        lsm.put("/b", 2)
-        assert lsm.crash() == 0
-        lsm.recover()
-        assert lsm.get("/a").found and lsm.get("/b").found
-
-    def test_flushed_data_survives_crash(self):
-        lsm = LSMTree(memtable_limit=2)
-        lsm.put("/a", 1)
-        lsm.put("/b", 2)  # flushed to L0
-        lsm.crash()
-        assert lsm.get("/a").found
-
-    def test_recovered_deletes_replay(self):
-        lsm = LSMTree(memtable_limit=100, auto_sync_wal=True)
-        lsm.put("/a", 1)
-        lsm.delete("/a")
-        lsm.crash()
-        lsm.recover()
-        assert not lsm.get("/a").found
-
-
 class TestBulkInsertion:
-    def test_put_batch_single_sync(self):
+    def test_put_batch_is_readable(self):
         lsm = LSMTree(memtable_limit=10_000)
         lsm.put_batch([(f"/k{i}", i) for i in range(100)])
-        assert lsm.wal.syncs == 1
+        assert lsm.puts == 100
         assert lsm.get("/k50").value == 50
-
-    def test_put_batch_durable(self):
-        lsm = LSMTree(memtable_limit=10_000)
-        lsm.put_batch([(f"/k{i}", i) for i in range(10)])
-        assert lsm.crash() == 0
-        lsm.recover()
-        assert lsm.get("/k3").found
 
     def test_stats_snapshot(self):
         lsm = LSMTree(memtable_limit=4, l0_limit=1)

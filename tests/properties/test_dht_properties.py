@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore.dht import ConsistentHashRing, HashPartitioner
+from repro.kvstore.dht import ConsistentHashRing
 
 
 class Member:
@@ -65,25 +65,3 @@ def test_addition_only_steals_keys_for_new_member(n, keys):
         assert after is before[k] or after is newbie
 
 
-@given(n=member_counts, keys=key_lists,
-       replicas=st.integers(min_value=1, max_value=4))
-@settings(max_examples=50, deadline=None)
-def test_lookup_n_prefix_property(n, keys, replicas):
-    ring = ConsistentHashRing(vnodes=16)
-    for i in range(n):
-        ring.add(Member(f"m{i}"))
-    for k in keys[:10]:
-        owners = ring.lookup_n(k, replicas)
-        assert len(owners) == min(replicas, n)
-        assert owners[0] is ring.lookup(k)
-        assert len({id(o) for o in owners}) == len(owners)
-
-
-@given(n=member_counts, keys=key_lists)
-@settings(max_examples=50, deadline=None)
-def test_mod_partitioner_total_and_deterministic(n, keys):
-    members = [Member(f"m{i}") for i in range(n)]
-    part = HashPartitioner(members)
-    for k in keys:
-        assert part.lookup(k) is part.lookup(k)
-        assert 0 <= part.index_of(k) < n

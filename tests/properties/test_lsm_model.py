@@ -1,5 +1,5 @@
 """Model-based property tests: LSMTree against a plain-dict oracle,
-including flush/compaction transparency and WAL crash recovery."""
+including flush/compaction transparency."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,42 +60,6 @@ class LSMMachine(RuleBasedStateMachine):
 TestLSMModel = LSMMachine.TestCase
 TestLSMModel.settings = settings(max_examples=50, stateful_step_count=50,
                                  deadline=None)
-
-
-class DurableLSMMachine(RuleBasedStateMachine):
-    """With auto-synced WAL, crash+recover never loses acknowledged data."""
-
-    def __init__(self):
-        super().__init__()
-        self.lsm = LSMTree(memtable_limit=5, l0_limit=2, auto_sync_wal=True)
-        self.model = {}
-
-    @rule(key=keys, value=values)
-    def put(self, key, value):
-        self.lsm.put(key, value)
-        self.model[key] = value
-
-    @rule(key=keys)
-    def delete(self, key):
-        self.lsm.delete(key)
-        self.model.pop(key, None)
-
-    @rule()
-    def crash_and_recover(self):
-        lost = self.lsm.crash()
-        assert lost == 0  # auto-sync: nothing acknowledged is lost
-        self.lsm.recover()
-
-    @invariant()
-    def model_matches(self):
-        for key, value in self.model.items():
-            receipt = self.lsm.get(key)
-            assert receipt.found and receipt.value == value
-
-
-TestDurableLSM = DurableLSMMachine.TestCase
-TestDurableLSM.settings = settings(max_examples=40,
-                                   stateful_step_count=40, deadline=None)
 
 
 @given(st.lists(st.tuples(keys, values), min_size=1, max_size=80))

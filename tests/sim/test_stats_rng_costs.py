@@ -56,10 +56,6 @@ class TestRngStreams:
         b = RngStreams(seed=2).stream("x").integers(0, 1 << 30, size=8)
         assert list(a) != list(b)
 
-    def test_child_namespace_reproducible(self):
-        a = RngStreams(seed=3).child("app1").stream("ops").integers(0, 99, 5)
-        b = RngStreams(seed=3).child("app1").stream("ops").integers(0, 99, 5)
-        assert list(a) == list(b)
 
 
 class TestCostModel:
@@ -82,10 +78,6 @@ class TestCostModel:
         assert type(c.memkv_op) is float and type(c.net_latency) is float
         assert type(c.with_overrides(mds_op_service=2).mds_op_service) is float
         assert type(c.mds_workers) is int
-
-    def test_transfer_time(self):
-        c = CostModel()
-        assert c.transfer_time(int(c.net_bandwidth)) == pytest.approx(1.0)
 
     def test_disk_transfer_time(self):
         c = CostModel()

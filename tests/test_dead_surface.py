@@ -1,7 +1,7 @@
 """Dead-surface guard: nothing public that nobody references, nothing
 imported that is not used.
 
-Six static checks over ``src/repro`` (``ast`` + regex, no dependency),
+Seven static checks over ``src/repro`` (``ast`` + regex, no dependency),
 and two over live objects:
 
 * every public function, class, method and module- or class-level
@@ -10,12 +10,21 @@ and two over live objects:
   ``tests/``, ``benchmarks/``, ``examples/``, ``docs/`` or a root ``*.md``
   — an accessor nothing reads is a promise nobody checks, and a settable
   field nothing reads is a knob that does nothing;
+* every public function, method and class has a caller outside
+  ``tests/``: its name is mentioned in ``src/`` more often than it is
+  defined there, or somewhere in ``benchmarks/`` or ``examples/`` —
+  behaviour only a test reaches is deleted, bar a short allowlist of
+  observers tests read to check live behaviour;
 * every name a non-``__init__`` module imports is used in that module or
   re-exported through its ``__all__`` — the local stand-in for flake8's
   ``F401``, which CI runs (flake8 is not installed in every dev image);
 * imports of ``repro`` modules sit at module level: a function-level one
   dodges an import cycle, so each survivor is listed here with its
   reason and the list only shrinks;
+* the IndexFS store keeps only what IndexFS charges for: no write-ahead
+  log module, no ``LSMTree`` sync, crash or replay (the log is the
+  ``lsm_wal_append`` cost constant), no ``RngStreams.child``, and one
+  mode path in the commit pipeline (no ``_committed_mode``);
 * one wait spelling: the kernel's event forms of a wait (``Timeout``,
   ``AnyOf``, ``AllOf``, ``Resource.acquire`` and their helpers) are
   defined nowhere, and nothing calls ``.timeout(``, which is kept only
@@ -60,6 +69,7 @@ catch surface that is referenced *nowhere*, not to prove call graphs.
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 import textwrap
@@ -77,11 +87,13 @@ from repro.core.autoscale import AutoscalePolicy
 from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
 from repro.core.failure import recover_node
+from repro.kvstore.lsm import LSMTree, WriteReceipt
 from repro.obs.hub import MetricsHub
 from repro.obs.sketch import QuantileSketch
 from repro.sim.core import Environment, Event
 from repro.sim.costs import CostModel
 from repro.sim.network import Cluster
+from repro.sim.rng import RngStreams
 from repro.sim.trace import ATTRIBUTION_BUCKETS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,6 +164,80 @@ def test_every_public_definition_is_referenced_somewhere():
                       " make them private):\n  " + "\n  ".join(dead))
 
 
+#: Observers only tests read, each to check behaviour a workload runs:
+#: the inode type test beside ``is_dir``, a data server's byte count
+#: (striping), a bloom filter's fill (sizing), the memtable's length
+#: (flush), and a resource's slot and queue counts (the kernel's grant
+#: and park paths).
+TEST_OBSERVERS = {
+    ("Inode", "is_file"),
+    ("DataServer", "stored_bytes"),
+    ("BloomFilter", "fill_ratio"),
+    ("LSMTree", "memtable_size"),
+    ("Resource", "in_use"),
+    ("Resource", "queue_length"),
+}
+
+
+def _word_counts(dirs) -> Counter:
+    words: Counter = Counter()
+    for d in dirs:
+        for path in (ROOT / d).rglob("*.py"):
+            words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    return words
+
+
+def _test_only_callables():
+    """``(class or None, name, file, line)`` of each public function,
+    method or class nothing outside ``tests/`` mentions."""
+    in_src = _word_counts(["src"])
+    outside = _word_counts(["benchmarks", "examples"])
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+
+    def visit(body, path, owner):
+        for node in body:
+            if not isinstance(node, kinds):
+                continue
+            if not node.name.startswith("_"):
+                found.append((owner, node.name, path, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, path, node.name)
+
+    for path in _source_files():
+        visit(ast.parse(path.read_text()).body, path, None)
+    defined = Counter(name for _o, name, _p, _l in found)
+    return [(owner, name, path, line) for owner, name, path, line in found
+            if not name.startswith(DISPATCH_PREFIX)
+            and in_src[name] <= defined[name] and outside[name] == 0]
+
+
+def test_every_public_callable_has_a_caller_outside_the_tests():
+    flagged = _test_only_callables()
+    found = {(owner, name) for owner, name, _p, _l in flagged}
+    dead = [f"{path.relative_to(ROOT)}:{line} {owner or ''}.{name}"
+            for owner, name, path, line in flagged
+            if (owner, name) not in TEST_OBSERVERS]
+    assert not dead, ("behaviour only tests reach (delete it, or name the"
+                      " live behaviour it observes in TEST_OBSERVERS):\n  "
+                      + "\n  ".join(dead))
+    assert TEST_OBSERVERS <= found, (
+        f"stale TEST_OBSERVERS rows: {sorted(TEST_OBSERVERS - found)}")
+
+
+def test_the_indexfs_store_keeps_only_what_indexfs_charges_for():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.kvstore.wal")
+    lsm = LSMTree()
+    for name in ("wal", "sync", "crash", "recover"):
+        assert not hasattr(lsm, name), name
+    assert "auto_sync_wal" not in inspect.signature(LSMTree).parameters
+    assert [f.name for f in dataclasses.fields(WriteReceipt)] == [
+        "flushed_entries", "compacted_entries"]
+    assert not hasattr(RngStreams, "child")
+    assert not hasattr(CommitProcess, "_committed_mode")
+
+
 def _annotation_words(tree) -> set:
     """Words inside string annotations (``x: "Tracer"``)."""
     out: set = set()
@@ -204,19 +290,13 @@ def test_every_import_is_used_or_reexported():
     assert not unused, "unused imports (F401):\n  " + "\n  ".join(unused)
 
 
-#: Indented ``from repro...`` imports that remain.  The two in
+#: Indented ``from repro...`` imports that remain: the two in
 #: ``core/autoscale.py`` sit under ``if TYPE_CHECKING:`` and dodge a real
-#: cycle (``core.config`` imports ``AutoscalePolicy`` from there); the
-#: other four predate this guard, touch neither ``repro.obs`` nor
-#: ``repro.sim.trace``, and were left as found.  The set only shrinks:
-#: hoist one and delete its row; a new one needs a row and a reason.
+#: cycle (``core.config`` imports ``AutoscalePolicy`` from there).  The
+#: set only shrinks: a new one needs a row and the cycle it dodges.
 LAZY_IMPORTS = {
     ("core/autoscale.py", "repro.core.deploy"),
     ("core/autoscale.py", "repro.core.region"),
-    ("core/region.py", "repro.core.commit"),
-    ("baselines/indexfs.py", "repro.dfs.errors"),
-    ("dfs/client.py", "repro.dfs.storage"),
-    ("bench/table1.py", "repro.sim.core"),
 }
 
 
