@@ -287,7 +287,7 @@ class PaconClient:
                         client_id=self.client_id, gen_ino=gen_ino,
                         special=special)
         tracer = self.region.tracer
-        if tracer.enabled:
+        if tracer.enabled and tracer.traces(self.env.active_process):
             # Commit-queue residency span: opened at publish, closed by
             # the commit process at commit/discard/coalesce.  Not an
             # attribution bucket — the async commit is off the client

@@ -227,9 +227,17 @@ class CommitProcess:
 
     def oldest_outstanding_timestamp(self) -> Optional[float]:
         """Oldest publish timestamp among this process's unresolved ops
-        (retrying, held for a future epoch, or mid-commit); None if none."""
-        return min([op.timestamp for ops in (self._drain, self._waiting_ops())
-                    for op in ops], default=None)
+        (retrying, held for a future epoch, or mid-commit); None if none.
+
+        O(1) unless ops wait for a retry or a future epoch: a drain is
+        either one op or a run popped from the FIFO queue, whose publish
+        stamps are monotone, so its first op is its oldest."""
+        oldest = self._drain[0].timestamp if self._drain else None
+        if self._pending or self._future:
+            for op in self._waiting_ops():
+                if oldest is None or op.timestamp < oldest:
+                    oldest = op.timestamp
+        return oldest
 
     # -- the commit window ---------------------------------------------------
     def _settle(self, op: OpMessage) -> None:

@@ -39,6 +39,9 @@ class ConsistentHashRing(Generic[N]):
         #: hashed once, not once per cache verb.  Holds one entry per
         #: distinct key looked up since that change.
         self._memo: Dict[str, N] = {}
+        #: ``id(member) -> _member_key(member)`` for every member on the
+        #: ring, so a counted lookup does not rebuild its label.
+        self._labels: Dict[int, str] = {}
         # Per-member lookup counts, opt-in (None = off, the default, so
         # the placement hot path stays one dict hit).  Keyed by the
         # member's stable string identity for export-ready snapshots.
@@ -56,8 +59,9 @@ class ConsistentHashRing(Generic[N]):
         if member in self._members:
             raise ValueError(f"member already on ring: {member!r}")
         self._members.append(member)
+        self._labels[id(member)] = label = _member_key(member)
         for v in range(self.vnodes * weight):
-            h = stable_hash64(f"{_member_key(member)}#{v}")
+            h = stable_hash64(f"{label}#{v}")
             while h in self._owners:  # vanishing-probability collision
                 h = (h + 1) % (1 << 64)
             self._owners[h] = member
@@ -67,7 +71,8 @@ class ConsistentHashRing(Generic[N]):
     def remove(self, member: N) -> None:
         if member not in self._members:
             raise KeyError(f"member not on ring: {member!r}")
-        self._members.remove(member)
+        stored = self._members.pop(self._members.index(member))
+        del self._labels[id(stored)]
         dead = [h for h, m in self._owners.items() if m == member]
         for h in dead:
             del self._owners[h]
@@ -85,10 +90,10 @@ class ConsistentHashRing(Generic[N]):
                 idx = 0
             owner = self._memo[key] = self._owners[self._ring[idx]]
         # Counted on a memo hit too: the count is of lookups, not hashes.
-        if self._lookup_counts is not None:
-            label = _member_key(owner)
-            self._lookup_counts[label] = \
-                self._lookup_counts.get(label, 0) + 1
+        counts = self._lookup_counts
+        if counts is not None:
+            label = self._labels[id(owner)]
+            counts[label] = counts.get(label, 0) + 1
         return owner
 
     # -- lookup statistics (observability; see MetricsHub.attach_region) ----

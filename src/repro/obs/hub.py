@@ -24,12 +24,12 @@ read from it.
 from __future__ import annotations
 
 import json
-from functools import partial
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.incidents import detect_incidents
 from repro.obs.sampler import GaugeSampler
-from repro.obs.sketch import QuantileSketch, StatsRegistry
+from repro.obs.sketch import QuantileSketch, Series, StatsRegistry
 from repro.obs.slo import default_policy
 from repro.obs.timeline import NULL_TIMELINE, Timeline
 from repro.sim.trace import ATTRIBUTION_BUCKETS, NULL_TRACER, Tracer
@@ -166,15 +166,16 @@ class MetricsHub:
             return
         self.stats.series(name).append(time, value)
 
-    def series_recorder(self, name: str) -> Any:
-        """Bound ``append`` for one gauge series.
+    def series_recorder(self, name: str) -> Series:
+        """The gauge series ``name``, resolved once.
 
-        Samplers resolve each gauge's recorder once and skip the
-        per-sample registry lookup and key formatting on every wakeup.
+        Samplers resolve each gauge's series up front and add points to
+        it every wakeup with no registry lookup or key formatting.  A
+        disabled hub hands out a detached series that records nowhere.
         """
         if not self.enabled:
-            return lambda time, value: None
-        return self.stats.series(name).append
+            return Series(name)
+        return self.stats.series(name)
 
     # -- wiring ------------------------------------------------------------
     def attach_region(self, region, start_sampler: bool = True):
@@ -233,14 +234,24 @@ class MetricsHub:
             if label in self._resources:
                 label = f"{label}#{len(self._resources)}"
             self._resources[label] = resource
-            resource._wait_observe = partial(self.observe,
-                                             f"resource.wait[{label}]")
+            resource._wait_observe = self._wait_recorder(resource, label)
             fresh.append((label, resource))
         for sampler in self._samplers:
             if sampler.region is region:
                 for label, resource in fresh:
                     sampler.track(label, resource)
         return fresh
+
+    def _wait_recorder(self, resource, label: str):
+        """``resource``'s wait observer, resolved once: the first queued
+        wait creates the ``resource.wait[<label>]`` sketch and installs
+        that sketch's ``observe`` in its place, so every later wait is a
+        single call."""
+        def first_wait(waited: float) -> None:
+            sketch = self._sketch[f"resource.wait[{label}]",]
+            resource._wait_observe = sketch.observe
+            sketch.observe(waited)
+        return first_wait
 
     @property
     def samplers(self) -> List[GaugeSampler]:
@@ -360,7 +371,54 @@ class MetricsHub:
         """
         if doc is None:
             doc = self.export()
+        return _dumps(doc, indent)
+
+
+#: Stands in for each series' ``t`` array while the rest of a document is
+#: encoded; a NUL never occurs in an exported name or label.
+_TIMES = "\0t\0"
+
+
+def _dumps(doc: Dict[str, Any], indent: Optional[int] = None) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=indent)``, byte for byte,
+    encoding each distinct ``series[*].t`` of an exported document once.
+
+    Every gauge of a sampler shares one time axis, so the series section
+    repeats the same float array once per gauge, and formatting floats is
+    most of what encoding a document costs.  Each ``t`` is swapped for a
+    placeholder, the document is encoded once, and the placeholders are
+    replaced, in sorted-name order, by each array's text indented to its
+    depth (document, series, name).  Two arrays share a text only when
+    both hold nothing but floats with the same bits.
+    """
+    series = doc.get("series")
+    if not (isinstance(series, dict) and all(
+            isinstance(entry, dict) and isinstance(entry.get("t"), list)
+            for entry in series.values())):  # not an export's shape
         return json.dumps(doc, sort_keys=True, indent=indent)
+    names = sorted(series)
+    masked = dict(doc, series={name: dict(series[name], t=_TIMES)
+                               for name in names})
+    parts = json.dumps(masked, sort_keys=True, indent=indent).split(
+        json.dumps(_TIMES))
+    if len(parts) != len(names) + 1:  # a placeholder collided: no sharing
+        return json.dumps(doc, sort_keys=True, indent=indent)
+    step = " " * indent if isinstance(indent, int) else indent
+    texts: Dict[bytes, str] = {}
+    out = [parts[0]]
+    for name, rest in zip(names, parts[1:]):
+        times = series[name]["t"]
+        key = (array("d", times).tobytes()
+               if set(map(type, times)) <= {float} else None)
+        text = texts.get(key)
+        if text is None:
+            text = json.dumps(times, indent=indent)
+            if step is not None:
+                text = text.replace("\n", "\n" + step * 3)
+            if key is not None:
+                texts[key] = text
+        out += text, rest
+    return "".join(out)
 
 
 def attribution_rollup(attributions: Dict[int, Dict[str, Any]],

@@ -25,10 +25,11 @@ records point-in-time gauges for one region into the hub's registry:
   busy slot-seconds accumulated since the previous sample divided by
   window × capacity, so bursts show up instead of being averaged away.
 
-Sampling is batched: every gauge key string and its series-append
-recorder are resolved once (at construction, or on first sight of a
-queue), so a wakeup is a single pass over the region's queues and
-resources with no per-sample f-string formatting or registry lookups.
+Sampling is batched: every gauge's series is resolved once (at
+construction, on first sight of a queue, or when a resource is tracked),
+so a wakeup reads O(1) accessors and hands one row of values to
+:func:`~repro.obs.sketch.append_row`, with no per-sample key
+formatting, registry lookup or per-point call.
 
 The sampler only *reads* state and never yields anything but its own
 sleep, so it cannot perturb the simulated timing of the system under
@@ -42,9 +43,11 @@ after one point.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.obs.sketch import Series, append_row
 from repro.sim.core import Event, Interrupt
+from repro.sim.resources import window_utilizations
 
 __all__ = ["GaugeSampler"]
 
@@ -62,31 +65,32 @@ class GaugeSampler:
         self.env = region.env
         self.samples = 0
         self._process = None
-        # Preresolved recorders: one bound ``series.append`` per gauge.
-        recorder = hub.series_recorder
-        self._record_backlog = recorder(f"queue.backlog[{region.name}]")
-        self._record_used = recorder(f"cache.used_bytes[{region.name}]")
-        self._record_hit_rate = recorder(f"cache.hit_rate[{region.name}]")
-        self._record_pending_age = recorder(
-            f"consistency.pending_age[{region.name}]")
-        self._record_stall_age = recorder(
-            f"commit.stall_age[{region.name}]")
-        self._record_error_rate = recorder(
-            f"client.error_rate[{region.name}]")
+        name = region.name
+        #: The six region-wide gauges, in the order a tick lists them.
+        self._region_series: List[Series] = [
+            hub.series_recorder(f"{gauge}[{name}]") for gauge in (
+                "queue.backlog", "cache.used_bytes", "cache.hit_rate",
+                "consistency.pending_age", "commit.stall_age",
+                "client.error_rate")]
         # Commit-progress and error-rate deltas need a previous tick.
         self._prev_resolved = self._resolved_total()
         self._last_progress_t = region.env.now
         self._prev_errors = hub.error_count
-        self._queue_recorders: Dict[str, Callable[[float, float], None]] = {
-            q.name: recorder(f"queue.depth[{q.name}]")
-            for q in region.queues.queues()}
-        #: Per resource whose windowed utilization this sampler records:
-        #: (resource, recorder, window mark).  The hub hands each sampler
-        #: only the resources it tracked first, so shared ones are sampled
-        #: exactly once; those handed in here are windowed from creation.
-        self._resource_state: List[tuple] = [
-            (res, recorder(f"resource.util[{name}]"), [0.0, res.created_at])
-            for name, res in resources or ()]
+        #: ``queue.depth`` series by queue name, and the queues the
+        #: current row layout was built for.
+        self._queue_series: Dict[str, Series] = {}
+        self._queues: List[Any] = []
+        #: ``(resource, window mark)`` per tracked resource, and its
+        #: ``resource.util`` series.  The hub hands each sampler only the
+        #: resources it tracked first, so shared ones are sampled exactly
+        #: once; those handed in here are windowed from creation.
+        self._windows: List[Tuple[Any, List[float]]] = []
+        self._util_series: List[Series] = []
+        for label, res in resources or ():
+            self._windows.append((res, [0.0, res.created_at]))
+            self._util_series.append(
+                hub.series_recorder(f"resource.util[{label}]"))
+        self._layout(list(region.queues.queues()))
 
     def _resolved_total(self) -> int:
         """Ops the region's commit pipeline has retired so far (committed,
@@ -97,6 +101,19 @@ class GaugeSampler:
             total += cp.committed + cp.discarded + cp.coalesced
         return total
 
+    def _layout(self, queues: List[Any]) -> None:
+        """Resolve the series of one tick's row: the region gauges, one
+        depth per queue in ``queues`` order, one utilization per
+        resource."""
+        for queue in queues:
+            if queue.name not in self._queue_series:
+                self._queue_series[queue.name] = self.hub.series_recorder(
+                    f"queue.depth[{queue.name}]")
+        self._queues = queues
+        self._series = [*self._region_series,
+                        *(self._queue_series[q.name] for q in queues),
+                        *self._util_series]
+
     def track(self, name: str, resource: Any) -> None:
         """Start sampling one more resource mid-run (elastic growth).
 
@@ -104,9 +121,11 @@ class GaugeSampler:
         busy time, so a node that did work before joining this region
         (or a re-tracked one) does not show a spurious first-sample
         spike."""
-        self._resource_state.append(
-            (resource, self.hub.series_recorder(f"resource.util[{name}]"),
-             [resource.busy_time(), self.env.now]))
+        self._windows.append((resource, [resource.busy_time(),
+                                         self.env.now]))
+        self._util_series.append(
+            self.hub.series_recorder(f"resource.util[{name}]"))
+        self._layout(self._queues)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self):
@@ -143,40 +162,24 @@ class GaugeSampler:
         """
         t = self.env.now
         region = self.region
-        queues = region.queues.queues()
-        queue_recorders = self._queue_recorders
-        backlog = 0
-        all_closed = True
-        saw_queue = False
-        for queue in queues:
-            saw_queue = True
-            depth = len(queue)
-            backlog += depth
-            rec = queue_recorders.get(queue.name)
-            if rec is None:  # queue appeared after construction
-                rec = self.hub.series_recorder(f"queue.depth[{queue.name}]")
-                queue_recorders[queue.name] = rec
-            rec(t, depth)
-            if not queue.closed:
-                all_closed = False
-        self._record_backlog(t, backlog)
-        self._record_used(t, region.cache.used_bytes())
-        self._record_hit_rate(t, region.cache.hit_rate())
+        queues = list(region.queues.queues())
+        if queues != self._queues:  # a queue came or went
+            self._layout(queues)
+        depths = [len(queue) for queue in queues]
+        all_closed = all([queue.closed for queue in queues])
         oldest = region.oldest_outstanding_op_timestamp()
-        self._record_pending_age(t, 0.0 if oldest is None else t - oldest)
         # Stall age: outstanding work + zero resolution progress since the
         # last tick that saw either progress or an empty pipeline.
         resolved = self._resolved_total()
         if resolved != self._prev_resolved or oldest is None:
             self._prev_resolved = resolved
             self._last_progress_t = t
-            self._record_stall_age(t, 0.0)
-        else:
-            self._record_stall_age(t, t - self._last_progress_t)
         errors = self.hub.error_count
-        self._record_error_rate(t, float(errors - self._prev_errors))
+        append_row(self._series, t, [
+            sum(depths), region.cache.used_bytes(), region.cache.hit_rate(),
+            0.0 if oldest is None else t - oldest,
+            t - self._last_progress_t, errors - self._prev_errors,
+            *depths, *window_utilizations(self._windows)])
         self._prev_errors = errors
-        for resource, rec, mark in self._resource_state:
-            rec(t, resource.window_utilization(mark))
         self.samples += 1
-        return saw_queue and all_closed
+        return bool(queues) and all_closed

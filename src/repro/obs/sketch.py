@@ -29,9 +29,10 @@ keys so ``json.dumps(..., sort_keys=True)`` stays byte-stable run to run.
 from __future__ import annotations
 
 from math import floor, log
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["QuantileSketch", "DEFAULT_GROWTH", "Series", "StatsRegistry"]
+__all__ = ["QuantileSketch", "DEFAULT_GROWTH", "Series", "StatsRegistry",
+           "append_row"]
 
 #: Default bucket growth factor; relative quantile error <= growth - 1.
 DEFAULT_GROWTH = 1.05
@@ -167,10 +168,13 @@ class QuantileSketch:
 class Series:
     """An append-only time-indexed gauge (sampler output).
 
-    Each point is ``(simulated_time, value)``; the observability sampler
-    appends one point per gauge per tick.  A cap guards runaway runs, with
-    the overflow counted in ``dropped``.
+    Each point is ``(simulated_time, value)``, kept as two parallel float
+    lists; the observability sampler adds one point per gauge per tick
+    (:func:`append_row`), so ``t`` ascends.  A cap guards runaway runs,
+    with the overflow counted in ``dropped``.
     """
+
+    __slots__ = ("name", "max_points", "_times", "_values", "dropped")
 
     def __init__(self, name: str, max_points: int = 1_000_000):
         self.name = name
@@ -180,11 +184,7 @@ class Series:
         self.dropped = 0
 
     def append(self, time: float, value: float) -> None:
-        if len(self._times) >= self.max_points:
-            self.dropped += 1
-            return
-        self._times.append(float(time))
-        self._values.append(float(value))
+        append_row((self,), time, (value,))
 
     def __len__(self) -> int:
         return len(self._times)
@@ -200,6 +200,20 @@ class Series:
     def export(self) -> Dict[str, Any]:
         return {"t": list(self._times), "v": list(self._values),
                 "dropped": self.dropped}
+
+
+def append_row(series: Sequence[Series], time: float,
+               values: Iterable[float]) -> None:
+    """Add the point ``(time, value)`` to each of ``series``, paired with
+    ``values`` in order — one sampler tick in one call.  A series at its
+    ``max_points`` cap counts the point in ``dropped`` instead."""
+    time = float(time)
+    for s, value in zip(series, values):
+        if len(s._times) >= s.max_points:
+            s.dropped += 1
+        else:
+            s._times.append(time)
+            s._values.append(float(value))
 
 
 class StatsRegistry:

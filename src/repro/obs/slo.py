@@ -35,6 +35,7 @@ byte-identical SLO sections.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -96,14 +97,18 @@ def series_in_window(doc: Dict[str, Any], family: str = "",
 
     Yields ``(name, [(t, v), ...])`` for each series of ``family`` (named
     ``family`` or ``family[...]``; every series when empty) in name
-    order, its points clipped to ``window``.
+    order, its points clipped to ``window``.  A series' ``t`` ascends
+    (every series is appended in simulated-time order), so the window is
+    sliced out by bisection.
     """
     for name, series in sorted((doc.get("series") or {}).items()):
         if family and name != family and not name.startswith(family + "["):
             continue
-        yield name, [(t, v) for t, v in zip(series.get("t", []),
-                                            series.get("v", []))
-                     if window is None or window[0] <= t <= window[1]]
+        ts, vs = series.get("t", []), series.get("v", [])
+        lo, hi = 0, len(ts)
+        if window is not None:
+            lo, hi = bisect_left(ts, window[0]), bisect_right(ts, window[1])
+        yield name, list(zip(ts[lo:hi], vs[lo:hi]))
 
 
 def _series_points(doc: Dict[str, Any], family: str,

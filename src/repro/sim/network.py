@@ -178,7 +178,7 @@ class Network:
         env = self.env
         tracer = self.tracer
         ctx = None
-        if tracer.enabled:
+        if tracer.enabled and tracer.traces(env.active_process):
             ctx = tracer.open_child(env.active_process, env.now, "net",
                                     "network", f"{src.name}->{dst.name}")
         p = self.params
@@ -284,7 +284,9 @@ class Service:
                       if resp_size is None else resp_size)
         net = self.cluster.network
         tracer = self.cluster.tracer
-        proc = self.env.active_process if tracer.enabled else None
+        proc = None
+        if tracer.enabled and tracer.traces(self.env.active_process):
+            proc = self.env.active_process
         yield from net.transfer(src, self.node, req_bytes)
         mark = self.node.incarnation
         qctx = None

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush as _heappush
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Generator, Iterable, List,
+                    Optional, Tuple)
 
 from repro.sim.core import Environment, Event, Process, SimulationError, \
     _hand_over, _Outcome, _withdraw
 
-__all__ = ["Resource", "Barrier"]
+__all__ = ["Resource", "Barrier", "window_utilizations"]
 
 
 class Resource:
@@ -66,12 +67,7 @@ class Resource:
         last read (0.0 over an empty window); advances the mark to now.
         The caller seeds the mark, which is what decides whether the first
         window reaches back to ``created_at`` or starts at first sight."""
-        busy, now = self.busy_time(), self.env.now
-        window = now - mark[1]
-        util = ((busy - mark[0]) / (window * self.capacity)
-                if window > 0 else 0.0)
-        mark[0], mark[1] = busy, now
-        return util
+        return window_utilizations(((self, mark),))[0]
 
     def utilization(self) -> float:
         """Mean fraction of capacity busy over the resource's lifetime.
@@ -159,6 +155,28 @@ class Resource:
             yield service_time
         finally:
             self.release()
+
+
+def window_utilizations(windows: Iterable[Tuple[Resource, List[float]]],
+                        ) -> List[float]:
+    """:meth:`Resource.window_utilization` of each ``(resource, mark)``,
+    in one call: a sampler reads every tracked resource each tick.
+
+    The accounting of :meth:`Resource.busy_time` is inlined (the same
+    operations on the same floats), so the busy totals, the marks and
+    the results are bit-identical to calling the methods one by one.
+    """
+    out = []
+    for res, mark in windows:
+        now, capacity = res.env.now, res.capacity
+        res._busy_time = busy = (res._busy_time
+                                 + res._in_use * (now - res._last_change))
+        res._last_change = now
+        window = now - mark[1]
+        out.append((busy - mark[0]) / (window * capacity)
+                   if window > 0 else 0.0)
+        mark[0], mark[1] = busy, now
+    return out
 
 
 class Barrier:

@@ -32,6 +32,7 @@ the keep-or-drop decision is made once, at the root).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import (Any, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
@@ -53,11 +54,16 @@ ATTRIBUTION_BUCKETS = ("cache", "network", "queue_wait", "barrier",
                        "mds_service", "mds_queue")
 
 
-# Records are tuples: one small allocation per recorded fact, no
-# per-instance ``__dict__``, and untracked by the cyclic GC once it has
-# looked at them (they hold only scalars and strings).  The recording
-# paths build them with ``_record(cls, fields)``, which skips the
-# Python-level ``__new__`` a NamedTuple call goes through.
+# The log is one flat list holding each event's seven fields in
+# :class:`TraceEvent` order, back to back: recording an event allocates no
+# object that outlives the call, and the list holds only floats, ints,
+# strings and None, none of which the cyclic GC tracks — so however long
+# the log grows, a collection walks one list, not one record per event.
+# :meth:`Tracer.events` hands readers :class:`TraceEvent` views; the
+# parsers read the fields of :func:`_rows` by position.  Span contexts
+# are short-lived and stay NamedTuples, built with ``_record(cls,
+# fields)``, which skips the Python-level ``__new__`` a NamedTuple call
+# goes through.
 _record = tuple.__new__
 
 
@@ -70,7 +76,7 @@ class SpanContext(NamedTuple):
 
 
 class TraceEvent(NamedTuple):
-    """One timestamped event."""
+    """One timestamped event, as :meth:`Tracer.events` hands it out."""
 
     time: float
     actor: str
@@ -84,6 +90,16 @@ class TraceEvent(NamedTuple):
         tag = f"#{self.op_id}" if self.op_id is not None else ""
         return (f"{self.time * 1e6:12.2f}us {self.actor:<24}"
                 f" {self.kind:<12} {tag:<8} {self.detail}")
+
+
+#: Log slots per event.
+_WIDTH = len(TraceEvent._fields)
+
+
+def _rows(log: List[Any]) -> Iterator[tuple]:
+    """The events of a flat log, one field tuple each."""
+    it = iter(log)
+    return zip(*[it] * _WIDTH)
 
 
 @dataclass(slots=True)
@@ -122,16 +138,16 @@ class Span:
 @dataclass(slots=True)
 class OpRows:
     """One op's share of the event log, as :meth:`Tracer.op_rows` parses
-    it: the events themselves, keyed for the readers — nothing is
-    allocated per span."""
+    it: each event's field tuple (:class:`TraceEvent` order), keyed for
+    the readers — nothing else is allocated per span."""
 
     #: The op's ``op.start`` event.
-    begin: Optional[TraceEvent] = None
+    begin: Optional[tuple] = None
     #: Time of its ``op.end``; None while the op is open.
     end: Optional[float] = None
     #: Span id -> ``span.start`` event of each stage, in log order (and
     #: the root's span id -> ``begin``).
-    starts: Dict[int, TraceEvent] = field(default_factory=dict)
+    starts: Dict[int, tuple] = field(default_factory=dict)
     #: Span id -> end time of each stage that closed.
     ends: Dict[int, float] = field(default_factory=dict)
 
@@ -141,7 +157,8 @@ class Tracer:
 
     def __init__(self, capacity: int = 1_000_000):
         self.capacity = capacity
-        self._events: List[TraceEvent] = []
+        #: The flat event log (see ``_rows``).
+        self._log: List[Any] = []
         self.dropped = 0
         self._next_op_id = 0
         self._next_span_id = 0
@@ -150,11 +167,19 @@ class Tracer:
         #: whose id is a multiple of ``_stride``.
         self._stride = 1
         self._sample_base = 0
-        #: Per-process stacks of in-flight span contexts.  Child stages
-        #: running inside the same DES process (cache RPCs, network
-        #: transfers) look their parent up here; cross-process stages
-        #: (commit drain) carry the ids on their messages instead.
+        #: Per-process stacks of in-flight span contexts, holding only
+        #: processes that carry one.  Child stages running inside the same
+        #: DES process (cache RPCs, network transfers) look their parent
+        #: up here; cross-process stages (commit drain) carry the ids on
+        #: their messages instead.
         self._ctx: Dict[Any, List[SpanContext]] = {}
+        #: ``traces(process)``: whether ``process`` carries an in-flight
+        #: span context.  Call sites that would build arguments for
+        #: :meth:`open_child` (a formatted stage name, a process to carry
+        #: through an RPC) test this first, so a process serving no
+        #: traced op builds nothing; bound to the dict's own membership
+        #: test, the check costs no Python-level call.
+        self.traces = self._ctx.__contains__
 
     # -- emission ----------------------------------------------------------
     def new_op_id(self) -> int:
@@ -172,11 +197,10 @@ class Tracer:
             return
         if op_id is not None and op_id % self._stride:
             return
-        if len(self._events) >= self.capacity:
+        if len(self._log) >= self.capacity * _WIDTH:
             self.dropped += 1
             return
-        self._events.append(_record(TraceEvent, (
-            time, actor, kind, detail, op_id, span_id, parent_id)))
+        self._log += time, actor, kind, detail, op_id, span_id, parent_id
 
     # -- span contexts -----------------------------------------------------
     def root_context(self) -> Optional[SpanContext]:
@@ -202,8 +226,10 @@ class Tracer:
         of the sample, in one rebuild of the log.  Flat events (no op id)
         stay."""
         self._stride = stride = self._stride * 2
-        self._events = [ev for ev in self._events
-                        if ev[4] is None or ev[4] % stride == 0]
+        keep = [op_id is None or op_id % stride == 0
+                for op_id in self._log[4::_WIDTH]]
+        self._log = list(chain.from_iterable(compress(_rows(self._log),
+                                                      keep)))
 
     def adopt_context(self, op_id: int, span_id: int) -> SpanContext:
         """Rebuild a context from ids carried across a process boundary
@@ -239,43 +265,41 @@ class Tracer:
             return None
         self._next_span_id = span_id = self._next_span_id + 1
         if self.enabled:
-            if len(self._events) >= self.capacity:
+            if len(self._log) >= self.capacity * _WIDTH:
                 self.dropped += 1
             else:
-                self._events.append(_record(TraceEvent, (
-                    time, actor, "span.start",
-                    f"{category} {name}" if name else category,
-                    op_id, span_id, parent_id)))
+                self._log += (time, actor, "span.start",
+                              f"{category} {name}" if name else category,
+                              op_id, span_id, parent_id)
         return _record(SpanContext, (op_id, span_id, parent_id))
 
     def span_end(self, time: float, actor: str, ctx: SpanContext) -> None:
         if not self.enabled or ctx[0] % self._stride:
             return
-        if len(self._events) >= self.capacity:
+        if len(self._log) >= self.capacity * _WIDTH:
             self.dropped += 1
             return
-        self._events.append(_record(
-            TraceEvent, (time, actor, "span.end", "") + ctx))
+        self._log += (time, actor, "span.end", "") + ctx
 
     # -- queries --------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._log) // _WIDTH
 
     def events(self, actor: Optional[str] = None,
                kind: Optional[str] = None,
                op_id: Optional[int] = None,
                since: float = 0.0,
                until: float = float("inf")) -> Iterator[TraceEvent]:
-        for ev in self._events:
-            if actor is not None and ev.actor != actor:
+        for ev in _rows(self._log):
+            if actor is not None and ev[1] != actor:
                 continue
-            if kind is not None and ev.kind != kind:
+            if kind is not None and ev[2] != kind:
                 continue
-            if op_id is not None and ev.op_id != op_id:
+            if op_id is not None and ev[4] != op_id:
                 continue
-            if not (since <= ev.time <= until):
+            if not (since <= ev[0] <= until):
                 continue
-            yield ev
+            yield _record(TraceEvent, ev)
 
     def op_rows(self) -> Dict[int, OpRows]:
         """The one parser of the event log: ``{op_id: OpRows}`` for every
@@ -284,7 +308,7 @@ class Tracer:
         hands the rows to each.
         """
         ops: Dict[int, OpRows] = {}
-        for ev in self._events:
+        for ev in _rows(self._log):
             time, _, kind, _, op_id, span_id, _ = ev
             if op_id is None:
                 continue
@@ -313,7 +337,7 @@ class Tracer:
         yet — a hung or in-flight op) are returned as open-ended entries
         with ``end is None`` rather than silently dropped.
         """
-        return {op_id: (op.begin.time, op.end, op.begin.detail)
+        return {op_id: (op.begin[0], op.end, op.begin[3])
                 for op_id, op in self.op_rows().items()}
 
     def open_span_count(self,
@@ -334,20 +358,19 @@ class Tracer:
         """
         trees: Dict[int, Span] = {}
         for op_id, op in self.op_rows().items():
-            begin = op.begin
-            trees[op_id] = root = Span(
-                op_id, begin.span_id or 0, None, begin.actor, "op",
-                begin.detail, begin.time, op.end)
-            made: Dict[Optional[int], Span] = {begin.span_id: root}
+            time, actor, _, detail, _, root_id, _ = begin = op.begin
+            trees[op_id] = root = Span(op_id, root_id or 0, None, actor,
+                                       "op", detail, time, op.end)
+            made: Dict[Optional[int], Span] = {root_id: root}
             for span_id, ev in op.starts.items():
                 if ev is not begin:
-                    category, _, name = ev.detail.partition(" ")
+                    time, actor, _, detail, _, _, parent_id = ev
+                    category, _, name = detail.partition(" ")
                     made[span_id] = Span(
-                        op_id, span_id, ev.parent_id, ev.actor, category,
-                        name, ev.time, op.ends.get(span_id))
+                        op_id, span_id, parent_id, actor, category, name,
+                        time, op.ends.get(span_id))
             for parent_id, stages in _children(op).items():
-                made[parent_id].children = [made[ev.span_id]
-                                            for ev in stages]
+                made[parent_id].children = [made[ev[5]] for ev in stages]
         return trees
 
     def attributions(self, ops: Optional[Dict[int, OpRows]] = None,
@@ -411,24 +434,27 @@ class Tracer:
 
     def clear(self) -> None:
         """Empty the log and restart the sample."""
-        self._events.clear()
+        self._log.clear()
         self.dropped = 0
         self._ctx.clear()
         self._stride = 1
         self._sample_base = self._next_op_id
 
 
-def _children(op: OpRows) -> Dict[Optional[int], List[TraceEvent]]:
+def _children(op: OpRows, before: float = float("inf"),
+              ) -> Dict[Optional[int], List[tuple]]:
     """An op's stage ``span.start`` events by parent span id, each list
-    in log order.  A stage whose parent id is unknown hangs off the root,
-    so nothing disappears."""
+    in log order, leaving out stages that start at or after ``before``
+    (a stage never starts before its parent, so this cuts whole
+    subtrees).  A stage whose parent id is unknown hangs off the root, so
+    nothing else disappears."""
     begin, starts = op.begin, op.starts
-    root_id = begin.span_id
-    children: Dict[Optional[int], List[TraceEvent]] = {}
+    root_id = begin[5]
+    children: Dict[Optional[int], List[tuple]] = {}
     for ev in starts.values():
-        if ev is begin:
+        if ev is begin or ev[0] >= before:
             continue
-        parent = ev.parent_id
+        parent = ev[6]
         if parent not in starts:
             parent = root_id
         siblings = children.get(parent)
@@ -444,21 +470,23 @@ def _attribute(op: OpRows) -> Dict[str, Any]:
 
     The stages are folded in pre-order, children in ``span.start`` order,
     which fixes the order each bucket's floats are summed in (the
-    exported means are pinned byte for byte).
+    exported means are pinned byte for byte).  Stages that start once
+    the op has ended (the asynchronous commit's) overlap it by nothing,
+    so their subtrees are not walked.
     """
     begin, t1, ends = op.begin, op.end, op.ends
-    t0 = begin.time
+    t0, actor, _, detail, _, root_id, _ = begin
     buckets = dict.fromkeys(ATTRIBUTION_BUCKETS, 0.0)
-    children = _children(op)
-    stack = children.pop(begin.span_id, [])
+    children = _children(op, t1)
+    stack = children.pop(root_id, [])
     stack.reverse()
     while stack:
-        start, _, _, detail, _, span_id, _ = stack.pop()
+        start, _, _, stage, _, span_id, _ = stack.pop()
         below = children.pop(span_id, None)
         if below:
             below.reverse()
             stack += below
-        category = detail.partition(" ")[0]
+        category = stage.partition(" ")[0]
         if category not in buckets:
             continue
         # The stage clipped to the op's window; still open counts as
@@ -470,9 +498,9 @@ def _attribute(op: OpRows) -> Dict[str, Any]:
     duration = t1 - t0
     residual = duration - sum(buckets.values())
     return {
-        "op": begin.detail.partition(" ")[0],
-        "detail": begin.detail,
-        "actor": begin.actor,
+        "op": detail.partition(" ")[0],
+        "detail": detail,
+        "actor": actor,
         "start": t0,
         "duration": duration,
         "buckets": buckets,

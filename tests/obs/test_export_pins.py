@@ -17,10 +17,17 @@ import pytest
 
 from repro.chaos.scenarios import run_scenario
 from repro.cli import main
+from repro.obs.schema import validate
 
 #: One fixed-seed observed mdtest run (``--seed`` defaults to the repo's).
 OBSERVED = ["mdtest", "--nodes", "2", "--clients-per-node", "2",
             "--items", "6"]
+
+#: An observed mdtest run past the trace budget: 2 880 ops double the
+#: sample stride once (``SAMPLED_OPS`` in ``sim/trace.py``), so the export
+#: reads a thinned log.
+THINNED = ["mdtest", "--nodes", "4", "--clients-per-node", "8",
+           "--items", "30"]
 
 #: Re-captured when the ``publish_stall`` attribution bucket was deleted:
 #: ``fig07.metrics``, ``profile.txt`` and the two ``metrics_doc`` pins
@@ -55,6 +62,10 @@ PINS = {
     # and the client re-creates the file after recovery.
     "node_crash.metrics_doc":
         "1796611f18c6a63fcac9a6c6b4bdc473d54c20281cfc15cc727885336d281bcd",
+    # Captured before the tracer's records and the sampler's tick were
+    # rewritten for cost; the thinning path was pinned by no other entry.
+    "thinned.metrics":
+        "8cf8995b7928388cf06e34002605319efdc63f23a10d614b313fe72bd870785a",
 }
 
 
@@ -85,6 +96,21 @@ def test_trace_render_and_its_chrome_file(tmp_path, capsys):
     capsys.readouterr()
     assert _sha(out.read_bytes()) == PINS["trace.txt"]
     assert _sha(chrome.read_bytes()) == PINS["trace.chrome"]
+
+
+def test_thinned_run_metrics(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    assert main([*THINNED, "--metrics-out", str(out)]) == 0
+    capsys.readouterr()
+    data = out.read_bytes()
+    doc = json.loads(data)
+    assert validate(doc) == []
+    # Every op is counted, every other op keeps its whole tree, and no
+    # kept tree is left open.
+    assert doc["counters"]["client.ops"] == 2880
+    assert doc["attribution"]["total_ops"] == 1440
+    assert doc["trace"]["open_spans"] == 0
+    assert _sha(data) == PINS["thinned.metrics"]
 
 
 @pytest.mark.parametrize("scenario", ["cache_churn", "node_crash"])

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.obs.hub import NULL_HUB, MetricsHub
+from repro.obs.sketch import Series
 from repro.obs.timeline import NULL_TIMELINE, Timeline
 from repro.sim.trace import NULL_TRACER, SpanContext, Tracer
 
@@ -66,10 +67,10 @@ def _sample_args(method):
 def _call(instance, name):
     method = getattr(instance, name)
     result = method(*_sample_args(method))
-    if callable(result):
-        # A recorder may hand back a bound recorder (``series_recorder``
-        # returns one series' ``append``): exercise that too.
-        result(1.5, 2.5)
+    if isinstance(result, Series):
+        # A recorder may hand back what records (``series_recorder``
+        # returns the gauge's series): exercise that too.
+        result.append(1.5, 2.5)
 
 
 def _public_methods(cls):

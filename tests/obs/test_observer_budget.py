@@ -23,8 +23,9 @@ from tests.obs.test_export_pins import OBSERVED
 #: Python-level calls inside ``repro/obs/`` and ``sim/trace.py`` per
 #: recorded trace event, recording and one export together.  The commit
 #: before the records became tuples measured 8.595 (7 701 calls / 896
-#: events); the ceiling is 0.64x that.  This tree measures 5.16.
-CALLS_PER_EVENT_CEILING = 5.5
+#: events), the commit before the log became one flat list and the
+#: sampler a row per tick 5.16 (4 623); this tree measures 3.63 (3 251).
+CALLS_PER_EVENT_CEILING = 4.0
 
 _OBS_DIR = os.sep + os.path.join("repro", "obs") + os.sep
 _TRACE_PY = os.sep + os.path.join("repro", "sim", "trace.py")

@@ -144,8 +144,9 @@ class TestOneSpellingPerMechanism:
         arrays or clips them to a window."""
         obs = {n: t for n, t in _sources().items() if n.startswith("obs/")}
         assert _users(r'\.get\("v"|\["v"\]', obs) == {"obs/slo.py": 1}
-        assert _users(r"window\[0\] <= t <= window\[1\]", obs) == \
+        assert _users(r"bisect_left\(ts, window\[0\]\)", obs) == \
             {"obs/slo.py": 1}
+        assert not _users(r"window\[0\] <= t <= window\[1\]", obs)
         # ... and one function aggregates them (max | final | mean).
         slo = obs["obs/slo.py"]
         assert slo.count("max(v for") == slo.count("[-1][1]") == 1
