@@ -35,7 +35,6 @@ batches (one WAL sync per batch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.dfs.errors import (
@@ -45,8 +44,14 @@ from repro.dfs.errors import (
     NotADirectory,
     PermissionDenied,
 )
-from repro.dfs.inode import AccessMode, FileType, Inode, check_mode_bits
-from repro.dfs.namespace import normalize_path, parent_of, split_path
+from repro.dfs.inode import _FTYPE_OF_VALUE, FileType, Inode, check_mode_bits
+from repro.dfs.namespace import (
+    _SEARCH,
+    _WRITE_SEARCH,
+    is_within,
+    normalize_path,
+    parent_of,
+)
 from repro.kvstore.dht import stable_hash64
 from repro.kvstore.lsm import LSMTree, ReadReceipt, WriteReceipt
 from repro.sim.core import Event
@@ -54,16 +59,24 @@ from repro.sim.network import Cluster, Node, Service
 
 __all__ = ["IndexFS", "IndexFSServer", "IndexFSClient"]
 
+# Wire values, resolved once: records carry ``ftype`` as the value string.
+_DIR = FileType.DIRECTORY.value
+_FILE = FileType.FILE.value
 
-def _record(ftype: FileType, mode: int, uid: int, gid: int, ino: int,
+
+def _record(ftype: str, mode: int, uid: int, gid: int, ino: int,
             now: float, size: int = 0) -> Dict[str, Any]:
-    return {"ino": ino, "ftype": ftype.value, "mode": mode, "uid": uid,
+    return {"ino": ino, "ftype": ftype, "mode": mode, "uid": uid,
             "gid": gid, "size": size, "ctime": now, "mtime": now,
             "nlink": 1, "inline_data": None}
 
 
 class IndexFSServer(Service):
-    """One metadata server: an LSM tree plus request handlers."""
+    """One metadata server: an LSM tree plus request handlers.
+
+    A handler charges each LSM access by yielding its cost, which
+    ``_read_cost`` and ``_write_cost`` compute from the tree's receipt.
+    """
 
     def __init__(self, cluster: Cluster, node: Node, name: str = "ifs",
                  memtable_limit: int = 4096, l0_limit: int = 4):
@@ -77,76 +90,61 @@ class IndexFSServer(Service):
         self._next_ino += 1
         return self._next_ino
 
-    # -- cost charging ---------------------------------------------------
-    def _charge_read(self, receipt: ReadReceipt) -> Generator[Event, Any, None]:
+    # -- cost of one LSM access ----------------------------------------------
+    def _read_cost(self, receipt: ReadReceipt) -> float:
         c = self.costs
         cost = c.indexfs_op_cpu + c.lsm_memtable_op
         cost += c.lsm_bloom_check * receipt.bloom_checks
         cost += c.lsm_sstable_read * receipt.tables_probed
-        yield cost
+        return cost
 
-    def _charge_write(self, receipt: WriteReceipt,
-                      synced: bool = True) -> Generator[Event, Any, None]:
+    def _write_cost(self, receipt: WriteReceipt, synced: bool = True) -> float:
         c = self.costs
         cost = c.indexfs_op_cpu + c.lsm_memtable_op
         if synced:
             cost += c.lsm_wal_append
         cost += c.lsm_flush_per_entry * receipt.flushed_entries
         cost += c.lsm_compact_per_entry * receipt.compacted_entries
-        yield cost
+        return cost
 
-    # -- internal helpers -------------------------------------------------------
-    def _get(self, path: str) -> Generator[Event, Any, Optional[Dict]]:
+    # -- handlers ---------------------------------------------------------------
+    def handle_lookup(self, path: str) -> Generator[Event, Any, Dict]:
         receipt = self.lsm.get(path)
-        yield from self._charge_read(receipt)
-        return receipt.value if receipt.found else None
+        yield self._read_cost(receipt)
+        if receipt.found:
+            return receipt.value
+        if path == "/":
+            # The root lives only in the directory index every server
+            # keeps, never in an LSM tree.
+            return self.deployment.dirmap["/"]
+        raise FileNotFound(path)
 
-    def _require_parent_dir(self, path: str) -> Dict:
-        """Parent existence check against the shared directory map (the
-        GIGA+-style index every server keeps a copy of)."""
+    def handle_create(self, path: str, ftype_value: str, mode: int, uid: int,
+                      gid: int) -> Generator[Event, Any, Dict]:
+        # Parent existence check against the shared directory map (the
+        # GIGA+-style index every server keeps a copy of).
         parent = parent_of(path)
         parent_record = self.deployment.dirmap.get(parent)
         if parent_record is None:
             raise FileNotFound(parent)
-        if parent_record["ftype"] != FileType.DIRECTORY.value:
+        if parent_record["ftype"] != _DIR:
             raise NotADirectory(parent)
-        return parent_record
-
-    # -- handlers ---------------------------------------------------------------
-    def handle_lookup(self, path: str) -> Generator[Event, Any, Dict]:
-        record = yield from self._get(path)
-        if record is None:
-            raise FileNotFound(path)
-        return record
-
-    def handle_getattr(self, path: str, uid: int,
-                       gid: int) -> Generator[Event, Any, Dict]:
-        record = yield from self._get(path)
-        if record is None:
-            raise FileNotFound(path)
-        return record
-
-    def handle_create(self, path: str, ftype_value: str, mode: int, uid: int,
-                      gid: int,
-                      check_parent: bool = True) -> Generator[Event, Any,
-                                                              Dict]:
-        if check_parent:
-            parent_record = self._require_parent_dir(path)
-            if not check_mode_bits(parent_record["mode"], uid, gid,
-                                   parent_record["uid"],
-                                   parent_record["gid"],
-                                   AccessMode.WRITE | AccessMode.EXECUTE):
-                raise PermissionDenied(path, "parent write")
-        existing = yield from self._get(path)
-        if existing is not None:
+        if not check_mode_bits(parent_record["mode"], uid, gid,
+                               parent_record["uid"], parent_record["gid"],
+                               _WRITE_SEARCH):
+            raise PermissionDenied(path, "parent write")
+        receipt = self.lsm.get(path)
+        yield self._read_cost(receipt)
+        if receipt.found:
             raise FileExists(path)
-        record = _record(FileType(ftype_value), mode, uid, gid,
-                         self.alloc_ino(), self.env.now)
-        receipt = self.lsm.put(path, record)
-        yield from self._charge_write(receipt)
-        if FileType(ftype_value) is FileType.DIRECTORY:
+        if ftype_value not in _FTYPE_OF_VALUE:
+            FileType(ftype_value)  # raises ValueError for the unknown value
+        record = _record(ftype_value, mode, uid, gid, self.alloc_ino(),
+                         self.env.now)
+        yield self._write_cost(self.lsm.put(path, record))
+        if ftype_value == _DIR:
             self.deployment.dirmap[path] = record
-        self.deployment.note_insert(parent_of(path))
+        self.deployment.note_insert(parent)
         return record
 
     def handle_bulk_insert(self, items: List[Tuple[str, Dict]]
@@ -160,37 +158,37 @@ class IndexFSServer(Service):
         cost += c.lsm_compact_per_entry * receipt.compacted_entries
         yield cost
         for path, record in items:
-            if record["ftype"] == FileType.DIRECTORY.value:
+            if record["ftype"] == _DIR:
                 self.deployment.dirmap[path] = record
             self.deployment.note_insert(parent_of(path))
         return len(items)
 
     def handle_unlink(self, path: str, uid: int,
                       gid: int) -> Generator[Event, Any, None]:
-        record = yield from self._get(path)
-        if record is None:
+        parent = parent_of(path)  # the root has none: InvalidPath
+        receipt = self.lsm.get(path)
+        yield self._read_cost(receipt)
+        if not receipt.found:
             raise FileNotFound(path)
-        if record["ftype"] == FileType.DIRECTORY.value:
+        if receipt.value["ftype"] == _DIR:
             raise IsADirectory(path)
-        receipt = self.lsm.delete(path)
-        yield from self._charge_write(receipt)
-        self.deployment.note_remove(parent_of(path))
+        yield self._write_cost(self.lsm.delete(path))
+        self.deployment.note_remove(parent)
 
     def handle_rmdir_local(self, path: str) -> Generator[Event, Any, int]:
         """Remove every record in this partition under ``path``."""
+        parent_of(path)  # the root cannot go: InvalidPath
+        if path not in self.deployment.dirmap:
+            raise NotADirectory(path)
         doomed = [k for k, _ in self.lsm.scan_prefix(path.rstrip("/") + "/")]
         own = self.lsm.get(path)
-        yield from self._charge_read(own)
-        removed = 0
+        yield self._read_cost(own)
         for key in doomed:
-            receipt = self.lsm.delete(key)
-            yield from self._charge_write(receipt, synced=False)
-            removed += 1
+            yield self._write_cost(self.lsm.delete(key), synced=False)
+        removed = len(doomed)
         if own.found:
-            receipt = self.lsm.delete(path)
-            yield from self._charge_write(receipt)
+            yield self._write_cost(self.lsm.delete(path))
             removed += 1
-        self.deployment.dirmap.pop(path, None)
         return removed
 
     def handle_readdir(self, path: str) -> Generator[Event, Any, List[str]]:
@@ -208,12 +206,6 @@ class IndexFSServer(Service):
         return sorted(names)
 
 
-@dataclass
-class _LeaseEntry:
-    record: Dict
-    expires_at: float
-
-
 class IndexFSClient:
     """Client with stateless (lease-based) directory-entry caching."""
 
@@ -225,7 +217,8 @@ class IndexFSClient:
         self.costs = deployment.cluster.costs
         self.uid = uid
         self.gid = gid
-        self._dentry_cache: Dict[str, _LeaseEntry] = {}
+        #: Directory path -> ``(record, lease expiry)``.
+        self._dentry_cache: Dict[str, Tuple[Dict, float]] = {}
         self._bulk_buffer: List[Tuple[str, Dict]] = []
         self.bulk_mode = False
         self.bulk_batch_size = 128
@@ -236,26 +229,29 @@ class IndexFSClient:
 
     # -- traversal with leases ------------------------------------------------
     def _resolve_dirs(self, path: str) -> Generator[Event, Any, None]:
-        """Validate every ancestor directory, using leases when fresh."""
-        parts = split_path(path)
-        current = ""
-        for name in parts[:-1]:
-            current += "/" + name
-            entry = self._dentry_cache.get(current)
-            if entry is not None and entry.expires_at > self.env.now:
+        """Validate every ancestor directory, using leases when fresh.
+
+        The ancestors are the prefixes of ``path`` that end before each of
+        its ``/`` after the first.
+        """
+        cache = self._dentry_cache
+        end = path.find("/", 1)
+        while end != -1:
+            current = path[:end]
+            entry = cache.get(current)
+            if entry is not None and entry[1] > self.env.now:
                 self.lease_hits += 1
-                record = entry.record
+                record = entry[0]
             else:
                 record = yield from self._probe_lookup(current)
                 self.lease_renewals += 1
-                self._dentry_cache[current] = _LeaseEntry(
-                    record, self.env.now + self.fs.lease_ttl)
-            if record["ftype"] != FileType.DIRECTORY.value:
+                cache[current] = (record, self.env.now + self.fs.lease_ttl)
+            if record["ftype"] != _DIR:
                 raise NotADirectory(current)
             if not check_mode_bits(record["mode"], self.uid, self.gid,
-                                   record["uid"], record["gid"],
-                                   AccessMode.EXECUTE):
+                                   record["uid"], record["gid"], _SEARCH):
                 raise PermissionDenied(current, "search permission")
+            end = path.find("/", end + 1)
 
     def _probe_lookup(self, path: str) -> Generator[Event, Any, Dict]:
         """GIGA+ lookup: probe partition generations newest-first."""
@@ -278,8 +274,7 @@ class IndexFSClient:
         server = self.fs.server_for(path)
         self.rpcs_sent += 1
         record = yield from server.request(
-            self.node, "create", path, FileType.DIRECTORY.value, mode,
-            self.uid, self.gid)
+            self.node, "create", path, _DIR, mode, self.uid, self.gid)
         return Inode.from_record(record)
 
     def create(self, path: str,
@@ -292,14 +287,13 @@ class IndexFSClient:
         server = self.fs.server_for(path)
         self.rpcs_sent += 1
         record = yield from server.request(
-            self.node, "create", path, FileType.FILE.value, mode,
-            self.uid, self.gid)
+            self.node, "create", path, _FILE, mode, self.uid, self.gid)
         return Inode.from_record(record)
 
     def _bulk_create(self, path: str,
                      mode: int) -> Generator[Event, Any, Dict]:
-        record = _record(FileType.FILE, mode, self.uid, self.gid,
-                         ino=-1, now=self.env.now)
+        record = _record(_FILE, mode, self.uid, self.gid, ino=-1,
+                         now=self.env.now)
         self._bulk_buffer.append((path, record))
         if self.costs.client_op_cpu > 0:
             yield self.costs.client_op_cpu
@@ -347,6 +341,7 @@ class IndexFSClient:
             try:
                 yield from server.request(self.node, "unlink", path,
                                           self.uid, self.gid)
+                self._dentry_cache.pop(path, None)
                 return
             except FileNotFound:
                 if i == len(chain) - 1:
@@ -361,18 +356,24 @@ class IndexFSClient:
         total = 0
         for server in self.fs.servers:
             self.rpcs_sent += 1
-            n = yield from server.request(self.node, "rmdir_local", path)
+            try:
+                n = yield from server.request(self.node, "rmdir_local", path)
+            except NotADirectory:
+                # Outside the directory index: a file, or nothing at all
+                # (then the lookup raises FileNotFound).
+                yield from self._probe_lookup(path)
+                raise
             total += n
-        self._dentry_cache.pop(path, None)
-        self.fs.dir_partitions.pop(path, None)
-        self.fs.dir_entry_counts.pop(path, None)
+        self.fs.forget_dir(path)
+        for gone in [p for p in self._dentry_cache if is_within(p, path)]:
+            del self._dentry_cache[gone]
         return total
 
     def readdir(self, path: str) -> Generator[Event, Any, List[str]]:
         """Directory listing: gather from every partition of the directory
         (a split directory spreads its entries over several servers)."""
         path = normalize_path(path)
-        yield from self._resolve_dirs(path + "/x")  # validate chain incl. path
+        yield from self._resolve_dirs(path + "/")  # validate chain incl. path
         names: List[str] = []
         for server in self.fs.servers_of_dir(path):
             self.rpcs_sent += 1
@@ -402,13 +403,16 @@ class IndexFS:
         # Shared directory map = the cluster-wide GIGA+-style directory
         # index (every server learns new directories; root pre-exists).
         self.dirmap: Dict[str, Dict] = {
-            "/": _record(FileType.DIRECTORY, 0o777, 0, 0, 1, 0.0)
+            "/": _record(_DIR, 0o777, 0, 0, 1, 0.0)
         }
         # GIGA+ state: per-directory partition count (power of two) and
         # entry counter driving splits.
         self.dir_partitions: Dict[str, int] = {}
         self.dir_entry_counts: Dict[str, int] = {}
         self.splits = 0
+        # md5 of each directory path, taken once: placement hashes the
+        # parent of every entry it places.
+        self._dir_hashes: Dict[str, int] = {}
 
     # -- GIGA+-style placement ---------------------------------------------
     # Paths arrive normalized: ``admin_mkdir`` and the client entries
@@ -416,36 +420,42 @@ class IndexFS:
     def partitions_of(self, dir_path: str) -> int:
         return self.dir_partitions.get(dir_path, 1)
 
+    def _dir_hash(self, dir_path: str) -> int:
+        dir_hash = self._dir_hashes.get(dir_path)
+        if dir_hash is None:
+            dir_hash = self._dir_hashes[dir_path] = stable_hash64(dir_path)
+        return dir_hash
+
     def server_for_entry(self, dir_path: str, name: str,
                          nparts: Optional[int] = None) -> IndexFSServer:
         """Owner of entry ``name`` in ``dir_path`` at partition count
         ``nparts`` (defaults to the directory's current count)."""
         if nparts is None:
-            nparts = self.partitions_of(dir_path)
+            nparts = self.dir_partitions.get(dir_path, 1)
+        servers = self.servers
         bucket = stable_hash64(name) % nparts
-        idx = (stable_hash64(dir_path) + bucket) % len(self.servers)
-        return self.servers[idx]
+        return servers[(self._dir_hash(dir_path) + bucket) % len(servers)]
 
     def server_for(self, path: str) -> IndexFSServer:
         """Current-generation owner of ``path``."""
-        parts = split_path(path)
-        if not parts:
+        if path == "/":
             return self.servers[0]
-        return self.server_for_entry(parent_of(path), parts[-1])
+        cut = path.rfind("/")
+        return self.server_for_entry(path[:cut] or "/", path[cut + 1:])
 
     def probe_chain(self, path: str) -> List[IndexFSServer]:
         """Servers to probe for ``path``, newest partition generation
         first, halving the partition count each step (GIGA+ lookup)."""
-        parts = split_path(path)
-        if not parts:
+        if path == "/":
             return [self.servers[0]]
-        parent = parent_of(path)
+        cut = path.rfind("/")
+        parent = path[:cut] or "/"
         servers = self.servers
         # ``server_for_entry`` per generation, with each md5 taken once.
-        name_hash = stable_hash64(parts[-1])
-        dir_hash = stable_hash64(parent)
+        name_hash = stable_hash64(path[cut + 1:])
+        dir_hash = self._dir_hash(parent)
         chain: List[IndexFSServer] = []
-        nparts = self.partitions_of(parent)
+        nparts = self.dir_partitions.get(parent, 1)
         while True:
             server = servers[(dir_hash + name_hash % nparts) % len(servers)]
             if server not in chain:
@@ -459,7 +469,7 @@ class IndexFS:
         """Count an insert; double the directory's partitions on overflow."""
         count = self.dir_entry_counts.get(dir_path, 0) + 1
         self.dir_entry_counts[dir_path] = count
-        nparts = self.partitions_of(dir_path)
+        nparts = self.dir_partitions.get(dir_path, 1)
         if (count > self.split_threshold * nparts
                 and nparts < len(self.servers)):
             self.dir_partitions[dir_path] = nparts * 2
@@ -470,13 +480,21 @@ class IndexFS:
             self.dir_entry_counts[dir_path] = max(
                 0, self.dir_entry_counts[dir_path] - 1)
 
+    def forget_dir(self, dir_path: str) -> None:
+        """Drop a removed directory, and every directory under it, from
+        the directory index and the GIGA+ state."""
+        for gone in [p for p in self.dirmap if is_within(p, dir_path)]:
+            del self.dirmap[gone]
+            self.dir_partitions.pop(gone, None)
+            self.dir_entry_counts.pop(gone, None)
+
     def servers_of_dir(self, dir_path: str) -> List[IndexFSServer]:
         """Every server that may hold entries of ``dir_path`` (for scans)."""
         out: List[IndexFSServer] = []
-        nparts = self.partitions_of(dir_path)
-        for bucket in range(nparts):
-            server = self.servers[(stable_hash64(dir_path) + bucket)
-                                  % len(self.servers)]
+        servers = self.servers
+        dir_hash = self._dir_hash(dir_path)
+        for bucket in range(self.partitions_of(dir_path)):
+            server = servers[(dir_hash + bucket) % len(servers)]
             if server not in out:
                 out.append(server)
         return out
@@ -489,11 +507,11 @@ class IndexFS:
                     gid: int = 0) -> None:
         """Zero-cost administrative directory creation (experiment setup)."""
         path = normalize_path(path)
-        record = _record(FileType.DIRECTORY, mode, uid, gid,
-                         self.servers[0].alloc_ino(), 0.0)
+        record = _record(_DIR, mode, uid, gid, self.servers[0].alloc_ino(),
+                         0.0)
         self.server_for(path).lsm.put(path, record)
         self.dirmap[path] = record
-        self.note_insert(parent_of(path) if split_path(path) else "/")
+        self.note_insert(parent_of(path) if path != "/" else "/")
 
     def total_entries(self) -> int:
         return sum(s.lsm.total_live_keys() for s in self.servers)

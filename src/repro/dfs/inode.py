@@ -47,7 +47,7 @@ def check_mode_bits(mode: int, uid: int, gid: int, owner_uid: int,
     return (bits & want) == want
 
 
-@dataclass
+@dataclass(slots=True)
 class Inode:
     """File/directory metadata record.
 

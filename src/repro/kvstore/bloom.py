@@ -11,9 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
+from typing import Tuple
 
 __all__ = ["BloomFilter"]
+
+
+def _seeds(key: str) -> Tuple[int, int]:
+    """The two 64-bit seeds of ``key``'s double hashing: position ``i``
+    is ``(h1 + i * h2) % num_bits``, computed in place by the callers."""
+    digest = hashlib.md5(key.encode("utf-8")).digest()
+    return (int.from_bytes(digest[:8], "little"),
+            int.from_bytes(digest[8:16], "little") | 1)
 
 
 class BloomFilter:
@@ -34,21 +42,22 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.items_added = 0
 
-    def _positions(self, key: str) -> Iterable[int]:
-        digest = hashlib.md5(key.encode("utf-8")).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:16], "little") | 1
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
-
     def add(self, key: str) -> None:
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        h1, h2 = _seeds(key)
+        bits = self._bits
+        num_bits = self.num_bits
+        for i in range(self.num_hashes):
+            pos = (h1 + i * h2) % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
         self.items_added += 1
 
     def might_contain(self, key: str) -> bool:
-        for pos in self._positions(key):
-            if not (self._bits[pos >> 3] >> (pos & 7)) & 1:
+        h1, h2 = _seeds(key)
+        bits = self._bits
+        num_bits = self.num_bits
+        for i in range(self.num_hashes):
+            pos = (h1 + i * h2) % num_bits
+            if not (bits[pos >> 3] >> (pos & 7)) & 1:
                 return False
         return True
 

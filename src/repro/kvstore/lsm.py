@@ -30,7 +30,7 @@ from repro.kvstore.sstable import SSTable, TOMBSTONE, merge_tables
 __all__ = ["LSMTree", "ReadReceipt", "WriteReceipt"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadReceipt:
     """Physical work done by one point lookup."""
 
@@ -41,12 +41,16 @@ class ReadReceipt:
     tables_probed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class WriteReceipt:
     """Physical work done by one write (flush/compaction amortized)."""
 
     flushed_entries: int = 0
     compacted_entries: int = 0
+
+
+#: What every write that fills no memtable returns: one shared receipt.
+_NOTHING_FLUSHED = WriteReceipt()
 
 
 class LSMTree:
@@ -92,13 +96,12 @@ class LSMTree:
         return self._maybe_flush()
 
     def _maybe_flush(self) -> WriteReceipt:
-        receipt = WriteReceipt()
         if len(self._memtable) < self.memtable_limit:
-            return receipt
-        receipt.flushed_entries = self.flush()
+            return _NOTHING_FLUSHED
+        flushed = self.flush()
         if len(self._l0) > self.l0_limit:
-            receipt.compacted_entries = self.compact()
-        return receipt
+            return WriteReceipt(flushed, self.compact())
+        return WriteReceipt(flushed)
 
     def flush(self) -> int:
         """Write the memtable out as a new L0 table."""

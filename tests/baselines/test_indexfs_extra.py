@@ -4,7 +4,7 @@ under concurrent clients, and the LSM cost coupling at scale."""
 import pytest
 
 from repro.baselines.indexfs import IndexFS
-from repro.dfs.errors import FileNotFound
+from repro.dfs.errors import FileNotFound, InvalidPath, NotADirectory
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster
 
@@ -121,6 +121,92 @@ class TestErrorPaths:
 
         with pytest.raises(FileNotFound):
             run_sync(cluster.env, go())
+
+
+class TestRmdirTargets:
+    """rmdir removes directories only, as BeeGFS's does."""
+
+    def _app_with_file(self):
+        cluster, fs, nodes = make(n_nodes=2)
+        fs.admin_mkdir("/app")
+        client = fs.client(nodes[0])
+        run_sync(cluster.env, client.create("/app/f"))
+        return cluster, fs, client
+
+    def test_rmdir_of_a_file_raises_not_a_directory_and_keeps_it(self):
+        cluster, fs, client = self._app_with_file()
+        with pytest.raises(NotADirectory):
+            run_sync(cluster.env, client.rmdir("/app/f"))
+        assert run_sync(cluster.env, client.exists("/app/f"))
+        assert fs.total_entries() == 2
+
+    def test_rmdir_of_a_missing_path_raises_file_not_found(self):
+        cluster, fs, client = self._app_with_file()
+        with pytest.raises(FileNotFound):
+            run_sync(cluster.env, client.rmdir("/app/nope"))
+        assert fs.total_entries() == 2
+
+    def test_rmdir_of_the_root_raises_invalid_path(self):
+        cluster, fs, client = self._app_with_file()
+        with pytest.raises(InvalidPath):
+            run_sync(cluster.env, client.rmdir("/"))
+        assert fs.total_entries() == 2
+
+    def test_rmdir_forgets_the_directories_under_it(self):
+        """A recreated directory holds nothing of the old subtree, even
+        for a client whose leases on it are still fresh."""
+        cluster, fs, client = self._app_with_file()
+
+        def go():
+            yield from client.mkdir("/app/d")
+            yield from client.mkdir("/app/d/e")
+            yield from client.create("/app/d/e/f")
+            yield from client.rmdir("/app/d")
+            yield from client.mkdir("/app/d")
+            yield from client.create("/app/d/e/g")
+
+        with pytest.raises(FileNotFound):
+            run_sync(cluster.env, go())
+        assert sorted(fs.dirmap) == ["/", "/app", "/app/d"]
+
+    def test_unlink_drops_the_lease_a_failed_walk_took(self):
+        """A walk through a file leases its record; once the file is gone,
+        a path under it is missing, not under a non-directory."""
+        cluster, fs, client = self._app_with_file()
+
+        def go():
+            try:
+                yield from client.mkdir("/app/f/d")
+            except NotADirectory:
+                pass
+            yield from client.unlink("/app/f")
+            yield from client.mkdir("/app/f/d")
+
+        with pytest.raises(FileNotFound):
+            run_sync(cluster.env, go())
+
+
+class TestRoot:
+    """The root lives only in the directory index, never in an LSM tree,
+    yet it answers like any directory."""
+
+    def test_getattr_root_returns_the_root_directory(self):
+        cluster, fs, nodes = make(n_nodes=2)
+        inode = run_sync(cluster.env, fs.client(nodes[0]).getattr("/"))
+        assert inode.is_dir and inode.ino == 1 and inode.mode == 0o777
+
+    def test_readdir_root_lists_its_entries(self):
+        cluster, fs, nodes = make(n_nodes=2)
+        fs.admin_mkdir("/app")
+        client = fs.client(nodes[0])
+
+        def go():
+            yield from client.create("/app/f")
+            yield from client.mkdir("/logs")
+            return (yield from client.readdir("/"))
+
+        assert run_sync(cluster.env, go()) == ["app", "logs"]
+        assert not any(s.lsm.get("/").found for s in fs.servers)
 
 
 class TestScaleCosts:
