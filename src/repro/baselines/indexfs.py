@@ -12,7 +12,7 @@ This module reproduces those design elements on this repo's substrates:
 * each server owns an :class:`~repro.kvstore.lsm.LSMTree`; every operation
   charges simulated time from the tree's physical receipts (memtable vs.
   SSTable probes, flushed and compacted entries) plus one write-ahead-log
-  append per synced write, so LSM read amplification and flush/compaction
+  append per write, so LSM read amplification and flush/compaction
   costs shape the results exactly as LevelDB shapes IndexFS's,
 * metadata is partitioned by *parent directory* with GIGA+-style
   incremental splitting: a directory starts on one server and doubles its
@@ -31,6 +31,10 @@ This module reproduces those design elements on this repo's substrates:
 
 Bulk insertion buffers creates client-side and ships them per-server in
 batches (one WAL sync per batch).
+
+The client serves the ops the paper measures IndexFS with -- mkdir,
+create and getattr (mdtest's stat phase) -- plus ``unlink``/``rm`` for
+mdtest's optional rm phase.  There is no rmdir, readdir or rename.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from repro.dfs.inode import _FTYPE_OF_VALUE, FileType, Inode, check_mode_bits
 from repro.dfs.namespace import (
     _SEARCH,
     _WRITE_SEARCH,
-    is_within,
     normalize_path,
     parent_of,
 )
@@ -98,11 +101,9 @@ class IndexFSServer(Service):
         cost += c.lsm_sstable_read * receipt.tables_probed
         return cost
 
-    def _write_cost(self, receipt: WriteReceipt, synced: bool = True) -> float:
+    def _write_cost(self, receipt: WriteReceipt) -> float:
         c = self.costs
-        cost = c.indexfs_op_cpu + c.lsm_memtable_op
-        if synced:
-            cost += c.lsm_wal_append
+        cost = c.indexfs_op_cpu + c.lsm_memtable_op + c.lsm_wal_append
         cost += c.lsm_flush_per_entry * receipt.flushed_entries
         cost += c.lsm_compact_per_entry * receipt.compacted_entries
         return cost
@@ -174,36 +175,6 @@ class IndexFSServer(Service):
             raise IsADirectory(path)
         yield self._write_cost(self.lsm.delete(path))
         self.deployment.note_remove(parent)
-
-    def handle_rmdir_local(self, path: str) -> Generator[Event, Any, int]:
-        """Remove every record in this partition under ``path``."""
-        parent_of(path)  # the root cannot go: InvalidPath
-        if path not in self.deployment.dirmap:
-            raise NotADirectory(path)
-        doomed = [k for k, _ in self.lsm.scan_prefix(path.rstrip("/") + "/")]
-        own = self.lsm.get(path)
-        yield self._read_cost(own)
-        for key in doomed:
-            yield self._write_cost(self.lsm.delete(key), synced=False)
-        removed = len(doomed)
-        if own.found:
-            yield self._write_cost(self.lsm.delete(path))
-            removed += 1
-        return removed
-
-    def handle_readdir(self, path: str) -> Generator[Event, Any, List[str]]:
-        entries = list(self.lsm.scan_prefix(path.rstrip("/") + "/"))
-        c = self.costs
-        yield (c.indexfs_op_cpu + c.lsm_memtable_op +
-               c.lsm_sstable_read +
-               c.lsm_bloom_check * len(entries))
-        names = []
-        prefix_len = len(path.rstrip("/")) + 1
-        for key, _record in entries:
-            rest = key[prefix_len:]
-            if "/" not in rest:
-                names.append(rest)
-        return sorted(names)
 
 
 class IndexFSClient:
@@ -323,15 +294,6 @@ class IndexFSClient:
         record = yield from self._probe_lookup(path)
         return Inode.from_record(record)
 
-    stat = getattr
-
-    def exists(self, path: str) -> Generator[Event, Any, bool]:
-        try:
-            yield from self.getattr(path)
-            return True
-        except FileNotFound:
-            return False
-
     def unlink(self, path: str) -> Generator[Event, Any, None]:
         path = normalize_path(path)
         yield from self._resolve_dirs(path)
@@ -349,37 +311,6 @@ class IndexFSClient:
 
     rm = unlink
 
-    def rmdir(self, path: str) -> Generator[Event, Any, int]:
-        """Recursive removal: every server drops its partition's slice."""
-        path = normalize_path(path)
-        yield from self._resolve_dirs(path)
-        total = 0
-        for server in self.fs.servers:
-            self.rpcs_sent += 1
-            try:
-                n = yield from server.request(self.node, "rmdir_local", path)
-            except NotADirectory:
-                # Outside the directory index: a file, or nothing at all
-                # (then the lookup raises FileNotFound).
-                yield from self._probe_lookup(path)
-                raise
-            total += n
-        self.fs.forget_dir(path)
-        for gone in [p for p in self._dentry_cache if is_within(p, path)]:
-            del self._dentry_cache[gone]
-        return total
-
-    def readdir(self, path: str) -> Generator[Event, Any, List[str]]:
-        """Directory listing: gather from every partition of the directory
-        (a split directory spreads its entries over several servers)."""
-        path = normalize_path(path)
-        yield from self._resolve_dirs(path + "/")  # validate chain incl. path
-        names: List[str] = []
-        for server in self.fs.servers_of_dir(path):
-            self.rpcs_sent += 1
-            part = yield from server.request(self.node, "readdir", path)
-            names.extend(part)
-        return sorted(set(names))
 
 
 class IndexFS:
@@ -417,9 +348,6 @@ class IndexFS:
     # -- GIGA+-style placement ---------------------------------------------
     # Paths arrive normalized: ``admin_mkdir`` and the client entries
     # validate once; these helpers trust that contract.
-    def partitions_of(self, dir_path: str) -> int:
-        return self.dir_partitions.get(dir_path, 1)
-
     def _dir_hash(self, dir_path: str) -> int:
         dir_hash = self._dir_hashes.get(dir_path)
         if dir_hash is None:
@@ -479,25 +407,6 @@ class IndexFS:
         if dir_path in self.dir_entry_counts:
             self.dir_entry_counts[dir_path] = max(
                 0, self.dir_entry_counts[dir_path] - 1)
-
-    def forget_dir(self, dir_path: str) -> None:
-        """Drop a removed directory, and every directory under it, from
-        the directory index and the GIGA+ state."""
-        for gone in [p for p in self.dirmap if is_within(p, dir_path)]:
-            del self.dirmap[gone]
-            self.dir_partitions.pop(gone, None)
-            self.dir_entry_counts.pop(gone, None)
-
-    def servers_of_dir(self, dir_path: str) -> List[IndexFSServer]:
-        """Every server that may hold entries of ``dir_path`` (for scans)."""
-        out: List[IndexFSServer] = []
-        servers = self.servers
-        dir_hash = self._dir_hash(dir_path)
-        for bucket in range(self.partitions_of(dir_path)):
-            server = servers[(dir_hash + bucket) % len(servers)]
-            if server not in out:
-                out.append(server)
-        return out
 
     def client(self, node: Node, uid: int = 1000,
                gid: int = 1000) -> IndexFSClient:

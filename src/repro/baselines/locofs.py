@@ -5,7 +5,8 @@ LocoFS (Li et al., SC'17) decouples directory metadata from file metadata:
 — so path traversal completes inside one node — while file metadata is
 flattened by full-path hash across File Metadata Servers (FMS).  The
 trade-off §II.C highlights: the single DMS is a scalability ceiling and a
-single point of failure.  Used by the path-traversal ablation bench.
+single point of failure.  Used by the path-traversal ablation bench,
+which runs mkdir, create and getattr: those are the ops served.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ class _FileServer(Service):
             raise FileNotFound(path)
         return record
 
-    def handle_unlink(self, path: str) -> Generator[Event, Any, None]:
-        yield self.costs.mds_op_service
-        if path not in self.files:
-            raise FileNotFound(path)
-        del self.files[path]
-
 
 class LocoFS:
     """Deployment + client generators (ablation-grade API)."""
@@ -122,7 +117,3 @@ class LocoFS:
             yield from self.dms.request(src, "check_path", path)
         record = yield from self.fms_for(path).request(src, "getattr", path)
         return record
-
-    def unlink(self, src: Node, path: str) -> Generator[Event, Any, None]:
-        path = normalize_path(path)
-        yield from self.fms_for(path).request(src, "unlink", path)

@@ -4,7 +4,8 @@ ShardFS (Xiao et al., SoCC'15) removes path-traversal RPCs by *replicating
 all directory metadata on every metadata server*: any server can resolve
 any path locally, so a file operation is a single RPC — but directory
 mutations fan out to every server (N× write amplification), which is the
-trade-off §II.C calls out.  Used by the path-traversal ablation bench.
+trade-off §II.C calls out.  Used by the path-traversal ablation bench,
+which runs mkdir, create and getattr: those are the ops served.
 """
 
 from __future__ import annotations
@@ -68,13 +69,6 @@ class _ShardFSServer(Service):
             raise FileNotFound(path)
         return record
 
-    def handle_unlink(self, path: str) -> Generator[Event, Any, None]:
-        yield from self._local_resolve(path)
-        yield self.costs.mds_op_service
-        if path not in self.files:
-            raise FileNotFound(path)
-        del self.files[path]
-
 
 class ShardFS:
     """Deployment + client in one object (ablation-grade API)."""
@@ -112,7 +106,3 @@ class ShardFS:
         record = yield from self.file_server_for(path).request(
             src, "getattr", path)
         return record
-
-    def unlink(self, src: Node, path: str) -> Generator[Event, Any, None]:
-        path = normalize_path(path)
-        yield from self.file_server_for(path).request(src, "unlink", path)

@@ -8,14 +8,13 @@ and >2.6× IndexFS on random stat.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.bench.report import experiment
 from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
-__all__ = ["run", "SCALES", "single_app_point", "batching_comparison"]
+__all__ = ["run", "SCALES", "single_app_point"]
 
 SCALES: Dict[str, Dict] = {
     "smoke": {"node_counts": [2], "cpn": 5, "items": 20},
@@ -45,58 +44,6 @@ def single_app_point(system: str, nodes: int, cpn: int,
         bed.quiesce()
         ops["committed_ops"] = float(bed.app.region.ops_committed)
     return ops
-
-
-def batching_comparison(scale: str = "smoke",
-                        batch_sizes: Sequence[int] = (1, 16),
-                        seed: int = DEFAULT_SEED,
-                        ) -> Dict[int, Dict[str, object]]:
-    """Pacon committed-op throughput as a function of commit batch size.
-
-    Runs the fig. 7 workload once per batch size on identically seeded
-    clusters and measures the commit pipeline end to end: total committed
-    operations over the simulated time to fully drain (quiesce).  §III.E
-    convergence demands the final DFS namespace be identical regardless of
-    batch size, so each run also returns a digest of the namespace
-    structure — callers should assert the digests match.
-    """
-    params = SCALES[scale]
-    nodes = params["node_counts"][0]
-    out: Dict[int, Dict[str, object]] = {}
-    for batch_size in batch_sizes:
-        bed = make_testbed("pacon", n_apps=1, nodes_per_app=nodes,
-                           clients_per_node=params["cpn"],
-                           commit_batch_size=batch_size, seed=seed)
-        config = MdtestConfig(workdir="/app",
-                              items_per_client=params["items"],
-                              phases=PHASES)
-        run_mdtest(bed.env, bed.clients, config)
-        bed.quiesce()
-        region = bed.app.region
-        elapsed = bed.env.now
-        out[batch_size] = {
-            "committed_ops": region.ops_committed,
-            "elapsed": elapsed,
-            "committed_ops_per_sec": region.ops_committed / elapsed,
-            "namespace_digest": _namespace_digest(bed.dfs),
-        }
-    return out
-
-
-def _namespace_digest(dfs) -> str:
-    """Digest of the DFS namespace *structure* (paths, kinds, modes).
-
-    Inode numbers and timestamps depend on commit interleaving and are
-    excluded on purpose: §III.E promises the same *namespace*, not the
-    same commit schedule.
-    """
-    entries = sorted(
-        (path, "dir" if inode.is_dir else "file", inode.mode, inode.size)
-        for path, inode in dfs.namespace.walk("/"))
-    digest = hashlib.sha256()
-    for entry in entries:
-        digest.update(repr(entry).encode())
-    return digest.hexdigest()
 
 
 @experiment("fig07", "Single-application throughput (shared dir, depth 1)",

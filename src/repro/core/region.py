@@ -529,10 +529,6 @@ class ConsistentRegion:
         """Close commit queues (commit processes drain and exit)."""
         self.queues.close_all()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<ConsistentRegion {self.name} nodes={len(self.nodes)}"
-                f" clients={self.total_clients()}>")
-
 
 class RegionManager:
     """Registry of regions; routes paths and applies the overlap rule."""

@@ -200,14 +200,3 @@ class LSMTree:
 
     def total_live_keys(self) -> int:
         return sum(1 for _ in self.scan_prefix(""))
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "puts": self.puts,
-            "gets": self.gets,
-            "flushes": self.flushes,
-            "compactions": self.compactions,
-            "memtable": len(self._memtable),
-            "l0_tables": len(self._l0),
-            "l1_entries": self.l1_entries,
-        }

@@ -202,14 +202,3 @@ class MemKV:
     def flush_all(self) -> None:
         self._items.clear()
         self._used_bytes = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "items": len(self._items),
-            "used_bytes": self._used_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "sets": self.sets,
-            "deletes": self.deletes,
-            "cas_failures": self.cas_failures,
-        }

@@ -28,9 +28,6 @@ class _Tombstone:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __repr__(self) -> str:
-        return "<TOMBSTONE>"
-
 
 TOMBSTONE = _Tombstone()
 
@@ -56,14 +53,6 @@ class SSTable:
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    @property
-    def min_key(self) -> Optional[str]:
-        return self._keys[0] if self._keys else None
-
-    @property
-    def max_key(self) -> Optional[str]:
-        return self._keys[-1] if self._keys else None
 
     def key_in_range(self, key: str) -> bool:
         if not self._keys:
@@ -91,10 +80,6 @@ class SSTable:
         hi = bisect.bisect_left(self._keys, end)
         for i in range(lo, hi):
             yield self._keys[i], self._values[i]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<SSTable #{self.table_id} n={len(self)} "
-                f"[{self.min_key!r}..{self.max_key!r}]>")
 
 
 def merge_tables(tables: Sequence[SSTable],

@@ -160,10 +160,6 @@ class QuantileSketch:
     def __len__(self) -> int:
         return len(self._buckets)
 
-    def __repr__(self) -> str:
-        return (f"QuantileSketch({self.name}: count={self.count}"
-                f" buckets={len(self._buckets)})")
-
 
 class Series:
     """An append-only time-indexed gauge (sampler output).

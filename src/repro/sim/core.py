@@ -424,10 +424,6 @@ class _Parked:
     def _on_cancel(self) -> bool:
         return self.owner._cancel_park(self.process, self.mark)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "queued" if self.mark.__class__ is tuple else "handed over"
-        return f"<parked {self.process!r} {state} on {self.owner.name!r}>"
-
 
 def _hand_over(entry: Any, wake: Any = None) -> Any:
     """End the park ``entry`` = ``(process, requested_at)`` now: push and

@@ -61,12 +61,6 @@ class Node:
         #: resurrect messages sent to the dead incarnation).
         self.incarnation = 0
 
-    def compute(self, seconds: float) -> Generator[Event, Any, None]:
-        """Occupy one core for ``seconds``."""
-        if seconds <= 0:
-            return
-        yield from self.cpu.use(seconds)
-
     def fail(self) -> None:
         """Mark the node dead (failure-injection hook, §III.G)."""
         self.alive = False
@@ -74,10 +68,6 @@ class Node:
 
     def recover(self) -> None:
         self.alive = True
-
-    def __repr__(self) -> str:
-        state = "up" if self.alive else "DOWN"
-        return f"<Node {self.node_id}:{self.name} {state}>"
 
 
 class NodeDownError(ConnectionError):

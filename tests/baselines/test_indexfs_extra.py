@@ -1,5 +1,6 @@
-"""Additional IndexFS coverage: readdir across partitions, exists, leases
-under concurrent clients, and the LSM cost coupling at scale."""
+"""Additional IndexFS coverage: GIGA+ probe chains, leases under
+concurrent clients, error paths, the root, and the LSM cost coupling at
+scale."""
 
 import pytest
 
@@ -25,15 +26,15 @@ class TestAdminMkdir:
 
         def go():
             yield from client.create("/work/f")
-            return (yield from client.exists("/work/f"))
+            return (yield from client.getattr("/work/f"))
 
-        assert run_sync(cluster.env, go())
+        assert run_sync(cluster.env, go()).is_file
 
     def test_admin_mkdir_counts_toward_splits(self):
         cluster, fs, nodes = make(split_threshold=2)
         for i in range(8):
             fs.admin_mkdir(f"/d{i}")
-        assert fs.partitions_of("/") >= 2
+        assert fs.dir_partitions.get("/", 1) >= 2
 
 
 class TestProbeChain:
@@ -43,7 +44,7 @@ class TestProbeChain:
         _cluster, fs, _nodes = make(n_nodes=8, split_threshold=2)
         for i in range(40):
             fs.admin_mkdir(f"/d{i}")
-        assert fs.partitions_of("/") == 8
+        assert fs.dir_partitions.get("/", 1) == 8
         for name in ("d0", "d7", "x", "é"):
             expected = []
             nparts = 8
@@ -75,7 +76,8 @@ class TestConcurrentClients:
         def check():
             out = []
             for i in range(len(clients)):
-                out.append((yield from reader.exists(f"/dir{i}/f")))
+                inode = yield from reader.getattr(f"/dir{i}/f")
+                out.append(inode.is_file)
             return out
 
         assert all(run_sync(cluster.env, check()))
@@ -122,57 +124,13 @@ class TestErrorPaths:
         with pytest.raises(FileNotFound):
             run_sync(cluster.env, go())
 
-
-class TestRmdirTargets:
-    """rmdir removes directories only, as BeeGFS's does."""
-
-    def _app_with_file(self):
+    def test_unlink_drops_the_lease_a_failed_walk_took(self):
+        """A walk through a file leases its record; once the file is gone,
+        a path under it is missing, not under a non-directory."""
         cluster, fs, nodes = make(n_nodes=2)
         fs.admin_mkdir("/app")
         client = fs.client(nodes[0])
         run_sync(cluster.env, client.create("/app/f"))
-        return cluster, fs, client
-
-    def test_rmdir_of_a_file_raises_not_a_directory_and_keeps_it(self):
-        cluster, fs, client = self._app_with_file()
-        with pytest.raises(NotADirectory):
-            run_sync(cluster.env, client.rmdir("/app/f"))
-        assert run_sync(cluster.env, client.exists("/app/f"))
-        assert fs.total_entries() == 2
-
-    def test_rmdir_of_a_missing_path_raises_file_not_found(self):
-        cluster, fs, client = self._app_with_file()
-        with pytest.raises(FileNotFound):
-            run_sync(cluster.env, client.rmdir("/app/nope"))
-        assert fs.total_entries() == 2
-
-    def test_rmdir_of_the_root_raises_invalid_path(self):
-        cluster, fs, client = self._app_with_file()
-        with pytest.raises(InvalidPath):
-            run_sync(cluster.env, client.rmdir("/"))
-        assert fs.total_entries() == 2
-
-    def test_rmdir_forgets_the_directories_under_it(self):
-        """A recreated directory holds nothing of the old subtree, even
-        for a client whose leases on it are still fresh."""
-        cluster, fs, client = self._app_with_file()
-
-        def go():
-            yield from client.mkdir("/app/d")
-            yield from client.mkdir("/app/d/e")
-            yield from client.create("/app/d/e/f")
-            yield from client.rmdir("/app/d")
-            yield from client.mkdir("/app/d")
-            yield from client.create("/app/d/e/g")
-
-        with pytest.raises(FileNotFound):
-            run_sync(cluster.env, go())
-        assert sorted(fs.dirmap) == ["/", "/app", "/app/d"]
-
-    def test_unlink_drops_the_lease_a_failed_walk_took(self):
-        """A walk through a file leases its record; once the file is gone,
-        a path under it is missing, not under a non-directory."""
-        cluster, fs, client = self._app_with_file()
 
         def go():
             try:
@@ -185,6 +143,13 @@ class TestRmdirTargets:
         with pytest.raises(FileNotFound):
             run_sync(cluster.env, go())
 
+    def test_unlink_of_the_root_raises_invalid_path(self):
+        cluster, fs, nodes = make(n_nodes=2)
+        fs.admin_mkdir("/app")
+        with pytest.raises(InvalidPath):
+            run_sync(cluster.env, fs.client(nodes[0]).unlink("/"))
+        assert fs.total_entries() == 1
+
 
 class TestRoot:
     """The root lives only in the directory index, never in an LSM tree,
@@ -192,20 +157,9 @@ class TestRoot:
 
     def test_getattr_root_returns_the_root_directory(self):
         cluster, fs, nodes = make(n_nodes=2)
+        fs.admin_mkdir("/app")
         inode = run_sync(cluster.env, fs.client(nodes[0]).getattr("/"))
         assert inode.is_dir and inode.ino == 1 and inode.mode == 0o777
-
-    def test_readdir_root_lists_its_entries(self):
-        cluster, fs, nodes = make(n_nodes=2)
-        fs.admin_mkdir("/app")
-        client = fs.client(nodes[0])
-
-        def go():
-            yield from client.create("/app/f")
-            yield from client.mkdir("/logs")
-            return (yield from client.readdir("/"))
-
-        assert run_sync(cluster.env, go()) == ["app", "logs"]
         assert not any(s.lsm.get("/").found for s in fs.servers)
 
 

@@ -89,18 +89,6 @@ class TestShardFS:
         with pytest.raises(FileNotFound):
             run_sync(cluster.env, scenario())
 
-    def test_unlink(self):
-        cluster, fs, client = make_shardfs()
-
-        def scenario():
-            yield from fs.mkdir(client, "/d")
-            yield from fs.create(client, "/d/f")
-            yield from fs.unlink(client, "/d/f")
-            yield from fs.getattr(client, "/d/f")
-
-        with pytest.raises(FileNotFound):
-            run_sync(cluster.env, scenario())
-
 
 class TestLocoFS:
     def test_create_and_stat(self):

@@ -166,6 +166,5 @@ class TestBulkInsertion:
         lsm = LSMTree(memtable_limit=4, l0_limit=1)
         for i in range(8):
             lsm.put(f"/k{i}", i)
-        stats = lsm.stats()
-        assert stats["puts"] == 8
-        assert stats["flushes"] >= 1
+        assert lsm.puts == 8
+        assert lsm.flushes >= 1

@@ -166,10 +166,9 @@ class TestMemoryAccounting:
         kv.set("/a", 1)
         kv.get("/a")
         kv.get("/b")
-        stats = kv.stats()
-        assert stats["items"] == 1
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
+        assert len(kv) == 1
+        assert kv.hits == 1
+        assert kv.misses == 1
 
 
 class TestScan:

@@ -2,15 +2,15 @@
 
 IndexFS flattens the namespace into LSM trees behind a shared directory
 index and client leases; BeeGFS keeps a real dentry tree.  Both are POSIX
-namespaces, so a short random sequence of mkdir, create, getattr, unlink,
-rmdir, readdir and exists over a small name pool must give the same
-outcome per op -- the kind of value returned, or the exception class --
-and leave the same namespace behind.  IndexFS ``rmdir`` is recursive by
-design, so it is compared with BeeGFS ``rmdir(recursive=True)``.
+namespaces, so a short random sequence of the ops IndexFS serves --
+mkdir, create, getattr and unlink -- over a small name pool must give the
+same outcome per op -- the kind of value returned, or the exception
+class -- and leave the same namespace behind.
 
 The root and the workspace are in the pool: the root exists only in the
-IndexFS directory index, never in an LSM tree, and an rmdir of a file or
-of a missing path must fail as it does on BeeGFS.
+IndexFS directory index, never in an LSM tree, and an unlink of a
+directory, of the root or of a missing path must fail as it does on
+BeeGFS.
 """
 
 from typing import Dict, List, Tuple
@@ -22,7 +22,7 @@ from repro.bench.systems import make_testbed
 from repro.dfs.inode import Inode
 from repro.sim.core import run_sync
 
-OPS = ("mkdir", "create", "getattr", "unlink", "rmdir", "readdir", "exists")
+OPS = ("mkdir", "create", "getattr", "unlink")
 PATHS = ("/", "/app", "/app/a", "/app/b", "/app/a/a", "/app/a/b",
          "/app/b/a", "/app/a/a/b")
 
@@ -34,12 +34,8 @@ op_sequences = st.lists(st.tuples(st.sampled_from(OPS),
 def _outcome(client, op: str, path: str, env) -> Tuple:
     """What ``op`` gives back: its value's kind and content, or the class
     of the exception it raised."""
-    if op == "rmdir" and hasattr(client, "_op"):  # BeeGFS: ask for recursion
-        gen = client.rmdir(path, recursive=True)
-    else:
-        gen = getattr(client, op)(path)
     try:
-        value = run_sync(env, gen)
+        value = run_sync(env, getattr(client, op)(path))
     except Exception as exc:  # noqa: BLE001 - the class is the outcome
         return ("raises", type(exc).__name__)
     if isinstance(value, Inode):

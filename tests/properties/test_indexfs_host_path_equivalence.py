@@ -4,8 +4,8 @@ Three pieces of the IndexFS op path are written for host speed, and each
 must give exactly the result of the straightforward form it stands for:
 
 * placement takes each directory's md5 once and keeps it, where the
-  plain form hashes the directory afresh per call -- the owner, probe
-  chain and scan set agree across GIGA+ splits;
+  plain form hashes the directory afresh per call -- the owner and the
+  probe chain agree across GIGA+ splits;
 * a handler yields its LSM charge straight from a cost function, where
   the plain form delegated to a charging generator -- the yielded float
   is bit-identical for any receipt and cost model;
@@ -37,7 +37,7 @@ def _fresh_server_for_entry(fs, dir_path, name, nparts):
 
 def _fresh_probe_chain(fs, dir_path, name) -> List:
     chain: List = []
-    nparts = fs.partitions_of(dir_path)
+    nparts = fs.dir_partitions.get(dir_path, 1)
     while True:
         server = _fresh_server_for_entry(fs, dir_path, name, nparts)
         if server not in chain:
@@ -47,23 +47,11 @@ def _fresh_probe_chain(fs, dir_path, name) -> List:
         nparts //= 2
 
 
-def _fresh_servers_of_dir(fs, dir_path) -> List:
-    out: List = []
-    for bucket in range(fs.partitions_of(dir_path)):
-        server = fs.servers[(stable_hash64(dir_path) + bucket)
-                            % len(fs.servers)]
-        if server not in out:
-            out.append(server)
-    return out
-
-
 def _assert_placement_matches(fs, dirs, names):
     for dir_path in dirs:
-        assert fs.servers_of_dir(dir_path) == _fresh_servers_of_dir(
-            fs, dir_path)
         for name in names:
             path = dir_path.rstrip("/") + "/" + name
-            nparts = fs.partitions_of(dir_path)
+            nparts = fs.dir_partitions.get(dir_path, 1)
             assert fs.server_for(path) is _fresh_server_for_entry(
                 fs, dir_path, name, nparts)
             assert fs.probe_chain(path) == _fresh_probe_chain(
@@ -102,11 +90,9 @@ def _old_read_charge(c: CostModel, receipt: ReadReceipt) -> float:
     return cost
 
 
-def _old_write_charge(c: CostModel, receipt: WriteReceipt,
-                      synced: bool = True) -> float:
+def _old_write_charge(c: CostModel, receipt: WriteReceipt) -> float:
     cost = c.indexfs_op_cpu + c.lsm_memtable_op
-    if synced:
-        cost += c.lsm_wal_append
+    cost += c.lsm_wal_append
     cost += c.lsm_flush_per_entry * receipt.flushed_entries
     cost += c.lsm_compact_per_entry * receipt.compacted_entries
     return cost
@@ -126,9 +112,6 @@ class _ScriptedLSM:
 
     def delete(self, key):
         return self.write
-
-    def scan_prefix(self, prefix):
-        return iter([(prefix + "child", {"ftype": "file"})])
 
 
 _costs = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False,
@@ -177,8 +160,6 @@ def test_handlers_yield_the_old_charge(op_cpu, memtable, bloom, sstable, wal,
     assert _charges(server.handle_lookup("/d/f")) == [read_cost]
     assert _charges(server.handle_unlink("/d/f", 0, 0)) == [read_cost,
                                                              sync_cost]
-    assert _charges(server.handle_rmdir_local("/d")) == [
-        read_cost, _old_write_charge(costs, write, synced=False), sync_cost]
     scripted(False, None)
     assert _charges(server.handle_create("/d/g", "file", 0o644, 0, 0)) == [
         read_cost, sync_cost]

@@ -52,6 +52,14 @@ class TestCommands:
         assert "rm" in out
         assert "mkdir" not in out
 
+    def test_mdtest_indexfs_rm_phase(self, capsys):
+        """The rm phase is why IndexFS keeps ``unlink``."""
+        rc = main(["mdtest", "--system", "indexfs", "--nodes", "2",
+                   "--clients-per-node", "2", "--items", "4",
+                   "--phases", "create,rm"])
+        assert rc == 0
+        assert "rm" in capsys.readouterr().out
+
     def test_madbench_runs(self, capsys):
         rc = main(["madbench", "--system", "pacon", "--nodes", "2",
                    "--procs-per-node", "2", "--file-size", "262144",

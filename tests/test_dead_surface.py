@@ -166,14 +166,17 @@ def test_every_public_definition_is_referenced_somewhere():
 
 #: Observers only tests read, each to check behaviour a workload runs:
 #: the inode type test beside ``is_dir``, a data server's byte count
-#: (striping), a bloom filter's fill (sizing), the memtable's length
-#: (flush), and a resource's slot and queue counts (the kernel's grant
-#: and park paths).
+#: (striping), a bloom filter's fill (sizing), the memtable's length and
+#: the level sizes (flush, and the compaction ``benchmarks/perf`` counts),
+#: and a resource's slot and queue counts (the kernel's grant and park
+#: paths).
 TEST_OBSERVERS = {
     ("Inode", "is_file"),
     ("DataServer", "stored_bytes"),
     ("BloomFilter", "fill_ratio"),
     ("LSMTree", "memtable_size"),
+    ("LSMTree", "l0_tables"),
+    ("LSMTree", "l1_entries"),
     ("Resource", "in_use"),
     ("Resource", "queue_length"),
 }
