@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.sim.rng import DEFAULT_SEED
 
 __all__ = ["Experiment", "ExperimentResult", "NotObservable", "experiment",
@@ -159,6 +157,7 @@ def summarize(samples: Sequence[float]) -> Dict[str, float]:
     """Exact mean/p50/p99/max of raw samples (all zero when empty)."""
     if not len(samples):
         return {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
+    import numpy as np  # here, not at module level: most runs never summarize
     arr = np.asarray(samples)
     return {"mean": float(arr.mean()),
             "p50": float(np.percentile(arr, 50)),

@@ -5,15 +5,22 @@ injection) draws from its own named child stream derived from a single root
 seed, so adding a new consumer never perturbs the draws seen by existing
 ones.  This is the standard independent-streams discipline for reproducible
 parallel simulation.
+
+numpy is imported at the first draw, not with this module: every
+``Cluster`` owns an :class:`RngStreams`, and a run that never draws never
+pays numpy's import time or memory.  The root seed material is built at
+that first draw too: a child stream takes the root seed as its entropy
+(``SeedSequence(seed).entropy == seed``).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = ["DEFAULT_SEED", "RngStreams", "stable_hash"]
+__all__ = ["DEFAULT_SEED", "RngStreams", "default_rng", "stable_hash"]
 
 #: The one seed every experiment, chaos scenario and CLI verb defaults
 #: to.  It lives here, below both ``repro.bench`` and ``repro.chaos``, so
@@ -26,7 +33,6 @@ class RngStreams:
 
     def __init__(self, seed: int = 0xC0FFEE):
         self.seed = int(seed)
-        self._root = np.random.SeedSequence(self.seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:
@@ -37,13 +43,20 @@ class RngStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
             child = np.random.SeedSequence(
-                entropy=self._root.entropy,
+                entropy=self.seed,
                 spawn_key=(_stable_hash(name),),
             )
             gen = np.random.default_rng(child)
             self._streams[name] = gen
         return gen
+
+
+def default_rng(seed: int) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``, importing numpy on first use."""
+    import numpy as np
+    return np.random.default_rng(seed)
 
 
 def stable_hash(name: str) -> int:

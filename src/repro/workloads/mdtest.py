@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
-import numpy as np
-
 from repro.sim.core import Environment, Event
 from repro.sim.resources import Barrier
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, default_rng
 
 __all__ = ["MdtestConfig", "MdtestResult", "MdtestHandle", "run_mdtest",
            "spawn_mdtest", "run_closed_loop", "run_random_stat",
@@ -109,7 +107,8 @@ def spawn_mdtest(env: Environment, clients: Sequence[Any],
         phase_ends[phase] = max(phase_ends.get(phase, 0.0), env.now)
 
     def client_proc(rank: int, client: Any) -> Generator[Event, Any, None]:
-        stat_rng = np.random.default_rng(rng.seed * 31 + rank)
+        stat_rng = (default_rng(rng.seed * 31 + rank)
+                    if "stat" in config.phases else None)
         base = rank_base(rank)
         if config.unique_dir_per_rank:
             yield from client.mkdir(base)  # untimed setup, mdtest -u style
@@ -251,7 +250,7 @@ def run_random_stat(env: Environment, clients: Sequence[Any],
         raise ValueError("need clients and targets")
 
     def body(rank: int, client: Any) -> Generator[Event, Any, None]:
-        stat_rng = np.random.default_rng(seed * 131 + rank)
+        stat_rng = default_rng(seed * 131 + rank)
         for _ in range(stats_per_client):
             target = targets[int(stat_rng.integers(0, len(targets)))]
             yield from client.getattr(target)

@@ -73,3 +73,7 @@ class TestSummarize:
         assert s["p50"] == pytest.approx(50.5)
         assert s["p99"] == pytest.approx(99.01)
         assert s["max"] == 100.0
+
+    def test_pinned_summary(self):
+        assert summarize([3, 1, 4, 1, 5, 9, 2, 6]) == {
+            "mean": 3.875, "p50": 3.5, "p99": 8.79, "max": 9.0}

@@ -4,8 +4,9 @@ is named below with the reason it may stay unreached.
     PYTHONPATH=src python tests/reach_census.py
 
 One process runs every CLI verb with each documented option that reaches
-code of its own, every figure the zero-drift gates run, every example,
-the kernel-throughput script and each ``benchmarks/perf`` workload, with
+code of its own, every figure the zero-drift gates run, the paper-shape
+benches (``benchmarks/bench_*.py``), every example, the kernel-throughput
+script and each ``benchmarks/perf`` workload, with
 a ``sys.setprofile`` hook that records the code object of every ``call``
 event.  Every ``def`` in
 ``src/repro`` (found with ``ast``) is then matched to those code objects
@@ -38,7 +39,6 @@ SRC = ROOT / "src" / "repro"
 # -- why a function may go unreached ------------------------------------------
 
 PERF = "only benchmarks/perf reaches it: a spelling its probes still use"
-BENCHES = "only the paper-shape benches (benchmarks/bench_*.py) call it"
 PAPER = ("paper semantics awaiting a workload: eviction (§III.F), chmod and"
          " the special list (§III.C), fsync (§III.D.2), rename, periodic"
          " checkpoints")
@@ -58,7 +58,6 @@ TEST_API = "a convenience only tests call, over code a workload runs"
 #: ``"<path under src/repro>::<Class>.<function>"`` -> why no workload
 #: reaches it.  Rows only ever go: reach the function, or delete it.
 ALLOWLIST: Dict[str, str] = {
-    "bench/report.py::ExperimentResult.column": BENCHES,
     "bench/report.py::ExperimentResult.fail": FAULT,
     "bench/snapshot.py::simulated_view": OBSERVER,
     "chaos/engine.py::ChaosSchedule.__len__": OBSERVER,
@@ -221,6 +220,16 @@ def _script(path: Path, *argv: str) -> None:
     _run(f"{path.relative_to(ROOT)} {' '.join(argv)}", go)
 
 
+def _benches() -> None:
+    def go():
+        import pytest
+        return pytest.main([str(ROOT / "benchmarks"),
+                            f"--ignore={ROOT / 'benchmarks' / 'perf'}",
+                            "-q", "--benchmark-disable",
+                            "-p", "no:cacheprovider"])
+    _run("pytest benchmarks", go)
+
+
 def _schema(*paths: str) -> None:
     def go():
         from repro.obs.schema import main
@@ -262,6 +271,10 @@ def run_workloads(tmp: Path) -> None:
     for system in ("pacon", "beegfs", "indexfs"):
         _cli("mdtest", "--system", system, *small,
              "--phases", "mkdir,create,stat,rm")
+    # An IndexFS directory past its 2 000-entry split threshold: its
+    # stats probe older GIGA+ partition generations.
+    _cli("mdtest", "--system", "indexfs", "--nodes", "2",
+         "--clients-per-node", "4", "--items", "130")
     for system in ("pacon", "beegfs"):
         _cli("madbench", "--system", system, "--nodes", "2",
              "--procs-per-node", "2", "--file-size", "65536")
@@ -275,6 +288,8 @@ def run_workloads(tmp: Path) -> None:
     _cli("slo", out("fig07.metrics.json"))
     _cli("slo", out("fig07.metrics.json"), "--json", "--window", "0", "1")
     _cli("slo", out("chaos.metrics.json"), "--policy", "chaos")
+    # The paper-shape benches the CI ``benches`` job runs.
+    _benches()
     # Scripts: the examples, the kernel throughput snapshot and each perf
     # workload in this process (a suite run would use subprocesses, and
     # ``--trace 1`` would replace this hook with cProfile).

@@ -56,6 +56,18 @@ class TestRngStreams:
         b = RngStreams(seed=2).stream("x").integers(0, 1 << 30, size=8)
         assert list(a) != list(b)
 
+    @pytest.mark.parametrize("seed,chaos,mdtest", [
+        (3054, [531245696, 349700544, 1005388179], [179582583, 251382445]),
+        (7, [657983005, 232557113, 525296859], [449927793, 549364570]),
+    ])
+    def test_draws_are_pinned(self, seed, chaos, mdtest):
+        # The root seed material is built at the first draw; these are
+        # the draws an eagerly built ``SeedSequence(seed)`` root gave.
+        rng = RngStreams(seed)
+        assert list(rng.stream("chaos").integers(0, 1 << 30, size=3)) == chaos
+        assert list(rng.stream("mdtest").integers(0, 1 << 30,
+                                                   size=2)) == mdtest
+
 
 
 class TestCostModel:
