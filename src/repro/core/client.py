@@ -595,53 +595,10 @@ class PaconClient:
             # Clean related metadata from the distributed cache (§III.D.1).
             yield from self.region.cache.delete_subtree(self.node, path)
         except NodeDownError:
-            self.region.fence_unlink(path, subtree_removed=True)
+            self.region.fence_rmdir(path)
             raise
         self._note("rmdir", "delete", "sync", "barrier")
         return removed
-
-    # ------------------------------------------------- extension operations
-    @_traced
-    def rename(self, src: str, dst: str) -> Generator[Event, Any, None]:
-        """Atomic rename (extension beyond Table I).
-
-        Rename is a *dependent* operation — its correctness depends on
-        every earlier creation under ``src`` having reached the DFS — so
-        it follows the barrier discipline like rmdir: barrier, rename on
-        the DFS synchronously, then refresh the cache (old-path records
-        dropped; they reload lazily from the DFS under the new path).
-        """
-        src = normalize_path(src)
-        dst = normalize_path(dst)
-        src_target = self.region.covering_region(src)
-        dst_target = self.region.covering_region(dst)
-        if src_target is None and dst_target is None:
-            self.redirects += 1
-            self._note("rename", "none", "sync", "none")
-            yield from self.dfs_client.rename(src, dst)
-            return
-        if src_target is not self.region or dst_target is not self.region:
-            raise ReadOnlyRegion(
-                "rename must stay inside the caller's own region"
-                f" ({src} -> {dst})")
-        if self.costs.client_op_cpu > 0:
-            yield self.costs.client_op_cpu
-        # Both sides need write access to their parent directory.
-        yield from self._check_permission("rm", src, self.region)
-        yield from self._check_permission("create", dst, self.region)
-        yield from self._barrier(self.region)
-        try:
-            yield from self.dfs_client.rename(src, dst)
-            # Drop stale cache state for both names; reads repopulate
-            # lazily.
-            yield from self.region.cache.delete_subtree(self.node, src)
-            yield from self.region.cache.delete(self.node, dst)
-        except NodeDownError:
-            self.region.fence_unlink(src, dst)
-            raise
-        self.region.permissions.move_special(src, dst)
-        self.forget_subtree(src)
-        self._note("rename", "delete", "sync", "barrier")
 
     @_traced
     def chmod(self, path: str, mode: int) -> Generator[Event, Any, None]:

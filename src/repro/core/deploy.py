@@ -303,9 +303,6 @@ class PaconFS:
     def fsync(self, path: str) -> None:
         self._run(self._client.fsync(path), f"fsync:{path}")
 
-    def rename(self, src: str, dst: str) -> None:
-        self._run(self._client.rename(src, dst), f"rename:{src}")
-
     def chmod(self, path: str, mode: int) -> None:
         self._run(self._client.chmod(path, mode), f"chmod:{path}")
 

@@ -122,18 +122,6 @@ class RegionPermissions:
             self._verdicts.clear()
         return dropped
 
-    def move_special(self, src: str, dst: str) -> None:
-        """A rename of ``src`` to ``dst``: the entries at or under ``dst``
-        go, and those at or under ``src`` move to the same relative path
-        under ``dst``."""
-        src, dst = normalize_path(src), normalize_path(dst)
-        self.remove_special(dst)
-        moved = [p for p in self._special if is_within(p, src)]
-        for p in moved:
-            self._special[dst + p[len(src):]] = self._special.pop(p)
-        if moved:
-            self._verdicts.clear()
-
     @property
     def special(self) -> Dict[str, PermissionSpec]:
         return dict(self._special)

@@ -446,31 +446,22 @@ class ConsistentRegion:
             self.permissions.add_special(
                 path, PermissionSpec(mode, spec.uid, spec.gid))
 
-    def fence_unlink(self, path: str, dst: str = "",
-                     subtree_removed: bool = False) -> None:
-        """Settle an rmdir or a rename whose reply was lost; zero
-        simulated cost.
+    def fence_rmdir(self, path: str) -> None:
+        """Settle an rmdir whose reply was lost; zero simulated cost.
 
-        Both write the DFS first and the cache after, so the region asks
-        the DFS.  One the DFS took gets the cache side its client never
-        ran: the records at and under ``path`` (and a rename's ``dst``
-        record) go, every client forgets ``path``, and the special
-        permission entries at and under ``path`` go or, for a rename,
-        move under ``dst``; an rmdir's
-        ``subtree_removed`` directory counts as removed now, so the ops
-        queued under it resolve through the §III.D.1 discard rule.  One
-        the DFS did not take changed nothing.
+        An rmdir writes the DFS first and the cache after, so the region
+        asks the DFS.  One the DFS took gets the cache side its client
+        never ran: the directory counts as removed now, so the ops queued
+        under it resolve through the §III.D.1 discard rule; the records
+        at and under ``path`` go, every client forgets ``path``, and the
+        special permission entries at and under ``path`` go.  One the DFS
+        did not take changed nothing.
         """
         if self.dfs.namespace.exists(path):
             return
-        if subtree_removed:
-            self.note_removed_subtree(path)
+        self.note_removed_subtree(path)
         self.cache.shard_for(path).kv.delete(path)
-        if dst:
-            self.cache.shard_for(dst).kv.delete(dst)
-            self.permissions.move_special(path, dst)
-        else:
-            self.permissions.remove_special(path)
+        self.permissions.remove_special(path)
         self._drop_subtree(path)
 
     def _drop_subtree(self, path: str) -> None:

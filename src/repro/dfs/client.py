@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Tuple
 
-from repro.dfs.errors import FileNotFound
 from repro.dfs.inode import Inode
 from repro.dfs.namespace import normalize_path, parent_of, split_path
 from repro.dfs.storage import stripe_ranges
@@ -53,25 +52,18 @@ class DFSClient:
         RPC itself) -- the depth-proportional network cost measured in
         Figs. 2 and 9.  Then it sends ``method`` with ``path`` first to
         the MDS owning ``path``'s parent and hands an inode record back as
-        an :class:`Inode`.  A ``rename`` validates and resolves its
-        destination (``args[0]``) first; a ``commit_batch`` sends ``args``
-        alone, its ``path`` naming the batch's first op.
+        an :class:`Inode`.  A ``commit_batch`` sends ``args`` alone, its
+        ``path`` naming the batch's first op.
         """
-        walk: Tuple[str, ...] = ()
-        if method == "rename":
-            dst = normalize_path(args[0])
-            args = (dst,) + args[1:]
-            walk = (dst,)
         path = normalize_path(path)
         node, uid, gid = self.node, self.uid, self.gid
-        for target in walk + (path,):
-            current = "/"
-            for name in split_path(target)[:-1]:
-                self.rpcs_sent += 1
-                self.lookup_rpcs += 1
-                yield from self.fs.mds_for(current).request(
-                    node, "lookup", current, name, uid, gid)
-                current = current.rstrip("/") + "/" + name
+        current = "/"
+        for name in split_path(path)[:-1]:
+            self.rpcs_sent += 1
+            self.lookup_rpcs += 1
+            yield from self.fs.mds_for(current).request(
+                node, "lookup", current, name, uid, gid)
+            current = current.rstrip("/") + "/" + name
         if self.costs.client_op_cpu > 0:
             yield self.costs.client_op_cpu
         mds = self.fs.mds_for(parent_of(path) if path != "/" else "/")
@@ -138,21 +130,11 @@ class DFSClient:
     def getattr(self, path: str) -> Generator[Event, Any, Inode]:
         return self._op(path, "getattr", self.uid, self.gid)
 
-    def exists(self, path: str) -> Generator[Event, Any, bool]:
-        try:
-            yield from self.getattr(path)
-            return True
-        except FileNotFound:
-            return False
-
     def readdir(self, path: str) -> Generator[Event, Any, List[str]]:
         return self._op(path, "readdir", self.uid, self.gid)
 
     def setattr(self, path: str, **attrs) -> Generator[Event, Any, Inode]:
         return self._op(path, "setattr", self.uid, self.gid, **attrs)
-
-    def rename(self, src: str, dst: str) -> Generator[Event, Any, None]:
-        return self._op(src, "rename", dst, self.uid, self.gid)
 
     # -- data operations ---------------------------------------------------------
     def write(self, path: str, offset: int,

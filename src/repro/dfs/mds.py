@@ -55,15 +55,6 @@ class MetadataServer(Service):
         self._applied_tokens: OrderedDict[Any, Any] = OrderedDict()
         self.token_replays = 0
 
-    def commit_stamp(self, path: str) -> Optional[Tuple[int, float]]:
-        """(commit generation, commit sim-time) of the authoritative copy.
-
-        Zero-cost observability peek (no simulated time, no RPC, no
-        counter bumps) used by the staleness lens to compare served cache
-        records against the MDS copy; None if the path is not committed.
-        """
-        return self.namespace.commit_stamp(path)
-
     def _touch_inode_cache(self, path: str) -> float:
         """LRU access; returns the extra cost of a miss (0 on hit)."""
         capacity = self.costs.mds_inode_cache_entries
@@ -103,10 +94,6 @@ class MetadataServer(Service):
         yield (self.costs.mds_readdir_base +
                self.costs.mds_readdir_per_entry * len(names))
         return names
-
-    def handle_exists(self, path: str) -> Generator[Event, Any, bool]:
-        yield self.costs.mds_lookup_service
-        return self.namespace.exists(path)
 
     # -- write path ------------------------------------------------------------
     def _mutate(self, op: str, path: str, mode: int, uid: int, gid: int,
@@ -182,12 +169,6 @@ class MetadataServer(Service):
         inode = self.namespace.setattr(path, uid, gid, now=self.env.now,
                                        check_perms=check_perms, **attrs)
         return inode.to_record()
-
-    def handle_rename(self, src: str, dst: str, uid: int = 0, gid: int = 0,
-                      check_perms: bool = True) -> Generator[Event, Any, None]:
-        yield self.costs.mds_op_service
-        self.namespace.rename(src, dst, uid, gid, now=self.env.now,
-                              check_perms=check_perms)
 
     def handle_commit_batch(self, ops: List[Tuple[str, str, Dict]],
                             uid: int = 0, gid: int = 0,

@@ -352,28 +352,6 @@ class Namespace:
         self._stamps[inode.ino] = (self.mutations, now)
         return inode.copy()
 
-    def rename(self, src: str, dst: str, uid: int = 0, gid: int = 0,
-               now: float = 0.0, check_perms: bool = True) -> None:
-        """Atomic rename (extension beyond the paper's op table)."""
-        src, dst = normalize_path(src), normalize_path(dst)
-        if is_within(dst, src):
-            raise InvalidPath(dst, "cannot move a directory into itself")
-        src_parent, src_name = self._resolve_parent(src, uid, gid, check_perms)
-        self._check_parent_write(src_parent, src, uid, gid, check_perms)
-        moving_ino = self._children[src_parent.ino].get(src_name)
-        if moving_ino is None:
-            raise FileNotFound(src)
-        dst_parent, dst_name = self._resolve_parent(dst, uid, gid, check_perms)
-        self._check_parent_write(dst_parent, dst, uid, gid, check_perms)
-        if dst_name in self._children[dst_parent.ino]:
-            raise FileExists(dst)
-        del self._children[src_parent.ino][src_name]
-        self._children[dst_parent.ino][dst_name] = moving_ino
-        src_parent.mtime = now
-        dst_parent.mtime = now
-        self.mutations += 1
-        self._stamps[moving_ino] = (self.mutations, now)
-
     def _check_parent_write(self, parent: Inode, path: str, uid: int,
                             gid: int, check_perms: bool) -> None:
         if check_perms and not parent.permits(uid, gid, _WRITE_SEARCH):

@@ -67,13 +67,6 @@ class DataServer(Service):
         self.bytes_read += available
         return available
 
-    def handle_truncate(self, ino: int) -> Generator[Event, Any, int]:
-        yield self.costs.disk_seek
-        dead = [k for k in self._chunks if k[0] == ino]
-        for k in dead:
-            del self._chunks[k]
-        return len(dead)
-
     def stored_bytes(self, ino: int) -> int:
         """Total valid bytes held for an inode (test introspection)."""
         return sum(v for (i, _c), v in self._chunks.items() if i == ino)

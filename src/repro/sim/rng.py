@@ -46,7 +46,7 @@ class RngStreams:
             import numpy as np
             child = np.random.SeedSequence(
                 entropy=self.seed,
-                spawn_key=(_stable_hash(name),),
+                spawn_key=(stable_hash(name),),
             )
             gen = np.random.default_rng(child)
             self._streams[name] = gen
@@ -73,7 +73,3 @@ def stable_hash(name: str) -> int:
         h ^= byte
         h = (h * 1099511628211) % (2 ** 64)
     return h % (2 ** 32)
-
-
-#: Backwards-compatible private alias (pre-export name).
-_stable_hash = stable_hash

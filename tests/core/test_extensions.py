@@ -1,69 +1,9 @@
-"""Tests for the extension operations: rename and chmod."""
+"""Tests for the extension operation chmod."""
 
 import pytest
 
-from repro.core.region import ReadOnlyRegion
-from repro.dfs.errors import FileExists, FileNotFound, PermissionDenied
+from repro.dfs.errors import FileNotFound, PermissionDenied
 from tests.core.conftest import make_world
-
-
-class TestRename:
-    def test_rename_file(self, world):
-        world.run(world.client.create("/app/old"))
-        world.run(world.client.rename("/app/old", "/app/new"))
-        assert world.dfs.namespace.exists("/app/new")
-        assert not world.dfs.namespace.exists("/app/old")
-        inode = world.run(world.client.getattr("/app/new"))
-        assert inode.is_file
-        with pytest.raises(FileNotFound):
-            world.run(world.client.getattr("/app/old"))
-
-    def test_rename_is_barrier_op(self, world):
-        # Earlier creates must be committed before the rename runs.
-        world.run(world.client.mkdir("/app/d"))
-        for i in range(10):
-            world.run(world.client.create(f"/app/d/f{i}"))
-        epochs = world.region.barrier_epochs_completed
-        world.run(world.client.rename("/app/d", "/app/moved"))
-        assert world.region.barrier_epochs_completed == epochs + 1
-        assert world.dfs.namespace.exists("/app/moved/f9")
-
-    def test_rename_subtree_readable_after(self, world):
-        world.run(world.client.mkdir("/app/d"))
-        world.run(world.client.create("/app/d/f"))
-        world.run(world.client.rename("/app/d", "/app/e"))
-        inode = world.run(world.client.getattr("/app/e/f"))
-        assert inode.is_file
-
-    def test_rename_onto_existing_rejected(self, world):
-        world.run(world.client.create("/app/a"))
-        world.run(world.client.create("/app/b"))
-        with pytest.raises(FileExists):
-            world.run(world.client.rename("/app/a", "/app/b"))
-
-    def test_rename_missing_source(self, world):
-        with pytest.raises(FileNotFound):
-            world.run(world.client.rename("/app/ghost", "/app/x"))
-
-    def test_rename_across_regions_rejected(self, world):
-        world.dfs.namespace.mkdir("/public", mode=0o777)
-        world.run(world.client.create("/app/f"))
-        with pytest.raises(ReadOnlyRegion):
-            world.run(world.client.rename("/app/f", "/public/f"))
-
-    def test_rename_fully_outside_redirects(self, world):
-        world.dfs.namespace.mkdir("/public", mode=0o777)
-        world.dfs.namespace.create("/public/a", uid=1000, gid=1000)
-        world.run(world.client.rename("/public/a", "/public/b"))
-        assert world.dfs.namespace.exists("/public/b")
-
-    def test_create_into_old_name_after_rename(self, world):
-        world.run(world.client.create("/app/old"))
-        world.run(world.client.rename("/app/old", "/app/new"))
-        world.run(world.client.create("/app/old"))
-        world.quiesce()
-        assert world.dfs.namespace.exists("/app/old")
-        assert world.dfs.namespace.exists("/app/new")
 
 
 class TestChmod:

@@ -193,25 +193,6 @@ def test_an_rmdir_lost_before_the_dfs_keeps_its_subtree(monkeypatch):
     assert w.run(w.new_client(1).getattr(leaf)) is not None
 
 
-def test_a_rename_whose_reply_is_lost_leaves_no_record_of_its_source(
-        monkeypatch):
-    w = make_world(n_nodes=2)
-    src = _kept_by_node1(w.region, "f")
-    w.run(w.client.create(src))
-    w.quiesce()
-    assert w.region.cache.peek(src)["committed"]
-    _crash_on_reply(monkeypatch, w, "rename")
-    with pytest.raises(NodeDownError):
-        w.run(w.client.rename(src, "/app/moved"))
-    _recover_node0(w)
-    assert not w.dfs.namespace.exists(src)
-    assert w.region.cache.peek(src) is None
-    other = w.new_client(1)
-    with pytest.raises(FileNotFound):
-        w.run(other.getattr(src))
-    assert w.run(other.getattr("/app/moved")) is not None
-
-
 @pytest.mark.parametrize("applied", [False, True],
                          ids=["lost-before-the-dfs", "dfs-took-it"])
 def test_a_chmod_whose_reply_is_lost_agrees_with_the_dfs(applied,
@@ -290,28 +271,17 @@ def test_a_lost_rm_adds_no_entry_its_file_never_had():
     assert w.region.permissions.special == {}
 
 
-@pytest.mark.parametrize("method", ["rmdir", "rename"])
-def test_a_lost_reply_still_prunes_the_special_list(method, monkeypatch):
-    """The DFS took the rmdir (or rename) of ``/app/d``: the fence drops
-    the entries under it (or moves them under ``/app/e``)."""
+def test_a_lost_reply_still_prunes_the_special_list(monkeypatch):
+    """The DFS took the rmdir of ``/app/d``: the fence drops the entries
+    under it."""
     w = make_world(n_nodes=2)
     leaf = _kept_by_node1(w.region, "d/x")
     w.run(w.client.mkdir("/app/d"))
     w.run(w.client.create(leaf))
     w.run(w.client.chmod(leaf, 0o400))
     w.quiesce()
-    _crash_on_reply(monkeypatch, w, method)
+    _crash_on_reply(monkeypatch, w, "rmdir")
     with pytest.raises(NodeDownError):
-        if method == "rmdir":
-            w.run(w.client.rmdir("/app/d"))
-        else:
-            w.run(w.client.rename("/app/d", "/app/e"))
+        w.run(w.client.rmdir("/app/d"))
     _recover_node0(w)
-    perms = w.region.permissions
-    if method == "rmdir":
-        assert perms.special == {}
-    else:
-        moved = "/app/e" + leaf[len("/app/d"):]
-        assert set(perms.special) == {moved}
-        assert perms.effective(moved).mode == 0o400
-        assert w.dfs.namespace.getattr(moved).mode & 0o777 == 0o400
+    assert w.region.permissions.special == {}

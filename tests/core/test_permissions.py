@@ -193,16 +193,6 @@ class TestVerdictCache:
             p: specs[p] for p in ("/ws/d", "/ws/d/x", "/ws/d/x/y")}
         assert perms.special == {"/ws/dd": specs["/ws/dd"]}
 
-    def test_move_special_replaces_the_destination_subtree(self, perms):
-        a, b, c = (PermissionSpec(mode=m) for m in (0o500, 0o600, 0o640))
-        perms.add_special("/ws/src", a)
-        perms.add_special("/ws/src/x", b)
-        perms.add_special("/ws/dst/old", c)
-        perms.add_special("/ws/srcx", c)
-        perms.move_special("/ws/src", "/ws/dst")
-        assert perms.special == {"/ws/dst": a, "/ws/dst/x": b,
-                                 "/ws/srcx": c}
-
 
 class TestSpecialListFollowsTheNamespace:
     """A special entry goes with the name it describes: a later entry of
@@ -239,15 +229,3 @@ class TestSpecialListFollowsTheNamespace:
                     lambda: fs.create("/app/d/x"))
         assert self._modes(fs, "/app/d/x") == (0o700, 0o700)
         assert fs.region.permissions.special == {}
-
-    def test_rename_moves_the_entry_to_the_new_name(self):
-        fs = PaconFS(workspace="/app", nodes=2)
-        self._steps(fs, lambda: fs.create("/app/r"),
-                    lambda: fs.chmod("/app/r", 0o640),
-                    lambda: fs.rename("/app/r", "/app/r2"),
-                    lambda: fs.create("/app/r"))
-        assert self._modes(fs, "/app/r") == (0o700, 0o700)
-        perms = fs.region.permissions
-        assert set(perms.special) == {"/app/r2"}
-        assert perms.effective("/app/r2").mode == 0o640
-        assert fs.stat("/app/r2").mode & 0o777 == 0o640

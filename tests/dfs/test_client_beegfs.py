@@ -62,9 +62,10 @@ class TestMetadataOps:
             yield from client.mkdir("/w")
             yield from client.create("/w/f")
             yield from client.unlink("/w/f")
-            return (yield from client.exists("/w/f"))
 
-        assert run(cluster, scenario()) is False
+        run(cluster, scenario())
+        with pytest.raises(FileNotFound):
+            run(cluster, client.getattr("/w/f"))
 
     def test_readdir(self, world):
         cluster, fs, client = world
@@ -89,17 +90,6 @@ class TestMetadataOps:
 
         assert run(cluster, scenario()) == 2
 
-    def test_rename(self, world):
-        cluster, fs, client = world
-
-        def scenario():
-            yield from client.mkdir("/w")
-            yield from client.create("/w/old")
-            yield from client.rename("/w/old", "/w/new")
-            return (yield from client.exists("/w/new"))
-
-        assert run(cluster, scenario()) is True
-
     def test_permission_enforced_through_rpc(self, world):
         cluster, fs, client = world
         fs.namespace.mkdir("/private", mode=0o700, uid=1, gid=1)
@@ -110,18 +100,15 @@ class TestMetadataOps:
         with pytest.raises(PermissionDenied):
             run(cluster, scenario())
 
-    def test_exists_with_the_mds_down_raises_instead_of_reporting_absent(
-            self, world):
-        # Only FileNotFound means "absent", as for the Pacon and IndexFS
-        # clients; a transport error is not an answer.
+    def test_getattr_with_the_mds_down_raises_message_dropped(self, world):
+        # Only FileNotFound means "absent"; a transport error is not an
+        # answer.
         cluster, fs, client = world
         run(cluster, client.mkdir("/w"))
         run(cluster, client.create("/w/f"))
         fail_mds(fs)
         with pytest.raises(MessageDropped):
             run(cluster, client.getattr("/w/f"))
-        with pytest.raises(MessageDropped):
-            run(cluster, client.exists("/w/f"))
 
 
 class TestTraversalCost:
@@ -246,10 +233,13 @@ class TestMultiMDS:
                 yield from client.create(f"/d{i}/f")
             found = []
             for i in range(6):
-                found.append((yield from client.exists(f"/d{i}/f")))
+                found.append((yield from client.getattr(f"/d{i}/f")).is_file)
             return found
 
         assert all(run_sync(cluster.env, scenario()))
+        for i in range(6):
+            with pytest.raises(FileNotFound):
+                run_sync(cluster.env, client.getattr(f"/d{i}/g"))
 
     def test_deployment_validation(self):
         cluster = Cluster()

@@ -1,4 +1,4 @@
-"""Additional DFS client coverage: rename costs, data-path edges,
+"""Additional DFS client coverage: the rm alias, data-path edges,
 service accounting."""
 
 import pytest
@@ -17,22 +17,6 @@ def world():
 
 
 class TestRenamePath:
-    def test_rename_pays_both_traversals(self, world):
-        cluster, fs, client = world
-        fs.mkdir_sync("/a")
-        fs.mkdir_sync("/a/deep")
-        fs.mkdir_sync("/b")
-        fs.namespace.create("/a/deep/f", uid=1000, gid=1000)
-
-        def go():
-            before = client.lookup_rpcs
-            yield from client.rename("/a/deep/f", "/b/f")
-            return client.lookup_rpcs - before
-
-        lookups = run_sync(cluster.env, go())
-        # ancestors of dst (/b) + ancestors of src (/a, /a/deep)
-        assert lookups == 3
-
     def test_rm_alias(self, world):
         cluster, fs, client = world
         fs.mkdir_sync("/d")

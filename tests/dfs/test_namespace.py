@@ -252,30 +252,6 @@ class TestSetattrRename:
         inode = ns.getattr("/f")
         assert (inode.uid, inode.gid) == (42, 43)
 
-    def test_rename_moves_subtree(self, ns):
-        ns.mkdir("/a")
-        ns.mkdir("/a/sub")
-        ns.create("/a/sub/f")
-        ns.mkdir("/b")
-        ns.rename("/a/sub", "/b/moved")
-        assert ns.exists("/b/moved/f")
-        assert not ns.exists("/a/sub")
-
-    def test_rename_into_self_rejected(self, ns):
-        ns.mkdir("/a")
-        with pytest.raises(InvalidPath):
-            ns.rename("/a", "/a/b")
-
-    def test_rename_onto_existing_rejected(self, ns):
-        ns.create("/a")
-        ns.create("/b")
-        with pytest.raises(FileExists):
-            ns.rename("/a", "/b")
-
-    def test_rename_missing_source(self, ns):
-        with pytest.raises(FileNotFound):
-            ns.rename("/ghost", "/x")
-
 
 class TestSubtreeCheckpoint:
     def build(self, ns):

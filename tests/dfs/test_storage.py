@@ -75,18 +75,6 @@ class TestDataServer:
 
         assert run_sync(cluster.env, proc()) == 100
 
-    def test_truncate_clears_chunks(self, setup):
-        cluster, server, client = setup
-
-        def proc():
-            yield from server.request(client, "write_chunk", 5, 0, 0, 100)
-            yield from server.request(client, "write_chunk", 5, 1, 0, 100)
-            dropped = yield from server.request(client, "truncate", 5)
-            return dropped
-
-        assert run_sync(cluster.env, proc()) == 2
-        assert server.stored_bytes(5) == 0
-
     def test_io_charges_disk_time(self, setup):
         cluster, server, client = setup
         size = 4 * 1024 * 1024

@@ -123,14 +123,13 @@ class TestChurnUnderEvictionPressure:
 
 
 class TestFacadeExtensions:
-    def test_rename_and_chmod_via_facade(self):
+    def test_chmod_via_facade(self):
         with PaconFS(workspace="/app", nodes=2) as fs:
             fs.mkdir("/app/d")
             fs.create("/app/d/f")
-            fs.rename("/app/d", "/app/e")
-            assert fs.exists("/app/e/f")
-            fs.chmod("/app/e/f", 0o640)
-            assert fs.stat("/app/e/f").mode == 0o640
+            assert fs.exists("/app/d/f")
+            fs.chmod("/app/d/f", 0o640)
+            assert fs.stat("/app/d/f").mode == 0o640
 
     def test_mixed_small_and_large_files(self):
         with PaconFS(workspace="/app", nodes=2) as fs:

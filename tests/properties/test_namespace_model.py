@@ -19,7 +19,7 @@ paths = st.lists(st.sampled_from(NAMES), min_size=1, max_size=4).map(
 
 
 class NamespaceMachine(RuleBasedStateMachine):
-    """mkdir/create/unlink/rmdir/rename against a dict model.
+    """mkdir/create/unlink/rmdir against a dict model.
 
     The model maps path -> 'dir'|'file'; the machine asserts that each
     operation succeeds or fails exactly when the model says it should.

@@ -24,6 +24,7 @@ from repro.core.permissions import PermissionSpec, RegionPermissions
 from repro.dfs.errors import FileExists, FSError, PermissionDenied
 from repro.dfs.inode import AccessMode
 from repro.dfs.namespace import Namespace, parent_of
+from repro.sim.core import run_sync
 
 WS = "/ws"
 APP = (1000, 1000)
@@ -138,7 +139,7 @@ def test_batch_check_matches_hierarchical_traversal(ws, user, op, pick):
 # -- the special list over a live region's op sequences ----------------------
 
 #: Built and chmod-ed before the steps run, so every step meets entries
-#: on the special list; ``/ws/c`` starts free for a create or a rename.
+#: on the special list; ``/ws/c`` starts free for a create or a mkdir.
 START = [("mkdir", f"{WS}/a"), ("create", f"{WS}/a/x"),
          ("create", f"{WS}/b")]
 NAMES = [f"{WS}/a", f"{WS}/a/x", f"{WS}/b", f"{WS}/c"]
@@ -149,14 +150,10 @@ CHMOD_MODES = [0o700, 0o600, 0o500, 0o400, 0o300]
 def ops(draw):
     """One op on the small tree, each kind equally likely."""
     op = draw(st.sampled_from(["create", "mkdir", "chmod", "rm", "rmdir",
-                               "rename", "stat"]))
+                               "stat"]))
     path = draw(st.sampled_from(NAMES))
     if op == "chmod":
         return op, path, draw(st.sampled_from(CHMOD_MODES))
-    if op == "rename":
-        # Hypothesis leans toward the first choice: the free name, where
-        # a rename of a live entry lands.
-        return op, path, draw(st.sampled_from(NAMES[::-1]))
     return op, path
 
 
@@ -216,12 +213,14 @@ def test_the_special_list_follows_the_namespace(normal_mode, start_modes,
 
 @pytest.mark.xfail(strict=True, raises=CommitStalled,
                    reason="ROADMAP item 12(a): the create resubmits forever")
-def test_a_create_over_a_renamed_directory_is_refused():
-    """Rename drops both names from the cache, so the create's cache add
-    succeeds over a name the DFS already holds."""
+def test_a_create_over_an_evicted_name_is_refused():
+    """Eviction (§III.F) drops the committed directory's record, so the
+    create's cache add succeeds over a name the DFS already holds."""
     fs = PaconFS(workspace=WS, nodes=2)
-    fs.mkdir(f"{WS}/a")
-    fs.rename(f"{WS}/a", f"{WS}/b")
+    fs.mkdir(f"{WS}/b")
+    fs.quiesce()
+    evictor = fs.deployment.evictor(fs.region, fs.client_nodes[0])
+    assert run_sync(fs.cluster.env, evictor.evict_once()) == 1
     try:
         fs.create(f"{WS}/b")
     except FileExists:

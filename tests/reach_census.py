@@ -40,7 +40,7 @@ SRC = ROOT / "src" / "repro"
 
 PERF = "only benchmarks/perf reaches it: a spelling its probes still use"
 PAPER = ("paper semantics awaiting a workload: eviction (§III.F), chmod and"
-         " the special list (§III.C), fsync (§III.D.2), rename, periodic"
+         " the special list (§III.C), fsync (§III.D.2), periodic"
          " checkpoints")
 PAPER_SCALE = ("reached only at paper scale, which no gate runs: LSM flush,"
                " SSTables, bloom filters")
@@ -70,7 +70,6 @@ ALLOWLIST: Dict[str, str] = {
     "core/client.py::PaconClient.chmod.apply": PAPER,
     "core/client.py::PaconClient.fsync": PAPER,
     "core/client.py::PaconClient.fsync.set_shadow": PAPER,
-    "core/client.py::PaconClient.rename": PAPER,
     "core/commit.py::CommitProcess._discard": DISCARD,
     "core/deploy.py::PaconDeployment.evictor": PAPER,
     "core/deploy.py::PaconDeployment.grow_region": TEST_API,
@@ -79,7 +78,6 @@ ALLOWLIST: Dict[str, str] = {
     "core/deploy.py::PaconFS.__exit__": TEST_API,
     "core/deploy.py::PaconFS.chmod": PAPER,
     "core/deploy.py::PaconFS.fsync": PAPER,
-    "core/deploy.py::PaconFS.rename": PAPER,
     "core/eviction.py::EvictionManager.__init__": PAPER,
     "core/eviction.py::EvictionManager._evict_entry": PAPER,
     "core/eviction.py::EvictionManager._flush_inline": PAPER,
@@ -94,22 +92,14 @@ ALLOWLIST: Dict[str, str] = {
     "core/permissions.py::RegionPermissions.check": REFERENCE,
     "core/permissions.py::RegionPermissions.check_op": REFERENCE,
     "core/permissions.py::RegionPermissions.effective": PAPER,
-    "core/permissions.py::RegionPermissions.move_special": PAPER,
     "core/permissions.py::RegionPermissions.special": PAPER,
     "core/region.py::ConsistentRegion.fence_chmod": FAULT,
-    "core/region.py::ConsistentRegion.fence_unlink": FAULT,
+    "core/region.py::ConsistentRegion.fence_rmdir": FAULT,
     "core/region.py::RegionManager.__len__": OBSERVER,
     "core/region.py::RegionManager.regions": OBSERVER,
-    "dfs/client.py::DFSClient.exists": TEST_API,
-    "dfs/client.py::DFSClient.rename": PAPER,
     "dfs/inode.py::Inode.is_file": OBSERVER,
-    "dfs/mds.py::MetadataServer.commit_stamp": TEST_API,
-    "dfs/mds.py::MetadataServer.handle_exists": TEST_API,
-    "dfs/mds.py::MetadataServer.handle_rename": PAPER,
     "dfs/namespace.py::Namespace.getattr": TEST_API,
-    "dfs/namespace.py::Namespace.rename": PAPER,
     "dfs/namespace.py::basename": TEST_API,
-    "dfs/storage.py::DataServer.handle_truncate": TEST_API,
     "dfs/storage.py::DataServer.stored_bytes": OBSERVER,
     "kvstore/bloom.py::BloomFilter.__contains__": OBSERVER,
     "kvstore/bloom.py::BloomFilter.__init__": PAPER_SCALE,

@@ -58,5 +58,3 @@ class TestStableHash:
 
     def test_public_export(self):
         assert "stable_hash" in rng.__all__
-        # Backwards-compat alias for pre-rename internal callers.
-        assert rng._stable_hash is stable_hash
