@@ -132,33 +132,34 @@ class DistributedCache:
 
     # -- basic verbs (generators; run inside a DES process) -------------------
     # Plain functions returning the shard's request generator: the caller's
-    # ``yield from`` drives it directly, with no pass-through frame here.
+    # ``yield from`` drives it directly, with no pass-through frame here
+    # (nor a ``shard_for`` call).
     def get(self, src: Node, path: str) -> Generator[Event, Any,
                                                      Optional[Dict]]:
-        return self.shard_for(path).request(src, "get", path)
+        return self.ring.lookup(path).request(src, "get", path)
 
     def gets(self, src: Node, path: str) -> Generator[
             Event, Any, Optional[Tuple[Dict, int]]]:
-        return self.shard_for(path).request(src, "gets", path)
+        return self.ring.lookup(path).request(src, "gets", path)
 
     def set(self, src: Node, path: str,
             record: Dict) -> Generator[Event, Any, int]:
-        return self.shard_for(path).request(src, "set", path, record)
+        return self.ring.lookup(path).request(src, "set", path, record)
 
     def add(self, src: Node, path: str,
             record: Dict) -> Generator[Event, Any, int]:
-        return self.shard_for(path).request(src, "add", path, record)
+        return self.ring.lookup(path).request(src, "add", path, record)
 
     def cas(self, src: Node, path: str, record: Dict,
             token: int) -> Generator[Event, Any, int]:
-        return self.shard_for(path).request(src, "cas", path, record, token)
+        return self.ring.lookup(path).request(src, "cas", path, record, token)
 
     def delete(self, src: Node, path: str) -> Generator[Event, Any, bool]:
-        return self.shard_for(path).request(src, "delete", path)
+        return self.ring.lookup(path).request(src, "delete", path)
 
     def delete_if_ino(self, src: Node, path: str,
                       ino: int) -> Generator[Event, Any, bool]:
-        return self.shard_for(path).request(src, "delete_if_ino", path, ino)
+        return self.ring.lookup(path).request(src, "delete_if_ino", path, ino)
 
     # -- compound operations ------------------------------------------------------
     def update(self, src: Node, path: str,

@@ -417,18 +417,24 @@ class PaconClient:
             yield from self._parent_check(path)
         if mode is None:
             mode = self.region.permissions._effective(path).mode
-        record = new_record({
+        # ``new_record``'s layout, built in place: no copy of the fields.
+        now = self.env.now
+        record = {
             "ino": self.region.alloc_provisional_ino(),
             "ftype": ftype.value,
             "mode": mode,
             "uid": self.uid,
             "gid": self.gid,
             "size": 0,
-            "ctime": self.env.now,
-            "mtime": self.env.now,
+            "ctime": now,
+            "mtime": now,
             "nlink": 1,
             "inline_data": b"" if ftype is FileType.FILE else None,
-        }, committed=False)
+            "committed": False,
+            "deleted": False,
+            "large": False,
+            "shadow": False,
+        }
         try:
             # Sub-operation 1: apply to the distributed cache (primary
             # copy).

@@ -63,7 +63,7 @@ class CommitStalled(RuntimeError):
     becomes committable."""
 
 
-@dataclass
+@dataclass(slots=True)
 class OpMessage:
     """One queued metadata mutation (paper: path + op info + timestamp)."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.dfs.inode import FileType
 from repro.dfs.namespace import Namespace, snapshot_entries
 from repro.sim.core import Event, Interrupt
 from repro.sim.network import Cluster, Node, Service
@@ -113,14 +114,16 @@ class MetadataServer(Service):
             yield self.costs.mds_lookup_service
             return applied[token]
         yield service_time
+        # The new inode is serialized straight off the namespace: the
+        # record is already a copy, so ``mkdir``/``create``'s is skipped.
         if op == "mkdir":
-            record = self.namespace.mkdir(
-                path, mode, uid, gid, now=self.env.now,
-                check_perms=check_perms).to_record()
+            record = self.namespace._make(
+                FileType.DIRECTORY, path, mode, uid, gid, self.env.now,
+                check_perms).to_record()
         elif op == "create":
-            record = self.namespace.create(
-                path, mode, uid, gid, now=self.env.now,
-                check_perms=check_perms).to_record()
+            record = self.namespace._make(
+                FileType.FILE, path, mode, uid, gid, self.env.now,
+                check_perms).to_record()
         elif op == "unlink":
             self.namespace.unlink(path, uid, gid, now=self.env.now,
                                   check_perms=check_perms)

@@ -255,18 +255,19 @@ class Namespace:
     def mkdir(self, path: str, mode: int = 0o755, uid: int = 0, gid: int = 0,
               now: float = 0.0, check_perms: bool = True) -> Inode:
         return self._make(FileType.DIRECTORY, path, mode, uid, gid, now,
-                          check_perms)
+                          check_perms).copy()
 
     def create(self, path: str, mode: int = 0o644, uid: int = 0, gid: int = 0,
                now: float = 0.0, check_perms: bool = True) -> Inode:
         """Exclusive file creation (O_CREAT|O_EXCL semantics)."""
         return self._make(FileType.FILE, path, mode, uid, gid, now,
-                          check_perms)
+                          check_perms).copy()
 
     def _make(self, ftype: FileType, path: str, mode: int, uid: int,
               gid: int, now: float, check_perms: bool) -> Inode:
-        """Link a new ``ftype`` inode at ``path``: the body of
-        :meth:`mkdir` and :meth:`create`."""
+        """Link a new ``ftype`` inode at ``path`` and return it — the
+        live inode, not a copy: the body of :meth:`mkdir` and
+        :meth:`create`, and what the MDS serializes a commit from."""
         parent, name = self._resolve_parent(path, uid, gid, check_perms)
         self._check_parent_write(parent, path, uid, gid, check_perms)
         if name in self._children[parent.ino]:
@@ -276,7 +277,7 @@ class Namespace:
         parent.mtime = now
         self.mutations += 1
         self._stamps[inode.ino] = (self.mutations, now)
-        return inode.copy()
+        return inode
 
     def unlink(self, path: str, uid: int = 0, gid: int = 0, now: float = 0.0,
                check_perms: bool = True) -> None:

@@ -46,14 +46,17 @@ def _sizeof(value: Any) -> int:
     """Approximate in-cache footprint of a value, in bytes."""
     if type(value) is dict:
         # The hot case — a flat metadata record on every set/add/cas —
-        # sized in one pass: scalars by table, bytes (a file record's
-        # ``inline_data``) and ASCII strings by length, anything else (and
-        # every other top-level value) by the general rule below.
-        size = 64
+        # sized in one pass: str keys by one encode of their join,
+        # scalars by table, bytes (a file record's ``inline_data``) and
+        # ASCII strings by length, anything else (and every other
+        # top-level value) by the general rule below.
+        try:
+            size = 64 + len("".join(value).encode("utf-8"))
+        except TypeError:  # a key that is not a str
+            return 64 + sum(_sizeof(k) + _sizeof(v)
+                            for k, v in value.items())
         scalar_size = _SCALAR_SIZE.get
-        for key, item in value.items():
-            size += (len(key) if type(key) is str and key.isascii()
-                     else _sizeof(key))
+        for item in value.values():
             kind = type(item)
             item_size = scalar_size(kind)
             if item_size is None:
@@ -76,7 +79,7 @@ def _sizeof(value: Any) -> int:
     return 64  # opaque object
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
     """A stored value plus its CAS version and accounting size."""
 
@@ -141,7 +144,8 @@ class MemKV:
                old: Optional[Item]) -> int:
         """The one store tail behind ``set``/``add``/``cas``: size the
         entry, check capacity for the delta over ``old``, mint a version."""
-        size = len(key.encode("utf-8")) + _sizeof(value) + 48  # item overhead
+        size = ((len(key) if key.isascii() else len(key.encode("utf-8")))
+                + _sizeof(value) + 48)  # item overhead
         delta = size - (old.size if old else 0)
         if self._used_bytes + delta > self.capacity_bytes:
             raise CapacityExceeded(

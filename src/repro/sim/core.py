@@ -22,15 +22,17 @@ what makes the benchmark figures reproducible run-to-run.
 
 The hot path is allocation-lean (see ``docs/kernel.md``): heap entries are
 plain ``(time, key, fn, arg)`` tuples — no shadow Event objects for late
-callbacks or interrupt delivery — callback lists are allocated lazily on
-the first ``add_callback``, and an interrupted process detaches from the
-event it was waiting on by *marking* (an O(1) identity check on resume)
-instead of a linear ``callbacks.remove``.
+callbacks or interrupt delivery — and an entry due at the current instant
+skips the heap for a FIFO lane beside it.  Callback lists are allocated
+lazily on the first ``add_callback``, and an interrupted process detaches
+from the event it was waiting on by *marking* (an O(1) identity check on
+resume) instead of a linear ``callbacks.remove``.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
@@ -235,9 +237,9 @@ class Process(Event):
         #: wait (avoids a bound-method allocation per resume).
         self._resume_cb = self._resume
         # Bootstrap: resume the generator at the current time, straight
-        # from the heap — no shadow bootstrap Event.
+        # from the same-instant lane — no shadow bootstrap Event.
         env._seq = seq = env._seq + 1
-        _heappush(env._heap, (env.now, seq, self._resume_cb, _BOOT))
+        env._lane.append((env.now, seq, self._resume_cb, _BOOT))
 
     @property
     def is_alive(self) -> bool:
@@ -315,13 +317,17 @@ class Process(Event):
         cls = target.__class__
         if cls is float:
             # A sleep: the wake-up re-enters this method straight from
-            # the heap.  Its sequence number doubles as the wait's
-            # identity (unique, and the heap entry carries the very
-            # object stored here), so the staleness test above covers it.
+            # the heap (the lane, for ``yield 0.0``).  Its sequence
+            # number doubles as the wait's identity (unique, and the
+            # entry carries the very object stored here), so the
+            # staleness test above covers it.
             if target >= 0:
                 env._seq = seq = env._seq + 1
-                _heappush(env._heap,
-                          (env.now + target, seq, self._resume_cb, seq))
+                if target:
+                    _heappush(env._heap,
+                              (env.now + target, seq, self._resume_cb, seq))
+                else:
+                    env._lane.append((env.now, seq, self._resume_cb, seq))
                 self._waiting_on = seq
                 return
             # Negative or NaN: raise at the offending yield, delivered
@@ -436,7 +442,7 @@ def _hand_over(entry: Any, wake: Any = None) -> Any:
     env._seq = seq = env._seq + 1
     if wake is None:
         wake = -seq
-    _heappush(env._heap, (env.now, seq, process._resume_cb, wake))
+    env._lane.append((env.now, seq, process._resume_cb, wake))
     if process._waiting_on is entry:
         process._waiting_on = wake
     return wake
@@ -486,6 +492,13 @@ class Environment:
         #: sleep and park wake-ups, late callbacks, interrupt delivery,
         #: process bootstrap — with no shadow Event allocated.
         self._heap: list = []
+        #: FIFO of the ordinary-key entries pushed due at ``now`` (event
+        #: triggers, late callbacks, bootstraps, grants and hand-overs,
+        #: ``yield 0.0``).  Each takes a fresh sequence number at ``now``,
+        #: so the lane is sorted by key and empty whenever the clock
+        #: advances: merging its head with the heap's gives the heap's
+        #: own order (docs/kernel.md, "Heap discipline").
+        self._lane: deque = deque()
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._event_count = 0
@@ -553,13 +566,13 @@ class Environment:
             return
         event._scheduled = True
         self._seq = seq = self._seq + 1
-        _heappush(self._heap, (self.now, seq, None, event))
+        self._lane.append((self.now, seq, None, event))
 
     def _schedule_callback(self, fn: Callable[[Event], None],
                            event: Event) -> None:
         """Run ``fn(event)`` for an already-processed event, ASAP."""
         self._seq = seq = self._seq + 1
-        _heappush(self._heap, (self.now, seq, fn, event))
+        self._lane.append((self.now, seq, fn, event))
 
     def _schedule_interrupt(self, process: Process,
                             interrupt: Interrupt) -> None:
@@ -572,10 +585,15 @@ class Environment:
 
     # -- main loop -------------------------------------------------------
     def step(self) -> None:
-        """Process exactly one event (or deferred kernel call)."""
-        if not self._heap:
+        """Process exactly one event (or deferred kernel call): the
+        smaller ``(time, key)`` of the heap's head and the lane's."""
+        heap, lane = self._heap, self._lane
+        if lane and not (heap and heap[0] < lane[0]):
+            t, _key, fn, arg = lane.popleft()
+        elif heap:
+            t, _key, fn, arg = _heappop(heap)
+        else:
             raise SimulationError("step() on empty event heap")
-        t, _key, fn, arg = _heappop(self._heap)
         if t < self.now:  # pragma: no cover - kernel invariant
             raise SimulationError("time went backwards")
         self.now = t
@@ -600,8 +618,10 @@ class Environment:
         :class:`Event` (run until it has been processed — all of its
         callbacks included — and return its value).
 
-        One loop serves all three: it ends on the heap running dry or on
-        processing ``target``, one identity test on event entries only.
+        One loop serves all three: it ends on the heap and the lane
+        running dry or on processing ``target``, one identity test on
+        event entries only.  Each pass takes the smaller ``(time, key)``
+        of the two heads.
         A time bound becomes a :class:`_Stop` entry keyed after every
         entry due at that instant, so no per-event bound test exists.
         The ``step`` body is inlined: one Python call per event is the
@@ -611,6 +631,7 @@ class Environment:
         the heap then is taken off it.
         """
         heap = self._heap
+        lane = self._lane
         processed = _PROCESSED
         stop = target = None
         if isinstance(until, Event):
@@ -627,10 +648,23 @@ class Environment:
             stop = (deadline, float("inf"), None, target)
             _heappush(heap, stop)
         pop = _heappop
+        popleft = lane.popleft
         count = 0
         try:
-            while heap:
-                t, _key, fn, arg = pop(heap)
+            while True:
+                if lane:
+                    if heap and heap[0] < lane[0]:
+                        t, _key, fn, arg = pop(heap)
+                    else:
+                        t, _key, fn, arg = popleft()
+                elif heap:
+                    t, _key, fn, arg = pop(heap)
+                elif target is not None:
+                    raise SimulationError(
+                        "simulation ran out of events before the awaited"
+                        f" event triggered: {target!r} — deadlock?")
+                else:
+                    break
                 self.now = t
                 count += 1
                 if fn is not None:
@@ -646,11 +680,6 @@ class Environment:
                         callbacks(arg)
                 if arg is target:
                     break
-            else:
-                if target is not None:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited"
-                        f" event triggered: {target!r} — deadlock?")
         except BaseException:
             if stop is not None:
                 heap.remove(stop)
@@ -665,7 +694,9 @@ class Environment:
         return None
 
     def peek(self) -> float:
-        """Time of the next event, or +inf when the heap is empty."""
+        """Time of the next event, or +inf when none is pending."""
+        if self._lane:
+            return self.now  # a lane entry is due now; no heap entry sooner
         return self._heap[0][0] if self._heap else float("inf")
 
 

@@ -192,7 +192,12 @@ class Network:
             # partitioned destination dooms the message, and the
             # incarnation mark catches a fail()+recover() cycle completing
             # mid-flight.
-            doomed = not dst.alive or self.is_partitioned(src, dst)
+            # ``_cuts`` is tested first: no call while nothing is cut.
+            # ``doomed`` must stay a bool (``self._cuts and ...`` would
+            # keep the live dict, and a later cut would doom the message).
+            doomed = not dst.alive
+            if self._cuts and not doomed:
+                doomed = self.is_partitioned(src, dst)
             mark = dst.incarnation
             # Sender NIC serializes the message onto the fabric.
             nic = src.nic
@@ -205,7 +210,7 @@ class Network:
             if p.latency > 0:
                 yield p.latency
             if (doomed or not dst.alive or dst.incarnation != mark
-                    or self.is_partitioned(src, dst)):
+                    or self._cuts and self.is_partitioned(src, dst)):
                 # Dropped on the wire: the receiver NIC never sees it.
                 self.note_dropped()
                 raise MessageDropped(

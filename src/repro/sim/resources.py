@@ -16,7 +16,6 @@ The message channel of the commit pipeline is
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush as _heappush
 from typing import (Any, Callable, Deque, Generator, Iterable, List,
                     Optional, Tuple)
 
@@ -103,11 +102,12 @@ class Resource:
         self.total_acquires += 1
         if self._in_use < self.capacity and not self._waiters:
             # Inline, not ``_hand_over``: a call here costs one per grant
-            # on 36-40 % of all heap entries (docs/kernel.md, "Parking").
+            # on 36-40 % of all kernel entries (docs/kernel.md, "Parking").
+            # Due now, so the wake-up takes the same-instant lane.
             self._in_use += 1
             env._seq = seq = env._seq + 1
             token = -seq
-            _heappush(env._heap, (now, seq, process._resume_cb, token))
+            env._lane.append((now, seq, process._resume_cb, token))
             return token
         entry = (process, now)
         self._waiters.append(entry)

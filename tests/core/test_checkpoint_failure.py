@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.config import PaconConfig
 from repro.core.failure import fail_node, recover_node
-from repro.dfs.errors import FileNotFound
-from tests.core.conftest import make_world
 
 
 class TestCheckpoint:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import PaconConfig
-from repro.core.region import ReadOnlyRegion
 from repro.dfs.errors import (
     FileExists,
     FileNotFound,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.commit import CommitProcess, OpMessage
+from repro.core.commit import OpMessage
 from repro.core.config import PaconConfig
 from repro.sim.core import _Parked, run_sync
 from tests.core.conftest import make_paused_world, make_world

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import PaconConfig
 from repro.core.deploy import PaconFS
-from repro.dfs.errors import FileExists, FileNotFound
+from repro.dfs.errors import FileExists
 
 
 class TestPaconConfig:

@@ -2,8 +2,6 @@
 
 import pytest
 
-from tests.core.conftest import make_world
-
 
 class TestRegionGrowth:
     def grow(self, world):

@@ -1,7 +1,5 @@
 """Tests for cache space management (§III.F)."""
 
-import pytest
-
 from repro.core.config import PaconConfig
 from repro.core.eviction import HIGH_WATERMARK
 from tests.core.conftest import make_world

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dfs.errors import FileNotFound, PermissionDenied
-from tests.core.conftest import make_world
 
 
 class TestChmod:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dfs.errors import FileNotFound
-from tests.core.conftest import make_world
 
 
 class TestParentMemo:

@@ -3,7 +3,7 @@ service accounting."""
 
 import pytest
 
-from repro.dfs import BeeGFS, FileNotFound
+from repro.dfs import BeeGFS
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster
 

@@ -1,7 +1,5 @@
 """Tests for the MDS inode/dentry LRU cache (Figs. 2/9 superlinearity)."""
 
-import pytest
-
 from repro.dfs.beegfs import BeeGFS
 from repro.sim.core import run_sync
 from repro.sim.costs import CostModel

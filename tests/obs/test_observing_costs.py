@@ -52,6 +52,10 @@ def _observer_calls(run) -> set:
             if _OBS_DIR in filename or filename.endswith(_RECORDING):
                 called.add(f"{filename}:{frame.f_code.co_name}")
 
+    # Finalize earlier tests' garbage first: a collection inside ``run``
+    # closes any suspended sampler generator an observed world left in a
+    # reference cycle, and the close is a ``call`` of ``sampler.py:run``.
+    gc.collect()
     previous = sys.getprofile()
     sys.setprofile(watch)
     try:

@@ -2,8 +2,7 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, \
-    precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.kvstore.memkv import CasMismatch, KeyExists, MemKV
 

@@ -82,8 +82,6 @@ def test_eviction_never_loses_data(dirs, files_per_dir, evict_rounds):
           suppress_health_check=[HealthCheck.too_slow])
 def test_cache_agrees_with_dfs_after_quiesce(ops):
     """After quiescing, the cache's committed view equals the DFS."""
-    from repro.dfs.errors import FileNotFound
-
     cluster, dfs, deployment, region, clients = build_world()
     alive = set()
     counter = 0

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.sim.core import (Environment, Event, Interrupt, SimulationError,
                             cancel_wait)
 from repro.sim.resources import Barrier, Resource
+from tests.sim.conftest import pending
 
 _SPELLINGS = {"delay": lambda env, d: d,
               "timeout": lambda env, d: env.timeout(d)}
@@ -72,13 +73,13 @@ def _sliced(env, procs):
     # would become the final clock, so step until one is pending at or
     # past it (or none is left).
     for bound in (0.25, 0.5, 1.0, 2.0):
-        while env._heap and max(entry[0] for entry in env._heap) < bound:
+        while pending(env) and pending(env)[-1][0] < bound:
             env.step()
-        if env._heap:
+        if pending(env):
             env.run(until=bound)
             # Every entry due at the bound ran, those pushed at it too.
             assert env.now == bound
-            assert all(entry[0] > bound for entry in env._heap)
+            assert all(entry[0] > bound for entry in pending(env))
     env.run()
 
 
@@ -87,14 +88,14 @@ def _awaited(env, procs):
     try:
         env.run(until=last)
     except SimulationError:
-        assert last.is_alive and not env._heap  # it waits at the barrier
+        assert last.is_alive and not pending(env)  # it waits at the barrier
     except Interrupt:
         assert last.exception is not None  # struck before it started
     env.run()
 
 
 def _stepped(env, procs):
-    while env._heap:
+    while pending(env):
         env.step()
 
 

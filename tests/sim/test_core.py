@@ -5,6 +5,7 @@ import pytest
 from repro.dfs import BeeGFS
 from repro.sim.core import Environment, Interrupt, SimulationError, run_sync
 from repro.sim.network import Cluster
+from tests.sim.conftest import pending
 
 
 @pytest.fixture
@@ -429,7 +430,7 @@ class TestEnvironmentRun:
         with pytest.raises(ValueError, match="until=nan") as info:
             env.run(until=float("nan"))
         assert "past" not in str(info.value)
-        assert (env.now, env.processed_events, len(env._heap)) == (0.0, 0, 1)
+        assert (env.now, env.processed_events, len(pending(env))) == (0.0, 0, 1)
         env.run()
         assert env.now == 1.0
 

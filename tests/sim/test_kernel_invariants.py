@@ -23,6 +23,7 @@ from repro.sim.core import (
     run_sync,
 )
 from repro.sim.resources import Resource
+from tests.sim.conftest import pending
 
 
 @pytest.fixture
@@ -288,7 +289,7 @@ class TestOneResumeBody:
             yield ev
 
         proc = env.process(body())
-        (_time, _key, fn, _arg), = env._heap
+        (_time, _key, fn, _arg), = pending(env)
         assert fn is proc._resume_cb
         # Not waiting on anything a caller could cancel, before or after.
         assert proc.waiting_on is None
@@ -550,16 +551,16 @@ class TestPark:
         env.step()
         # A free slot: the wake-up is already on the heap, its token the
         # negated sequence number (no sleep token is negative).
-        (time, seq, fn, token), = env._heap
+        (time, seq, fn, token), = pending(env)
         assert (time, fn, token) == (0.0, first._resume_cb, -seq)
         assert first._waiting_on is token
         # No free slot: the process waits on its own waiter entry.
         (entry,) = res._waiters
         assert entry == (second, 0.0) and second._waiting_on is entry
         env.run(until=0.5)
-        assert env._heap[0][0] == 1.0       # only the first's sleep
+        assert pending(env)[0][0] == 1.0    # only the first's sleep
         env.step()                          # ... whose end hands over
-        (time, seq, _fn, token), = [entry for entry in env._heap
+        (time, seq, _fn, token), = [entry for entry in pending(env)
                                     if entry[2] is second._resume_cb]
         assert (time, token) == (1.0, -seq)
         assert second._waiting_on is token and not res._waiters

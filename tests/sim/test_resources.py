@@ -5,6 +5,7 @@ import pytest
 from repro.sim.core import Environment, Interrupt, SimulationError, \
     cancel_wait
 from repro.sim.resources import Barrier, Resource
+from tests.sim.conftest import pending
 
 
 def _barrier_pin(env, barrier):
@@ -294,7 +295,7 @@ class TestBarrier:
         proc = env.process(_arriver(barrier))
         env.step()          # the bootstrap: the arrival ends generation 0
         assert (barrier.generation, barrier.n_waiting) == (1, 0)
-        (_time, _seq, fn, wake), = env._heap
+        (_time, _seq, fn, wake), = pending(env)
         assert fn is proc._resume_cb and wake is proc._waiting_on
         env.run()
         assert proc.value == 0

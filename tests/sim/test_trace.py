@@ -1,7 +1,5 @@
 """Tests for the structured tracer and its commit-machinery integration."""
 
-import pytest
-
 from repro.sim.trace import NULL_TRACER, TraceEvent, Tracer
 from tests.core.conftest import make_world
 

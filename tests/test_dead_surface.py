@@ -287,8 +287,12 @@ def _unused_imports(path: Path):
 
 
 def test_every_import_is_used_or_reexported():
+    """flake8's F401 over ``src/repro`` and ``tests/``: every imported
+    name (``from __future__`` aside) is read, or re-exported by a package
+    ``__init__``."""
+    files = [*_source_files(), *sorted((ROOT / "tests").rglob("*.py"))]
     unused = [f"{path.relative_to(ROOT)}:{line} {name}"
-              for path in _source_files() if path.name != "__init__.py"
+              for path in files if path.name != "__init__.py"
               for name, line in _unused_imports(path)]
     assert not unused, "unused imports (F401):\n  " + "\n  ".join(unused)
 
