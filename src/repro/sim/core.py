@@ -9,7 +9,8 @@ A minimal, deterministic, generator-based DES in the style of SimPy:
   :class:`Event` — the process resumes when that event fires and receives
   the event's value (or has the event's exception thrown into it) — or a
   bare non-negative ``float``, which is a *sleep* (the process resumes that
-  many simulated seconds later), or a ``Resource``, ``MessageQueue`` or
+  many simulated seconds later) — ``(t,)``, a one-tuple of a ``float``
+  instant, sleeps until ``t`` — or a ``Resource``, ``MessageQueue`` or
   ``Barrier``, which is a *park* (the process resumes holding a slot, with
   a message, or with a generation).  Sleeps and parks are resumed straight
   from the heap, with no event object in between.  A process is itself an
@@ -46,8 +47,9 @@ __all__ = [
 ]
 
 # A process body is a generator that yields Events, bare delays (floats:
-# sleeps) or the owners of a park (Resource, MessageQueue, Barrier: the
-# classes live in modules that import this one) and returns a value.
+# sleeps), one-tuples of a float instant (sleeps until it) or the owners
+# of a park (Resource, MessageQueue, Barrier: the classes live in modules
+# that import this one) and returns a value.
 ProcessGenerator = Generator[Any, Any, Any]
 
 _PENDING = object()
@@ -278,7 +280,8 @@ class Process(Event):
         The only place the generator is advanced.  ``trigger`` is the
         event that fired, an :class:`_Outcome` standing in for one (the
         bootstrap, an interrupt, a get's or an arrival's wake-up), or the
-        integer token of a sleep's or a grant's wake-up entry.
+        integer token of a sleep's (either spelling) or a grant's wake-up
+        entry.
         """
         if trigger is not self._waiting_on:
             # Stale wakeup from an event we detached from or a sleep or
@@ -335,13 +338,33 @@ class Process(Event):
             self._waiting_on = carrier = _Outcome(exc=_bad_delay(target))
             self._resume(carrier)
             return
+        if cls is tuple:
+            # A sleep until an absolute instant, ``yield (t,)``: the
+            # wake-up is keyed by ``t`` itself (``now + (t - now)`` can
+            # miss it by an ulp) and is a sleep's in every other way.
+            when = target[0] if len(target) == 1 else None
+            now = env.now
+            if when.__class__ is float and when >= now:
+                env._seq = seq = env._seq + 1
+                if when > now:
+                    _heappush(env._heap, (when, seq, self._resume_cb, seq))
+                else:
+                    env._lane.append((now, seq, self._resume_cb, seq))
+                self._waiting_on = seq
+                return
+            self._waiting_on = carrier = _Outcome(exc=ValueError(
+                f"a sleep until an instant needs (t,) with t a float"
+                f" >= now ({now!r}), got {target!r}"))
+            self._resume(carrier)
+            return
         park = getattr(cls, "_park", None)
         if park is None and not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.label or self._generator!r} yielded"
                 f" {target!r}; processes must yield Event instances, a"
-                " float delay or a Resource, MessageQueue or Barrier (use"
-                " 'yield from' for sub-generators)")
+                " float delay, a (float instant,) or a Resource,"
+                " MessageQueue or Barrier (use 'yield from' for"
+                " sub-generators)")
         if target.env is not env:
             raise SimulationError(
                 f"yielded {target!r} belongs to another Environment")

@@ -11,16 +11,18 @@ flat scalability curves in Figs. 1 and 11.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional
+from heapq import heapreplace
+from typing import Any, Callable, Deque, Dict, Generator, Optional
 
 from repro.sim.core import Environment, Event, Interrupt
 from repro.sim.costs import CostModel
-from repro.sim.resources import Resource
+from repro.sim.resources import Occupancy, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.trace import NULL_TRACER
 
-__all__ = ["Node", "NetworkParams", "Network", "Service", "Cluster",
+__all__ = ["Nic", "Node", "NetworkParams", "Network", "Service", "Cluster",
            "NodeDownError", "MessageDropped"]
 
 
@@ -43,6 +45,106 @@ class NetworkParams:
         )
 
 
+class Nic(Occupancy):
+    """A node's NIC: ``capacity`` FIFO channels, booked when a message
+    reaches it.
+
+    A message that reaches the NIC at ``now`` and holds a channel for
+    ``hold`` starts at ``max(now, earliest channel free time)`` and ends
+    ``hold`` later; that end is the channel's new free time, and
+    :meth:`book` returns it for the sender to sleep until.  This is the
+    Lindley recursion of a c-channel FIFO whose hold times are known on
+    arrival: every start and end is the float that parking on a
+    ``Resource``, sleeping the hold and releasing gave, since each
+    hand-over happened at the previous holder's end
+    (``docs/simulation-model.md``, "The fabric").  Nothing parks, so
+    nothing is left to cancel: a booking is kept to its end whatever
+    becomes of its sender.
+
+    The contention figures read as a :class:`Resource`'s do, at any
+    instant: a wait joins ``total_wait_time`` once its booking has
+    started (the hand-over instant), though the hub's ``_wait_observe``
+    sees it when it is booked.
+    """
+
+    def __init__(self, env: Environment, capacity: int, name: str):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.name = name
+        self.capacity = capacity
+        self.created_at = env.now
+        #: Heap of the channels' free times: the head frees first.
+        self._free = [env.now] * capacity
+        #: Start and wait of each booking that has not started yet, in
+        #: booking order (FIFO starts never decrease).
+        self._starts: Deque[float] = deque()
+        self._waits: Deque[float] = deque()
+        #: Hold time of every booking so far.
+        self._booked = 0.0
+        #: Waits of the bookings that have started.
+        self._waited = 0.0
+        self.total_acquires = 0
+        self.peak_queue = 0
+        # Installed by MetricsHub to feed resource.wait[<name>] sketches.
+        self._wait_observe: Optional[Callable[[float], None]] = None
+
+    def book(self, hold: float) -> float:
+        """Book the channel that frees first for ``hold``, from now or
+        from its free time if later; returns the booking's end."""
+        now = self.env.now
+        free = self._free
+        start = free[0]
+        self.total_acquires += 1
+        self._booked += hold
+        if start > now:
+            # Every channel is busy: queue behind the one freeing first.
+            waited = start - now
+            self._settle(now)
+            self._starts.append(start)
+            self._waits.append(waited)
+            if len(self._starts) > self.peak_queue:
+                self.peak_queue = len(self._starts)
+            if self._wait_observe is not None:
+                self._wait_observe(waited)
+        else:
+            start = now
+        end = start + hold
+        heapreplace(free, end)
+        return end
+
+    def _settle(self, now: float) -> None:
+        """Count the waits of the bookings that have started by ``now``."""
+        starts = self._starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+            self._waited += self._waits.popleft()
+
+    @property
+    def in_use(self) -> int:
+        """Channels busy now (a booked channel is busy without a gap from
+        its current booking's start to its free time)."""
+        now = self.env.now
+        return sum(1 for t in self._free if t > now)
+
+    @property
+    def queue_length(self) -> int:
+        """Bookings that have not started yet."""
+        self._settle(self.env.now)
+        return len(self._starts)
+
+    @property
+    def total_wait_time(self) -> float:
+        self._settle(self.env.now)
+        return self._waited
+
+    def busy_time(self) -> float:
+        """Channel-seconds busy up to now: every booked hold, less what
+        each channel has booked past now."""
+        now = self.env.now
+        return self._booked - sum(t - now for t in self._free if t > now)
+
+
 class Node:
     """A cluster node: identity plus CPU and NIC contention points."""
 
@@ -53,7 +155,7 @@ class Node:
         self.name = name
         self.cores = cores
         self.cpu = Resource(env, capacity=cores, name=f"{name}.cpu")
-        self.nic = Resource(env, capacity=nic_channels, name=f"{name}.nic")
+        self.nic = Nic(env, nic_channels, f"{name}.nic")
         self.alive = True
         #: Bumped on every :meth:`fail` so in-flight messages addressed to
         #: the previous incarnation are dropped at delivery even if the
@@ -156,10 +258,10 @@ class Network:
         before the drop surfaces (the sender cannot know the far end is
         gone any sooner).
 
-        The whole hop is this one generator: the NIC holds are inlined
-        (not ``yield from nic.use(...)``) so each resume below
-        ``Service.request`` crosses one frame.  Host cost only — the
-        events are exactly those ``Resource.use`` would schedule.
+        A remote hop is two sleeps: one until the sender NIC's booking
+        ends and the message has propagated, one until the receiver NIC's
+        booking ends; a loopback hop is one.  Each sleep is until the
+        booked instant itself (``yield (t,)``).
         """
         if not src.alive:
             raise NodeDownError(f"source node {src.name} is down")
@@ -177,12 +279,7 @@ class Network:
                 # Loopback still burns stack/CPU time and contends with
                 # real NIC traffic on the node (kernel TCP path).
                 if p.local_loopback > 0:
-                    nic = src.nic
-                    yield nic
-                    try:
-                        yield p.local_loopback
-                    finally:
-                        nic.release()
+                    yield (src.nic.book(p.local_loopback),)
                 if not dst.alive:
                     self.note_dropped()
                     raise MessageDropped(
@@ -199,16 +296,10 @@ class Network:
             if self._cuts and not doomed:
                 doomed = self.is_partitioned(src, dst)
             mark = dst.incarnation
-            # Sender NIC serializes the message onto the fabric.
-            nic = src.nic
-            yield nic
-            try:
-                yield p.msg_overhead + nbytes / p.bandwidth
-            finally:
-                nic.release()
-            # Propagation.
-            if p.latency > 0:
-                yield p.latency
+            # The sender NIC serializes the message onto the fabric, then
+            # it propagates.
+            yield (src.nic.book(p.msg_overhead + nbytes / p.bandwidth)
+                   + p.latency,)
             if (doomed or not dst.alive or dst.incarnation != mark
                     or self._cuts and self.is_partitioned(src, dst)):
                 # Dropped on the wire: the receiver NIC never sees it.
@@ -217,12 +308,7 @@ class Network:
                     f"message {src.name}->{dst.name} dropped in flight")
             # Receiver NIC processes the arrival; fan-in contention
             # happens here.
-            nic = dst.nic
-            yield nic
-            try:
-                yield p.msg_overhead
-            finally:
-                nic.release()
+            yield (dst.nic.book(p.msg_overhead),)
             if not dst.alive or dst.incarnation != mark:
                 self.note_dropped()
                 raise MessageDropped(

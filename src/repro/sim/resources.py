@@ -1,7 +1,7 @@
 """Synchronization and contention primitives for the DES kernel.
 
-* :class:`Resource` — capacity-limited server (models MDS worker pools,
-  cache-node CPUs, NIC serialization).  FIFO grant order keeps runs
+* :class:`Resource` — capacity-limited server (models MDS worker pools
+  and cache-node CPUs).  FIFO grant order keeps runs
   deterministic, and a queued waiter's wait is accounted at the instant
   the slot is handed over.  A process takes a slot with ``yield resource``
   (a *park*: no event object, ``docs/kernel.md`` §Parking) and gives it
@@ -10,7 +10,10 @@
   workload to reproduce MPI phase barriers); ``yield barrier`` parks too.
 
 The message channel of the commit pipeline is
-:class:`repro.mq.MessageQueue`, which parks a get the same way.
+:class:`repro.mq.MessageQueue`, which parks a get the same way.  A NIC
+parks nothing: :class:`repro.sim.network.Nic` books a channel when a
+message reaches it, and shares :class:`Occupancy` — what the sampler,
+the autoscaler and the hub read — with :class:`Resource`.
 """
 
 from __future__ import annotations
@@ -22,10 +25,35 @@ from typing import (Any, Callable, Deque, Generator, Iterable, List,
 from repro.sim.core import Environment, Event, Process, SimulationError, \
     _hand_over, _Outcome, _withdraw
 
-__all__ = ["Resource", "Barrier", "window_utilizations"]
+__all__ = ["Occupancy", "Resource", "Barrier", "window_utilizations"]
 
 
-class Resource:
+class Occupancy:
+    """The busy fraction of a contention point with ``capacity`` slots,
+    ``created_at`` and a ``busy_time()`` (slot-seconds busy up to now)."""
+
+    def window_utilization(self, mark: List[float]) -> float:
+        """Busy fraction of capacity since ``mark = [busy_time, time]`` was
+        last read (0.0 over an empty window); advances the mark to now.
+        The caller seeds the mark, which is what decides whether the first
+        window reaches back to ``created_at`` or starts at first sight."""
+        return window_utilizations(((self, mark),))[0]
+
+    def utilization(self) -> float:
+        """Mean fraction of capacity busy over the lifetime.
+
+        Lifetime runs from construction (``created_at``) to now — a
+        contention point created mid-run is not diluted by sim time that
+        elapsed before it existed.
+        """
+        busy = self.busy_time()
+        elapsed = self.env.now - self.created_at
+        if elapsed <= 0:
+            return 0.0
+        return busy / (elapsed * self.capacity)
+
+
+class Resource(Occupancy):
     """A server with ``capacity`` concurrent slots and a FIFO wait queue."""
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
@@ -58,33 +86,10 @@ class Resource:
 
     def busy_time(self) -> float:
         """Total slot-seconds of busy time accumulated so far."""
-        self._account()
-        return self._busy_time
-
-    def window_utilization(self, mark: List[float]) -> float:
-        """Busy fraction of capacity since ``mark = [busy_time, time]`` was
-        last read (0.0 over an empty window); advances the mark to now.
-        The caller seeds the mark, which is what decides whether the first
-        window reaches back to ``created_at`` or starts at first sight."""
-        return window_utilizations(((self, mark),))[0]
-
-    def utilization(self) -> float:
-        """Mean fraction of capacity busy over the resource's lifetime.
-
-        Lifetime runs from construction (``created_at``) to now — a
-        resource created mid-run is not diluted by sim time that elapsed
-        before it existed.
-        """
-        self._account()
-        elapsed = self.env.now - self.created_at
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_time / (elapsed * self.capacity)
-
-    def _account(self) -> None:
         now = self.env.now
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
+        return self._busy_time
 
     def _park(self, process: Process) -> Any:
         """``yield resource``: ask for a slot on behalf of ``process``.
@@ -102,7 +107,7 @@ class Resource:
         self.total_acquires += 1
         if self._in_use < self.capacity and not self._waiters:
             # Inline, not ``_hand_over``: a call here costs one per grant
-            # on 36-40 % of all kernel entries (docs/kernel.md, "Parking").
+            # (docs/kernel.md, "Parking").
             # Due now, so the wake-up takes the same-instant lane.
             self._in_use += 1
             env._seq = seq = env._seq + 1
@@ -157,21 +162,14 @@ class Resource:
             self.release()
 
 
-def window_utilizations(windows: Iterable[Tuple[Resource, List[float]]],
+def window_utilizations(windows: Iterable[Tuple[Occupancy, List[float]]],
                         ) -> List[float]:
-    """:meth:`Resource.window_utilization` of each ``(resource, mark)``,
-    in one call: a sampler reads every tracked resource each tick.
-
-    The accounting of :meth:`Resource.busy_time` is inlined (the same
-    operations on the same floats), so the busy totals, the marks and
-    the results are bit-identical to calling the methods one by one.
-    """
+    """:meth:`Occupancy.window_utilization` of each ``(resource, mark)``
+    — worker pools, CPUs and NICs alike — in one call: a sampler reads
+    every tracked resource each tick."""
     out = []
     for res, mark in windows:
-        now, capacity = res.env.now, res.capacity
-        res._busy_time = busy = (res._busy_time
-                                 + res._in_use * (now - res._last_change))
-        res._last_change = now
+        busy, now, capacity = res.busy_time(), res.env.now, res.capacity
         window = now - mark[1]
         out.append((busy - mark[0]) / (window * capacity)
                    if window > 0 else 0.0)

@@ -174,19 +174,19 @@ def _chain(generator):
     return chain
 
 
-def _in_gets_nic_hold(process):
-    """Asleep holding a NIC inside the post-commit ``gets`` round trip.
+def _in_gets_nic_booking(process):
+    """Asleep in a NIC booking inside the post-commit ``gets`` round trip.
 
-    Nothing else runs in the world, so the NIC the hop last took is in use
-    exactly while this process holds it."""
+    Nothing else runs in the world, so a NIC of the hop has a channel
+    booked at this instant exactly while this process sleeps in it."""
     chain = _chain(process._generator)
     if len(chain) < 2 or chain[-1].gi_code.co_name != "transfer":
         return False
     request, transfer = chain[-2:]
-    nic = transfer.gi_frame.f_locals.get("nic")
+    hop = transfer.gi_frame.f_locals
     return (request.gi_frame.f_locals.get("method") == "gets"
             and process.waiting_on is None
-            and nic is not None and nic.in_use == 1)
+            and 1 in (hop["src"].nic.in_use, hop["dst"].nic.in_use))
 
 
 class TestCommitFrames:
@@ -202,7 +202,7 @@ class TestCommitFrames:
         deployment.start_commit_processes(region)
         cp = next(p for p in region.commit_processes
                   if p.node is region.nodes[0])
-        while not _in_gets_nic_hold(cp._process):
+        while not _in_gets_nic_booking(cp._process):
             cluster.env.step()
         names = [g.gi_code.co_name for g in _chain(cp._process._generator)]
         assert names == ["run", "_commit_segment", "_commit_success",

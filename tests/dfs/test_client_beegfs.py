@@ -255,20 +255,19 @@ def _chain(generator):
     return chain
 
 
-def _in_sender_nic_hold(process, method):
-    """Asleep holding the client's NIC while sending a ``method`` RPC.
+def _in_sender_nic_booking(process, method):
+    """Asleep in the client NIC's booking while sending a ``method`` RPC.
 
-    Nothing else runs in the world, so the NIC is in use exactly while
-    this process holds it."""
+    Nothing else runs in the world, so the client's NIC has a channel
+    booked at this instant exactly while this process sleeps in it."""
     chain = _chain(process._generator)
     if len(chain) < 2 or chain[-1].gi_code.co_name != "transfer":
         return False
     request, transfer = chain[-2:]
     hop = transfer.gi_frame.f_locals
-    nic = hop.get("nic")
     return (request.gi_frame.f_locals.get("method") == method
-            and process.waiting_on is None and nic is not None
-            and nic is hop["src"].nic and nic.in_use == 1)
+            and process.waiting_on is None
+            and hop["src"] is not hop["dst"] and hop["src"].nic.in_use == 1)
 
 
 class TestClientFrames:
@@ -287,7 +286,7 @@ class TestClientFrames:
 
         proc = cluster.env.process(body())
         for method in ("lookup", "getattr"):
-            while not _in_sender_nic_hold(proc, method):
+            while not _in_sender_nic_booking(proc, method):
                 cluster.env.step()
             names = [g.gi_code.co_name for g in _chain(proc._generator)]
             assert names == ["body", "_op", "request", "transfer"]

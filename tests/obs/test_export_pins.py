@@ -44,28 +44,43 @@ THINNED = ["mdtest", "--nodes", "4", "--clients-per-node", "8",
 #: ``cn3/cn5/cn7`` 290/190/270 → 232/152/216; node_crash 231/159/213 →
 #: 182/126/162).  The same tree with that one ``peek`` put back writes all
 #: seven artefacts byte for byte as before; the other four did not move.
+#:
+#: Re-captured again when a NIC became a booking instead of a park
+#: (``sim.network.Nic``): six pins moved, ``profile.txt`` and
+#: ``trace.txt`` did not.  In ``fig07.metrics``, ``trace.chrome`` and both
+#: ``metrics_doc`` pins every NIC ``busy_time``/``utilization`` and
+#: ``resource.util[*.nic]`` sample moved in its last digits (busy time is
+#: now booked hold less what is booked past now, a different float sum);
+#: ``fig07.trace`` renumbers span ids where two spans open at one instant
+#: (the same-instant tie order); the ``metrics_doc`` pins also lose the
+#: zero waits of messages that reached a NIC at the instant a channel
+#: freed (``resource.wait[cn3.nic]`` count 24 → 22 and 19 → 18), and
+#: ``node_crash`` keeps a struck sender's booking to its end
+#: (``mds0.nic`` busy 0.0011380 → 0.0011382 s).  ``thinned.metrics``, 32
+#: clients on identical costs, moves in its series under the new tie
+#: order; its op counts and open spans did not move.
 PINS = {
     "fig07.metrics":
-        "0343591f9540a294cea27acd79d12e898b3f9c5404c6dcce955d3b72564077b6",
+        "7fe9d44e1b20c36b90303e740f5d8c9cecec0d6cc97ac666017676c5087d8ca4",
     "fig07.trace":
-        "5e9f8df5a40de9b67cc7241a53d9041c1e432a8ab259fa6629b85445a03a239d",
+        "65d0cca31a21037481173cdc7fe365513e1e8e36289026c59e013c87b78ffd6f",
     "profile.txt":
         "0f76fb27eda65f212a9c17a0f493bda19ba5ca00d8345c603f42ed43ffcea4ad",
     "trace.txt":
         "43604f1e9374b27cbf8bdad6d026eff98407ad4f6da2f5deb4e0fcc96a7026e9",
     "trace.chrome":
-        "6c7c097d3fb42237db9db1a6a3220e245e8c4fe7fde22222dc2f1f51318f6464",
+        "84689f5f3aadb07cbee138536f7a6e397b5da0cc854c2d8ab6adfe56362b485e",
     "cache_churn.metrics_doc":
-        "9258511b07b1581c4cc51e9874b7d8e98f856673023ad930a713cdd84718ab52",
+        "1ce983f636b647917b0725da77c5ef462bdfb5c2b2c58b63c7a7993be6268a0b",
     # Client c3 publishes /chaos/c3/f0010 just after its node crashed:
     # the publish is refused, the lost-op fence drops its cache record,
     # and the client re-creates the file after recovery.
     "node_crash.metrics_doc":
-        "1796611f18c6a63fcac9a6c6b4bdc473d54c20281cfc15cc727885336d281bcd",
+        "ab0814281c89bd4a5d2eba46932a88d8b31fee536ac9a373e9a03cdc851a9f08",
     # Captured before the tracer's records and the sampler's tick were
     # rewritten for cost; the thinning path was pinned by no other entry.
     "thinned.metrics":
-        "8cf8995b7928388cf06e34002605319efdc63f23a10d614b313fe72bd870785a",
+        "7ee9beac344a3d511654aa9d5e943ead1eab184f6c21cb7c3033a4adf1ce6709",
 }
 
 

@@ -18,10 +18,20 @@ Exit status 1 when a function no run reaches has no row in
 or no longer exists.  The allowlist may only shrink.  The file is not
 named ``test_*.py``, so pytest does not collect it (it takes about a
 minute).
+
+    PYTHONPATH=src python tests/reach_census.py --lines FILE...
+
+runs the same workloads under ``sys.settrace`` instead, tracing only the
+frames of the named files, and lists the executable lines of those files
+(lines that carry bytecode) that no run executed.  A report, not a gate:
+it exits 0.  Naming one or two files keeps it cheap; every file of
+``src/repro`` under line tracing takes about ten times the function
+census.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -31,7 +41,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Set, Tuple
+from types import CodeType
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -148,6 +159,8 @@ ALLOWLIST: Dict[str, str] = {
     "sim/core.py::_bad_delay": FAULT,
     "sim/core.py::_withdraw": FAULT,
     "sim/costs.py::CostModel.zero": TEST_API,
+    "sim/network.py::Nic.in_use": OBSERVER,
+    "sim/network.py::Nic.queue_length": OBSERVER,
     "sim/resources.py::Barrier._cancel_park": FAULT,
     "sim/resources.py::Resource._cancel_park": FAULT,
     "sim/resources.py::Resource.in_use": OBSERVER,
@@ -174,11 +187,45 @@ def _hook(frame, event, _arg):
             _seen[id(code)] = code  # held, so the id is never reused
 
 
+#: ``--lines``: the real paths of the files whose lines are traced, each
+#: ``co_filename`` seen resolved to one of them (or None), and every
+#: ``(co_filename, line)`` that ran.
+_traced: Set[str] = set()
+_resolved: Dict[str, Optional[str]] = {}
+_ran: Set[Tuple[str, int]] = set()
+
+
+def _line_hook(frame, event, _arg):
+    """Global trace function: a local tracer for frames of the traced
+    files only, so every other frame runs without line events."""
+    name = frame.f_code.co_filename
+    if name not in _resolved:
+        real = os.path.realpath(name)
+        _resolved[name] = real if real in _traced else None
+    if _resolved[name] is None:
+        return None
+    _ran.add((name, frame.f_lineno))
+    return _line_local
+
+
+def _line_local(frame, event, _arg):
+    if event == "line":
+        _ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return _line_local
+
+
+def _arm(on: bool) -> None:
+    if _traced:
+        sys.settrace(_line_hook if on else None)
+    else:
+        sys.setprofile(_hook if on else None)
+
+
 def _run(label: str, action: Callable[[], object]) -> None:
     """Run one action with the hook armed, its output swallowed; fail
     loudly unless it exits 0."""
     out = io.StringIO()
-    sys.setprofile(_hook)
+    _arm(True)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             try:
@@ -186,7 +233,7 @@ def _run(label: str, action: Callable[[], object]) -> None:
             except SystemExit as stop:
                 status = stop.code
     finally:
-        sys.setprofile(None)
+        _arm(False)
     if status not in (0, None):
         sys.stdout.write(out.getvalue()[-4000:])
         raise SystemExit(f"census run {label!r} exited {status}")
@@ -345,7 +392,44 @@ def census() -> Tuple[Dict[str, Tuple[int, int]], Set[str]]:
     return defs, reached
 
 
-def main() -> int:
+def executable_lines(path: Path) -> Set[int]:
+    """The lines of ``path`` that carry bytecode, in every code object."""
+    lines: Set[int] = set()
+    stack = [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, _, line in code.co_lines()
+                     if line is not None)
+        stack.extend(c for c in code.co_consts if isinstance(c, CodeType))
+    return lines
+
+
+def line_report(paths: List[Path]) -> None:
+    """Print, per file, the executable lines no run executed."""
+    ran: Dict[str, Set[int]] = {}
+    for name, line in _ran:
+        ran.setdefault(os.path.realpath(name), set()).add(line)
+    for path in paths:
+        lines = executable_lines(path)
+        missed = sorted(lines - ran.get(os.path.realpath(path), set()))
+        print(f"{path.relative_to(ROOT)}: {len(lines) - len(missed)} of"
+              f" {len(lines)} executable lines ran; {len(missed)} did not")
+        text = path.read_text().splitlines()
+        previous = None
+        for line in missed:
+            if previous is not None and line != previous + 1:
+                print()
+            print(f"  {line:5d}  {text[line - 1]}")
+            previous = line
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--lines", nargs="+", metavar="FILE",
+                        help="report the unexecuted lines of these files")
+    args = parser.parse_args(argv)
+    paths = [Path(name).resolve() for name in args.lines or ()]
+    _traced.update(os.path.realpath(path) for path in paths)
     started = time.perf_counter()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -354,6 +438,10 @@ def main() -> int:
             run_workloads(Path(tmp))
         finally:
             os.chdir(cwd)
+    if paths:
+        line_report(paths)
+        print(f"line census: {time.perf_counter() - started:.0f} s")
+        return 0
     defs, reached = census()
     unreached = sorted(set(defs) - reached)
     lines = sum(defs[q][1] - defs[q][0] + 1 for q in unreached)

@@ -395,14 +395,14 @@ class TestJoin:
             yield from client.create("/w/f")
 
         run_sync(env, setup())
-        assert (env.processed_events, env._seq) == (40, 40)
+        assert (env.processed_events, env._seq) == (22, 22)
         wrote = run_sync(env, client.write("/w/f", 0, 3 * 512 * 1024))
         assert (wrote, env.processed_events, env._seq, env.now) == (
-            1572864, 135, 135, 0.0019679201300726997)
+            1572864, 75, 75, 0.0019679201300726997)
         assert [ds.bytes_written for ds in fs.data_servers] == [524288] * 3
         got = run_sync(env, client.read("/w/f", 100_000, 1_200_000))
         assert (got, env.processed_events, env._seq, env.now) == (
-            1200000, 205, 205, 0.0026192614462110736)
+            1200000, 115, 115, 0.0026192614462110736)
         assert client.rpcs_sent == 15
 
 

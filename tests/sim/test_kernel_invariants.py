@@ -518,6 +518,91 @@ class TestSleep:
         assert env._seq == 12
 
 
+class TestSleepUntil:
+    """``yield (t,)`` sleeps until the instant ``t`` itself: a sleep's
+    entry, keyed by ``t`` rather than by ``now + (t - now)``."""
+
+    #: ``NOW + (T - NOW)`` is one ulp above ``T``.
+    NOW, T = 0.0009899011959374497, 0.0035060719285184417
+
+    def test_wakes_on_the_instant_a_delay_misses_by_an_ulp(self):
+        def body(env, until):
+            yield self.NOW
+            yield (self.T,) if until else self.T - env.now
+            return env.now
+
+        assert self.NOW + (self.T - self.NOW) != self.T
+        for until in (True, False):
+            env = Environment()
+            assert (run_sync(env, body(env, until)) == self.T) is until
+            assert env.processed_events == 4
+
+    def test_the_entry_is_a_sleeps(self, env):
+        def body():
+            yield (2.5,)
+
+        proc = env.process(body())
+        env.step()
+        (time, seq, fn, token), = env._heap
+        assert (time, fn, token) == (2.5, proc._resume_cb, seq)
+        assert proc.waiting_on is None
+        assert core_mod.cancel_wait(proc.waiting_on) is False
+        env.run()
+        assert (env.processed_events, env.now) == (3, 2.5)
+
+    def test_the_current_instant_takes_the_lane(self, env):
+        def body():
+            yield (0.0,)
+            return env.now
+
+        proc = env.process(body())
+        env.step()
+        assert env._heap == [] and len(env._lane) == 1
+        env.run()
+        assert (proc.value, env.processed_events) == (0.0, 3)
+
+    def test_interrupt_during_a_sleep_until(self, env):
+        log = []
+
+        def body():
+            try:
+                yield (10.0,)
+            except Interrupt as intr:
+                log.append((intr.cause, env.now))
+            yield (11.0,)
+            return "done"
+
+        def killer():
+            yield 2.0
+            proc.interrupt("k")
+
+        proc = env.process(body())
+        env.process(killer())
+        env.run()
+        assert log == [("k", 2.0)]
+        assert proc.value == "done"
+        # The t=10 wake-up is popped, counted and dropped as stale.
+        assert (env.processed_events, env.now) == (8, 11.0)
+
+    @pytest.mark.parametrize("bad", [(-1.0,), (float("nan"),), (1,),
+                                     (1.0, 2.0), (), (0.5,)])
+    def test_a_bad_instant_raises_at_the_offending_yield(self, env, bad):
+        seen = []
+
+        def body():
+            yield 1.0
+            try:
+                yield bad
+            except ValueError as err:
+                seen.append(err)
+            yield 1.0
+            return env.now
+
+        assert run_sync(env, body()) == 2.0
+        (err,) = seen
+        assert "instant" in str(err)
+
+
 def _counters(env, res):
     return (env.processed_events, env._seq, env.now, res.in_use,
             res.queue_length, res.total_acquires, res.total_wait_time,

@@ -201,34 +201,37 @@ class TestOneFramePerHop:
         request = svc.request(client, "echo", "x")
         proc = cluster.env.process(request)
         cluster.env.run(until=cluster.network.params.msg_overhead / 2)
-        # Holding the sender NIC, asleep on a bare delay: nothing to cancel.
+        # In the sender NIC's booking, asleep until an instant: nothing to
+        # cancel.
         assert client.nic.in_use == 1 and proc.is_alive
         assert proc.waiting_on is None
-        assert _frames_below(request) == 1      # transfer; 3 with use()
+        assert _frames_below(request) == 1      # transfer
         cluster.env.run()
         assert proc.value == "x"
 
     @pytest.mark.parametrize("stage", ["nic_queue", "sender_hold", "latency",
                                        "receiver_hold", "loopback_hold"])
     def test_interrupt_releases_nics_and_closes_span(self, cluster, stage):
+        """A sender struck anywhere in a hop has no park to cancel, and
+        its NICs are released at the end of their bookings, not at the
+        strike (docs/simulation-model.md, "Faults"); the ``net`` span
+        closes at the strike."""
         a, b = cluster.add_nodes(2)
         net, p = cluster.network, cluster.network.params
         net.tracer = tracer = Tracer()
         sent = p.msg_overhead + 64 / p.bandwidth
-        dst, stop_at = {
-            "nic_queue": (b, sent / 2),
-            "sender_hold": (b, sent / 2),
-            "latency": (b, sent + p.latency / 2),
-            "receiver_hold": (b, sent + p.latency + p.msg_overhead / 2),
-            "loopback_hold": (a, p.local_loopback / 2),
+        dst, stop_at, busy = {
+            "nic_queue": (b, sent / 2, ((a.nic.capacity + 1) * sent, 0.0)),
+            "sender_hold": (b, sent / 2, (sent, 0.0)),
+            "latency": (b, sent + p.latency / 2, (sent, 0.0)),
+            "receiver_hold": (b, sent + p.latency + p.msg_overhead / 2,
+                              (sent, p.msg_overhead)),
+            "loopback_hold": (a, p.local_loopback / 2,
+                              (p.local_loopback, 0.0)),
         }[stage]
-        def blocker():
-            yield a.nic     # takes a slot and keeps it
-
-        blockers = []
         if stage == "nic_queue":
-            blockers = [cluster.env.process(blocker())
-                        for _ in range(a.nic.capacity)]
+            for _ in range(a.nic.capacity):
+                a.nic.book(sent)    # every channel: the sender queues
 
         def sender():
             try:
@@ -239,17 +242,21 @@ class TestOneFramePerHop:
         proc = cluster.env.process(sender())
         tracer.push_context(proc, tracer.root_context())
         cluster.env.run(until=stop_at)
+        booked = [(nic.in_use, nic.queue_length) for nic in (a.nic, b.nic)]
         assert a.nic.queue_length == (1 if stage == "nic_queue" else 0)
-        cancel_wait(proc.waiting_on)
+        assert proc.waiting_on is None and not cancel_wait(proc.waiting_on)
         proc.interrupt()
-        cluster.env.run()
-        for _ in blockers:
-            a.nic.release()
+        cluster.env.run(until=stop_at)
         assert proc.value == "interrupted"
-        assert (a.nic.in_use, b.nic.in_use) == (0, 0)
-        assert (a.nic.queue_length, b.nic.queue_length) == (0, 0)
         kinds = [ev.kind for ev in tracer.events(actor="net")]
         assert kinds == ["span.start", "span.end"]
+        # Nothing given back early: the bookings stand, then end.
+        assert [(nic.in_use, nic.queue_length)
+                for nic in (a.nic, b.nic)] == booked
+        cluster.env.run()
+        assert (a.nic.in_use, b.nic.in_use) == (0, 0)
+        assert (a.nic.queue_length, b.nic.queue_length) == (0, 0)
+        assert (a.nic.busy_time(), b.nic.busy_time()) == pytest.approx(busy)
 
     @pytest.mark.parametrize("cut_sender, dropped", [(False, 0), (True, 1)])
     def test_cut_installed_mid_flight_drops_only_what_it_separates(

@@ -179,6 +179,8 @@ TEST_OBSERVERS = {
     ("LSMTree", "l1_entries"),
     ("Resource", "in_use"),
     ("Resource", "queue_length"),
+    ("Nic", "in_use"),
+    ("Nic", "queue_length"),
 }
 
 
