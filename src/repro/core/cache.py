@@ -31,6 +31,7 @@ from repro.kvstore.dht import ConsistentHashRing
 from repro.kvstore.memkv import CasMismatch, MemKV
 from repro.sim.core import Event
 from repro.sim.network import Cluster, Node, Service
+from repro.sim.resources import BookedPool
 
 __all__ = ["CacheShard", "DistributedCache", "new_record"]
 
@@ -49,66 +50,58 @@ def new_record(inode_record: Dict[str, Any], committed: bool = False,
     return record
 
 
+#: The verbs that walk the whole shard: their hold grows with its size.
+_SCANS = frozenset({"scan_prefix", "delete_prefix"})
+
+
 class CacheShard(Service):
-    """Memcached-equivalent shard as an RPC service on one region node."""
+    """Memcached-equivalent shard as an RPC service on one region node.
+
+    Every verb's service time (``memkv_op``; a scan's grows with the
+    shard's size) is known when its request arrives, so a request books a
+    worker of the ``memkv_workers`` pool on arrival, sleeps once until the
+    booking's end and runs the verb there as a plain function
+    (:class:`~repro.sim.network.Service`, "Booked").
+    """
 
     # Attribution buckets: KV service time vs. shard worker-pool wait.
     span_queue_category = "queue_wait"
     span_service_category = "cache"
+    pool = BookedPool
 
     def __init__(self, cluster: Cluster, node: Node, capacity_bytes: int,
                  name: str = "cache"):
         super().__init__(cluster, node, name,
                          workers=cluster.costs.memkv_workers)
-        self.kv = MemKV(capacity_bytes=capacity_bytes, name=name)
+        self.kv = kv = MemKV(capacity_bytes=capacity_bytes, name=name)
+        self.verbs = {
+            "get": kv.get, "gets": kv.gets, "set": kv.set, "add": kv.add,
+            "cas": kv.cas, "delete": kv.delete,
+            "delete_if_ino": self.delete_if_ino,
+            "scan_prefix": self.scan_prefix,
+            "delete_prefix": self.delete_prefix,
+        }
 
-    # Each verb yields its ``memkv_op`` service time directly: a helper
-    # generator here would add one frame to every cache round trip.
-    def handle_get(self, key: str) -> Generator[Event, Any, Optional[Dict]]:
-        yield self.costs.memkv_op
-        return self.kv.get(key)
+    def service_time(self, method: str) -> float:
+        """``method``'s worker hold, read when its request arrives."""
+        if method in _SCANS:
+            # Full-table scan: sized by the items cached on arrival.
+            return (self.costs.memkv_op
+                    + self.costs.memkv_scan_per_item * len(self.kv))
+        return self.costs.memkv_op
 
-    def handle_gets(self, key: str) -> Generator[Event, Any,
-                                                 Optional[Tuple[Dict, int]]]:
-        yield self.costs.memkv_op
-        return self.kv.gets(key)
-
-    def handle_set(self, key: str, value: Dict) -> Generator[Event, Any, int]:
-        yield self.costs.memkv_op
-        return self.kv.set(key, value)
-
-    def handle_add(self, key: str, value: Dict) -> Generator[Event, Any, int]:
-        yield self.costs.memkv_op
-        return self.kv.add(key, value)
-
-    def handle_cas(self, key: str, value: Dict,
-                   token: int) -> Generator[Event, Any, int]:
-        yield self.costs.memkv_op
-        return self.kv.cas(key, value, token)
-
-    def handle_delete(self, key: str) -> Generator[Event, Any, bool]:
-        yield self.costs.memkv_op
-        return self.kv.delete(key)
-
-    def handle_delete_if_ino(self, key: str,
-                             ino: int) -> Generator[Event, Any, bool]:
+    def delete_if_ino(self, key: str, ino: int) -> bool:
         """Atomic conditional delete: only the matching generation dies."""
-        yield self.costs.memkv_op
         record = self.kv.get(key)
         if record is not None and record.get("ino") == ino:
             return self.kv.delete(key)
         return False
 
-    def handle_scan_prefix(self, prefix: str) -> Generator[
-            Event, Any, List[Tuple[str, Dict]]]:
+    def scan_prefix(self, prefix: str) -> List[Tuple[str, Dict]]:
         """Full-table scan — cold path only (rmdir cleanup, rebuild)."""
-        yield (self.costs.memkv_op +
-               self.costs.memkv_scan_per_item * len(self.kv))
         return list(self.kv.scan_prefix(prefix))
 
-    def handle_delete_prefix(self, prefix: str) -> Generator[Event, Any, int]:
-        yield (self.costs.memkv_op +
-               self.costs.memkv_scan_per_item * len(self.kv))
+    def delete_prefix(self, prefix: str) -> int:
         doomed = [k for k, _ in self.kv.scan_prefix(prefix)]
         for k in doomed:
             self.kv.delete(k)

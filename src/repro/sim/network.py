@@ -11,18 +11,16 @@ flat scalability curves in Figs. 1 and 11.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from heapq import heapreplace
-from typing import Any, Callable, Deque, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.sim.core import Environment, Event, Interrupt
 from repro.sim.costs import CostModel
-from repro.sim.resources import Occupancy, Resource
+from repro.sim.resources import BookedPool, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.trace import NULL_TRACER
 
-__all__ = ["Nic", "Node", "NetworkParams", "Network", "Service", "Cluster",
+__all__ = ["Node", "NetworkParams", "Network", "Service", "Cluster",
            "NodeDownError", "MessageDropped"]
 
 
@@ -45,106 +43,6 @@ class NetworkParams:
         )
 
 
-class Nic(Occupancy):
-    """A node's NIC: ``capacity`` FIFO channels, booked when a message
-    reaches it.
-
-    A message that reaches the NIC at ``now`` and holds a channel for
-    ``hold`` starts at ``max(now, earliest channel free time)`` and ends
-    ``hold`` later; that end is the channel's new free time, and
-    :meth:`book` returns it for the sender to sleep until.  This is the
-    Lindley recursion of a c-channel FIFO whose hold times are known on
-    arrival: every start and end is the float that parking on a
-    ``Resource``, sleeping the hold and releasing gave, since each
-    hand-over happened at the previous holder's end
-    (``docs/simulation-model.md``, "The fabric").  Nothing parks, so
-    nothing is left to cancel: a booking is kept to its end whatever
-    becomes of its sender.
-
-    The contention figures read as a :class:`Resource`'s do, at any
-    instant: a wait joins ``total_wait_time`` once its booking has
-    started (the hand-over instant), though the hub's ``_wait_observe``
-    sees it when it is booked.
-    """
-
-    def __init__(self, env: Environment, capacity: int, name: str):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self.created_at = env.now
-        #: Heap of the channels' free times: the head frees first.
-        self._free = [env.now] * capacity
-        #: Start and wait of each booking that has not started yet, in
-        #: booking order (FIFO starts never decrease).
-        self._starts: Deque[float] = deque()
-        self._waits: Deque[float] = deque()
-        #: Hold time of every booking so far.
-        self._booked = 0.0
-        #: Waits of the bookings that have started.
-        self._waited = 0.0
-        self.total_acquires = 0
-        self.peak_queue = 0
-        # Installed by MetricsHub to feed resource.wait[<name>] sketches.
-        self._wait_observe: Optional[Callable[[float], None]] = None
-
-    def book(self, hold: float) -> float:
-        """Book the channel that frees first for ``hold``, from now or
-        from its free time if later; returns the booking's end."""
-        now = self.env.now
-        free = self._free
-        start = free[0]
-        self.total_acquires += 1
-        self._booked += hold
-        if start > now:
-            # Every channel is busy: queue behind the one freeing first.
-            waited = start - now
-            self._settle(now)
-            self._starts.append(start)
-            self._waits.append(waited)
-            if len(self._starts) > self.peak_queue:
-                self.peak_queue = len(self._starts)
-            if self._wait_observe is not None:
-                self._wait_observe(waited)
-        else:
-            start = now
-        end = start + hold
-        heapreplace(free, end)
-        return end
-
-    def _settle(self, now: float) -> None:
-        """Count the waits of the bookings that have started by ``now``."""
-        starts = self._starts
-        while starts and starts[0] <= now:
-            starts.popleft()
-            self._waited += self._waits.popleft()
-
-    @property
-    def in_use(self) -> int:
-        """Channels busy now (a booked channel is busy without a gap from
-        its current booking's start to its free time)."""
-        now = self.env.now
-        return sum(1 for t in self._free if t > now)
-
-    @property
-    def queue_length(self) -> int:
-        """Bookings that have not started yet."""
-        self._settle(self.env.now)
-        return len(self._starts)
-
-    @property
-    def total_wait_time(self) -> float:
-        self._settle(self.env.now)
-        return self._waited
-
-    def busy_time(self) -> float:
-        """Channel-seconds busy up to now: every booked hold, less what
-        each channel has booked past now."""
-        now = self.env.now
-        return self._booked - sum(t - now for t in self._free if t > now)
-
-
 class Node:
     """A cluster node: identity plus CPU and NIC contention points."""
 
@@ -155,7 +53,9 @@ class Node:
         self.name = name
         self.cores = cores
         self.cpu = Resource(env, capacity=cores, name=f"{name}.cpu")
-        self.nic = Nic(env, nic_channels, f"{name}.nic")
+        #: ``nic_channels`` FIFO channels, booked when a message reaches
+        #: them (``docs/simulation-model.md``, "The fabric").
+        self.nic = BookedPool(env, nic_channels, f"{name}.nic")
         self.alive = True
         #: Bumped on every :meth:`fail` so in-flight messages addressed to
         #: the previous incarnation are dropped at delivery even if the
@@ -247,21 +147,38 @@ class Network:
         if self.hub is not None:
             self.hub.count("net.dropped")
 
-    def transfer(self, src: Node, dst: Node,
-                 nbytes: int) -> Generator[Event, Any, None]:
-        """Deliver ``nbytes`` from ``src`` to ``dst``; yields until done.
+    # -- hops ----------------------------------------------------------
+    # A hop has no generator of its own: the process that sends the
+    # message sleeps in its own frame, and these three steps hold every
+    # rule of the hop (docs/simulation-model.md, "The fabric"):
+    #
+    #     t, mark, ctx = net.depart(src, dst, nbytes)
+    #     try:
+    #         yield (t,)
+    #         if src is not dst:
+    #             yield (net.receive(src, dst, mark),)
+    #         net.deliver(src, dst, mark)
+    #     finally:
+    #         if ctx is not None:
+    #             net.end_span(ctx)
+    #
+    # Liveness is checked at send for the source only; the fate of the
+    # destination is decided at delivery — a message to a node that fails
+    # mid-flight is dropped, not delivered, and a send to an already-dead
+    # or partitioned destination spends its network time before the drop
+    # surfaces (the sender cannot know the far end is gone any sooner).
+    def depart(self, src: Node, dst: Node,
+               nbytes: int) -> Tuple[float, int, Any]:
+        """Send ``nbytes`` from ``src`` to ``dst``: the source must be up;
+        the message is counted, opens a ``net`` span when the sending
+        process is traced, and books the sender NIC (a loopback: the
+        node's NIC for the stack's time).
 
-        Liveness is checked at *send* for the source only; the fate of the
-        destination is decided at delivery time — a message to a node that
-        fails mid-flight is dropped, not delivered, and a send to an
-        already-dead or partitioned destination spends its network time
-        before the drop surfaces (the sender cannot know the far end is
-        gone any sooner).
-
-        A remote hop is two sleeps: one until the sender NIC's booking
-        ends and the message has propagated, one until the receiver NIC's
-        booking ends; a loopback hop is one.  Each sleep is until the
-        booked instant itself (``yield (t,)``).
+        Returns ``(t, mark, ctx)``: the instant to sleep until (the
+        sender booking's end plus the latency: the arrival at the
+        receiver NIC; a loopback's delivery), the destination's fate at
+        send for :meth:`receive` and :meth:`deliver`, and the span context
+        (None when untraced).
         """
         if not src.alive:
             raise NodeDownError(f"source node {src.name} is down")
@@ -274,69 +191,94 @@ class Network:
             ctx = tracer.open_child(env.active_process, env.now, "net",
                                     "network", f"{src.name}->{dst.name}")
         p = self.params
-        try:
-            if src is dst:
-                # Loopback still burns stack/CPU time and contends with
-                # real NIC traffic on the node (kernel TCP path).
-                if p.local_loopback > 0:
-                    yield (src.nic.book(p.local_loopback),)
-                if not dst.alive:
-                    self.note_dropped()
-                    raise MessageDropped(
-                        f"node {dst.name} died during loopback delivery")
-                return
-            # Snapshot destination fate at send time: an already-dead or
-            # partitioned destination dooms the message, and the
-            # incarnation mark catches a fail()+recover() cycle completing
-            # mid-flight.
-            # ``_cuts`` is tested first: no call while nothing is cut.
-            # ``doomed`` must stay a bool (``self._cuts and ...`` would
-            # keep the live dict, and a later cut would doom the message).
-            doomed = not dst.alive
-            if self._cuts and not doomed:
-                doomed = self.is_partitioned(src, dst)
+        if src is dst:
+            # Loopback still burns stack/CPU time and contends with real
+            # NIC traffic on the node (kernel TCP path).
+            return (src.nic.book(p.local_loopback) if p.local_loopback > 0
+                    else env.now), dst.incarnation, ctx
+        # The fate mark is the destination's incarnation, which catches a
+        # fail()+recover() cycle completing mid-flight; an already-dead or
+        # partitioned destination dooms the message with -1, which no
+        # incarnation equals (a later cut cannot doom it retroactively).
+        # ``_cuts`` is tested first: no call while nothing is cut.
+        if not dst.alive or self._cuts and self.is_partitioned(src, dst):
+            mark = -1
+        else:
             mark = dst.incarnation
-            # The sender NIC serializes the message onto the fabric, then
-            # it propagates.
-            yield (src.nic.book(p.msg_overhead + nbytes / p.bandwidth)
-                   + p.latency,)
-            if (doomed or not dst.alive or dst.incarnation != mark
-                    or self._cuts and self.is_partitioned(src, dst)):
-                # Dropped on the wire: the receiver NIC never sees it.
+        # The sender NIC serializes the message onto the fabric, then it
+        # propagates.
+        return (src.nic.book(p.msg_overhead + nbytes / p.bandwidth)
+                + p.latency), mark, ctx
+
+    def receive(self, src: Node, dst: Node, mark: int) -> float:
+        """A remote message reaches the receiver NIC: dropped on the wire
+        (the NIC never sees it) if its destination was doomed at send, is
+        down or restarted, or is cut off now; else the receiver NIC books
+        it — fan-in contention happens here — and the booking's end is
+        returned."""
+        if (dst.incarnation != mark or not dst.alive
+                or self._cuts and self.is_partitioned(src, dst)):
+            self.note_dropped()
+            raise MessageDropped(
+                f"message {src.name}->{dst.name} dropped in flight")
+        return dst.nic.book(self.params.msg_overhead)
+
+    def deliver(self, src: Node, dst: Node, mark: int) -> None:
+        """The hop ends: the message is dropped if its destination died
+        during the receiver booking (or, on a loopback, is down)."""
+        if src is dst:
+            if not dst.alive:
                 self.note_dropped()
                 raise MessageDropped(
-                    f"message {src.name}->{dst.name} dropped in flight")
-            # Receiver NIC processes the arrival; fan-in contention
-            # happens here.
-            yield (dst.nic.book(p.msg_overhead),)
-            if not dst.alive or dst.incarnation != mark:
-                self.note_dropped()
-                raise MessageDropped(
-                    f"destination node {dst.name} died in flight")
-        finally:
-            if ctx is not None:
-                tracer.span_end(env.now, "net", ctx)
+                    f"node {dst.name} died during loopback delivery")
+        elif not dst.alive or dst.incarnation != mark:
+            self.note_dropped()
+            raise MessageDropped(
+                f"destination node {dst.name} died in flight")
+
+    def end_span(self, ctx: Any) -> None:
+        """Close a hop's ``net`` span now: at delivery, at a drop, or at
+        the strike that interrupted its sender."""
+        self.tracer.span_end(self.env.now, "net", ctx)
 
 
 class Service:
-    """An RPC-style actor: a worker pool on a node plus handler methods.
+    """An RPC-style actor: a worker pool on a node plus its operations.
 
-    Subclasses define generator methods named ``handle_<op>``.  Callers use
-    :meth:`request`, which charges the request hop, queues on the worker
-    pool, runs the handler, and charges the response hop.  Exceptions from
-    handlers are delivered to the caller after the response hop (errors
+    Callers use :meth:`request`, which drives the request hop, the
+    service and the response hop from its own frame.  Exceptions from an
+    operation are delivered to the caller after the response hop (errors
     travel on the wire like any reply).
 
+    An operation is served in one of two ways:
+
+    * **Parked** (the default): a generator method ``handle_<op>``, run
+      once the request holds a :class:`Resource` worker, so its service
+      time can depend on state read at service start (an inode cache, an
+      LSM lookup).
+    * **Booked**: a service whose service time is known when a request
+      arrives sets :attr:`verbs` (plain functions by name), makes
+      ``pool`` a :class:`BookedPool` and defines ``service_time(op)``;
+      the request books a worker on arrival, sleeps once until the
+      booking's end and runs the verb there, if the node kept its arrival
+      incarnation to that end (``docs/simulation-model.md``, "The cache
+      shard").
+
     When the driving process carries a :class:`~repro.sim.trace.SpanContext`
-    the worker-pool wait and the handler execution each emit a child span,
-    tagged with the class's attribution categories below (subclasses that
-    sit on a client critical path override these with real buckets).
+    the worker-pool wait and the service each emit a child span, tagged
+    with the class's attribution categories below (subclasses that sit on
+    a client critical path override these with real buckets).
     """
 
     #: Span category for time spent waiting on the worker pool.
     span_queue_category = "svc_queue"
-    #: Span category for time spent inside the handler.
+    #: Span category for time spent inside the handler (or verb hold).
     span_service_category = "svc_service"
+    #: The worker pool's class.
+    pool = Resource
+    #: A booked service's operations, by name (its ``service_time(op)``
+    #: gives each one's worker hold); None for ``handle_<op>``.
+    verbs: Optional[Dict[str, Any]] = None
 
     def __init__(self, cluster: "Cluster", node: Node, name: str,
                  workers: int = 1):
@@ -345,8 +287,7 @@ class Service:
         self.costs = cluster.costs
         self.node = node
         self.name = name
-        self.workers = Resource(cluster.env, capacity=workers,
-                                name=f"{name}.workers")
+        self.workers = self.pool(cluster.env, workers, f"{name}.workers")
         self.requests_served = 0
         self.requests_by_method: Dict[str, int] = {}
 
@@ -355,60 +296,113 @@ class Service:
                 resp_size: Optional[int] = None,
                 **kwargs) -> Generator[Event, Any, Any]:
         """Full RPC round trip from ``src`` to this service."""
-        handler = getattr(self, "handle_" + method, None)
-        if handler is None:
+        verbs = self.verbs
+        if verbs is None:
+            op = getattr(self, "handle_" + method, None)
+        else:
+            op = verbs.get(method)
+        if op is None:
             raise AttributeError(f"{type(self).__name__} has no handler for"
                                  f" {method!r}")
         req_bytes = (self.costs.request_header_size
                      if req_size is None else req_size)
         resp_bytes = (self.costs.request_header_size
                       if resp_size is None else resp_size)
+        env = self.env
         net = self.cluster.network
+        node = self.node
         tracer = self.cluster.tracer
         proc = None
-        if tracer.enabled and tracer.traces(self.env.active_process):
-            proc = self.env.active_process
-        yield from net.transfer(src, self.node, req_bytes)
-        mark = self.node.incarnation
+        if tracer.enabled and tracer.traces(env.active_process):
+            proc = env.active_process
+        t, mark, ctx = net.depart(src, node, req_bytes)
+        try:
+            yield (t,)
+            if src is not node:
+                yield (net.receive(src, node, mark),)
+            net.deliver(src, node, mark)
+        finally:
+            if ctx is not None:
+                net.end_span(ctx)
+        arrival = node.incarnation
         qctx = None
         if proc is not None:
-            qctx = tracer.open_child(proc, self.env.now, self.name,
+            qctx = tracer.open_child(proc, env.now, self.name,
                                      self.span_queue_category, method)
-        yield self.workers
-        if qctx is not None:
-            tracer.span_end(self.env.now, self.name, qctx)
-        if not self.node.alive or self.node.incarnation != mark:
-            # The service's node died while the request sat in the worker
-            # queue: the handler never runs and no response is sent.
-            self.workers.release()
-            net.note_dropped()
-            raise MessageDropped(
-                f"service {self.name} node {self.node.name} died while"
-                f" {method!r} was queued")
-        sctx = None
-        if proc is not None:
-            sctx = tracer.open_child(proc, self.env.now, self.name,
-                                     self.span_service_category, method)
         error: Optional[BaseException] = None
         result = None
-        try:
-            result = yield from handler(*args, **kwargs)
-        except (NodeDownError, Interrupt):
-            # An Interrupt is the *caller* being killed mid-request (node
-            # crash), not a domain error: holding it for the response
-            # wire would let the dead-destination transfer replace it
-            # with MessageDropped, silently un-killing the caller.
-            raise
-        except Exception as exc:  # domain errors ride the response wire
-            error = exc
-        finally:
-            self.workers.release()
-            if sctx is not None:
-                tracer.span_end(self.env.now, self.name, sctx)
+        if verbs is not None:
+            workers = self.workers
+            if qctx is not None:
+                start = workers.next_start()
+            end = workers.book(self.service_time(method))
+            try:
+                yield (end,)
+            finally:
+                # The spans a park would have written at the grant and at
+                # the end of the hold; none for the hold while a strike
+                # lands before the booking starts.
+                if qctx is not None and env.now >= start:
+                    tracer.span_end(start, self.name, qctx)
+                    sctx = tracer.open_child(proc, start, self.name,
+                                             self.span_service_category,
+                                             method)
+                    if sctx is not None:
+                        tracer.span_end(env.now, self.name, sctx)
+            if not node.alive or node.incarnation != arrival:
+                # The node died while the request was booked: the verb
+                # never runs and no response is sent.
+                net.note_dropped()
+                raise MessageDropped(
+                    f"service {self.name} node {node.name} died before"
+                    f" {method!r} ran")
+            try:
+                result = op(*args, **kwargs)
+            except Exception as exc:  # domain errors ride the response wire
+                error = exc
+        else:
+            yield self.workers
+            if qctx is not None:
+                tracer.span_end(env.now, self.name, qctx)
+            if not node.alive or node.incarnation != arrival:
+                # The service's node died while the request sat in the
+                # worker queue: the handler never runs and no response is
+                # sent.
+                self.workers.release()
+                net.note_dropped()
+                raise MessageDropped(
+                    f"service {self.name} node {node.name} died while"
+                    f" {method!r} was queued")
+            sctx = None
+            if proc is not None:
+                sctx = tracer.open_child(proc, env.now, self.name,
+                                         self.span_service_category, method)
+            try:
+                result = yield from op(*args, **kwargs)
+            except (NodeDownError, Interrupt):
+                # An Interrupt is the *caller* being killed mid-request
+                # (node crash), not a domain error: holding it for the
+                # response wire would let the dead-destination hop replace
+                # it with MessageDropped, silently un-killing the caller.
+                raise
+            except Exception as exc:  # domain errors ride the response wire
+                error = exc
+            finally:
+                self.workers.release()
+                if sctx is not None:
+                    tracer.span_end(env.now, self.name, sctx)
         self.requests_served += 1
         self.requests_by_method[method] = (
             self.requests_by_method.get(method, 0) + 1)
-        yield from net.transfer(self.node, src, resp_bytes)
+        t, mark, ctx = net.depart(node, src, resp_bytes)
+        try:
+            yield (t,)
+            if node is not src:
+                yield (net.receive(node, src, mark),)
+            net.deliver(node, src, mark)
+        finally:
+            if ctx is not None:
+                net.end_span(ctx)
         if error is not None:
             raise error
         return result

@@ -1,31 +1,36 @@
 """Synchronization and contention primitives for the DES kernel.
 
 * :class:`Resource` — capacity-limited server (models MDS worker pools
-  and cache-node CPUs).  FIFO grant order keeps runs
+  and node CPUs).  FIFO grant order keeps runs
   deterministic, and a queued waiter's wait is accounted at the instant
   the slot is handed over.  A process takes a slot with ``yield resource``
   (a *park*: no event object, ``docs/kernel.md`` §Parking) and gives it
   back with ``resource.release()``.
+* :class:`BookedPool` — a FIFO of ``capacity`` servers whose hold times
+  are known on arrival (node NICs, cache-shard workers): a request books
+  a server when it arrives and sleeps until the booking's end; nothing
+  parks.
 * :class:`Barrier` — classic N-party rendezvous (used by the mdtest
   workload to reproduce MPI phase barriers); ``yield barrier`` parks too.
 
 The message channel of the commit pipeline is
-:class:`repro.mq.MessageQueue`, which parks a get the same way.  A NIC
-parks nothing: :class:`repro.sim.network.Nic` books a channel when a
-message reaches it, and shares :class:`Occupancy` — what the sampler,
-the autoscaler and the hub read — with :class:`Resource`.
+:class:`repro.mq.MessageQueue`, which parks a get the same way.
+:class:`Resource` and :class:`BookedPool` share :class:`Occupancy` —
+what the sampler, the autoscaler and the hub read.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapreplace
 from typing import (Any, Callable, Deque, Generator, Iterable, List,
                     Optional, Tuple)
 
 from repro.sim.core import Environment, Event, Process, SimulationError, \
     _hand_over, _Outcome, _withdraw
 
-__all__ = ["Occupancy", "Resource", "Barrier", "window_utilizations"]
+__all__ = ["Occupancy", "Resource", "BookedPool", "Barrier",
+           "window_utilizations"]
 
 
 class Occupancy:
@@ -162,10 +167,113 @@ class Resource(Occupancy):
             self.release()
 
 
+class BookedPool(Occupancy):
+    """``capacity`` FIFO servers, each booked when a request reaches it.
+
+    A request that arrives at ``now`` and holds a server for ``hold``
+    starts at ``max(now, earliest server free time)`` and ends ``hold``
+    later; that end is the server's new free time, and :meth:`book`
+    returns it for the requester to sleep until.  This is the Lindley
+    recursion of a c-server FIFO whose hold times are known on arrival:
+    every start and end is the float that parking on a
+    :class:`Resource`, sleeping the hold and releasing gave, since each
+    hand-over happened at the previous holder's end
+    (``docs/simulation-model.md``, "The fabric" and "The cache shard").
+    Nothing parks, so nothing is left to cancel: a booking is kept to
+    its end whatever becomes of its requester.
+
+    The contention figures read as a :class:`Resource`'s do, at any
+    instant: a wait joins ``total_wait_time`` once its booking has
+    started (the hand-over instant), though the hub's ``_wait_observe``
+    sees it when it is booked.
+    """
+
+    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.name = name
+        self.capacity = capacity
+        self.created_at = env.now
+        #: Heap of the servers' free times: the head frees first.
+        self._free = [env.now] * capacity
+        #: Start and wait of each booking that has not started yet, in
+        #: booking order (FIFO starts never decrease).
+        self._starts: Deque[float] = deque()
+        self._waits: Deque[float] = deque()
+        #: Hold time of every booking so far.
+        self._booked = 0.0
+        #: Waits of the bookings that have started.
+        self._waited = 0.0
+        self.total_acquires = 0
+        self.peak_queue = 0
+        # Installed by MetricsHub to feed resource.wait[<name>] sketches.
+        self._wait_observe: Optional[Callable[[float], None]] = None
+
+    def book(self, hold: float) -> float:
+        """Book the server that frees first for ``hold``, from now or
+        from its free time if later; returns the booking's end."""
+        now = self.env.now
+        free = self._free
+        start = free[0]
+        self.total_acquires += 1
+        self._booked += hold
+        if start > now:
+            # Every server is busy: queue behind the one freeing first.
+            waited = start - now
+            self._settle(now)
+            self._starts.append(start)
+            self._waits.append(waited)
+            if len(self._starts) > self.peak_queue:
+                self.peak_queue = len(self._starts)
+            if self._wait_observe is not None:
+                self._wait_observe(waited)
+        else:
+            start = now
+        end = start + hold
+        heapreplace(free, end)
+        return end
+
+    def next_start(self) -> float:
+        """When a booking made now would start."""
+        return max(self.env.now, self._free[0])
+
+    def _settle(self, now: float) -> None:
+        """Count the waits of the bookings that have started by ``now``."""
+        starts = self._starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+            self._waited += self._waits.popleft()
+
+    @property
+    def in_use(self) -> int:
+        """Servers busy now (a booked server is busy without a gap from
+        its current booking's start to its free time)."""
+        now = self.env.now
+        return sum(1 for t in self._free if t > now)
+
+    @property
+    def queue_length(self) -> int:
+        """Bookings that have not started yet."""
+        self._settle(self.env.now)
+        return len(self._starts)
+
+    @property
+    def total_wait_time(self) -> float:
+        self._settle(self.env.now)
+        return self._waited
+
+    def busy_time(self) -> float:
+        """Server-seconds busy up to now: every booked hold, less what
+        each server has booked past now."""
+        now = self.env.now
+        return self._booked - sum(t - now for t in self._free if t > now)
+
+
 def window_utilizations(windows: Iterable[Tuple[Occupancy, List[float]]],
                         ) -> List[float]:
     """:meth:`Occupancy.window_utilization` of each ``(resource, mark)``
-    — worker pools, CPUs and NICs alike — in one call: a sampler reads
+    — parked and booked pools alike — in one call: a sampler reads
     every tracked resource each tick."""
     out = []
     for res, mark in windows:

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.core.cache import CacheShard, DistributedCache, new_record
+from repro.core.failure import fail_node, recover_node
+from repro.dfs.mds import MetadataServer
+from repro.dfs.namespace import Namespace
 from repro.kvstore.memkv import CasMismatch, KeyExists
+from repro.obs.hub import MetricsHub
 from repro.sim.core import run_sync
-from repro.sim.network import Cluster
+from repro.sim.network import Cluster, MessageDropped
+from tests.core.conftest import make_world
 
 
 def make_cache(n_shards=4):
@@ -197,3 +202,147 @@ class TestDistributedCache:
             return run_sync(cluster.env, proc())
 
         assert timed(remote_key) > timed(local_key)
+
+
+def _struck_world():
+    """A client node and a shard node, the network counting drops into a
+    hub, and one cached record."""
+    cluster = Cluster()
+    client, home = cluster.add_node("client"), cluster.add_node("home")
+    shard = CacheShard(cluster, home, capacity_bytes=1 << 20)
+    cluster.network.hub = hub = MetricsHub()
+    shard.kv.set("/a", rec(ino=1))
+    return cluster, client, shard, hub
+
+
+class TestStrikesOnTheShardNode:
+    """Each drop rule of a cache RPC, struck on the shard's node
+    (``docs/simulation-model.md``, "Faults"): the request raises
+    ``MessageDropped`` and counts ``net.dropped`` once, and the booking
+    it sleeps in is kept to its end.  A strike in the worker booking also
+    keeps the verb from running."""
+
+    @pytest.mark.parametrize("stage, method", [
+        ("receiver_booking", "get"), ("loopback_booking", "get"),
+        ("worker_booking", "get"), ("worker_booking", "add"),
+        ("restart_in_worker_booking", "get"),
+        ("restart_in_worker_booking", "add")])
+    def test_a_strike_drops_the_request_once(self, stage, method):
+        cluster, client, shard, hub = _struck_world()
+        env, net, costs = cluster.env, cluster.network, cluster.costs
+        p, home = net.params, shard.node
+        sent = p.msg_overhead + costs.request_header_size / p.bandwidth
+        arrived = sent + p.latency + p.msg_overhead
+        src, strike_at, pool, hold = {
+            "receiver_booking": (client, arrived - p.msg_overhead / 2,
+                                 home.nic, p.msg_overhead),
+            "loopback_booking": (home, p.local_loopback / 2, home.nic,
+                                 p.local_loopback),
+            "worker_booking": (client, arrived + costs.memkv_op / 2,
+                               shard.workers, costs.memkv_op),
+            "restart_in_worker_booking": (
+                client, arrived + costs.memkv_op / 2, shard.workers,
+                costs.memkv_op),
+        }[stage]
+        args = ("/a",) if method == "get" else ("/b", rec(ino=2))
+        before = (dict(shard.kv._items), shard.kv.hits, shard.kv.misses)
+
+        def caller():
+            try:
+                yield from shard.request(src, method, *args)
+            except MessageDropped:
+                return "dropped"
+            return "served"
+
+        proc = env.process(caller())
+        env.run(until=strike_at)
+        assert pool.in_use == 1 and proc.waiting_on is None
+        home.fail()
+        if stage == "restart_in_worker_booking":
+            home.recover()
+        env.run(until=strike_at)
+        assert pool.in_use == 1        # the booking stands after the strike
+        env.run()
+        assert proc.value == "dropped"
+        assert net.dropped == 1
+        assert hub.export()["counters"]["net.dropped"] == 1
+        assert pool.in_use == 0 and pool.busy_time() == pytest.approx(hold)
+        assert (dict(shard.kv._items), shard.kv.hits,
+                shard.kv.misses) == before       # the verb never ran
+        assert shard.requests_served == 0
+
+
+def test_a_strike_on_a_clients_add_keeps_the_op_accounting():
+    """A create whose ``add`` is struck in its shard's worker booking:
+    the op fails before it is published, and after recovery the region's
+    accounting still closes."""
+    w = make_world(n_nodes=2)
+    env, region = w.cluster.env, w.region
+    path = next(f"/app/f{i}" for i in range(100)
+                if region.cache.shard_for(f"/app/f{i}").node is w.nodes[1])
+    shard = region.cache.shard_for(path)
+    proc = env.process(w.client.create(path), label="create")
+
+    def in_add_booking():
+        frame = proc._generator
+        while frame.gi_yieldfrom is not None:
+            frame = frame.gi_yieldfrom
+        rpc = frame.gi_frame.f_locals if frame.gi_frame else {}
+        return (frame.gi_code.co_name == "request"
+                and rpc.get("method") == "add" and "arrival" in rpc)
+
+    while not in_add_booking():
+        env.step()
+    assert shard.workers.in_use == 1
+    report = fail_node(region, w.nodes[1])
+    with pytest.raises(MessageDropped):
+        env.run(proc)
+    assert region.cluster.network.dropped == 1
+    recover_node(region, w.nodes[1])
+    w.quiesce()
+    resolved = sum(cp.committed + cp.discarded + cp.coalesced
+                   for cp in region.commit_processes)
+    assert region.ops_submitted == resolved + report.lost_queued_ops
+
+
+class TestKernelEventsPerRpc:
+    """The kernel events one RPC adds to the process that makes it: two
+    per remote hop (the sender booking plus the latency, the receiver
+    booking), one per loopback hop, plus the service — one booking sleep
+    for a cache verb, a grant and the handler's sleep for an MDS
+    ``getattr``."""
+
+    @staticmethod
+    def _events(make, loopback):
+        cluster = Cluster()
+        client, home = cluster.add_node("client"), cluster.add_node("home")
+        service, args = make(cluster, home)
+        env = cluster.env
+
+        def idle():
+            return
+            yield
+
+        def rpc():
+            yield from service.request(home if loopback else client, *args)
+
+        env.process(idle())
+        env.run()
+        base = env.processed_events
+        env.process(rpc())
+        env.run()
+        return env.processed_events - 2 * base
+
+    @pytest.mark.parametrize("loopback, events", [(False, 5), (True, 3)])
+    def test_a_cache_rpc(self, loopback, events):
+        def make(cluster, home):
+            return CacheShard(cluster, home, capacity_bytes=1 << 20), \
+                ("get", "/a")
+        assert self._events(make, loopback) == events
+
+    @pytest.mark.parametrize("loopback, events", [(False, 6), (True, 4)])
+    def test_an_mds_rpc(self, loopback, events):
+        def make(cluster, home):
+            return MetadataServer(cluster, home, Namespace()), \
+                ("getattr", "/")
+        assert self._events(make, loopback) == events

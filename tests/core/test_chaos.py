@@ -23,6 +23,7 @@ from repro.obs.hub import MetricsHub
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster, MessageDropped, NodeDownError
 from tests.core.conftest import make_paused_world, make_world
+from tests.sim.conftest import hop
 
 
 # ------------------------------------------------------------- scenarios
@@ -272,7 +273,7 @@ class TestDeliveryTimeDrops:
                 dst.fail()
             cluster.env.process(killer(), label="killer")
             with pytest.raises(MessageDropped):
-                yield from cluster.network.transfer(src, dst, 1 << 20)
+                yield from hop(cluster.network, src, dst, 1 << 20)
 
         run_sync(cluster.env, scenario(), label="drop-test")
         assert cluster.network.dropped == 1
@@ -286,7 +287,7 @@ class TestDeliveryTimeDrops:
 
         def scenario():
             with pytest.raises(NodeDownError):
-                yield from cluster.network.transfer(src, dst, 1024)
+                yield from hop(cluster.network, src, dst, 1024)
 
         run_sync(cluster.env, scenario(), label="src-down")
         assert cluster.network.dropped == 0
@@ -305,7 +306,7 @@ class TestDeliveryTimeDrops:
                 dst.recover()
             cluster.env.process(bouncer(), label="bouncer")
             with pytest.raises(MessageDropped):
-                yield from cluster.network.transfer(src, dst, 1 << 20)
+                yield from hop(cluster.network, src, dst, 1 << 20)
 
         run_sync(cluster.env, scenario(), label="stale-incarnation")
         assert cluster.network.dropped == 1

@@ -177,16 +177,16 @@ def _chain(generator):
 def _in_gets_nic_booking(process):
     """Asleep in a NIC booking inside the post-commit ``gets`` round trip.
 
-    Nothing else runs in the world, so a NIC of the hop has a channel
-    booked at this instant exactly while this process sleeps in it."""
-    chain = _chain(process._generator)
-    if len(chain) < 2 or chain[-1].gi_code.co_name != "transfer":
+    Nothing else runs in the world, so a NIC of the round trip has a
+    channel booked at this instant exactly while this process sleeps in
+    one of its hops (both run in ``request``'s own frame)."""
+    request = _chain(process._generator)[-1]
+    if request.gi_code.co_name != "request":
         return False
-    request, transfer = chain[-2:]
-    hop = transfer.gi_frame.f_locals
-    return (request.gi_frame.f_locals.get("method") == "gets"
+    rpc = request.gi_frame.f_locals
+    return (rpc.get("method") == "gets"
             and process.waiting_on is None
-            and 1 in (hop["src"].nic.in_use, hop["dst"].nic.in_use))
+            and 1 in (rpc["src"].nic.in_use, rpc["node"].nic.in_use))
 
 
 class TestCommitFrames:
@@ -206,7 +206,7 @@ class TestCommitFrames:
             cluster.env.step()
         names = [g.gi_code.co_name for g in _chain(cp._process._generator)]
         assert names == ["run", "_commit_segment", "_commit_success",
-                         "request", "transfer"]
+                         "request"]
 
         # A crash right there: the first op has committed, the rest of
         # the drain has not.

@@ -259,15 +259,16 @@ def _in_sender_nic_booking(process, method):
     """Asleep in the client NIC's booking while sending a ``method`` RPC.
 
     Nothing else runs in the world, so the client's NIC has a channel
-    booked at this instant exactly while this process sleeps in it."""
-    chain = _chain(process._generator)
-    if len(chain) < 2 or chain[-1].gi_code.co_name != "transfer":
+    booked at this instant exactly while this process sleeps in it.  The
+    request hop runs in ``request``'s own frame, before the request has
+    reached the server (``arrival``)."""
+    request = _chain(process._generator)[-1]
+    if request.gi_code.co_name != "request":
         return False
-    request, transfer = chain[-2:]
-    hop = transfer.gi_frame.f_locals
-    return (request.gi_frame.f_locals.get("method") == method
+    rpc = request.gi_frame.f_locals
+    return (rpc.get("method") == method and "arrival" not in rpc
             and process.waiting_on is None
-            and hop["src"] is not hop["dst"] and hop["src"].nic.in_use == 1)
+            and rpc["src"] is not rpc["node"] and rpc["src"].nic.in_use == 1)
 
 
 class TestClientFrames:
@@ -289,6 +290,6 @@ class TestClientFrames:
             while not _in_sender_nic_booking(proc, method):
                 cluster.env.step()
             names = [g.gi_code.co_name for g in _chain(proc._generator)]
-            assert names == ["body", "_op", "request", "transfer"]
+            assert names == ["body", "_op", "request"]
         cluster.env.run()
         assert proc.value.is_file and client.lookup_rpcs == 2

@@ -121,8 +121,10 @@ class TestOneSpellingPerMechanism:
         # root_context, every child in open_child.
         assert _defs(r"_next_span_id (\+= 1|= span_id)", trace) == \
             ["root_context", "open_child"]
+        # network.py: the hop, the worker queue, and the service of a
+        # parked and of a booked request.
         assert _users(r"\.open_child\(", sources) == \
-            {"core/client.py": 2, "sim/network.py": 3}
+            {"core/client.py": 2, "sim/network.py": 4}
 
     def test_span_events_are_parsed_in_one_function(self):
         """``op_rows`` is the one parser: no other function of the trace

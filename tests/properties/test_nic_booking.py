@@ -1,7 +1,7 @@
 """Property: booking a NIC channel on arrival is the park model.
 
-``Network.transfer`` books a :class:`~repro.sim.network.Nic` channel when
-a message reaches it (start at ``max(now, earliest free time)``, end
+A hop books a NIC channel (a :class:`~repro.sim.resources.BookedPool`)
+when a message reaches it (start at ``max(now, earliest free time)``, end
 ``hold`` later) and sleeps until the end.  The model it replaced parked
 on a ``Resource``, slept the hold and released.  For a FIFO whose hold
 times are known on arrival the two agree exactly, because every
@@ -9,8 +9,8 @@ hand-over happened at the previous holder's end.
 
 Random fault-free schedules — 1–3 channels, random sizes, remote and
 loopback messages mixed on one node, sends at distinct instants — run
-through a test-local copy of the park model and through the real
-transfer.  Every booking's ``(start, end)`` and every delivery instant
+through a test-local copy of the park model and through the real hop
+steps of ``Network``.  Every booking's ``(start, end)`` and every delivery instant
 must be bit-identical, and at random probe instants the NICs' contention
 figures must read what the parked ``Resource`` read.
 
@@ -25,8 +25,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.costs import CostModel
-from repro.sim.network import Cluster, Nic
-from repro.sim.resources import Resource
+from repro.sim.network import Cluster
+from repro.sim.resources import BookedPool, Resource
+from tests.sim.conftest import hop
 
 N_NODES = 3
 
@@ -79,7 +80,7 @@ def _run(messages, probes, channels, booked):
         yield (at,)
         if booked:
             owner[env.active_process] = logs[i]
-            yield from net.transfer(nodes[src], nodes[dst], nbytes)
+            yield from hop(net, nodes[src], nodes[dst], nbytes)
         else:
             yield from _park_transfer(env, net.params, nics[src], nics[dst],
                                       nbytes, logs[i])
@@ -91,7 +92,7 @@ def _run(messages, probes, channels, booked):
         yield (at,)
         readings.append([_reading(nic) for nic in nics])
 
-    book = Nic.book
+    book = BookedPool.book
 
     def logged_book(nic, hold):
         start = max(env.now, min(nic._free))
@@ -104,11 +105,11 @@ def _run(messages, probes, channels, booked):
     for at in sorted(probes):
         env.process(probe(at))
     if booked:
-        Nic.book = logged_book
+        BookedPool.book = logged_book
     try:
         env.run()
     finally:
-        Nic.book = book
+        BookedPool.book = book
     readings.append([_reading(nic) for nic in nics])
     return logs, delivered, readings
 

@@ -159,9 +159,9 @@ ALLOWLIST: Dict[str, str] = {
     "sim/core.py::_bad_delay": FAULT,
     "sim/core.py::_withdraw": FAULT,
     "sim/costs.py::CostModel.zero": TEST_API,
-    "sim/network.py::Nic.in_use": OBSERVER,
-    "sim/network.py::Nic.queue_length": OBSERVER,
     "sim/resources.py::Barrier._cancel_park": FAULT,
+    "sim/resources.py::BookedPool.in_use": OBSERVER,
+    "sim/resources.py::BookedPool.queue_length": OBSERVER,
     "sim/resources.py::Resource._cancel_park": FAULT,
     "sim/resources.py::Resource.in_use": OBSERVER,
     "sim/resources.py::Resource.queue_length": OBSERVER,

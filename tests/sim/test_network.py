@@ -6,6 +6,7 @@ from repro.sim.core import Interrupt, cancel_wait, run_sync
 from repro.sim.costs import CostModel
 from repro.sim.network import Cluster, MessageDropped, NodeDownError, Service
 from repro.sim.trace import Tracer
+from tests.sim.conftest import hop
 
 
 @pytest.fixture
@@ -44,7 +45,7 @@ class TestNetworkTransfer:
         a, b = cluster.add_nodes(2)
 
         def proc():
-            yield from cluster.network.transfer(a, b, 0)
+            yield from hop(cluster.network, a, b, 0)
             return cluster.env.now
 
         elapsed = run_sync(cluster.env, proc())
@@ -55,7 +56,7 @@ class TestNetworkTransfer:
         a = cluster.add_node("a")
 
         def proc():
-            yield from cluster.network.transfer(a, a, 4096)
+            yield from hop(cluster.network, a, a, 4096)
             return cluster.env.now
 
         elapsed = run_sync(cluster.env, proc())
@@ -67,7 +68,7 @@ class TestNetworkTransfer:
         def timed(nbytes):
             def proc():
                 t0 = cluster.env.now
-                yield from cluster.network.transfer(a, b, nbytes)
+                yield from hop(cluster.network, a, b, nbytes)
                 return cluster.env.now - t0
             return run_sync(cluster.env, proc())
 
@@ -80,8 +81,8 @@ class TestNetworkTransfer:
         a, b = cluster.add_nodes(2)
 
         def proc():
-            yield from cluster.network.transfer(a, b, 100)
-            yield from cluster.network.transfer(b, a, 200)
+            yield from hop(cluster.network, a, b, 100)
+            yield from hop(cluster.network, b, a, 200)
 
         run_sync(cluster.env, proc())
         assert cluster.network.messages_sent == 2
@@ -92,7 +93,7 @@ class TestNetworkTransfer:
         b.fail()
 
         def proc():
-            yield from cluster.network.transfer(a, b, 100)
+            yield from hop(cluster.network, a, b, 100)
 
         with pytest.raises(NodeDownError):
             run_sync(cluster.env, proc())
@@ -103,7 +104,7 @@ class TestNetworkTransfer:
         b.recover()
 
         def proc():
-            yield from cluster.network.transfer(a, b, 100)
+            yield from hop(cluster.network, a, b, 100)
             return "ok"
 
         assert run_sync(cluster.env, proc()) == "ok"
@@ -115,7 +116,7 @@ class TestNetworkTransfer:
         done = []
 
         def sender(src):
-            yield from cluster.network.transfer(src, target, 0)
+            yield from hop(cluster.network, src, target, 0)
             done.append(cluster.env.now)
 
         for src in senders:
@@ -195,7 +196,7 @@ def _frames_below(generator):
 
 
 class TestOneFramePerHop:
-    def test_one_generator_below_request_in_the_sender_hold(self, cluster):
+    def test_no_generator_below_request_in_the_sender_booking(self, cluster):
         client, server = cluster.add_nodes(2)
         svc = EchoService(cluster, server, "echo")
         request = svc.request(client, "echo", "x")
@@ -205,7 +206,7 @@ class TestOneFramePerHop:
         # cancel.
         assert client.nic.in_use == 1 and proc.is_alive
         assert proc.waiting_on is None
-        assert _frames_below(request) == 1      # transfer
+        assert _frames_below(request) == 0      # the hop is request's own
         cluster.env.run()
         assert proc.value == "x"
 
@@ -235,7 +236,7 @@ class TestOneFramePerHop:
 
         def sender():
             try:
-                yield from net.transfer(a, dst, 64)
+                yield from hop(net, a, dst, 64)
             except Interrupt:
                 return "interrupted"
 
@@ -268,7 +269,7 @@ class TestOneFramePerHop:
 
         def sender():
             try:
-                yield from net.transfer(a, b, 0)
+                yield from hop(net, a, b, 0)
                 return "delivered"
             except MessageDropped:
                 return "dropped"

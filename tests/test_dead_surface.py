@@ -168,8 +168,8 @@ def test_every_public_definition_is_referenced_somewhere():
 #: the inode type test beside ``is_dir``, a data server's byte count
 #: (striping), a bloom filter's fill (sizing), the memtable's length and
 #: the level sizes (flush, and the compaction ``benchmarks/perf`` counts),
-#: and a resource's slot and queue counts (the kernel's grant and park
-#: paths).
+#: and a resource's or a booked pool's slot and queue counts (the
+#: kernel's grant and park paths; a NIC's or a cache shard's bookings).
 TEST_OBSERVERS = {
     ("Inode", "is_file"),
     ("DataServer", "stored_bytes"),
@@ -179,8 +179,8 @@ TEST_OBSERVERS = {
     ("LSMTree", "l1_entries"),
     ("Resource", "in_use"),
     ("Resource", "queue_length"),
-    ("Nic", "in_use"),
-    ("Nic", "queue_length"),
+    ("BookedPool", "in_use"),
+    ("BookedPool", "queue_length"),
 }
 
 
