@@ -68,9 +68,9 @@ _FILE = FileType.FILE.value
 
 
 def _record(ftype: str, mode: int, uid: int, gid: int, ino: int,
-            now: float, size: int = 0) -> Dict[str, Any]:
+            now: float) -> Dict[str, Any]:
     return {"ino": ino, "ftype": ftype, "mode": mode, "uid": uid,
-            "gid": gid, "size": size, "ctime": now, "mtime": now,
+            "gid": gid, "size": 0, "ctime": now, "mtime": now,
             "nlink": 1, "inline_data": None}
 
 
@@ -82,11 +82,10 @@ class IndexFSServer(Service):
     """
 
     def __init__(self, cluster: Cluster, node: Node, name: str = "ifs",
-                 memtable_limit: int = 4096, l0_limit: int = 4):
+                 memtable_limit: int = 4096):
         super().__init__(cluster, node, name,
                          workers=cluster.costs.indexfs_workers)
-        self.lsm = LSMTree(memtable_limit=memtable_limit, l0_limit=l0_limit,
-                           name=name)
+        self.lsm = LSMTree(memtable_limit=memtable_limit, name=name)
         self._next_ino = 1
 
     def alloc_ino(self) -> int:
@@ -422,11 +421,11 @@ class IndexFS:
                gid: int = 1000) -> IndexFSClient:
         return IndexFSClient(self, node, uid=uid, gid=gid)
 
-    def admin_mkdir(self, path: str, mode: int = 0o777, uid: int = 0,
-                    gid: int = 0) -> None:
-        """Zero-cost administrative directory creation (experiment setup)."""
+    def admin_mkdir(self, path: str, uid: int = 0, gid: int = 0) -> None:
+        """Zero-cost administrative directory creation (experiment setup),
+        mode 0o777."""
         path = normalize_path(path)
-        record = _record(_DIR, mode, uid, gid, self.servers[0].alloc_ino(),
+        record = _record(_DIR, 0o777, uid, gid, self.servers[0].alloc_ino(),
                          0.0)
         self.server_for(path).lsm.put(path, record)
         self.dirmap[path] = record

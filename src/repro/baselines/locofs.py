@@ -109,11 +109,9 @@ class LocoFS:
                                   "ftype": FileType.FILE.value})
         return record
 
-    def getattr(self, src: Node, path: str,
-                check_path: bool = True) -> Generator[Event, Any, Dict]:
+    def getattr(self, src: Node, path: str) -> Generator[Event, Any, Dict]:
         """File stat: DMS validates the chain in one hop, FMS serves attrs."""
         path = normalize_path(path)
-        if check_path:
-            yield from self.dms.request(src, "check_path", path)
+        yield from self.dms.request(src, "check_path", path)
         record = yield from self.fms_for(path).request(src, "getattr", path)
         return record

@@ -141,8 +141,7 @@ def run_related_ablation(out, params, seed):
         for depth in (params["depths"][0], params["depths"][-1]):
             cluster, fs, client = make_world(params["servers"])
 
-            def scenario(depth=depth, fs=fs, client=client,
-                         cluster=cluster):
+            def scenario():
                 path = ""
                 for i in range(depth):
                     path += f"/d{i}"
@@ -161,7 +160,7 @@ def run_related_ablation(out, params, seed):
     for n in (1, params["servers"]):
         cluster, fs, client = shard_world(n)
 
-        def scenario(fs=fs, client=client, cluster=cluster):
+        def scenario():
             t0 = cluster.env.now
             for i in range(20):
                 yield from fs.mkdir(client, f"/d{i}")
@@ -177,8 +176,8 @@ def run_related_ablation(out, params, seed):
         cluster, fs, client_node = loco_world(n)
         done = {"count": 0}
 
-        def dir_maker(i, fs=fs, client=client_node):
-            yield from fs.mkdir(client, f"/d{i}")
+        def dir_maker(i):
+            yield from fs.mkdir(client_node, f"/d{i}")
             done["count"] += 1
 
         t0 = cluster.env.now

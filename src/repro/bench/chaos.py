@@ -34,12 +34,9 @@ __all__ = ["SCALES", "run"]
 #: live client traffic.  ``paper`` stretches the span so Poisson
 #: node-crash schedules draw several faults.
 SCALES: Dict[str, Dict[str, Any]] = {
-    "smoke": {"items": 24, "pacing": 200e-6, "n_nodes": 3,
-              "clients_per_node": 2},
-    "ci": {"items": 40, "pacing": 200e-6, "n_nodes": 3,
-           "clients_per_node": 2},
-    "paper": {"items": 96, "pacing": 200e-6, "n_nodes": 4,
-              "clients_per_node": 3},
+    "smoke": {"items": 24, "n_nodes": 3, "clients_per_node": 2},
+    "ci": {"items": 40, "n_nodes": 3, "clients_per_node": 2},
+    "paper": {"items": 96, "n_nodes": 4, "clients_per_node": 3},
 }
 
 

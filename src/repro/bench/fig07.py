@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.bench.report import experiment
-from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
+from repro.bench.systems import SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
 __all__ = ["run", "SCALES", "single_app_point"]
@@ -26,8 +26,8 @@ PHASES = ("mkdir", "create", "stat")
 
 
 def single_app_point(system: str, nodes: int, cpn: int,
-                     items: int, hub: Optional[object] = None,
-                     seed: int = DEFAULT_SEED) -> Dict[str, float]:
+                     items: int, hub: Optional[object] = None, *,
+                     seed: int) -> Dict[str, float]:
     bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
                        clients_per_node=cpn, hub=hub, seed=seed)
     config = MdtestConfig(workdir="/app", items_per_client=items,

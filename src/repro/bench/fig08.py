@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.report import experiment
-from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
+from repro.bench.systems import SYSTEMS, make_testbed
 from repro.workloads.mdtest import MdtestConfig, spawn_mdtest
 
 __all__ = ["run", "SCALES", "multi_app_point"]
@@ -30,7 +30,7 @@ PHASES = ("mkdir", "create", "stat")
 
 
 def multi_app_point(system: str, n_apps: int, total_nodes: int, cpn: int,
-                    items: int, seed: int = DEFAULT_SEED) -> Dict[str, float]:
+                    items: int, seed: int) -> Dict[str, float]:
     """Run n_apps concurrent mdtests; return overall ops/s per phase."""
     nodes_per_app = max(1, total_nodes // n_apps)
     bed = make_testbed(system, n_apps=n_apps, nodes_per_app=nodes_per_app,

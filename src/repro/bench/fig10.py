@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.report import experiment
-from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.bench.systems import make_testbed
 from repro.core.cache import CacheShard, DistributedCache
 from repro.sim.network import Cluster
 from repro.workloads.mdtest import build_tree
@@ -28,7 +28,7 @@ SCALES: Dict[str, Dict] = {
 
 
 def mkdir_throughput(system: str, fanout: int, depth: int,
-                     nodes: int, seed: int = DEFAULT_SEED) -> float:
+                     nodes: int, seed: int) -> float:
     """Single client builds the tree; returns mkdirs/second."""
     bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
                        clients_per_node=1, seed=seed)
@@ -42,7 +42,7 @@ def mkdir_throughput(system: str, fanout: int, depth: int,
 
 
 def memaslap_throughput(operations: int, nodes: int,
-                        seed: int = DEFAULT_SEED) -> float:
+                        seed: int) -> float:
     """Raw distributed-cache insertions from one client (memaslap -c 1)."""
     cluster = Cluster(seed=seed)
     cache_nodes = [cluster.add_node(f"cache{i}") for i in range(nodes)]

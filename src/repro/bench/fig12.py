@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.report import experiment
-from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.bench.systems import make_testbed
 from repro.workloads.madbench import MadbenchConfig, run_madbench
 
 __all__ = ["run", "SCALES", "madbench_point"]
@@ -29,7 +29,7 @@ SCALES: Dict[str, Dict] = {
 
 def madbench_point(system: str, nodes: int, procs_per_node: int,
                    file_size: int, iterations: int,
-                   seed: int = DEFAULT_SEED):
+                   seed: int):
     bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
                        clients_per_node=procs_per_node,
                        workdir_base="/madbench", seed=seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.bench.report import experiment, summarize
-from repro.bench.systems import DEFAULT_SEED, SYSTEMS, make_testbed
+from repro.bench.systems import SYSTEMS, make_testbed
 from repro.workloads.mdtest import run_closed_loop
 
 __all__ = ["run", "SCALES"]
@@ -25,8 +25,7 @@ SCALES: Dict[str, Dict] = {
 
 
 def measure_create_latency(system: str, nodes: int, cpn: int,
-                           items: int, seed: int = DEFAULT_SEED
-                           ) -> List[float]:
+                           items: int, seed: int) -> List[float]:
     """Every client-observed create latency of one concurrent run."""
     bed = make_testbed(system, n_apps=1, nodes_per_app=nodes,
                        clients_per_node=cpn, seed=seed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.report import experiment
-from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.bench.systems import make_testbed
 from repro.obs.hub import SAMPLE_INTERVAL, MetricsHub
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
@@ -37,7 +37,7 @@ PHASES = ("mkdir", "create", "stat")
 
 
 def staleness_point(nodes: int, cpn: int, items: int, batch_size: int,
-                    seed: int = DEFAULT_SEED) -> Dict[str, object]:
+                    seed: int) -> Dict[str, object]:
     """One fully instrumented Pacon run at one commit batch size.
 
     Returns the run's ``consistency`` export section plus the drained

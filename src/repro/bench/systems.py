@@ -105,8 +105,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
     if system == "beegfs":
         bed.dfs = BeeGFS(cluster, n_mds=n_mds)
         for k, workdir in enumerate(workdirs):
-            bed.dfs.mkdir_sync(workdir, mode=0o777, uid=1000 + k,
-                               gid=1000 + k)
+            bed.dfs.mkdir_sync(workdir, uid=1000 + k, gid=1000 + k)
             clients = [bed.dfs.client(node, uid=1000 + k, gid=1000 + k)
                        for node in app_nodes[k]
                        for _ in range(clients_per_node)]
@@ -120,8 +119,7 @@ def make_testbed(system: str, n_apps: int = 1, nodes_per_app: int = 2,
         # simulated — the data servers exist for fairness of node counts.
         bed.indexfs = IndexFS(cluster, all_nodes)
         for k, workdir in enumerate(workdirs):
-            bed.indexfs.admin_mkdir(workdir, mode=0o777, uid=1000 + k,
-                                    gid=1000 + k)
+            bed.indexfs.admin_mkdir(workdir, uid=1000 + k, gid=1000 + k)
             clients = [bed.indexfs.client(node, uid=1000 + k, gid=1000 + k)
                        for node in app_nodes[k]
                        for _ in range(clients_per_node)]

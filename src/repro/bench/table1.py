@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.bench.report import experiment
-from repro.bench.systems import DEFAULT_SEED, make_testbed
+from repro.bench.systems import make_testbed
 from repro.sim.core import run_sync
 
 __all__ = ["run", "DESIGN_TABLE"]
@@ -28,7 +28,7 @@ DESIGN_TABLE: Dict[str, Dict[str, str]] = {
 }
 
 
-def observe(seed: int = DEFAULT_SEED) -> Dict[str, Dict[str, str]]:
+def observe(seed: int) -> Dict[str, Dict[str, str]]:
     """Run each operation on a live deployment and capture its trace."""
     bed = make_testbed("pacon", n_apps=1, nodes_per_app=2,
                        clients_per_node=1, seed=seed)

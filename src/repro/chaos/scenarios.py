@@ -50,6 +50,9 @@ SCENARIOS = ("mds_crash", "barrier_crash", "partition_heal",
 
 #: Client-side retry pacing for ops that hit a dead/partitioned node.
 _RETRY_DELAY = 1e-3
+#: The sleep after each workload op (and the faulty run's sample
+#: interval): idle gaps in which planned churn can complete.
+_PACING = 200e-6
 _MAX_RETRIES = 50_000
 
 
@@ -112,15 +115,15 @@ class ScenarioResult:
         return self.report.ok and self.slo_ok
 
 
-def build_world(seed: int, n_nodes: int = 3, clients_per_node: int = 2,
-                workspace: str = "/chaos",
+def build_world(seed: int, n_nodes: int, clients_per_node: int,
                 hub: Optional[Any] = None) -> ChaosWorld:
-    """A small Pacon deployment: ``n_nodes`` region nodes over one BeeGFS."""
+    """A small Pacon deployment: a ``/chaos`` region on ``n_nodes``
+    nodes over one BeeGFS."""
     cluster = Cluster(seed=seed)
     dfs = BeeGFS(cluster, n_mds=1, n_data=2)
     nodes = cluster.add_nodes(n_nodes, prefix="cn")
     deployment = PaconDeployment(cluster, dfs)
-    region = deployment.create_region(PaconConfig(workspace=workspace),
+    region = deployment.create_region(PaconConfig(workspace="/chaos"),
                                       nodes)
     if hub is not None:
         hub.attach_region(region)
@@ -155,12 +158,11 @@ def _with_retry(client, make_op: Callable[[], Any]):
                        f" {_MAX_RETRIES} retries")
 
 
-def _client_workload(client, base_dir: str, items: int, pacing: float,
-                     rounds: int = 0, round_files: int = 3):
+def _client_workload(client, base_dir: str, items: int, rounds: int):
     """One application process: private dir, optional rmdir rounds, files.
 
-    ``rounds`` adds create-then-rmdir cycles on a scratch subtree —
-    every rmdir triggers a region barrier, which is what the
+    ``rounds`` adds create-then-rmdir cycles of three files on a scratch
+    subtree — every rmdir triggers a region barrier, which is what the
     crash-during-barrier scenario needs in flight.  The pacing sleeps
     leave idle gaps so planned churn (quiesce + settle) can complete
     while the workload runs.
@@ -169,29 +171,27 @@ def _client_workload(client, base_dir: str, items: int, pacing: float,
     for r in range(rounds):
         scratch = f"{base_dir}/round{r}"
         yield from _with_retry(client, lambda s=scratch: client.mkdir(s))
-        for j in range(round_files):
+        for j in range(3):
             path = f"{scratch}/tmp{j}"
             yield from _with_retry(client, lambda p=path: client.create(p))
-        yield pacing
+        yield _PACING
         yield from _with_retry(client, lambda s=scratch: client.rmdir(s))
-        yield pacing
+        yield _PACING
     for i in range(items):
         path = f"{base_dir}/f{i:04d}"
         yield from _with_retry(client, lambda p=path: client.create(p))
-        yield pacing
+        yield _PACING
 
 
 def _drive(world: ChaosWorld, engine: Optional[ChaosEngine], *,
-           items: int, pacing: float, rounds: int = 0,
-           round_files: int = 3) -> None:
+           items: int, rounds: int) -> None:
     """Run the workload (and faults) to completion, then fully settle."""
     env = world.env
     procs = []
     for idx, client in enumerate(world.clients):
         base = f"{world.region.workspace}/c{idx}"
         procs.append(env.process(
-            _client_workload(client, base, items, pacing,
-                             rounds=rounds, round_files=round_files),
+            _client_workload(client, base, items, rounds),
             label=f"chaosload:{idx}"))
     if engine is not None:
         engine.start()
@@ -255,7 +255,7 @@ _SCENARIO_SPEC: Dict[str, Dict[str, Any]] = {
 
 def run_scenario(name: str, seed: int = DEFAULT_SEED,
                  hub: Optional[Any] = None, items: int = 24,
-                 pacing: float = 200e-6, n_nodes: int = 3,
+                 n_nodes: int = 3,
                  clients_per_node: int = 2) -> ScenarioResult:
     """Run one named chaos scenario; see module docstring for the shape."""
     if name not in _SCENARIO_SPEC:
@@ -266,9 +266,8 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
 
     # 1. Fault-free reference run: calibrates the schedule and pins the
     #    namespace every loss-free fault must reproduce byte-exactly.
-    reference = build_world(seed, n_nodes=n_nodes,
-                            clients_per_node=clients_per_node)
-    _drive(reference, None, items=items, pacing=pacing, rounds=rounds)
+    reference = build_world(seed, n_nodes, clients_per_node)
+    _drive(reference, None, items=items, rounds=rounds)
     reference_entries: List[Entry] = namespace_entries(
         reference.dfs.namespace, reference.region.workspace)
     horizon = reference.env.now
@@ -280,12 +279,11 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
     #    never yields, so the simulated schedule is unchanged.
     slo_hub = hub
     if slo_hub is None:
-        slo_hub = MetricsHub(sample_interval=pacing)
-    world = build_world(seed, n_nodes=n_nodes,
-                        clients_per_node=clients_per_node, hub=slo_hub)
+        slo_hub = MetricsHub(sample_interval=_PACING)
+    world = build_world(seed, n_nodes, clients_per_node, hub=slo_hub)
     schedule = _schedule_for(name, world, horizon)
     engine = ChaosEngine(world.deployment, world.region, schedule)
-    _drive(world, engine, items=items, pacing=pacing, rounds=rounds)
+    _drive(world, engine, items=items, rounds=rounds)
 
     report = check_convergence(
         world.region, world.dfs,

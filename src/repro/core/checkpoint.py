@@ -81,27 +81,20 @@ class CheckpointManager:
         return self.checkpoints[-1] if self.checkpoints else None
 
     # -- restoring ----------------------------------------------------------------
-    def restore(self, checkpoint: Optional[Checkpoint] = None,
-                rebuild_cache: bool = True) -> Generator[Event, Any, int]:
-        """Roll the DFS subtree back and rebuild the distributed cache.
+    def restore(self) -> Generator[Event, Any, int]:
+        """Roll the DFS subtree back to the latest checkpoint and rebuild
+        the distributed cache.
 
-        Returns the number of entries restored.  With ``rebuild_cache``
-        the region's cache is flushed and re-primed from the checkpoint
-        (every record marked committed — the checkpoint *is* the DFS
-        state).
+        Returns the number of entries restored.  The region's cache is
+        flushed and re-primed from the checkpoint (every record marked
+        committed — the checkpoint *is* the DFS state).
         """
-        cp = checkpoint or self.latest
+        cp = self.latest
         if cp is None:
             raise RuntimeError(f"region {self.region.name} has no checkpoint")
         mds = self.region.dfs.mds_for(cp.workspace)
         restored = yield from mds.request(self.node, "restore_subtree",
                                           cp.snapshot)
-        if rebuild_cache:
-            yield from self._rebuild_cache(cp)
-        self.restored += 1
-        return restored
-
-    def _rebuild_cache(self, cp: Checkpoint) -> Generator[Event, Any, None]:
         cache = self.region.cache
         # Drop whatever survived (possibly inconsistent) cache state.
         yield from cache.delete_subtree(self.node, cp.workspace)
@@ -113,6 +106,8 @@ class CheckpointManager:
                 continue
             record = new_record(inode_record, committed=True)
             yield from cache.set(self.node, path, record)
+        self.restored += 1
+        return restored
 
     # -- periodic loop -----------------------------------------------------------------
     def run(self, interval: float) -> Generator[Event, Any, None]:

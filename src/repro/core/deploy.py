@@ -24,7 +24,6 @@ from repro.dfs.beegfs import BeeGFS
 from repro.dfs.namespace import split_path
 from repro.kvstore.memkv import KeyExists
 from repro.sim.core import run_sync
-from repro.sim.costs import CostModel
 from repro.sim.network import Cluster, Node
 
 __all__ = ["PaconDeployment", "PaconFS"]
@@ -198,16 +197,15 @@ class PaconDeployment:
         return EvictionManager(region, node, self._dfs_client(region, node))
 
     def checkpointer(self, region: ConsistentRegion,
-                     node: Optional[Node] = None,
                      keep: int = 4) -> CheckpointManager:
-        node = node or region.nodes[0]
+        node = region.nodes[0]
         return CheckpointManager(region, node,
                                  self._dfs_client(region, node), keep=keep)
 
     # -- quiescing ---------------------------------------------------------------
-    def quiesce(self, region: ConsistentRegion,
-                poll_interval: float = 200e-6):
-        """Generator: wait until every queued operation has committed.
+    def quiesce(self, region: ConsistentRegion):
+        """Generator: wait until every queued operation has committed,
+        polling every 200 µs.
 
         Dead commit processes (crashed, not yet restarted) are skipped:
         their queues only drain when :func:`repro.core.failure.recover_node`
@@ -219,7 +217,7 @@ class PaconDeployment:
             if all(cp.idle for cp in region.commit_processes
                    if not cp.dead):
                 return
-            yield poll_interval
+            yield 200e-6
 
     def settle(self, region: ConsistentRegion,
                poll_interval: float = 200e-6):
@@ -239,18 +237,17 @@ class PaconDeployment:
 class PaconFS:
     """Synchronous, single-object facade over a full Pacon world.
 
-    Builds a simulated cluster, a BeeGFS-like DFS, one consistent region on
-    ``nodes`` client nodes, and drives every call to completion with the
+    Builds a simulated cluster (default costs and seed), a BeeGFS-like DFS
+    (one MDS, three data servers), one consistent region on ``nodes``
+    client nodes, and drives every call to completion with the
     event loop hidden.  This is the five-minute on-ramp used by
     ``examples/quickstart.py``.
     """
 
     def __init__(self, workspace: str = "/workspace", nodes: int = 4,
-                 config: Optional[PaconConfig] = None,
-                 costs: Optional[CostModel] = None,
-                 n_mds: int = 1, n_data: int = 3, seed: int = 0xC0FFEE):
-        self.cluster = Cluster(costs=costs, seed=seed)
-        self.dfs = BeeGFS(self.cluster, n_mds=n_mds, n_data=n_data)
+                 config: Optional[PaconConfig] = None):
+        self.cluster = Cluster()
+        self.dfs = BeeGFS(self.cluster)
         self.client_nodes = [self.cluster.add_node(f"client{i}")
                              for i in range(nodes)]
         if config is None:

@@ -141,7 +141,7 @@ def fail_mds(dfs, index: int = 0):
     return server
 
 
-def recover_mds(dfs, index: int = 0):
+def recover_mds(dfs, index: int):
     """Bring an MDS server's node back; its service resumes immediately
     (handlers run in the caller's process — there is no loop to restart).
     """

@@ -40,7 +40,7 @@ class ConsistentRegion:
     """State and coordination for one application workspace."""
 
     def __init__(self, cluster: Cluster, dfs, config: PaconConfig,
-                 nodes: List[Node], name: str = ""):
+                 nodes: List[Node]):
         if not nodes:
             raise ValueError("a region needs at least one node")
         self.cluster = cluster
@@ -51,7 +51,7 @@ class ConsistentRegion:
         # Every path strictly under the workspace starts with this; a root
         # workspace's prefix is "/" itself, which every path starts with.
         self._subtree_prefix = self.workspace.rstrip("/") + "/"
-        self.name = name or self.workspace
+        self.name = self.workspace
         self.nodes = list(nodes)
         # Distributed cache: one shard per region node.  ``shards`` is the
         # cache's own list, so membership has one registry to keep right.

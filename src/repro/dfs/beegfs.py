@@ -9,7 +9,6 @@ experiments are possible (used by ablations).
 
 from __future__ import annotations
 
-from typing import List, Optional
 
 from repro.dfs.client import DFSClient
 from repro.dfs.mds import MetadataServer
@@ -24,21 +23,13 @@ __all__ = ["BeeGFS"]
 class BeeGFS:
     """A deployed DFS instance on a :class:`~repro.sim.network.Cluster`."""
 
-    def __init__(self, cluster: Cluster, n_mds: int = 1, n_data: int = 3,
-                 mds_nodes: Optional[List[Node]] = None,
-                 data_nodes: Optional[List[Node]] = None):
+    def __init__(self, cluster: Cluster, n_mds: int = 1, n_data: int = 3):
         if n_mds < 1 or n_data < 1:
             raise ValueError("need at least one MDS and one data server")
         self.cluster = cluster
         self.namespace = Namespace()
-        if mds_nodes is None:
-            mds_nodes = [cluster.add_node(f"mds{i}") for i in range(n_mds)]
-        if len(mds_nodes) != n_mds:
-            raise ValueError("mds_nodes length must equal n_mds")
-        if data_nodes is None:
-            data_nodes = [cluster.add_node(f"data{i}") for i in range(n_data)]
-        if len(data_nodes) != n_data:
-            raise ValueError("data_nodes length must equal n_data")
+        mds_nodes = [cluster.add_node(f"mds{i}") for i in range(n_mds)]
+        data_nodes = [cluster.add_node(f"data{i}") for i in range(n_data)]
         self.mds_servers = [
             MetadataServer(cluster, node, self.namespace, name=f"mds{i}")
             for i, node in enumerate(mds_nodes)
@@ -68,13 +59,13 @@ class BeeGFS:
         return DFSClient(self, node, uid=uid, gid=gid)
 
     # -- test/benchmark convenience -------------------------------------------
-    def mkdir_sync(self, path: str, mode: int = 0o777, uid: int = 0,
-                   gid: int = 0) -> None:
-        """Administrative mkdir applied directly to the namespace.
+    def mkdir_sync(self, path: str, uid: int = 0, gid: int = 0) -> None:
+        """Administrative mkdir (mode 0o777) applied directly to the
+        namespace.
 
         Used by experiment setup (e.g. pre-creating application working
         directories as the cluster admin would) without consuming
         simulated time.
         """
-        self.namespace.mkdir(path, mode=mode, uid=uid, gid=gid,
+        self.namespace.mkdir(path, mode=0o777, uid=uid, gid=gid,
                              now=self.cluster.env.now)

@@ -15,7 +15,7 @@ and service time, mirroring how BeeGFS shards directories over MDS targets.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.dfs.inode import FileType
 from repro.dfs.namespace import Namespace, snapshot_entries
@@ -46,9 +46,9 @@ class MetadataServer(Service):
     COMMIT_TOKEN_CAPACITY = 65536
 
     def __init__(self, cluster: Cluster, node: Node, namespace: Namespace,
-                 name: str = "mds", workers: Optional[int] = None):
+                 name: str = "mds"):
         super().__init__(cluster, node, name,
-                         workers=workers or cluster.costs.mds_workers)
+                         workers=cluster.costs.mds_workers)
         self.namespace = namespace
         self._inode_cache: OrderedDict[str, None] = OrderedDict()
         self.inode_cache_hits = 0
@@ -137,9 +137,9 @@ class MetadataServer(Service):
         return record
 
     def handle_mkdir(self, path: str, mode: int = 0o755, uid: int = 0,
-                     gid: int = 0, check_perms: bool = True,
+                     gid: int = 0,
                      token: Any = None) -> Generator[Event, Any, Dict]:
-        return self._mutate("mkdir", path, mode, uid, gid, check_perms,
+        return self._mutate("mkdir", path, mode, uid, gid, True,
                             token, self.costs.mds_op_service)
 
     def handle_create(self, path: str, mode: int = 0o644, uid: int = 0,
@@ -149,28 +149,24 @@ class MetadataServer(Service):
                             token, self.costs.mds_op_service)
 
     def handle_unlink(self, path: str, uid: int = 0, gid: int = 0,
-                      check_perms: bool = True,
                       token: Any = None) -> Generator[Event, Any, None]:
-        return self._mutate("unlink", path, 0, uid, gid, check_perms,
+        return self._mutate("unlink", path, 0, uid, gid, True,
                             token, self.costs.mds_op_service)
 
     def handle_rmdir(self, path: str, uid: int = 0, gid: int = 0,
-                     check_perms: bool = True,
                      recursive: bool = False) -> Generator[Event, Any, int]:
         yield self.costs.mds_op_service
         removed = self.namespace.rmdir(path, uid, gid, now=self.env.now,
-                                       check_perms=check_perms,
                                        recursive=recursive)
         if removed > 1:
             yield self.costs.mds_remove_per_entry * (removed - 1)
         return removed
 
     def handle_setattr(self, path: str, uid: int = 0, gid: int = 0,
-                       check_perms: bool = True,
                        **attrs) -> Generator[Event, Any, Dict]:
         yield self.costs.mds_op_service
         inode = self.namespace.setattr(path, uid, gid, now=self.env.now,
-                                       check_perms=check_perms, **attrs)
+                                       **attrs)
         return inode.to_record()
 
     def handle_commit_batch(self, ops: List[Tuple[str, str, Dict]],

@@ -106,7 +106,7 @@ def snapshot_entries(tree: Dict[str, Any]) -> int:
 class Namespace:
     """Dentry tree + inode table with POSIX traversal semantics."""
 
-    def __init__(self, root_mode: int = 0o777):
+    def __init__(self):
         self._inodes: Dict[int, Inode] = {}
         self._children: Dict[int, Dict[str, int]] = {}
         self._next_ino = ROOT_INO
@@ -117,7 +117,7 @@ class Namespace:
         # table (never part of inode records or cache values) so enabling
         # the staleness lens cannot change record sizes or eviction.
         self._stamps: Dict[int, Tuple[int, float]] = {}
-        root = self._alloc(FileType.DIRECTORY, mode=root_mode, uid=0, gid=0,
+        root = self._alloc(FileType.DIRECTORY, mode=0o777, uid=0, gid=0,
                            now=0.0)
         assert root.ino == ROOT_INO
 
@@ -196,10 +196,10 @@ class Namespace:
                 check_perms: bool = True) -> Inode:
         return self._resolve(path, uid, gid, check_perms).copy()
 
-    def getattr_record(self, path: str, uid: int = 0, gid: int = 0,
-                       check_perms: bool = True) -> Dict[str, Any]:
+    def getattr_record(self, path: str, uid: int = 0,
+                       gid: int = 0) -> Dict[str, Any]:
         """``getattr(...).to_record()`` without the intermediate copy."""
-        return self._resolve(path, uid, gid, check_perms).to_record()
+        return self._resolve(path, uid, gid, True).to_record()
 
     def readdir(self, path: str, uid: int = 0, gid: int = 0,
                 check_perms: bool = True) -> List[str]:
@@ -258,9 +258,10 @@ class Namespace:
                           check_perms).copy()
 
     def create(self, path: str, mode: int = 0o644, uid: int = 0, gid: int = 0,
-               now: float = 0.0, check_perms: bool = True) -> Inode:
-        """Exclusive file creation (O_CREAT|O_EXCL semantics)."""
-        return self._make(FileType.FILE, path, mode, uid, gid, now,
+               check_perms: bool = True) -> Inode:
+        """Exclusive file creation (O_CREAT|O_EXCL semantics) at time 0;
+        the MDS stamps its own creates through ``_make``."""
+        return self._make(FileType.FILE, path, mode, uid, gid, 0.0,
                           check_perms).copy()
 
     def _make(self, ftype: FileType, path: str, mode: int, uid: int,

@@ -86,7 +86,6 @@ class Item:
     value: Any
     version: int
     size: int
-    flags: int = 0
 
 
 class MemKV:
@@ -140,8 +139,7 @@ class MemKV:
         self.hits += 1
         return item.value, item.version
 
-    def _store(self, key: str, value: Any, flags: int,
-               old: Optional[Item]) -> int:
+    def _store(self, key: str, value: Any, old: Optional[Item]) -> int:
         """The one store tail behind ``set``/``add``/``cas``: size the
         entry, check capacity for the delta over ``old``, mint a version."""
         size = ((len(key) if key.isascii() else len(key.encode("utf-8")))
@@ -153,23 +151,21 @@ class MemKV:
                 f"used {self._used_bytes}/{self.capacity_bytes}")
         self._used_bytes += delta
         self._version_clock = version = self._version_clock + 1
-        self._items[key] = Item(value=value, version=version, size=size,
-                                flags=flags)
+        self._items[key] = Item(value=value, version=version, size=size)
         self.sets += 1
         return version
 
-    def set(self, key: str, value: Any, flags: int = 0) -> int:
+    def set(self, key: str, value: Any) -> int:
         """Unconditional store; returns the new CAS token."""
-        return self._store(key, value, flags, self._items.get(key))
+        return self._store(key, value, self._items.get(key))
 
-    def add(self, key: str, value: Any, flags: int = 0) -> int:
+    def add(self, key: str, value: Any) -> int:
         """Store only if absent (Memcached ``add``)."""
         if key in self._items:
             raise KeyExists(key)
-        return self.set(key, value, flags=flags)
+        return self.set(key, value)
 
-    def cas(self, key: str, value: Any, cas_token: int,
-            flags: int = 0) -> int:
+    def cas(self, key: str, value: Any, cas_token: int) -> int:
         """Compare-and-swap: store only if the version still matches.
 
         This is the primitive behind §III.D.3 ("we do not use locks, but
@@ -179,7 +175,7 @@ class MemKV:
         if item is None or item.version != cas_token:
             self.cas_failures += 1
             raise CasMismatch(key)
-        return self._store(key, value, flags, item)
+        return self._store(key, value, item)
 
     def delete(self, key: str) -> bool:
         item = self._items.pop(key, None)

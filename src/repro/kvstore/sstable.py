@@ -37,8 +37,7 @@ _seq = itertools.count()
 class SSTable:
     """Immutable sorted table built from (key, value) pairs."""
 
-    def __init__(self, items: Sequence[Tuple[str, Any]],
-                 bloom_fp_rate: float = 0.01):
+    def __init__(self, items: Sequence[Tuple[str, Any]]):
         pairs = sorted(items, key=lambda kv: kv[0])
         for (a, _), (b, _) in zip(pairs, pairs[1:]):
             if a == b:
@@ -46,7 +45,7 @@ class SSTable:
         self._keys: List[str] = [k for k, _ in pairs]
         self._values: List[Any] = [v for _, v in pairs]
         self.table_id = next(_seq)
-        self.bloom = BloomFilter(max(len(self._keys), 1), bloom_fp_rate)
+        self.bloom = BloomFilter(max(len(self._keys), 1))
         for k in self._keys:
             self.bloom.add(k)
         self.reads = 0

@@ -178,16 +178,16 @@ class MetricsHub:
         return self.stats.series(name)
 
     # -- wiring ------------------------------------------------------------
-    def attach_region(self, region, start_sampler: bool = True):
+    def attach_region(self, region):
         """Install this hub (and its tracer) on ``region``.
 
         Installs the tracer on the region's cluster and network too (span
         propagation into services and transfers), tracks the region's
         members and the DFS's MDS/data servers (:meth:`track_member`),
         and starts a :class:`GaugeSampler` for the region when the hub
-        has a ``sample_interval`` and ``start_sampler`` is left on.  The
-        sampler covers only the resources first registered here, so shared
-        DFS resources produce one utilization series, not one per region.
+        has a ``sample_interval``.  The sampler covers only the resources
+        first registered here, so shared DFS resources produce one
+        utilization series, not one per region.
         """
         if not self.enabled:
             raise RuntimeError("a disabled hub (NULL_HUB) is shared and"
@@ -207,7 +207,7 @@ class MetricsHub:
         for service in (*region.shards, *region.dfs.mds_servers,
                         *region.dfs.data_servers):
             fresh += self.track_member(region, service)
-        if start_sampler and self.sample_interval:
+        if self.sample_interval:
             sampler = GaugeSampler(self, region, self.sample_interval,
                                    resources=fresh)
             sampler.start()

@@ -29,7 +29,6 @@ from repro.sim.resources import Barrier, Resource
 from repro.sim.network import (
     Cluster,
     Network,
-    NetworkParams,
     Node,
     NodeDownError,
     Service,
@@ -45,7 +44,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Network",
-    "NetworkParams",
     "Node",
     "NodeDownError",
     "Process",

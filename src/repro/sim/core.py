@@ -505,8 +505,8 @@ class _Stop:
 class Environment:
     """The simulation clock, event heap, and process factory."""
 
-    def __init__(self, initial_time: float = 0.0):
-        self.now = float(initial_time)
+    def __init__(self):
+        self.now = 0.0
         #: Heap of ``(time, key, fn, arg)``.  ``key`` is the schedule
         #: sequence number (biased negative for interrupt carriers) and
         #: is unique, so ``fn``/``arg`` are never compared.  ``fn`` is

@@ -11,7 +11,6 @@ flat scalability curves in Figs. 1 and 11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.sim.core import Environment, Event, Interrupt
@@ -20,39 +19,19 @@ from repro.sim.resources import BookedPool, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.trace import NULL_TRACER
 
-__all__ = ["Node", "NetworkParams", "Network", "Service", "Cluster",
-           "NodeDownError", "MessageDropped"]
-
-
-@dataclass(frozen=True)
-class NetworkParams:
-    """Fabric constants extracted from a :class:`CostModel`."""
-
-    latency: float
-    msg_overhead: float
-    bandwidth: float
-    local_loopback: float
-
-    @classmethod
-    def from_costs(cls, costs: CostModel) -> "NetworkParams":
-        return cls(
-            latency=costs.net_latency,
-            msg_overhead=costs.net_msg_overhead,
-            bandwidth=costs.net_bandwidth,
-            local_loopback=costs.local_loopback,
-        )
+__all__ = ["Node", "Network", "Service", "Cluster", "NodeDownError",
+           "MessageDropped"]
 
 
 class Node:
     """A cluster node: identity plus CPU and NIC contention points."""
 
     def __init__(self, env: Environment, node_id: int, name: str,
-                 cores: int = 24, nic_channels: int = 2):
+                 nic_channels: int):
         self.env = env
         self.node_id = node_id
         self.name = name
-        self.cores = cores
-        self.cpu = Resource(env, capacity=cores, name=f"{name}.cpu")
+        self.cpu = Resource(env, capacity=24, name=f"{name}.cpu")
         #: ``nic_channels`` FIFO channels, booked when a message reaches
         #: them (``docs/simulation-model.md``, "The fabric").
         self.nic = BookedPool(env, nic_channels, f"{name}.nic")
@@ -88,9 +67,11 @@ class MessageDropped(NodeDownError):
 class Network:
     """Uniform-fabric message transport between nodes."""
 
-    def __init__(self, env: Environment, params: NetworkParams):
+    def __init__(self, env: Environment, costs: CostModel):
         self.env = env
-        self.params = params
+        #: The fabric constants: ``net_latency``, ``net_msg_overhead``,
+        #: ``net_bandwidth`` and ``local_loopback``.
+        self.costs = costs
         self.messages_sent = 0
         self.bytes_sent = 0
         #: Messages dropped at delivery time (dead/restarted destination
@@ -126,12 +107,9 @@ class Network:
         self._cuts[cut_id] = (ids_a, ids_b)
         return cut_id
 
-    def heal(self, cut_id: Optional[int] = None) -> None:
-        """Remove one partition cut (or all of them when id is None)."""
-        if cut_id is None:
-            self._cuts.clear()
-        else:
-            self._cuts.pop(cut_id)
+    def heal(self, cut_id: int) -> None:
+        """Remove one partition cut."""
+        self._cuts.pop(cut_id)
 
     def is_partitioned(self, src: Node, dst: Node) -> bool:
         if not self._cuts:
@@ -190,11 +168,11 @@ class Network:
         if tracer.enabled and tracer.traces(env.active_process):
             ctx = tracer.open_child(env.active_process, env.now, "net",
                                     "network", f"{src.name}->{dst.name}")
-        p = self.params
+        c = self.costs
         if src is dst:
             # Loopback still burns stack/CPU time and contends with real
             # NIC traffic on the node (kernel TCP path).
-            return (src.nic.book(p.local_loopback) if p.local_loopback > 0
+            return (src.nic.book(c.local_loopback) if c.local_loopback > 0
                     else env.now), dst.incarnation, ctx
         # The fate mark is the destination's incarnation, which catches a
         # fail()+recover() cycle completing mid-flight; an already-dead or
@@ -207,8 +185,8 @@ class Network:
             mark = dst.incarnation
         # The sender NIC serializes the message onto the fabric, then it
         # propagates.
-        return (src.nic.book(p.msg_overhead + nbytes / p.bandwidth)
-                + p.latency), mark, ctx
+        return (src.nic.book(c.net_msg_overhead + nbytes / c.net_bandwidth)
+                + c.net_latency), mark, ctx
 
     def receive(self, src: Node, dst: Node, mark: int) -> float:
         """A remote message reaches the receiver NIC: dropped on the wire
@@ -221,7 +199,7 @@ class Network:
             self.note_dropped()
             raise MessageDropped(
                 f"message {src.name}->{dst.name} dropped in flight")
-        return dst.nic.book(self.params.msg_overhead)
+        return dst.nic.book(self.costs.net_msg_overhead)
 
     def deliver(self, src: Node, dst: Node, mark: int) -> None:
         """The hop ends: the message is dropped if its destination died
@@ -289,7 +267,6 @@ class Service:
         self.name = name
         self.workers = self.pool(cluster.env, workers, f"{name}.workers")
         self.requests_served = 0
-        self.requests_by_method: Dict[str, int] = {}
 
     def request(self, src: Node, method: str, *args,
                 req_size: Optional[int] = None,
@@ -392,8 +369,6 @@ class Service:
                 if sctx is not None:
                     tracer.span_end(env.now, self.name, sctx)
         self.requests_served += 1
-        self.requests_by_method[method] = (
-            self.requests_by_method.get(method, 0) + 1)
         t, mark, ctx = net.depart(node, src, resp_bytes)
         try:
             yield (t,)
@@ -414,22 +389,20 @@ class Cluster:
     def __init__(self, costs: Optional[CostModel] = None, seed: int = 0xC0FFEE):
         self.env = Environment()
         self.costs = costs if costs is not None else CostModel()
-        self.network = Network(self.env,
-                               NetworkParams.from_costs(self.costs))
+        self.network = Network(self.env, self.costs)
         self.rng = RngStreams(seed)
         self.nodes: list[Node] = []
         # Swapped in by MetricsHub.attach_region (shared with the network);
         # services consult it for span-context propagation.
         self.tracer = NULL_TRACER
 
-    def add_node(self, name: str = "", cores: int = 24) -> Node:
+    def add_node(self, name: str = "") -> Node:
         node_id = len(self.nodes)
-        node = Node(self.env, node_id, name or f"node{node_id}", cores=cores,
+        node = Node(self.env, node_id, name or f"node{node_id}",
                     nic_channels=self.costs.nic_channels)
         self.nodes.append(node)
         return node
 
-    def add_nodes(self, count: int, prefix: str = "node",
-                  cores: int = 24) -> list[Node]:
-        return [self.add_node(f"{prefix}{i + len(self.nodes)}", cores=cores)
+    def add_nodes(self, count: int, prefix: str = "node") -> list[Node]:
+        return [self.add_node(f"{prefix}{i + len(self.nodes)}")
                 for i in range(count)]

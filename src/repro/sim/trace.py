@@ -191,8 +191,8 @@ class Tracer:
         return op_id % self._stride == 0
 
     def emit(self, time: float, actor: str, kind: str, detail: str = "",
-             op_id: Optional[int] = None, span_id: Optional[int] = None,
-             parent_id: Optional[int] = None) -> None:
+             op_id: Optional[int] = None,
+             span_id: Optional[int] = None) -> None:
         if not self.enabled:
             return
         if op_id is not None and op_id % self._stride:
@@ -200,7 +200,7 @@ class Tracer:
         if len(self._log) >= self.capacity * _WIDTH:
             self.dropped += 1
             return
-        self._log += time, actor, kind, detail, op_id, span_id, parent_id
+        self._log += time, actor, kind, detail, op_id, span_id, None
 
     # -- span contexts -----------------------------------------------------
     def root_context(self) -> Optional[SpanContext]:

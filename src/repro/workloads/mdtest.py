@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.sim.core import Environment, Event
 from repro.sim.resources import Barrier
-from repro.sim.rng import RngStreams, default_rng
+from repro.sim.rng import default_rng
 
 __all__ = ["MdtestConfig", "MdtestResult", "MdtestHandle", "run_mdtest",
            "spawn_mdtest", "run_closed_loop", "run_random_stat",
@@ -72,8 +72,7 @@ class MdtestHandle:
 
 
 def spawn_mdtest(env: Environment, clients: Sequence[Any],
-                 config: MdtestConfig,
-                 rng: Optional[RngStreams] = None) -> MdtestHandle:
+                 config: MdtestConfig) -> MdtestHandle:
     """Spawn an mdtest instance without driving the event loop.
 
     Lets multiple instances (the paper's concurrent applications, Fig. 8)
@@ -81,7 +80,6 @@ def spawn_mdtest(env: Environment, clients: Sequence[Any],
     """
     if not clients:
         raise ValueError("need at least one client")
-    rng = rng or RngStreams(0xAB)
     n = len(clients)
     barrier = Barrier(env, parties=n, name="mdtest")
     result = MdtestResult()
@@ -107,7 +105,7 @@ def spawn_mdtest(env: Environment, clients: Sequence[Any],
         phase_ends[phase] = max(phase_ends.get(phase, 0.0), env.now)
 
     def client_proc(rank: int, client: Any) -> Generator[Event, Any, None]:
-        stat_rng = (default_rng(rng.seed * 31 + rank)
+        stat_rng = (default_rng(0xAB * 31 + rank)
                     if "stat" in config.phases else None)
         base = rank_base(rank)
         if config.unique_dir_per_rank:
@@ -166,10 +164,9 @@ def spawn_mdtest(env: Environment, clients: Sequence[Any],
 
 
 def run_mdtest(env: Environment, clients: Sequence[Any],
-               config: MdtestConfig,
-               rng: Optional[RngStreams] = None) -> MdtestResult:
+               config: MdtestConfig) -> MdtestResult:
     """Spawn one mdtest instance and drive the env until it completes."""
-    handle = spawn_mdtest(env, clients, config, rng)
+    handle = spawn_mdtest(env, clients, config)
     for proc in handle.procs:
         env.run(until=proc)
     return handle.result()
@@ -243,14 +240,13 @@ def run_closed_loop(env: Environment, clients: Sequence[Any],
 
 
 def run_random_stat(env: Environment, clients: Sequence[Any],
-                    targets: Sequence[str], stats_per_client: int,
-                    seed: int = 0xCD) -> float:
+                    targets: Sequence[str], stats_per_client: int) -> float:
     """Random getattr phase over ``targets``; returns aggregate ops/sec."""
     if not clients or not targets:
         raise ValueError("need clients and targets")
 
     def body(rank: int, client: Any) -> Generator[Event, Any, None]:
-        stat_rng = default_rng(seed * 131 + rank)
+        stat_rng = default_rng(0xCD * 131 + rank)
         for _ in range(stats_per_client):
             target = targets[int(stat_rng.integers(0, len(targets)))]
             yield from client.getattr(target)

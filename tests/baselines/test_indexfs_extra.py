@@ -21,7 +21,7 @@ def make(n_nodes=4, lease_ttl=200e-3, split_threshold=10):
 class TestAdminMkdir:
     def test_admin_mkdir_visible_to_clients(self):
         cluster, fs, nodes = make()
-        fs.admin_mkdir("/work", mode=0o777)
+        fs.admin_mkdir("/work")
         client = fs.client(nodes[0])
 
         def go():

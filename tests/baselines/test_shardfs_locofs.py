@@ -34,7 +34,7 @@ class TestShardFS:
         run_sync(cluster.env, scenario())
         assert all("/d" in s.dirs for s in fs.servers)
 
-    def test_create_and_stat_single_rpc(self):
+    def test_create_and_stat_single_rpc(self, rpc_counts):
         cluster, fs, client = make_shardfs()
 
         def scenario():
@@ -45,8 +45,7 @@ class TestShardFS:
 
         record = run_sync(cluster.env, scenario())
         assert record["ftype"] == "file"
-        served = sum(s.requests_by_method.get("getattr", 0)
-                     for s in fs.servers)
+        served = sum(rpc_counts[s]["getattr"] for s in fs.servers)
         assert served == 1
 
     def test_stat_depth_insensitive(self):
@@ -102,7 +101,7 @@ class TestLocoFS:
 
         assert run_sync(cluster.env, scenario())["ftype"] == "file"
 
-    def test_all_dir_ops_hit_single_dms(self):
+    def test_all_dir_ops_hit_single_dms(self, rpc_counts):
         cluster, fs, client = make_locofs()
 
         def scenario():
@@ -110,7 +109,7 @@ class TestLocoFS:
                 yield from fs.mkdir(client, f"/d{i}")
 
         run_sync(cluster.env, scenario())
-        assert fs.dms.requests_by_method["mkdir"] == 6
+        assert rpc_counts[fs.dms]["mkdir"] == 6
 
     def test_files_spread_over_fms(self):
         cluster, fs, client = make_locofs(n_fms=3)
@@ -144,7 +143,7 @@ class TestLocoFS:
         with pytest.raises(FileNotFound):
             run_sync(cluster.env, scenario())
 
-    def test_dms_is_serialization_point(self):
+    def test_dms_is_serialization_point(self, rpc_counts):
         """Concurrent creates all funnel through the DMS path check."""
         cluster, fs, client = make_locofs(n_fms=4)
 
@@ -162,4 +161,4 @@ class TestLocoFS:
             cluster.env.process(creator(i))
         cluster.env.run()
         assert len(done) == 8
-        assert fs.dms.requests_by_method["check_path"] == 8
+        assert rpc_counts[fs.dms]["check_path"] == 8

@@ -230,14 +230,14 @@ class TestStrikesOnTheShardNode:
     def test_a_strike_drops_the_request_once(self, stage, method):
         cluster, client, shard, hub = _struck_world()
         env, net, costs = cluster.env, cluster.network, cluster.costs
-        p, home = net.params, shard.node
-        sent = p.msg_overhead + costs.request_header_size / p.bandwidth
-        arrived = sent + p.latency + p.msg_overhead
+        home = shard.node
+        sent = costs.net_msg_overhead + costs.request_header_size / costs.net_bandwidth
+        arrived = sent + costs.net_latency + costs.net_msg_overhead
         src, strike_at, pool, hold = {
-            "receiver_booking": (client, arrived - p.msg_overhead / 2,
-                                 home.nic, p.msg_overhead),
-            "loopback_booking": (home, p.local_loopback / 2, home.nic,
-                                 p.local_loopback),
+            "receiver_booking": (client, arrived - costs.net_msg_overhead / 2,
+                                 home.nic, costs.net_msg_overhead),
+            "loopback_booking": (home, costs.local_loopback / 2, home.nic,
+                                 costs.local_loopback),
             "worker_booking": (client, arrived + costs.memkv_op / 2,
                                shard.workers, costs.memkv_op),
             "restart_in_worker_booking": (

@@ -78,7 +78,7 @@ class TestDataEdges:
 
 
 class TestServiceAccounting:
-    def test_requests_by_method_breakdown(self, world):
+    def test_requests_by_method_breakdown(self, world, rpc_counts):
         cluster, fs, client = world
         fs.mkdir_sync("/d")
 
@@ -89,7 +89,7 @@ class TestServiceAccounting:
             yield from client.readdir("/d")
 
         run_sync(cluster.env, go())
-        by = fs.mds_servers[0].requests_by_method
+        by = rpc_counts[fs.mds_servers[0]]
         assert by["create"] == 2
         assert by["getattr"] == 1
         assert by["readdir"] == 1

@@ -95,8 +95,8 @@ def _indexfs(d, f):
     cluster = Cluster(seed=13)
     nodes = [cluster.add_node(f"n{i}") for i in range(2)]
     fs = IndexFS(cluster, nodes)
-    fs.admin_mkdir("/app", mode=0o777)
-    fs.admin_mkdir("/app/d1", mode=0o777)
+    fs.admin_mkdir("/app")
+    fs.admin_mkdir("/app/d1")
     client = fs.client(nodes[0])
 
     def go():

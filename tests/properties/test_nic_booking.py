@@ -39,7 +39,7 @@ _messages = st.lists(
 _probes = st.lists(st.floats(0.0, 400e-6, allow_nan=False), max_size=6)
 
 
-def _park_transfer(env, p, src, dst, nbytes, log):
+def _park_transfer(env, c, src, dst, nbytes, log):
     """The park model: ``yield res`` / ``yield hold`` / ``release()``."""
     def hold(res, seconds):
         yield res
@@ -51,12 +51,12 @@ def _park_transfer(env, p, src, dst, nbytes, log):
         log.append((res.name, start, env.now))
 
     if src is dst:
-        yield from hold(src, p.local_loopback)
+        yield from hold(src, c.local_loopback)
         return
-    yield from hold(src, p.msg_overhead + nbytes / p.bandwidth)
-    if p.latency > 0:
-        yield p.latency
-    yield from hold(dst, p.msg_overhead)
+    yield from hold(src, c.net_msg_overhead + nbytes / c.net_bandwidth)
+    if c.net_latency > 0:
+        yield c.net_latency
+    yield from hold(dst, c.net_msg_overhead)
 
 
 def _reading(nic):
@@ -82,7 +82,7 @@ def _run(messages, probes, channels, booked):
             owner[env.active_process] = logs[i]
             yield from hop(net, nodes[src], nodes[dst], nbytes)
         else:
-            yield from _park_transfer(env, net.params, nics[src], nics[dst],
+            yield from _park_transfer(env, cluster.costs, nics[src], nics[dst],
                                       nbytes, logs[i])
         delivered[i] = env.now
 
@@ -114,7 +114,7 @@ def _run(messages, probes, channels, booked):
     return logs, delivered, readings
 
 
-def _instants_of(logs, delivered, messages, params):
+def _instants_of(logs, delivered, messages, costs):
     """Every instant a NIC saw something, in the park model's run."""
     out = {at for at, *_ in messages} | set(delivered)
     for log in logs:
@@ -123,18 +123,18 @@ def _instants_of(logs, delivered, messages, params):
     for log in logs:
         # The receiver's arrival: the sender's end plus the latency.
         if len(log) == 2:
-            out.add(log[0][2] + params.latency)
+            out.add(log[0][2] + costs.net_latency)
     return out
 
 
-def _ties(logs, messages, params):
+def _ties(logs, messages, costs):
     """True when a message reaches a NIC at an instant one of its
     channels frees."""
     ends, arrivals = {}, []
     for (at, _src, _dst, _n), log in zip(messages, logs):
         arrivals.append((log[0][0], at))
         if len(log) == 2:
-            arrivals.append((log[1][0], log[0][2] + params.latency))
+            arrivals.append((log[1][0], log[0][2] + costs.net_latency))
         for name, _start, end in log:
             ends.setdefault(name, set()).add(end)
     return any(t in ends.get(name, ()) for name, t in arrivals)
@@ -143,11 +143,11 @@ def _ties(logs, messages, params):
 @settings(max_examples=150, deadline=None)
 @given(messages=_messages, probes=_probes, channels=st.integers(1, 3))
 def test_booking_is_the_park_model(messages, probes, channels):
-    params = Cluster(CostModel()).network.params
+    costs = CostModel()
     ref_logs, ref_delivered, _ = _run(messages, [], channels, booked=False)
-    assume(not _ties(ref_logs, messages, params))
+    assume(not _ties(ref_logs, messages, costs))
     assume(not set(probes) & _instants_of(ref_logs, ref_delivered,
-                                          messages, params))
+                                          messages, costs))
     ref = _run(messages, probes, channels, booked=False)
     nic = _run(messages, probes, channels, booked=True)
     assert nic[0] == ref[0]      # every booking's (start, end), bit for bit

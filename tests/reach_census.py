@@ -1,5 +1,6 @@
-"""Reach census: every function under ``src/repro`` runs in a workload, or
-is named below with the reason it may stay unreached.
+"""Reach census: every function under ``src/repro`` runs in a workload,
+and every defaulted parameter is set by something, or is named below with
+the reason it may stay unreached or unset.
 
     PYTHONPATH=src python tests/reach_census.py
 
@@ -13,11 +14,36 @@ event.  Every ``def`` in
 by file, first line (a decorated function starts at its first
 decorator) and name.
 
+The same hook checks parameters.  At a call of a ``src/repro`` function
+with defaulted parameters (the function object found from the code's
+qualified name in its module's globals, through ``__wrapped__`` for the
+``@_traced`` client ops; a generator only at its first resume), it
+records each parameter whose value is ``!=`` its default (an exception
+from the comparison counts as a difference).  A defaulted parameter no
+run sets that way is still *set* when some call in ``src/repro``,
+``tests``, ``benchmarks`` or ``examples`` passes it by keyword or
+position: an ``ast`` pass matched on the callee's name (a class's name
+for its ``__init__``), coarse on purpose so that it can only
+under-report.  Every other defaulted parameter is *unset*.  Nested
+functions are checked by the ``ast`` pass alone, and the generated
+``__init__`` of a dataclass (``PaconConfig``, ``AutoscalePolicy``,
+``CostModel``, ``MdtestConfig``) has no ``def`` in a source file, so its
+fields are out of scope here.
+
 Exit status 1 when a function no run reaches has no row in
-:data:`ALLOWLIST`, or when a row is stale: its function is reached now,
-or no longer exists.  The allowlist may only shrink.  The file is not
-named ``test_*.py``, so pytest does not collect it (it takes about a
-minute).
+:data:`ALLOWLIST`, when an unset parameter has no row in
+:data:`PARAM_ALLOWLIST`, or when a row of either is stale: its function
+is reached now or its parameter is set now, or it no longer exists.  Both
+allowlists may only shrink.  The file is not named ``test_*.py``, so
+pytest does not collect it (it takes about a minute).
+
+    PYTHONPATH=src python tests/reach_census.py --params
+
+runs the same census and lists every defaulted parameter no run sets,
+with who does set it: nobody (the allowlist row's reason), tests only, or
+a file outside ``tests/`` whose call no run makes.  A report, not a
+gate: it exits 0.  It is the list the "two non-test callers that set an
+option to different values" rule is judged from.
 
     PYTHONPATH=src python tests/reach_census.py --lines FILE...
 
@@ -34,6 +60,8 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dis
+import inspect
 import io
 import os
 import runpy
@@ -175,16 +203,111 @@ ALLOWLIST: Dict[str, str] = {
     "workloads/mdtest.py::leaf_dirs": TEST_API,
 }
 
+SUBCLASS = ("passed through a subclass (PermissionDenied(path, detail)),"
+            " which the callee-name match cannot see")
+FLUSH_ROW = ("ROADMAP 6(a): the memtable size a paper-scale IndexFS flush"
+             " row will set")
+
+#: ``"<path under src/repro>::<function>(<parameter>)"`` -> why nothing
+#: passes it.  Rows only ever go: pass it, or delete the parameter.
+PARAM_ALLOWLIST: Dict[str, str] = {
+    "baselines/indexfs.py::IndexFS.__init__(memtable_limit)": FLUSH_ROW,
+    "dfs/errors.py::FSError.__init__(detail)": SUBCLASS,
+}
+
 # -- recording ----------------------------------------------------------------
 
 _seen: Dict[int, object] = {}
+#: code id -> ``[first-resume offset or None, [(parameter, default)...]]``
+#: for a ``src/repro`` function whose defaulted parameters no call has set
+#: yet, or None once every one is set (or the function has none).
+_watch: Dict[int, Optional[list]] = {}
+#: code id -> the defaulted parameters some call passed a value ``!=``
+#: the default.
+_set_by_run: Dict[int, Set[str]] = {}
+_SRC_PREFIX = os.path.realpath(SRC) + os.sep
 
 
 def _hook(frame, event, _arg):
     if event == "call":
         code = frame.f_code
-        if id(code) not in _seen:
-            _seen[id(code)] = code  # held, so the id is never reused
+        key = id(code)
+        if key not in _seen:
+            _seen[key] = code  # held, so the id is never reused
+            _watch[key] = _watched(frame)
+        watch = _watch[key]
+        if watch is not None:
+            _check(frame, key, watch)
+
+
+def _function(code: CodeType, namespace: dict):
+    """The function object whose code ``code`` is, found from its
+    qualified name in its module's globals (through staticmethod,
+    classmethod, property and ``__wrapped__``), or None for a nested
+    function."""
+    parts = code.co_qualname.split(".")
+    if "<locals>" in parts:
+        return None
+    owner = namespace.get(parts[0])
+    for part in parts[1:]:
+        owner = getattr(owner, "__dict__", {}).get(part)
+    candidates = [owner]
+    for attr in ("__func__", "fget", "fset", "fdel"):
+        candidates.append(getattr(owner, attr, None))
+    for fn in candidates:
+        while fn is not None:
+            if getattr(fn, "__code__", None) is code:
+                return fn
+            fn = getattr(fn, "__wrapped__", None)
+    return None
+
+
+def _watched(frame) -> Optional[list]:
+    code = frame.f_code
+    if not os.path.realpath(code.co_filename).startswith(_SRC_PREFIX):
+        return None
+    fn = _function(code, frame.f_globals)
+    if fn is None:
+        return None
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    params = list(zip(positional[len(positional) - len(defaults):],
+                      defaults))
+    params += list((fn.__kwdefaults__ or {}).items())
+    if not params:
+        return None
+    entry = None
+    if code.co_flags & inspect.CO_GENERATOR:
+        # A generator's frame raises a ``call`` event at every resume;
+        # only the first one, at its ``RESUME 0``, sees the arguments.
+        entry = next(i.offset for i in dis.get_instructions(code)
+                     if i.opname == "RESUME" and i.arg == 0)
+    return [entry, params]
+
+
+def _check(frame, key: int, watch: list) -> None:
+    entry, params = watch
+    if entry is not None and frame.f_lasti > entry:
+        return
+    values = frame.f_locals
+    left = []
+    for name, default in params:
+        value = values.get(name, default)
+        if value is default:
+            left.append((name, default))
+            continue
+        try:
+            differs = bool(value != default)
+        except Exception:
+            differs = True
+        if differs:
+            _set_by_run.setdefault(key, set()).add(name)
+        else:
+            left.append((name, default))
+    if left:
+        watch[1] = left
+    else:
+        _watch[key] = None
 
 
 #: ``--lines``: the real paths of the files whose lines are traced, each
@@ -303,7 +426,8 @@ def run_workloads(tmp: Path) -> None:
     _cli("mdtest", "--nodes", "2", "--clients-per-node", "4",
          "--items", "120", "--metrics-out", out("m.json"),
          "--profile-out", out("p.txt"), "--trace-out", out("t.json"),
-         "--log-out", out("l.txt"), "--kind", "op.end", "--actor", "c0")
+         "--log-out", out("l.txt"), "--kind", "op.end", "--actor", "c0",
+         "--top", "5", "--since", "1e-6", "--until", "1")
     small = ("--nodes", "2", "--clients-per-node", "2", "--items", "5")
     for system in ("pacon", "beegfs", "indexfs"):
         _cli("mdtest", "--system", system, *small,
@@ -321,6 +445,7 @@ def run_workloads(tmp: Path) -> None:
     _cli("compare", tiny, out("BENCH_smoke.json"), "--json")
     _cli("history", tiny, out("BENCH_smoke.json"))
     _cli("history", "--json", "--metric", "*", tiny, out("BENCH_smoke.json"))
+    _cli("history", "--metric", "*", tiny, out("BENCH_smoke.json"))
     _cli("history")  # no paths: the BENCH_*.json in the working directory
     _cli("slo", out("fig07.metrics.json"))
     _cli("slo", out("fig07.metrics.json"), "--json", "--window", "0", "1")
@@ -342,7 +467,8 @@ def run_workloads(tmp: Path) -> None:
 
 # -- matching -----------------------------------------------------------------
 
-Definition = Tuple[str, int, int, str]  # qualname, first line, last, name
+Definition = Tuple[str, int, int, str, ast.AST, bool]
+# qualname, first line, last, name, the def node, whether a class owns it
 
 
 def definitions(path: Path) -> List[Definition]:
@@ -353,7 +479,7 @@ def definitions(path: Path) -> List[Definition]:
     out: List[Definition] = []
     taken: Dict[str, int] = {}
 
-    def visit(body, prefix: str) -> None:
+    def visit(body, prefix: str, in_class: bool) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([node.lineno] +
@@ -363,15 +489,15 @@ def definitions(path: Path) -> List[Definition]:
                 if taken[qual] > 1:
                     qual += f"#{taken[qual]}"
                 out.append((f"{rel}::{qual}", first, node.end_lineno,
-                            node.name))
-                visit(node.body, qual + ".")
+                            node.name, node, in_class))
+                visit(node.body, qual + ".", False)
             elif isinstance(node, ast.ClassDef):
-                visit(node.body, f"{prefix}{node.name}.")
+                visit(node.body, f"{prefix}{node.name}.", True)
             else:
                 for field in ("body", "orelse", "finalbody", "handlers"):
-                    visit(getattr(node, field, []) or [], prefix)
+                    visit(getattr(node, field, []) or [], prefix, in_class)
 
-    visit(ast.parse(path.read_text()).body, "")
+    visit(ast.parse(path.read_text()).body, "", False)
     return out
 
 
@@ -385,11 +511,104 @@ def census() -> Tuple[Dict[str, Tuple[int, int]], Set[str]]:
     reached: Set[str] = set()
     for path in sorted(SRC.rglob("*.py")):
         filename = os.path.realpath(path)
-        for qual, first, last, name in definitions(path):
+        for qual, first, last, name, _node, _method in definitions(path):
             defs[qual] = (first, last)
             if (filename, first, name) in reached_at:
                 reached.add(qual)
     return defs, reached
+
+
+#: Where a call that passes a parameter counts, read by ``ast``.
+CALLERS = ("src/repro", "tests", "benchmarks", "examples")
+
+CallSite = Tuple[str, int, bool, Set[str], bool]
+# file, positional arguments, a ``*`` argument, keywords, a ``**`` argument
+
+
+def call_sites() -> Dict[str, List[CallSite]]:
+    """Every call in :data:`CALLERS`, by callee name: the ``f`` of
+    ``f(...)`` or ``x.f(...)``."""
+    sites: Dict[str, List[CallSite]] = {}
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == Path(__file__).resolve():
+                continue
+            rel = path.relative_to(ROOT).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name is None:
+                    continue
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords if k.arg}
+                sites.setdefault(name, []).append((
+                    rel, len(node.args) - star, star, keywords,
+                    any(k.arg is None for k in node.keywords)))
+    return sites
+
+
+def defaulted(node: ast.AST, method: bool) -> List[Tuple[str, Optional[int]]]:
+    """A def's defaulted parameters, each with its position among the
+    arguments a caller writes (None for keyword-only)."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    decorators = {getattr(d, "id", None) for d in node.decorator_list}
+    skip = 1 if method and "staticmethod" not in decorators else 0
+    out = [(a.arg, i - skip) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def param_census() -> Dict[str, object]:
+    """Every defaulted parameter of a ``def`` in ``src/repro``, as
+    ``"<function>(<parameter>)"`` -> ``"run"`` when a census run passed
+    it a value ``!=`` its default, else the sorted files whose calls pass
+    it by keyword or position (matched on callee name; ``__init__`` by its
+    class's name), empty when nothing does."""
+    by_run: Dict[Tuple[str, int, str], Set[str]] = {}
+    for key, names in _set_by_run.items():
+        code = _seen[key]
+        by_run[(os.path.realpath(code.co_filename), code.co_firstlineno,
+                code.co_name)] = names
+    sites = call_sites()
+    out: Dict[str, object] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        filename = os.path.realpath(path)
+        for qual, first, _last, name, node, method in definitions(path):
+            params = defaulted(node, method)
+            if not params:
+                continue
+            ran = by_run.get((filename, first, name), set())
+            owners = qual.split("::")[1].split(".")
+            callee = owners[-2] if method and name == "__init__" else name
+            for param, index in params:
+                if param in ran:
+                    out[f"{qual}({param})"] = "run"
+                    continue
+                out[f"{qual}({param})"] = sorted({
+                    rel for rel, n, star, keywords, double in
+                    sites.get(callee, ())
+                    if param in keywords or double or (
+                        index is not None and (index < n or star))})
+    return out
+
+
+def param_report(params: Dict[str, object]) -> None:
+    """``--params``: every parameter no census run sets, and who does."""
+    for key, who in sorted(params.items()):
+        if who == "run":
+            continue
+        if not who:
+            print(f"  nobody      {key}: {PARAM_ALLOWLIST.get(key, '')}")
+        elif all(rel.startswith("tests/") for rel in who):
+            print(f"  tests only  {key}")
+        else:
+            print(f"  not run     {key}: " + ", ".join(
+                rel for rel in who if not rel.startswith("tests/")))
 
 
 def executable_lines(path: Path) -> Set[int]:
@@ -427,6 +646,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--lines", nargs="+", metavar="FILE",
                         help="report the unexecuted lines of these files")
+    parser.add_argument("--params", action="store_true",
+                        help="list every parameter no run sets, and who"
+                        " does (exits 0)")
     args = parser.parse_args(argv)
     paths = [Path(name).resolve() for name in args.lines or ()]
     _traced.update(os.path.realpath(path) for path in paths)
@@ -464,7 +686,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     for qual in stale:
         why = "is reached now" if qual in defs else "no longer exists"
         print(f"STALE {qual} {why}: drop its ALLOWLIST row")
-    return 1 if unlisted or stale else 0
+    params = param_census()
+    unset = sorted(k for k, who in params.items() if not who)
+    by_run = sum(who == "run" for who in params.values())
+    print(f"parameter census: {len(params)} defaulted parameters; {by_run}"
+          f" set by a run, {len(params) - by_run - len(unset)} only by a"
+          f" call no run makes, {len(unset)} unset,"
+          f" {len(PARAM_ALLOWLIST)} allowlisted")
+    if args.params:
+        param_report(params)
+        return 0
+    unlisted_params = [k for k in unset if k not in PARAM_ALLOWLIST]
+    stale_params = sorted(k for k in PARAM_ALLOWLIST if params.get(k, 1))
+    for key in unlisted_params:
+        print(f"UNSET {key}: nothing passes it; delete it and write its"
+              " default where it is used, or give it a PARAM_ALLOWLIST row")
+    for key in stale_params:
+        why = "is set now" if key in params else "no longer exists"
+        print(f"STALE {key} {why}: drop its PARAM_ALLOWLIST row")
+    failed = unlisted or stale or unlisted_params or stale_params
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

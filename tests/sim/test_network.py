@@ -49,8 +49,8 @@ class TestNetworkTransfer:
             return cluster.env.now
 
         elapsed = run_sync(cluster.env, proc())
-        p = cluster.network.params
-        assert elapsed == pytest.approx(2 * p.msg_overhead + p.latency)
+        c = cluster.costs
+        assert elapsed == pytest.approx(2 * c.net_msg_overhead + c.net_latency)
 
     def test_local_transfer_is_loopback(self, cluster):
         a = cluster.add_node("a")
@@ -74,7 +74,7 @@ class TestNetworkTransfer:
 
         small = timed(0)
         big = timed(50 * 1024 * 1024)
-        expected_extra = 50 * 1024 * 1024 / cluster.network.params.bandwidth
+        expected_extra = 50 * 1024 * 1024 / cluster.costs.net_bandwidth
         assert big - small == pytest.approx(expected_extra, rel=1e-6)
 
     def test_transfer_counters(self, cluster):
@@ -132,7 +132,7 @@ class TestNetworkTransfer:
 
 
 class TestService:
-    def test_rpc_round_trip_value(self, cluster):
+    def test_rpc_round_trip_value(self, cluster, rpc_counts):
         client, server = cluster.add_nodes(2)
         svc = EchoService(cluster, server, "echo", workers=1)
 
@@ -142,7 +142,7 @@ class TestService:
 
         assert run_sync(cluster.env, proc()) == "hello"
         assert svc.requests_served == 1
-        assert svc.requests_by_method == {"echo": 1}
+        assert rpc_counts[svc] == {"echo": 1}
 
     def test_rpc_unknown_method(self, cluster):
         client, server = cluster.add_nodes(2)
@@ -167,7 +167,7 @@ class TestService:
         msg, t = run_sync(cluster.env, proc())
         assert msg == "handler error"
         # Error arrives after a full round trip, not instantly.
-        assert t > 2 * cluster.network.params.latency
+        assert t > 2 * cluster.costs.net_latency
 
     def test_worker_pool_limits_concurrency(self, cluster):
         client, server = cluster.add_nodes(2)
@@ -201,7 +201,7 @@ class TestOneFramePerHop:
         svc = EchoService(cluster, server, "echo")
         request = svc.request(client, "echo", "x")
         proc = cluster.env.process(request)
-        cluster.env.run(until=cluster.network.params.msg_overhead / 2)
+        cluster.env.run(until=cluster.costs.net_msg_overhead / 2)
         # In the sender NIC's booking, asleep until an instant: nothing to
         # cancel.
         assert client.nic.in_use == 1 and proc.is_alive
@@ -218,17 +218,17 @@ class TestOneFramePerHop:
         strike (docs/simulation-model.md, "Faults"); the ``net`` span
         closes at the strike."""
         a, b = cluster.add_nodes(2)
-        net, p = cluster.network, cluster.network.params
+        net, costs = cluster.network, cluster.costs
         net.tracer = tracer = Tracer()
-        sent = p.msg_overhead + 64 / p.bandwidth
+        sent = costs.net_msg_overhead + 64 / costs.net_bandwidth
         dst, stop_at, busy = {
             "nic_queue": (b, sent / 2, ((a.nic.capacity + 1) * sent, 0.0)),
             "sender_hold": (b, sent / 2, (sent, 0.0)),
-            "latency": (b, sent + p.latency / 2, (sent, 0.0)),
-            "receiver_hold": (b, sent + p.latency + p.msg_overhead / 2,
-                              (sent, p.msg_overhead)),
-            "loopback_hold": (a, p.local_loopback / 2,
-                              (p.local_loopback, 0.0)),
+            "latency": (b, sent + costs.net_latency / 2, (sent, 0.0)),
+            "receiver_hold": (b, sent + costs.net_latency + costs.net_msg_overhead / 2,
+                              (sent, costs.net_msg_overhead)),
+            "loopback_hold": (a, costs.local_loopback / 2,
+                              (costs.local_loopback, 0.0)),
         }[stage]
         if stage == "nic_queue":
             for _ in range(a.nic.capacity):
@@ -265,7 +265,7 @@ class TestOneFramePerHop:
         """A cut dooms a message only if it separates *its* endpoints —
         the send-time verdict must be a boolean, not the live cut table."""
         a, b, c, d = cluster.add_nodes(4)
-        net, p = cluster.network, cluster.network.params
+        net, costs = cluster.network, cluster.costs
 
         def sender():
             try:
@@ -275,7 +275,7 @@ class TestOneFramePerHop:
                 return "dropped"
 
         proc = cluster.env.process(sender())
-        cluster.env.run(until=p.msg_overhead + p.latency / 2)   # on the wire
+        cluster.env.run(until=costs.net_msg_overhead + costs.net_latency / 2)   # on the wire
         net.partition([a], [b]) if cut_sender else net.partition([c], [d])
         cluster.env.run()
         assert proc.value == ("dropped" if dropped else "delivered")

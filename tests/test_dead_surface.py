@@ -35,8 +35,8 @@ and two over live objects:
   nothing calls ``.arrive(`` or a zero-argument ``.get()``, kept only
   for ``benchmarks/perf``;
 * one run loop: ``Environment.run`` holds a single ``while``, the
-  environment takes no knob beside ``initial_time`` and ``Cluster``
-  has no ``run`` pass-through;
+  environment takes no knob (it starts at 0.0) and ``Cluster`` has no
+  ``run`` pass-through;
 * one simulated process is one client: no recorder, sketch or commit
   message takes a ``weight``, and ``PaconConfig`` keeps its 9 fields —
   the aggregate client stays deleted;
@@ -55,7 +55,9 @@ and two over live objects:
   (``AutoscalePolicy`` has no ``burn_threshold``, ``make_testbed`` takes
   its 10 parameters, ``recover_node`` always restarts the commit
   process, ``CostModel`` has no presets but ``zero`` and no
-  ``publish_stall`` attribution bucket is left);
+  ``publish_stall`` attribution bucket is left; the constructors and
+  calls whose defaulted parameters nothing set keep the signatures
+  pinned there, so a deleted knob cannot quietly come back);
 * one snapshot module: ``repro.bench.snapshot`` writes, reads, compares
   and folds ``pacon.bench/v1`` (no ``bench/baseline.py``, no
   ``runner.write_snapshot_file``), ``compare`` has no ``--tolerance``,
@@ -86,13 +88,19 @@ from repro.core import client as client_module
 from repro.core.autoscale import AutoscalePolicy
 from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
+from repro.core.deploy import PaconFS
 from repro.core.failure import recover_node
+from repro.dfs.beegfs import BeeGFS
+from repro.dfs.mds import MetadataServer
+from repro.dfs.namespace import Namespace
 from repro.kvstore.lsm import LSMTree, WriteReceipt
+from repro.kvstore.memkv import Item, MemKV
 from repro.obs.hub import MetricsHub
 from repro.obs.sketch import QuantileSketch
 from repro.sim.core import Environment, Event
 from repro.sim.costs import CostModel
-from repro.sim.network import Cluster
+from repro import sim
+from repro.sim.network import Cluster, Node, Service
 from repro.sim.rng import RngStreams
 from repro.sim.trace import ATTRIBUTION_BUCKETS
 
@@ -400,7 +408,7 @@ def test_one_run_loop():
         inspect.getsource(Environment.run)))) if isinstance(node, ast.While)]
     assert len(loops) == 1, "Environment.run inlines one loop"
     assert list(inspect.signature(Environment.__init__).parameters) == [
-        "self", "initial_time"]
+        "self"]
     assert "run" not in vars(Cluster), "drive cluster.env.run() directly"
 
 
@@ -475,6 +483,28 @@ def test_one_knob_one_place():
         "commit_batch_size"]
     assert list(inspect.signature(recover_node).parameters) == [
         "region", "node"]
+    # Defaulted parameters no run, test or src call set, deleted; the
+    # reach census (tests/reach_census.py) finds the next ones.
+    pins = {
+        BeeGFS: ["cluster", "n_mds", "n_data"],
+        PaconFS: ["workspace", "nodes", "config"],
+        Node: ["env", "node_id", "name", "nic_channels"],
+        Cluster.add_node: ["self", "name"],
+        Cluster.add_nodes: ["self", "count", "prefix"],
+        MetadataServer: ["cluster", "node", "namespace", "name"],
+        Namespace: [],
+        MemKV.set: ["self", "key", "value"],
+        MemKV.add: ["self", "key", "value"],
+        MemKV.cas: ["self", "key", "value", "cas_token"],
+        MetricsHub.attach_region: ["self", "region"],
+    }
+    for fn, params in pins.items():
+        assert list(inspect.signature(fn).parameters) == params, fn
+    assert "flags" not in {f.name for f in dataclasses.fields(Item)}
+    assert not hasattr(sim, "NetworkParams")
+    cluster = Cluster()
+    service = Service(cluster, cluster.add_node(), "s")
+    assert not hasattr(service, "requests_by_method")
     assert not hasattr(CostModel, "slow_network")
     assert not hasattr(CostModel, "tianhe2_like")
     assert "publish_stall" not in ATTRIBUTION_BUCKETS
