@@ -39,7 +39,7 @@ mdtest's optional rm phase.  There is no rmdir, readdir or rename.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.dfs.errors import (
     FileExists,
@@ -61,6 +61,12 @@ from repro.sim.core import Event
 from repro.sim.network import Cluster, Node, Service
 
 __all__ = ["IndexFS", "IndexFSServer", "IndexFSClient"]
+
+#: How long a client's cached dentry stays fresh (200 ms).
+LEASE_TTL = 200e-3
+#: Entries per partition past which a directory doubles its partitions
+#: (GIGA+ incremental splitting).
+SPLIT_THRESHOLD = 2000
 
 # Wire values, resolved once: records carry ``ftype`` as the value string.
 _DIR = FileType.DIRECTORY.value
@@ -215,7 +221,7 @@ class IndexFSClient:
             else:
                 record = yield from self._probe_lookup(current)
                 self.lease_renewals += 1
-                cache[current] = (record, self.env.now + self.fs.lease_ttl)
+                cache[current] = (record, self.env.now + LEASE_TTL)
             if record["ftype"] != _DIR:
                 raise NotADirectory(current)
             if not check_mode_bits(record["mode"], self.uid, self.gid,
@@ -326,13 +332,10 @@ class IndexFS:
     """Deployment: servers co-located with client nodes (paper §IV)."""
 
     def __init__(self, cluster: Cluster, server_nodes: List[Node],
-                 lease_ttl: float = 200e-3, memtable_limit: int = 4096,
-                 split_threshold: int = 2000):
+                 memtable_limit: int = 4096):
         if not server_nodes:
             raise ValueError("need at least one server node")
         self.cluster = cluster
-        self.lease_ttl = lease_ttl
-        self.split_threshold = split_threshold
         self.servers = [
             IndexFSServer(cluster, node, name=f"ifs{i}",
                           memtable_limit=memtable_limit)
@@ -363,14 +366,11 @@ class IndexFS:
             dir_hash = self._dir_hashes[dir_path] = stable_hash64(dir_path)
         return dir_hash
 
-    def server_for_entry(self, dir_path: str, name: str,
-                         nparts: Optional[int] = None) -> IndexFSServer:
-        """Owner of entry ``name`` in ``dir_path`` at partition count
-        ``nparts`` (defaults to the directory's current count)."""
-        if nparts is None:
-            nparts = self.dir_partitions.get(dir_path, 1)
+    def server_for_entry(self, dir_path: str, name: str) -> IndexFSServer:
+        """Owner of entry ``name`` in ``dir_path`` at the directory's
+        current partition count."""
         servers = self.servers
-        bucket = stable_hash64(name) % nparts
+        bucket = stable_hash64(name) % self.dir_partitions.get(dir_path, 1)
         return servers[(self._dir_hash(dir_path) + bucket) % len(servers)]
 
     def server_for(self, path: str) -> IndexFSServer:
@@ -407,7 +407,7 @@ class IndexFS:
         count = self.dir_entry_counts.get(dir_path, 0) + 1
         self.dir_entry_counts[dir_path] = count
         nparts = self.dir_partitions.get(dir_path, 1)
-        if (count > self.split_threshold * nparts
+        if (count > SPLIT_THRESHOLD * nparts
                 and nparts < len(self.servers)):
             self.dir_partitions[dir_path] = nparts * 2
             self.splits += 1

@@ -130,16 +130,16 @@ class Autoscaler:
 
     def __init__(self, deployment: PaconDeployment,
                  region: ConsistentRegion,
-                 node_factory: Optional[Callable[[], Node]] = None):
+                 node_factory: Callable[[], Node]):
         self.deployment = deployment
         self.region = region
         self.env = region.env
         self.policy = region.config.autoscale
         #: Called to provision a fresh node for each scale-up.  The
-        #: default asks the cluster for one; benches hand in a factory
-        #: that pops from a pre-built warm pool so every provisioning
-        #: mode shares an identical cluster topology.
-        self.node_factory = node_factory or self._default_factory
+        #: elastic bench hands in a factory that pops from a pre-built
+        #: warm pool, so every provisioning mode shares an identical
+        #: cluster topology.
+        self.node_factory = node_factory
         self.actions: List[AutoscaleAction] = []
         self.scale_ups = 0
         self.scale_downs = 0
@@ -149,18 +149,11 @@ class Autoscaler:
         self._up_streak = 0
         self._down_streak = 0
         self._last_action_at: Optional[float] = None
-        self._next_node_seq = 0
         # Windowed-utilization state per resource: id -> [busy, t].
         self._util_state: Dict[int, List[float]] = {}
         self._process = None
 
     # -- wiring ------------------------------------------------------------
-    def _default_factory(self) -> Node:
-        safe = self.region.name.strip("/").replace("/", "_") or "region"
-        name = f"{safe}.as{self._next_node_seq}"
-        self._next_node_seq += 1
-        return self.deployment.cluster.add_node(name)
-
     @property
     def hub(self):
         return self.region.hub

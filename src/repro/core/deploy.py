@@ -62,19 +62,20 @@ class PaconDeployment:
 
     def _ensure_dfs_path(self, path: str, mode: int, uid: int,
                          gid: int) -> None:
-        """Admin-side mkdir -p on the DFS namespace (zero simulated cost)."""
+        """Admin-side mkdir -p on the DFS namespace (zero simulated cost):
+        root makes every missing directory, then hands the leaf to
+        ``uid``/``gid``."""
         ns = self.dfs.namespace
+        now = self.cluster.env.now
         current = ""
         parts = split_path(path)
         for i, name in enumerate(parts):
             current += "/" + name
             if not ns.exists(current):
                 is_leaf = i == len(parts) - 1
-                ns.mkdir(current,
-                         mode=mode if is_leaf else 0o755,
-                         uid=uid if is_leaf else 0,
-                         gid=gid if is_leaf else 0,
-                         now=self.cluster.env.now, check_perms=False)
+                ns.mkdir(current, mode=mode if is_leaf else 0o755, now=now)
+                if is_leaf:
+                    ns.setattr(current, now=now, new_uid=uid, new_gid=gid)
 
     def _dfs_client(self, region: ConsistentRegion, node: Node):
         """An ordinary DFS client on ``node`` under the region's identity."""
@@ -118,8 +119,19 @@ class PaconDeployment:
         return moved
 
     def grow_region_async(self, region: ConsistentRegion, node: Node):
-        """Generator form of :meth:`grow_region` for in-simulation callers
-        (chaos churn injects growth as a DES event mid-run)."""
+        """Generator: elastically expand a region onto ``node`` (§III.A
+        Benefit 2); chaos churn and the autoscaler run it as a DES process
+        mid-run.
+
+        Quiesces the region first (every entry gets its DFS backup copy),
+        joins the new cache shard/queue/commit process, then migrates the
+        cache records whose ring placement moved to the new shard — so
+        inline small-file data and metadata stay primary-copy-resident
+        across the membership change.  Returns the number of records
+        migrated (consistent hashing keeps this near 1/(N+1) of the keys).
+        A barrier epoch still in flight is safe: ``add_node`` defers the
+        barrier's party bump until it completes (docs/elasticity.md).
+        """
         yield from self.quiesce(region)
         new_shard = region.add_node(node)
         self._start_commit(region, node)
@@ -132,22 +144,6 @@ class PaconDeployment:
                 moved += yield from self._rehome(region, node, old,
                                                  onto=new_shard)
         return moved
-
-    def grow_region(self, region: ConsistentRegion, node: Node) -> int:
-        """Elastically expand a region onto ``node`` (§III.A Benefit 2).
-
-        Quiesces the region first (every entry gets its DFS backup copy),
-        joins the new cache shard/queue/commit process, then migrates the
-        cache records whose ring placement moved to the new shard — so
-        inline small-file data and metadata stay primary-copy-resident
-        across the membership change.  Returns the number of records
-        migrated (consistent hashing keeps this near 1/(N+1) of the keys).
-        A barrier epoch still in flight is safe: ``add_node`` defers the
-        barrier's party bump until it completes (docs/elasticity.md).
-        """
-        return run_sync(self.cluster.env,
-                        self.grow_region_async(region, node),
-                        label=f"grow:{region.name}")
 
     def retire_node_async(self, region: ConsistentRegion, node: Node):
         """Generator: shrink the region off ``node`` (planned departure).
@@ -181,11 +177,6 @@ class PaconDeployment:
         moved = yield from self._rehome(region, survivor, shard)
         shard.kv.flush_all()
         return moved
-
-    def retire_node(self, region: ConsistentRegion, node: Node) -> int:
-        return run_sync(self.cluster.env,
-                        self.retire_node_async(region, node),
-                        label=f"retire:{region.name}")
 
     # -- component factories --------------------------------------------------
     def client(self, region: ConsistentRegion, node: Node) -> PaconClient:
@@ -316,12 +307,6 @@ class PaconFS:
         self.region.close()
         self.cluster.env.run()
         self._closed = True
-
-    def __enter__(self) -> "PaconFS":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- introspection ----------------------------------------------------------------
     @property

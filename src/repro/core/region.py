@@ -173,10 +173,10 @@ class ConsistentRegion:
         The new shard joins the consistent-hash ring (moving ~1/N of the
         key space to it) and gets its own commit queue.
 
-        Use :meth:`repro.core.deploy.PaconDeployment.grow_region`, which
-        wraps this with the required quiesce (an uncommitted entry whose
-        key moved would otherwise become unreachable) and migrates the
-        moved records onto the new shard.
+        Use :meth:`repro.core.deploy.PaconDeployment.grow_region_async`,
+        which wraps this with the required quiesce (an uncommitted entry
+        whose key moved would otherwise become unreachable) and migrates
+        the moved records onto the new shard.
         """
         if node in self.nodes:
             raise ValueError(f"node {node.name} already in region"
@@ -217,9 +217,9 @@ class ConsistentRegion:
         host no clients, and all barrier epochs must be settled (the
         departing commit process may still be draining; closing its queue
         lets it exit cleanly).  Use
-        :meth:`repro.core.deploy.PaconDeployment.retire_node`, which
-        wraps this with the required quiesce and migrates the departing
-        shard's records back onto the ring.
+        :meth:`repro.core.deploy.PaconDeployment.retire_node_async`,
+        which wraps this with the required quiesce and migrates the
+        departing shard's records back onto the ring.
         """
         if node not in self.nodes:
             raise ValueError(f"node {node.name} not in region {self.name}")
@@ -436,7 +436,7 @@ class ConsistentRegion:
         ns = self.dfs.namespace
         if not ns.exists(path):
             return
-        mode = ns.getattr(path, check_perms=False).mode
+        mode = ns.getattr(path).mode
         record = self.cache.peek(path)
         if record is not None and record["committed"] \
                 and record["mode"] != mode:

@@ -91,15 +91,14 @@ class MetadataServer(Service):
 
     def handle_readdir(self, path: str, uid: int = 0,
                        gid: int = 0) -> Generator[Event, Any, List[str]]:
-        names = self.namespace.readdir(path, uid, gid, check_perms=True)
+        names = self.namespace.readdir(path, uid, gid)
         yield (self.costs.mds_readdir_base +
                self.costs.mds_readdir_per_entry * len(names))
         return names
 
     # -- write path ------------------------------------------------------------
     def _mutate(self, op: str, path: str, mode: int, uid: int, gid: int,
-                check_perms: bool, token: Any,
-                service_time: float) -> Generator[Event, Any, Any]:
+                token: Any, service_time: float) -> Generator[Event, Any, Any]:
         """The one tokened-mutation path (``mkdir``/``create``/``unlink``).
 
         A token already applied is a replay: it costs a lookup and returns
@@ -118,15 +117,14 @@ class MetadataServer(Service):
         # record is already a copy, so ``mkdir``/``create``'s is skipped.
         if op == "mkdir":
             record = self.namespace._make(
-                FileType.DIRECTORY, path, mode, uid, gid, self.env.now,
-                check_perms).to_record()
+                FileType.DIRECTORY, path, mode, uid, gid,
+                self.env.now).to_record()
         elif op == "create":
             record = self.namespace._make(
-                FileType.FILE, path, mode, uid, gid, self.env.now,
-                check_perms).to_record()
+                FileType.FILE, path, mode, uid, gid,
+                self.env.now).to_record()
         elif op == "unlink":
-            self.namespace.unlink(path, uid, gid, now=self.env.now,
-                                  check_perms=check_perms)
+            self.namespace.unlink(path, uid, gid, now=self.env.now)
             record = None
         else:
             raise ValueError(f"commit_batch cannot apply {op!r}")
@@ -139,19 +137,19 @@ class MetadataServer(Service):
     def handle_mkdir(self, path: str, mode: int = 0o755, uid: int = 0,
                      gid: int = 0,
                      token: Any = None) -> Generator[Event, Any, Dict]:
-        return self._mutate("mkdir", path, mode, uid, gid, True,
-                            token, self.costs.mds_op_service)
+        return self._mutate("mkdir", path, mode, uid, gid, token,
+                            self.costs.mds_op_service)
 
     def handle_create(self, path: str, mode: int = 0o644, uid: int = 0,
-                      gid: int = 0, check_perms: bool = True,
+                      gid: int = 0,
                       token: Any = None) -> Generator[Event, Any, Dict]:
-        return self._mutate("create", path, mode, uid, gid, check_perms,
-                            token, self.costs.mds_op_service)
+        return self._mutate("create", path, mode, uid, gid, token,
+                            self.costs.mds_op_service)
 
     def handle_unlink(self, path: str, uid: int = 0, gid: int = 0,
                       token: Any = None) -> Generator[Event, Any, None]:
-        return self._mutate("unlink", path, 0, uid, gid, True,
-                            token, self.costs.mds_op_service)
+        return self._mutate("unlink", path, 0, uid, gid, token,
+                            self.costs.mds_op_service)
 
     def handle_rmdir(self, path: str, uid: int = 0, gid: int = 0,
                      recursive: bool = False) -> Generator[Event, Any, int]:
@@ -195,7 +193,7 @@ class MetadataServer(Service):
                 record = yield from self._mutate(
                     op, path,
                     kwargs.get("mode", 0o755 if op == "mkdir" else 0o644),
-                    uid, gid, True, token, service_time)
+                    uid, gid, token, service_time)
             except Interrupt:
                 # The *caller* being killed during a service hold, not a
                 # domain error: capturing it would un-kill the caller.

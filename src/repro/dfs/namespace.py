@@ -3,9 +3,9 @@
 This is the metadata heart of the BeeGFS-equivalent: a dentry tree plus an
 inode table.  Every operation that takes a path performs the traditional
 hierarchical traversal — each ancestor directory must exist, be a
-directory, and (when ``check_perms`` is on) grant EXECUTE to the caller —
-because that is precisely the cost Pacon's batch permission management
-avoids (§II.C, Motivation 2).
+directory, and grant EXECUTE to the caller (uid 0, the superuser, skips
+every check) — because that is precisely the cost Pacon's batch
+permission management avoids (§II.C, Motivation 2).
 
 The namespace is a pure data structure; the MDS actor stamps times and
 charges simulated cost.  Subtree export/restore supports Pacon's
@@ -28,7 +28,7 @@ from repro.dfs.errors import (
 from repro.dfs.inode import AccessMode, FileType, Inode
 
 __all__ = ["Namespace", "normalize_path", "split_path", "parent_of",
-           "basename", "is_within", "snapshot_entries"]
+           "is_within", "snapshot_entries"]
 
 ROOT_INO = 1
 _SEARCH = int(AccessMode.EXECUTE)
@@ -67,7 +67,7 @@ def normalize_path(path: str) -> str:
 def split_path(path: str) -> List[str]:
     """Components of ``path``; [] for the root.
 
-    Precondition (all four helpers below): ``path`` is already
+    Precondition (this helper and the two below): ``path`` is already
     normalized — they are plain string operations and validate nothing.
     """
     if path == "/":
@@ -80,13 +80,6 @@ def parent_of(path: str) -> str:
     if path == "/":
         raise InvalidPath(path, "root has no parent")
     return path[:path.rfind("/")] or "/"
-
-
-def basename(path: str) -> str:
-    """Last component of an already-normalized ``path``."""
-    if path == "/":
-        raise InvalidPath(path, "root has no basename")
-    return path[path.rfind("/") + 1:]
 
 
 def is_within(path: str, ancestor: str) -> bool:
@@ -138,14 +131,11 @@ class Namespace:
         return inode
 
     # -- traversal ------------------------------------------------------------
-    def _resolve(self, path: str, uid: int, gid: int,
-                 check_perms: bool) -> Inode:
+    def _resolve(self, path: str, uid: int, gid: int) -> Inode:
         """Validate ``path`` and walk it from the root."""
-        return self._walk(split_path(normalize_path(path)), uid, gid,
-                          check_perms)
+        return self._walk(split_path(normalize_path(path)), uid, gid)
 
-    def _walk(self, parts: List[str], uid: int, gid: int,
-              check_perms: bool) -> Inode:
+    def _walk(self, parts: List[str], uid: int, gid: int) -> Inode:
         """Walk validated components from the root; raises on any violation.
 
         The search check is ``check_mode_bits`` for EXECUTE written out:
@@ -153,7 +143,7 @@ class Namespace:
         """
         inodes = self._inodes
         children = self._children
-        check = check_perms and uid != 0
+        check = uid != 0
         current = inodes[ROOT_INO]
         for i, name in enumerate(parts):
             if current.ftype is not FileType.DIRECTORY:
@@ -174,12 +164,12 @@ class Namespace:
             current = inodes[child_ino]
         return current
 
-    def _resolve_parent(self, path: str, uid: int, gid: int,
-                        check_perms: bool) -> Tuple[Inode, str]:
+    def _resolve_parent(self, path: str, uid: int,
+                        gid: int) -> Tuple[Inode, str]:
         parts = split_path(normalize_path(path))
         if not parts:
             raise InvalidPath(path, "operation on root")
-        parent = self._walk(parts[:-1], uid, gid, check_perms)
+        parent = self._walk(parts[:-1], uid, gid)
         if not parent.is_dir:
             raise NotADirectory("/" + "/".join(parts[:-1]))
         return parent, parts[-1]
@@ -187,26 +177,24 @@ class Namespace:
     # -- queries --------------------------------------------------------------
     def exists(self, path: str) -> bool:
         try:
-            self._resolve(path, 0, 0, check_perms=False)
+            self._resolve(path, 0, 0)
             return True
         except (FileNotFound, NotADirectory):
             return False
 
-    def getattr(self, path: str, uid: int = 0, gid: int = 0,
-                check_perms: bool = True) -> Inode:
-        return self._resolve(path, uid, gid, check_perms).copy()
+    def getattr(self, path: str, uid: int = 0, gid: int = 0) -> Inode:
+        return self._resolve(path, uid, gid).copy()
 
     def getattr_record(self, path: str, uid: int = 0,
                        gid: int = 0) -> Dict[str, Any]:
         """``getattr(...).to_record()`` without the intermediate copy."""
-        return self._resolve(path, uid, gid, True).to_record()
+        return self._resolve(path, uid, gid).to_record()
 
-    def readdir(self, path: str, uid: int = 0, gid: int = 0,
-                check_perms: bool = True) -> List[str]:
-        inode = self._resolve(path, uid, gid, check_perms)
+    def readdir(self, path: str, uid: int = 0, gid: int = 0) -> List[str]:
+        inode = self._resolve(path, uid, gid)
         if not inode.is_dir:
             raise NotADirectory(path)
-        if check_perms and not inode.permits(uid, gid, AccessMode.READ):
+        if not inode.permits(uid, gid, AccessMode.READ):
             raise PermissionDenied(path, "read permission on directory")
         return sorted(self._children[inode.ino])
 
@@ -240,7 +228,7 @@ class Namespace:
     def walk(self, path: str = "/") -> Iterator[Tuple[str, Inode]]:
         """Depth-first iteration of (path, inode) under ``path``, inclusive."""
         base = normalize_path(path)
-        start = self._walk(split_path(base), 0, 0, check_perms=False)
+        start = self._walk(split_path(base), 0, 0)
         stack: List[Tuple[str, Inode]] = [(base, start)]
         while stack:
             current_path, inode = stack.pop()
@@ -253,24 +241,23 @@ class Namespace:
 
     # -- mutations ------------------------------------------------------------
     def mkdir(self, path: str, mode: int = 0o755, uid: int = 0, gid: int = 0,
-              now: float = 0.0, check_perms: bool = True) -> Inode:
-        return self._make(FileType.DIRECTORY, path, mode, uid, gid, now,
-                          check_perms).copy()
+              now: float = 0.0) -> Inode:
+        return self._make(FileType.DIRECTORY, path, mode, uid, gid,
+                          now).copy()
 
-    def create(self, path: str, mode: int = 0o644, uid: int = 0, gid: int = 0,
-               check_perms: bool = True) -> Inode:
+    def create(self, path: str, mode: int = 0o644, uid: int = 0,
+               gid: int = 0) -> Inode:
         """Exclusive file creation (O_CREAT|O_EXCL semantics) at time 0;
         the MDS stamps its own creates through ``_make``."""
-        return self._make(FileType.FILE, path, mode, uid, gid, 0.0,
-                          check_perms).copy()
+        return self._make(FileType.FILE, path, mode, uid, gid, 0.0).copy()
 
     def _make(self, ftype: FileType, path: str, mode: int, uid: int,
-              gid: int, now: float, check_perms: bool) -> Inode:
+              gid: int, now: float) -> Inode:
         """Link a new ``ftype`` inode at ``path`` and return it — the
         live inode, not a copy: the body of :meth:`mkdir` and
         :meth:`create`, and what the MDS serializes a commit from."""
-        parent, name = self._resolve_parent(path, uid, gid, check_perms)
-        self._check_parent_write(parent, path, uid, gid, check_perms)
+        parent, name = self._resolve_parent(path, uid, gid)
+        self._check_parent_write(parent, path, uid, gid)
         if name in self._children[parent.ino]:
             raise FileExists(path)
         inode = self._alloc(ftype, mode, uid, gid, now)
@@ -280,10 +267,10 @@ class Namespace:
         self._stamps[inode.ino] = (self.mutations, now)
         return inode
 
-    def unlink(self, path: str, uid: int = 0, gid: int = 0, now: float = 0.0,
-               check_perms: bool = True) -> None:
-        parent, name = self._resolve_parent(path, uid, gid, check_perms)
-        self._check_parent_write(parent, path, uid, gid, check_perms)
+    def unlink(self, path: str, uid: int = 0, gid: int = 0,
+               now: float = 0.0) -> None:
+        parent, name = self._resolve_parent(path, uid, gid)
+        self._check_parent_write(parent, path, uid, gid)
         child_ino = self._children[parent.ino].get(name)
         if child_ino is None:
             raise FileNotFound(path)
@@ -297,15 +284,15 @@ class Namespace:
         self.mutations += 1
 
     def rmdir(self, path: str, uid: int = 0, gid: int = 0, now: float = 0.0,
-              check_perms: bool = True, recursive: bool = False) -> int:
+              recursive: bool = False) -> int:
         """Remove a directory; returns the number of inodes removed.
 
         With ``recursive`` the whole subtree is removed (the commit module
         uses this for Pacon's rmdir, whose cache-side semantics are
         recursive; plain DFS clients call it non-recursively).
         """
-        parent, name = self._resolve_parent(path, uid, gid, check_perms)
-        self._check_parent_write(parent, path, uid, gid, check_perms)
+        parent, name = self._resolve_parent(path, uid, gid)
+        self._check_parent_write(parent, path, uid, gid)
         child_ino = self._children[parent.ino].get(name)
         if child_ino is None:
             raise FileNotFound(path)
@@ -332,12 +319,11 @@ class Namespace:
         return removed
 
     def setattr(self, path: str, uid: int = 0, gid: int = 0,
-                now: float = 0.0, check_perms: bool = True,
-                mode: Optional[int] = None, size: Optional[int] = None,
-                new_uid: Optional[int] = None,
+                now: float = 0.0, mode: Optional[int] = None,
+                size: Optional[int] = None, new_uid: Optional[int] = None,
                 new_gid: Optional[int] = None) -> Inode:
-        inode = self._resolve(path, uid, gid, check_perms)
-        if check_perms and uid != 0 and uid != inode.uid:
+        inode = self._resolve(path, uid, gid)
+        if uid != 0 and uid != inode.uid:
             raise PermissionDenied(path, "only the owner may setattr")
         if mode is not None:
             inode.mode = mode
@@ -355,14 +341,14 @@ class Namespace:
         return inode.copy()
 
     def _check_parent_write(self, parent: Inode, path: str, uid: int,
-                            gid: int, check_perms: bool) -> None:
-        if check_perms and not parent.permits(uid, gid, _WRITE_SEARCH):
+                            gid: int) -> None:
+        if not parent.permits(uid, gid, _WRITE_SEARCH):
             raise PermissionDenied(path, "write permission on parent")
 
     # -- subtree checkpoint/restore (§III.G) -----------------------------------
     def export_subtree(self, path: str) -> Dict[str, Any]:
         """Serialize the subtree rooted at ``path`` (inclusive)."""
-        root = self._resolve(path, 0, 0, check_perms=False)
+        root = self._resolve(path, 0, 0)
         if not root.is_dir:
             raise NotADirectory(path)
 
@@ -386,7 +372,7 @@ class Namespace:
         number of inodes restored (excluding the root directory itself).
         """
         path = checkpoint["path"]
-        root = self._resolve(path, 0, 0, check_perms=False)
+        root = self._resolve(path, 0, 0)
         if not root.is_dir:
             raise NotADirectory(path)
         # Drop current children.

@@ -15,6 +15,10 @@ from typing import Tuple
 
 __all__ = ["BloomFilter"]
 
+#: The false-positive rate every filter is sized for (LevelDB's 10 bits
+#: per key give about 1 %).
+FP_RATE = 0.01
+
 
 def _seeds(key: str) -> Tuple[int, int]:
     """The two 64-bit seeds of ``key``'s double hashing: position ``i``
@@ -27,16 +31,13 @@ def _seeds(key: str) -> Tuple[int, int]:
 class BloomFilter:
     """Fixed-size bloom filter sized for a target false-positive rate."""
 
-    def __init__(self, expected_items: int, fp_rate: float = 0.01):
+    def __init__(self, expected_items: int):
         if expected_items < 1:
             expected_items = 1
-        if not (0.0 < fp_rate < 1.0):
-            raise ValueError(f"fp_rate must be in (0,1), got {fp_rate}")
         self.expected_items = expected_items
-        self.fp_rate = fp_rate
         # Standard sizing formulas.
         self.num_bits = max(
-            8, int(-expected_items * math.log(fp_rate) / (math.log(2) ** 2)))
+            8, int(-expected_items * math.log(FP_RATE) / (math.log(2) ** 2)))
         self.num_hashes = max(
             1, int(round(self.num_bits / expected_items * math.log(2))))
         self._bits = bytearray((self.num_bits + 7) // 8)

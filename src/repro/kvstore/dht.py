@@ -18,6 +18,9 @@ __all__ = ["ConsistentHashRing", "stable_hash64"]
 
 N = TypeVar("N")
 
+#: Virtual nodes per member (per unit of weight) on the ring.
+VNODES = 64
+
 
 def stable_hash64(data: str) -> int:
     """Process-invariant 64-bit hash (md5-based, like libmemcached ketama)."""
@@ -28,10 +31,7 @@ def stable_hash64(data: str) -> int:
 class ConsistentHashRing(Generic[N]):
     """Ketama-style consistent hashing with virtual nodes."""
 
-    def __init__(self, vnodes: int = 64):
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
+    def __init__(self):
         self._ring: List[int] = []          # sorted vnode hashes
         self._owners: Dict[int, N] = {}     # vnode hash -> member
         self._members: List[N] = []
@@ -60,7 +60,7 @@ class ConsistentHashRing(Generic[N]):
             raise ValueError(f"member already on ring: {member!r}")
         self._members.append(member)
         self._labels[id(member)] = label = _member_key(member)
-        for v in range(self.vnodes * weight):
+        for v in range(VNODES * weight):
             h = stable_hash64(f"{label}#{v}")
             while h in self._owners:  # vanishing-probability collision
                 h = (h + 1) % (1 << 64)

@@ -8,8 +8,8 @@ SSTable and bloom-filter parts:
   structure here: the IndexFS server charges its append as a cost
   constant, ``CostModel.lsm_wal_append``),
 * a full memtable flushes to a new level-0 table (L0 tables overlap),
-* when L0 grows past a threshold, L0+L1 compact into a fresh sorted L1
-  (tombstones dropped at the bottom),
+* when L0 grows past :data:`L0_LIMIT` tables, L0+L1 compact into a
+  fresh sorted L1 (tombstones dropped at the bottom),
 * reads probe memtable → L0 newest-first → L1, pruned by key range and
   bloom filters.
 
@@ -28,6 +28,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.kvstore.sstable import SSTable, TOMBSTONE, merge_tables
 
 __all__ = ["LSMTree", "ReadReceipt", "WriteReceipt"]
+
+#: Level-0 tables past which a flush compacts L0 and L1 into a fresh L1
+#: (LevelDB's ``kL0_CompactionTrigger``).
+L0_LIMIT = 4
 
 
 @dataclass(slots=True)
@@ -56,13 +60,11 @@ _NOTHING_FLUSHED = WriteReceipt()
 class LSMTree:
     """A two-level (L0 tiered / L1 leveled) LSM tree."""
 
-    def __init__(self, memtable_limit: int = 4096, l0_limit: int = 4,
-                 name: str = ""):
+    def __init__(self, memtable_limit: int = 4096, name: str = ""):
         if memtable_limit < 1:
             raise ValueError("memtable_limit must be >= 1")
         self.name = name
         self.memtable_limit = memtable_limit
-        self.l0_limit = l0_limit
         self._memtable: Dict[str, Any] = {}
         self._l0: List[SSTable] = []  # newest first
         self._l1: Optional[SSTable] = None
@@ -99,7 +101,7 @@ class LSMTree:
         if len(self._memtable) < self.memtable_limit:
             return _NOTHING_FLUSHED
         flushed = self.flush()
-        if len(self._l0) > self.l0_limit:
+        if len(self._l0) > L0_LIMIT:
             return WriteReceipt(flushed, self.compact())
         return WriteReceipt(flushed)
 

@@ -7,7 +7,7 @@ The subsystem has six pieces (readers take the hub's exported document):
   network transfer, commit queue, MDS RPC) attaches a child span carrying
   the parent's :class:`repro.sim.trace.SpanContext`, so each op
   reassembles into a causal tree with a critical-path latency
-  attribution (see ``Tracer.span_tree`` / ``Tracer.attribution``),
+  attribution (see ``Tracer.span_trees`` / ``Tracer.attributions``),
 * a :class:`MetricsHub` — the region-wide aggregation point for client,
   commit, cache, queue, and contention-resource statistics, exporting one
   stable-ordered ``pacon.metrics/v4`` JSON document,

@@ -10,15 +10,15 @@ Keeping every raw sample grows without bound with the number of
 observations — one per client op, commit and served read.  The sketch
 replaces the sample list with log-spaced buckets:
 
-* bucket ``i`` covers the value range ``[growth**i, growth**(i+1))``, so
+* bucket ``i`` covers the value range ``[GROWTH**i, GROWTH**(i+1))``, so
   memory is O(log(max/min)) regardless of sample count and every
   percentile query carries a bounded *relative* error of at most
-  ``growth - 1`` (5% at the default growth of 1.05);
+  ``GROWTH - 1`` (5% at :data:`GROWTH` = 1.05);
 * ``count``/``sum``/``min``/``max`` are tracked exactly, so means and
   extrema never degrade;
 * values ``<= 0`` land in a dedicated zero bucket (simulated latencies
   are non-negative; a zero is a same-instant observation, not an error);
-* sketches with the same growth merge by bucket-count addition, which is
+* sketches merge by bucket-count addition, which is
   associative and commutative — region-level sketches roll up into
   fleet-level ones without reordering error.
 
@@ -31,25 +31,26 @@ from __future__ import annotations
 from math import floor, log
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["QuantileSketch", "DEFAULT_GROWTH", "Series", "StatsRegistry",
-           "append_row"]
+__all__ = ["QuantileSketch", "GROWTH", "MAX_POINTS", "Series",
+           "StatsRegistry", "append_row"]
 
-#: Default bucket growth factor; relative quantile error <= growth - 1.
-DEFAULT_GROWTH = 1.05
+#: Bucket growth factor of every sketch; relative quantile error <=
+#: ``GROWTH - 1``.
+GROWTH = 1.05
+_INV_LOG_GROWTH = 1.0 / log(GROWTH)
+#: Points a :class:`Series` keeps before it counts the rest in
+#: ``dropped``.
+MAX_POINTS = 1_000_000
 
 
 class QuantileSketch:
     """Mergeable log-bucketed quantile sketch with exact count/sum/min/max."""
 
-    __slots__ = ("name", "growth", "_inv_log_growth", "count", "total",
-                 "zero_count", "_min", "_max", "_buckets")
+    __slots__ = ("name", "count", "total", "zero_count", "_min", "_max",
+                 "_buckets")
 
-    def __init__(self, name: str = "", growth: float = DEFAULT_GROWTH):
-        if growth <= 1.0:
-            raise ValueError(f"growth must be > 1, got {growth}")
+    def __init__(self, name: str = ""):
         self.name = name
-        self.growth = growth
-        self._inv_log_growth = 1.0 / log(growth)
         self.count = 0
         self.total = 0.0
         self.zero_count = 0
@@ -70,20 +71,16 @@ class QuantileSketch:
         if value <= 0.0:
             self.zero_count += 1
             return
-        idx = floor(log(value) * self._inv_log_growth)
-        # Float rounding can land an exact power of growth one bucket low;
+        idx = floor(log(value) * _INV_LOG_GROWTH)
+        # Float rounding can land an exact power of GROWTH one bucket low;
         # nudge up so the bucket invariant low <= value < high holds.
-        if self.growth ** (idx + 1) <= value:
+        if GROWTH ** (idx + 1) <= value:
             idx += 1
         buckets = self._buckets
         buckets[idx] = buckets.get(idx, 0) + 1
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (bucket-count addition)."""
-        if other.growth != self.growth:
-            raise ValueError(
-                f"cannot merge sketches with growth {other.growth} into"
-                f" {self.growth}")
         self.count += other.count
         self.total += other.total
         self.zero_count += other.zero_count
@@ -112,7 +109,7 @@ class QuantileSketch:
         return self.total / self.count
 
     def percentile(self, q: float) -> float:
-        """Value at percentile ``q`` (0-100), within ``growth - 1`` relative
+        """Value at percentile ``q`` (0-100), within ``GROWTH - 1`` relative
         error; exact at the extremes (min/max are tracked exactly)."""
         if self.count == 0:
             return 0.0
@@ -125,7 +122,7 @@ class QuantileSketch:
             if rank <= seen:
                 # Geometric midpoint of the bucket, clamped to the exact
                 # observed range so p0/p100 never overshoot min/max.
-                mid = self.growth ** (idx + 0.5)
+                mid = GROWTH ** (idx + 0.5)
                 return min(self.max, max(self.min, mid))
         return self.max
 
@@ -147,7 +144,7 @@ class QuantileSketch:
     def export(self) -> Dict[str, Any]:
         """JSON-stable full state (string bucket keys sort bytewise)."""
         return {
-            "growth": self.growth,
+            "growth": GROWTH,
             "count": self.count,
             "sum": self.total,
             "min": self.min,
@@ -170,11 +167,10 @@ class Series:
     with the overflow counted in ``dropped``.
     """
 
-    __slots__ = ("name", "max_points", "_times", "_values", "dropped")
+    __slots__ = ("name", "_times", "_values", "dropped")
 
-    def __init__(self, name: str, max_points: int = 1_000_000):
+    def __init__(self, name: str):
         self.name = name
-        self.max_points = max_points
         self._times: List[float] = []
         self._values: List[float] = []
         self.dropped = 0
@@ -202,10 +198,10 @@ def append_row(series: Sequence[Series], time: float,
                values: Iterable[float]) -> None:
     """Add the point ``(time, value)`` to each of ``series``, paired with
     ``values`` in order — one sampler tick in one call.  A series at its
-    ``max_points`` cap counts the point in ``dropped`` instead."""
+    :data:`MAX_POINTS` cap counts the point in ``dropped`` instead."""
     time = float(time)
     for s, value in zip(series, values):
-        if len(s._times) >= s.max_points:
+        if len(s._times) >= MAX_POINTS:
             s.dropped += 1
         else:
             s._times.append(time)

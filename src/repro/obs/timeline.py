@@ -120,10 +120,6 @@ class Timeline:
             "events": [ev.to_doc() for ev in self.events()],
         }
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
-
 
 def event_extents(events: List[Dict[str, Any]],
                   ) -> Iterator[Tuple[Dict[str, Any], Optional[float]]]:

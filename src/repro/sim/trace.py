@@ -6,7 +6,7 @@ default — nothing in the hot path touches it unless a tracer is installed
 — and exists for the workflows a reproduction keeps needing:
 
 * "why did this op take 3 ms?" → dump the span tree for one op id
-  (``pacon-bench mdtest --profile-out`` and :meth:`Tracer.span_tree`),
+  (``pacon-bench mdtest --profile-out`` and :meth:`Tracer.span_trees`),
 * "what did the commit process do between the barrier and the rmdir?" →
   filter by actor and time window
   (``pacon-bench mdtest --log-out --since --until``),
@@ -19,9 +19,9 @@ stage it exercises — cache KV service, network transfers, service worker
 queues, barrier rendezvous, commit-queue residency — emits a
 ``span.start``/``span.end`` pair carrying a :class:`SpanContext`
 (``op_id``, ``span_id``, ``parent_id``).  One parser
-(:meth:`Tracer.op_rows`) reads them back; :meth:`Tracer.span_tree`
-wraps one op's rows into a tree and :meth:`Tracer.attribution` folds
-them along the client critical path, bucketing the op's wall time into
+(:meth:`Tracer.op_rows`) reads them back; :meth:`Tracer.span_trees`
+wraps each op's rows into a tree and :meth:`Tracer.attributions` folds
+each op's rows along the client critical path, bucketing its wall time into
 the :data:`ATTRIBUTION_BUCKETS` with an explicit residual.
 
 Past :data:`SAMPLED_OPS` the tracer keeps whole span trees for an evenly
@@ -163,10 +163,9 @@ class Tracer:
         self._next_op_id = 0
         self._next_span_id = 0
         self.enabled = True
-        #: The sample (see :data:`SAMPLED_OPS`): ops after ``_sample_base``
-        #: whose id is a multiple of ``_stride``.
+        #: The sample (see :data:`SAMPLED_OPS`): ops whose id is a
+        #: multiple of ``_stride``.
         self._stride = 1
-        self._sample_base = 0
         #: Per-process stacks of in-flight span contexts, holding only
         #: processes that carry one.  Child stages running inside the same
         #: DES process (cache RPCs, network transfers) look their parent
@@ -211,13 +210,10 @@ class Tracer:
         stride = self._stride
         if op_id % stride:
             return None
-        if (op_id // stride - self._sample_base // stride
-                >= 2 * SAMPLED_OPS):
+        if op_id // stride >= 2 * SAMPLED_OPS:
+            # The first op here has ``op_id // stride == 2 * SAMPLED_OPS``,
+            # an even number, so it stays in the thinned sample.
             self._thin()
-            if op_id % self._stride:
-                # Only after clear(): the op that doubles the stride is
-                # then not always a multiple of the new one.
-                return None
         self._next_span_id += 1
         return _record(SpanContext, (op_id, self._next_span_id, None))
 
@@ -350,11 +346,16 @@ class Tracer:
 
     # -- span trees and latency attribution ------------------------------------
     def span_trees(self) -> Dict[int, Span]:
-        """All ops' span trees: the parsed rows wrapped into :class:`Span`
-        objects, for the readers that render trees.
+        """All ops' causal span trees: the parsed rows wrapped into
+        :class:`Span` objects, for the readers that render trees.
 
         Returns ``{op_id: root Span}`` for every op that emitted an
-        ``op.start`` (roots of never-completed ops have ``end is None``).
+        ``op.start`` (roots of never-completed ops have ``end is None``):
+        the client op span, with child stages attached via their
+        ``parent_id`` links.  Spans whose parent is unknown
+        (cross-process stages emitted before their parent's start was
+        recorded, capacity drops) attach to the root so nothing
+        disappears.
         """
         trees: Dict[int, Span] = {}
         for op_id, op in self.op_rows().items():
@@ -375,36 +376,23 @@ class Tracer:
 
     def attributions(self, ops: Optional[Dict[int, OpRows]] = None,
                      ) -> Dict[int, Dict[str, Any]]:
-        """Latency attribution for every *completed* op, keyed by op_id,
-        from ``ops`` (an :meth:`op_rows` result) or a fresh parse."""
-        if ops is None:
-            ops = self.op_rows()
-        return {op_id: _attribute(op) for op_id, op in ops.items()
-                if op.end is not None}
+        """Critical-path wall-time decomposition for every *completed* op,
+        keyed by op_id, from ``ops`` (an :meth:`op_rows` result) or a
+        fresh parse.
 
-    def span_tree(self, op_id: int) -> Optional[Span]:
-        """The causal span tree of one operation, or None if it never
-        started: the root :class:`Span` (the client op span) with child
-        stages attached via their ``parent_id`` links.  Spans whose parent
-        is unknown (cross-process stages emitted before their parent's
-        start was recorded, capacity drops) attach to the root so nothing
-        disappears.
-        """
-        return self.span_trees().get(op_id)
-
-    def attribution(self, op_id: int) -> Optional[Dict[str, Any]]:
-        """Critical-path wall-time decomposition for one completed op.
-
-        Folds the op's stage spans, each clipped to the client span's
+        Folds each op's stage spans, each clipped to the client span's
         ``[start, end]`` window (stages that resolved after the op
         returned — e.g. the asynchronous commit — contribute nothing to
         the *client-visible* latency), into the in-window time per
         :data:`ATTRIBUTION_BUCKETS` category.  The residual
         (``duration - sum(buckets)``: client CPU charges, permission
         checks, uncategorized stages) is reported explicitly, never
-        hidden.  Returns None for ops that never completed.
+        hidden.
         """
-        return self.attributions().get(op_id)
+        if ops is None:
+            ops = self.op_rows()
+        return {op_id: _attribute(op) for op_id, op in ops.items()
+                if op.end is not None}
 
     def render(self, limit: int = 200, **filters: Any) -> str:
         lines = [ev.render() for ev in self.events(**filters)]
@@ -426,19 +414,10 @@ class Tracer:
     def sampling_note(self) -> str:
         """``... traced 1 in K ops (M of N)`` once the sample has thinned
         (K > 1), else the empty string."""
-        stride, base, ops = self._stride, self._sample_base, self._next_op_id
+        stride, ops = self._stride, self._next_op_id
         if stride == 1:
             return ""
-        return (f"... traced 1 in {stride} ops"
-                f" ({ops // stride - base // stride} of {ops - base})")
-
-    def clear(self) -> None:
-        """Empty the log and restart the sample."""
-        self._log.clear()
-        self.dropped = 0
-        self._ctx.clear()
-        self._stride = 1
-        self._sample_base = self._next_op_id
+        return f"... traced 1 in {stride} ops ({ops // stride} of {ops})"
 
 
 def _children(op: OpRows, before: float = float("inf"),
@@ -466,7 +445,7 @@ def _children(op: OpRows, before: float = float("inf"),
 
 
 def _attribute(op: OpRows) -> Dict[str, Any]:
-    """Bucket a completed op's wall time (see Tracer.attribution).
+    """Bucket a completed op's wall time (see Tracer.attributions).
 
     The stages are folded in pre-order, children in ``span.start`` order,
     which fixes the order each bucket's floats are summed in (the

@@ -27,7 +27,7 @@ from repro.sim.rng import default_rng
 
 __all__ = ["MdtestConfig", "MdtestResult", "MdtestHandle", "run_mdtest",
            "spawn_mdtest", "run_closed_loop", "run_random_stat",
-           "build_tree", "leaf_dirs"]
+           "build_tree"]
 
 ClientBody = Callable[[int, Any], Generator[Event, Any, None]]
 
@@ -196,14 +196,6 @@ def build_tree(env: Environment, client: Any, root: str, fanout: int,
     proc = env.process(builder(), label="build_tree")
     env.run(until=proc)
     return leaves
-
-
-def leaf_dirs(root: str, fanout: int, depth: int) -> List[str]:
-    """Leaf paths of the tree build_tree creates (no simulation needed)."""
-    frontier = [root]
-    for _ in range(depth):
-        frontier = [f"{p}/d{k}" for p in frontier for k in range(fanout)]
-    return frontier
 
 
 def run_closed_loop(env: Environment, clients: Sequence[Any],

@@ -2,22 +2,29 @@
 
 import pytest
 
+from repro.baselines import indexfs
 from repro.baselines.indexfs import IndexFS
 from repro.dfs.errors import FileNotFound
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster
 
 
-def make(n_nodes=4, split_threshold=10):
+@pytest.fixture(autouse=True)
+def small_splits(monkeypatch):
+    """Split past 10 entries per partition, so a few dozen creates do."""
+    monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 10)
+
+
+def make(n_nodes=4):
     cluster = Cluster(seed=5)
     nodes = [cluster.add_node(f"n{i}") for i in range(n_nodes)]
-    fs = IndexFS(cluster, nodes, split_threshold=split_threshold)
+    fs = IndexFS(cluster, nodes)
     return cluster, fs, fs.client(nodes[0])
 
 
 class TestSplitting:
     def test_directory_splits_past_threshold(self):
-        cluster, fs, client = make(split_threshold=10)
+        cluster, fs, client = make()
 
         def scenario():
             yield from client.mkdir("/d")
@@ -28,8 +35,9 @@ class TestSplitting:
         assert fs.dir_partitions.get("/d", 1) >= 2
         assert fs.splits >= 1
 
-    def test_partitions_capped_at_server_count(self):
-        cluster, fs, client = make(n_nodes=2, split_threshold=4)
+    def test_partitions_capped_at_server_count(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 4)
+        cluster, fs, client = make(n_nodes=2)
 
         def scenario():
             yield from client.mkdir("/d")
@@ -40,7 +48,7 @@ class TestSplitting:
         assert fs.dir_partitions.get("/d", 1) <= 2
 
     def test_split_spreads_load(self):
-        cluster, fs, client = make(n_nodes=4, split_threshold=10)
+        cluster, fs, client = make(n_nodes=4)
 
         def scenario():
             yield from client.mkdir("/d")
@@ -53,7 +61,7 @@ class TestSplitting:
 
     def test_pre_split_entries_still_found(self):
         """GIGA+ probe chain finds entries created before a split."""
-        cluster, fs, client = make(split_threshold=10)
+        cluster, fs, client = make()
 
         def scenario():
             yield from client.mkdir("/d")
@@ -71,7 +79,7 @@ class TestSplitting:
         assert all(run_sync(cluster.env, scenario()))
 
     def test_unlink_pre_split_entry(self):
-        cluster, fs, client = make(split_threshold=10)
+        cluster, fs, client = make()
 
         def scenario():
             yield from client.mkdir("/d")
@@ -84,8 +92,9 @@ class TestSplitting:
         with pytest.raises(FileNotFound):
             run_sync(cluster.env, scenario())
 
-    def test_no_split_under_threshold(self):
-        cluster, fs, client = make(split_threshold=1000)
+    def test_no_split_under_threshold(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 1000)
+        cluster, fs, client = make()
 
         def scenario():
             yield from client.mkdir("/d")

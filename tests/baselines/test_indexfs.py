@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import indexfs
 from repro.baselines.indexfs import IndexFS
 from repro.dfs.errors import (
     FileExists,
@@ -14,10 +15,16 @@ from repro.sim.costs import CostModel
 from repro.sim.network import Cluster
 
 
-def make_indexfs(n_nodes=4, lease_ttl=2e-3):
+@pytest.fixture(autouse=True)
+def short_leases(monkeypatch):
+    """2 ms leases: a test's ops outlive them unless it sets its own."""
+    monkeypatch.setattr(indexfs, "LEASE_TTL", 2e-3)
+
+
+def make_indexfs(n_nodes=4):
     cluster = Cluster(seed=5)
     nodes = [cluster.add_node(f"n{i}") for i in range(n_nodes)]
-    fs = IndexFS(cluster, nodes, lease_ttl=lease_ttl)
+    fs = IndexFS(cluster, nodes)
     client = fs.client(nodes[0])
     return cluster, fs, nodes, client
 
@@ -120,8 +127,9 @@ class TestPartitioning:
 
 
 class TestLeases:
-    def test_lease_hit_avoids_rpc(self):
-        cluster, fs, nodes, client = make_indexfs(lease_ttl=10.0)
+    def test_lease_hit_avoids_rpc(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "LEASE_TTL", 10.0)
+        cluster, fs, nodes, client = make_indexfs()
 
         def scenario():
             yield from client.mkdir("/d")
@@ -132,8 +140,9 @@ class TestLeases:
 
         assert run_sync(cluster.env, scenario()) == 0
 
-    def test_lease_expiry_forces_renewal(self):
-        cluster, fs, nodes, client = make_indexfs(lease_ttl=1e-6)
+    def test_lease_expiry_forces_renewal(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "LEASE_TTL", 1e-6)
+        cluster, fs, nodes, client = make_indexfs()
 
         def scenario():
             yield from client.mkdir("/d")
@@ -144,8 +153,9 @@ class TestLeases:
 
         assert run_sync(cluster.env, scenario()) == 1
 
-    def test_deeper_paths_renew_more(self):
-        cluster, fs, nodes, client = make_indexfs(lease_ttl=1e-6)
+    def test_deeper_paths_renew_more(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "LEASE_TTL", 1e-6)
+        cluster, fs, nodes, client = make_indexfs()
 
         def scenario():
             yield from client.mkdir("/a")
@@ -247,12 +257,12 @@ class TestWalAppendCost:
     WAL = 1.0  # dwarfs every other cost, so each append shows whole
 
     def _op_times(self, wal_append):
-        """Simulated seconds each step of one fixed script takes."""
+        """Simulated seconds each step of one fixed script takes (leases
+        never expire, so both runs resolve paths alike)."""
         costs = CostModel().with_overrides(lsm_wal_append=wal_append)
         cluster = Cluster(costs=costs, seed=5)
         nodes = [cluster.add_node(f"n{i}") for i in range(4)]
-        # Leases never expire, so both runs resolve paths alike.
-        fs = IndexFS(cluster, nodes, lease_ttl=1e9)
+        fs = IndexFS(cluster, nodes)
         client = fs.client(nodes[0])
         bulk_paths = [f"/b{d}/f{i}" for d in range(4) for i in range(5)]
         steps = [("mkdir", lambda: client.mkdir("/d"))]
@@ -277,7 +287,8 @@ class TestWalAppendCost:
         batches = len({fs.server_for(p) for p in bulk_paths})
         return times, batches
 
-    def test_each_synced_write_pays_one_append(self):
+    def test_each_synced_write_pays_one_append(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "LEASE_TTL", 1e9)
         free, batches = self._op_times(0.0)
         paid, _ = self._op_times(self.WAL)
         assert batches >= 2

@@ -4,17 +4,23 @@ scale."""
 
 import pytest
 
+from repro.baselines import indexfs
 from repro.baselines.indexfs import IndexFS
 from repro.dfs.errors import FileNotFound, InvalidPath, NotADirectory
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster
 
 
-def make(n_nodes=4, lease_ttl=200e-3, split_threshold=10):
+@pytest.fixture(autouse=True)
+def small_splits(monkeypatch):
+    """Split past 10 entries per partition, so a few dozen creates do."""
+    monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 10)
+
+
+def make(n_nodes=4):
     cluster = Cluster(seed=13)
     nodes = [cluster.add_node(f"n{i}") for i in range(n_nodes)]
-    fs = IndexFS(cluster, nodes, lease_ttl=lease_ttl,
-                 split_threshold=split_threshold)
+    fs = IndexFS(cluster, nodes)
     return cluster, fs, nodes
 
 
@@ -30,31 +36,39 @@ class TestAdminMkdir:
 
         assert run_sync(cluster.env, go()).is_file
 
-    def test_admin_mkdir_counts_toward_splits(self):
-        cluster, fs, nodes = make(split_threshold=2)
+    def test_admin_mkdir_counts_toward_splits(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 2)
+        cluster, fs, nodes = make()
         for i in range(8):
             fs.admin_mkdir(f"/d{i}")
         assert fs.dir_partitions.get("/", 1) >= 2
 
 
 class TestProbeChain:
-    def test_chain_is_server_for_entry_per_generation(self):
+    def test_chain_is_server_for_entry_per_generation(self, monkeypatch):
         """Newest generation first, halving to one partition, each owner
         listed once -- what ``server_for_entry`` names per generation."""
-        _cluster, fs, _nodes = make(n_nodes=8, split_threshold=2)
+        monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 2)
+        _cluster, fs, _nodes = make(n_nodes=8)
         for i in range(40):
             fs.admin_mkdir(f"/d{i}")
         assert fs.dir_partitions.get("/", 1) == 8
-        for name in ("d0", "d7", "x", "é"):
-            expected = []
-            nparts = 8
-            while nparts >= 1:
-                server = fs.server_for_entry("/", name, nparts)
-                if server not in expected:
-                    expected.append(server)
-                nparts //= 2
-            assert fs.probe_chain("/" + name) == expected
-            assert expected[0] is fs.server_for("/" + name)
+        chains = {name: fs.probe_chain("/" + name)
+                  for name in ("d0", "d7", "x", "é")}
+        for name, chain in chains.items():
+            assert chain[0] is fs.server_for("/" + name)
+        expected = {name: [] for name in chains}
+        nparts = 8
+        while nparts >= 1:
+            # An older generation's owner: the owner while "/" had that
+            # many partitions.
+            fs.dir_partitions["/"] = nparts
+            for name, servers in expected.items():
+                server = fs.server_for_entry("/", name)
+                if server not in servers:
+                    servers.append(server)
+            nparts //= 2
+        assert chains == expected
 
 
 class TestConcurrentClients:
@@ -82,8 +96,9 @@ class TestConcurrentClients:
 
         assert all(run_sync(cluster.env, check()))
 
-    def test_lease_caches_are_per_client(self):
-        cluster, fs, nodes = make(lease_ttl=100.0)
+    def test_lease_caches_are_per_client(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "LEASE_TTL", 100.0)
+        cluster, fs, nodes = make()
         a = fs.client(nodes[0])
         b = fs.client(nodes[1])
 
@@ -98,8 +113,9 @@ class TestConcurrentClients:
 
 
 class TestErrorPaths:
-    def test_getattr_missing_after_probe_chain(self):
-        cluster, fs, nodes = make(split_threshold=3)
+    def test_getattr_missing_after_probe_chain(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 3)
+        cluster, fs, nodes = make()
         client = fs.client(nodes[0])
 
         def go():
@@ -111,8 +127,9 @@ class TestErrorPaths:
         with pytest.raises(FileNotFound):
             run_sync(cluster.env, go())
 
-    def test_unlink_missing_after_probe_chain(self):
-        cluster, fs, nodes = make(split_threshold=3)
+    def test_unlink_missing_after_probe_chain(self, monkeypatch):
+        monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 3)
+        cluster, fs, nodes = make()
         client = fs.client(nodes[0])
 
         def go():
@@ -164,11 +181,12 @@ class TestRoot:
 
 
 class TestScaleCosts:
-    def test_stat_slows_once_tables_flush(self):
+    def test_stat_slows_once_tables_flush(self, monkeypatch):
         """With a small memtable, a big namespace pushes entries into
         SSTables stored on the DFS — stats get measurably slower."""
         def mean_stat_time(n_files):
-            cluster, fs, nodes = make(split_threshold=10 ** 9)
+            monkeypatch.setattr(indexfs, "SPLIT_THRESHOLD", 10 ** 9)
+            cluster, fs, nodes = make()
             fs.servers[0].lsm.memtable_limit = 32
             client = fs.client(nodes[0])
 

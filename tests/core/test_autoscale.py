@@ -40,7 +40,7 @@ class TestScalingLoop:
     def test_backlog_storm_grows_then_idle_shrinks(self):
         w = make_world(n_nodes=2, config=_elastic_config())
         env = w.cluster.env
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         scaler.start()
         _storm(w)
         env.run(until=0.2)
@@ -65,7 +65,7 @@ class TestScalingLoop:
         w = make_world(n_nodes=2,
                        config=_elastic_config(up_consecutive=10**6))
         env = w.cluster.env
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         scaler.start()
         _storm(w)
         env.run(until=0.2)
@@ -79,7 +79,7 @@ class TestScalingLoop:
         w = make_world(n_nodes=2,
                        config=_elastic_config(max_nodes=2))
         env = w.cluster.env
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         scaler.start()
         _storm(w)
         env.run(until=0.2)
@@ -94,7 +94,7 @@ class TestScalingLoop:
         attempts, no rejected-action noise."""
         w = make_world(n_nodes=2, config=_elastic_config())
         env = w.cluster.env
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         scaler.start()
         env.run(until=0.05)  # ~100 idle ticks
         assert scaler.scale_downs == 0
@@ -113,7 +113,7 @@ class TestChaosComposition:
             w.run(w.client.create(f"/app/f{i:02d}"))
         w.quiesce()
         fail_node(w.region, w.nodes[1])
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         w.run(scaler._act("grow", scaler.node_factory(), "util"))
         assert scaler.scale_ups == 1
         assert scaler.failed == 0
@@ -200,7 +200,7 @@ class TestChaosComposition:
         hub.attach_region(w.region)
         doomed = w.cluster.add_node("doomed")
         doomed.fail()
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         w.run(scaler._act("grow", doomed, "util"))
         assert self._recorded(hub) == (
             {"autoscale.action_failed": 1,
@@ -230,7 +230,7 @@ class TestChaosComposition:
             raise NodeDownError("ghost went away before joining")
 
         w.deployment.grow_region_async = never_joins
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         w.run(scaler._act("grow", ghost, "backlog"))
         assert self._recorded(hub) == (
             {"autoscale.action_failed": 1,
@@ -252,7 +252,7 @@ class TestChaosComposition:
         hub = MetricsHub(sample_interval=None)
         hub.attach_region(w.region)
         w.new_client(1)
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         w.run(scaler._act("retire", w.nodes[1], "idle"))
         assert self._recorded(hub) == (
             {"autoscale.action_failed": 1,
@@ -270,7 +270,7 @@ class TestChaosComposition:
         w = make_world(n_nodes=2, config=_elastic_config())
         hub = MetricsHub(sample_interval=None)
         hub.attach_region(w.region)
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         w.run(scaler._act("grow", scaler.node_factory(), "util"))
         added = scaler._added[-1]
         w.run(scaler._act("retire", added, "idle"))
@@ -291,7 +291,7 @@ class TestChaosComposition:
 
     def test_retire_candidate_skips_dead_and_base_nodes(self):
         w = make_world(n_nodes=2, config=_elastic_config())
-        scaler = Autoscaler(w.deployment, w.region)
+        scaler = Autoscaler(w.deployment, w.region, w.cluster.add_node)
         # Nothing added yet: base nodes are never candidates.
         assert scaler._retire_candidate() is None
         w.run(scaler._act("grow", scaler.node_factory(), "util"))

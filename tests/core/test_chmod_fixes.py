@@ -55,7 +55,7 @@ def test_chmod_miss_falls_back_to_dfs_copy(world):
     world.run(world.client.chmod(path, 0o640))
     world.quiesce()
 
-    inode = world.dfs.namespace.getattr(path, check_perms=False)
+    inode = world.dfs.namespace.getattr(path)
     assert inode.mode & 0o777 == 0o640
     refilled = world.region.cache.peek(path)
     assert refilled is not None

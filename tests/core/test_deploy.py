@@ -57,22 +57,24 @@ class TestDeploymentInit:
 
 class TestPaconFSFacade:
     def test_full_lifecycle(self):
-        with PaconFS(workspace="/app", nodes=2) as fs:
-            fs.mkdir("/app/d")
-            fs.create("/app/d/f")
-            fs.write("/app/d/f", 0, data=b"payload")
-            assert fs.read("/app/d/f", 0, 7) == b"payload"
-            assert fs.stat("/app/d/f").size == 7
-            assert fs.readdir("/app/d") == ["f"]
-            fs.rm("/app/d/f")
-            assert not fs.exists("/app/d/f")
-            assert fs.rmdir("/app/d") == 1
+        fs = PaconFS(workspace="/app", nodes=2)
+        fs.mkdir("/app/d")
+        fs.create("/app/d/f")
+        fs.write("/app/d/f", 0, data=b"payload")
+        assert fs.read("/app/d/f", 0, 7) == b"payload"
+        assert fs.stat("/app/d/f").size == 7
+        assert fs.readdir("/app/d") == ["f"]
+        fs.rm("/app/d/f")
+        assert not fs.exists("/app/d/f")
+        assert fs.rmdir("/app/d") == 1
+        fs.close()
 
     def test_duplicate_create_raises(self):
-        with PaconFS(workspace="/app") as fs:
+        fs = PaconFS(workspace="/app")
+        fs.create("/app/f")
+        with pytest.raises(FileExists):
             fs.create("/app/f")
-            with pytest.raises(FileExists):
-                fs.create("/app/f")
+        fs.close()
 
     def test_quiesce_lands_commits(self):
         fs = PaconFS(workspace="/app")

@@ -6,7 +6,7 @@ import pytest
 class TestRegionGrowth:
     def grow(self, world):
         new_node = world.cluster.add_node("newcomer")
-        world.deployment.grow_region(world.region, new_node)
+        world.run(world.deployment.grow_region_async(world.region, new_node))
         return new_node
 
     def test_grow_adds_shard_queue_and_commit(self, world):
@@ -82,7 +82,8 @@ class TestRegionGrowth:
         for i in range(100):
             world.run(world.client.create(f"/app/f{i}"))
         new_node = world.cluster.add_node("newcomer")
-        moved = world.deployment.grow_region(world.region, new_node)
+        moved = world.run(world.deployment.grow_region_async(world.region,
+                                                           new_node))
         assert 0 < moved < 100
         # Moved records actually live on the new shard now.
         new_shard = world.region.shards[-1]

@@ -24,13 +24,13 @@ class TestRetireLastNode:
     def test_retiring_last_node_is_refused(self):
         w = make_world(n_nodes=1)
         with pytest.raises(ValueError, match="shrink below"):
-            w.deployment.retire_node(w.region, w.nodes[0])
+            w.run(w.deployment.retire_node_async(w.region, w.nodes[0]))
 
     def test_refusal_leaves_region_untouched(self):
         w = make_world(n_nodes=1)
         w.run(w.client.create("/app/survivor"))
         with pytest.raises(ValueError):
-            w.deployment.retire_node(w.region, w.nodes[0])
+            w.run(w.deployment.retire_node_async(w.region, w.nodes[0]))
         assert w.region.nodes == [w.nodes[0]]
         assert len(w.region.shards) == 1
         assert all(cp.alive for cp in w.region.commit_processes)
@@ -42,7 +42,7 @@ class TestRetireLastNode:
         w = make_world(n_nodes=2)
         outsider = w.cluster.add_node("outsider")
         with pytest.raises(ValueError, match="not part of region"):
-            w.deployment.retire_node(w.region, outsider)
+            w.run(w.deployment.retire_node_async(w.region, outsider))
 
 
 class TestGrowMigrationRace:
@@ -138,7 +138,7 @@ class TestQuiesceWithDeadProcess:
         w.quiesce()
         fail_node(w.region, w.nodes[1])
         new_node = w.cluster.add_node("grown")
-        moved = w.deployment.grow_region(w.region, new_node)
+        moved = w.run(w.deployment.grow_region_async(w.region, new_node))
         assert new_node in w.region.nodes
         assert moved >= 0
         recover_node(w.region, w.nodes[1])

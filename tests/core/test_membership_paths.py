@@ -43,7 +43,8 @@ def _expected_labels(region):
 
 
 def _grow_by_deployment(w):
-    w.deployment.grow_region(w.region, w.cluster.add_node("extra"))
+    w.run(w.deployment.grow_region_async(w.region,
+                                         w.cluster.add_node("extra")))
 
 
 def _grow_by_churn(w):
@@ -53,7 +54,8 @@ def _grow_by_churn(w):
 
 
 def _grow_by_autoscaler(w):
-    scaler = Autoscaler(w.deployment, w.region)
+    scaler = Autoscaler(w.deployment, w.region,
+                        lambda: w.cluster.add_node("extra"))
     w.run(scaler._act("grow", scaler.node_factory(), "util"))
 
 

@@ -201,7 +201,7 @@ class TestSpecialListFollowsTheNamespace:
     @staticmethod
     def _modes(fs, path):
         return (fs.region.cache.peek(path)["mode"],
-                fs.dfs.namespace.getattr(path, check_perms=False).mode
+                fs.dfs.namespace.getattr(path).mode
                 & 0o777)
 
     @staticmethod

@@ -13,7 +13,6 @@ from repro.dfs.errors import (
 )
 from repro.dfs.namespace import (
     Namespace,
-    basename,
     is_within,
     normalize_path,
     parent_of,
@@ -58,7 +57,7 @@ class TestPathHelpers:
     def test_parent_and_basename(self):
         assert parent_of("/a/b/c") == "/a/b"
         assert parent_of("/a") == "/"
-        assert basename("/a/b") == "b"
+        assert split_path("/a/b")[-1] == "b"
 
     def test_parent_of_root_rejected(self):
         with pytest.raises(InvalidPath):
@@ -197,7 +196,9 @@ class TestReaddirWalk:
 class TestPermissions:
     def test_traversal_needs_execute(self, ns):
         ns.mkdir("/locked", mode=0o600, uid=1, gid=1)
-        ns.create("/locked/f", uid=1, gid=1, check_perms=False)
+        # Root makes the file (no mode bit stops it), then hands it to 1.
+        ns.create("/locked/f")
+        ns.setattr("/locked/f", new_uid=1, new_gid=1)
         with pytest.raises(PermissionDenied):
             ns.getattr("/locked/f", uid=2, gid=2)
 
@@ -221,11 +222,6 @@ class TestPermissions:
         ns.mkdir("/wx", mode=0o300, uid=1, gid=1)
         with pytest.raises(PermissionDenied):
             ns.readdir("/wx", uid=1, gid=1)
-
-    def test_check_perms_off_bypasses(self, ns):
-        ns.mkdir("/locked", mode=0o000, uid=1, gid=1)
-        ns.create("/locked/f", uid=2, gid=2, check_perms=False)
-        assert ns.exists("/locked/f")
 
     def test_setattr_owner_only(self, ns):
         ns.create("/f", uid=1, gid=1)

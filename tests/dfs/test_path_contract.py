@@ -2,7 +2,7 @@
 
 ``normalize_path`` is the one validator.  Every public boundary accepts
 any spelling of an absolute path and behaves as on the canonical one;
-``split_path``/``parent_of``/``basename``/``is_within`` are plain string
+``split_path``/``parent_of``/``is_within`` are plain string
 operations on already-normalized paths.
 """
 
@@ -20,7 +20,6 @@ from repro.dfs.client import DFSClient
 from repro.dfs.errors import InvalidPath
 from repro.dfs.namespace import (
     Namespace,
-    basename,
     is_within,
     normalize_path,
     parent_of,
@@ -234,13 +233,6 @@ def _old_parent(path):
     return "/" + "/".join(parts[:-1]) if len(parts) > 1 else "/"
 
 
-def _old_basename(path):
-    parts = _old_split(path)
-    if not parts:
-        raise InvalidPath(path, "root has no basename")
-    return parts[-1]
-
-
 def _old_is_within(path, ancestor):
     path, ancestor = normalize_path(path), normalize_path(ancestor)
     if ancestor == "/":
@@ -264,12 +256,10 @@ def test_helpers_equal_validate_then_compute(path, other):
     assert is_within(path, other) == _old_is_within(path, other)
     assert is_within(path.rstrip("/") + "/x", path)
     if path == "/":
-        for helper in (parent_of, basename):
-            with pytest.raises(InvalidPath):
-                helper(path)
+        with pytest.raises(InvalidPath):
+            parent_of(path)
     else:
         assert parent_of(path) == _old_parent(path)
-        assert basename(path) == _old_basename(path)
 
 
 @given(messy)
@@ -311,6 +301,6 @@ def test_fast_path_equals_the_full_check(path):
 
 def test_helpers_do_not_validate():
     """The precondition is the caller's job: no hidden normalize_path."""
-    for helper in (split_path, parent_of, basename, is_within):
+    for helper in (split_path, parent_of, is_within):
         assert "normalize_path" not in helper.__code__.co_names
     assert split_path("/a//b") == ["a", "", "b"]

@@ -124,23 +124,25 @@ class TestChurnUnderEvictionPressure:
 
 class TestFacadeExtensions:
     def test_chmod_via_facade(self):
-        with PaconFS(workspace="/app", nodes=2) as fs:
-            fs.mkdir("/app/d")
-            fs.create("/app/d/f")
-            assert fs.exists("/app/d/f")
-            fs.chmod("/app/d/f", 0o640)
-            assert fs.stat("/app/d/f").mode == 0o640
+        fs = PaconFS(workspace="/app", nodes=2)
+        fs.mkdir("/app/d")
+        fs.create("/app/d/f")
+        assert fs.exists("/app/d/f")
+        fs.chmod("/app/d/f", 0o640)
+        assert fs.stat("/app/d/f").mode == 0o640
+        fs.close()
 
     def test_mixed_small_and_large_files(self):
-        with PaconFS(workspace="/app", nodes=2) as fs:
-            fs.create("/app/small")
-            fs.write("/app/small", 0, data=b"tiny")
-            fs.create("/app/large")
-            fs.write("/app/large", 0, size=1_000_000)  # exceeds threshold
-            assert fs.read("/app/small", 0, 4) == b"tiny"
-            assert fs.stat("/app/large").size == 1_000_000
-            fs.quiesce()
-            assert fs.dfs.namespace.getattr("/app/large").size == 1_000_000
+        fs = PaconFS(workspace="/app", nodes=2)
+        fs.create("/app/small")
+        fs.write("/app/small", 0, data=b"tiny")
+        fs.create("/app/large")
+        fs.write("/app/large", 0, size=1_000_000)  # exceeds threshold
+        assert fs.read("/app/small", 0, 4) == b"tiny"
+        assert fs.stat("/app/large").size == 1_000_000
+        fs.quiesce()
+        assert fs.dfs.namespace.getattr("/app/large").size == 1_000_000
+        fs.close()
 
 
 class TestManyRegionsIsolationAtScale:

@@ -8,14 +8,14 @@ from repro.kvstore.sstable import SSTable, TOMBSTONE, merge_tables
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
-        bf = BloomFilter(expected_items=1000, fp_rate=0.01)
+        bf = BloomFilter(expected_items=1000)
         keys = [f"/dir/file{i}" for i in range(1000)]
         for k in keys:
             bf.add(k)
         assert all(bf.might_contain(k) for k in keys)
 
     def test_false_positive_rate_in_band(self):
-        bf = BloomFilter(expected_items=2000, fp_rate=0.01)
+        bf = BloomFilter(expected_items=2000)
         for i in range(2000):
             bf.add(f"/present/{i}")
         fps = sum(bf.might_contain(f"/absent/{i}") for i in range(10000))
@@ -25,10 +25,6 @@ class TestBloomFilter:
         bf = BloomFilter(100)
         bf.add("/x")
         assert "/x" in bf
-
-    def test_fp_rate_validation(self):
-        with pytest.raises(ValueError):
-            BloomFilter(100, fp_rate=1.5)
 
     def test_zero_items_clamped(self):
         bf = BloomFilter(0)

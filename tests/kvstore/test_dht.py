@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.kvstore import dht
 from repro.kvstore.dht import ConsistentHashRing, stable_hash64
 
 
@@ -24,7 +25,7 @@ def nodes():
 
 @pytest.fixture
 def ring(nodes):
-    r = ConsistentHashRing(vnodes=64)
+    r = ConsistentHashRing()
     for n in nodes:
         r.add(n)
     return r
@@ -43,10 +44,6 @@ class TestStableHash:
 
 
 class TestRingMembership:
-    def test_vnodes_validation(self):
-        with pytest.raises(ValueError):
-            ConsistentHashRing(vnodes=0)
-
     def test_add_duplicate_rejected(self, ring, nodes):
         with pytest.raises(ValueError):
             ring.add(nodes[0])
@@ -72,8 +69,8 @@ class TestRingPlacement:
         assert first == second
 
     def test_placement_stable_across_instances(self, nodes):
-        r1 = ConsistentHashRing(vnodes=64)
-        r2 = ConsistentHashRing(vnodes=64)
+        r1 = ConsistentHashRing()
+        r2 = ConsistentHashRing()
         for n in nodes:
             r1.add(n)
             r2.add(n)
@@ -102,7 +99,7 @@ class TestRingPlacement:
 
     def test_weight_increases_share(self):
         heavy, light = FakeNode("heavy"), FakeNode("light")
-        ring = ConsistentHashRing(vnodes=32)
+        ring = ConsistentHashRing()
         ring.add(heavy, weight=4)
         ring.add(light, weight=1)
         keys = [f"/k{i}" for i in range(3000)]
@@ -125,8 +122,15 @@ class TestLookupMemo:
     @given(steps=ring_steps)
     def test_memoized_lookup_answers_as_a_fresh_ring(self, steps):
         """The key -> member memo survives no membership change, and every
-        lookup is counted, memo hit or miss."""
-        ring = ConsistentHashRing(vnodes=8)
+        lookup is counted, memo hit or miss.  Eight virtual nodes a
+        member keep the fresh rings cheap."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dht, "VNODES", 8)
+            self._check_memo(steps)
+
+    @staticmethod
+    def _check_memo(steps):
+        ring = ConsistentHashRing()
         ring.enable_lookup_stats()
         weights = {}
         counted = Counter()
@@ -138,7 +142,7 @@ class TestLookupMemo:
                 ring.remove(arg)
                 del weights[arg.name]
             elif verb == "lookup" and weights:
-                fresh = ConsistentHashRing(vnodes=8)
+                fresh = ConsistentHashRing()
                 for m in ring.members:
                     fresh.add(m, weight=weights[m.name])
                 owner = ring.lookup(arg)

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.kvstore import lsm as lsm_tree
 from repro.kvstore.lsm import LSMTree
 
 
 @pytest.fixture
-def lsm():
-    return LSMTree(memtable_limit=8, l0_limit=2)
+def lsm(monkeypatch):
+    monkeypatch.setattr(lsm_tree, "L0_LIMIT", 2)
+    return LSMTree(memtable_limit=8)
 
 
 class TestBasicReadWrite:
@@ -46,31 +48,35 @@ class TestBasicReadWrite:
 
 
 class TestFlushAndCompaction:
-    def test_auto_flush_at_limit(self):
-        lsm = LSMTree(memtable_limit=4, l0_limit=10)
+    def test_auto_flush_at_limit(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 10)
+        lsm = LSMTree(memtable_limit=4)
         for i in range(4):
             lsm.put(f"/k{i}", i)
         assert lsm.flushes == 1
         assert lsm.memtable_size == 0
         assert lsm.l0_tables == 1
 
-    def test_reads_after_flush(self):
-        lsm = LSMTree(memtable_limit=4, l0_limit=10)
+    def test_reads_after_flush(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 10)
+        lsm = LSMTree(memtable_limit=4)
         for i in range(12):
             lsm.put(f"/k{i}", i)
         for i in range(12):
             r = lsm.get(f"/k{i}")
             assert r.found and r.value == i
 
-    def test_compaction_triggered_past_l0_limit(self):
-        lsm = LSMTree(memtable_limit=2, l0_limit=2)
+    def test_compaction_triggered_past_l0_limit(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 2)
+        lsm = LSMTree(memtable_limit=2)
         for i in range(12):
             lsm.put(f"/k{i}", i)
         assert lsm.compactions >= 1
         assert lsm.l0_tables <= 2
 
-    def test_compaction_preserves_all_live_data(self):
-        lsm = LSMTree(memtable_limit=3, l0_limit=1)
+    def test_compaction_preserves_all_live_data(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 1)
+        lsm = LSMTree(memtable_limit=3)
         expected = {}
         for i in range(40):
             key = f"/k{i % 10}"
@@ -79,8 +85,9 @@ class TestFlushAndCompaction:
         for key, value in expected.items():
             assert lsm.get(key).value == value
 
-    def test_compaction_drops_tombstones(self):
-        lsm = LSMTree(memtable_limit=2, l0_limit=0)
+    def test_compaction_drops_tombstones(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 0)
+        lsm = LSMTree(memtable_limit=2)
         lsm.put("/a", 1)
         lsm.put("/b", 2)  # flush + compact
         lsm.delete("/a")
@@ -99,8 +106,9 @@ class TestReadReceipts:
         r = lsm.get("/a")
         assert r.memtable_hit and r.bloom_checks == 0
 
-    def test_table_probe_counted(self):
-        lsm = LSMTree(memtable_limit=2, l0_limit=10)
+    def test_table_probe_counted(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 10)
+        lsm = LSMTree(memtable_limit=2)
         lsm.put("/a", 1)
         lsm.put("/b", 2)  # flushed
         r = lsm.get("/a")
@@ -108,8 +116,9 @@ class TestReadReceipts:
         assert r.tables_probed == 1
         assert r.bloom_checks >= 1
 
-    def test_absent_key_mostly_bloom_filtered(self):
-        lsm = LSMTree(memtable_limit=50, l0_limit=10)
+    def test_absent_key_mostly_bloom_filtered(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 10)
+        lsm = LSMTree(memtable_limit=50)
         for i in range(200):
             lsm.put(f"/present/{i}", i)
         probes = 0
@@ -120,15 +129,17 @@ class TestReadReceipts:
 
 
 class TestScan:
-    def test_scan_merges_all_levels(self):
-        lsm = LSMTree(memtable_limit=3, l0_limit=1)
+    def test_scan_merges_all_levels(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 1)
+        lsm = LSMTree(memtable_limit=3)
         for i in range(10):
             lsm.put(f"/dir/f{i}", i)
         found = dict(lsm.scan_prefix("/dir/"))
         assert found == {f"/dir/f{i}": i for i in range(10)}
 
-    def test_scan_respects_tombstones(self):
-        lsm = LSMTree(memtable_limit=100, l0_limit=10)
+    def test_scan_respects_tombstones(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 10)
+        lsm = LSMTree(memtable_limit=100)
         lsm.put("/d/a", 1)
         lsm.put("/d/b", 2)
         lsm.flush()
@@ -147,8 +158,9 @@ class TestScan:
             lsm.put(k, k)
         assert [k for k, _ in lsm.scan_prefix("/d/")] == ["/d/a", "/d/b", "/d/c"]
 
-    def test_total_live_keys(self):
-        lsm = LSMTree(memtable_limit=4, l0_limit=1)
+    def test_total_live_keys(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 1)
+        lsm = LSMTree(memtable_limit=4)
         for i in range(10):
             lsm.put(f"/k{i}", i)
         lsm.delete("/k0")
@@ -162,8 +174,9 @@ class TestBulkInsertion:
         assert lsm.puts == 100
         assert lsm.get("/k50").value == 50
 
-    def test_stats_snapshot(self):
-        lsm = LSMTree(memtable_limit=4, l0_limit=1)
+    def test_stats_snapshot(self, monkeypatch):
+        monkeypatch.setattr(lsm_tree, "L0_LIMIT", 1)
+        lsm = LSMTree(memtable_limit=4)
         for i in range(8):
             lsm.put(f"/k{i}", i)
         assert lsm.puts == 8

@@ -83,13 +83,14 @@ class TestSpanTrees:
         assert barrier_ops, "no readdir op carried a barrier span"
 
     def test_single_op_tree_matches_batch(self, driven):
+        """One op's tree holds every span the batch parse of the log
+        found for it, each once."""
         tracer = driven.hub.tracer
         trees = tracer.span_trees()
+        rows = tracer.op_rows()
         op_id = sorted(trees)[0]
-        single = tracer.span_tree(op_id)
-        assert single is not None
-        assert ([ (s.span_id, s.category) for s in single.walk() ]
-                == [ (s.span_id, s.category) for s in trees[op_id].walk() ])
+        ids = [s.span_id for s in trees[op_id].walk()]
+        assert sorted(ids) == sorted(rows[op_id].starts)
 
 
 class TestAttribution:
@@ -208,14 +209,16 @@ class TestNoEmitWhenOff:
         from tests.core.test_autoscale import _elastic_config, _storm
 
         world = make_world(n_nodes=2, config=_elastic_config())
-        scaler = Autoscaler(world.deployment, world.region)
+        scaler = Autoscaler(world.deployment, world.region,
+                            world.cluster.add_node)
         scaler.start()
         _storm(world)
         world.cluster.env.run(until=0.6)
         scaler.stop()
         assert scaler.scale_ups >= 1 and scaler.scale_downs >= 1
         capped = make_world(n_nodes=2, config=_elastic_config(max_nodes=2))
-        scaler = Autoscaler(capped.deployment, capped.region)
+        scaler = Autoscaler(capped.deployment, capped.region,
+                            capped.cluster.add_node)
         scaler.start()
         _storm(capped)
         capped.cluster.env.run(until=0.2)

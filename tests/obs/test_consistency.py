@@ -68,10 +68,6 @@ class TestQuantileSketch:
 
         assert combine([0, 1, 2]) == combine([2, 0, 1]) == combine([1, 2, 0])
 
-    def test_merge_growth_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(growth=1.05).merge(QuantileSketch(growth=1.1))
-
     def test_summary_shares_histogram_keys(self):
         assert set(QuantileSketch().summary()) == \
             {"count", "mean", "p50", "p95", "p99", "max"}

@@ -13,7 +13,7 @@
   ``busy_time()``-based formula), ``CommitProcess.
   oldest_outstanding_timestamp`` (against a brute-force minimum over the
   drain, the retries and the held ops), and ``QuantileSketch.observe``
-  (against the bucket formula, exact powers of ``growth`` included).
+  (against the bucket formula, exact powers of ``GROWTH`` included).
 """
 
 import gc
@@ -31,7 +31,8 @@ from repro.chaos.scenarios import SCENARIOS, run_scenario
 from repro.core.commit import CommitProcess
 from repro.core.region import ConsistentRegion
 from repro.obs.hub import MetricsHub
-from repro.obs.sketch import QuantileSketch
+from repro.obs import sketch as sketch_module
+from repro.obs.sketch import GROWTH, QuantileSketch
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
@@ -110,9 +111,9 @@ def test_the_trace_log_holds_nothing_the_collector_tracks():
 
 
 
-def test_sampler_ticks_stop_at_each_series_cap():
-    """A tick appends through each series' own ``max_points`` cap: a full
-    series counts the point in ``dropped`` while the others keep
+def test_sampler_ticks_stop_at_each_series_cap(monkeypatch):
+    """A tick appends through the ``MAX_POINTS`` cap series by series: a
+    full series counts the point in ``dropped`` while the others keep
     growing."""
     world = make_observed_world(n_nodes=2, clients_per_node=2)
     for i, client in enumerate(world.clients):
@@ -122,9 +123,13 @@ def test_sampler_ticks_stop_at_each_series_cap():
     (sampler,) = world.hub.samplers
     series = sorted(world.hub.stats._series.values(), key=lambda s: s.name)
     assert len(series) > 6
+    cap = max(len(s) for s in series) + 3
+    monkeypatch.setattr(sketch_module, "MAX_POINTS", cap)
+    now = world.cluster.env.now
+    for room, s in enumerate(series):  # room 0, 1, 2, 3 below the cap
+        while len(s) < cap - room % 4:
+            s.append(now, 0.0)
     before = {s.name: (len(s), s.dropped) for s in series}
-    for room, s in enumerate(series):  # room 0, 1, 2, ... per series
-        s.max_points = len(s) + room % 4
     for _ in range(3):
         sampler.sample_once()
     for room, s in enumerate(series):
@@ -297,7 +302,7 @@ def test_sketch_observe_picks_the_formula_bucket(batch):
         if value <= 0.0:
             zeros += 1
         else:
-            idx = _formula_bucket(value, sketch.growth)
+            idx = _formula_bucket(value, GROWTH)
             expected[idx] = expected.get(idx, 0) + 1
     assert sketch._buckets == expected
     assert sketch.zero_count == zeros

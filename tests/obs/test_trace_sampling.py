@@ -156,21 +156,6 @@ class TestThinning:
         assert {ev.op_id for ev in tracer.events(kind="span.end")} == {4, 8}
         assert world.region.ops_committed == 10
 
-    def test_clear_restarts_the_sample(self, monkeypatch):
-        monkeypatch.setattr(trace_mod, "SAMPLED_OPS", 2)
-        tracer = Tracer()
-        for _ in range(9):
-            tracer.root_context()
-        assert tracer.sampling_note() == "... traced 1 in 4 ops (2 of 9)"
-        tracer.clear()
-        assert tracer.sampling_note() == ""
-        ids = [ctx.op_id for ctx in (tracer.root_context() for _ in range(4))
-               if ctx is not None]
-        # Ops 10-13 are traced at stride 1 until op 13, the fourth,
-        # doubles it: the even ids stay, op 13 itself is dropped.
-        assert ids == [10, 11, 12]
-        assert tracer.sampling_note() == "... traced 1 in 2 ops (2 of 4)"
-
 
 class TestReporting:
     def test_the_sampling_line_only_past_the_budget(self, pair):

@@ -200,8 +200,6 @@ def test_row_fold_equals_the_tree_walk(script, capacity):
     # ``==`` already compares the floats exactly; ``repr`` adds the key
     # order of every dict, which the exported JSON inherits.
     assert repr(folded) == repr(expected)
-    for op_id in reference:
-        assert tracer.attribution(op_id) == expected.get(op_id)
     events = list(tracer.events())
     ended = {ev.op_id for ev in events if ev.kind == "op.end"}
     assert tracer.open_span_count() == sum(

@@ -29,14 +29,15 @@ def trees(draw):
 
 def build(entries) -> Namespace:
     ns = Namespace()
-    ns.mkdir(WS, mode=0o777, check_perms=False)
+    ns.mkdir(WS, mode=0o777)
     for path, kind, mode, size in entries:
+        # Root makes each entry (no mode bit stops it), then hands it to
+        # uid 7 / gid 8.
         if kind == "dir":
-            ns.mkdir(path, mode=mode, uid=7, gid=8, check_perms=False)
+            ns.mkdir(path, mode=mode)
         else:
-            ns.create(path, mode=mode, uid=7, gid=8, check_perms=False)
-            if size:
-                ns.setattr(path, size=size, check_perms=False)
+            ns.create(path, mode=mode)
+        ns.setattr(path, new_uid=7, new_gid=8, size=size or None)
     return ns
 
 
@@ -56,11 +57,11 @@ def test_export_restore_identity(entries, extra):
     checkpoint = ns.export_subtree(WS)
     # Mutate arbitrarily after the checkpoint.
     for i in range(extra):
-        ns.create(f"{WS}/garbage{i}", check_perms=False)
+        ns.create(f"{WS}/garbage{i}")
     doomed = [p for p, (kind, *_rest) in before.items()
               if kind == "file" and p != WS]
     for path in doomed[: len(doomed) // 2]:
-        ns.unlink(path, check_perms=False)
+        ns.unlink(path)
     # Restore must reproduce the snapshot exactly.
     ns.restore_subtree(checkpoint)
     assert snapshot_view(ns) == before

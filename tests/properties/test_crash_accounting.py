@@ -138,7 +138,7 @@ def test_every_surviving_record_has_a_committed_creator(crash_at, down_for):
             if not namespace.exists(path):
                 return record["deleted"]
             return (not record["deleted"] and record["mode"]
-                    == namespace.getattr(path, check_perms=False).mode)
+                    == namespace.getattr(path).mode)
 
         disagree = [path for shard in w.region.shards
                     for path, record in shard.kv.scan_prefix("/app/")

@@ -22,7 +22,7 @@ key_lists = st.lists(st.text(alphabet="abcdef/", min_size=1, max_size=12),
 @given(n=member_counts, keys=key_lists)
 @settings(max_examples=60, deadline=None)
 def test_lookup_total_and_stable(n, keys):
-    ring = ConsistentHashRing(vnodes=32)
+    ring = ConsistentHashRing()
     members = [Member(f"m{i}") for i in range(n)]
     for m in members:
         ring.add(m)
@@ -35,7 +35,7 @@ def test_lookup_total_and_stable(n, keys):
 @given(n=st.integers(min_value=2, max_value=8), keys=key_lists)
 @settings(max_examples=50, deadline=None)
 def test_removal_only_moves_removed_members_keys(n, keys):
-    ring = ConsistentHashRing(vnodes=32)
+    ring = ConsistentHashRing()
     members = [Member(f"m{i}") for i in range(n)]
     for m in members:
         ring.add(m)
@@ -53,7 +53,7 @@ def test_removal_only_moves_removed_members_keys(n, keys):
 @given(n=member_counts, keys=key_lists)
 @settings(max_examples=50, deadline=None)
 def test_addition_only_steals_keys_for_new_member(n, keys):
-    ring = ConsistentHashRing(vnodes=32)
+    ring = ConsistentHashRing()
     members = [Member(f"m{i}") for i in range(n)]
     for m in members:
         ring.add(m)

@@ -17,9 +17,11 @@ must give exactly the result of the straightforward form it stands for:
 import hashlib
 from typing import Iterator, List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import indexfs
 from repro.baselines.indexfs import IndexFS
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.dht import stable_hash64
@@ -65,17 +67,20 @@ def _assert_placement_matches(fs, dirs, names):
 def test_memoized_directory_hash_places_like_fresh_hashes(n_servers, names):
     cluster = Cluster(seed=1)
     nodes = [cluster.add_node(f"n{i}") for i in range(n_servers)]
-    fs = IndexFS(cluster, nodes, split_threshold=4)
+    fs = IndexFS(cluster, nodes)
     dirs = ["/", "/d", "/d/e"]
-    for path in dirs[1:]:
-        fs.admin_mkdir(path)
-    _assert_placement_matches(fs, dirs, names)
-    # Fill every directory past several GIGA+ splits, checking after each
-    # insert: a split changes the partition count, never the dir hash.
-    for i in range(40):
-        for dir_path in dirs:
-            fs.admin_mkdir(dir_path.rstrip("/") + f"/s{i}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indexfs, "SPLIT_THRESHOLD", 4)
+        for path in dirs[1:]:
+            fs.admin_mkdir(path)
         _assert_placement_matches(fs, dirs, names)
+        # Fill every directory past several GIGA+ splits, checking after
+        # each insert: a split changes the partition count, never the
+        # dir hash.
+        for i in range(40):
+            for dir_path in dirs:
+                fs.admin_mkdir(dir_path.rstrip("/") + f"/s{i}")
+            _assert_placement_matches(fs, dirs, names)
     # Each directory doubled until it spans every server.
     assert fs.splits == len(dirs) * (n_servers - 1).bit_length()
 

@@ -1,14 +1,24 @@
 """Model-based property tests: LSMTree against a plain-dict oracle,
 including flush/compaction transparency."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.kvstore import lsm as lsm_tree
 from repro.kvstore.lsm import LSMTree
 
 keys = st.sampled_from([f"/p{i}/k{j}" for i in range(3) for j in range(5)])
 values = st.integers(min_value=0, max_value=999)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def small_l0():
+    """Compact past two L0 tables, so a short run compacts often."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lsm_tree, "L0_LIMIT", 2)
+        yield
 
 
 class LSMMachine(RuleBasedStateMachine):
@@ -16,7 +26,7 @@ class LSMMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.lsm = LSMTree(memtable_limit=6, l0_limit=2)
+        self.lsm = LSMTree(memtable_limit=6)
         self.model = {}
 
     @rule(key=keys, value=values)
@@ -65,11 +75,13 @@ TestLSMModel.settings = settings(max_examples=50, stateful_step_count=50,
 @given(st.lists(st.tuples(keys, values), min_size=1, max_size=80))
 @settings(max_examples=50, deadline=None)
 def test_heavy_write_then_full_readback(writes):
-    lsm = LSMTree(memtable_limit=4, l0_limit=1)
+    lsm = LSMTree(memtable_limit=4)
     model = {}
-    for key, value in writes:
-        lsm.put(key, value)
-        model[key] = value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lsm_tree, "L0_LIMIT", 1)
+        for key, value in writes:
+            lsm.put(key, value)
+            model[key] = value
     for key, value in model.items():
         assert lsm.get(key).value == value
     assert dict(lsm.scan_prefix("/")) == model

@@ -43,7 +43,7 @@ class NamespaceMachine(RuleBasedStateMachine):
     def mkdir(self, path):
         should_fail = path in self.model or not self._parent_ok(path)
         try:
-            self.ns.mkdir(path, check_perms=False)
+            self.ns.mkdir(path)
             assert not should_fail
             self.model[path] = "dir"
         except (FileExists, FileNotFound, NotADirectory):
@@ -53,7 +53,7 @@ class NamespaceMachine(RuleBasedStateMachine):
     def create(self, path):
         should_fail = path in self.model or not self._parent_ok(path)
         try:
-            self.ns.create(path, check_perms=False)
+            self.ns.create(path)
             assert not should_fail
             self.model[path] = "file"
         except (FileExists, FileNotFound, NotADirectory):
@@ -63,7 +63,7 @@ class NamespaceMachine(RuleBasedStateMachine):
     def unlink(self, path):
         kind = self.model.get(path)
         try:
-            self.ns.unlink(path, check_perms=False)
+            self.ns.unlink(path)
             assert kind == "file"
             del self.model[path]
         except FileNotFound:
@@ -75,7 +75,7 @@ class NamespaceMachine(RuleBasedStateMachine):
     def rmdir(self, path):
         kind = self.model.get(path)
         try:
-            self.ns.rmdir(path, check_perms=False)
+            self.ns.rmdir(path)
             assert kind == "dir" and not self._has_children(path)
             del self.model[path]
         except FileNotFound:
@@ -89,7 +89,7 @@ class NamespaceMachine(RuleBasedStateMachine):
     def rmdir_recursive(self, path):
         kind = self.model.get(path)
         try:
-            removed = self.ns.rmdir(path, check_perms=False, recursive=True)
+            removed = self.ns.rmdir(path, recursive=True)
             assert kind == "dir"
             doomed = [p for p in self.model
                       if p == path or p.startswith(path.rstrip("/") + "/")]
@@ -105,7 +105,7 @@ class NamespaceMachine(RuleBasedStateMachine):
     def getattr(self, path):
         kind = self.model.get(path)
         try:
-            inode = self.ns.getattr(path, check_perms=False)
+            inode = self.ns.getattr(path)
             assert kind == ("dir" if inode.is_dir else "file")
         except (FileNotFound, NotADirectory):
             assert kind is None
@@ -115,7 +115,7 @@ class NamespaceMachine(RuleBasedStateMachine):
         kind = self.model.get(path)
         prefix = path.rstrip("/") + "/"
         try:
-            names = self.ns.readdir(path, check_perms=False)
+            names = self.ns.readdir(path)
             assert kind == "dir"
             expected = sorted({p[len(prefix):].split("/")[0]
                                for p in self.model if p.startswith(prefix)})

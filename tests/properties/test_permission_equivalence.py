@@ -60,17 +60,14 @@ def build_oracle(normal_mode: int, entries, special) -> Namespace:
     # Entry (search permission) into the region root is granted at region
     # creation, so the oracle's /ws carries exec-for-all; its other bits
     # stay per the normal permission (writes into the workspace root are
-    # still governed by the declared permission information).
-    ns.mkdir(WS, mode=normal_mode | 0o111, uid=APP[0], gid=APP[1],
-             check_perms=False)
+    # still governed by the declared permission information).  Root makes
+    # every entry (no mode bit stops it), then hands it to the app.
+    ns.mkdir(WS, mode=normal_mode | 0o111)
+    ns.setattr(WS, new_uid=APP[0], new_gid=APP[1])
     for path, ftype in entries:
-        mode = special.get(path, normal_mode)
-        if ftype == "dir":
-            ns.mkdir(path, mode=mode, uid=APP[0], gid=APP[1],
-                     check_perms=False)
-        else:
-            ns.create(path, mode=mode, uid=APP[0], gid=APP[1],
-                      check_perms=False)
+        make = ns.mkdir if ftype == "dir" else ns.create
+        make(path, mode=special.get(path, normal_mode))
+        ns.setattr(path, new_uid=APP[0], new_gid=APP[1])
     return ns
 
 
@@ -84,22 +81,22 @@ def oracle_allows(ns: Namespace, op: str, path: str, uid: int,
     try:
         if op == "create":
             parent = parent_of(path)
-            ns.getattr(parent, uid, gid, check_perms=True)
-            inode = ns.getattr(parent, 0, 0, check_perms=False)
+            ns.getattr(parent, uid, gid)
+            inode = ns.getattr(parent)
             return inode.permits(uid, gid,
                                  AccessMode.WRITE | AccessMode.EXECUTE)
         if op == "getattr":
             parent = parent_of(path)
-            ns.getattr(parent, uid, gid, check_perms=True)
-            inode = ns.getattr(parent, 0, 0, check_perms=False)
+            ns.getattr(parent, uid, gid)
+            inode = ns.getattr(parent)
             return inode.permits(uid, gid, AccessMode.EXECUTE)
         if op == "readdir":
-            ns.getattr(path, uid, gid, check_perms=True)
-            inode = ns.getattr(path, 0, 0, check_perms=False)
+            ns.getattr(path, uid, gid)
+            inode = ns.getattr(path)
             return inode.permits(uid, gid, AccessMode.READ)
         if op == "write":
-            ns.getattr(path, uid, gid, check_perms=True)
-            inode = ns.getattr(path, 0, 0, check_perms=False)
+            ns.getattr(path, uid, gid)
+            inode = ns.getattr(path)
             return inode.permits(uid, gid, AccessMode.WRITE)
     except PermissionDenied:
         return False
@@ -195,7 +192,7 @@ def test_the_special_list_follows_the_namespace(normal_mode, start_modes,
     perms = fs.region.permissions
     for path, spec in perms.special.items():
         assert ns.exists(path), f"special entry {path} outlived its name"
-        assert ns.getattr(path, check_perms=False).mode == spec.mode, path
+        assert ns.getattr(path).mode == spec.mode, path
     for path, inode in ns.walk(WS):
         if path == WS:
             continue
@@ -226,7 +223,7 @@ def test_a_create_over_an_evicted_name_is_refused():
     except FileExists:
         pass
     fs.quiesce()
-    assert fs.dfs.namespace.getattr(f"{WS}/b", check_perms=False).is_dir
+    assert fs.dfs.namespace.getattr(f"{WS}/b").is_dir
 
 
 @pytest.mark.xfail(strict=True, raises=PermissionDenied,
@@ -241,4 +238,4 @@ def test_a_chmod_of_an_uncommitted_directory_keeps_the_create_under_it():
     fs.quiesce()
     ns = fs.dfs.namespace
     assert ns.exists(f"{WS}/d/f")
-    assert ns.getattr(f"{WS}/d", check_perms=False).mode & 0o777 == 0o500
+    assert ns.getattr(f"{WS}/d").mode & 0o777 == 0o500

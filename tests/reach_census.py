@@ -24,26 +24,28 @@ run sets that way is still *set* when some call in ``src/repro``,
 ``tests``, ``benchmarks`` or ``examples`` passes it by keyword or
 position: an ``ast`` pass matched on the callee's name (a class's name
 for its ``__init__``), coarse on purpose so that it can only
-under-report.  Every other defaulted parameter is *unset*.  Nested
+under-report.  Every other defaulted parameter is *unset*.  A parameter
+that only calls under ``tests/`` pass is *tests only*.  Nested
 functions are checked by the ``ast`` pass alone, and the generated
 ``__init__`` of a dataclass (``PaconConfig``, ``AutoscalePolicy``,
 ``CostModel``, ``MdtestConfig``) has no ``def`` in a source file, so its
 fields are out of scope here.
 
 Exit status 1 when a function no run reaches has no row in
-:data:`ALLOWLIST`, when an unset parameter has no row in
+:data:`ALLOWLIST`, when an unset or tests-only parameter has no row in
 :data:`PARAM_ALLOWLIST`, or when a row of either is stale: its function
-is reached now or its parameter is set now, or it no longer exists.  Both
-allowlists may only shrink.  The file is not named ``test_*.py``, so
+is reached now, its parameter is set by a run or by a call outside
+``tests/`` now, or it no longer exists.  Both allowlists may only
+shrink.  The file is not named ``test_*.py``, so
 pytest does not collect it (it takes about a minute).
 
     PYTHONPATH=src python tests/reach_census.py --params
 
 runs the same census and lists every defaulted parameter no run sets,
-with who does set it: nobody (the allowlist row's reason), tests only, or
-a file outside ``tests/`` whose call no run makes.  A report, not a
-gate: it exits 0.  It is the list the "two non-test callers that set an
-option to different values" rule is judged from.
+with who does set it: nobody or tests only (each with its allowlist
+row's reason), or a file outside ``tests/`` whose call no run makes.  A
+report, not a gate: it exits 0.  It is the list the "two non-test
+callers that set an option to different values" rule is judged from.
 
     PYTHONPATH=src python tests/reach_census.py --lines FILE...
 
@@ -100,7 +102,6 @@ ALLOWLIST: Dict[str, str] = {
     "bench/report.py::ExperimentResult.fail": FAULT,
     "bench/snapshot.py::simulated_view": OBSERVER,
     "chaos/engine.py::ChaosSchedule.__len__": OBSERVER,
-    "core/autoscale.py::Autoscaler._default_factory": TEST_API,
     "core/autoscale.py::Autoscaler.stop": TEST_API,
     "core/cache.py::DistributedCache.delete": PAPER,
     "core/cache.py::DistributedCache.scan_subtree": PAPER,
@@ -111,10 +112,6 @@ ALLOWLIST: Dict[str, str] = {
     "core/client.py::PaconClient.fsync.set_shadow": PAPER,
     "core/commit.py::CommitProcess._discard": DISCARD,
     "core/deploy.py::PaconDeployment.evictor": PAPER,
-    "core/deploy.py::PaconDeployment.grow_region": TEST_API,
-    "core/deploy.py::PaconDeployment.retire_node": TEST_API,
-    "core/deploy.py::PaconFS.__enter__": TEST_API,
-    "core/deploy.py::PaconFS.__exit__": TEST_API,
     "core/deploy.py::PaconFS.chmod": PAPER,
     "core/deploy.py::PaconFS.fsync": PAPER,
     "core/eviction.py::EvictionManager.__init__": PAPER,
@@ -138,7 +135,6 @@ ALLOWLIST: Dict[str, str] = {
     "core/region.py::RegionManager.regions": OBSERVER,
     "dfs/inode.py::Inode.is_file": OBSERVER,
     "dfs/namespace.py::Namespace.getattr": TEST_API,
-    "dfs/namespace.py::basename": TEST_API,
     "dfs/storage.py::DataServer.stored_bytes": OBSERVER,
     "kvstore/bloom.py::BloomFilter.__contains__": OBSERVER,
     "kvstore/bloom.py::BloomFilter.__init__": PAPER_SCALE,
@@ -173,12 +169,11 @@ ALLOWLIST: Dict[str, str] = {
     "obs/sketch.py::Series.last": OBSERVER,
     "obs/sketch.py::Series.points": OBSERVER,
     "obs/timeline.py::Timeline.__len__": OBSERVER,
-    "obs/timeline.py::Timeline.clear": TEST_API,
     "sim/core.py::Environment.step": TEST_API,
     "sim/core.py::Environment.timeout": PERF,
     "sim/core.py::Event.__repr__": FAULT,
     "sim/core.py::Event.exception": OBSERVER,
-    "sim/core.py::Event.fail": TEST_API,
+    "sim/core.py::Event.fail": FAULT,
     "sim/core.py::Event.ok": OBSERVER,
     "sim/core.py::Event.processed": OBSERVER,
     "sim/core.py::Process.__repr__": FAULT,
@@ -195,24 +190,38 @@ ALLOWLIST: Dict[str, str] = {
     "sim/resources.py::Resource.queue_length": OBSERVER,
     "sim/trace.py::Span.duration": OBSERVER,
     "sim/trace.py::Span.render": OBSERVER,
-    "sim/trace.py::Tracer.attribution": OBSERVER,
-    "sim/trace.py::Tracer.clear": TEST_API,
     "sim/trace.py::Tracer.sampled": TRACED_COALESCE,
-    "sim/trace.py::Tracer.span_tree": OBSERVER,
     "sim/trace.py::Tracer.spans": OBSERVER,
-    "workloads/mdtest.py::leaf_dirs": TEST_API,
 }
 
 SUBCLASS = ("passed through a subclass (PermissionDenied(path, detail)),"
             " which the callee-name match cannot see")
 FLUSH_ROW = ("ROADMAP 6(a): the memtable size a paper-scale IndexFS flush"
              " row will set")
+PAPER_ROW = ("paper semantics no row runs yet (ROADMAP 16): periodic"
+             " checkpoints, eviction, the special list (§III.C) and"
+             " merged-region reads (§III.D.4)")
+PAUSED_COMMIT = ("tests pause the commit pipeline to queue ops and drain"
+                 " them as one batch")
+RULES = ("tests feed hand-made incident rules to reach each detector"
+         " branch; every run uses the default rule set")
+CONFIG = ("tests hand the facade a full PaconConfig; the examples take"
+          " the defaults")
 
 #: ``"<path under src/repro>::<function>(<parameter>)"`` -> why nothing
-#: passes it.  Rows only ever go: pass it, or delete the parameter.
+#: but tests passes it.  Rows only ever go: pass it from a run, or delete
+#: the parameter.
 PARAM_ALLOWLIST: Dict[str, str] = {
     "baselines/indexfs.py::IndexFS.__init__(memtable_limit)": FLUSH_ROW,
+    "core/deploy.py::PaconDeployment.checkpointer(keep)": PAPER_ROW,
+    "core/deploy.py::PaconDeployment.create_region(start_commit)":
+        PAUSED_COMMIT,
+    "core/deploy.py::PaconDeployment.evictor(node)": PAPER_ROW,
+    "core/deploy.py::PaconFS.__init__(config)": CONFIG,
+    "core/permissions.py::RegionPermissions.__init__(special)": PAPER_ROW,
+    "core/region.py::ConsistentRegion.merge(mutual)": PAPER_ROW,
     "dfs/errors.py::FSError.__init__(detail)": SUBCLASS,
+    "obs/incidents.py::detect_incidents(rules)": RULES,
 }
 
 # -- recording ----------------------------------------------------------------
@@ -597,6 +606,12 @@ def param_census() -> Dict[str, object]:
     return out
 
 
+def tests_only(who: object) -> bool:
+    """Whether only calls under ``tests/`` pass a parameter."""
+    return (who != "run" and bool(who)
+            and all(rel.startswith("tests/") for rel in who))
+
+
 def param_report(params: Dict[str, object]) -> None:
     """``--params``: every parameter no census run sets, and who does."""
     for key, who in sorted(params.items()):
@@ -604,8 +619,8 @@ def param_report(params: Dict[str, object]) -> None:
             continue
         if not who:
             print(f"  nobody      {key}: {PARAM_ALLOWLIST.get(key, '')}")
-        elif all(rel.startswith("tests/") for rel in who):
-            print(f"  tests only  {key}")
+        elif tests_only(who):
+            print(f"  tests only  {key}: {PARAM_ALLOWLIST.get(key, '')}")
         else:
             print(f"  not run     {key}: " + ", ".join(
                 rel for rel in who if not rel.startswith("tests/")))
@@ -689,22 +704,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     params = param_census()
     unset = sorted(k for k, who in params.items() if not who)
     by_run = sum(who == "run" for who in params.values())
+    by_tests_only = sum(tests_only(who) for who in params.values())
     print(f"parameter census: {len(params)} defaulted parameters; {by_run}"
           f" set by a run, {len(params) - by_run - len(unset)} only by a"
-          f" call no run makes, {len(unset)} unset,"
-          f" {len(PARAM_ALLOWLIST)} allowlisted")
+          f" call no run makes ({by_tests_only} of them in tests only),"
+          f" {len(unset)} unset, {len(PARAM_ALLOWLIST)} allowlisted")
     if args.params:
         param_report(params)
         return 0
     unlisted_params = [k for k in unset if k not in PARAM_ALLOWLIST]
-    stale_params = sorted(k for k in PARAM_ALLOWLIST if params.get(k, 1))
+    by_tests = sorted(k for k, who in params.items()
+                      if tests_only(who) and k not in PARAM_ALLOWLIST)
+    stale_params = sorted(
+        k for k in PARAM_ALLOWLIST
+        if k not in params or not (params[k] == [] or tests_only(params[k])))
     for key in unlisted_params:
         print(f"UNSET {key}: nothing passes it; delete it and write its"
               " default where it is used, or give it a PARAM_ALLOWLIST row")
+    for key in by_tests:
+        print(f"TESTONLY {key}: only tests pass it; make it a module"
+              " constant, give it a caller outside tests/, delete it, or"
+              " give it a PARAM_ALLOWLIST row")
     for key in stale_params:
         why = "is set now" if key in params else "no longer exists"
         print(f"STALE {key} {why}: drop its PARAM_ALLOWLIST row")
-    failed = unlisted or stale or unlisted_params or stale_params
+    failed = (unlisted or stale or unlisted_params or by_tests
+              or stale_params)
     return 1 if failed else 0
 
 

@@ -1,5 +1,6 @@
 """Export-safety regressions: Series caps, trace drops, stable hashing."""
 
+from repro.obs import sketch
 from repro.obs.sketch import Series, StatsRegistry
 from repro.sim import rng
 from repro.sim.rng import stable_hash
@@ -17,8 +18,9 @@ class TestSeries:
         assert s.export() == {"t": [0.0, 1.0], "v": [1.0, 2.5],
                               "dropped": 0}
 
-    def test_cap_counts_drops(self):
-        s = Series("q", max_points=2)
+    def test_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(sketch, "MAX_POINTS", 2)
+        s = Series("q")
         for i in range(5):
             s.append(float(i), i)
         assert len(s) == 2

@@ -60,12 +60,6 @@ class TestTracer:
         NULL_TRACER.emit(1.0, "x", "k")
         assert len(NULL_TRACER) == 0
 
-    def test_clear(self):
-        t = Tracer()
-        t.emit(1.0, "x", "k")
-        t.clear()
-        assert len(t) == 0
-
     def test_event_render(self):
         ev = TraceEvent(1e-3, "commit:n0", "commit", "create /a", op_id=7)
         text = ev.render()

@@ -57,7 +57,8 @@ and two over live objects:
   process, ``CostModel`` has no presets but ``zero`` and no
   ``publish_stall`` attribution bucket is left; the constructors and
   calls whose defaulted parameters nothing set keep the signatures
-  pinned there, so a deleted knob cannot quietly come back);
+  pinned there, so a deleted knob cannot quietly come back, and the
+  wrappers only tests called stay deleted);
 * one snapshot module: ``repro.bench.snapshot`` writes, reads, compares
   and folds ``pacon.bench/v1`` (no ``bench/baseline.py``, no
   ``runner.write_snapshot_file``), ``compare`` has no ``--tolerance``,
@@ -85,24 +86,30 @@ from repro.bench.snapshot import compare_snapshots
 from repro.bench.systems import make_testbed
 from repro.cli import build_parser
 from repro.core import client as client_module
-from repro.core.autoscale import AutoscalePolicy
+from repro.baselines.indexfs import IndexFS
+from repro.core.autoscale import AutoscalePolicy, Autoscaler
 from repro.core.commit import CommitProcess, OpMessage
 from repro.core.config import PaconConfig
-from repro.core.deploy import PaconFS
+from repro.core.deploy import PaconDeployment, PaconFS
 from repro.core.failure import recover_node
 from repro.dfs.beegfs import BeeGFS
 from repro.dfs.mds import MetadataServer
+from repro.dfs import namespace
 from repro.dfs.namespace import Namespace
+from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.dht import ConsistentHashRing
 from repro.kvstore.lsm import LSMTree, WriteReceipt
 from repro.kvstore.memkv import Item, MemKV
 from repro.obs.hub import MetricsHub
-from repro.obs.sketch import QuantileSketch
+from repro.obs.sketch import QuantileSketch, Series
+from repro.obs.timeline import Timeline
 from repro.sim.core import Environment, Event
 from repro.sim.costs import CostModel
 from repro import sim
 from repro.sim.network import Cluster, Node, Service
 from repro.sim.rng import RngStreams
-from repro.sim.trace import ATTRIBUTION_BUCKETS
+from repro.sim.trace import ATTRIBUTION_BUCKETS, Tracer
+from repro.workloads import mdtest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -497,9 +504,56 @@ def test_one_knob_one_place():
         MemKV.add: ["self", "key", "value"],
         MemKV.cas: ["self", "key", "value", "cas_token"],
         MetricsHub.attach_region: ["self", "region"],
+        # The DFS checks permissions on every request; uid 0 is the one
+        # caller that skips them (no ``check_perms`` switch).
+        Namespace.getattr: ["self", "path", "uid", "gid"],
+        Namespace.readdir: ["self", "path", "uid", "gid"],
+        Namespace.mkdir: ["self", "path", "mode", "uid", "gid", "now"],
+        Namespace.create: ["self", "path", "mode", "uid", "gid"],
+        Namespace.unlink: ["self", "path", "uid", "gid", "now"],
+        Namespace.rmdir: ["self", "path", "uid", "gid", "now", "recursive"],
+        Namespace.setattr: ["self", "path", "uid", "gid", "now", "mode",
+                            "size", "new_uid", "new_gid"],
+        Namespace._resolve: ["self", "path", "uid", "gid"],
+        Namespace._walk: ["self", "parts", "uid", "gid"],
+        Namespace._resolve_parent: ["self", "path", "uid", "gid"],
+        Namespace._make: ["self", "ftype", "path", "mode", "uid", "gid",
+                          "now"],
+        Namespace._check_parent_write: ["self", "parent", "path", "uid",
+                                        "gid"],
+        MetadataServer._mutate: ["self", "op", "path", "mode", "uid", "gid",
+                                 "token", "service_time"],
+        MetadataServer.handle_create: ["self", "path", "mode", "uid", "gid",
+                                       "token"],
+        # Paper constants are module constants, not test seams.
+        IndexFS: ["cluster", "server_nodes", "memtable_limit"],
+        IndexFS.server_for_entry: ["self", "dir_path", "name"],
+        LSMTree: ["memtable_limit", "name"],
+        BloomFilter: ["expected_items"],
+        ConsistentHashRing: [],
+        QuantileSketch: ["name"],
+        Series: ["name"],
+        Autoscaler: ["deployment", "region", "node_factory"],
     }
     for fn, params in pins.items():
         assert list(inspect.signature(fn).parameters) == params, fn
+    factory = inspect.signature(Autoscaler).parameters["node_factory"]
+    assert factory.default is inspect.Parameter.empty
+    # Wrappers only tests called stay deleted: tests call what runs call.
+    for owner, name in [
+            (PaconDeployment, "grow_region"),
+            (PaconDeployment, "retire_node"),
+            (PaconFS, "__enter__"),
+            (PaconFS, "__exit__"),
+            (Tracer, "span_tree"),
+            (Tracer, "attribution"),
+            (Tracer, "clear"),
+            (Timeline, "clear"),
+            (Autoscaler, "_default_factory"),
+            (namespace, "basename"),
+            (mdtest, "leaf_dirs")]:
+        assert not hasattr(owner, name), (owner, name)
+    assert not hasattr(Tracer(), "_sample_base")
     assert "flags" not in {f.name for f in dataclasses.fields(Item)}
     assert not hasattr(sim, "NetworkParams")
     cluster = Cluster()

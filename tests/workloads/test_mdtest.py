@@ -6,7 +6,6 @@ from repro.bench.systems import make_testbed
 from repro.workloads.mdtest import (
     MdtestConfig,
     build_tree,
-    leaf_dirs,
     run_closed_loop,
     run_mdtest,
     run_random_stat,
@@ -115,13 +114,18 @@ class TestTreeBuilding:
         leaves = build_tree(bed.env, bed.clients[0], "/app", fanout=3,
                             depth=2)
         assert len(leaves) == 9
-        assert leaves == leaf_dirs("/app", 3, 2)
+        assert leaves == [f"/app/d{i}/d{j}" for i in range(3)
+                          for j in range(3)]
         bed.quiesce()
         assert bed.dfs.namespace.exists("/app/d0/d2")
 
-    def test_leaf_dirs_math(self):
-        assert len(leaf_dirs("/r", 5, 3)) == 125
-        assert leaf_dirs("/r", 2, 1) == ["/r/d0", "/r/d1"]
+    def test_leaf_dirs_math(self, bed):
+        """``fanout ** depth`` leaves, listed in creation order."""
+        client = bed.clients[0]
+        assert build_tree(bed.env, client, "/app", fanout=2, depth=1) == \
+            ["/app/d0", "/app/d1"]
+        assert len(build_tree(bed.env, client, "/app/d0", fanout=5,
+                              depth=3)) == 125
 
     def test_random_stat_throughput(self, bed):
         leaves = build_tree(bed.env, bed.clients[0], "/app", fanout=2,
