@@ -92,20 +92,18 @@ class LocoFS:
         return self.fms[stable_hash64(path) % len(self.fms)]
 
     # -- client-side operation generators -----------------------------------
-    def mkdir(self, src: Node, path: str,
-              mode: int = 0o755) -> Generator[Event, Any, None]:
+    def mkdir(self, src: Node, path: str) -> Generator[Event, Any, None]:
         path = normalize_path(path)
         yield from self.dms.request(src, "mkdir", path,
-                                    {"mode": mode,
+                                    {"mode": 0o755,
                                      "ftype": FileType.DIRECTORY.value})
 
-    def create(self, src: Node, path: str,
-               mode: int = 0o644) -> Generator[Event, Any, Dict]:
+    def create(self, src: Node, path: str) -> Generator[Event, Any, Dict]:
         """Two RPCs: one DMS path check + one FMS insert."""
         path = normalize_path(path)
         yield from self.dms.request(src, "check_path", path)
         record = yield from self.fms_for(path).request(
-            src, "create", path, {"mode": mode,
+            src, "create", path, {"mode": 0o644,
                                   "ftype": FileType.FILE.value})
         return record
 

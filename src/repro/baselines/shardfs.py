@@ -84,18 +84,16 @@ class ShardFS:
         return self.servers[stable_hash64(path) % len(self.servers)]
 
     # -- client-side operation generators -----------------------------------
-    def mkdir(self, src: Node, path: str,
-              mode: int = 0o755) -> Generator[Event, Any, None]:
+    def mkdir(self, src: Node, path: str) -> Generator[Event, Any, None]:
         """Directory mutation: replicate to every server (the trade-off)."""
         path = normalize_path(path)
-        attrs = {"mode": mode, "ftype": FileType.DIRECTORY.value}
+        attrs = {"mode": 0o755, "ftype": FileType.DIRECTORY.value}
         for server in self.servers:
             yield from server.request(src, "mkdir_replica", path, attrs)
 
-    def create(self, src: Node, path: str,
-               mode: int = 0o644) -> Generator[Event, Any, Dict]:
+    def create(self, src: Node, path: str) -> Generator[Event, Any, Dict]:
         path = normalize_path(path)
-        attrs = {"mode": mode, "ftype": FileType.FILE.value}
+        attrs = {"mode": 0o644, "ftype": FileType.FILE.value}
         record = yield from self.file_server_for(path).request(
             src, "create", path, attrs)
         return record

@@ -199,6 +199,13 @@ class PaconClient:
         Inside one, a ``write`` into a merged region is refused at no
         simulated cost; otherwise the client CPU cost is charged and the
         batch permission check runs against the *covering* region.
+
+        The batch check is client-local CPU work, so its receipt is taken
+        at op entry and the client CPU and the check cost are charged in
+        one sleep, to ``(now + client_op_cpu) + check cost``: the instant
+        two sleeps in a row reach.  The workspace root needs no check
+        (its access was granted at region creation), and the hierarchical
+        ablation makes its cache gets between the two charges.
         """
         path = normalize_path(path)
         target = self.region.covering_region(path)
@@ -210,32 +217,28 @@ class PaconClient:
             raise ReadOnlyRegion(
                 f"{path} belongs to merged region {target.name};"
                 " merged regions are read-only (§III.D.4)")
-        if self.costs.client_op_cpu > 0:
-            yield self.costs.client_op_cpu
-        yield from self._check_permission(op, path, target)
-        return path, target
-
-    def _check_permission(self, op: str, path: str,
-                          region: ConsistentRegion,
-                          ) -> Generator[Event, Any, None]:
-        """Batch permission check (§III.C) with its (tiny) CPU cost.
-
-        Checks against the *covering* region's permission information —
-        for merged regions that is the information exchanged during the
-        merge (§III.D.4 step 1).  ``path`` is already normalized.
-        """
-        if path == region.workspace:
-            return  # region-root access was granted at region creation
-        if self.hierarchical_permissions:
-            yield from self._hierarchical_walk(path, region)
-        receipt = region.permissions._check_op(op, path, self.uid, self.gid)
+        cpu = self.costs.client_op_cpu
+        if path == target.workspace or self.hierarchical_permissions:
+            if cpu > 0:
+                yield cpu
+            if path == target.workspace:
+                return path, target
+            yield from self._hierarchical_walk(path, target)
+            cpu = 0.0
+        # Against the *covering* region's permission information: for a
+        # merged region, the information exchanged during the merge
+        # (§III.D.4 step 1).
+        receipt = target.permissions._check_op(op, path, self.uid, self.gid)
         cost = (self.costs.permission_check_batch * receipt.normal_checks +
                 self.costs.permission_check_special_per_item *
                 receipt.special_items_scanned)
         if cost > 0:
-            yield cost
+            yield (self.env.now + cpu + cost,)
+        elif cpu > 0:
+            yield cpu
         if not receipt.allowed:
             raise PermissionDenied(path, receipt.reason)
+        return path, target
 
     def _hierarchical_walk(self, path: str,
                            region: ConsistentRegion) -> Generator[

@@ -1,16 +1,23 @@
 """Unit tests for the distributed metadata cache."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import CacheShard, DistributedCache, new_record
+from repro.core.config import PaconConfig
 from repro.core.failure import fail_node, recover_node
+from repro.core.permissions import PermissionSpec
+from repro.dfs.errors import PermissionDenied
 from repro.dfs.mds import MetadataServer
 from repro.dfs.namespace import Namespace
 from repro.kvstore.memkv import CasMismatch, KeyExists
 from repro.obs.hub import MetricsHub
 from repro.sim.core import run_sync
 from repro.sim.network import Cluster, MessageDropped
-from tests.core.conftest import make_world
+from tests.core.conftest import make_paused_world, make_world
 
 
 def make_cache(n_shards=4):
@@ -305,6 +312,23 @@ def test_a_strike_on_a_clients_add_keeps_the_op_accounting():
     assert region.ops_submitted == resolved + report.lost_queued_ops
 
 
+def _op_events(env, gen):
+    """The kernel events ``gen`` adds as one process: its run's events
+    less a process's own start and end (an empty process's count)."""
+    def idle():
+        return
+        yield
+
+    before = env.processed_events
+    env.process(idle())
+    env.run()
+    base = env.processed_events - before
+    before = env.processed_events
+    env.process(gen)
+    env.run()
+    return env.processed_events - before - base
+
+
 class TestKernelEventsPerRpc:
     """The kernel events one RPC adds to the process that makes it: two
     per remote hop (the sender booking plus the latency, the receiver
@@ -317,21 +341,11 @@ class TestKernelEventsPerRpc:
         cluster = Cluster()
         client, home = cluster.add_node("client"), cluster.add_node("home")
         service, args = make(cluster, home)
-        env = cluster.env
-
-        def idle():
-            return
-            yield
 
         def rpc():
             yield from service.request(home if loopback else client, *args)
 
-        env.process(idle())
-        env.run()
-        base = env.processed_events
-        env.process(rpc())
-        env.run()
-        return env.processed_events - 2 * base
+        return _op_events(cluster.env, rpc())
 
     @pytest.mark.parametrize("loopback, events", [(False, 5), (True, 3)])
     def test_a_cache_rpc(self, loopback, events):
@@ -346,3 +360,114 @@ class TestKernelEventsPerRpc:
             return MetadataServer(cluster, home, Namespace()), \
                 ("getattr", "/")
         assert self._events(make, loopback) == events
+
+
+class TestKernelEventsPerOp:
+    """A warm Pacon op's kernel events: one client prologue (client CPU
+    and the batch check in one sleep), its cache RPC (5 events to a
+    remote shard, 3 to the local one) and, for a mutation, the commit
+    queue push.  The commit processes are paused, so a publish wakes
+    nobody."""
+
+    @staticmethod
+    def _world():
+        cluster, _dfs, _dep, region, client = make_paused_world(
+            PaconConfig(workspace="/app"))
+        return cluster.env, region, client
+
+    @staticmethod
+    def _path(region, client, local, stem):
+        """A path under ``/app`` whose cache shard is (not) ``client``'s."""
+        for i in range(64):
+            path = f"/app/{stem}{i}"
+            if (region.cache.shard_for(path).node is client.node) == local:
+                return path
+        raise AssertionError("no such path")
+
+    @pytest.mark.parametrize("local, rpc", [(False, 5), (True, 3)])
+    def test_a_warm_getattr(self, local, rpc):
+        env, region, client = self._world()
+        path = self._path(region, client, local, "d")
+        run_sync(env, client.mkdir(path))
+        assert _op_events(env, client.getattr(path)) == 1 + rpc
+        assert client.cache_hits == 1
+
+    @pytest.mark.parametrize("op", ["mkdir", "create"])
+    @pytest.mark.parametrize("local, rpc", [(False, 5), (True, 3)])
+    def test_a_mutation_adds_its_publish_sleep(self, op, local, rpc):
+        env, region, client = self._world()
+        path = self._path(region, client, local, op)
+        assert _op_events(env, getattr(client, op)(path)) == 1 + rpc + 1
+        assert region.ops_submitted == 1
+
+
+def test_a_chmod_inside_the_client_cpu_window_leaves_the_verdict_at_entry():
+    """The batch check reads the region's permission state at op entry:
+    a chmod whose special-list entry lands after the op starts but before
+    its client CPU is spent does not change that op's verdict, and the
+    next op sees it."""
+    world = make_world()
+    env, region, client = world.cluster.env, world.region, world.client
+    world.run(client.mkdir("/app/d"))
+    world.run(client.create("/app/d/f"))
+    t0, cpu = env.now, client.costs.client_op_cpu
+    assert cpu > 0
+
+    def chmod_lands():
+        yield (t0 + cpu / 2,)
+        region.permissions.add_special(
+            "/app/d", PermissionSpec(mode=0o000, uid=client.uid,
+                                     gid=client.gid))
+
+    env.process(chmod_lands())
+    op = env.process(client.getattr("/app/d/f"))
+    env.run(until=op)
+    assert op.value.ino > 0
+    with pytest.raises(PermissionDenied):
+        world.run(client.getattr("/app/d/f"))
+
+
+_costs = st.one_of(st.just(0.0), st.floats(0.0, 1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.one_of(st.just(0.0), st.floats(0.0, 1e3)), cpu=_costs,
+       batch=_costs, per_item=_costs, special=st.booleans(),
+       path=st.sampled_from(["/app/x", "/app/d/x", "/app/d/e/x"]))
+def test_the_merged_prologue_wakes_at_the_two_sleep_instant(
+        start, cpu, batch, per_item, special, path):
+    """``_enter`` charges client CPU and the batch check in one sleep to
+    ``(now + cpu) + check``: bit for bit the instant a ``cpu`` sleep and
+    then a check sleep reach, zero costs (no sleep) included."""
+    world = make_world()
+    env, region, client = world.cluster.env, world.region, world.client
+    if special:
+        region.permissions.add_special(
+            "/app/d", PermissionSpec(mode=0o755, uid=client.uid,
+                                     gid=client.gid))
+    client.costs = replace(client.costs, client_op_cpu=cpu,
+                           permission_check_batch=batch,
+                           permission_check_special_per_item=per_item)
+    woke = {}
+
+    def two_sleeps():
+        yield (start,)
+        receipt = region.permissions._check_op("getattr", path, client.uid,
+                                               client.gid)
+        if cpu > 0:
+            yield cpu
+        check = (batch * receipt.normal_checks +
+                 per_item * receipt.special_items_scanned)
+        if check > 0:
+            yield check
+        woke["two"] = env.now
+
+    def merged():
+        yield (start,)
+        yield from client._enter("getattr", path)
+        woke["one"] = env.now
+
+    env.process(two_sleeps())
+    env.process(merged())
+    env.run()
+    assert woke["one"].hex() == woke["two"].hex()

@@ -152,13 +152,15 @@ def test_lifecycle_pin():
     """Event count, clock, namespace and accounting of one fixed-seed
     grow → retire → crash → recover → grow run.  The literals predate the
     collapse of the membership paths (the event count is that of NIC
-    bookings, two kernel events per remote hop, and of cache-worker
-    bookings, one per cache RPC): a control-plane edit
-    that moves any of them changed the simulated schedule, not just the
-    code."""
+    bookings, two kernel events per remote hop, of cache-worker
+    bookings, one per cache RPC, and of one-sleep client prologues): a
+    control-plane edit that moves any of them changed the simulated
+    schedule, not just the code."""
     w, hub, moved, _lost = _run_lifecycle()
     env, region = w.cluster.env, w.region
-    assert env.processed_events == 4489
+    # 4 489 with two prologue sleeps; 141 ops charge client CPU and the
+    # batch check in one.
+    assert env.processed_events == 4348
     # The crash's lost-op fence drops the surviving records of two lost
     # creates (c1/f17, c1/f20), which later full-shard scans then skip.
     assert env.now == 0.08157747034835787
@@ -207,7 +209,9 @@ def test_smoke_elastic_scaling_actions_pin(monkeypatch):
         ("retire", "ep2", "idle", True, 17),
         ("retire", "ep1", "idle", True, 20),
         ("retire", "ep0", "idle", True, 25)]
-    assert scaler.env.processed_events == 85870
+    # 85 870 with two prologue sleeps; 10 589 ops charge client CPU and
+    # the batch check in one.
+    assert scaler.env.processed_events == 75281
     assert scaler.env.now == 0.10100000000000008
 
 

@@ -23,9 +23,12 @@ from the comparison counts as a difference).  A defaulted parameter no
 run sets that way is still *set* when some call in ``src/repro``,
 ``tests``, ``benchmarks`` or ``examples`` passes it by keyword or
 position: an ``ast`` pass matched on the callee's name (a class's name
-for its ``__init__``), coarse on purpose so that it can only
-under-report.  Every other defaulted parameter is *unset*.  A parameter
-that only calls under ``tests/`` pass is *tests only*.  Nested
+for its ``__init__``) and credited to a ``def`` of that name only when
+the call's positional count and keywords can bind its signature, so
+that a call to one same-named function does not set another's
+parameter; still coarse on purpose, so that it can only under-report.
+Every other defaulted parameter is *unset*.  A parameter that only
+calls under ``tests/`` pass is *tests only*.  Nested
 functions are checked by the ``ast`` pass alone, and the generated
 ``__init__`` of a dataclass (``PaconConfig``, ``AutoscalePolicy``,
 ``CostModel``, ``MdtestConfig``) has no ``def`` in a source file, so its
@@ -534,28 +537,41 @@ CallSite = Tuple[str, int, bool, Set[str], bool]
 # file, positional arguments, a ``*`` argument, keywords, a ``**`` argument
 
 
+def add_call_sites(tree: ast.AST, rel: str,
+                   sites: Dict[str, List[CallSite]]) -> None:
+    """Add every call in ``tree`` (the file ``rel``) to ``sites``, by
+    callee name: the ``f`` of ``f(...)`` or ``x.f(...)``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name is None:
+            continue
+        star = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords if k.arg}
+        sites.setdefault(name, []).append((
+            rel, len(node.args) - star, star, keywords,
+            any(k.arg is None for k in node.keywords)))
+
+
 def call_sites() -> Dict[str, List[CallSite]]:
-    """Every call in :data:`CALLERS`, by callee name: the ``f`` of
-    ``f(...)`` or ``x.f(...)``."""
+    """Every call in :data:`CALLERS`, by callee name."""
     sites: Dict[str, List[CallSite]] = {}
     for top in CALLERS:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path == Path(__file__).resolve():
                 continue
-            rel = path.relative_to(ROOT).as_posix()
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name is None:
-                    continue
-                star = any(isinstance(a, ast.Starred) for a in node.args)
-                keywords = {k.arg for k in node.keywords if k.arg}
-                sites.setdefault(name, []).append((
-                    rel, len(node.args) - star, star, keywords,
-                    any(k.arg is None for k in node.keywords)))
+            add_call_sites(ast.parse(path.read_text()),
+                           path.relative_to(ROOT).as_posix(), sites)
     return sites
+
+
+def _skip(node: ast.AST, method: bool) -> int:
+    """1 when a caller does not write the def's first parameter (the
+    ``self`` or ``cls`` of a method), else 0."""
+    decorators = {getattr(d, "id", None) for d in node.decorator_list}
+    return 1 if method and "staticmethod" not in decorators else 0
 
 
 def defaulted(node: ast.AST, method: bool) -> List[Tuple[str, Optional[int]]]:
@@ -563,13 +579,53 @@ def defaulted(node: ast.AST, method: bool) -> List[Tuple[str, Optional[int]]]:
     arguments a caller writes (None for keyword-only)."""
     args = node.args
     positional = args.posonlyargs + args.args
-    decorators = {getattr(d, "id", None) for d in node.decorator_list}
-    skip = 1 if method and "staticmethod" not in decorators else 0
+    skip = _skip(node, method)
     out = [(a.arg, i - skip) for i, a in enumerate(positional)
            if i >= len(positional) - len(args.defaults)]
     out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
             if d is not None]
     return out
+
+
+def binds(node: ast.AST, method: bool, site: CallSite) -> bool:
+    """Whether a call site's positional count and keywords can bind the
+    def's signature: no more positional arguments than it takes, no
+    keyword it lacks or that a positional argument already filled, and
+    every parameter without a default filled (a ``*`` or ``**`` argument
+    at the site may fill any).  A ``*args`` def takes any count, a
+    ``**kwargs`` def any keyword."""
+    _rel, n, star, keywords, double = site
+    args = node.args
+    skip = _skip(node, method)
+    positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+    if n > len(positional) and args.vararg is None:
+        return False
+    filled = set(positional[:n])
+    named = ({a.arg for a in args.args + args.kwonlyargs}
+             - {a.arg for a in (args.posonlyargs + args.args)[:skip]})
+    for keyword in keywords:
+        if keyword in filled and keyword in named:
+            return False
+        if keyword not in named and args.kwarg is None:
+            return False
+    if star or double:
+        return True
+    required = positional[:len(positional) - len(args.defaults)]
+    required += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                 if d is None]
+    return all(p in filled or p in keywords for p in required)
+
+
+def passers(node: ast.AST, method: bool, param: str, index: Optional[int],
+            sites: List[CallSite]) -> List[str]:
+    """The sorted files whose calls among ``sites`` bind the def and pass
+    ``param`` (at ``index`` among the written arguments, None for
+    keyword-only) by keyword or position."""
+    return sorted({
+        site[0] for site in sites
+        if binds(node, method, site) and (
+            param in site[3] or site[4] or (
+                index is not None and (index < site[1] or site[2])))})
 
 
 def param_census() -> Dict[str, object]:
@@ -598,11 +654,8 @@ def param_census() -> Dict[str, object]:
                 if param in ran:
                     out[f"{qual}({param})"] = "run"
                     continue
-                out[f"{qual}({param})"] = sorted({
-                    rel for rel, n, star, keywords, double in
-                    sites.get(callee, ())
-                    if param in keywords or double or (
-                        index is not None and (index < n or star))})
+                out[f"{qual}({param})"] = passers(
+                    node, method, param, index, sites.get(callee, []))
     return out
 
 
